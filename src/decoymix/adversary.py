@@ -19,7 +19,6 @@ from typing import Iterable, Mapping, Sequence, TextIO
 from .core import stable_u64
 from .errors import OffNetwork
 from .roads import (
-    DEFAULT_V_MIN_MPS,
     MixZoneGeometry,
     RoadGraph,
     exit_direction_consistent,
@@ -83,10 +82,6 @@ class PseudonymTrack:
     @property
     def last(self) -> ObsRow:
         return self.rows[-1]
-
-    @property
-    def times(self) -> tuple[float, ...]:
-        return tuple(r.time_s for r in self.rows)
 
     def intervals_by_eaves(self) -> dict[str, tuple[float, float]]:
         out: dict[str, tuple[float, float]] = {}
@@ -193,15 +188,6 @@ def classify_tracks(
     return instances, sorted(set(trivial))
 
 
-def filter_trivial(
-    tracks_by_class: Mapping[float, Sequence[PseudonymTrack]],
-    zone: MixZoneGeometry,
-    eaves_ranges: Mapping[str, float],
-) -> tuple[dict[float, LinkingInstance], list[str]]:
-    """Alias with the operation's published name."""
-    return classify_tracks(tracks_by_class, zone, eaves_ranges)
-
-
 def seen_together(a: PseudonymTrack, b: PseudonymTrack) -> bool:
     """True iff some single eavesdropper heard both ids simultaneously
     (their per-eavesdropper observation spans overlap)."""
@@ -242,9 +228,9 @@ def link(
     tracks_by_class: Mapping[float, Sequence[PseudonymTrack]],
     zone: MixZoneGeometry,
     g: RoadGraph,
-    v_min: float = DEFAULT_V_MIN_MPS,
-    zone_id: str = "",
-    eaves_ranges: Mapping[str, float] | None = None,
+    v_min: float,
+    zone_id: str,
+    eaves_ranges: Mapping[str, float],
 ) -> list[LinkCandidateSet]:
     """Candidate sets for every entering pseudonym at one zone.
 
@@ -253,10 +239,6 @@ def link(
     check, a directed road path through the zone, and the exit-direction
     gate on its own first beacon.
     """
-    if eaves_ranges is None:
-        eaves_ranges = infer_eaves_ranges_from_rows(
-            [r for ts in tracks_by_class.values() for t in ts for r in t.rows]
-        )
     lo, hi = traverse_time_bounds(zone, g, v_min)
     instances, _ = classify_tracks(tracks_by_class, zone, eaves_ranges)
     out: list[LinkCandidateSet] = []
@@ -287,29 +269,13 @@ def link(
     return out
 
 
-def infer_eaves_ranges_from_rows(rows: Iterable[ObsRow]) -> dict[str, float]:
-    """Catchment reach per eavesdropper when the true ranges are not given:
-    the farthest distance it ever logged a beacon from, per its own rows'
-    spread, cannot be known; fall back to per-eavesdropper max displacement
-    from its centroid. Callers with scenario knowledge pass real ranges."""
-    pts: dict[str, list[tuple[float, float]]] = {}
-    for r in rows:
-        pts.setdefault(r.eaves_id, []).append((r.x, r.y))
-    out: dict[str, float] = {}
-    for eid, ps in pts.items():
-        cx = sum(p[0] for p in ps) / len(ps)
-        cy = sum(p[1] for p in ps) / len(ps)
-        out[eid] = max(math.hypot(p[0] - cx, p[1] - cy) for p in ps) + 1e-6
-    return out
-
-
 def brute_force_oracle(
     rows: Sequence[ObsRow],
     zone: MixZoneGeometry,
     g: RoadGraph,
-    v_min: float = DEFAULT_V_MIN_MPS,
-    zone_id: str = "",
-    eaves_ranges: Mapping[str, float] | None = None,
+    v_min: float,
+    zone_id: str,
+    eaves_ranges: Mapping[str, float],
 ) -> list[LinkCandidateSet]:
     """Same contract as link(), written as plain nested loops over raw rows
     with every quantity recomputed in place. Reference implementation for
@@ -319,8 +285,6 @@ def brute_force_oracle(
         by_pid.setdefault(r.pseudonym_id, []).append(r)
     for pid in by_pid:
         by_pid[pid].sort(key=lambda r: (r.time_s, r.eaves_id))
-    if eaves_ranges is None:
-        eaves_ranges = infer_eaves_ranges_from_rows(rows)
 
     def near(r: ObsRow) -> bool:
         d = math.hypot(r.x - zone.center[0], r.y - zone.center[1])

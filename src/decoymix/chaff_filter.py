@@ -7,19 +7,17 @@ can be relocated and deleted without knowing the original id. Buckets hold
 four fingerprint slots; inserts relocate along a kick chain of at most 500
 displacements before declaring the filter saturated.
 
-Two sizing models live here as well: the classical single-bit-array formula
-that reproduces the published size table, and the native size of this
-deletable structure. Which one feeds overhead accounting is a scenario
-choice.
+Three size formulas live here as well, for comparison only: the classical
+single-bit-array formula that reproduces the published size table, the native
+size of this deletable structure, and the size of a plain digest list. The
+simulation itself always ships the actual serialized filter.
 """
 
 from __future__ import annotations
 
-import enum
 import math
 import random
 import struct
-from dataclasses import dataclass
 
 from .errors import DeserializeError, FilterSaturated, RemoveAbsent
 
@@ -57,11 +55,6 @@ def _id_hash(cred_id: bytes) -> int:
         chunk = int.from_bytes(cred_id[off : off + 8], "little")
         h = _mix64(h ^ chunk)
     return h
-
-
-class SizingModel(enum.Enum):
-    PAPER_REPORTED = "paper_reported"
-    DELETABLE = "deletable"
 
 
 def paper_reported_size_bytes(n: int, p: float) -> int:
@@ -102,22 +95,6 @@ def digest_list_size(n: int, hash_name: str) -> int:
         return n * DIGEST_BYTES[hash_name.upper()]
     except KeyError:
         raise ValueError(f"unknown hash {hash_name!r}") from None
-
-
-@dataclass(frozen=True)
-class FilterSizing:
-    n: int
-    p: float
-    model: SizingModel
-    size_bytes: int
-
-    @classmethod
-    def compute(cls, n: int, p: float, model: SizingModel) -> "FilterSizing":
-        if model is SizingModel.PAPER_REPORTED:
-            size = paper_reported_size_bytes(n, p)
-        else:
-            size = deletable_size_bytes(n, p)
-        return cls(n, p, model, size)
 
 
 class ChaffFilter:

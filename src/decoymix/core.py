@@ -1,28 +1,26 @@
-"""Shared domain vocabulary: credentials, beacons and abstract crypto envelopes.
+"""Shared domain vocabulary: credentials, signed envelopes, wire sizes and
+platform-stable hashing.
 
 Crypto is simulated. Signatures are recomputable digests over (signer id,
-payload) and encryption is key-gated access to the stored plaintext. The
-simulation only needs to know who can read or validate what; the cost of real
-primitives enters through the overhead cost model, not here.
+payload); sealing (see mixzone.SealedJoinResponse) is key-gated access to the
+stored plaintext. The simulation only needs to know who can read or validate
+what; the cost of real primitives enters through the overhead cost model, not
+here.
 """
 
 from __future__ import annotations
 
 import enum
 import hashlib
-import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .errors import DecryptionDenied, SigningWithExpiredCredential
+from .errors import SigningWithExpiredCredential
 
 # Wire-size constants, bytes.
 PSEUDONYM_WIRE_BYTES = 140
 CAM_WIRE_BYTES = 350
 ENCRYPTION_OVERHEAD_BYTES = 16
 SESSION_KEY_BYTES = 32
-
-# Vehicle length is carried at 0.1 m precision.
-LENGTH_PRECISION_M = 0.1
 
 
 class CredentialKind(enum.Enum):
@@ -55,104 +53,6 @@ class Credential:
 
     def is_valid_at(self, now: float) -> bool:
         return self.valid_from <= now <= self.valid_to
-
-
-def quantize_length(length_m: float) -> float:
-    """Round a vehicle length to the carried 0.1 m precision."""
-    return round(length_m / LENGTH_PRECISION_M) * LENGTH_PRECISION_M
-
-
-# Adversary-facing beacon layout: little-endian, fixed width, declared field
-# order. emitter and is_chaff are ground truth and stay out of this layout.
-_BEACON_WIRE = struct.Struct("<16sdddddd8sI")
-
-ADVERSARY_FACING_BEACON_FIELDS = (
-    "pseudonym_id",
-    "x",
-    "y",
-    "speed",
-    "heading",
-    "length",
-    "timestamp",
-    "link_id",
-    "wire_size",
-)
-
-
-@dataclass(frozen=True)
-class Beacon:
-    """One cooperative awareness message.
-
-    emitter and is_chaff exist for ground-truth bookkeeping only; every
-    adversary-facing view (serialization, observation rows) excludes them.
-    """
-
-    pseudonym_id: bytes
-    x: float
-    y: float
-    speed: float
-    heading: float
-    length: float
-    timestamp: float
-    link_id: bytes
-    emitter: str
-    is_chaff: bool
-    wire_size: int = CAM_WIRE_BYTES
-
-    def __post_init__(self) -> None:
-        if self.speed < 0:
-            raise ValueError("speed must be non-negative")
-        if self.length <= 0:
-            raise ValueError("length must be positive")
-        steps = self.length / LENGTH_PRECISION_M
-        if abs(steps - round(steps)) > 1e-9:
-            raise ValueError("length must be a multiple of 0.1 m")
-        if len(self.link_id) != 8:
-            raise ValueError("link id must be 8 bytes")
-
-    def to_wire(self) -> bytes:
-        """Canonical adversary-facing serialization."""
-        return _BEACON_WIRE.pack(
-            self.pseudonym_id,
-            self.x,
-            self.y,
-            self.speed,
-            self.heading,
-            self.length,
-            self.timestamp,
-            self.link_id,
-            self.wire_size,
-        )
-
-    def adversary_view(self) -> dict:
-        """Field map the adversary may see; never contains ground truth."""
-        return {
-            "pseudonym_id": self.pseudonym_id,
-            "x": self.x,
-            "y": self.y,
-            "speed": self.speed,
-            "heading": self.heading,
-            "length": self.length,
-            "timestamp": self.timestamp,
-            "link_id": self.link_id,
-            "wire_size": self.wire_size,
-        }
-
-
-def beacon_from_wire(blob: bytes) -> dict:
-    """Decode the canonical layout back into an adversary-facing field map."""
-    pid, x, y, speed, heading, length, ts, link, wire = _BEACON_WIRE.unpack(blob)
-    return {
-        "pseudonym_id": pid,
-        "x": x,
-        "y": y,
-        "speed": speed,
-        "heading": heading,
-        "length": length,
-        "timestamp": ts,
-        "link_id": link,
-        "wire_size": wire,
-    }
 
 
 @dataclass(frozen=True)
@@ -189,32 +89,18 @@ def verify(env: SignedEnvelope, signer: Credential, now: float | None = None) ->
     return env.signature_tag == _signature_tag(env.payload, signer.id)
 
 
-@dataclass(frozen=True)
-class EncryptedEnvelope:
-    recipient_key: bytes
-    _plaintext: bytes = field(repr=False)
+def stable_bytes(*parts: object, n: int = 16) -> bytes:
+    """The first n bytes of the sha256 of the parts' joined text.
 
-    @property
-    def wire_size(self) -> int:
-        return len(self._plaintext) + ENCRYPTION_OVERHEAD_BYTES
-
-
-def encrypt(payload: bytes, recipient_key: bytes) -> EncryptedEnvelope:
-    return EncryptedEnvelope(recipient_key, payload)
-
-
-def open_envelope(env: EncryptedEnvelope, key: bytes) -> bytes:
-    if key != env.recipient_key:
-        raise DecryptionDenied("key does not match envelope recipient")
-    return env._plaintext
+    Used wherever the simulation needs a platform-stable hash: credential
+    ids and session keys, seeding per-entity random streams, deriving
+    link-layer ids. Never used for the chaff filter (which has its own
+    arithmetic mixer).
+    """
+    text = "\x1f".join(str(p) for p in parts).encode()
+    return hashlib.sha256(text).digest()[:n]
 
 
 def stable_u64(*parts: object) -> int:
-    """Deterministic 64-bit value from arbitrary parts.
-
-    Used wherever the simulation needs a platform-stable hash: seeding
-    per-entity random streams, deriving link-layer ids. Never used for the
-    chaff filter (which has its own arithmetic mixer).
-    """
-    text = "\x1f".join(str(p) for p in parts).encode()
-    return int.from_bytes(hashlib.sha256(text).digest()[:8], "little")
+    """Deterministic 64-bit value from arbitrary parts (see stable_bytes)."""
+    return int.from_bytes(stable_bytes(*parts, n=8), "little")

@@ -8,7 +8,6 @@ decoy streams without reshuffling the ones already present.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 import random
@@ -27,6 +26,7 @@ from .core import (
     CredentialKind,
     SignedEnvelope,
     sign,
+    stable_bytes,
     stable_u64,
     verify,
 )
@@ -73,11 +73,6 @@ _RECEPTION_COUNTERS = (
     "peer_queries",
     "peer_unanswered",
 )
-
-
-def _stable_bytes(*parts: object, n: int = 16) -> bytes:
-    joined = "\x1f".join(str(p) for p in parts).encode()
-    return hashlib.sha256(joined).digest()[:n]
 
 
 # ---------------------------------------------------------------------------
@@ -521,7 +516,7 @@ def run(config: ScenarioConfig) -> RunResult:
         stable_u64(seed, "ca"), config.filter_capacity, config.filter_target_fp
     )
     pca_cred = Credential(
-        _stable_bytes(seed, "pca"),
+        stable_bytes(seed, "pca"),
         CredentialKind.LONG_TERM,
         "root",
         "pca",
@@ -547,7 +542,7 @@ def run(config: ScenarioConfig) -> RunResult:
         )
         zone_chaff_hex.append(frozenset(c.id.hex() for c in chaff))
         rsu_cred = Credential(
-            _stable_bytes(seed, "rsu", zs.zone_id),
+            stable_bytes(seed, "rsu", zs.zone_id),
             CredentialKind.LONG_TERM,
             "ltca",
             zs.zone_id,
@@ -559,7 +554,7 @@ def run(config: ScenarioConfig) -> RunResult:
             geom,
             g,
             rsu_cred,
-            _stable_bytes(seed, "session", zs.zone_id, n=32),
+            stable_bytes(seed, "session", zs.zone_id, n=32),
             chaff,
             config.relay_fraction,
             bounds,
@@ -1186,15 +1181,7 @@ def run(config: ScenarioConfig) -> RunResult:
 
     events.sort(key=_event_order)
 
-    seen: dict[str, tuple[float, float]] = {}
-    for rows in observations.values():
-        for row in rows:
-            t, pid = row[0], row[1]
-            lohi = seen.get(pid)
-            if lohi is None:
-                seen[pid] = (t, t)
-            else:
-                seen[pid] = (min(lohi[0], t), max(lohi[1], t))
+    seen = _observed_spans(observations)
     for tr in transitions:
         old_seen = seen.get(tr.old_id)
         new_seen = seen.get(tr.new_id)
@@ -1214,6 +1201,21 @@ def run(config: ScenarioConfig) -> RunResult:
     return RunResult(
         config, events, observations, transitions, zone_infos, audit_violations
     )
+
+
+def _observed_spans(
+    observations: dict[str, list[tuple]]
+) -> dict[str, tuple[float, float]]:
+    """First and last time each pseudonym was observed by any eavesdropper."""
+    seen: dict[str, tuple[float, float]] = {}
+    for rows in observations.values():
+        for row in rows:
+            t, pid = row[0], row[1]
+            lohi = seen.get(pid)
+            seen[pid] = (
+                (t, t) if lohi is None else (min(lohi[0], t), max(lohi[1], t))
+            )
+    return seen
 
 
 def _event_order(e: dict):
@@ -1267,14 +1269,7 @@ def audit_single_pseudonym(result: RunResult) -> list[str]:
 def audit_ground_truth(result: RunResult) -> list[str]:
     """Old ids never reappear after entering; new ids never appear before."""
     bad: list[str] = []
-    seen: dict[str, tuple[float, float]] = {}
-    for rows in result.observations.values():
-        for row in rows:
-            t, pid = row[0], row[1]
-            lohi = seen.get(pid)
-            seen[pid] = (
-                (t, t) if lohi is None else (min(lohi[0], t), max(lohi[1], t))
-            )
+    seen = _observed_spans(result.observations)
     for tr in result.transitions:
         old_seen = seen.get(tr.old_id)
         new_seen = seen.get(tr.new_id)

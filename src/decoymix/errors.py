@@ -44,10 +44,6 @@ class OffNetwork(DecoymixError):
     """Position does not snap to any edge within tolerance."""
 
 
-class TraceOrderError(DecoymixError):
-    """Trace rows for a vehicle are not strictly increasing in time."""
-
-
 class SynthesisFailed(DecoymixError):
     """Could not draw a connected origin/destination pair within budget."""
 

@@ -312,12 +312,6 @@ class OverheadReport:
         ms = self.ms_by_entity_second().get(entity, {})
         return sum(ms.values()) / self.duration_s
 
-    def per_hour_bytes(self, entity: str) -> dict[int, int]:
-        out: dict[int, int] = {}
-        for sec, b in sorted(self.bytes_by_entity_second.get(entity, {}).items()):
-            out[sec // 3600] = out.get(sec // 3600, 0) + b
-        return out
-
     def to_json(self) -> str:
         doc = {
             "duration_s": self.duration_s,

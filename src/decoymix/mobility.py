@@ -1,18 +1,15 @@
-"""Vehicle trajectories: synthetic trip generation and trace file ingestion.
+"""Vehicle trips: synthetic trip generation and sampling on the tick lattice.
 
-Trips are edge sequences with per-edge speeds; trajectories are timestamped
-samples on the beacon lattice. Trace files round-trip bit-identically through
-export and ingest.
+Trips are edge sequences with per-edge speeds; sampling turns a trip into
+timestamped positions on the simulation's decisecond lattice.
 """
 from __future__ import annotations
 
-import csv
 import math
 import random
 from dataclasses import dataclass
-from typing import Iterable, TextIO
 
-from .errors import OffNetwork, SynthesisFailed, TraceOrderError
+from .errors import SynthesisFailed
 from .roads import RoadGraph, point_along
 
 # invented fleet mix: one common and two rare lengths so length classification
@@ -21,10 +18,6 @@ DEFAULT_LENGTH_TABLE_M = ((4.5, 0.80), (7.5, 0.12), (12.0, 0.08))
 SPEED_FACTOR_RANGE = (0.6, 1.0)
 VEHICLE_LENGTH_MIN_M = 3.0
 VEHICLE_LENGTH_MAX_M = 18.0
-# displacement between consecutive samples may exceed speed*dt (turns, edge
-# changes mid-step) but never by more than this factor
-KINEMATIC_SLACK = 1.5
-TRACE_HEADER = ("time", "vehicle", "x", "y", "speed", "heading")
 
 
 @dataclass(frozen=True)
@@ -52,7 +45,7 @@ class Trip:
 
 @dataclass(frozen=True)
 class TraceSample:
-    """One timestamped observation of a vehicle."""
+    """One timestamped position of a vehicle."""
 
     time_s: float
     vehicle_id: str
@@ -60,37 +53,6 @@ class TraceSample:
     y: float
     speed_mps: float
     heading_rad: float
-
-
-@dataclass
-class Trajectory:
-    """Per-vehicle samples sorted by time, with edge attribution."""
-
-    vehicle_id: str
-    samples: tuple[TraceSample, ...]
-    edge_offsets: tuple[tuple[str, float], ...]
-
-    def time_span(self) -> tuple[float, float]:
-        return self.samples[0].time_s, self.samples[-1].time_s
-
-    def position_at(self, t: float) -> tuple[float, float]:
-        """Linearly interpolated position; t must lie within the time span."""
-        first, last = self.time_span()
-        if not (first <= t <= last):
-            raise ValueError(f"t={t} outside trajectory span [{first}, {last}]")
-        lo, hi = 0, len(self.samples) - 1
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if self.samples[mid].time_s < t:
-                lo = mid + 1
-            else:
-                hi = mid
-        b = self.samples[lo]
-        if b.time_s == t or lo == 0:
-            return b.x, b.y
-        a = self.samples[lo - 1]
-        f = (t - a.time_s) / (b.time_s - a.time_s)
-        return a.x + f * (b.x - a.x), a.y + f * (b.y - a.y)
 
 
 def validate_trip(g: RoadGraph, trip: Trip) -> None:
@@ -198,72 +160,3 @@ def trip_samples_with_edges(
         samples.append((TraceSample(t, trip.vehicle_id, x, y, speed, heading), eid))
         tick += step_ds
     return samples
-
-
-def trip_to_samples(g: RoadGraph, trip: Trip, step_s: float) -> list[TraceSample]:
-    """Trip samples on the step lattice, without edge attribution."""
-    return [s for s, _ in trip_samples_with_edges(g, trip, step_s)]
-
-
-def merge_samples(per_vehicle: Iterable[Iterable[TraceSample]]) -> list[TraceSample]:
-    """Interleave per-vehicle samples into one chronological trace."""
-    rows = [s for veh in per_vehicle for s in veh]
-    rows.sort(key=lambda s: (s.time_s, s.vehicle_id))
-    return rows
-
-
-def export_trace(samples: Iterable[TraceSample], fh: TextIO) -> None:
-    """Write the canonical CSV trace: fixed decimals, stable byte-for-byte."""
-    fh.write(",".join(TRACE_HEADER) + "\n")
-    for s in samples:
-        fh.write(
-            f"{s.time_s:.1f},{s.vehicle_id},{s.x:.3f},{s.y:.3f},"
-            f"{s.speed_mps:.3f},{s.heading_rad:.6f}\n"
-        )
-
-
-def ingest_trace(fh: TextIO, g: RoadGraph) -> dict[str, Trajectory]:
-    """Parse a CSV trace into per-vehicle trajectories.
-
-    Each position must snap to the graph within 5 m (heading picks the lane);
-    per-vehicle times must strictly increase; displacement between consecutive
-    samples is bounded by max(speeds) * dt * 1.5. Parsed coordinates are kept
-    verbatim so export(ingest(x)) reproduces x.
-    """
-    reader = csv.reader(fh)
-    header = next(reader, None)
-    if header is None or tuple(header) != TRACE_HEADER:
-        raise ValueError(f"expected header {','.join(TRACE_HEADER)}")
-    per_vehicle: dict[str, list[TraceSample]] = {}
-    attributions: dict[str, list[tuple[str, float]]] = {}
-    for lineno, row in enumerate(reader, start=2):
-        if not row:
-            continue
-        if len(row) != 6:
-            raise ValueError(f"line {lineno}: expected 6 fields, got {len(row)}")
-        t, veh = float(row[0]), row[1]
-        x, y = float(row[2]), float(row[3])
-        speed, heading = float(row[4]), float(row[5])
-        sample = TraceSample(t, veh, x, y, speed, heading)
-        bucket = per_vehicle.setdefault(veh, [])
-        if bucket:
-            prev = bucket[-1]
-            if t <= prev.time_s:
-                raise TraceOrderError(
-                    f"line {lineno}: vehicle {veh} time {t} after {prev.time_s}"
-                )
-            dt = t - prev.time_s
-            disp = math.hypot(x - prev.x, y - prev.y)
-            bound = max(speed, prev.speed_mps) * dt * KINEMATIC_SLACK
-            if disp > bound + 1e-9:
-                raise ValueError(
-                    f"line {lineno}: vehicle {veh} moved {disp:.3f} m in {dt:.1f} s"
-                    f" at speed {max(speed, prev.speed_mps):.3f} m/s"
-                )
-        edge, off = g.snap((x, y), heading=heading)
-        bucket.append(sample)
-        attributions.setdefault(veh, []).append((edge, off))
-    return {
-        veh: Trajectory(veh, tuple(rows), tuple(attributions[veh]))
-        for veh, rows in per_vehicle.items()
-    }

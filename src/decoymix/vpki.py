@@ -163,9 +163,6 @@ class CredentialAuthority:
             raise NeverAssigned(f"chaff {chaff_id.hex()} was never handed out")
         return self._issued[pseudonym_id]
 
-    def holder_of(self, pseudonym_id: bytes) -> str | None:
-        return self._issued.get(pseudonym_id)
-
     def filter_for(self, rsu_id: str) -> ChaffFilter:
         return self._filters[rsu_id]
 

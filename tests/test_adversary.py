@@ -90,7 +90,7 @@ def test_single_observation_track_has_equal_endpoints():
     classes = build_tracks([row(3.0, "solo", 100, 100, 0.0)])
     track = classes[4.5][0]
     assert track.first is track.last
-    assert track.times == (3.0,)
+    assert [r.time_s for r in track.rows] == [3.0]
 
 
 def test_parse_observation_csv_round_trip():

@@ -8,8 +8,6 @@ import pytest
 from decoymix.chaff_filter import (
     BUCKET_CAPACITY,
     ChaffFilter,
-    FilterSizing,
-    SizingModel,
     bucket_count_for,
     deletable_size_bytes,
     digest_list_size,
@@ -25,7 +23,7 @@ def _ids(count: int, seed: int) -> list[bytes]:
     return [rng.randbytes(16) for _ in range(count)]
 
 
-# sizing models
+# size formulas
 
 
 def test_paper_size_model_frozen_values():
@@ -44,10 +42,10 @@ def test_paper_size_model_rejects_bad_arguments():
 
 
 def test_sizing_monotone_in_n_and_inverse_p():
-    for model in SizingModel:
-        sizes_n = [FilterSizing.compute(n, 1e-9, model).size_bytes for n in (100, 1000, 10000)]
+    for size_bytes in (paper_reported_size_bytes, deletable_size_bytes):
+        sizes_n = [size_bytes(n, 1e-9) for n in (100, 1000, 10000)]
         assert sizes_n[0] < sizes_n[1] < sizes_n[2]
-        sizes_p = [FilterSizing.compute(2000, p, model).size_bytes for p in (1e-3, 1e-9, 1e-25)]
+        sizes_p = [size_bytes(2000, p) for p in (1e-3, 1e-9, 1e-25)]
         assert sizes_p[0] < sizes_p[1] < sizes_p[2]
 
 

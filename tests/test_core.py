@@ -1,22 +1,12 @@
 from __future__ import annotations
 
+import hashlib
 import random
 
 import pytest
 
-from decoymix.core import (
-    ADVERSARY_FACING_BEACON_FIELDS,
-    Beacon,
-    Credential,
-    CredentialKind,
-    beacon_from_wire,
-    encrypt,
-    open_envelope,
-    quantize_length,
-    sign,
-    verify,
-)
-from decoymix.errors import DecryptionDenied, SigningWithExpiredCredential
+from decoymix.core import Credential, CredentialKind, sign, stable_bytes, stable_u64, verify
+from decoymix.errors import SigningWithExpiredCredential
 
 
 def _cred(n: int = 1, *, valid_from: float = 0.0, valid_to: float = 3600.0) -> Credential:
@@ -28,23 +18,6 @@ def _cred(n: int = 1, *, valid_from: float = 0.0, valid_to: float = 3600.0) -> C
         valid_from=valid_from,
         valid_to=valid_to,
     )
-
-
-def _beacon(**over) -> Beacon:
-    base = dict(
-        pseudonym_id=bytes(16),
-        x=10.0,
-        y=-4.5,
-        speed=13.2,
-        heading=1.5,
-        length=4.5,
-        timestamp=12.5,
-        link_id=b"\x01" * 8,
-        emitter="v1",
-        is_chaff=False,
-    )
-    base.update(over)
-    return Beacon(**base)
 
 
 def test_sign_verify_round_trip():
@@ -82,61 +55,13 @@ def test_sign_verify_property_random_payloads():
         assert not verify(sign(tampered, signer), signer) or tampered != env.payload
 
 
-def test_encrypt_open_round_trip():
-    env = encrypt(b"msg", b"k" * 16)
-    assert open_envelope(env, b"k" * 16) == b"msg"
-
-
-def test_open_with_wrong_key_denied():
-    env = encrypt(b"msg", b"k" * 16)
-    with pytest.raises(DecryptionDenied):
-        open_envelope(env, b"q" * 16)
-
-
-def test_encrypted_wire_size_is_plaintext_plus_overhead():
-    env = encrypt(bytes(350), b"k" * 16)
-    assert env.wire_size == 350 + 16
-
-
 def test_credential_validity_window_ordering_enforced():
     with pytest.raises(ValueError):
         _cred(1, valid_from=5.0, valid_to=5.0)
 
 
-def test_beacon_rejects_bad_kinematics_and_length():
-    with pytest.raises(ValueError):
-        _beacon(speed=-0.1)
-    with pytest.raises(ValueError):
-        _beacon(length=4.517)
-    with pytest.raises(ValueError):
-        _beacon(length=0.0)
-
-
-def test_quantize_length_snaps_to_decimeters():
-    assert quantize_length(4.4999999) == pytest.approx(4.5)
-    assert quantize_length(12.04) == pytest.approx(12.0)
-
-
-def test_adversary_serialization_excludes_ground_truth_fields():
-    assert "emitter" not in ADVERSARY_FACING_BEACON_FIELDS
-    assert "is_chaff" not in ADVERSARY_FACING_BEACON_FIELDS
-    view = _beacon().adversary_view()
-    assert set(view) == set(ADVERSARY_FACING_BEACON_FIELDS)
-    decoded = beacon_from_wire(_beacon().to_wire())
-    assert set(decoded) == set(ADVERSARY_FACING_BEACON_FIELDS)
-
-
-def test_beacon_wire_round_trip():
-    b = _beacon()
-    decoded = beacon_from_wire(b.to_wire())
-    assert decoded["pseudonym_id"] == b.pseudonym_id
-    assert decoded["timestamp"] == b.timestamp
-    assert decoded["length"] == b.length
-    assert decoded["link_id"] == b.link_id
-
-
-def test_beacon_wire_is_little_endian_fixed_width():
-    blob = _beacon(x=1.0).to_wire()
-    assert len(blob) == 16 + 6 * 8 + 8 + 4
-    # x = 1.0 encodes as IEEE-754 little endian right after the 16-byte id
-    assert blob[16:24] == b"\x00\x00\x00\x00\x00\x00\xf0\x3f"
+def test_stable_hashes_share_one_digest():
+    digest = hashlib.sha256(b"7\x1fsession\x1fz-a").digest()
+    assert stable_bytes(7, "session", "z-a", n=32) == digest
+    assert stable_bytes(7, "session", "z-a") == digest[:16]
+    assert stable_u64(7, "session", "z-a") == int.from_bytes(digest[:8], "little")

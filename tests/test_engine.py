@@ -422,6 +422,30 @@ def test_observation_export_format(grid4):
     assert buf.getvalue() == buf2.getvalue()
 
 
+def test_observation_export_carries_no_ground_truth(grid4):
+    # the adversary's only input: eight columns, none of them the emitter,
+    # the link-layer id or the chaff flag
+    res = run(one_zone_config(grid4, relay_fraction=1.0))
+    buf = io.StringIO()
+    res.export_observations(buf)
+    lines = buf.getvalue().splitlines()
+    assert lines[0] == OBSERVATION_HEADER
+    assert lines[0].split(",") == [
+        "time", "pseudonym_id", "x", "y", "speed", "heading", "length",
+        "eavesdropper_id",
+    ]
+    beacons = [e for e in res.events if e["type"] == "beacon"]
+    assert any(e["chaff"] for e in beacons) and any(not e["chaff"] for e in beacons)
+    hidden = {e["tx"] for e in beacons} | {e["link"] for e in beacons}
+    hidden |= {"True", "False", "true", "false"}
+    cells = [line.split(",") for line in lines[1:]]
+    assert cells and all(len(row) == 8 for row in cells)
+    assert not {c for row in cells for c in row} & hidden
+    # decoy rows are there, indistinguishable by column
+    chaff_ids = {e["pseudonym"] for e in beacons if e["chaff"]}
+    assert chaff_ids & {row[1] for row in cells}
+
+
 def test_event_export_is_json_lines(grid4):
     res = run(one_zone_config(grid4, duration_s=50.0))
     buf = io.StringIO()

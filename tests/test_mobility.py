@@ -1,19 +1,15 @@
 from __future__ import annotations
 
-import io
 import math
 import random
 
 import pytest
 
-from decoymix.errors import OffNetwork, SynthesisFailed, TraceOrderError
+from decoymix.errors import SynthesisFailed
 from decoymix.mobility import (
     Trip,
-    export_trace,
-    ingest_trace,
-    merge_samples,
     synthesize_trips,
-    trip_to_samples,
+    trip_samples_with_edges,
     validate_trip,
 )
 from decoymix.roads import RoadGraph, make_grid
@@ -97,7 +93,7 @@ def test_trip_invariants_rejected():
 
 def test_samples_advance_at_stated_speed(grid4):
     trip = synthesize_trips(grid4, 1, 1.0, rng_seed=9)[0]
-    samples = trip_to_samples(grid4, trip, 0.5)
+    samples = [s for s, _ in trip_samples_with_edges(grid4, trip, 0.5)]
     assert len(samples) > 3
     for a, b in zip(samples, samples[1:]):
         # grid edges are straight: same-edge displacement == speed * dt
@@ -109,91 +105,9 @@ def test_samples_advance_at_stated_speed(grid4):
 
 def test_samples_lie_on_step_lattice(grid4):
     trip = Trip("v0", 3.14, ("j0_0__j0_1",), (10.0,), 4.5)
-    samples = trip_to_samples(grid4, trip, 0.5)
+    samples = [s for s, _ in trip_samples_with_edges(grid4, trip, 0.5)]
     assert samples[0].time_s == 3.5
     for s in samples:
         assert abs(s.time_s * 10 % 5) < 1e-9
     # 500 m at 10 m/s: arrival at 53.14, last lattice sample strictly before
     assert samples[-1].time_s == 53.0
-
-
-def test_ingest_two_sample_line_interpolates(grid4):
-    text = (
-        "time,vehicle,x,y,speed,heading\n"
-        "1.0,v0,100.000,0.000,10.000,0.000000\n"
-        "2.0,v0,110.000,0.000,10.000,0.000000\n"
-    )
-    traj = ingest_trace(io.StringIO(text), grid4)["v0"]
-    assert traj.position_at(1.5) == (105.0, 0.0)
-    assert traj.time_span() == (1.0, 2.0)
-    assert traj.edge_offsets[0][0] == "j0_0__j0_1"
-    with pytest.raises(ValueError):
-        traj.position_at(0.5)
-
-
-def test_ingest_rejects_backwards_time(grid4):
-    text = (
-        "time,vehicle,x,y,speed,heading\n"
-        "2.0,v0,100.000,0.000,10.000,0.000000\n"
-        "1.0,v0,110.000,0.000,10.000,0.000000\n"
-    )
-    with pytest.raises(TraceOrderError):
-        ingest_trace(io.StringIO(text), grid4)
-
-
-def test_ingest_rejects_off_network_sample(grid4):
-    text = "time,vehicle,x,y,speed,heading\n1.0,v0,100.000,250.000,10.000,0.000000\n"
-    with pytest.raises(OffNetwork):
-        ingest_trace(io.StringIO(text), grid4)
-
-
-def test_ingest_rejects_kinematic_jump(grid4):
-    text = (
-        "time,vehicle,x,y,speed,heading\n"
-        "1.0,v0,100.000,0.000,10.000,0.000000\n"
-        "2.0,v0,400.000,0.000,10.000,0.000000\n"
-    )
-    with pytest.raises(ValueError, match="moved"):
-        ingest_trace(io.StringIO(text), grid4)
-
-
-def test_export_uses_fixed_decimals(grid4):
-    trip = Trip("v0007", 0.0, ("j0_0__j0_1",), (12.5,), 7.5)
-    out = io.StringIO()
-    export_trace(trip_to_samples(grid4, trip, 1.0)[:1], out)
-    lines = out.getvalue().splitlines()
-    assert lines[0] == "time,vehicle,x,y,speed,heading"
-    assert lines[1] == "0.0,v0007,0.000,0.000,12.500,0.000000"
-
-
-def test_export_ingest_round_trip_is_bit_identical(grid4):
-    trips = synthesize_trips(grid4, 10, 0.5, rng_seed=21)
-    merged = merge_samples(trip_to_samples(grid4, t, 0.5) for t in trips)
-    first = io.StringIO()
-    export_trace(merged, first)
-    trajectories = ingest_trace(io.StringIO(first.getvalue()), grid4)
-    assert len(trajectories) == 10
-    again = io.StringIO()
-    export_trace(
-        merge_samples(tr.samples for tr in trajectories.values()), again
-    )
-    assert again.getvalue() == first.getvalue()
-
-
-def test_ingested_samples_keep_verbatim_coordinates(grid4):
-    # a point 2 m off the polyline snaps for attribution but keeps its value
-    text = "time,vehicle,x,y,speed,heading\n1.0,v0,100.000,2.000,10.000,0.000000\n"
-    traj = ingest_trace(io.StringIO(text), grid4)["v0"]
-    assert (traj.samples[0].x, traj.samples[0].y) == (100.0, 2.0)
-    edge, off = traj.edge_offsets[0]
-    assert edge == "j0_0__j0_1"
-    assert abs(off - 100.0) < 1e-6
-
-
-def test_heading_picks_the_lane_on_ingest(grid4):
-    text = (
-        "time,vehicle,x,y,speed,heading\n"
-        "1.0,v0,100.000,0.000,10.000,3.141593\n"
-    )
-    traj = ingest_trace(io.StringIO(text), grid4)["v0"]
-    assert traj.edge_offsets[0][0] == "j0_1__j0_0"
