@@ -280,27 +280,26 @@ class OverheadReport:
     checks: dict[str, dict[int, int]] = field(default_factory=dict)
 
     def ms_by_entity_second(self) -> dict[str, dict[int, float]]:
-        out: dict[str, dict[int, float]] = {}
         entities = sorted(
             set(self.signs) | set(self.verifies) | set(self.checks)
         )
-        for ent in entities:
-            sign_ms = RSU_SIGN_MS if _is_infrastructure(ent) else VEHICLE_SIGN_MS
-            verify_ms = RSU_VERIFY_MS if _is_infrastructure(ent) else VEHICLE_VERIFY_MS
-            per_sec: dict[int, float] = {}
-            secs = (
-                set(self.signs.get(ent, ()))
-                | set(self.verifies.get(ent, ()))
-                | set(self.checks.get(ent, ()))
+        return {ent: self.ms_by_second(ent) for ent in entities}
+
+    def ms_by_second(self, ent: str) -> dict[int, float]:
+        """One entity's milliseconds per second, in second order."""
+        sign_ms = RSU_SIGN_MS if _is_infrastructure(ent) else VEHICLE_SIGN_MS
+        verify_ms = RSU_VERIFY_MS if _is_infrastructure(ent) else VEHICLE_VERIFY_MS
+        signs = self.signs.get(ent, {})
+        verifies = self.verifies.get(ent, {})
+        checks = self.checks.get(ent, {})
+        return {
+            sec: (
+                signs.get(sec, 0) * sign_ms
+                + verifies.get(sec, 0) * verify_ms
+                + checks.get(sec, 0) * MEMBERSHIP_CHECK_MS
             )
-            for sec in sorted(secs):
-                per_sec[sec] = (
-                    self.signs.get(ent, {}).get(sec, 0) * sign_ms
-                    + self.verifies.get(ent, {}).get(sec, 0) * verify_ms
-                    + self.checks.get(ent, {}).get(sec, 0) * MEMBERSHIP_CHECK_MS
-                )
-            out[ent] = per_sec
-        return out
+            for sec in sorted(set(signs) | set(verifies) | set(checks))
+        }
 
     def total_bytes(self, entity: str) -> int:
         return sum(self.bytes_by_entity_second.get(entity, {}).values())
@@ -309,8 +308,7 @@ class OverheadReport:
         return self.total_bytes(entity) / self.duration_s / KB
 
     def avg_ms_per_s(self, entity: str) -> float:
-        ms = self.ms_by_entity_second().get(entity, {})
-        return sum(ms.values()) / self.duration_s
+        return sum(self.ms_by_second(entity).values()) / self.duration_s
 
     def to_json(self) -> str:
         doc = {
