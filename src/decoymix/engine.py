@@ -435,6 +435,13 @@ class _Stream:
         self.retired = False
 
 
+def _published(coord: float) -> float:
+    """A coordinate as beacons carry it, to the millimetre. Zone membership
+    is decided on this value too, so no beacon sent in the clear claims a
+    position on or inside a zone disk."""
+    return round(coord, 3)
+
+
 def _build_stream_poses(
     g: RoadGraph,
     plan: DecoyPlan,
@@ -473,7 +480,7 @@ def _build_stream_poses(
         x, y, heading = point_along(cur.shape, off)
         hit_zone = False
         for cx, cy, r2 in zone_disks:
-            dx, dy = x - cx, y - cy
+            dx, dy = _published(x) - cx, _published(y) - cy
             if dx * dx + dy * dy <= r2:
                 hit_zone = True
                 break
@@ -628,7 +635,9 @@ def run(config: ScenarioConfig) -> RunResult:
         # zone visits are trajectory-only, so pool sizes stay identical
         # across relay/non-coop sweeps on the same seed
         if nz:
-            d2 = (xs[:, None] - zcx[None, :]) ** 2 + (ys[:, None] - zcy[None, :]) ** 2
+            xp = np.array([_published(s.x) for s, _ in samples])
+            yp = np.array([_published(s.y) for s, _ in samples])
+            d2 = (xp[:, None] - zcx[None, :]) ** 2 + (yp[:, None] - zcy[None, :]) ** 2
             inside = d2 <= zr2[None, :]
             zseq = np.where(inside.any(axis=1), inside.argmax(axis=1), -1)
         else:
@@ -950,8 +959,8 @@ def run(config: ScenarioConfig) -> RunResult:
             for ii in outside_idx:
                 vi = int(av[ii])
                 v = vehicles[vi]
-                xq = round(float(xs[ii]), 3)
-                yq = round(float(ys[ii]), 3)
+                xq = _published(float(xs[ii]))
+                yq = _published(float(ys[ii]))
                 sq = round(float(SPD[vi, k]), 3)
                 hq = round(float(HDG[vi, k]), 6)
                 lq = round(float(lengths[vi]), 1)
@@ -1017,8 +1026,8 @@ def run(config: ScenarioConfig) -> RunResult:
                     tx_x, tx_y = X[tvi, k], Y[tvi, k]
                     tx_row_arr = np.flatnonzero(av == tvi)
                     tx_row = int(tx_row_arr[0]) if tx_row_arr.size else -1
-                xq = round(pose[0], 3)
-                yq = round(pose[1], 3)
+                xq = _published(pose[0])
+                yq = _published(pose[1])
                 sq = round(s.plan.speed_mps, 3)
                 hq = round(pose[2], 6)
                 lq = round(s.plan.length_m, 1)

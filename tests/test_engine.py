@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import io
 import json
+import random
 
 import pytest
 
@@ -13,6 +14,7 @@ from decoymix.engine import (
     EavesdropperSpec,
     ScenarioConfig,
     ZoneSpec,
+    _build_stream_poses,
     accept_peer_filter,
     audit_ground_truth,
     audit_observability,
@@ -22,6 +24,7 @@ from decoymix.engine import (
     run,
 )
 from decoymix.errors import ConfigError, NoResponder
+from decoymix.mixzone import DecoyPlan
 from decoymix.mobility import Trip
 from decoymix.roads import make_grid
 
@@ -194,6 +197,34 @@ def test_no_observations_inside_zone(grid4):
     # in-zone ticks still produce encrypted traffic
     enc = [e for e in res.events if e["type"] == "beacon_encrypted"]
     assert enc and all(e["bytes"] == ENCRYPTED_BEACON_WIRE_BYTES for e in enc)
+
+
+def test_position_rounding_onto_zone_boundary_counts_as_inside(grid4):
+    # 30 us late: at t=40.0 the vehicle is at y=399.9997, 0.3 mm outside the
+    # disk, but its beacon would carry y=400.0, on the boundary
+    res = run(one_zone_config(
+        grid4, trips=(straight_trip(depart=3e-5),), relay_fraction=1.0,
+    ))
+    assert res.transitions[0].t_entry == 40.0
+    at_40 = [e["type"] for e in res.events
+             if e["t"] == 40.0 and e.get("tx") == "veh-000"]
+    assert "beacon_encrypted" in at_40 and "beacon" not in at_40
+    assert audit_observability(res) == []
+
+
+def test_decoy_stops_where_its_published_pose_enters_a_zone(grid4):
+    chaff = Credential(bytes(16), CredentialKind.CHAFF_PSEUDONYM, "pca", None,
+                       0.0, 100.0)
+    plan = DecoyPlan("z-a", chaff, 4.5, "j1_1__j2_1", 99.9996, 0.0, 10.0, "rsu")
+    # poses run north from y=600.0006; the second disk's edge is y=620.0008,
+    # so the pose at y=620.0006 lies 0.2 mm outside but is published as
+    # y=620.001, inside
+    disks = [(500.0, 500.0, 100.0 ** 2), (500.0, 800.0, 179.9992 ** 2)]
+    poses, reason = _build_stream_poses(
+        grid4, plan, disks, random.Random(0), 5, 100
+    )
+    assert sorted(poses) == [0, 5, 10, 15]
+    assert reason == "zone_entry"
 
 
 def test_baseline_run_emits_no_decoys(grid4):
