@@ -1,4 +1,4 @@
-"""Frozen sha256 digests of every report file for two fixed scenarios.
+"""Frozen sha256 digests of every report file for three fixed scenarios.
 
 Refactors must reproduce these bytes exactly. A change that moves a digest on
 purpose updates the table here and says in CHANGES.md which files moved and
@@ -18,7 +18,7 @@ from decoymix.metrics import (
     write_linkability_csv,
     write_overhead_csv,
 )
-from decoymix.mobility import Trip
+from decoymix.mobility import Trip, synthesize_trips
 from decoymix.roads import make_grid
 
 # the test_c14 sweep: 3x3 grid, one zone, 12 vehicles, seeds 1..2 at relay
@@ -86,6 +86,27 @@ CROSSING_DIGESTS = {
         "309890e844c04969c57b2fed473229a7daaf64496cac4e654ac7674bcd0a4ca3",
 }
 
+# the baseline acceptance grid cell: 4x4 grid, 500 m spacing, 200 trips
+# (synthesize_trips seed 7), 2100 s, two zones, 450 m ears, chaff and filter
+# capacity 2000, relay 1.0. Its attack makes 873 road-path checks on the
+# 48-edge graph.
+GRID_CELL_DIGESTS = {
+    "candidate_sets.jsonl":
+        "1dd5043f46d3e747343cf1053f411699bcc37d323f4afed83b9052f457149376",
+    "events.jsonl":
+        "e9dbe75b7d5a4b3e535866e6cbecae28d60477648ce242ee912e64f038b05623",
+    "linkability.csv":
+        "47e17fb865eab4ee6a358739cf59c6201c5d6abf82fa99e4e8d86134143b97ba",
+    "linkability.json":
+        "12139686fc51f654b96f565190a93209788ff8ebafa0548186b15a4f68a9758e",
+    "observations.csv":
+        "94c7ab1793eac4c35a92e2b13b9d0aef6fd7d285600ec70cfc18ab23598cfd40",
+    "overhead.csv":
+        "9026d1d1488f9bbdbba68d20f44b6b6022bc80e1c09e9b34a9655efed73c9199",
+    "overhead.json":
+        "2dffcc2626a2ef164b16e3cadd7eb716cd973f487f179f768ec798f97e8aac2b",
+}
+
 CRUISE = 13.89
 ARMS = (
     ("j0_1__j1_1", "j1_1__j2_1"),
@@ -102,6 +123,28 @@ def _digests(base: Path) -> dict[str, str]:
         for p in sorted(base.rglob("*"))
         if p.is_file() and p.name != "manifest.json"
     }
+
+
+def _write_reports(cfg: ScenarioConfig, label: str, out: Path) -> None:
+    """Run one scenario and write every report file in both formats."""
+    result = run(cfg)
+    sets, chains, tracks = attack_result(result)
+    link_rep = build_linkability_report(
+        result.transitions, sets, chains, tracks, result.events
+    )
+    over_rep = overhead(result.events, cfg.duration_s)
+    with open(out / "events.jsonl", "w", encoding="utf-8") as fh:
+        result.export_events(fh)
+    with open(out / "observations.csv", "w", encoding="utf-8") as fh:
+        result.export_observations(fh)
+    with open(out / "candidate_sets.jsonl", "w", encoding="utf-8") as fh:
+        export_candidate_sets(sets, fh)
+    with open(out / "linkability.csv", "w", encoding="utf-8") as fh:
+        write_linkability_csv({label: link_rep}, fh)
+    with open(out / "overhead.csv", "w", encoding="utf-8") as fh:
+        write_overhead_csv(over_rep, fh)
+    (out / "linkability.json").write_text(link_rep.to_json(), encoding="utf-8")
+    (out / "overhead.json").write_text(over_rep.to_json(), encoding="utf-8")
 
 
 def test_run_command_report_digests(tmp_path):
@@ -131,22 +174,25 @@ def test_four_arm_crossing_report_digests(tmp_path):
         ),
         relay_fraction=1.0, rng_seed=0, duration_s=180.0,
     )
-    result = run(cfg)
-    sets, chains, tracks = attack_result(result)
-    link_rep = build_linkability_report(
-        result.transitions, sets, chains, tracks, result.events
-    )
-    over_rep = overhead(result.events, cfg.duration_s)
-    with open(tmp_path / "events.jsonl", "w", encoding="utf-8") as fh:
-        result.export_events(fh)
-    with open(tmp_path / "observations.csv", "w", encoding="utf-8") as fh:
-        result.export_observations(fh)
-    with open(tmp_path / "candidate_sets.jsonl", "w", encoding="utf-8") as fh:
-        export_candidate_sets(sets, fh)
-    with open(tmp_path / "linkability.csv", "w", encoding="utf-8") as fh:
-        write_linkability_csv({"crossing": link_rep}, fh)
-    with open(tmp_path / "overhead.csv", "w", encoding="utf-8") as fh:
-        write_overhead_csv(over_rep, fh)
-    (tmp_path / "linkability.json").write_text(link_rep.to_json(), encoding="utf-8")
-    (tmp_path / "overhead.json").write_text(over_rep.to_json(), encoding="utf-8")
+    _write_reports(cfg, "crossing", tmp_path)
     assert _digests(tmp_path) == CROSSING_DIGESTS
+
+
+def test_baseline_grid_cell_report_digests(tmp_path):
+    g = make_grid(4, 4, 500.0)
+    cfg = ScenarioConfig(
+        graph=g,
+        zones=(
+            ZoneSpec("z-j1_1", 500.0, 500.0, 100.0),
+            ZoneSpec("z-j1_2", 1000.0, 500.0, 100.0),
+        ),
+        eavesdroppers=(
+            EavesdropperSpec("eav-j1_1", 500.0, 500.0, 450.0),
+            EavesdropperSpec("eav-j1_2", 1000.0, 500.0, 450.0),
+        ),
+        trips=tuple(synthesize_trips(g, 200, 0.1, 7)),
+        relay_fraction=1.0, rng_seed=0, duration_s=2100.0,
+        chaff_per_zone=2000, filter_capacity=2000,
+    )
+    _write_reports(cfg, "grid", tmp_path)
+    assert _digests(tmp_path) == GRID_CELL_DIGESTS
