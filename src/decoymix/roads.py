@@ -6,6 +6,13 @@ edges cross the circle (entry when the polyline runs outside-to-inside, exit
 the other way) and the matrix of internal path lengths between them, which
 feed the traverse-time window of the linking attack.
 
+Snapping a position to a lane goes through a bucket grid built once per
+graph: square cells of SNAP_CELL_M, each listing the edges whose segment
+bounding boxes, grown by the snap tolerance, overlap it. Any edge within the
+tolerance of a point is listed in that point's cell, so projecting onto the
+cell's edges alone finds the same lane as a scan of every edge. The grid is
+built for the one tolerance, SNAP_TOLERANCE_M; snap takes no other.
+
 Search is implemented locally (edge-state Dijkstra/BFS with sorted tie
 breaking) so results are deterministic and the no-U-turn rule, which needs
 edge state, is expressible.
@@ -24,6 +31,10 @@ from .errors import OffNetwork
 DEFAULT_SPEED_LIMIT_MPS = 13.89  # 50 km/h
 DEFAULT_V_MIN_MPS = 1.39  # 5 km/h creep floor for max traverse time
 SNAP_TOLERANCE_M = 5.0
+SNAP_CELL_M = 50.0
+# Bounding boxes grow by the tolerance plus 1 mm: snap compares distances
+# rounded to 1e-9 m, so a point a hair past 5 m can still snap.
+_SNAP_REACH_M = SNAP_TOLERANCE_M + 1e-3
 EXIT_PROXIMITY_GATE_M = 50.0
 
 Point = tuple[float, float]
@@ -94,6 +105,22 @@ class Edge:
             raise ValueError(f"edge {self.id}: length {self.length} != arc {arc}")
 
 
+def _snap_cells(edges) -> dict[tuple[int, int], tuple[str, ...]]:
+    """Bucket grid for snap: cell -> sorted ids of the edges with a segment
+    whose bounding box, grown by _SNAP_REACH_M, overlaps the cell."""
+    cells: dict[tuple[int, int], set[str]] = {}
+    for e in edges:
+        for (ax, ay), (bx, by) in zip(e.shape, e.shape[1:]):
+            x0 = math.floor((min(ax, bx) - _SNAP_REACH_M) / SNAP_CELL_M)
+            x1 = math.floor((max(ax, bx) + _SNAP_REACH_M) / SNAP_CELL_M)
+            y0 = math.floor((min(ay, by) - _SNAP_REACH_M) / SNAP_CELL_M)
+            y1 = math.floor((max(ay, by) + _SNAP_REACH_M) / SNAP_CELL_M)
+            for ix in range(x0, x1 + 1):
+                for iy in range(y0, y1 + 1):
+                    cells.setdefault((ix, iy), set()).add(e.id)
+    return {cell: tuple(sorted(ids)) for cell, ids in cells.items()}
+
+
 class RoadGraph:
     def __init__(self, junctions: dict[str, Point], edges: list[Edge]) -> None:
         self.junctions = dict(junctions)
@@ -116,6 +143,7 @@ class RoadGraph:
             eid: frozenset(by_ends.get((e.head, e.tail), ()))
             for eid, e in self.edges.items()
         }
+        self._snap_cells = _snap_cells(self.edges.values())
 
     # file format: junctions [{id,x,y}], edges [{id,from,to,shape,speed_limit}]
 
@@ -165,19 +193,19 @@ class RoadGraph:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(self.to_json())
 
-    def snap(
-        self,
-        pos: Point,
-        tolerance: float = SNAP_TOLERANCE_M,
-        heading: float | None = None,
-    ) -> tuple[str, float]:
-        """Nearest (edge id, arc offset) within tolerance, else OffNetwork.
+    def snap(self, pos: Point, heading: float | None = None) -> tuple[str, float]:
+        """Nearest (edge id, arc offset) within SNAP_TOLERANCE_M, else
+        OffNetwork.
 
         Distance ties break by heading alignment when a heading is given
         (opposite lanes of a two-way road share geometry), then by edge id.
         """
+        try:
+            cell = (math.floor(pos[0] / SNAP_CELL_M), math.floor(pos[1] / SNAP_CELL_M))
+        except (ValueError, OverflowError):  # a nan or infinite coordinate
+            raise OffNetwork(f"position {pos} is not a finite point") from None
         best: tuple[tuple[float, float, str], str, float] | None = None
-        for eid in sorted(self.edges):
+        for eid in self._snap_cells.get(cell, ()):
             off, d = project_to_polyline(self.edges[eid].shape, pos)
             if heading is None:
                 key = (d, 0.0, eid)
@@ -186,8 +214,10 @@ class RoadGraph:
                 key = (round(d, 9), -math.cos(eh - heading), eid)
             if best is None or key < best[0]:
                 best = (key, eid, off)
-        if best is None or best[0][0] > tolerance:
-            raise OffNetwork(f"position {pos} is {best[0][0] if best else 'inf'} m from the network")
+        if best is None or best[0][0] > SNAP_TOLERANCE_M:
+            raise OffNetwork(
+                f"position {pos} is more than {SNAP_TOLERANCE_M} m from the network"
+            )
         return best[1], best[2]
 
     def next_edges(self, eid: str, allow_u_turns: bool = False) -> list[str]:

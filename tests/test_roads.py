@@ -4,9 +4,13 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from decoymix.errors import OffNetwork
 from decoymix.roads import (
+    SNAP_CELL_M,
+    SNAP_TOLERANCE_M,
     Edge,
     RoadGraph,
     central_junctions,
@@ -16,6 +20,7 @@ from decoymix.roads import (
     path_exists,
     point_along,
     polyline_length,
+    project_to_polyline,
     traverse_time_bounds,
     zone_from_center,
 )
@@ -77,6 +82,110 @@ def test_snap_tolerance(grid4):
     assert off == pytest.approx(250.0, abs=0.01)
     with pytest.raises(OffNetwork):
         grid4.snap((250.0, 5.1))
+
+
+def _polyline_graph() -> RoadGraph:
+    """Two-way roads with bent, diagonal polylines; each lane's twin runs the
+    same points backwards. The spur d-e lies inside one column of snap cells
+    at negative x, and a straight run of a-b lies 0.5 mm inside the 5 m band
+    of the cell border y = 50."""
+    roads = {
+        ("a", "b"): ((-130.0, -40.0), (-60.0, -55.0), (20.0, 10.0),
+                     (140.0, 54.9995), (200.0, 54.9995), (210.0, 95.0)),
+        ("b", "c"): ((210.0, 95.0), (180.0, 170.0), (100.0, 240.0),
+                     (35.0, 310.0)),
+        ("c", "a"): ((35.0, 310.0), (-20.0, 150.0), (-100.0, 50.0),
+                     (-130.0, -40.0)),
+        ("d", "e"): ((-40.0, -300.0), (-12.0, -260.0), (-40.0, -220.0)),
+    }
+    junctions = {}
+    edges = []
+    for (a, b), shape in roads.items():
+        junctions[a], junctions[b] = shape[0], shape[-1]
+        for tail, head, pts in ((a, b, shape), (b, a, shape[::-1])):
+            edges.append(Edge(f"{tail}__{head}", tail, head, pts, 13.89,
+                              polyline_length(pts)))
+    return RoadGraph(junctions, edges)
+
+
+def _snap_by_scan(g: RoadGraph, pos, heading=None):
+    """Reference snap: project onto every edge of the graph."""
+    best = None
+    for eid in sorted(g.edges):
+        off, d = project_to_polyline(g.edges[eid].shape, pos)
+        if heading is None:
+            key = (d, 0.0, eid)
+        else:
+            _, _, eh = point_along(g.edges[eid].shape, off)
+            key = (round(d, 9), -math.cos(eh - heading), eid)
+        if best is None or key < best[0]:
+            best = (key, eid, off)
+    if best is None or best[0][0] > SNAP_TOLERANCE_M:
+        raise OffNetwork(f"position {pos} is off the network")
+    return best[1], best[2]
+
+
+def _snap_outcome(snap, g, pos, heading):
+    try:
+        return snap(g, pos, heading)
+    except OffNetwork:
+        return "off-network"
+
+
+SNAP_GRAPHS = {
+    "grid4": make_grid(4, 4, 500.0),
+    "t-junction": _t_junction(),
+    "polylines": _polyline_graph(),
+}
+MM = 1e-3
+
+
+@st.composite
+def _snap_probe(draw, g: RoadGraph):
+    """A point beside a random lane, at any side offset up to 8 m or within
+    1 mm of the 5 m tolerance, sometimes moved to within 1 mm of a cell
+    border; the heading is absent, random, or along either lane."""
+    e = g.edges[draw(st.sampled_from(sorted(g.edges)))]
+    x, y, h = point_along(e.shape, draw(st.floats(0.0, 1.0)) * e.length)
+    side = draw(st.one_of(
+        st.floats(-8.0, 8.0),
+        st.tuples(st.sampled_from([-SNAP_TOLERANCE_M, SNAP_TOLERANCE_M]),
+                  st.floats(-MM, MM)).map(sum),
+    ))
+    pos = [x - side * math.sin(h), y + side * math.cos(h)]
+    for axis in draw(st.sampled_from([(), (0,), (1,), (0, 1)])):
+        border = round(pos[axis] / SNAP_CELL_M) * SNAP_CELL_M
+        pos[axis] = border + draw(st.floats(-MM, MM))
+    heading = draw(st.one_of(
+        st.none(),
+        st.floats(-math.pi, math.pi),
+        st.sampled_from([h, h + math.pi]),
+    ))
+    return (pos[0], pos[1]), heading
+
+
+@pytest.mark.parametrize("name", sorted(SNAP_GRAPHS))
+@settings(max_examples=400, derandomize=True, database=None, deadline=None)
+@given(data=st.data())
+def test_indexed_snap_matches_full_scan(name, data):
+    g = SNAP_GRAPHS[name]
+    pos, heading = data.draw(_snap_probe(g))
+    assert (_snap_outcome(RoadGraph.snap, g, pos, heading)
+            == _snap_outcome(_snap_by_scan, g, pos, heading))
+
+
+@pytest.mark.parametrize("pos", [
+    (170.0, 50.0 - 0.4 * MM),  # 4.9999 m from a-b, in the cell below it
+    (170.0, 50.0 - 0.6 * MM),  # 5.0001 m from a-b: off the network
+    (-26.0, -280.0),  # on the spur, at negative coordinates
+    (math.nan, 50.0),
+    (0.0, -math.inf),
+])
+@pytest.mark.parametrize("heading", [None, 0.0, math.pi])
+def test_indexed_snap_matches_full_scan_at_edge_cases(pos, heading):
+    g = SNAP_GRAPHS["polylines"]
+    assert (_snap_outcome(RoadGraph.snap, g, pos, heading)
+            == _snap_outcome(_snap_by_scan, g, pos, heading))
 
 
 def test_shortest_path_deterministic(grid4):
