@@ -14,6 +14,7 @@ import json
 import math
 import random
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Mapping, Sequence, TextIO
 
 from .core import stable_u64
@@ -83,7 +84,10 @@ class PseudonymTrack:
     def last(self) -> ObsRow:
         return self.rows[-1]
 
-    def intervals_by_eaves(self) -> dict[str, tuple[float, float]]:
+    @cached_property
+    def eaves_spans(self) -> dict[str, tuple[float, float]]:
+        """(first, last) time each eavesdropper heard this id; computed once
+        per track, since link compares it against every candidate."""
         out: dict[str, tuple[float, float]] = {}
         for r in self.rows:
             lohi = out.get(r.eaves_id)
@@ -191,10 +195,9 @@ def classify_tracks(
 def seen_together(a: PseudonymTrack, b: PseudonymTrack) -> bool:
     """True iff some single eavesdropper heard both ids simultaneously
     (their per-eavesdropper observation spans overlap)."""
-    ia = a.intervals_by_eaves()
-    ib = b.intervals_by_eaves()
-    for eid, (lo_a, hi_a) in ia.items():
-        span = ib.get(eid)
+    spans_b = b.eaves_spans
+    for eid, (lo_a, hi_a) in a.eaves_spans.items():
+        span = spans_b.get(eid)
         if span is None:
             continue
         lo_b, hi_b = span
