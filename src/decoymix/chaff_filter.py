@@ -19,6 +19,8 @@ import math
 import random
 import struct
 
+import numpy as np
+
 from .errors import DeserializeError, FilterSaturated, RemoveAbsent
 
 BUCKET_CAPACITY = 4
@@ -201,16 +203,19 @@ class ChaffFilter:
             self.item_count,
             self.epoch,
         )
+        # Unpack each slot to its low fingerprint_bits bits and pack the
+        # stream once; OR-ing slots into one growing int is quadratic.
         fb = self.fingerprint_bits
-        packed = 0
-        pos = 0
+        width = (fb + 7) // 8
+        empty = bytes(width)
+        cells: list[bytes] = []
         for bucket in self._buckets:
             for fp in bucket:
-                packed |= fp << (pos * fb)
-                pos += 1
-            pos += self.bucket_capacity - len(bucket)
-        nbytes = (self.bucket_count * self.bucket_capacity * fb + 7) // 8
-        return header + packed.to_bytes(nbytes, "little")
+                cells.append(fp.to_bytes(width, "little"))
+            cells.append(empty * (self.bucket_capacity - len(bucket)))
+        slots = np.frombuffer(b"".join(cells), dtype=np.uint8).reshape(-1, width)
+        bits = np.unpackbits(slots, axis=1, count=fb, bitorder="little")
+        return header + np.packbits(bits, bitorder="little").tobytes()
 
     @classmethod
     def deserialize(cls, blob: bytes) -> "ChaffFilter":

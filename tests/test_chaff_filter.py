@@ -183,6 +183,39 @@ def test_round_trip_behaves_identically():
     assert g.serialize() == f.serialize()
 
 
+def _serialize_by_or_loop(f: ChaffFilter) -> bytes:
+    """Reference packing: OR each slot into one growing int."""
+    fb = f.fingerprint_bits
+    packed = 0
+    pos = 0
+    for bucket in f._buckets:
+        for fp in bucket:
+            packed |= fp << (pos * fb)
+            pos += 1
+        pos += f.bucket_capacity - len(bucket)
+    nbytes = (f.bucket_count * f.bucket_capacity * fb + 7) // 8
+    return f.serialize()[:16] + packed.to_bytes(nbytes, "little")
+
+
+@pytest.mark.parametrize("fp_bits", [1, 3, 8, 13, 64, 70, 255])
+def test_serialize_matches_or_loop_reference(fp_bits):
+    rng = random.Random(fp_bits)
+    for trial in range(6):
+        f = ChaffFilter(fp_bits, 1 << rng.randrange(0, 7), 1e-3,
+                        epoch=trial, kick_seed=trial)
+        members = _ids(rng.randrange(0, 4 * f.bucket_count + 1), 100 + trial)
+        kept = []
+        for m in members:
+            try:
+                f.insert(m)
+            except FilterSaturated:
+                break
+            kept.append(m)
+        for m in rng.sample(kept, len(kept) // 3):
+            f.remove(m)
+        assert f.serialize() == _serialize_by_or_loop(f)
+
+
 def test_deserialize_rejects_malformed_bytes():
     blob = new_filter(100, 1e-3).serialize()
     with pytest.raises(DeserializeError):
