@@ -63,6 +63,9 @@ STANDARD_BEACON_INTERVALS_S = (0.2, 0.5, 1.0)
 
 OBSERVATION_HEADER = "time,pseudonym_id,x,y,speed,heading,length,eavesdropper_id"
 
+# one shared compact encoder; json.dumps with separators builds a new one per call
+_encode_event = json.JSONEncoder(separators=(",", ":")).encode
+
 _RECEPTION_COUNTERS = (
     "rx_beacons",
     "rx_bytes",
@@ -323,7 +326,7 @@ class RunResult:
 
     def export_events(self, fh) -> None:
         for e in self.events:
-            fh.write(json.dumps(e, separators=(",", ":")) + "\n")
+            fh.write(_encode_event(e) + "\n")
 
 
 # ---------------------------------------------------------------------------
