@@ -14,7 +14,7 @@ import random
 import struct
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Sequence
+from typing import Sequence, get_type_hints
 
 import numpy as np
 
@@ -202,7 +202,7 @@ class ScenarioConfig:
             graph_file = doc.pop("graph_file")
         except KeyError:
             raise ConfigError("scenario is missing graph_file") from None
-        graph_path = base / graph_file
+        graph_path = base / _typed("graph_file", graph_file, str)
         if not graph_path.exists():
             raise ConfigError(f"graph file not found: {graph_path}")
         graph = RoadGraph.load(graph_path)
@@ -211,17 +211,18 @@ class ScenarioConfig:
         if not zone_docs:
             raise ConfigError("scenario must declare at least a zones list")
         zones = tuple(
-            _parse_spec(ZoneSpec, z, ("zone_id", "center_x_m", "center_y_m", "radius_m"))
-            for z in zone_docs
+            _parse_spec(ZoneSpec, z) for z in _typed("zones", zone_docs, list)
         )
         eaves = tuple(
-            _parse_spec(EavesdropperSpec, e, ("eaves_id", "x_m", "y_m", "range_m"))
-            for e in doc.pop("eavesdroppers", ())
+            _parse_spec(EavesdropperSpec, e)
+            for e in _typed("eavesdroppers", doc.pop("eavesdroppers", []), list)
         )
         traffic = doc.pop("traffic", None)
         if traffic is None:
             raise ConfigError("scenario is missing the traffic block")
-        extra_traffic = set(traffic) - {"n_vehicles", "arrival_rate_per_s"}
+        extra_traffic = set(_typed("traffic", traffic, dict)) - {
+            "n_vehicles", "arrival_rate_per_s",
+        }
         if extra_traffic:
             raise ConfigError(f"unknown traffic keys: {sorted(extra_traffic)}")
 
@@ -236,13 +237,19 @@ class ScenarioConfig:
         unknown = set(doc) - scalar_fields
         if unknown:
             raise ConfigError(f"unknown scenario keys: {sorted(unknown)}")
+        types = get_type_hints(cls)
         cfg = cls(
             graph=graph,
             zones=zones,
             eavesdroppers=eaves,
-            n_vehicles=int(traffic.get("n_vehicles", 0)),
-            arrival_rate_per_s=float(traffic.get("arrival_rate_per_s", 0.1)),
-            **doc,
+            n_vehicles=_typed(
+                "traffic.n_vehicles", traffic.get("n_vehicles", 0), int
+            ),
+            arrival_rate_per_s=_typed(
+                "traffic.arrival_rate_per_s",
+                traffic.get("arrival_rate_per_s", 0.1), float,
+            ),
+            **{name: _typed(name, val, types[name]) for name, val in doc.items()},
         )
         cfg.validate()
         return cfg
@@ -261,14 +268,43 @@ class ScenarioConfig:
         return cls.from_dict(doc, base_dir=path.parent)
 
 
-def _parse_spec(cls, doc: dict, fields: tuple[str, ...]):
-    unknown = set(doc) - set(fields)
+def _typed(name: str, value, kind: type):
+    """value checked against a field's declared type, else ConfigError.
+
+    A float field takes any finite int or float as given; an int field takes
+    an int or an integral float, as an int. bool counts as neither."""
+    if kind in (int, float):
+        what = "an integer" if kind is int else "a number"
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise ConfigError(f"{name} must be {what}, got {value!r}")
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ConfigError(f"{name} must be finite, got {value!r}")
+        if kind is int:
+            if value != int(value):
+                raise ConfigError(f"{name} must be {what}, got {value!r}")
+            return int(value)
+        return value
+    if not isinstance(value, kind):
+        raise ConfigError(
+            f"{name} must be of type {kind.__name__}, got {value!r}"
+        )
+    return value
+
+
+def _parse_spec(cls, doc):
+    """ZoneSpec or EavesdropperSpec from its JSON object, every field typed."""
+    types = get_type_hints(cls)
+    doc = _typed(cls.__name__, doc, dict)
+    unknown = set(doc) - set(types)
     if unknown:
         raise ConfigError(f"unknown keys in {cls.__name__}: {sorted(unknown)}")
-    missing = set(fields) - set(doc)
+    missing = set(types) - set(doc)
     if missing:
         raise ConfigError(f"missing keys in {cls.__name__}: {sorted(missing)}")
-    return cls(**doc)
+    return cls(**{
+        name: _typed(f"{cls.__name__}.{name}", val, types[name])
+        for name, val in doc.items()
+    })
 
 
 # ---------------------------------------------------------------------------

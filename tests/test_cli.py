@@ -179,6 +179,32 @@ def test_run_bad_sweep_axis_exits_2(tmp_path):
     assert rc == 2
 
 
+@pytest.mark.parametrize("path, value", [
+    (("duration_s",), "60"),
+    (("relay_fraction",), None),
+    (("rng_seed",), "x"),
+    (("sparse_threshold",), 1.5),
+    (("zones", 0, "center_x_m"), "500"),
+    (("traffic", "n_vehicles"), "abc"),
+], ids=[
+    "duration_s-string", "relay_fraction-null", "rng_seed-string",
+    "sparse_threshold-1.5", "zone-center_x_m-string", "traffic-n_vehicles-string",
+])
+def test_run_mistyped_scenario_field_exits_2(tmp_path, capsys, path, value):
+    scenario = small_scenario(tmp_path, vehicles=3, duration=60.0)
+    doc = json.loads(scenario.read_text())
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    scenario.write_text(json.dumps(doc))
+    capsys.readouterr()
+    rc = main(["run", "--scenario", str(scenario), "--out", str(tmp_path / "o")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and path[-1] in err
+
+
 def test_run_json_format(tmp_path):
     scenario = small_scenario(tmp_path, vehicles=3, duration=60.0)
     out = tmp_path / "runs"
