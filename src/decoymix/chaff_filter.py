@@ -203,8 +203,8 @@ class ChaffFilter:
             self.item_count,
             self.epoch,
         )
-        # Unpack each slot to its low fingerprint_bits bits and pack the
-        # stream once; OR-ing slots into one growing int is quadratic.
+        # Unpack every slot's bytes to bits, keep its low fingerprint_bits
+        # and pack the whole stream once: linear in the slot count.
         fb = self.fingerprint_bits
         width = (fb + 7) // 8
         empty = bytes(width)
