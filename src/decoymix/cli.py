@@ -223,6 +223,23 @@ def _refuse_overwrite(out: Path, force: bool) -> None:
 # run subcommand
 
 
+def cell_reports(result):
+    """(candidate sets, linkability report, overhead report) of one run.
+
+    Beacons and reception summaries stay columns: overhead folds them as
+    such, and anonymity sets read only the protocol events, so the dict view
+    `result.events` is never built."""
+    sets, chains, tracks = attack_result(result)
+    log = result.log
+    link_rep = build_linkability_report(
+        result.transitions, sets, chains, tracks, log.protocol
+    )
+    over_rep = overhead(
+        log.protocol, result.config.duration_s, log.beacons, log.receptions
+    )
+    return sets, link_rep, over_rep
+
+
 def _execute_job(job: tuple) -> tuple:
     """One (sweep point, seed) cell: simulate, attack, write reports.
 
@@ -231,11 +248,7 @@ def _execute_job(job: tuple) -> tuple:
     cfg = ScenarioConfig.from_file(scenario_path).replaced(rng_seed=seed, **point)
     cfg.validate()
     result = run(cfg)
-    sets, chains, tracks = attack_result(result)
-    link_rep = build_linkability_report(
-        result.transitions, sets, chains, tracks, result.events
-    )
-    over_rep = overhead(result.events, cfg.duration_s)
+    sets, link_rep, over_rep = cell_reports(result)
 
     d = Path(run_dir)
     d.mkdir(parents=True, exist_ok=True)

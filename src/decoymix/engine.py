@@ -8,6 +8,8 @@ decoy streams without reshuffling the ones already present.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import json
 import math
 import random
@@ -19,7 +21,6 @@ from typing import Sequence, get_type_hints
 import numpy as np
 
 from .core import (
-    CAM_WIRE_BYTES,
     ENCRYPTION_OVERHEAD_BYTES,
     PSEUDONYM_WIRE_BYTES,
     Credential,
@@ -31,6 +32,12 @@ from .core import (
     verify,
 )
 from .errors import ConfigError, NoResponder
+from .eventlog import (
+    BEACON_WIRE_BYTES,
+    RECEPTION_COUNTERS,
+    EventLog,
+    EventLogBuilder,
+)
 from .mixzone import (
     ADVERT_PAYLOAD_BYTES,
     JOIN_REQUEST_PAYLOAD_BYTES,
@@ -50,7 +57,6 @@ from .roads import (
 from .vpki import CredentialAuthority
 
 # Every signed broadcast carries the signer's credential on the wire.
-BEACON_WIRE_BYTES = CAM_WIRE_BYTES + PSEUDONYM_WIRE_BYTES
 ENCRYPTED_BEACON_WIRE_BYTES = BEACON_WIRE_BYTES + ENCRYPTION_OVERHEAD_BYTES
 ADVERT_WIRE_BYTES = ADVERT_PAYLOAD_BYTES + PSEUDONYM_WIRE_BYTES
 JOIN_REQUEST_WIRE_BYTES = JOIN_REQUEST_PAYLOAD_BYTES + PSEUDONYM_WIRE_BYTES
@@ -62,20 +68,6 @@ CHUNK_CERT_BYTES = PSEUDONYM_WIRE_BYTES
 STANDARD_BEACON_INTERVALS_S = (0.2, 0.5, 1.0)
 
 OBSERVATION_HEADER = "time,pseudonym_id,x,y,speed,heading,length,eavesdropper_id"
-
-# one shared compact encoder; json.dumps with separators builds a new one per call
-_encode_event = json.JSONEncoder(separators=(",", ":")).encode
-
-_RECEPTION_COUNTERS = (
-    "rx_beacons",
-    "rx_bytes",
-    "checks",
-    "verifies",
-    "discard_chaff",
-    "unknown_pending",
-    "peer_queries",
-    "peer_unanswered",
-)
 
 
 # ---------------------------------------------------------------------------
@@ -137,8 +129,14 @@ class ScenarioConfig:
             val = getattr(self, name)
             if not 0.0 <= val <= 1.0:
                 raise ConfigError(f"{name} must lie in [0, 1]")
-        if self.filter_bandwidth_bytes_per_s <= 0:
-            raise ConfigError("filter_bandwidth_bytes_per_s must be positive")
+        if self.filter_bandwidth_bytes_per_s * self.filter_tx_interval_s < 1:
+            raise ConfigError(
+                "filter_bandwidth_bytes_per_s times filter_tx_interval_s must "
+                "be at least 1, so each chunk carries a byte"
+            )
+        for name in ("vehicle_radio_range_m", "rsu_range_m", "rsu_chaff_duration_s"):
+            if getattr(self, name) <= 0:
+                raise ConfigError(f"{name} must be positive")
         if self.trips is None:
             if self.n_vehicles < 0:
                 raise ConfigError("n_vehicles must be non-negative")
@@ -339,11 +337,17 @@ class ZoneInfo:
 @dataclass
 class RunResult:
     config: ScenarioConfig
-    events: list[dict]
+    log: EventLog
     observations: dict[str, list[tuple]]
     transitions: list[Transition]
     zones: list[ZoneInfo]
     audit_violations: list[str]
+
+    @functools.cached_property
+    def events(self) -> list[dict]:
+        """Every event record as a dict, in output order: the reference view
+        of the log, built on first access."""
+        return self.log.records()
 
     def all_observations(self) -> list[tuple]:
         merged: list[tuple] = []
@@ -361,8 +365,7 @@ class RunResult:
             )
 
     def export_events(self, fh) -> None:
-        for e in self.events:
-            fh.write(_encode_event(e) + "\n")
+        self.log.write_jsonl(fh)
 
 
 # ---------------------------------------------------------------------------
@@ -410,11 +413,10 @@ def accept_peer_filter(env: SignedEnvelope, pca: Credential, now: float) -> bool
 class _VehicleRt:
     __slots__ = (
         "vid", "trip", "t0_ds", "end_ds", "n", "edges", "non_coop",
-        "pool", "pool_next", "active", "link_hex", "changes",
-        "visit", "stream",
+        "pool", "pool_next", "active", "changes", "visit", "stream",
     )
 
-    def __init__(self, vid, trip, t0_ds, end_ds, n, edges, non_coop, pool, link_hex):
+    def __init__(self, vid, trip, t0_ds, end_ds, n, edges, non_coop, pool):
         self.vid = vid
         self.trip = trip
         self.t0_ds = t0_ds
@@ -425,7 +427,6 @@ class _VehicleRt:
         self.pool = pool
         self.pool_next = 1
         self.active = pool[0]
-        self.link_hex = link_hex
         self.changes = 0
         self.visit: dict | None = None
         self.stream: "_Stream | None" = None
@@ -479,6 +480,25 @@ def _published(coord: float) -> float:
     is decided on this value too, so no beacon sent in the clear claims a
     position on or inside a zone disk."""
     return round(coord, 3)
+
+
+def round_array(values, digits: int) -> np.ndarray:
+    """round(v, digits) for every element, bit for bit.
+
+    rint(v·10ⁿ)/10ⁿ is round(v, n) wherever v·10ⁿ lies at least 1e-6 from a
+    half and below 2³³ in magnitude: there the product's own rounding error
+    stays under 1e-6, so it cannot carry the value across the half. Every
+    other element, nan and inf included, goes through round."""
+    values = np.asarray(values, dtype=np.float64)
+    scale = 10.0 ** digits
+    with np.errstate(over="ignore", invalid="ignore"):  # inf and nan go to round
+        scaled = values * scale
+        out = np.rint(scaled) / scale
+        unsure = ~(np.abs(scaled - np.floor(scaled) - 0.5) >= 1e-6)
+    unsure |= ~(np.abs(scaled) < 2.0 ** 33)
+    for i in np.flatnonzero(unsure):
+        out.flat[i] = round(float(values.flat[i]), digits)
+    return out
 
 
 def _build_stream_poses(
@@ -674,8 +694,8 @@ def run(config: ScenarioConfig) -> RunResult:
         # zone visits are trajectory-only, so pool sizes stay identical
         # across relay/non-coop sweeps on the same seed
         if nz:
-            xp = np.array([_published(s.x) for s, _ in samples])
-            yp = np.array([_published(s.y) for s, _ in samples])
+            xp = round_array(xs, 3)
+            yp = round_array(ys, 3)
             d2 = (xp[:, None] - zcx[None, :]) ** 2 + (yp[:, None] - zcy[None, :]) ** 2
             inside = d2 <= zr2[None, :]
             zseq = np.where(inside.any(axis=1), inside.argmax(axis=1), -1)
@@ -690,9 +710,8 @@ def run(config: ScenarioConfig) -> RunResult:
             random.Random(stable_u64(seed, "noncoop", vid)).random()
             < config.non_coop_fraction
         )
-        link0 = f"{stable_u64(seed, 'link', vid, 0):016x}"
         vehicles.append(
-            _VehicleRt(vid, trip, t0_ds, end_ds, n, edges, non_coop, pool, link0)
+            _VehicleRt(vid, trip, t0_ds, end_ds, n, edges, non_coop, pool)
         )
         sample_rows.append((t0_ds, xs, ys, spd, hdg, zseq))
 
@@ -716,15 +735,25 @@ def run(config: ScenarioConfig) -> RunResult:
         HDG[i, k0:k1] = hdg[:m]
         ZIDX[i, k0:k1] = zseq[:m]
     del sample_rows
-    lengths = np.array([v.trip.length_m for v in vehicles])
+    length_q = round_array([v.trip.length_m for v in vehicles], 1)
 
     # --- mutable run state
-    events: list[dict] = []
+    log = EventLogBuilder(eaves_ids)
+    emit = log.event
+    # string-table indices of each vehicle's id, active pseudonym and link
+    veh_name = np.array([log.name(v.vid) for v in vehicles], dtype=np.int32)
+    pid_name = np.array(
+        [log.name(v.active.id.hex()) for v in vehicles], dtype=np.int32
+    )
+    link_name = np.array(
+        [log.name(f"{stable_u64(seed, 'link', v.vid, 0):016x}") for v in vehicles],
+        dtype=np.int32,
+    )
     transitions: list[Transition] = []
     streams: list[_Stream] = []
     audit_violations: list[str] = []
     counters = {
-        name: np.zeros((nv, nsec), dtype=np.int64) for name in _RECEPTION_COUNTERS
+        name: np.zeros((nv, nsec), dtype=np.int64) for name in RECEPTION_COUNTERS
     }
     held_ep = np.full((nv, nz), -1, dtype=np.int64)
     pending = np.zeros((nv, nz), dtype=bool)
@@ -745,7 +774,7 @@ def run(config: ScenarioConfig) -> RunResult:
         payload = struct.pack("<d", now).ljust(RETIRE_PAYLOAD_BYTES, b"\0")
         ca.retire_chaff(sign(payload, s.plan.chaff, now=now), now)
         s.retired = True
-        events.append({
+        emit({
             "type": "retire", "t": now, "tx": tx_entity,
             "chaff": s.chaff_hex, "zone": s.plan.zone_id,
             "bytes": RETIRE_WIRE_BYTES,
@@ -756,7 +785,7 @@ def run(config: ScenarioConfig) -> RunResult:
         if s.ended:
             return
         s.ended = True
-        events.append({
+        emit({
             "type": "decoy_end", "t": now, "zone": s.plan.zone_id,
             "chaff": s.chaff_hex, "reason": reason,
         })
@@ -778,7 +807,7 @@ def run(config: ScenarioConfig) -> RunResult:
             plan, plan.chaff.id.hex(), link_hex, transmitter, tx_range2,
             zone_j, poses, reason,
         )
-        events.append({
+        emit({
             "type": "decoy_start", "t": now, "zone": plan.zone_id,
             "chaff": s.chaff_hex, "source": plan.source,
             "length": round(plan.length_m, 1), "exit_edge": plan.exit_edge_id,
@@ -798,7 +827,7 @@ def run(config: ScenarioConfig) -> RunResult:
         if visit is None or visit["zone_j"] != zone_j:
             return
         member_id: bytes = visit["member_id"]
-        events.append({
+        emit({
             "type": "zone_exit", "t": now, "vehicle": v.vid,
             "zone": z.spec.zone_id, "reason": "exit",
         })
@@ -838,12 +867,12 @@ def run(config: ScenarioConfig) -> RunResult:
             for jj in range(nz)
         )
         sealed = z.controller.handle_join(request, v.active, pos, now, filters)
-        events.append({
+        emit({
             "type": "join_request", "t": now, "tx": v.vid, "rx": z.entity,
             "zone": z.spec.zone_id, "bytes": JOIN_REQUEST_WIRE_BYTES,
         })
         body = sealed.open(v.active.id)
-        events.append({
+        emit({
             "type": "join_response", "t": now, "tx": z.entity, "rx": v.vid,
             "zone": z.spec.zone_id, "bytes": sealed.wire_size,
             "relay": body.chaff is not None,
@@ -853,7 +882,7 @@ def run(config: ScenarioConfig) -> RunResult:
             if ep > held_ep[vi, jj]:
                 held_ep[vi, jj] = ep
                 pending[vi, jj] = False
-                events.append({
+                emit({
                     "type": "filter_delivered", "t": now, "vehicle": v.vid,
                     "zone": zone_ids[jj], "epoch": ep, "via": "join",
                     "latency_s": None,
@@ -864,9 +893,12 @@ def run(config: ScenarioConfig) -> RunResult:
             new = v.pool[v.pool_next]
             v.pool_next += 1
             v.changes += 1
-            v.link_hex = f"{stable_u64(seed, 'link', v.vid, v.changes):016x}"
             v.active = new
-            events.append({
+            pid_name[vi] = log.name(new.id.hex())
+            link_name[vi] = log.name(
+                f"{stable_u64(seed, 'link', v.vid, v.changes):016x}"
+            )
+            emit({
                 "type": "pseudonym_change", "t": now, "vehicle": v.vid,
                 "zone": z.spec.zone_id, "old": old.id.hex(), "new": new.id.hex(),
             })
@@ -926,7 +958,7 @@ def run(config: ScenarioConfig) -> RunResult:
                     if env is None:
                         continue
                     verifiers = [vehicles[vi].vid for vi in np.flatnonzero(fresh[:, j])]
-                    events.append({
+                    emit({
                         "type": "advert", "t": now, "tx": z.entity,
                         "zone": z.spec.zone_id, "bytes": ADVERT_WIRE_BYTES,
                         "first_verifiers": verifiers,
@@ -937,7 +969,7 @@ def run(config: ScenarioConfig) -> RunResult:
             if t_ds % fi_ds == 0:
                 for j, z in enumerate(zones):
                     slot = (t_ds // fi_ds) % z.chunk_count
-                    events.append({
+                    emit({
                         "type": "chunk", "t": now, "tx": z.entity,
                         "zone": z.spec.zone_id, "epoch": int(cur_ep[j]),
                         "index": slot, "total": z.chunk_count,
@@ -960,7 +992,7 @@ def run(config: ScenarioConfig) -> RunResult:
                 ep = int(cur_ep[j])
                 held_ep[vi, j] = ep
                 pending[vi, j] = False
-                events.append({
+                emit({
                     "type": "filter_delivered", "t": now,
                     "vehicle": vehicles[vi].vid, "zone": zone_ids[j],
                     "epoch": ep, "via": "rsu",
@@ -995,32 +1027,34 @@ def run(config: ScenarioConfig) -> RunResult:
             inside_idx = np.flatnonzero(inside_mask)
 
             # plaintext beacons from vehicles outside every zone
-            for ii in outside_idx:
-                vi = int(av[ii])
-                v = vehicles[vi]
-                xq = _published(float(xs[ii]))
-                yq = _published(float(ys[ii]))
-                sq = round(float(SPD[vi, k]), 3)
-                hq = round(float(HDG[vi, k]), 6)
-                lq = round(float(lengths[vi]), 1)
-                pid = v.active.id.hex()
-                observers = []
+            if outside_idx.size:
+                out_vi = av[outside_idx]
+                heard = eaves_hear[:, outside_idx]
+                pq = pid_name[out_vi]
+                xq = round_array(xs[outside_idx], 3)
+                yq = round_array(ys[outside_idx], 3)
+                sq = round_array(SPD[out_vi, k], 3)
+                hq = round_array(HDG[out_vi, k], 6)
+                lq = length_q[out_vi]
+                log.beacons(
+                    out_vi.size, t=now, tx=veh_name[out_vi], pseudonym=pq,
+                    link=link_name[out_vi], x=xq, y=yq, speed=sq, heading=hq,
+                    length=lq, chaff=False, zone=-1, observers=heard.T,
+                )
                 for w in range(ne):
-                    if eaves_hear[w, ii]:
-                        observers.append(eaves_ids[w])
-                        observations[eaves_ids[w]].append(
-                            (round(now, 1), pid, xq, yq, sq, hq, lq, eaves_ids[w])
-                        )
-                events.append({
-                    "type": "beacon", "t": now, "tx": v.vid, "pseudonym": pid,
-                    "link": v.link_hex, "x": xq, "y": yq, "speed": sq,
-                    "heading": hq, "length": lq, "chaff": False, "zone": None,
-                    "bytes": BEACON_WIRE_BYTES, "observers": observers,
-                })
+                    hits = np.flatnonzero(heard[w])
+                    if hits.size:
+                        observations[eaves_ids[w]].extend(zip(
+                            itertools.repeat(round(now, 1)),
+                            [log.names[p] for p in pq[hits].tolist()],
+                            xq[hits].tolist(), yq[hits].tolist(),
+                            sq[hits].tolist(), hq[hits].tolist(),
+                            lq[hits].tolist(), itertools.repeat(eaves_ids[w]),
+                        ))
             # encrypted beacons inside zones: logged, never observed
             for ii in inside_idx:
                 vi = int(av[ii])
-                events.append({
+                emit({
                     "type": "beacon_encrypted", "t": now, "tx": vehicles[vi].vid,
                     "zone": zone_ids[int(cur_zone[ii])],
                     "bytes": ENCRYPTED_BEACON_WIRE_BYTES,
@@ -1046,7 +1080,7 @@ def run(config: ScenarioConfig) -> RunResult:
                 if pose is None:
                     continue
                 if ca.retired_at(s.plan.chaff.id) is not None:
-                    events.append({
+                    emit({
                         "type": "misbehavior", "t": now, "chaff": s.chaff_hex,
                         "zone": s.plan.zone_id,
                     })
@@ -1070,22 +1104,18 @@ def run(config: ScenarioConfig) -> RunResult:
                 sq = round(s.plan.speed_mps, 3)
                 hq = round(pose[2], 6)
                 lq = round(s.plan.length_m, 1)
-                observers = []
-                for w in range(ne):
-                    de = (tx_x - ex[w]) ** 2 + (tx_y - ey[w]) ** 2
-                    if de <= er2[w]:
-                        observers.append(eaves_ids[w])
-                        observations[eaves_ids[w]].append(
-                            (round(now, 1), s.chaff_hex, xq, yq, sq, hq, lq,
-                             eaves_ids[w])
-                        )
-                events.append({
-                    "type": "beacon", "t": now, "tx": s.transmitter,
-                    "pseudonym": s.chaff_hex, "link": s.link_hex, "x": xq,
-                    "y": yq, "speed": sq, "heading": hq, "length": lq,
-                    "chaff": True, "zone": s.plan.zone_id,
-                    "bytes": BEACON_WIRE_BYTES, "observers": observers,
-                })
+                heard = (tx_x - ex) ** 2 + (tx_y - ey) ** 2 <= er2
+                for w in np.flatnonzero(heard).tolist():
+                    observations[eaves_ids[w]].append(
+                        (round(now, 1), s.chaff_hex, xq, yq, sq, hq, lq,
+                         eaves_ids[w])
+                    )
+                log.beacons(
+                    1, t=now, tx=log.name(s.transmitter),
+                    pseudonym=log.name(s.chaff_hex), link=log.name(s.link_hex),
+                    x=xq, y=yq, speed=sq, heading=hq, length=lq, chaff=True,
+                    zone=log.name(s.plan.zone_id), observers=heard,
+                )
                 if na:
                     d2s = (xs - tx_x) ** 2 + (ys - tx_y) ** 2
                     rx = d2s <= s.tx_range2
@@ -1142,7 +1172,7 @@ def run(config: ScenarioConfig) -> RunResult:
                             if blob is None:
                                 continue
                             if not accept_peer_filter(env, pca_cred, now):
-                                events.append({
+                                emit({
                                     "type": "peer_filter_rejected", "t": now,
                                     "vehicle": vehicles[int(av[r])].vid,
                                     "zone": zone_ids[j],
@@ -1151,14 +1181,14 @@ def run(config: ScenarioConfig) -> RunResult:
                             got_any[r] = True
                             staged.append((int(av[r]), j, ep_resp))
                             wire = len(blob) + PSEUDONYM_WIRE_BYTES + ENCRYPTION_OVERHEAD_BYTES
-                            events.append({
+                            emit({
                                 "type": "peer_filter", "t": now,
                                 "tx": vehicles[int(av[c])].vid,
                                 "rx": vehicles[int(av[r])].vid,
                                 "zone": zone_ids[j], "epoch": ep_resp,
                                 "bytes": wire,
                             })
-                            events.append({
+                            emit({
                                 "type": "filter_delivered", "t": now,
                                 "vehicle": vehicles[int(av[r])].vid,
                                 "zone": zone_ids[j], "epoch": ep_resp,
@@ -1182,7 +1212,7 @@ def run(config: ScenarioConfig) -> RunResult:
                 v.stream = None
             j = int(inside_vec[vi])
             if j >= 0:
-                events.append({
+                emit({
                     "type": "zone_exit", "t": now, "vehicle": v.vid,
                     "zone": zone_ids[j], "reason": "despawn",
                 })
@@ -1205,29 +1235,19 @@ def run(config: ScenarioConfig) -> RunResult:
         # the clock stopped mid-stream; no retire message was ever sent
         if not s.ended:
             s.ended = True
-            events.append({
+            emit({
                 "type": "decoy_end", "t": final_now, "zone": s.plan.zone_id,
                 "chaff": s.chaff_hex, "reason": "run_end",
             })
 
     for z in zones:
         for t, kind, detail in z.controller.events:
-            events.append({
+            emit({
                 "type": "zone_note", "t": t, "zone": z.spec.zone_id,
                 "kind": kind, "detail": detail,
             })
 
-    for vi, v in enumerate(vehicles):
-        active_secs = np.flatnonzero(
-            sum(counters[name][vi] for name in _RECEPTION_COUNTERS) > 0
-        )
-        for s in active_secs:
-            rec = {"type": "reception_summary", "t": float(s), "entity": v.vid}
-            for name in _RECEPTION_COUNTERS:
-                rec[name] = int(counters[name][vi, s])
-            events.append(rec)
-
-    events.sort(key=_event_order)
+    event_log = log.finish(counters, veh_name)
 
     seen = _observed_spans(observations)
     for tr in transitions:
@@ -1247,7 +1267,7 @@ def run(config: ScenarioConfig) -> RunResult:
         for j, z in enumerate(zones)
     ]
     return RunResult(
-        config, events, observations, transitions, zone_infos, audit_violations
+        config, event_log, observations, transitions, zone_infos, audit_violations
     )
 
 
@@ -1264,11 +1284,6 @@ def _observed_spans(
                 (t, t) if lohi is None else (min(lohi[0], t), max(lohi[1], t))
             )
     return seen
-
-
-def _event_order(e: dict):
-    entity = e.get("tx") or e.get("entity") or e.get("vehicle") or e.get("zone") or ""
-    return (e["t"], entity)
 
 
 # ---------------------------------------------------------------------------
@@ -1299,12 +1314,12 @@ def audit_single_pseudonym(result: RunResult) -> list[str]:
     bad: list[str] = []
     real: dict[tuple[str, float], set[str]] = {}
     chaff: dict[tuple[str, float], set[str]] = {}
-    for e in result.events:
-        if e["type"] != "beacon":
-            continue
-        key = (e["tx"], e["t"])
-        bucket = chaff if e["chaff"] else real
-        bucket.setdefault(key, set()).add(e["pseudonym"])
+    b = result.log.beacons
+    for tx, t, is_chaff, pid in zip(
+        b.tx.tolist(), b.t.tolist(), b.chaff.tolist(), b.pseudonym.tolist()
+    ):
+        bucket = chaff if is_chaff else real
+        bucket.setdefault((b.names[tx], t), set()).add(b.names[pid])
     for (tx, t), pids in sorted(real.items()):
         if len(pids) > 1:
             bad.append(f"{tx} emitted {len(pids)} real pseudonyms at t={t}")

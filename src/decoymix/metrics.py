@@ -14,7 +14,10 @@ import math
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence, TextIO
 
+import numpy as np
+
 from .adversary import Chain, LinkCandidateSet, PseudonymTrack, chain_distance_m
+from .eventlog import BEACON_WIRE_BYTES, BeaconColumns, ReceptionColumns
 from .errors import NoTransitions
 
 RSU_SIGN_MS = 0.3
@@ -103,6 +106,9 @@ def tracked_distance(
     return TrackedDistance(dict(sorted(hist.items())), avg, per_chain)
 
 
+_EPISODE_KINDS = frozenset(("join_request", "zone_exit", "decoy_start", "decoy_end"))
+
+
 def anonymity_set_sizes(events: Sequence[dict]) -> list[int]:
     """Mix size per occupancy episode of each zone.
 
@@ -110,28 +116,27 @@ def anonymity_set_sizes(events: Sequence[dict]) -> list[int]:
     size is the number of joins during the episode plus every decoy stream
     of that zone active at some instant of it.
     """
-    zones = sorted({
-        e["zone"] for e in events
-        if e["type"] in ("join_request", "zone_exit", "decoy_start") and e.get("zone")
-    })
+    # one pass buckets each zone's occupancy deltas and decoy lifetimes
+    by_zone: dict[str, tuple[list[tuple[float, int]], dict[str, list[float]]]] = {}
+    for e in events:
+        kind = e["type"]
+        if kind not in _EPISODE_KINDS or not e.get("zone"):
+            continue
+        if kind == "decoy_end":
+            bucket = by_zone.get(e["zone"])
+            if bucket is not None and e["chaff"] in bucket[1]:
+                bucket[1][e["chaff"]][1] = e["t"]
+            continue
+        deltas, streams = by_zone.setdefault(e["zone"], ([], {}))
+        if kind == "join_request":
+            deltas.append((e["t"], 1))
+        elif kind == "zone_exit":
+            deltas.append((e["t"], -1))
+        else:
+            streams.setdefault(e["chaff"], [e["t"], math.inf])
     sizes: list[int] = []
-    for zid in zones:
-        deltas: list[tuple[float, int]] = []
-        for e in events:
-            if e.get("zone") != zid:
-                continue
-            if e["type"] == "join_request":
-                deltas.append((e["t"], 1))
-            elif e["type"] == "zone_exit":
-                deltas.append((e["t"], -1))
-        streams: dict[str, list[float]] = {}
-        for e in events:
-            if e.get("zone") != zid:
-                continue
-            if e["type"] == "decoy_start":
-                streams.setdefault(e["chaff"], [e["t"], math.inf])
-            elif e["type"] == "decoy_end" and e["chaff"] in streams:
-                streams[e["chaff"]][1] = e["t"]
+    for zid in sorted(by_zone):
+        deltas, streams = by_zone[zid]
         deltas.sort()
         count = 0
         ep_start: float | None = None
@@ -340,7 +345,33 @@ def _bump(table: dict[str, dict[int, int]], ent: str, sec: int, n: int) -> None:
         row[sec] = row.get(sec, 0) + n
 
 
-def overhead(events: Sequence[dict], duration_s: float) -> OverheadReport:
+def _add_cells(
+    table: dict[str, dict[int, int]], names: Sequence[str],
+    entity: np.ndarray, sec: np.ndarray, n: np.ndarray,
+) -> None:
+    """_bump(table, names[entity], sec, n) for every row, where no two rows
+    share an (entity, sec) cell; zero counts add nothing."""
+    keep = np.flatnonzero(n)
+    if not keep.size:
+        return
+    order = keep[np.lexsort((sec[keep], entity[keep]))]
+    entity, sec, n = entity[order], sec[order].tolist(), n[order].tolist()
+    bounds = [0, *(np.flatnonzero(np.diff(entity)) + 1).tolist(), len(order)]
+    for lo, hi in zip(bounds, bounds[1:]):
+        row = table.setdefault(names[entity[lo]], {})
+        if not row:  # a fresh row takes the whole run at once
+            row.update(zip(sec[lo:hi], n[lo:hi]))
+            continue
+        for s, k in zip(sec[lo:hi], n[lo:hi]):
+            row[s] = row.get(s, 0) + k
+
+
+def overhead(
+    events: Sequence[dict],
+    duration_s: float,
+    beacons: BeaconColumns | None = None,
+    receptions: ReceptionColumns | None = None,
+) -> OverheadReport:
     """Fold the event log into the per-entity ledgers.
 
     Communication counts transmitted wire bytes only; receptions are free on
@@ -348,8 +379,29 @@ def overhead(events: Sequence[dict], duration_s: float) -> OverheadReport:
     signature; verification is charged where the log says a receiver checked
     one (advert first hearers, join legs, retire processing at the issuer,
     each filter delivery, and the per-second reception counters).
+
+    A run's beacons and reception summaries may come as columns instead of
+    dicts in `events`; they are folded by the same rules.
     """
     rep = OverheadReport(duration_s, {})
+    if beacons is not None and beacons.t.size:
+        sec = beacons.t.astype(np.int64)
+        width = int(sec.max()) + 1
+        cells, n = np.unique(
+            beacons.tx.astype(np.int64) * width + sec, return_counts=True
+        )
+        ent, sec = np.divmod(cells, width)
+        _add_cells(rep.bytes_by_entity_second, beacons.names, ent, sec,
+                   n * BEACON_WIRE_BYTES)
+        _add_cells(rep.signs, beacons.names, ent, sec, n)
+    if receptions is not None:
+        ent, sec = receptions.vehicle, receptions.t.astype(np.int64)
+        names = receptions.names
+        _add_cells(rep.verifies, names, ent, sec, receptions.count("verifies"))
+        _add_cells(rep.checks, names, ent, sec, receptions.count("checks"))
+        q = receptions.count("peer_queries")
+        _add_cells(rep.bytes_by_entity_second, names, ent, sec, q * PEER_QUERY_BYTES)
+        _add_cells(rep.signs, names, ent, sec, q)
     for e in events:
         sec = int(e["t"])
         kind = e["type"]

@@ -15,7 +15,13 @@ from decoymix.cli import (
     parse_sweep,
     point_label,
 )
-from decoymix.engine import EavesdropperSpec, ScenarioConfig, ZoneSpec, run
+from decoymix.engine import (
+    EavesdropperSpec,
+    RunResult,
+    ScenarioConfig,
+    ZoneSpec,
+    run,
+)
 from decoymix.errors import ConfigError
 from decoymix.roads import make_grid, zone_from_center
 
@@ -203,6 +209,54 @@ def test_run_mistyped_scenario_field_exits_2(tmp_path, capsys, path, value):
     assert rc == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and path[-1] in err
+
+
+@pytest.mark.parametrize("overrides", [
+    {"vehicle_radio_range_m": -300.0},
+    {"vehicle_radio_range_m": 0.0},
+    {"rsu_range_m": 0.0},
+    {"rsu_range_m": -600.0},
+    {"rsu_chaff_duration_s": -60.0},
+    {"rsu_chaff_duration_s": 0.0},
+    {"filter_bandwidth_bytes_per_s": 1e-300},
+    {"filter_bandwidth_bytes_per_s": -50000.0},
+    {"filter_bandwidth_bytes_per_s": 5.0, "filter_tx_interval_s": 0.1},
+], ids=[
+    "radio-negative", "radio-zero", "rsu-zero", "rsu-negative",
+    "chaff-duration-negative", "chaff-duration-zero", "bandwidth-tiny",
+    "bandwidth-negative", "chunk-under-one-byte",
+])
+def test_out_of_range_setting_is_rejected(tmp_path, overrides):
+    # checked through from_dict, not run: a sub-byte chunk used to make the
+    # engine build ~1e300 chunk payloads
+    scenario = small_scenario(tmp_path, vehicles=3, duration=60.0)
+    doc = json.loads(scenario.read_text())
+    doc.update(overrides)
+    with pytest.raises(ConfigError) as info:
+        ScenarioConfig.from_dict(doc, base_dir=scenario.parent)
+    message = str(info.value)
+    assert "\n" not in message
+    assert next(iter(overrides)) in message
+
+
+def test_one_byte_chunks_are_accepted(tmp_path):
+    scenario = small_scenario(tmp_path, vehicles=3, duration=60.0)
+    doc = json.loads(scenario.read_text())
+    doc.update(filter_bandwidth_bytes_per_s=10.0, filter_tx_interval_s=0.1)
+    cfg = ScenarioConfig.from_dict(doc, base_dir=scenario.parent)
+    assert cfg.filter_bandwidth_bytes_per_s * cfg.filter_tx_interval_s == 1.0
+
+
+def test_run_never_builds_the_event_dicts(tmp_path, monkeypatch):
+    def refuse(self):
+        raise AssertionError("RunResult.events built by decoymix run")
+
+    monkeypatch.setattr(RunResult, "events", property(refuse))
+    scenario = small_scenario(tmp_path)
+    out = tmp_path / "runs"
+    assert main(["run", "--scenario", str(scenario), "--seeds", "1",
+                 "--sweep", "relay_fraction=1", "--out", str(out)]) == 0
+    assert (out / "relay_fraction=1" / "seed1" / "events.jsonl").stat().st_size
 
 
 def test_run_json_format(tmp_path):
