@@ -192,7 +192,7 @@ def _observer_sets(b: BeaconColumns) -> tuple[list[list[str]], np.ndarray]:
         packed.view(f"V{packed.shape[1]}").ravel(), return_inverse=True
     )
     bits = np.unpackbits(
-        distinct.view(np.uint8).reshape(distinct.size, -1), axis=1,
+        distinct.view(np.uint8).reshape(distinct.size, packed.shape[1]), axis=1,
         count=len(b.eaves),
     )
     return [[b.eaves[w] for w in np.flatnonzero(row)] for row in bits], code
@@ -214,7 +214,7 @@ def _reception_rows(r: ReceptionColumns, lo: int, hi: int):
     )
 
 
-def event_entity(e: dict) -> str:
+def _event_entity(e: dict) -> str:
     """The entity a record is ordered by after its time."""
     return e.get("tx") or e.get("entity") or e.get("vehicle") or e.get("zone") or ""
 
@@ -284,7 +284,7 @@ class EventLogBuilder:
         rec_t = sec.astype(np.float64)
         n_pro, n_bea, n_rec = len(self.protocol), self.n_beacons, vi.size
 
-        entity = [self.name(event_entity(e)) for e in self.protocol]
+        entity = [self.name(_event_entity(e)) for e in self.protocol]
         rank = np.empty(len(self.names), dtype=np.int64)
         rank[sorted(range(len(self.names)), key=self.names.__getitem__)] = (
             np.arange(len(self.names))

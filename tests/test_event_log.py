@@ -195,6 +195,20 @@ def test_columns_reproduce_the_dict_view(make_config):
     assert any(e["type"] == "reception_summary" for e in events)
 
 
+def test_run_without_beacons_reproduces_the_dict_view():
+    # eavesdroppers listen, but no vehicle ever drives: RSU records only
+    cfg = _odd_ids().replaced(n_vehicles=0)
+    result = run(cfg)
+    buf = io.StringIO()
+    result.export_events(buf)
+    assert result.log.beacons.t.size == 0
+    assert result.events and {e["type"] for e in result.events} <= {
+        "advert", "chunk",
+    }
+    assert buf.getvalue() == "".join(encode_event(e) + "\n" for e in result.events)
+    assert cell_reports(result)[2] == overhead(result.events, cfg.duration_s)
+
+
 def test_odd_ids_are_escaped_in_the_export():
     result = run(_odd_ids())
     buf = io.StringIO()
