@@ -9,7 +9,6 @@ decoy streams without reshuffling the ones already present.
 from __future__ import annotations
 
 import functools
-import itertools
 import json
 import math
 import random
@@ -37,6 +36,7 @@ from .eventlog import (
     RECEPTION_COUNTERS,
     EventLog,
     EventLogBuilder,
+    round_array,
 )
 from .mixzone import (
     ADVERT_PAYLOAD_BYTES,
@@ -482,25 +482,6 @@ def _published(coord: float) -> float:
     return round(coord, 3)
 
 
-def round_array(values, digits: int) -> np.ndarray:
-    """round(v, digits) for every element, bit for bit.
-
-    rint(v·10ⁿ)/10ⁿ is round(v, n) wherever v·10ⁿ lies at least 1e-6 from a
-    half and below 2³³ in magnitude: there the product's own rounding error
-    stays under 1e-6, so it cannot carry the value across the half. Every
-    other element, nan and inf included, goes through round."""
-    values = np.asarray(values, dtype=np.float64)
-    scale = 10.0 ** digits
-    with np.errstate(over="ignore", invalid="ignore"):  # inf and nan go to round
-        scaled = values * scale
-        out = np.rint(scaled) / scale
-        unsure = ~(np.abs(scaled - np.floor(scaled) - 0.5) >= 1e-6)
-    unsure |= ~(np.abs(scaled) < 2.0 ** 33)
-    for i in np.flatnonzero(unsure):
-        out.flat[i] = round(float(values.flat[i]), digits)
-    return out
-
-
 def _build_stream_poses(
     g: RoadGraph,
     plan: DecoyPlan,
@@ -669,7 +650,6 @@ def run(config: ScenarioConfig) -> RunResult:
     ey = np.array([e.y_m for e in espcs]) if ne else np.zeros(0)
     er2 = np.array([e.range_m ** 2 for e in espcs]) if ne else np.zeros(0)
     eaves_ids = [e.eaves_id for e in espcs]
-    observations: dict[str, list[tuple]] = {eid: [] for eid in eaves_ids}
 
     # --- vehicles: precompute every pose on the tick lattice
     vehicles: list[_VehicleRt] = []
@@ -735,10 +715,10 @@ def run(config: ScenarioConfig) -> RunResult:
         HDG[i, k0:k1] = hdg[:m]
         ZIDX[i, k0:k1] = zseq[:m]
     del sample_rows
-    length_q = round_array([v.trip.length_m for v in vehicles], 1)
+    lengths = np.array([v.trip.length_m for v in vehicles])
 
     # --- mutable run state
-    log = EventLogBuilder(eaves_ids)
+    log = EventLogBuilder(eaves_ids, ex, ey, er2)
     emit = log.event
     # string-table indices of each vehicle's id, active pseudonym and link
     veh_name = np.array([log.name(v.vid) for v in vehicles], dtype=np.int32)
@@ -1016,11 +996,6 @@ def run(config: ScenarioConfig) -> RunResult:
             held_b = held_ep[av] >= 0 if nz else np.zeros((na, 0), dtype=bool)
             h_count = held_b.sum(axis=1)
             rank = held_b.cumsum(axis=1) if nz else np.zeros((na, 0), dtype=np.int64)
-            if ne and na:
-                d2e = (xs[None, :] - ex[:, None]) ** 2 + (ys[None, :] - ey[:, None]) ** 2
-                eaves_hear = d2e <= er2[:, None]
-            else:
-                eaves_hear = np.zeros((ne, na), dtype=bool)
 
             inside_mask = cur_zone >= 0 if nz else np.zeros(na, dtype=bool)
             outside_idx = np.flatnonzero(~inside_mask)
@@ -1029,28 +1004,12 @@ def run(config: ScenarioConfig) -> RunResult:
             # plaintext beacons from vehicles outside every zone
             if outside_idx.size:
                 out_vi = av[outside_idx]
-                heard = eaves_hear[:, outside_idx]
-                pq = pid_name[out_vi]
-                xq = round_array(xs[outside_idx], 3)
-                yq = round_array(ys[outside_idx], 3)
-                sq = round_array(SPD[out_vi, k], 3)
-                hq = round_array(HDG[out_vi, k], 6)
-                lq = length_q[out_vi]
+                xo, yo = xs[outside_idx], ys[outside_idx]
                 log.beacons(
-                    out_vi.size, t=now, tx=veh_name[out_vi], pseudonym=pq,
-                    link=link_name[out_vi], x=xq, y=yq, speed=sq, heading=hq,
-                    length=lq, chaff=False, zone=-1, observers=heard.T,
+                    now, veh_name[out_vi], pid_name[out_vi], link_name[out_vi],
+                    xo, yo, SPD[out_vi, k], HDG[out_vi, k], lengths[out_vi],
+                    False, -1, xo, yo,
                 )
-                for w in range(ne):
-                    hits = np.flatnonzero(heard[w])
-                    if hits.size:
-                        observations[eaves_ids[w]].extend(zip(
-                            itertools.repeat(round(now, 1)),
-                            [log.names[p] for p in pq[hits].tolist()],
-                            xq[hits].tolist(), yq[hits].tolist(),
-                            sq[hits].tolist(), hq[hits].tolist(),
-                            lq[hits].tolist(), itertools.repeat(eaves_ids[w]),
-                        ))
             # encrypted beacons inside zones: logged, never observed
             for ii in inside_idx:
                 vi = int(av[ii])
@@ -1099,22 +1058,11 @@ def run(config: ScenarioConfig) -> RunResult:
                     tx_x, tx_y = X[tvi, k], Y[tvi, k]
                     tx_row_arr = np.flatnonzero(av == tvi)
                     tx_row = int(tx_row_arr[0]) if tx_row_arr.size else -1
-                xq = _published(pose[0])
-                yq = _published(pose[1])
-                sq = round(s.plan.speed_mps, 3)
-                hq = round(pose[2], 6)
-                lq = round(s.plan.length_m, 1)
-                heard = (tx_x - ex) ** 2 + (tx_y - ey) ** 2 <= er2
-                for w in np.flatnonzero(heard).tolist():
-                    observations[eaves_ids[w]].append(
-                        (round(now, 1), s.chaff_hex, xq, yq, sq, hq, lq,
-                         eaves_ids[w])
-                    )
-                log.beacons(
-                    1, t=now, tx=log.name(s.transmitter),
-                    pseudonym=log.name(s.chaff_hex), link=log.name(s.link_hex),
-                    x=xq, y=yq, speed=sq, heading=hq, length=lq, chaff=True,
-                    zone=log.name(s.plan.zone_id), observers=heard,
+                log.beacon(
+                    now, log.name(s.transmitter), log.name(s.chaff_hex),
+                    log.name(s.link_hex), pose[0], pose[1], s.plan.speed_mps,
+                    pose[2], s.plan.length_m, True, log.name(s.plan.zone_id),
+                    tx_x, tx_y,
                 )
                 if na:
                     d2s = (xs - tx_x) ** 2 + (ys - tx_y) ** 2
@@ -1247,7 +1195,9 @@ def run(config: ScenarioConfig) -> RunResult:
                 "kind": kind, "detail": detail,
             })
 
-    event_log = log.finish(counters, veh_name)
+    del X, Y, SPD, HDG, ZIDX  # the log needs none of the pose matrices
+    event_log, observations = log.finish(counters, veh_name)
+    del counters
 
     seen = _observed_spans(observations)
     for tr in transitions:

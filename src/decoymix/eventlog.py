@@ -2,17 +2,19 @@
 reception summaries as numpy columns.
 
 Beacons and reception summaries are most of a run's records, so they never
-become one dict each: the engine appends beacons to typed column buffers and
-reads reception summaries straight off its counter matrices. Every record
-takes a sequence number when it is appended, and one lexsort over
-(time, entity, sequence) merges the three streams in the order a stable sort
-of all records by (time, entity) gives. `EventLog.write_jsonl` writes that
-order without building the dicts; `EventLog.records` builds them, as the
-reference view.
+become one dict each. The engine logs beacons as blocks of raw columns and
+hands over its reception counter matrices; finish() rounds every beacon
+field as it goes on the air, works out which eavesdroppers heard each
+beacon, and merges the three streams. Every record takes a sequence number
+when it is logged, and one lexsort over (time, entity, sequence) gives the
+order a stable sort of all records by (time, entity) gives.
+`EventLog.write_jsonl` writes that order without building the dicts;
+`EventLog.records` builds them, as the reference view.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass
 from typing import Sequence
@@ -48,6 +50,18 @@ _RECEPTION_LINE = (
 
 _PROTOCOL, _BEACON, _RECEPTION = range(3)
 _MERGE_BLOCK = 4096
+
+# a logged beacon: sequence number, time, string-table indices, the claimed
+# pose as simulated, and the transmitter's position
+_RAW_BEACON_COLUMNS = (
+    ("seq", np.int64), ("t", np.float64), ("tx", np.int32),
+    ("pseudonym", np.int32), ("link", np.int32), ("x", np.float64),
+    ("y", np.float64), ("speed", np.float64), ("heading", np.float64),
+    ("length", np.float64), ("chaff", np.bool_), ("zone", np.int32),
+    ("hx", np.float64), ("hy", np.float64),
+)
+# decimals each published beacon field carries
+_PUBLISHED_DIGITS = (("x", 3), ("y", 3), ("speed", 3), ("heading", 6), ("length", 1))
 
 
 @dataclass
@@ -214,32 +228,49 @@ def _reception_rows(r: ReceptionColumns, lo: int, hi: int):
     )
 
 
+def round_array(values, digits: int) -> np.ndarray:
+    """round(v, digits) for every element, bit for bit.
+
+    rint(v·10ⁿ)/10ⁿ is round(v, n) wherever v·10ⁿ lies at least 1e-6 from a
+    half and below 2³³ in magnitude: there the product's own rounding error
+    stays under 1e-6, so it cannot carry the value across the half. Every
+    other element, nan and inf included, goes through round."""
+    values = np.asarray(values, dtype=np.float64)
+    scale = 10.0 ** digits
+    with np.errstate(over="ignore", invalid="ignore"):  # inf and nan go to round
+        scaled = values * scale
+        out = np.rint(scaled) / scale
+        unsure = ~(np.abs(scaled - np.floor(scaled) - 0.5) >= 1e-6)
+    unsure |= ~(np.abs(scaled) < 2.0 ** 33)
+    for i in np.flatnonzero(unsure):
+        out.flat[i] = round(float(values.flat[i]), digits)
+    return out
+
+
 def _event_entity(e: dict) -> str:
     """The entity a record is ordered by after its time."""
     return e.get("tx") or e.get("entity") or e.get("vehicle") or e.get("zone") or ""
 
 
 class EventLogBuilder:
-    """The log as the engine emits it: protocol events as dicts, beacons
-    into growable typed columns, strings interned in one table."""
+    """The log as the engine emits it: protocol events as dicts, beacons as
+    blocks of raw columns, strings interned in one table. Every record takes
+    the next sequence number. finish() publishes the beacons (rounds them as
+    they go on the air), works out which eavesdroppers heard each one, and
+    sorts every record into output order."""
 
-    _BEACON_COLUMNS = (
-        ("seq", np.int64), ("t", np.float64), ("tx", np.int32),
-        ("pseudonym", np.int32), ("link", np.int32), ("x", np.float64),
-        ("y", np.float64), ("speed", np.float64), ("heading", np.float64),
-        ("length", np.float64), ("chaff", np.bool_), ("zone", np.int32),
-    )
-
-    def __init__(self, eaves: Sequence[str]):
+    def __init__(self, eaves: Sequence[str], ex, ey, er2):
+        """eaves are the eavesdropper ids, in order; ex, ey and er2 their
+        positions and squared ranges."""
         self.eaves = tuple(eaves)
+        self._eaves_disks = (ex, ey, er2)
         self.seq = 0
         self.protocol: list[dict] = []
         self.protocol_seq: list[int] = []
         self.names: list[str] = []
         self._name_index: dict[str, int] = {}
-        self.n_beacons = 0
-        self.cols = {name: np.empty(1024, dt) for name, dt in self._BEACON_COLUMNS}
-        self.cols["observers"] = np.empty((1024, len(self.eaves)), dtype=bool)
+        self._blocks: list[tuple] = []
+        self._rows: list[tuple] = []
 
     def name(self, s: str) -> int:
         """s's index in the string table."""
@@ -254,42 +285,76 @@ class EventLogBuilder:
         self.protocol_seq.append(self.seq)
         self.seq += 1
 
-    def beacons(self, k: int, **values) -> None:
-        """Append k beacon rows; each value is a scalar or one per row."""
-        n = self.n_beacons
-        cap = len(self.cols["t"])
-        if n + k > cap:
-            cap = max(n + k, 2 * cap)
-            for name, col in self.cols.items():
-                grown = np.empty((cap,) + col.shape[1:], col.dtype)
-                grown[:n] = col[:n]
-                self.cols[name] = grown
-        values["seq"] = np.arange(self.seq, self.seq + k)
-        for name, v in values.items():
-            self.cols[name][n:n + k] = v
-        self.n_beacons = n + k
+    def beacons(self, t, tx, pseudonym, link, x, y, speed, heading, length,
+                chaff, zone, hx, hy) -> None:
+        """Log len(tx) beacons sent at time t. Every other argument holds one
+        value per beacon or one for all: string-table indices for tx,
+        pseudonym, link and zone (-1: none), the unrounded claimed pose, and
+        (hx, hy), the transmitter's position, which decides who hears it."""
+        k = len(tx)
+        self._blocks.append((
+            np.arange(self.seq, self.seq + k), t, tx, pseudonym, link, x, y,
+            speed, heading, length, chaff, zone, hx, hy,
+        ))
         self.seq += k
+
+    def beacon(self, *row) -> None:
+        """Log one beacon; arguments as for beacons(), one value each."""
+        self._rows.append((self.seq, *row))
+        self.seq += 1
+        if len(self._rows) >= _MERGE_BLOCK:
+            self._flush_rows()
+
+    def _flush_rows(self) -> None:
+        if self._rows:
+            self._blocks.append(tuple(np.array(c) for c in zip(*self._rows)))
+            self._rows = []
+
+    def _beacon_columns(self) -> dict[str, np.ndarray]:
+        """Every logged beacon, raw, in the order the blocks were logged;
+        the blocks are released."""
+        self._flush_rows()
+        ends = np.cumsum([len(b[0]) for b in self._blocks], dtype=np.int64).tolist()
+        cols = {}
+        for i, (name, dtype) in enumerate(_RAW_BEACON_COLUMNS):
+            col = cols[name] = np.empty(ends[-1] if ends else 0, dtype)
+            for b, lo, hi in zip(self._blocks, [0, *ends], ends):
+                col[lo:hi] = b[i]
+        self._blocks = []
+        return cols
 
     def finish(
         self, counters: dict[str, np.ndarray], vehicle_names: np.ndarray
-    ) -> EventLog:
-        """The merged log. counters holds a vehicle x second matrix per name
-        in RECEPTION_COUNTERS; each cell with any nonzero counter is one
-        reception summary, appended last in (vehicle, second) order."""
+    ) -> tuple[EventLog, dict[str, list[tuple]]]:
+        """The merged log and each eavesdropper's observations.
+
+        counters holds a vehicle x second matrix per name in
+        RECEPTION_COUNTERS; each cell with any nonzero counter is one
+        reception summary, appended last in (vehicle, second) order. An
+        observation is (t, pseudonym, x, y, speed, heading, length,
+        eavesdropper id), for every beacon the eavesdropper heard, in the
+        order the beacons were sent."""
+        cols = self._beacon_columns()
+        for name, digits in _PUBLISHED_DIGITS:
+            cols[name] = round_array(cols[name], digits)
+        ex, ey, er2 = self._eaves_disks
+        hx, hy = cols.pop("hx"), cols.pop("hy")
+        cols["observers"] = (hx[:, None] - ex) ** 2 + (hy[:, None] - ey) ** 2 <= er2
+        observations = self._observations(cols)
+
         vi, sec = np.nonzero(sum(counters[name] for name in RECEPTION_COUNTERS) > 0)
         rec_counts = np.stack(
             [counters[name][vi, sec] for name in RECEPTION_COUNTERS], axis=1
         )
         rec_vehicle = vehicle_names[vi]
         rec_t = sec.astype(np.float64)
-        n_pro, n_bea, n_rec = len(self.protocol), self.n_beacons, vi.size
+        n_pro, n_bea, n_rec = len(self.protocol), cols["t"].size, vi.size
 
         entity = [self.name(_event_entity(e)) for e in self.protocol]
         rank = np.empty(len(self.names), dtype=np.int64)
         rank[sorted(range(len(self.names)), key=self.names.__getitem__)] = (
             np.arange(len(self.names))
         )
-        cols = {name: col[:n_bea] for name, col in self.cols.items()}
         t = np.concatenate([
             np.array([e["t"] for e in self.protocol], dtype=np.float64),
             cols["t"], rec_t,
@@ -298,7 +363,7 @@ class EventLogBuilder:
             np.array(entity, dtype=np.int64), cols["tx"], rec_vehicle,
         ])]
         seq = np.concatenate([
-            np.array(self.protocol_seq, dtype=np.int64), cols["seq"],
+            np.array(self.protocol_seq, dtype=np.int64), cols.pop("seq"),
             np.arange(self.seq, self.seq + n_rec),
         ])
         order = np.lexsort((seq, entity_rank, t))
@@ -308,12 +373,28 @@ class EventLogBuilder:
         )[order]
         b = order[kinds == _BEACON] - n_pro
         r = order[kinds == _RECEPTION] - n_pro - n_bea
-        return EventLog(
+        log = EventLog(
             [self.protocol[i] for i in order[kinds == _PROTOCOL].tolist()],
             BeaconColumns(
-                self.names, self.eaves,
-                **{name: col[b] for name, col in cols.items() if name != "seq"},
+                self.names, self.eaves, **{name: col[b] for name, col in cols.items()}
             ),
             ReceptionColumns(self.names, rec_vehicle[r], rec_t[r], rec_counts[r]),
             kinds,
         )
+        return log, observations
+
+    def _observations(self, cols: dict[str, np.ndarray]) -> dict[str, list[tuple]]:
+        """Each eavesdropper's observation tuples, in sending order."""
+        sent = np.argsort(cols["seq"], kind="stable")
+        t = round_array(cols["t"], 1)
+        observations = {}
+        for w, eid in enumerate(self.eaves):
+            rows = sent[cols["observers"][sent, w]]
+            observations[eid] = list(zip(
+                t[rows].tolist(),
+                [self.names[p] for p in cols["pseudonym"][rows].tolist()],
+                *(cols[name][rows].tolist()
+                  for name in ("x", "y", "speed", "heading", "length")),
+                itertools.repeat(eid),
+            ))
+        return observations

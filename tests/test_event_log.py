@@ -23,10 +23,9 @@ from decoymix.engine import (
     EavesdropperSpec,
     ScenarioConfig,
     ZoneSpec,
-    round_array,
     run,
 )
-from decoymix.eventlog import encode_event
+from decoymix.eventlog import encode_event, round_array
 from decoymix.metrics import (
     build_linkability_report,
     overhead,
