@@ -246,7 +246,6 @@ def _execute_job(job: tuple) -> tuple:
     Module level and primitive-typed so a process pool can ship it."""
     scenario_path, point, seed, run_dir, fmt = job
     cfg = ScenarioConfig.from_file(scenario_path).replaced(rng_seed=seed, **point)
-    cfg.validate()
     result = run(cfg)
     sets, link_rep, over_rep = cell_reports(result)
 
@@ -496,9 +495,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except FileExistsError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

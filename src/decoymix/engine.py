@@ -15,7 +15,7 @@ import random
 import struct
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Sequence, get_type_hints
+from typing import NamedTuple, Sequence, get_type_hints
 
 import numpy as np
 
@@ -152,6 +152,8 @@ class ScenarioConfig:
             raise ConfigError("filter_target_fp must lie in (0, 1)")
         if self.v_min_mps <= 0:
             raise ConfigError("v_min_mps must be positive")
+        if not self.zones:
+            raise ConfigError("scenario must declare at least one zone")
         seen_zones: set[str] = set()
         for z in self.zones:
             if z.zone_id in seen_zones:
@@ -410,69 +412,56 @@ def accept_peer_filter(env: SignedEnvelope, pca: Credential, now: float) -> bool
 # internal runtime state
 
 
-class _VehicleRt:
-    __slots__ = (
-        "vid", "trip", "t0_ds", "end_ds", "n", "edges", "non_coop",
-        "pool", "pool_next", "active", "changes", "visit", "stream",
-    )
-
-    def __init__(self, vid, trip, t0_ds, end_ds, n, edges, non_coop, pool):
-        self.vid = vid
-        self.trip = trip
-        self.t0_ds = t0_ds
-        self.end_ds = end_ds
-        self.n = n
-        self.edges = edges
-        self.non_coop = non_coop
-        self.pool = pool
-        self.pool_next = 1
-        self.active = pool[0]
-        self.changes = 0
-        self.visit: dict | None = None
-        self.stream: "_Stream | None" = None
-
-
+@dataclass(slots=True)
 class _ZoneRt:
-    __slots__ = (
-        "spec", "geom", "bounds", "controller", "hbc", "entity",
-        "chunk_count", "cycle_ds", "chunk_payloads", "filter_size",
-    )
-
-    def __init__(self, spec, geom, bounds, controller, hbc, entity,
-                 chunk_count, cycle_ds, chunk_payloads, filter_size):
-        self.spec = spec
-        self.geom = geom
-        self.bounds = bounds
-        self.controller = controller
-        self.hbc = hbc
-        self.entity = entity
-        self.chunk_count = chunk_count
-        self.cycle_ds = cycle_ds
-        self.chunk_payloads = chunk_payloads
-        self.filter_size = filter_size
+    info: ZoneInfo
+    controller: MixZoneController
+    chunk_count: int
+    chunk_payloads: list[int]
 
 
+@dataclass(slots=True)
 class _Stream:
-    __slots__ = (
-        "plan", "chaff_hex", "link_hex", "transmitter", "tx_range2",
-        "zone_j", "poses", "first_ds", "last_ds", "natural_reason",
-        "ended", "retired",
-    )
+    plan: DecoyPlan
+    chaff_hex: str
+    link_hex: str
+    transmitter: str
+    tx_vi: int  # the relay's vehicle row; -1 when the zone's RSU transmits
+    zone_j: int
+    poses: dict[int, tuple[float, float, float]]
+    last_ds: int
+    natural_reason: str
+    ended: bool = False
 
-    def __init__(self, plan, chaff_hex, link_hex, transmitter, tx_range2,
-                 zone_j, poses, natural_reason):
-        self.plan = plan
-        self.chaff_hex = chaff_hex
-        self.link_hex = link_hex
-        self.transmitter = transmitter
-        self.tx_range2 = tx_range2
-        self.zone_j = zone_j
-        self.poses = poses
-        self.first_ds = min(poses) if poses else -1
-        self.last_ds = max(poses) if poses else -1
-        self.natural_reason = natural_reason
-        self.ended = False
-        self.retired = False
+
+@dataclass(slots=True)
+class _VehicleRt:
+    vid: str
+    trip: Trip
+    t0_ds: int
+    end_ds: int
+    edges: list[str]
+    non_coop: bool
+    pool: list[Credential]
+    active: Credential
+    pool_next: int = 1
+    changes: int = 0
+    visit: dict | None = None
+    stream: _Stream | None = None
+
+
+class _Tick(NamedTuple):
+    """What every phase of one tick reads: the clock and the active vehicles
+    (rows av, in vehicle-id order) with their positions and zones."""
+
+    k: int
+    t_ds: int
+    now: float
+    sec: int
+    av: np.ndarray
+    xs: np.ndarray
+    ys: np.ndarray
+    cur_zone: np.ndarray
 
 
 def _published(coord: float) -> float:
@@ -518,9 +507,10 @@ def _build_stream_poses(
             break
         off = min(cur_entry + (dist - consumed), cur.length)
         x, y, heading = point_along(cur.shape, off)
+        px, py = _published(x), _published(y)
         hit_zone = False
         for cx, cy, r2 in zone_disks:
-            dx, dy = _published(x) - cx, _published(y) - cy
+            dx, dy = px - cx, py - cy
             if dx * dx + dy * dy <= r2:
                 hit_zone = True
                 break
@@ -538,333 +528,323 @@ def _build_stream_poses(
 
 def run(config: ScenarioConfig) -> RunResult:
     config.validate()
-    g = config.graph
-    seed = config.rng_seed
-    trips = config.resolve_trips()
+    state = _Run(config)
+    for k in range(state.nticks):
+        state.step(k)
+    return state.finish()
 
-    gv_ds = round(config.gamma_v_s * 10)
-    gmz_ds = round(config.gamma_mz_s * 10)
-    fi_ds = round(config.filter_tx_interval_s * 10)
-    dur_ds = round(config.duration_s * 10)
-    # gcd keeps every broadcast lattice representable even when the smallest
-    # interval does not divide the others
-    tick_ds = math.gcd(math.gcd(gv_ds, gmz_ds), fi_ds)
-    tick_s = tick_ds / 10.0
-    nticks = dur_ds // tick_ds + 1
-    nsec = int(config.duration_s) + 1
 
-    radio2 = config.vehicle_radio_range_m ** 2
-    rsu_r2 = config.rsu_range_m ** 2
-    # decoys on at all iff some relay probability exists; the sparse RSU rule
-    # rides the same switch
-    sparse_on = config.relay_fraction > 0.0
+class _Run:
+    """One run's state. Construction builds the world and precomputes every
+    pose; step() runs the phases of one tick in output order; finish()
+    wraps up and hands back the RunResult."""
 
-    ca = CredentialAuthority(
-        stable_u64(seed, "ca"), config.filter_capacity, config.filter_target_fp
-    )
-    pca_cred = Credential(
-        stable_bytes(seed, "pca"),
-        CredentialKind.LONG_TERM,
-        "root",
-        "pca",
-        0.0,
-        config.duration_s + 1.0,
-    )
+    def __init__(self, config: ScenarioConfig) -> None:
+        self.config = config
+        self.seed = config.rng_seed
+        self.gv_ds = round(config.gamma_v_s * 10)
+        self.gmz_ds = round(config.gamma_mz_s * 10)
+        self.fi_ds = round(config.filter_tx_interval_s * 10)
+        self.dur_ds = round(config.duration_s * 10)
+        # gcd keeps every broadcast lattice representable even when the smallest
+        # interval does not divide the others
+        self.tick_ds = math.gcd(math.gcd(self.gv_ds, self.gmz_ds), self.fi_ds)
+        self.nticks = self.dur_ds // self.tick_ds + 1
+        self.nsec = int(config.duration_s) + 1
+        self.radio2 = config.vehicle_radio_range_m ** 2
+        self.rsu_r2 = config.rsu_range_m ** 2
+        # decoys on at all iff some relay probability exists; the sparse RSU rule
+        # rides the same switch
+        self.sparse_on = config.relay_fraction > 0.0
+        self._build_world()
+        self._precompute_poses(config.resolve_trips())
 
-    # --- zones
-    zspecs = sorted(config.zones, key=lambda z: z.zone_id)
-    nz = len(zspecs)
-    hbc_count = int(round(config.hbc_rsu_fraction * nz))
-    zones: list[_ZoneRt] = []
-    zone_chaff_hex: list[frozenset[str]] = []
-    per_chunk = config.filter_bandwidth_bytes_per_s * config.filter_tx_interval_s
-    for j, zs in enumerate(zspecs):
-        geom = zone_from_center(g, (zs.center_x_m, zs.center_y_m), zs.radius_m)
-        bounds = traverse_time_bounds(geom, g, config.v_min_mps)
-        ca.register_rsu(zs.zone_id)
-        chaff = (
-            ca.provision_chaff(zs.zone_id, config.chaff_per_zone, 0.0, config.duration_s)
-            if config.chaff_per_zone
-            else []
+        nv, nz = len(self.vehicles), len(self.zones)
+        self.transitions: list[Transition] = []
+        self.streams: list[_Stream] = []
+        self.audit_violations: list[str] = []
+        self.counters = {
+            name: np.zeros((nv, self.nsec), dtype=np.int64)
+            for name in RECEPTION_COUNTERS
+        }
+        self.held_ep = np.full((nv, nz), -1, dtype=np.int64)
+        self.pending = np.zeros((nv, nz), dtype=bool)
+        self.due_m = np.zeros((nv, nz), dtype=np.int64)
+        self.arr_m = np.zeros((nv, nz), dtype=np.int64)
+        self.in_range_prev = np.zeros((nv, nz), dtype=bool)
+        self.adv_seen = np.zeros((nv, nz), dtype=bool)
+        self.inside = np.full(nv, -1, dtype=np.int64)
+
+    # ------------------------------------------------------------ set-up
+
+    def _build_world(self) -> None:
+        """Authority, zones with their RSUs and chunk schedules, the first
+        filter snapshots, eavesdroppers and the event log."""
+        config, seed = self.config, self.seed
+        g = config.graph
+        self.ca = ca = CredentialAuthority(
+            stable_u64(seed, "ca"), config.filter_capacity, config.filter_target_fp
         )
-        zone_chaff_hex.append(frozenset(c.id.hex() for c in chaff))
-        rsu_cred = Credential(
-            stable_bytes(seed, "rsu", zs.zone_id),
+        self.pca_cred = Credential(
+            stable_bytes(seed, "pca"),
             CredentialKind.LONG_TERM,
-            "ltca",
-            zs.zone_id,
+            "root",
+            "pca",
             0.0,
             config.duration_s + 1.0,
         )
-        controller = MixZoneController(
-            zs.zone_id,
-            geom,
-            g,
-            rsu_cred,
-            stable_bytes(seed, "session", zs.zone_id, n=32),
-            chaff,
-            config.relay_fraction,
-            bounds,
-            config.gamma_v_s,
-            seed,
-            sparse_threshold=config.sparse_threshold,
-            advert_interval_s=config.gamma_mz_s,
-            rsu_range_m=config.rsu_range_m,
-        )
-        size = ca.filter_for(zs.zone_id).serialized_size()
-        chunk_count = max(1, math.ceil(size / per_chunk))
-        payloads = [
-            int(min(per_chunk, size - k * per_chunk)) for k in range(chunk_count)
-        ]
-        zones.append(
-            _ZoneRt(
-                zs, geom, bounds, controller, j < hbc_count, f"rsu:{zs.zone_id}",
-                chunk_count, chunk_count * fi_ds, payloads, size,
+        zspecs = sorted(config.zones, key=lambda z: z.zone_id)
+        hbc_count = int(round(config.hbc_rsu_fraction * len(zspecs)))
+        per_chunk = config.filter_bandwidth_bytes_per_s * config.filter_tx_interval_s
+        self.zones: list[_ZoneRt] = []
+        for j, zs in enumerate(zspecs):
+            geom = zone_from_center(g, (zs.center_x_m, zs.center_y_m), zs.radius_m)
+            bounds = traverse_time_bounds(geom, g, config.v_min_mps)
+            ca.register_rsu(zs.zone_id)
+            chaff = (
+                ca.provision_chaff(zs.zone_id, config.chaff_per_zone, 0.0, config.duration_s)
+                if config.chaff_per_zone
+                else []
             )
+            rsu_cred = Credential(
+                stable_bytes(seed, "rsu", zs.zone_id),
+                CredentialKind.LONG_TERM,
+                "ltca",
+                zs.zone_id,
+                0.0,
+                config.duration_s + 1.0,
+            )
+            controller = MixZoneController(
+                zs.zone_id,
+                geom,
+                g,
+                rsu_cred,
+                stable_bytes(seed, "session", zs.zone_id, n=32),
+                chaff,
+                config.relay_fraction,
+                bounds,
+                config.gamma_v_s,
+                seed,
+                sparse_threshold=config.sparse_threshold,
+                advert_interval_s=config.gamma_mz_s,
+                rsu_range_m=config.rsu_range_m,
+            )
+            size = ca.filter_for(zs.zone_id).serialized_size()
+            chunk_count = max(1, math.ceil(size / per_chunk))
+            payloads = [
+                int(min(per_chunk, size - k * per_chunk)) for k in range(chunk_count)
+            ]
+            info = ZoneInfo(
+                zs.zone_id, geom, bounds, j < hbc_count,
+                frozenset(c.id.hex() for c in chaff), f"rsu:{zs.zone_id}",
+            )
+            self.zones.append(_ZoneRt(info, controller, chunk_count, payloads))
+        self.zone_ids = [zs.zone_id for zs in zspecs]
+        self.zone_disks = [
+            (zs.center_x_m, zs.center_y_m, zs.radius_m ** 2) for zs in zspecs
+        ]
+        self.zcx, self.zcy, self.zr2 = (np.array(c) for c in zip(*self.zone_disks))
+        self.cycle_ds = np.array(
+            [z.chunk_count * self.fi_ds for z in self.zones], dtype=np.int64
         )
-    zone_ids = [z.spec.zone_id for z in zones]
-    zone_disks = [
-        (z.spec.center_x_m, z.spec.center_y_m, z.spec.radius_m ** 2) for z in zones
-    ]
-    zcx = np.array([z.spec.center_x_m for z in zones])
-    zcy = np.array([z.spec.center_y_m for z in zones])
-    zr2 = np.array([z.spec.radius_m ** 2 for z in zones])
-    cycle_arr = np.array([z.cycle_ds for z in zones], dtype=np.int64)
 
-    # PCA-signed filter snapshots, one per (zone, epoch); peers relay these
-    filter_snaps: list[dict[int, tuple[bytes, SignedEnvelope]]] = [{} for _ in zones]
+        # PCA-signed filter snapshots, one per (zone, epoch); peers relay these
+        self.filter_snaps: list[dict[int, tuple[bytes, SignedEnvelope]]] = [
+            {} for _ in self.zones
+        ]
+        self._snapshot_filters(0.0)
 
-    def snapshot_filters(now: float) -> None:
-        for j, z in enumerate(zones):
-            filt = ca.filter_for(zone_ids[j])
-            if filt.epoch not in filter_snaps[j]:
-                blob = filt.serialize()
-                filter_snaps[j][filt.epoch] = (blob, sign(blob, pca_cred, now=now))
+        espcs = sorted(config.eavesdroppers, key=lambda e: e.eaves_id)
+        self.log = EventLogBuilder(
+            [e.eaves_id for e in espcs],
+            np.array([e.x_m for e in espcs]),
+            np.array([e.y_m for e in espcs]),
+            np.array([e.range_m ** 2 for e in espcs]),
+        )
+        self.emit = self.log.event
 
-    snapshot_filters(0.0)
+    def _precompute_poses(self, trips: Sequence[Trip]) -> None:
+        """Every vehicle's pose and zone on the tick lattice, as dense
+        vehicle x tick matrices, and its pseudonym pool."""
+        config, seed, ca = self.config, self.seed, self.ca
+        tick_ds, dur_ds = self.tick_ds, self.dur_ds
+        self.vehicles: list[_VehicleRt] = []
+        sample_rows: list[tuple[int, np.ndarray, np.ndarray, np.ndarray, np.ndarray]] = []
+        for trip in sorted(trips, key=lambda t: t.vehicle_id):
+            samples = trip_samples_with_edges(config.graph, trip, tick_ds / 10.0)
+            samples = [sw for sw in samples if round(sw[0].time_s * 10) <= dur_ds]
+            if not samples:
+                continue
+            vid = trip.vehicle_id
+            t0_ds = round(samples[0][0].time_s * 10)
+            last_sample_ds = t0_ds + (len(samples) - 1) * tick_ds
+            # a trip still running when the clock stops never despawns in-run
+            end_ds = last_sample_ds if last_sample_ds < dur_ds else dur_ds
+            xs = np.array([s.x for s, _ in samples])
+            ys = np.array([s.y for s, _ in samples])
+            spd = np.array([s.speed_mps for s, _ in samples])
+            hdg = np.array([s.heading_rad for s, _ in samples])
+            edges = [eid for _, eid in samples]
 
-    # --- eavesdroppers
-    espcs = sorted(config.eavesdroppers, key=lambda e: e.eaves_id)
-    ne = len(espcs)
-    ex = np.array([e.x_m for e in espcs]) if ne else np.zeros(0)
-    ey = np.array([e.y_m for e in espcs]) if ne else np.zeros(0)
-    er2 = np.array([e.range_m ** 2 for e in espcs]) if ne else np.zeros(0)
-    eaves_ids = [e.eaves_id for e in espcs]
-
-    # --- vehicles: precompute every pose on the tick lattice
-    vehicles: list[_VehicleRt] = []
-    sample_rows: list[tuple[int, np.ndarray, np.ndarray, np.ndarray, np.ndarray]] = []
-    for trip in sorted(trips, key=lambda t: t.vehicle_id):
-        samples = trip_samples_with_edges(g, trip, tick_s)
-        samples = [sw for sw in samples if round(sw[0].time_s * 10) <= dur_ds]
-        if not samples:
-            continue
-        vid = trip.vehicle_id
-        t0_ds = round(samples[0][0].time_s * 10)
-        n = len(samples)
-        last_sample_ds = t0_ds + (n - 1) * tick_ds
-        # a trip still running when the clock stops never despawns in-run
-        end_ds = last_sample_ds if last_sample_ds < dur_ds else dur_ds
-        xs = np.array([s.x for s, _ in samples])
-        ys = np.array([s.y for s, _ in samples])
-        spd = np.array([s.speed_mps for s, _ in samples])
-        hdg = np.array([s.heading_rad for s, _ in samples])
-        edges = [eid for _, eid in samples]
-
-        # zone visits are trajectory-only, so pool sizes stay identical
-        # across relay/non-coop sweeps on the same seed
-        if nz:
+            # zone visits are trajectory-only, so pool sizes stay identical
+            # across relay/non-coop sweeps on the same seed
             xp = round_array(xs, 3)
             yp = round_array(ys, 3)
-            d2 = (xp[:, None] - zcx[None, :]) ** 2 + (yp[:, None] - zcy[None, :]) ** 2
-            inside = d2 <= zr2[None, :]
+            d2 = (
+                (xp[:, None] - self.zcx[None, :]) ** 2
+                + (yp[:, None] - self.zcy[None, :]) ** 2
+            )
+            inside = d2 <= self.zr2[None, :]
             zseq = np.where(inside.any(axis=1), inside.argmax(axis=1), -1)
-        else:
-            zseq = np.full(n, -1, dtype=np.int64)
-        prev = np.concatenate(([-1], zseq[:-1]))
-        visits = int(((zseq != -1) & (zseq != prev)).sum())
+            prev = np.concatenate(([-1], zseq[:-1]))
+            visits = int(((zseq != -1) & (zseq != prev)).sum())
 
-        ca.register_vehicle(vid)
-        pool = ca.issue_pseudonyms(vid, visits + 1, 0.0, config.duration_s + 1.0)
-        non_coop = (
-            random.Random(stable_u64(seed, "noncoop", vid)).random()
-            < config.non_coop_fraction
+            ca.register_vehicle(vid)
+            pool = ca.issue_pseudonyms(vid, visits + 1, 0.0, config.duration_s + 1.0)
+            non_coop = (
+                random.Random(stable_u64(seed, "noncoop", vid)).random()
+                < config.non_coop_fraction
+            )
+            self.vehicles.append(
+                _VehicleRt(vid, trip, t0_ds, end_ds, edges, non_coop, pool, pool[0])
+            )
+            sample_rows.append((t0_ds, xs, ys, spd, hdg, zseq))
+
+        vehicles = self.vehicles
+        nv, nticks = len(vehicles), self.nticks
+        self.t0s = np.array([v.t0_ds for v in vehicles], dtype=np.int64)
+        self.tends = np.array([v.end_ds for v in vehicles], dtype=np.int64)
+        self.lengths = np.array([v.trip.length_m for v in vehicles])
+        # NaN marks "not on the road"
+        self.X = np.full((nv, nticks), np.nan)
+        self.Y = np.full((nv, nticks), np.nan)
+        self.SPD = np.zeros((nv, nticks))
+        self.HDG = np.zeros((nv, nticks))
+        self.ZIDX = np.full((nv, nticks), -1, dtype=np.int64)
+        for i, (t0_ds, xs, ys, spd, hdg, zseq) in enumerate(sample_rows):
+            k0 = t0_ds // tick_ds
+            k1 = min(k0 + len(xs), nticks)
+            m = k1 - k0
+            self.X[i, k0:k1] = xs[:m]
+            self.Y[i, k0:k1] = ys[:m]
+            self.SPD[i, k0:k1] = spd[:m]
+            self.HDG[i, k0:k1] = hdg[:m]
+            self.ZIDX[i, k0:k1] = zseq[:m]
+
+        # string-table indices of each vehicle's id, active pseudonym and link
+        name = self.log.name
+        self.veh_name = np.array([name(v.vid) for v in vehicles], dtype=np.int32)
+        self.pid_name = np.array(
+            [name(v.active.id.hex()) for v in vehicles], dtype=np.int32
         )
-        vehicles.append(
-            _VehicleRt(vid, trip, t0_ds, end_ds, n, edges, non_coop, pool)
+        self.link_name = np.array(
+            [name(f"{stable_u64(seed, 'link', v.vid, 0):016x}") for v in vehicles],
+            dtype=np.int32,
         )
-        sample_rows.append((t0_ds, xs, ys, spd, hdg, zseq))
 
-    nv = len(vehicles)
-    t0s = np.array([v.t0_ds for v in vehicles], dtype=np.int64)
-    tends = np.array([v.end_ds for v in vehicles], dtype=np.int64)
+    # ------------------------------------------------------------ helpers
 
-    # dense per-tick matrices; NaN marks "not on the road"
-    X = np.full((nv, nticks), np.nan)
-    Y = np.full((nv, nticks), np.nan)
-    SPD = np.zeros((nv, nticks))
-    HDG = np.zeros((nv, nticks))
-    ZIDX = np.full((nv, nticks), -1, dtype=np.int64)
-    for i, (t0_ds, xs, ys, spd, hdg, zseq) in enumerate(sample_rows):
-        k0 = t0_ds // tick_ds
-        k1 = min(k0 + len(xs), nticks)
-        m = k1 - k0
-        X[i, k0:k1] = xs[:m]
-        Y[i, k0:k1] = ys[:m]
-        SPD[i, k0:k1] = spd[:m]
-        HDG[i, k0:k1] = hdg[:m]
-        ZIDX[i, k0:k1] = zseq[:m]
-    del sample_rows
-    lengths = np.array([v.trip.length_m for v in vehicles])
-
-    # --- mutable run state
-    log = EventLogBuilder(eaves_ids, ex, ey, er2)
-    emit = log.event
-    # string-table indices of each vehicle's id, active pseudonym and link
-    veh_name = np.array([log.name(v.vid) for v in vehicles], dtype=np.int32)
-    pid_name = np.array(
-        [log.name(v.active.id.hex()) for v in vehicles], dtype=np.int32
-    )
-    link_name = np.array(
-        [log.name(f"{stable_u64(seed, 'link', v.vid, 0):016x}") for v in vehicles],
-        dtype=np.int32,
-    )
-    transitions: list[Transition] = []
-    streams: list[_Stream] = []
-    audit_violations: list[str] = []
-    counters = {
-        name: np.zeros((nv, nsec), dtype=np.int64) for name in RECEPTION_COUNTERS
-    }
-    held_ep = np.full((nv, nz), -1, dtype=np.int64)
-    pending = np.zeros((nv, nz), dtype=bool)
-    due_m = np.zeros((nv, nz), dtype=np.int64)
-    arr_m = np.zeros((nv, nz), dtype=np.int64)
-    in_range_prev = np.zeros((nv, nz), dtype=bool)
-    adv_seen = np.zeros((nv, nz), dtype=bool)
-    inside_vec = np.full(nv, -1, dtype=np.int64)
-
-    def current_epochs() -> np.ndarray:
+    def _epochs(self) -> np.ndarray:
         return np.array(
-            [ca.filter_for(zid).epoch for zid in zone_ids], dtype=np.int64
+            [self.ca.filter_for(zid).epoch for zid in self.zone_ids], dtype=np.int64
         )
 
-    def retire_stream(s: _Stream, now: float, tx_entity: str) -> None:
-        if s.retired:
-            return
-        payload = struct.pack("<d", now).ljust(RETIRE_PAYLOAD_BYTES, b"\0")
-        ca.retire_chaff(sign(payload, s.plan.chaff, now=now), now)
-        s.retired = True
-        emit({
-            "type": "retire", "t": now, "tx": tx_entity,
-            "chaff": s.chaff_hex, "zone": s.plan.zone_id,
-            "bytes": RETIRE_WIRE_BYTES,
-        })
-        snapshot_filters(now)
+    def _snapshot_filters(self, now: float) -> None:
+        for j, zid in enumerate(self.zone_ids):
+            filt = self.ca.filter_for(zid)
+            if filt.epoch not in self.filter_snaps[j]:
+                blob = filt.serialize()
+                self.filter_snaps[j][filt.epoch] = (
+                    blob, sign(blob, self.pca_cred, now=now)
+                )
 
-    def end_stream(s: _Stream, now: float, reason: str, tx_entity: str) -> None:
+    def _start_stream(
+        self, plan: DecoyPlan, tx_vi: int, reference_hex: str, horizon_ds: int,
+        now: float,
+    ) -> _Stream | None:
+        """Launch plan's phantom, sent by vehicle row tx_vi or, for -1, by the
+        zone's RSU; None when it has no pose to send."""
+        route_rng = random.Random(
+            stable_u64(self.seed, "decoyroute", plan.zone_id, reference_hex)
+        )
+        poses, reason = _build_stream_poses(
+            self.config.graph, plan, self.zone_disks, route_rng, self.gv_ds,
+            horizon_ds,
+        )
+        zone_j = self.zone_ids.index(plan.zone_id)
+        chaff_hex = plan.chaff.id.hex()
+        s = _Stream(
+            plan, chaff_hex,
+            f"{stable_u64(self.seed, 'chafflink', plan.zone_id, chaff_hex):016x}",
+            self.zones[zone_j].info.rsu_entity if tx_vi < 0 else self.vehicles[tx_vi].vid,
+            tx_vi, zone_j, poses, max(poses, default=-1), reason,
+        )
+        self.emit({
+            "type": "decoy_start", "t": now, "zone": plan.zone_id,
+            "chaff": chaff_hex, "source": plan.source,
+            "length": round(plan.length_m, 1), "exit_edge": plan.exit_edge_id,
+            "start_time": round(plan.start_time_s, 4),
+            "speed": round(plan.speed_mps, 3), "tx": s.transmitter,
+        })
+        if not poses:
+            self._end_stream(s, now, reason)
+            return None
+        self.streams.append(s)
+        return s
+
+    def _end_stream(self, s: _Stream, now: float, reason: str) -> None:
+        """Stop s, unlink it from its relay and retire its chaff credential."""
         if s.ended:
             return
         s.ended = True
-        emit({
+        if s.tx_vi >= 0:
+            self.vehicles[s.tx_vi].stream = None
+        self.emit({
             "type": "decoy_end", "t": now, "zone": s.plan.zone_id,
             "chaff": s.chaff_hex, "reason": reason,
         })
-        retire_stream(s, now, tx_entity)
-
-    def start_stream(
-        plan: DecoyPlan, transmitter: str, tx_range2: float,
-        reference_hex: str, horizon_ds: int, now: float,
-    ) -> _Stream | None:
-        route_rng = random.Random(
-            stable_u64(seed, "decoyroute", plan.zone_id, reference_hex)
-        )
-        poses, reason = _build_stream_poses(
-            g, plan, zone_disks, route_rng, gv_ds, horizon_ds
-        )
-        zone_j = zone_ids.index(plan.zone_id)
-        link_hex = f"{stable_u64(seed, 'chafflink', plan.zone_id, plan.chaff.id.hex()):016x}"
-        s = _Stream(
-            plan, plan.chaff.id.hex(), link_hex, transmitter, tx_range2,
-            zone_j, poses, reason,
-        )
-        emit({
-            "type": "decoy_start", "t": now, "zone": plan.zone_id,
-            "chaff": s.chaff_hex, "source": plan.source,
-            "length": round(plan.length_m, 1), "exit_edge": plan.exit_edge_id,
-            "start_time": round(plan.start_time_s, 4),
-            "speed": round(plan.speed_mps, 3), "tx": transmitter,
+        payload = struct.pack("<d", now).ljust(RETIRE_PAYLOAD_BYTES, b"\0")
+        self.ca.retire_chaff(sign(payload, s.plan.chaff, now=now), now)
+        self.emit({
+            "type": "retire", "t": now, "tx": s.transmitter,
+            "chaff": s.chaff_hex, "zone": s.plan.zone_id,
+            "bytes": RETIRE_WIRE_BYTES,
         })
-        if not poses:
-            end_stream(s, now, reason, transmitter)
-            return None
-        streams.append(s)
-        return s
+        self._snapshot_filters(now)
 
-    def handle_exit(v: _VehicleRt, zone_j: int, now: float, edge_id: str,
-                    speed: float) -> None:
-        z = zones[zone_j]
-        visit = v.visit
-        if visit is None or visit["zone_j"] != zone_j:
-            return
-        member_id: bytes = visit["member_id"]
-        emit({
-            "type": "zone_exit", "t": now, "vehicle": v.vid,
-            "zone": z.spec.zone_id, "reason": "exit",
-        })
-        plan = z.controller.note_exit(member_id, edge_id, speed, now, sparse_on)
-        if plan is not None:
-            start_stream(
-                plan, z.entity, rsu_r2, member_id.hex(),
-                min(dur_ds, round((plan.start_time_s + config.rsu_chaff_duration_s) * 10)),
-                now,
-            )
-        chaff = visit["chaff"]
-        if chaff is not None and not v.non_coop:
-            relay_plan = z.controller.launch_relay_decoy(chaff.id, edge_id, now)
-            vi = vindex[v.vid]
-            v.stream = start_stream(
-                relay_plan, v.vid, radio2, member_id.hex(), int(tends[vi]), now
-            )
-        if visit["changed"]:
-            transitions.append(Transition(
-                v.vid, z.spec.zone_id, member_id.hex(), visit["new_hex"],
-                visit["t_entry"], now,
-            ))
-        v.visit = None
-
-    def handle_entry(v: _VehicleRt, zone_j: int, now: float,
-                     pos: tuple[float, float]) -> None:
-        z = zones[zone_j]
+    def _enter_zone(
+        self, vi: int, zone_j: int, now: float, pos: tuple[float, float]
+    ) -> None:
+        v = self.vehicles[vi]
+        z = self.zones[zone_j]
+        zone_id, entity = z.info.zone_id, z.info.rsu_entity
         # a relay stream from the previous zone stops at the next zone's door
-        if v.stream is not None and not v.stream.ended:
-            end_stream(v.stream, now, "transmitter_zone_entry", v.vid)
-        v.stream = None
-        vi = vindex[v.vid]
+        if v.stream is not None:
+            self._end_stream(v.stream, now, "transmitter_zone_entry")
         request = sign(make_join_payload(v.trip.length_m, now), v.active, now=now)
-        cur_ep = current_epochs()
+        cur_ep = self._epochs().tolist()
         filters = tuple(
-            (zone_ids[jj], int(cur_ep[jj]), filter_snaps[jj][int(cur_ep[jj])][0])
-            for jj in range(nz)
+            (zid, ep, snaps[ep][0])
+            for zid, ep, snaps in zip(self.zone_ids, cur_ep, self.filter_snaps)
         )
         sealed = z.controller.handle_join(request, v.active, pos, now, filters)
-        emit({
-            "type": "join_request", "t": now, "tx": v.vid, "rx": z.entity,
-            "zone": z.spec.zone_id, "bytes": JOIN_REQUEST_WIRE_BYTES,
+        self.emit({
+            "type": "join_request", "t": now, "tx": v.vid, "rx": entity,
+            "zone": zone_id, "bytes": JOIN_REQUEST_WIRE_BYTES,
         })
         body = sealed.open(v.active.id)
-        emit({
-            "type": "join_response", "t": now, "tx": z.entity, "rx": v.vid,
-            "zone": z.spec.zone_id, "bytes": sealed.wire_size,
+        self.emit({
+            "type": "join_response", "t": now, "tx": entity, "rx": v.vid,
+            "zone": zone_id, "bytes": sealed.wire_size,
             "relay": body.chaff is not None,
         })
-        for jj in range(nz):
-            ep = int(cur_ep[jj])
-            if ep > held_ep[vi, jj]:
-                held_ep[vi, jj] = ep
-                pending[vi, jj] = False
-                emit({
+        for jj, ep in enumerate(cur_ep):
+            if ep > self.held_ep[vi, jj]:
+                self.held_ep[vi, jj] = ep
+                self.pending[vi, jj] = False
+                self.emit({
                     "type": "filter_delivered", "t": now, "vehicle": v.vid,
-                    "zone": zone_ids[jj], "epoch": ep, "via": "join",
+                    "zone": self.zone_ids[jj], "epoch": ep, "via": "join",
                     "latency_s": None,
                 })
         old = v.active
@@ -874,13 +854,13 @@ def run(config: ScenarioConfig) -> RunResult:
             v.pool_next += 1
             v.changes += 1
             v.active = new
-            pid_name[vi] = log.name(new.id.hex())
-            link_name[vi] = log.name(
-                f"{stable_u64(seed, 'link', v.vid, v.changes):016x}"
+            self.pid_name[vi] = self.log.name(new.id.hex())
+            self.link_name[vi] = self.log.name(
+                f"{stable_u64(self.seed, 'link', v.vid, v.changes):016x}"
             )
-            emit({
+            self.emit({
                 "type": "pseudonym_change", "t": now, "vehicle": v.vid,
-                "zone": z.spec.zone_id, "old": old.id.hex(), "new": new.id.hex(),
+                "zone": zone_id, "old": old.id.hex(), "new": new.id.hex(),
             })
         v.visit = {
             "zone_j": zone_j,
@@ -891,334 +871,341 @@ def run(config: ScenarioConfig) -> RunResult:
             "changed": changed,
         }
 
-    vindex = {v.vid: i for i, v in enumerate(vehicles)}
+    def _leave_zone(self, vi: int, now: float, reason: str) -> dict:
+        """Log vehicle vi leaving its zone (reason "exit" or "despawn"),
+        record the visit's ground truth and close the visit, returned."""
+        v = self.vehicles[vi]
+        visit, v.visit = v.visit, None
+        self.inside[vi] = -1
+        zone_id = self.zone_ids[visit["zone_j"]]
+        self.emit({
+            "type": "zone_exit", "t": now, "vehicle": v.vid,
+            "zone": zone_id, "reason": reason,
+        })
+        if visit["changed"]:
+            self.transitions.append(Transition(
+                v.vid, zone_id, visit["member_id"].hex(), visit["new_hex"],
+                visit["t_entry"], None if reason == "despawn" else now,
+            ))
+        return visit
 
-    # ------------------------------------------------------------------ loop
-    for k in range(nticks):
-        t_ds = k * tick_ds
+    def _exit_zone(self, vi: int, now: float, edge_id: str, speed: float) -> None:
+        visit = self._leave_zone(vi, now, "exit")
+        v = self.vehicles[vi]
+        controller = self.zones[visit["zone_j"]].controller
+        member_hex = visit["member_id"].hex()
+        plan = controller.note_exit(
+            visit["member_id"], edge_id, speed, now, self.sparse_on
+        )
+        if plan is not None:
+            horizon = round((plan.start_time_s + self.config.rsu_chaff_duration_s) * 10)
+            self._start_stream(plan, -1, member_hex, min(self.dur_ds, horizon), now)
+        chaff = visit["chaff"]
+        if chaff is not None and not v.non_coop:
+            relay_plan = controller.launch_relay_decoy(chaff.id, edge_id, now)
+            v.stream = self._start_stream(relay_plan, vi, member_hex, v.end_ds, now)
+
+    # ------------------------------------------------------------ one tick
+
+    def step(self, k: int) -> None:
+        t_ds = k * self.tick_ds
         now = t_ds / 10.0
-        sec = min(int(now), nsec - 1)
-        alive = (t0s <= t_ds) & (tends >= t_ds)
-        av = np.flatnonzero(alive)
-        na = av.size
-        xs = X[av, k]
-        ys = Y[av, k]
-        cur_zone = ZIDX[av, k]
+        av = np.flatnonzero((self.t0s <= t_ds) & (self.tends >= t_ds))
+        tk = _Tick(
+            k, t_ds, now, min(int(now), self.nsec - 1), av,
+            self.X[av, k], self.Y[av, k], self.ZIDX[av, k],
+        )
+        self._zone_transitions(tk)
+        in_range, cur_ep = self._rsu_range_and_chunks(tk)
+        if t_ds % self.gv_ds == 0 and (av.size or self.streams):
+            held = self.held_ep[av] >= 0
+            neighbor = self._beacons(tk, held)
+            self._decoys(tk, held)
+            self._peer_exchange(tk, neighbor, in_range, cur_ep)
+        self._despawns(tk)
 
-        # --- zone membership transitions, in vehicle-id order
-        if nz:
-            delta = np.flatnonzero(cur_zone != inside_vec[av])
-            for ii in delta:
-                vi = int(av[ii])
-                v = vehicles[vi]
-                old_j = int(inside_vec[vi])
-                new_j = int(cur_zone[ii])
-                if old_j >= 0:
-                    kk = (t_ds - v.t0_ds) // tick_ds
-                    handle_exit(v, old_j, now, v.edges[kk], float(SPD[vi, k]))
-                if new_j >= 0:
-                    handle_entry(v, new_j, now, (float(xs[ii]), float(ys[ii])))
-                inside_vec[vi] = new_j
+    def _zone_transitions(self, tk: _Tick) -> None:
+        """Zone exits and entries, in vehicle-id order."""
+        for ii in np.flatnonzero(tk.cur_zone != self.inside[tk.av]).tolist():
+            vi = int(tk.av[ii])
+            new_j = int(tk.cur_zone[ii])
+            if self.inside[vi] >= 0:
+                v = self.vehicles[vi]
+                edge_id = v.edges[(tk.t_ds - v.t0_ds) // self.tick_ds]
+                self._exit_zone(vi, tk.now, edge_id, float(self.SPD[vi, tk.k]))
+            if new_j >= 0:
+                self._enter_zone(vi, new_j, tk.now, (float(tk.xs[ii]), float(tk.ys[ii])))
+            self.inside[vi] = new_j
 
-        # --- RSU range bookkeeping (every tick)
-        if nz:
-            d2z = (xs[:, None] - zcx[None, :]) ** 2 + (ys[:, None] - zcy[None, :]) ** 2
-            ir_rows = d2z <= rsu_r2
-            ir_full = np.zeros((nv, nz), dtype=bool)
-            ir_full[av] = ir_rows
-            left_range = in_range_prev & ~ir_full
-            pending[left_range] = False
-            cur_ep = current_epochs()
+    def _rsu_range_and_chunks(self, tk: _Tick) -> tuple[np.ndarray, np.ndarray]:
+        """RSU range, adverts, chunk broadcasts and chunk deliveries; returns
+        who is in range of which RSU and each zone's filter epoch."""
+        t_ds, now = tk.t_ds, tk.now
+        d2z = (
+            (tk.xs[:, None] - self.zcx[None, :]) ** 2
+            + (tk.ys[:, None] - self.zcy[None, :]) ** 2
+        )
+        in_range = np.zeros_like(self.in_range_prev)
+        in_range[tk.av] = d2z <= self.rsu_r2
+        self.pending[self.in_range_prev & ~in_range] = False
+        self.in_range_prev = in_range
+        cur_ep = self._epochs()
 
-            # --- advertisements
-            if t_ds % gmz_ds == 0:
-                fresh = ir_full & ~adv_seen
-                for j, z in enumerate(zones):
-                    env = z.controller.advertise(now)
-                    if env is None:
-                        continue
-                    verifiers = [vehicles[vi].vid for vi in np.flatnonzero(fresh[:, j])]
-                    emit({
-                        "type": "advert", "t": now, "tx": z.entity,
-                        "zone": z.spec.zone_id, "bytes": ADVERT_WIRE_BYTES,
-                        "first_verifiers": verifiers,
-                    })
-                adv_seen |= fresh
-
-            # --- filter chunk broadcasts
-            if t_ds % fi_ds == 0:
-                for j, z in enumerate(zones):
-                    slot = (t_ds // fi_ds) % z.chunk_count
-                    emit({
-                        "type": "chunk", "t": now, "tx": z.entity,
-                        "zone": z.spec.zone_id, "epoch": int(cur_ep[j]),
-                        "index": slot, "total": z.chunk_count,
-                        "bytes": z.chunk_payloads[slot] + CHUNK_CERT_BYTES,
-                    })
-
-            # --- chunk delivery state machine
-            stale = held_ep < cur_ep[None, :]
-            need = ir_full & stale & ~pending
-            if need.any():
-                wait = (cycle_arr - (t_ds % cycle_arr)) % cycle_arr
-                due_val = t_ds + wait + cycle_arr
-                due_b = np.broadcast_to(due_val, (nv, nz))
-                due_m[need] = due_b[need]
-                arr_m[need] = t_ds
-                pending[need] = True
-            deliver = pending & (due_m == t_ds) & ir_full
-            for vi, j in np.argwhere(deliver):
-                vi, j = int(vi), int(j)
-                ep = int(cur_ep[j])
-                held_ep[vi, j] = ep
-                pending[vi, j] = False
-                emit({
-                    "type": "filter_delivered", "t": now,
-                    "vehicle": vehicles[vi].vid, "zone": zone_ids[j],
-                    "epoch": ep, "via": "rsu",
-                    "latency_s": (t_ds - int(arr_m[vi, j])) / 10.0,
+        if t_ds % self.gmz_ds == 0:
+            fresh = in_range & ~self.adv_seen
+            for j, z in enumerate(self.zones):
+                if z.controller.advertise(now) is None:
+                    continue
+                self.emit({
+                    "type": "advert", "t": now, "tx": z.info.rsu_entity,
+                    "zone": z.info.zone_id, "bytes": ADVERT_WIRE_BYTES,
+                    "first_verifiers": [
+                        self.vehicles[vi].vid for vi in np.flatnonzero(fresh[:, j])
+                    ],
                 })
-            in_range_prev = ir_full
-        else:
-            ir_full = np.zeros((nv, 0), dtype=bool)
-            cur_ep = np.zeros(0, dtype=np.int64)
+            self.adv_seen |= fresh
 
-        # --- beacons, decoys, receptions, peer exchange
-        if t_ds % gv_ds == 0 and (na or streams):
-            pos = np.stack([xs, ys], axis=1) if na else np.zeros((0, 2))
-            if na:
-                diff = pos[:, None, :] - pos[None, :, :]
-                d2p = (diff ** 2).sum(-1)
-                np.fill_diagonal(d2p, np.inf)
-                neighbor = d2p <= radio2
+        if t_ds % self.fi_ds == 0:
+            for j, z in enumerate(self.zones):
+                slot = (t_ds // self.fi_ds) % z.chunk_count
+                self.emit({
+                    "type": "chunk", "t": now, "tx": z.info.rsu_entity,
+                    "zone": z.info.zone_id, "epoch": int(cur_ep[j]),
+                    "index": slot, "total": z.chunk_count,
+                    "bytes": z.chunk_payloads[slot] + CHUNK_CERT_BYTES,
+                })
+
+        # a vehicle newly in range of a newer filter collects one full chunk
+        # cycle from the next wraparound (chunk_delivery_latency)
+        need = in_range & (self.held_ep < cur_ep[None, :]) & ~self.pending
+        if need.any():
+            cycle = self.cycle_ds
+            due = t_ds + (cycle - t_ds % cycle) % cycle + cycle
+            self.due_m[need] = np.broadcast_to(due, need.shape)[need]
+            self.arr_m[need] = t_ds
+            self.pending[need] = True
+        deliver = self.pending & (self.due_m == t_ds) & in_range
+        for vi, j in np.argwhere(deliver).tolist():
+            ep = int(cur_ep[j])
+            self.held_ep[vi, j] = ep
+            self.pending[vi, j] = False
+            self.emit({
+                "type": "filter_delivered", "t": now,
+                "vehicle": self.vehicles[vi].vid, "zone": self.zone_ids[j],
+                "epoch": ep, "via": "rsu",
+                "latency_s": (t_ds - int(self.arr_m[vi, j])) / 10.0,
+            })
+        return in_range, cur_ep
+
+    def _beacons(self, tk: _Tick, held: np.ndarray) -> np.ndarray:
+        """Vehicle beacons and what they cost their receivers; returns the
+        neighbour matrix of the active vehicles."""
+        av, xs, ys, k, sec = tk.av, tk.xs, tk.ys, tk.k, tk.sec
+        pos = np.stack([xs, ys], axis=1)
+        d2p = ((pos[:, None, :] - pos[None, :, :]) ** 2).sum(-1)
+        np.fill_diagonal(d2p, np.inf)
+        neighbor = d2p <= self.radio2
+        inside_mask = tk.cur_zone >= 0
+        outside_idx = np.flatnonzero(~inside_mask)
+        inside_idx = np.flatnonzero(inside_mask)
+
+        # plaintext beacons from vehicles outside every zone
+        if outside_idx.size:
+            out_vi = av[outside_idx]
+            xo, yo = xs[outside_idx], ys[outside_idx]
+            self.log.beacons(
+                tk.now, self.veh_name[out_vi], self.pid_name[out_vi],
+                self.link_name[out_vi], xo, yo, self.SPD[out_vi, k],
+                self.HDG[out_vi, k], self.lengths[out_vi], False, -1, xo, yo,
+            )
+        # encrypted beacons inside zones: logged, never observed
+        for ii in inside_idx.tolist():
+            self.emit({
+                "type": "beacon_encrypted", "t": tk.now,
+                "tx": self.vehicles[int(av[ii])].vid,
+                "zone": self.zone_ids[int(tk.cur_zone[ii])],
+                "bytes": ENCRYPTED_BEACON_WIRE_BYTES,
+            })
+
+        # vehicle-side reception accounting (vectorized; real pseudonyms
+        # are never in any filter, a 1e-20 false-positive we neglect)
+        counters = self.counters
+        cnt_real = neighbor[:, outside_idx].sum(axis=1)
+        cnt_enc = neighbor[:, inside_idx].sum(axis=1)
+        counters["rx_beacons"][av, sec] += cnt_real
+        counters["rx_bytes"][av, sec] += (
+            cnt_real * BEACON_WIRE_BYTES + cnt_enc * ENCRYPTED_BEACON_WIRE_BYTES
+        )
+        counters["checks"][av, sec] += cnt_real * held.sum(axis=1)
+        counters["verifies"][av, sec] += cnt_real
+        return neighbor
+
+    def _decoys(self, tk: _Tick, held: np.ndarray) -> None:
+        """Decoy beacons due at this tick and what they cost their receivers;
+        streams that sent their last pose end."""
+        av, xs, ys, t_ds, now, sec = tk.av, tk.xs, tk.ys, tk.t_ds, tk.now, tk.sec
+        log, counters = self.log, self.counters
+        h_count = held.sum(axis=1)
+        rank = held.cumsum(axis=1)
+        for s in self.streams:
+            if s.ended:
+                continue
+            pose = s.poses.get(t_ds)
+            if pose is None:
+                continue
+            if self.ca.retired_at(s.plan.chaff.id) is not None:
+                self.emit({
+                    "type": "misbehavior", "t": now, "chaff": s.chaff_hex,
+                    "zone": s.plan.zone_id,
+                })
+                s.ended = True
+                continue
+            if not self.ca.filter_for(s.plan.zone_id).contains(s.plan.chaff.id):
+                self.audit_violations.append(
+                    f"decoy {s.chaff_hex} emitted while absent from "
+                    f"{s.plan.zone_id}'s filter at t={now}"
+                )
+            if s.tx_vi < 0:
+                tx_x, tx_y = self.zcx[s.zone_j], self.zcy[s.zone_j]
+                tx_r2, tx_row = self.rsu_r2, -1
             else:
-                neighbor = np.zeros((0, 0), dtype=bool)
-            held_b = held_ep[av] >= 0 if nz else np.zeros((na, 0), dtype=bool)
-            h_count = held_b.sum(axis=1)
-            rank = held_b.cumsum(axis=1) if nz else np.zeros((na, 0), dtype=np.int64)
+                tx_x, tx_y = self.X[s.tx_vi, tk.k], self.Y[s.tx_vi, tk.k]
+                tx_row_arr = np.flatnonzero(av == s.tx_vi)
+                tx_r2 = self.radio2
+                tx_row = int(tx_row_arr[0]) if tx_row_arr.size else -1
+            log.beacon(
+                now, log.name(s.transmitter), log.name(s.chaff_hex),
+                log.name(s.link_hex), pose[0], pose[1], s.plan.speed_mps,
+                pose[2], s.plan.length_m, True, log.name(s.plan.zone_id),
+                tx_x, tx_y,
+            )
+            rx = (xs - tx_x) ** 2 + (ys - tx_y) ** 2 <= tx_r2
+            if tx_row >= 0:
+                rx[tx_row] = False
+            if rx.any():
+                hold = rx & held[:, s.zone_j]
+                miss = rx & ~held[:, s.zone_j]
+                counters["rx_beacons"][av[rx], sec] += 1
+                counters["rx_bytes"][av[rx], sec] += BEACON_WIRE_BYTES
+                if hold.any():
+                    counters["discard_chaff"][av[hold], sec] += 1
+                    counters["checks"][av[hold], sec] += rank[hold, s.zone_j]
+                if miss.any():
+                    counters["unknown_pending"][av[miss], sec] += 1
+                    counters["checks"][av[miss], sec] += h_count[miss]
+                    counters["verifies"][av[miss], sec] += 1
 
-            inside_mask = cur_zone >= 0 if nz else np.zeros(na, dtype=bool)
-            outside_idx = np.flatnonzero(~inside_mask)
-            inside_idx = np.flatnonzero(inside_mask)
+        for s in self.streams:
+            if not s.ended and t_ds >= s.last_ds:
+                self._end_stream(s, now, s.natural_reason)
 
-            # plaintext beacons from vehicles outside every zone
-            if outside_idx.size:
-                out_vi = av[outside_idx]
-                xo, yo = xs[outside_idx], ys[outside_idx]
-                log.beacons(
-                    now, veh_name[out_vi], pid_name[out_vi], link_name[out_vi],
-                    xo, yo, SPD[out_vi, k], HDG[out_vi, k], lengths[out_vi],
-                    False, -1, xo, yo,
-                )
-            # encrypted beacons inside zones: logged, never observed
-            for ii in inside_idx:
-                vi = int(av[ii])
-                emit({
-                    "type": "beacon_encrypted", "t": now, "tx": vehicles[vi].vid,
-                    "zone": zone_ids[int(cur_zone[ii])],
-                    "bytes": ENCRYPTED_BEACON_WIRE_BYTES,
-                })
-
-            # vehicle-side reception accounting (vectorized; real pseudonyms
-            # are never in any filter, a 1e-20 false-positive we neglect)
-            if na:
-                cnt_real = neighbor[:, outside_idx].sum(axis=1)
-                cnt_enc = neighbor[:, inside_idx].sum(axis=1)
-                counters["rx_beacons"][av, sec] += cnt_real
-                counters["rx_bytes"][av, sec] += (
-                    cnt_real * BEACON_WIRE_BYTES + cnt_enc * ENCRYPTED_BEACON_WIRE_BYTES
-                )
-                counters["checks"][av, sec] += cnt_real * h_count
-                counters["verifies"][av, sec] += cnt_real
-
-            # decoy streams
-            for s in streams:
-                if s.ended:
+    def _peer_exchange(
+        self, tk: _Tick, neighbor: np.ndarray, in_range: np.ndarray,
+        cur_ep: np.ndarray,
+    ) -> None:
+        """Vehicles outside every RSU range with a stale filter ask their
+        neighbours for a newer one."""
+        av, now, sec = tk.av, tk.now, tk.sec
+        outside_all = ~in_range[av].any(axis=1)
+        req_stale = self.held_ep[av] < cur_ep[None, :]
+        requesters = outside_all & req_stale.any(axis=1)
+        if not requesters.any():
+            return
+        self.counters["peer_queries"][av[requesters], sec] += 1
+        got_any = np.zeros(av.size, dtype=bool)
+        staged: list[tuple[int, int, int]] = []
+        for j, zone_id in enumerate(self.zone_ids):
+            need_j = requesters & req_stale[:, j]
+            if not need_j.any():
+                continue
+            hv = self.held_ep[av, j]
+            # responder: lowest vehicle id (rows are vid-sorted) holding a
+            # strictly newer epoch, per choose_filter_responder
+            cond = neighbor & (hv[None, :] > hv[:, None])
+            has = cond.any(axis=1) & need_j
+            resp = cond.argmax(axis=1)
+            for r in np.flatnonzero(has).tolist():
+                rx_vid = self.vehicles[int(av[r])].vid
+                ep_resp = int(hv[resp[r]])
+                blob, env = self.filter_snaps[j].get(ep_resp, (None, None))
+                if blob is None:
                     continue
-                pose = s.poses.get(t_ds)
-                if pose is None:
-                    continue
-                if ca.retired_at(s.plan.chaff.id) is not None:
-                    emit({
-                        "type": "misbehavior", "t": now, "chaff": s.chaff_hex,
-                        "zone": s.plan.zone_id,
+                if not accept_peer_filter(env, self.pca_cred, now):
+                    self.emit({
+                        "type": "peer_filter_rejected", "t": now,
+                        "vehicle": rx_vid, "zone": zone_id,
                     })
-                    s.ended = True
                     continue
-                if not ca.filter_for(s.plan.zone_id).contains(s.plan.chaff.id):
-                    audit_violations.append(
-                        f"decoy {s.chaff_hex} emitted while absent from "
-                        f"{s.plan.zone_id}'s filter at t={now}"
-                    )
-                if s.transmitter.startswith("rsu:"):
-                    tx_x, tx_y = zcx[s.zone_j], zcy[s.zone_j]
-                    tx_row = -1
-                else:
-                    tvi = vindex[s.transmitter]
-                    tx_x, tx_y = X[tvi, k], Y[tvi, k]
-                    tx_row_arr = np.flatnonzero(av == tvi)
-                    tx_row = int(tx_row_arr[0]) if tx_row_arr.size else -1
-                log.beacon(
-                    now, log.name(s.transmitter), log.name(s.chaff_hex),
-                    log.name(s.link_hex), pose[0], pose[1], s.plan.speed_mps,
-                    pose[2], s.plan.length_m, True, log.name(s.plan.zone_id),
-                    tx_x, tx_y,
-                )
-                if na:
-                    d2s = (xs - tx_x) ** 2 + (ys - tx_y) ** 2
-                    rx = d2s <= s.tx_range2
-                    if tx_row >= 0:
-                        rx[tx_row] = False
-                    if rx.any():
-                        hold = rx & held_b[:, s.zone_j]
-                        miss = rx & ~held_b[:, s.zone_j]
-                        counters["rx_beacons"][av[rx], sec] += 1
-                        counters["rx_bytes"][av[rx], sec] += BEACON_WIRE_BYTES
-                        if hold.any():
-                            counters["discard_chaff"][av[hold], sec] += 1
-                            counters["checks"][av[hold], sec] += rank[hold, s.zone_j]
-                        if miss.any():
-                            counters["unknown_pending"][av[miss], sec] += 1
-                            counters["checks"][av[miss], sec] += h_count[miss]
-                            counters["verifies"][av[miss], sec] += 1
-
-            # streams that just emitted their last pose end here
-            for s in streams:
-                if not s.ended and t_ds >= s.last_ds:
-                    tx_ent = s.transmitter
-                    end_stream(s, now, s.natural_reason, tx_ent)
-                    if not tx_ent.startswith("rsu:"):
-                        vv = vehicles[vindex[tx_ent]]
-                        if vv.stream is s:
-                            vv.stream = None
-
-            # --- peer filter exchange outside all RSU ranges
-            if nz and na:
-                outside_all = ~ir_full[av].any(axis=1)
-                req_stale = held_ep[av] < cur_ep[None, :]
-                requesters = outside_all & req_stale.any(axis=1)
-                if requesters.any():
-                    counters["peer_queries"][av[requesters], sec] += 1
-                    got_any = np.zeros(na, dtype=bool)
-                    staged: list[tuple[int, int, int]] = []
-                    for j in range(nz):
-                        need_j = requesters & req_stale[:, j]
-                        if not need_j.any():
-                            continue
-                        hv = held_ep[av, j]
-                        # responder: lowest vehicle id (rows are vid-sorted)
-                        # holding a strictly newer epoch, per
-                        # choose_filter_responder
-                        cond = neighbor & (hv[None, :] > hv[:, None])
-                        has = cond.any(axis=1) & need_j
-                        resp = cond.argmax(axis=1)
-                        for r in np.flatnonzero(has):
-                            r = int(r)
-                            c = int(resp[r])
-                            ep_resp = int(hv[c])
-                            blob, env = filter_snaps[j].get(ep_resp, (None, None))
-                            if blob is None:
-                                continue
-                            if not accept_peer_filter(env, pca_cred, now):
-                                emit({
-                                    "type": "peer_filter_rejected", "t": now,
-                                    "vehicle": vehicles[int(av[r])].vid,
-                                    "zone": zone_ids[j],
-                                })
-                                continue
-                            got_any[r] = True
-                            staged.append((int(av[r]), j, ep_resp))
-                            wire = len(blob) + PSEUDONYM_WIRE_BYTES + ENCRYPTION_OVERHEAD_BYTES
-                            emit({
-                                "type": "peer_filter", "t": now,
-                                "tx": vehicles[int(av[c])].vid,
-                                "rx": vehicles[int(av[r])].vid,
-                                "zone": zone_ids[j], "epoch": ep_resp,
-                                "bytes": wire,
-                            })
-                            emit({
-                                "type": "filter_delivered", "t": now,
-                                "vehicle": vehicles[int(av[r])].vid,
-                                "zone": zone_ids[j], "epoch": ep_resp,
-                                "via": "peer", "latency_s": None,
-                            })
-                    for vi, j, ep in staged:
-                        if ep > held_ep[vi, j]:
-                            held_ep[vi, j] = ep
-                            pending[vi, j] = False
-                    unanswered = requesters & ~got_any
-                    if unanswered.any():
-                        counters["peer_unanswered"][av[unanswered], sec] += 1
-
-        # --- despawns: trips that end at this tick
-        done = np.flatnonzero(tends == t_ds)
-        for vi in done:
-            vi = int(vi)
-            v = vehicles[vi]
-            if v.stream is not None and not v.stream.ended:
-                end_stream(v.stream, now, "transmitter_done", v.vid)
-                v.stream = None
-            j = int(inside_vec[vi])
-            if j >= 0:
-                emit({
-                    "type": "zone_exit", "t": now, "vehicle": v.vid,
-                    "zone": zone_ids[j], "reason": "despawn",
+                got_any[r] = True
+                staged.append((int(av[r]), j, ep_resp))
+                self.emit({
+                    "type": "peer_filter", "t": now,
+                    "tx": self.vehicles[int(av[resp[r]])].vid, "rx": rx_vid,
+                    "zone": zone_id, "epoch": ep_resp,
+                    "bytes": len(blob) + PSEUDONYM_WIRE_BYTES + ENCRYPTION_OVERHEAD_BYTES,
                 })
-                visit = v.visit
-                if visit is not None:
-                    zones[j].controller.drop_member(visit["member_id"])
-                    if visit["changed"]:
-                        transitions.append(Transition(
-                            v.vid, zone_ids[j], visit["member_id"].hex(),
-                            visit["new_hex"], visit["t_entry"], None,
-                        ))
-                    v.visit = None
-                inside_vec[vi] = -1
-            pending[vi, :] = False
-            in_range_prev[vi, :] = False
+                self.emit({
+                    "type": "filter_delivered", "t": now, "vehicle": rx_vid,
+                    "zone": zone_id, "epoch": ep_resp, "via": "peer",
+                    "latency_s": None,
+                })
+        for vi, j, ep in staged:
+            if ep > self.held_ep[vi, j]:
+                self.held_ep[vi, j] = ep
+                self.pending[vi, j] = False
+        unanswered = requesters & ~got_any
+        if unanswered.any():
+            self.counters["peer_unanswered"][av[unanswered], sec] += 1
+
+    def _despawns(self, tk: _Tick) -> None:
+        """Trips that end at this tick."""
+        for vi in np.flatnonzero(self.tends == tk.t_ds).tolist():
+            v = self.vehicles[vi]
+            if v.stream is not None:
+                self._end_stream(v.stream, tk.now, "transmitter_done")
+            if v.visit is not None:
+                visit = self._leave_zone(vi, tk.now, "despawn")
+                self.zones[visit["zone_j"]].controller.drop_member(visit["member_id"])
+            self.pending[vi, :] = False
+            self.in_range_prev[vi, :] = False
 
     # ------------------------------------------------------------ wrap up
-    final_now = ((nticks - 1) * tick_ds) / 10.0
-    for s in streams:
-        # the clock stopped mid-stream; no retire message was ever sent
-        if not s.ended:
-            s.ended = True
-            emit({
-                "type": "decoy_end", "t": final_now, "zone": s.plan.zone_id,
-                "chaff": s.chaff_hex, "reason": "run_end",
-            })
 
-    for z in zones:
-        for t, kind, detail in z.controller.events:
-            emit({
-                "type": "zone_note", "t": t, "zone": z.spec.zone_id,
-                "kind": kind, "detail": detail,
-            })
+    def finish(self) -> RunResult:
+        final_now = ((self.nticks - 1) * self.tick_ds) / 10.0
+        for s in self.streams:
+            # the clock stopped mid-stream; no retire message was ever sent
+            if not s.ended:
+                s.ended = True
+                self.emit({
+                    "type": "decoy_end", "t": final_now, "zone": s.plan.zone_id,
+                    "chaff": s.chaff_hex, "reason": "run_end",
+                })
 
-    del X, Y, SPD, HDG, ZIDX  # the log needs none of the pose matrices
-    event_log, observations = log.finish(counters, veh_name)
-    del counters
+        for z in self.zones:
+            for t, kind, detail in z.controller.events:
+                self.emit({
+                    "type": "zone_note", "t": t, "zone": z.info.zone_id,
+                    "kind": kind, "detail": detail,
+                })
 
-    seen = _observed_spans(observations)
-    for tr in transitions:
-        old_seen = seen.get(tr.old_id)
-        new_seen = seen.get(tr.new_id)
-        tr.entry_observed = old_seen is not None and old_seen[0] < tr.t_entry - 1e-9
-        tr.exit_observed = (
-            tr.t_exit is not None
-            and new_seen is not None
-            and new_seen[1] >= tr.t_exit - 1e-9
+        del self.X, self.Y, self.SPD, self.HDG, self.ZIDX  # the log needs none of them
+        event_log, observations = self.log.finish(self.counters, self.veh_name)
+
+        seen = _observed_spans(observations)
+        for tr in self.transitions:
+            old_seen = seen.get(tr.old_id)
+            new_seen = seen.get(tr.new_id)
+            tr.entry_observed = old_seen is not None and old_seen[0] < tr.t_entry - 1e-9
+            tr.exit_observed = (
+                tr.t_exit is not None
+                and new_seen is not None
+                and new_seen[1] >= tr.t_exit - 1e-9
+            )
+        return RunResult(
+            self.config, event_log, observations, self.transitions,
+            [z.info for z in self.zones], self.audit_violations,
         )
-
-    zone_infos = [
-        ZoneInfo(
-            z.spec.zone_id, z.geom, z.bounds, z.hbc, zone_chaff_hex[j], z.entity
-        )
-        for j, z in enumerate(zones)
-    ]
-    return RunResult(
-        config, event_log, observations, transitions, zone_infos, audit_violations
-    )
 
 
 def _observed_spans(

@@ -81,6 +81,12 @@ def test_config_rejects_duplicate_ids(grid4):
         cfg.validate()
 
 
+def test_config_rejects_empty_zones(grid4):
+    # from_dict refuses an empty zones list; the Python API must too
+    with pytest.raises(ConfigError):
+        one_zone_config(grid4, zones=()).validate()
+
+
 def test_config_from_file_round_trip(grid4, tmp_path):
     grid4.save(tmp_path / "net.json")
     doc = {
@@ -310,6 +316,32 @@ def test_chunk_events_cycle_through_indices(grid4):
     assert [c["index"] for c in chunks] == [0, 1, 0, 1]
 
 
+def test_rsu_deliveries_follow_the_chunk_latency_closed_form(grid4):
+    # relays retire chaff, so the filters pass through several epochs and
+    # vehicles fall stale at every offset into a multi-chunk cycle
+    bandwidth, interval = 4000.0, 1.0
+    res = run(mixed_config(
+        grid4, relay_fraction=1.0, filter_bandwidth_bytes_per_s=bandwidth,
+    ))
+    totals = {e["zone"]: e["total"] for e in res.events if e["type"] == "chunk"}
+    assert min(totals.values()) >= 3
+    dels = [
+        e for e in res.events
+        if e["type"] == "filter_delivered" and e["via"] == "rsu"
+    ]
+    assert len({(e["zone"], e["epoch"]) for e in dels}) >= 4
+    cycles = {e["zone"]: totals[e["zone"]] * interval for e in dels}
+    # some arrivals land mid-cycle and wait for the wraparound
+    assert any(e["latency_s"] > cycles[e["zone"]] for e in dels)
+    for e in dels:
+        size = totals[e["zone"]] * bandwidth * interval
+        # arrivals sit on the decisecond lattice
+        arrival = round(e["t"] - e["latency_s"], 1)
+        assert e["latency_s"] == pytest.approx(
+            chunk_delivery_latency(size, bandwidth, interval, arrival)
+        )
+
+
 def test_peer_exchange_fills_gap_outside_rsu_range(grid4):
     # veh-far never comes near the RSU (range shrunk to 150 m); veh-near joins
     # the zone at spawn, keeps the filter, and passes veh-far around x=1000
@@ -333,6 +365,44 @@ def test_peer_exchange_fills_gap_outside_rsu_range(grid4):
         if e["type"] == "filter_delivered" and e["vehicle"] == "veh-far"
     ]
     assert dels[0]["via"] == "peer"
+
+
+def test_peer_responder_is_the_lowest_id_holder_in_range(grid4):
+    # veh-b and veh-c join the zone side by side at spawn and drive east
+    # together; veh-a, which never comes near the RSU, meets both at once
+    east = ("j1_1__j1_2", "j1_2__j1_3")
+    holders = [Trip(vid, 0.0, east, (10.0, 10.0), 4.5) for vid in ("veh-c", "veh-b")]
+    asker = Trip("veh-a", 0.0, ("j0_2__j1_2", "j1_2__j2_2"), (10.0, 10.0), 4.5)
+    cfg = ScenarioConfig(
+        graph=grid4,
+        zones=(ZoneSpec("z-a", 500.0, 500.0, 100.0),),
+        trips=(*holders, asker),
+        rsu_range_m=150.0,
+        vehicle_radio_range_m=300.0,
+        duration_s=150.0,
+        rng_seed=1,
+    )
+    res = run(cfg)
+    peer = next(e for e in res.events if e["type"] == "peer_filter")
+    t = peer["t"]
+    pos = {
+        e["tx"]: (e["x"], e["y"]) for e in res.events
+        if e["type"] == "beacon" and e["t"] == t and not e["chaff"]
+    }
+    held = {}
+    for e in res.events:
+        if e["type"] == "filter_delivered" and e["t"] < t:
+            held[e["vehicle"]] = max(held.get(e["vehicle"], -1), e["epoch"])
+    rx = peer["rx"]
+    in_range = [
+        (vid, held.get(vid, -1)) for vid, (x, y) in pos.items()
+        if vid != rx and (x - pos[rx][0]) ** 2 + (y - pos[rx][1]) ** 2
+        <= cfg.vehicle_radio_range_m ** 2
+    ]
+    assert rx == "veh-a"
+    assert sum(ep > held.get(rx, -1) for _, ep in in_range) == 2
+    assert peer["tx"] == choose_filter_responder(in_range, held.get(rx, -1))
+    assert peer["tx"] == "veh-b"
 
 
 # --- sparse-traffic RSU chaff ----------------------------------------------
