@@ -9,7 +9,8 @@ Three subcommands:
 All outputs are deterministic functions of the inputs; nothing writes a
 timestamp, so rerunning an identical manifest reproduces every file byte for
 byte. Exit codes: 0 ok, 2 bad configuration or input, 3 IO or overwrite
-refusal.
+refusal, 4 a run's audits found a broken invariant (its cell's files are
+written first).
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from .adversary import (
     rows_from_result,
 )
 from .engine import ScenarioConfig, run
-from .errors import ConfigError
+from .errors import AuditFailure, ConfigError
 from .metrics import (
     build_linkability_report,
     overhead,
@@ -241,7 +242,8 @@ def cell_reports(result):
 
 
 def _execute_job(job: tuple) -> tuple:
-    """One (sweep point, seed) cell: simulate, attack, write reports.
+    """One (sweep point, seed) cell: simulate, attack, write reports, then
+    raise AuditFailure if the run's audits found anything.
 
     Module level and primitive-typed so a process pool can ship it."""
     scenario_path, point, seed, run_dir, fmt = job
@@ -266,6 +268,11 @@ def _execute_job(job: tuple) -> tuple:
             write_linkability_csv({label: link_rep}, fh)
         with open(d / "overhead.csv", "w", encoding="utf-8") as fh:
             write_overhead_csv(over_rep, fh)
+    found = result.audit_violations
+    if found:
+        raise AuditFailure(
+            f"{label}: {len(found)} audit finding(s), the first: {found[0]}"
+        )
     return (tuple(sorted(point.items())), seed, link_rep.success_rate)
 
 
@@ -498,6 +505,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    except AuditFailure as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

@@ -30,12 +30,13 @@ from .core import (
     stable_u64,
     verify,
 )
-from .errors import ConfigError, NoResponder
+from .errors import ConfigError, NeverAssigned, NoResponder
 from .eventlog import (
     BEACON_WIRE_BYTES,
     RECEPTION_COUNTERS,
     EventLog,
     EventLogBuilder,
+    name_ranks,
     round_array,
 )
 from .mixzone import (
@@ -343,6 +344,9 @@ class RunResult:
     observations: dict[str, list[tuple]]
     transitions: list[Transition]
     zones: list[ZoneInfo]
+    # every audit finding: first the tick loop's, in time order (a decoy sent
+    # while absent from its filter, relay chaff that does not resolve to its
+    # relay), then those of the three post-run audits
     audit_violations: list[str]
 
     @functools.cached_property
@@ -431,7 +435,6 @@ class _Stream:
     poses: dict[int, tuple[float, float, float]]
     last_ds: int
     natural_reason: str
-    ended: bool = False
 
 
 @dataclass(slots=True)
@@ -531,7 +534,10 @@ def run(config: ScenarioConfig) -> RunResult:
     state = _Run(config)
     for k in range(state.nticks):
         state.step(k)
-    return state.finish()
+    result = state.finish()
+    for audit in (audit_observability, audit_single_pseudonym, audit_ground_truth):
+        result.audit_violations.extend(audit(result))
+    return result
 
 
 class _Run:
@@ -561,7 +567,9 @@ class _Run:
 
         nv, nz = len(self.vehicles), len(self.zones)
         self.transitions: list[Transition] = []
-        self.streams: list[_Stream] = []
+        # live decoy streams by chaff id, in start order; a stream leaves
+        # when it ends
+        self.streams: dict[str, _Stream] = {}
         self.audit_violations: list[str] = []
         self.counters = {
             name: np.zeros((nv, self.nsec), dtype=np.int64)
@@ -640,6 +648,7 @@ class _Run:
             )
             self.zones.append(_ZoneRt(info, controller, chunk_count, payloads))
         self.zone_ids = [zs.zone_id for zs in zspecs]
+        self.controllers = {z.info.zone_id: z.controller for z in self.zones}
         self.zone_disks = [
             (zs.center_x_m, zs.center_y_m, zs.radius_m ** 2) for zs in zspecs
         ]
@@ -779,6 +788,18 @@ class _Run:
             self.zones[zone_j].info.rsu_entity if tx_vi < 0 else self.vehicles[tx_vi].vid,
             tx_vi, zone_j, poses, max(poses, default=-1), reason,
         )
+        if tx_vi >= 0:
+            # the accountability chain: the authority traces a relay's chaff
+            # id through the zone's assignment back to the relay
+            try:
+                owner = self.ca.resolve_chaff(plan.chaff.id, self.controllers)
+            except NeverAssigned:
+                owner = None
+            if owner != s.transmitter:
+                self.audit_violations.append(
+                    f"relay {s.transmitter} sent chaff {chaff_hex} that "
+                    f"resolves to {owner} at t={now}"
+                )
         self.emit({
             "type": "decoy_start", "t": now, "zone": plan.zone_id,
             "chaff": chaff_hex, "source": plan.source,
@@ -786,17 +807,15 @@ class _Run:
             "start_time": round(plan.start_time_s, 4),
             "speed": round(plan.speed_mps, 3), "tx": s.transmitter,
         })
+        self.streams[chaff_hex] = s
         if not poses:
             self._end_stream(s, now, reason)
             return None
-        self.streams.append(s)
         return s
 
     def _end_stream(self, s: _Stream, now: float, reason: str) -> None:
         """Stop s, unlink it from its relay and retire its chaff credential."""
-        if s.ended:
-            return
-        s.ended = True
+        del self.streams[s.chaff_hex]
         if s.tx_vi >= 0:
             self.vehicles[s.tx_vi].stream = None
         self.emit({
@@ -1047,18 +1066,9 @@ class _Run:
         log, counters = self.log, self.counters
         h_count = held.sum(axis=1)
         rank = held.cumsum(axis=1)
-        for s in self.streams:
-            if s.ended:
-                continue
+        for s in self.streams.values():
             pose = s.poses.get(t_ds)
             if pose is None:
-                continue
-            if self.ca.retired_at(s.plan.chaff.id) is not None:
-                self.emit({
-                    "type": "misbehavior", "t": now, "chaff": s.chaff_hex,
-                    "zone": s.plan.zone_id,
-                })
-                s.ended = True
                 continue
             if not self.ca.filter_for(s.plan.zone_id).contains(s.plan.chaff.id):
                 self.audit_violations.append(
@@ -1095,9 +1105,8 @@ class _Run:
                     counters["checks"][av[miss], sec] += h_count[miss]
                     counters["verifies"][av[miss], sec] += 1
 
-        for s in self.streams:
-            if not s.ended and t_ds >= s.last_ds:
-                self._end_stream(s, now, s.natural_reason)
+        for s in [s for s in self.streams.values() if t_ds >= s.last_ds]:
+            self._end_stream(s, now, s.natural_reason)
 
     def _peer_exchange(
         self, tk: _Tick, neighbor: np.ndarray, in_range: np.ndarray,
@@ -1173,14 +1182,12 @@ class _Run:
 
     def finish(self) -> RunResult:
         final_now = ((self.nticks - 1) * self.tick_ds) / 10.0
-        for s in self.streams:
+        for s in self.streams.values():
             # the clock stopped mid-stream; no retire message was ever sent
-            if not s.ended:
-                s.ended = True
-                self.emit({
-                    "type": "decoy_end", "t": final_now, "zone": s.plan.zone_id,
-                    "chaff": s.chaff_hex, "reason": "run_end",
-                })
+            self.emit({
+                "type": "decoy_end", "t": final_now, "zone": s.plan.zone_id,
+                "chaff": s.chaff_hex, "reason": "run_end",
+            })
 
         for z in self.zones:
             for t, kind, detail in z.controller.events:
@@ -1247,22 +1254,27 @@ def audit_observability(result: RunResult) -> list[str]:
 
 def audit_single_pseudonym(result: RunResult) -> list[str]:
     """Per instant: one real pseudonym per vehicle, at most one chaff id per
-    relay."""
-    bad: list[str] = []
-    real: dict[tuple[str, float], set[str]] = {}
-    chaff: dict[tuple[str, float], set[str]] = {}
+    relay. Real findings come first, then chaff ones, each in (transmitter
+    id, time) order."""
     b = result.log.beacons
-    for tx, t, is_chaff, pid in zip(
-        b.tx.tolist(), b.t.tolist(), b.chaff.tolist(), b.pseudonym.tolist()
-    ):
-        bucket = chaff if is_chaff else real
-        bucket.setdefault((b.names[tx], t), set()).add(b.names[pid])
-    for (tx, t), pids in sorted(real.items()):
-        if len(pids) > 1:
-            bad.append(f"{tx} emitted {len(pids)} real pseudonyms at t={t}")
-    for (tx, t), pids in sorted(chaff.items()):
-        if not tx.startswith("rsu:") and len(pids) > 1:
-            bad.append(f"relay {tx} emitted {len(pids)} chaff ids at t={t}")
+    tx_rank = name_ranks(b.names)[b.tx]
+    order = np.lexsort((b.pseudonym, b.t, tx_rank, b.chaff))
+    chaff, tx, t, pid = b.chaff[order], tx_rank[order], b.t[order], b.pseudonym[order]
+    # a group is one (chaff, transmitter, instant); runs of equal pseudonyms
+    # within it count once
+    new_group = np.ones(order.size, dtype=bool)
+    new_group[1:] = (chaff[1:] != chaff[:-1]) | (tx[1:] != tx[:-1]) | (t[1:] != t[:-1])
+    new_pid = new_group.copy()
+    new_pid[1:] |= pid[1:] != pid[:-1]
+    distinct = np.bincount(np.cumsum(new_group) - 1, weights=new_pid).astype(np.int64)
+    dup = distinct > 1
+    bad: list[str] = []
+    for i, n in zip(order[new_group][dup].tolist(), distinct[dup].tolist()):
+        name, when = b.names[b.tx[i]], b.t[i].item()
+        if not b.chaff[i]:
+            bad.append(f"{name} emitted {n} real pseudonyms at t={when}")
+        elif not name.startswith("rsu:"):
+            bad.append(f"relay {name} emitted {n} chaff ids at t={when}")
     return bad
 
 

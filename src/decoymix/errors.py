@@ -14,6 +14,10 @@ class ConfigError(DecoymixError):
     """Scenario or manifest validation failed."""
 
 
+class AuditFailure(DecoymixError):
+    """A run broke one of the invariants its audits check."""
+
+
 # crypto envelopes
 
 class SigningWithExpiredCredential(DecoymixError):

@@ -247,6 +247,14 @@ def round_array(values, digits: int) -> np.ndarray:
     return out
 
 
+def name_ranks(names: Sequence[str]) -> np.ndarray:
+    """Each string-table index's position in the sorted strings, so that
+    comparing ranks compares the strings."""
+    rank = np.empty(len(names), dtype=np.int64)
+    rank[sorted(range(len(names)), key=names.__getitem__)] = np.arange(len(names))
+    return rank
+
+
 def _event_entity(e: dict) -> str:
     """The entity a record is ordered by after its time."""
     return e.get("tx") or e.get("entity") or e.get("vehicle") or e.get("zone") or ""
@@ -351,10 +359,7 @@ class EventLogBuilder:
         n_pro, n_bea, n_rec = len(self.protocol), cols["t"].size, vi.size
 
         entity = [self.name(_event_entity(e)) for e in self.protocol]
-        rank = np.empty(len(self.names), dtype=np.int64)
-        rank[sorted(range(len(self.names)), key=self.names.__getitem__)] = (
-            np.arange(len(self.names))
-        )
+        rank = name_ranks(self.names)
         t = np.concatenate([
             np.array([e["t"] for e in self.protocol], dtype=np.float64),
             cols["t"], rec_t,

@@ -284,12 +284,6 @@ class OverheadReport:
     verifies: dict[str, dict[int, int]] = field(default_factory=dict)
     checks: dict[str, dict[int, int]] = field(default_factory=dict)
 
-    def ms_by_entity_second(self) -> dict[str, dict[int, float]]:
-        entities = sorted(
-            set(self.signs) | set(self.verifies) | set(self.checks)
-        )
-        return {ent: self.ms_by_second(ent) for ent in entities}
-
     def ms_by_second(self, ent: str) -> dict[int, float]:
         """One entity's milliseconds per second, in second order."""
         sign_ms = RSU_SIGN_MS if _is_infrastructure(ent) else VEHICLE_SIGN_MS

@@ -39,18 +39,6 @@ DEFAULT_RSU_RANGE_M = 600.0
 EXIT_SPEED_HISTORY = 10
 
 
-@dataclass(frozen=True)
-class Advertisement:
-    center: tuple[float, float]
-    radius_m: float
-    timestamp_s: float
-
-
-def parse_advert(env: SignedEnvelope) -> Advertisement:
-    x, y, radius, ts = _ADVERT.unpack(env.payload)
-    return Advertisement((x, y), radius, ts)
-
-
 def make_join_payload(declared_length_m: float, timestamp_s: float) -> bytes:
     return _JOIN_REQUEST.pack(declared_length_m, timestamp_s)
 

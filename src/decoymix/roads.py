@@ -189,10 +189,6 @@ class RoadGraph:
         with open(path, "r", encoding="utf-8") as fh:
             return cls.from_json(fh.read())
 
-    def save(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(self.to_json())
-
     def snap(self, pos: Point, heading: float | None = None) -> tuple[str, float]:
         """Nearest (edge id, arc offset) within SNAP_TOLERANCE_M, else
         OffNetwork.
@@ -220,11 +216,9 @@ class RoadGraph:
             )
         return best[1], best[2]
 
-    def next_edges(self, eid: str, allow_u_turns: bool = False) -> list[str]:
+    def next_edges(self, eid: str) -> list[str]:
         e = self.edges[eid]
         out = self.out_edges.get(e.head, [])
-        if allow_u_turns:
-            return list(out)
         rev = self.reverse_of[eid]
         return [f for f in out if f not in rev]
 
@@ -318,7 +312,6 @@ def zone_from_center(
     g: RoadGraph,
     center: Point,
     radius: float,
-    allow_u_turns: bool = False,
 ) -> MixZoneGeometry:
     """Derive a zone's boundary points and internal path lengths from the
     graph. Internal paths run strictly through the disk from an entry
@@ -380,7 +373,7 @@ def zone_from_center(
             if eid in done:
                 continue
             done.add(eid)
-            for nxt in g.next_edges(eid, allow_u_turns):
+            for nxt in g.next_edges(eid):
                 if nxt not in zone_edges:
                     continue
                 exit_here = first_exit_after(nxt, -1.0)
@@ -439,7 +432,6 @@ def path_exists(
     from_pos: Point,
     to_pos: Point,
     via_zone: MixZoneGeometry,
-    allow_u_turns: bool = False,
     from_heading: float | None = None,
     to_heading: float | None = None,
 ) -> bool:
@@ -464,7 +456,7 @@ def path_exists(
     seen: set[tuple[str, bool]] = set()
     queue: deque[tuple[str, bool]] = deque(
         (nxt, start_touched or nxt in touches)
-        for nxt in g.next_edges(start_edge, allow_u_turns)
+        for nxt in g.next_edges(start_edge)
     )
     while queue:
         eid, touched = queue.popleft()
@@ -473,7 +465,7 @@ def path_exists(
         seen.add((eid, touched))
         if eid == goal_edge and (touched or eid in touches):
             return True
-        for nxt in g.next_edges(eid, allow_u_turns):
+        for nxt in g.next_edges(eid):
             queue.append((nxt, touched or nxt in touches))
     return False
 

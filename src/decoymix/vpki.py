@@ -9,7 +9,6 @@ at the RSU, so resolution queries the RSU directory rather than a local copy.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from typing import Mapping, Protocol
 
 from .chaff_filter import ChaffFilter, new_filter
@@ -32,13 +31,6 @@ class AssignmentSource(Protocol):
     def assigned_pseudonym(self, chaff_id: bytes) -> bytes | None: ...
 
 
-@dataclass(frozen=True)
-class RemovalRecord:
-    chaff_id: bytes
-    rsu_id: str
-    time_s: float
-
-
 class CredentialAuthority:
     """Issues pseudonyms and chaff, owns per-RSU filters, resolves identities."""
 
@@ -58,7 +50,6 @@ class CredentialAuthority:
         self._chaff_credentials: dict[bytes, Credential] = {}
         self._retired_at: dict[bytes, float] = {}
         self._filters: dict[str, ChaffFilter] = {}
-        self.removal_log: list[RemovalRecord] = []
 
     def register_vehicle(self, long_term_id: str) -> None:
         self._vehicles.add(long_term_id)
@@ -146,10 +137,6 @@ class CredentialAuthority:
         filt.remove(chaff_id)
         filt.epoch += 1
         self._retired_at[chaff_id] = now
-        self.removal_log.append(RemovalRecord(chaff_id, rsu_id, now))
-
-    def retired_at(self, chaff_id: bytes) -> float | None:
-        return self._retired_at.get(chaff_id)
 
     def resolve_chaff(
         self, chaff_id: bytes, rsus: Mapping[str, AssignmentSource]
@@ -165,26 +152,3 @@ class CredentialAuthority:
 
     def filter_for(self, rsu_id: str) -> ChaffFilter:
         return self._filters[rsu_id]
-
-    def chaff_sets_disjoint(self) -> bool:
-        """Exhaustive per-epoch invariant: one owner RSU per chaff id."""
-        seen: dict[bytes, str] = {}
-        for cid, rsu in self._chaff_rsu.items():
-            if cid in seen and seen[cid] != rsu:
-                return False
-            seen[cid] = rsu
-        # a second filter must never claim an id it was not provisioned
-        for rsu, filt in self._filters.items():
-            for cid, owner in self._chaff_rsu.items():
-                if owner != rsu and cid not in self._retired_at and filt.contains(cid):
-                    return False
-        return True
-
-    def active_chaff_covered(self) -> bool:
-        """Every unretired chaff id sits in exactly its own RSU's filter."""
-        for cid, rsu in self._chaff_rsu.items():
-            if cid in self._retired_at:
-                continue
-            if not self._filters[rsu].contains(cid):
-                return False
-        return True

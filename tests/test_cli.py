@@ -185,6 +185,26 @@ def test_run_bad_sweep_axis_exits_2(tmp_path):
     assert rc == 2
 
 
+def test_run_audit_finding_exits_4_after_writing_the_cell(tmp_path, capsys,
+                                                         monkeypatch):
+    monkeypatch.setattr(
+        "decoymix.engine.audit_ground_truth", lambda result: ["injected finding"]
+    )
+    scenario = small_scenario(tmp_path, vehicles=3, duration=60.0)
+    out = tmp_path / "runs"
+    capsys.readouterr()
+    rc = main(["run", "--scenario", str(scenario), "--seeds", "1",
+               "--out", str(out)])
+    assert rc == 4
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "injected finding" in err
+    d = out / "base" / "seed1"
+    for name in ("events.jsonl", "observations.csv", "candidate_sets.jsonl",
+                 "linkability.csv", "overhead.csv"):
+        assert (d / name).exists(), name
+    assert not (out / "summary.csv").exists()
+
+
 @pytest.mark.parametrize("path, value", [
     (("duration_s",), "60"),
     (("relay_fraction",), None),

@@ -3,7 +3,10 @@ from __future__ import annotations
 import io
 import json
 import random
+from dataclasses import replace
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 from decoymix.core import Credential, CredentialKind, sign
@@ -24,7 +27,7 @@ from decoymix.engine import (
     run,
 )
 from decoymix.errors import ConfigError, NoResponder
-from decoymix.mixzone import DecoyPlan
+from decoymix.mixzone import DecoyPlan, MixZoneController
 from decoymix.mobility import Trip
 from decoymix.roads import make_grid
 
@@ -88,7 +91,7 @@ def test_config_rejects_empty_zones(grid4):
 
 
 def test_config_from_file_round_trip(grid4, tmp_path):
-    grid4.save(tmp_path / "net.json")
+    (tmp_path / "net.json").write_text(grid4.to_json(), encoding="utf-8")
     doc = {
         "graph_file": "net.json",
         "traffic": {"n_vehicles": 5, "arrival_rate_per_s": 0.5},
@@ -113,7 +116,7 @@ def test_config_from_file_round_trip(grid4, tmp_path):
 
 
 def test_config_from_file_rejects_unknown_keys(grid4, tmp_path):
-    grid4.save(tmp_path / "net.json")
+    (tmp_path / "net.json").write_text(grid4.to_json(), encoding="utf-8")
     doc = {
         "graph_file": "net.json",
         "traffic": {"n_vehicles": 1},
@@ -460,6 +463,86 @@ def test_audits_pass_on_mixed_scenario(grid4):
     assert audit_observability(res) == []
     assert audit_single_pseudonym(res) == []
     assert audit_ground_truth(res) == []
+
+
+def _audit_single_pseudonym_reference(result) -> list[str]:
+    """audit_single_pseudonym as a dict of pseudonym sets per (transmitter,
+    instant): the reference for the vectorized version."""
+    bad: list[str] = []
+    real: dict[tuple[str, float], set[str]] = {}
+    chaff: dict[tuple[str, float], set[str]] = {}
+    b = result.log.beacons
+    for tx, t, is_chaff, pid in zip(
+        b.tx.tolist(), b.t.tolist(), b.chaff.tolist(), b.pseudonym.tolist()
+    ):
+        bucket = chaff if is_chaff else real
+        bucket.setdefault((b.names[tx], t), set()).add(b.names[pid])
+    for (tx, t), pids in sorted(real.items()):
+        if len(pids) > 1:
+            bad.append(f"{tx} emitted {len(pids)} real pseudonyms at t={t}")
+    for (tx, t), pids in sorted(chaff.items()):
+        if not tx.startswith("rsu:") and len(pids) > 1:
+            bad.append(f"relay {tx} emitted {len(pids)} chaff ids at t={t}")
+    return bad
+
+
+def test_single_pseudonym_audit_matches_reference_on_injected_duplicates(grid4):
+    res = run(mixed_config(grid4))
+    b = res.log.beacons
+    is_rsu = np.array([b.names[i].startswith("rsu:") for i in b.tx.tolist()])
+    real = np.flatnonzero(~b.chaff)
+    relay = np.flatnonzero(b.chaff & ~is_rsu)
+    rsu = np.flatnonzero(b.chaff & is_rsu)
+    # a second real pseudonym for one vehicle late in the run, then a second
+    # chaff id for one relay and one RSU earlier on, appended out of order
+    rows = np.array([real[-1], relay[0], rsu[0]])
+    extra_ids = [b.pseudonym[real[0]], b.pseudonym[rsu[0]], b.pseudonym[relay[0]]]
+    assert b.tx[real[-1]] != b.tx[real[0]] and b.t[relay[0]] < b.t[real[-1]]
+    columns = {
+        name: np.concatenate([getattr(b, name), getattr(b, name)[rows]])
+        for name in ("t", "tx", "pseudonym", "link", "x", "y", "speed",
+                     "heading", "length", "chaff", "zone", "observers")
+    }
+    columns["pseudonym"][-3:] = extra_ids
+    injected = replace(res, log=replace(res.log, beacons=replace(b, **columns)))
+
+    expected = _audit_single_pseudonym_reference(injected)
+    assert len(expected) == 2  # the RSU's two chaff ids are no finding
+    assert "real pseudonyms" in expected[0] and "chaff ids" in expected[1]
+    assert audit_single_pseudonym(injected) == expected
+    assert audit_single_pseudonym(res) == _audit_single_pseudonym_reference(res) == []
+
+
+def test_single_pseudonym_audit_matches_reference_on_random_columns():
+    rng = np.random.default_rng(7)
+    names = [f"rsu:z-{i}" for i in range(2)] + [f"veh-{i}" for i in range(6)]
+    names += [f"id-{i}" for i in range(5)]
+    rng.shuffle(names)  # string-table order is not name order
+    n = 600
+    beacons = SimpleNamespace(
+        names=names,
+        t=rng.integers(0, 8, n) / 2.0,
+        tx=rng.choice([i for i, s in enumerate(names) if not s.startswith("id-")], n),
+        pseudonym=rng.choice([i for i, s in enumerate(names) if s.startswith("id-")], n),
+        chaff=rng.random(n) < 0.5,
+    )
+    result = SimpleNamespace(log=SimpleNamespace(beacons=beacons))
+    expected = _audit_single_pseudonym_reference(result)
+    assert len(expected) > 10
+    assert audit_single_pseudonym(result) == expected
+
+
+def test_relay_chaff_that_resolves_to_no_vehicle_is_a_violation(grid4, monkeypatch):
+    monkeypatch.setattr(
+        MixZoneController, "assigned_pseudonym", lambda self, chaff_id: None
+    )
+    res = run(one_zone_config(grid4, relay_fraction=1.0))
+    start = next(e for e in res.events if e["type"] == "decoy_start")
+    assert start["source"] == "relay"
+    assert res.audit_violations == [
+        f"relay veh-000 sent chaff {start['chaff']} that resolves to None "
+        f"at t={start['t']}"
+    ]
 
 
 def test_relay_stream_ends_at_next_zone_entry(grid4):

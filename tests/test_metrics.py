@@ -286,7 +286,7 @@ def test_overhead_single_membership_check():
          "peer_unanswered": 0},
     ]
     rep = overhead(events, 10.0)
-    ms = rep.ms_by_entity_second()["veh-a"]
+    ms = rep.ms_by_second("veh-a")
     assert ms == {3: pytest.approx(MEMBERSHIP_CHECK_MS, abs=1e-20)}
     assert rep.total_bytes("veh-a") == 0  # receptions cost no airtime
 
@@ -303,10 +303,10 @@ def test_overhead_join_legs_and_retire():
     rep = overhead(events, 10.0)
     assert rep.total_bytes("veh-a") == 156
     assert rep.total_bytes("rsu:z-a") == 506 + 156
-    ms = rep.ms_by_entity_second()
-    assert ms["veh-a"] == {1: pytest.approx(3.0 + 3.5)}  # sign req, verify resp
-    assert ms["rsu:z-a"] == {1: pytest.approx(0.4 + 0.3), 5: pytest.approx(0.3)}
-    assert ms["pca"] == {5: pytest.approx(0.4)}
+    ms = rep.ms_by_second
+    assert ms("veh-a") == {1: pytest.approx(3.0 + 3.5)}  # sign req, verify resp
+    assert ms("rsu:z-a") == {1: pytest.approx(0.4 + 0.3), 5: pytest.approx(0.3)}
+    assert ms("pca") == {5: pytest.approx(0.4)}
 
 
 def test_overhead_peer_queries_bill_the_requester():
@@ -318,7 +318,7 @@ def test_overhead_peer_queries_bill_the_requester():
     ]
     rep = overhead(events, 10.0)
     assert rep.total_bytes("veh-b") == 2 * 156
-    assert rep.ms_by_entity_second()["veh-b"] == {7: pytest.approx(6.0)}
+    assert rep.ms_by_second("veh-b") == {7: pytest.approx(6.0)}
 
 
 def test_overhead_filter_delivery_verification():
@@ -329,7 +329,7 @@ def test_overhead_filter_delivery_verification():
          "zone": "z-b", "epoch": 0, "via": "peer", "latency_s": None},
     ]
     rep = overhead(events, 10.0)
-    ms = rep.ms_by_entity_second()["veh-a"]
+    ms = rep.ms_by_second("veh-a")
     assert ms == {2: pytest.approx(3.5), 4: pytest.approx(3.5)}
 
 
@@ -338,7 +338,11 @@ def test_overhead_recompute_is_bit_identical():
     a = overhead(res.events, res.config.duration_s)
     b = overhead(res.events, res.config.duration_s)
     assert a.to_json() == b.to_json()
-    assert a.ms_by_entity_second() == b.ms_by_entity_second()
+    entities = sorted(set(a.signs) | set(a.verifies) | set(a.checks))
+    assert entities
+    assert [a.ms_by_second(e) for e in entities] == [
+        b.ms_by_second(e) for e in entities
+    ]
     buf_a, buf_b = io.StringIO(), io.StringIO()
     write_overhead_csv(a, buf_a)
     write_overhead_csv(b, buf_b)

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import struct
 
 import pytest
 
@@ -10,7 +11,6 @@ from decoymix.mixzone import (
     ADVERT_PAYLOAD_BYTES,
     MixZoneController,
     make_join_payload,
-    parse_advert,
 )
 from decoymix.roads import traverse_time_bounds
 
@@ -61,9 +61,10 @@ def test_advertises_on_interval_and_suppresses_between(grid4, zone_j1_1):
     assert len(advert.payload) == ADVERT_PAYLOAD_BYTES == 24
     assert verify(advert, ctrl.rsu_credential)
     assert not verify(advert, _cred(1234, CredentialKind.LONG_TERM))
-    parsed = parse_advert(advert)
-    assert parsed.center == zone_j1_1.center
-    assert parsed.radius_m == pytest.approx(zone_j1_1.radius)
+    # payload: center x, center y as doubles; radius, timestamp as f32
+    x, y, radius, _ = struct.unpack("<ddff", advert.payload)
+    assert (x, y) == zone_j1_1.center
+    assert radius == pytest.approx(zone_j1_1.radius)
 
 
 def test_join_baseline_serves_key_and_filters_without_chaff(grid4, zone_j1_1):

@@ -70,7 +70,7 @@ def test_grid_shape(grid4):
 
 def test_json_round_trip(grid4, tmp_path):
     path = tmp_path / "g.json"
-    grid4.save(path)
+    path.write_text(grid4.to_json(), encoding="utf-8")
     again = RoadGraph.load(path)
     assert again.to_json() == grid4.to_json()
     assert set(again.edges) == set(grid4.edges)
@@ -226,8 +226,6 @@ def test_zone_internal_paths_grid(zone_j1_1):
 def test_zone_internal_paths_exclude_u_turns(grid4, zone_j1_1):
     for e_in, e_out in zone_j1_1.internal_paths:
         assert e_out not in grid4.reverse_of[e_in]
-    with_u = zone_from_center(grid4, (500.0, 500.0), 100.0, allow_u_turns=True)
-    assert len(with_u.internal_paths) == 16
 
 
 def test_internal_path_at_least_straight_line(zone_j1_1):
@@ -349,15 +347,6 @@ def test_t_junction_u_turn_blocked():
     # enter on the stem, try to exit on the stem's opposite lane
     assert not path_exists(
         g, (0.0, -150.0), (0.0, -150.0), z, from_heading=north, to_heading=south
-    )
-    assert path_exists(
-        g,
-        (0.0, -150.0),
-        (0.0, -150.0),
-        z,
-        allow_u_turns=True,
-        from_heading=north,
-        to_heading=south,
     )
     # the two legitimate turns stay reachable
     assert path_exists(
