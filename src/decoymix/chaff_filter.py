@@ -131,12 +131,12 @@ class ChaffFilter:
 
     # fingerprint and bucket derivation
 
-    def _fingerprint(self, cred_id: bytes) -> int:
-        fp = _id_hash(cred_id) & self._fp_mask
-        return fp if fp != 0 else 1  # zero marks an empty slot on the wire
-
-    def _primary_index(self, cred_id: bytes) -> int:
-        return _mix64(_id_hash(cred_id) ^ 0xC2B2AE3D27D4EB4F) & self._index_mask
+    def _locate(self, cred_id: bytes) -> tuple[int, int]:
+        """(fingerprint, primary bucket index), both from one hash of the id."""
+        h = _id_hash(cred_id)
+        fp = h & self._fp_mask
+        # zero marks an empty slot on the wire
+        return fp or 1, _mix64(h ^ 0xC2B2AE3D27D4EB4F) & self._index_mask
 
     def _alt_index(self, index: int, fp: int) -> int:
         return index ^ (_mix64(fp * 0x5BD1E995) & self._index_mask)
@@ -144,15 +144,13 @@ class ChaffFilter:
     # operations
 
     def contains(self, cred_id: bytes) -> bool:
-        fp = self._fingerprint(cred_id)
-        i1 = self._primary_index(cred_id)
+        fp, i1 = self._locate(cred_id)
         if fp in self._buckets[i1]:
             return True
         return fp in self._buckets[self._alt_index(i1, fp)]
 
     def insert(self, cred_id: bytes) -> None:
-        fp = self._fingerprint(cred_id)
-        i1 = self._primary_index(cred_id)
+        fp, i1 = self._locate(cred_id)
         i2 = self._alt_index(i1, fp)
         for idx in (i1, i2):
             if len(self._buckets[idx]) < self.bucket_capacity:
@@ -180,8 +178,7 @@ class ChaffFilter:
         )
 
     def remove(self, cred_id: bytes) -> None:
-        fp = self._fingerprint(cred_id)
-        i1 = self._primary_index(cred_id)
+        fp, i1 = self._locate(cred_id)
         for idx in (i1, self._alt_index(i1, fp)):
             bucket = self._buckets[idx]
             if fp in bucket:

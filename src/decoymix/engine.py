@@ -8,6 +8,7 @@ decoy streams without reshuffling the ones already present.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import json
 import math
@@ -441,9 +442,7 @@ class _Stream:
 class _VehicleRt:
     vid: str
     trip: Trip
-    t0_ds: int
     end_ds: int
-    edges: list[str]
     non_coop: bool
     pool: list[Credential]
     active: Credential
@@ -455,13 +454,12 @@ class _VehicleRt:
 
 class _Tick(NamedTuple):
     """What every phase of one tick reads: the clock and the active vehicles
-    (rows av, in vehicle-id order) with their positions and zones."""
+    (av, in vehicle-id order) with their pose rows, positions and zones."""
 
-    k: int
     t_ds: int
     now: float
-    sec: int
     av: np.ndarray
+    rows: np.ndarray
     xs: np.ndarray
     ys: np.ndarray
     cur_zone: np.ndarray
@@ -556,7 +554,8 @@ class _Run:
         # interval does not divide the others
         self.tick_ds = math.gcd(math.gcd(self.gv_ds, self.gmz_ds), self.fi_ds)
         self.nticks = self.dur_ds // self.tick_ds + 1
-        self.nsec = int(config.duration_s) + 1
+        # the clock's last second; it takes the counts of any later instant
+        self.last_sec = int(config.duration_s)
         self.radio2 = config.vehicle_radio_range_m ** 2
         self.rsu_r2 = config.rsu_range_m ** 2
         # decoys on at all iff some relay probability exists; the sparse RSU rule
@@ -571,10 +570,10 @@ class _Run:
         # when it ends
         self.streams: dict[str, _Stream] = {}
         self.audit_violations: list[str] = []
-        self.counters = {
-            name: np.zeros((nv, self.nsec), dtype=np.int64)
-            for name in RECEPTION_COUNTERS
-        }
+        # one row per name in RECEPTION_COUNTERS, one column per slot
+        self.counters = np.zeros(
+            (len(RECEPTION_COUNTERS), int(self.seconds.sum())), dtype=np.int64
+        )
         self.held_ep = np.full((nv, nz), -1, dtype=np.int64)
         self.pending = np.zeros((nv, nz), dtype=bool)
         self.due_m = np.zeros((nv, nz), dtype=np.int64)
@@ -673,72 +672,78 @@ class _Run:
         self.emit = self.log.event
 
     def _precompute_poses(self, trips: Sequence[Trip]) -> None:
-        """Every vehicle's pose and zone on the tick lattice, as dense
-        vehicle x tick matrices, and its pseudonym pool."""
+        """Every vehicle's pose, zone and edge on the tick lattice, and its
+        pseudonym pool.
+
+        The poses are stored by vehicle span: the rows of X, Y, SPD, HDG,
+        ZIDX and EDGE hold each vehicle's samples from its first tick to its
+        last, vehicles in id order, so vehicle i's pose at tick k is row
+        pose_row[i] + k. Its reception counters take one slot per second it
+        is on the road, seconds first_sec[i] to first_sec[i] + seconds[i] - 1,
+        laid out the same way: second sec is slot slot_row[i] + sec."""
         config, seed, ca = self.config, self.seed, self.ca
         tick_ds, dur_ds = self.tick_ds, self.dur_ds
-        self.vehicles: list[_VehicleRt] = []
-        sample_rows: list[tuple[int, np.ndarray, np.ndarray, np.ndarray, np.ndarray]] = []
+        kept = []
         for trip in sorted(trips, key=lambda t: t.vehicle_id):
             samples = trip_samples_with_edges(config.graph, trip, tick_ds / 10.0)
-            samples = [sw for sw in samples if round(sw[0].time_s * 10) <= dur_ds]
-            if not samples:
+            if not len(samples):
                 continue
-            vid = trip.vehicle_id
-            t0_ds = round(samples[0][0].time_s * 10)
-            last_sample_ds = t0_ds + (len(samples) - 1) * tick_ds
-            # a trip still running when the clock stops never despawns in-run
-            end_ds = last_sample_ds if last_sample_ds < dur_ds else dur_ds
-            xs = np.array([s.x for s, _ in samples])
-            ys = np.array([s.y for s, _ in samples])
-            spd = np.array([s.speed_mps for s, _ in samples])
-            hdg = np.array([s.heading_rad for s, _ in samples])
-            edges = [eid for _, eid in samples]
+            t0_ds = round(float(samples.t[0]) * 10)
+            # the samples up to the clock's last tick
+            n = min(len(samples), (dur_ds - t0_ds) // tick_ds + 1)
+            if n > 0:
+                kept.append((trip, samples, t0_ds, n))
 
-            # zone visits are trajectory-only, so pool sizes stay identical
-            # across relay/non-coop sweeps on the same seed
-            xp = round_array(xs, 3)
-            yp = round_array(ys, 3)
-            d2 = (
-                (xp[:, None] - self.zcx[None, :]) ** 2
-                + (yp[:, None] - self.zcy[None, :]) ** 2
+        counts = np.array([n for *_, n in kept], dtype=np.int64)
+        ends = np.cumsum(counts)
+        starts = ends - counts
+        self.t0s = np.array([t0_ds for _, _, t0_ds, _ in kept], dtype=np.int64)
+        self.tends = self.t0s + (counts - 1) * tick_ds
+        self.pose_row = starts - self.t0s // tick_ds
+        self.first_sec = np.minimum(self.t0s // 10, self.last_sec)
+        self.seconds = np.minimum(self.tends // 10, self.last_sec) - self.first_sec + 1
+        self.slot_row = np.cumsum(self.seconds) - self.seconds - self.first_sec
+
+        def column(name: str, dtype=np.float64) -> np.ndarray:
+            if not kept:
+                return np.empty(0, dtype)
+            return np.concatenate(
+                [getattr(samples, name)[:n] for _, samples, _, n in kept], dtype=dtype
             )
-            inside = d2 <= self.zr2[None, :]
-            zseq = np.where(inside.any(axis=1), inside.argmax(axis=1), -1)
-            prev = np.concatenate(([-1], zseq[:-1]))
-            visits = int(((zseq != -1) & (zseq != prev)).sum())
 
+        self.X, self.Y = column("x"), column("y")
+        self.SPD, self.HDG = column("speed"), column("heading")
+        self.EDGE = column("edge", np.int32)
+        # zone visits are trajectory-only, so pool sizes stay identical
+        # across relay/non-coop sweeps on the same seed
+        xp = round_array(self.X, 3)
+        yp = round_array(self.Y, 3)
+        d2 = (
+            (xp[:, None] - self.zcx[None, :]) ** 2
+            + (yp[:, None] - self.zcy[None, :]) ** 2
+        )
+        inside = d2 <= self.zr2[None, :]
+        self.ZIDX = np.where(inside.any(axis=1), inside.argmax(axis=1), -1)
+        prev = np.roll(self.ZIDX, 1)
+        prev[starts] = -1
+        entries = np.cumsum((self.ZIDX != -1) & (self.ZIDX != prev))
+        entered = np.concatenate(([0], entries))
+        visits = (entered[ends] - entered[starts]).tolist()
+
+        self.vehicles: list[_VehicleRt] = []
+        for (trip, *_), end_ds, n_visits in zip(kept, self.tends.tolist(), visits):
+            vid = trip.vehicle_id
             ca.register_vehicle(vid)
-            pool = ca.issue_pseudonyms(vid, visits + 1, 0.0, config.duration_s + 1.0)
+            pool = ca.issue_pseudonyms(vid, n_visits + 1, 0.0, config.duration_s + 1.0)
             non_coop = (
                 random.Random(stable_u64(seed, "noncoop", vid)).random()
                 < config.non_coop_fraction
             )
             self.vehicles.append(
-                _VehicleRt(vid, trip, t0_ds, end_ds, edges, non_coop, pool, pool[0])
+                _VehicleRt(vid, trip, end_ds, non_coop, pool, pool[0])
             )
-            sample_rows.append((t0_ds, xs, ys, spd, hdg, zseq))
-
         vehicles = self.vehicles
-        nv, nticks = len(vehicles), self.nticks
-        self.t0s = np.array([v.t0_ds for v in vehicles], dtype=np.int64)
-        self.tends = np.array([v.end_ds for v in vehicles], dtype=np.int64)
         self.lengths = np.array([v.trip.length_m for v in vehicles])
-        # NaN marks "not on the road"
-        self.X = np.full((nv, nticks), np.nan)
-        self.Y = np.full((nv, nticks), np.nan)
-        self.SPD = np.zeros((nv, nticks))
-        self.HDG = np.zeros((nv, nticks))
-        self.ZIDX = np.full((nv, nticks), -1, dtype=np.int64)
-        for i, (t0_ds, xs, ys, spd, hdg, zseq) in enumerate(sample_rows):
-            k0 = t0_ds // tick_ds
-            k1 = min(k0 + len(xs), nticks)
-            m = k1 - k0
-            self.X[i, k0:k1] = xs[:m]
-            self.Y[i, k0:k1] = ys[:m]
-            self.SPD[i, k0:k1] = spd[:m]
-            self.HDG[i, k0:k1] = hdg[:m]
-            self.ZIDX[i, k0:k1] = zseq[:m]
 
         # string-table indices of each vehicle's id, active pseudonym and link
         name = self.log.name
@@ -753,12 +758,10 @@ class _Run:
 
     # ------------------------------------------------------------ helpers
 
-    def _epochs(self) -> np.ndarray:
-        return np.array(
-            [self.ca.filter_for(zid).epoch for zid in self.zone_ids], dtype=np.int64
-        )
-
     def _snapshot_filters(self, now: float) -> None:
+        """Sign each zone filter at its current epoch, once per epoch, and
+        note the epochs in cur_ep. Only provisioning and retiring chaff
+        move an epoch, and every retire is followed by this call."""
         for j, zid in enumerate(self.zone_ids):
             filt = self.ca.filter_for(zid)
             if filt.epoch not in self.filter_snaps[j]:
@@ -766,6 +769,9 @@ class _Run:
                 self.filter_snaps[j][filt.epoch] = (
                     blob, sign(blob, self.pca_cred, now=now)
                 )
+        self.cur_ep = np.array(
+            [self.ca.filter_for(zid).epoch for zid in self.zone_ids], dtype=np.int64
+        )
 
     def _start_stream(
         self, plan: DecoyPlan, tx_vi: int, reference_hex: str, horizon_ds: int,
@@ -841,7 +847,7 @@ class _Run:
         if v.stream is not None:
             self._end_stream(v.stream, now, "transmitter_zone_entry")
         request = sign(make_join_payload(v.trip.length_m, now), v.active, now=now)
-        cur_ep = self._epochs().tolist()
+        cur_ep = self.cur_ep.tolist()
         filters = tuple(
             (zid, ep, snaps[ep][0])
             for zid, ep, snaps in zip(self.zone_ids, cur_ep, self.filter_snaps)
@@ -929,46 +935,54 @@ class _Run:
     def step(self, k: int) -> None:
         t_ds = k * self.tick_ds
         now = t_ds / 10.0
-        av = np.flatnonzero((self.t0s <= t_ds) & (self.tends >= t_ds))
-        tk = _Tick(
-            k, t_ds, now, min(int(now), self.nsec - 1), av,
-            self.X[av, k], self.Y[av, k], self.ZIDX[av, k],
-        )
+        av = ((self.t0s <= t_ds) & (self.tends >= t_ds)).nonzero()[0]
+        rows = self.pose_row[av] + k
+        tk = _Tick(t_ds, now, av, rows, self.X[rows], self.Y[rows], self.ZIDX[rows])
         self._zone_transitions(tk)
-        in_range, cur_ep = self._rsu_range_and_chunks(tk)
+        # the epochs as this tick's RSU phase saw them; decoy streams that
+        # end this tick retire chaff and move them on
+        cur_ep = self.cur_ep
+        near = self._rsu_range_and_chunks(tk)
         if t_ds % self.gv_ds == 0 and (av.size or self.streams):
-            held = self.held_ep[av] >= 0
-            neighbor = self._beacons(tk, held)
-            self._decoys(tk, held)
-            self._peer_exchange(tk, neighbor, in_range, cur_ep)
+            held_ep = self.held_ep[av]
+            held = held_ep >= 0
+            # this tick's reception counts of the active vehicles, a row per
+            # counter, added to their slots for this second at the end
+            received = np.zeros((len(RECEPTION_COUNTERS), av.size), dtype=np.int64)
+            counts = dict(zip(RECEPTION_COUNTERS, received))
+            neighbor = self._beacons(tk, held, counts)
+            self._decoys(tk, held, counts)
+            self._peer_exchange(tk, neighbor, near, held_ep, cur_ep, counts)
+            slots = self.slot_row[av] + min(t_ds // 10, self.last_sec)
+            self.counters[:, slots] += received
         self._despawns(tk)
 
     def _zone_transitions(self, tk: _Tick) -> None:
         """Zone exits and entries, in vehicle-id order."""
-        for ii in np.flatnonzero(tk.cur_zone != self.inside[tk.av]).tolist():
+        for ii in (tk.cur_zone != self.inside[tk.av]).nonzero()[0].tolist():
             vi = int(tk.av[ii])
             new_j = int(tk.cur_zone[ii])
             if self.inside[vi] >= 0:
-                v = self.vehicles[vi]
-                edge_id = v.edges[(tk.t_ds - v.t0_ds) // self.tick_ds]
-                self._exit_zone(vi, tk.now, edge_id, float(self.SPD[vi, tk.k]))
+                row = int(tk.rows[ii])
+                edge_id = self.vehicles[vi].trip.edge_ids[self.EDGE[row]]
+                self._exit_zone(vi, tk.now, edge_id, float(self.SPD[row]))
             if new_j >= 0:
                 self._enter_zone(vi, new_j, tk.now, (float(tk.xs[ii]), float(tk.ys[ii])))
             self.inside[vi] = new_j
 
-    def _rsu_range_and_chunks(self, tk: _Tick) -> tuple[np.ndarray, np.ndarray]:
+    def _rsu_range_and_chunks(self, tk: _Tick) -> np.ndarray:
         """RSU range, adverts, chunk broadcasts and chunk deliveries; returns
-        who is in range of which RSU and each zone's filter epoch."""
-        t_ds, now = tk.t_ds, tk.now
-        d2z = (
+        which RSUs each active vehicle is in range of."""
+        t_ds, now, cur_ep = tk.t_ds, tk.now, self.cur_ep
+        near = (
             (tk.xs[:, None] - self.zcx[None, :]) ** 2
             + (tk.ys[:, None] - self.zcy[None, :]) ** 2
-        )
+        ) <= self.rsu_r2
         in_range = np.zeros_like(self.in_range_prev)
-        in_range[tk.av] = d2z <= self.rsu_r2
-        self.pending[self.in_range_prev & ~in_range] = False
+        in_range[tk.av] = near
+        # leaving range drops a collection in progress
+        self.pending &= in_range | ~self.in_range_prev
         self.in_range_prev = in_range
-        cur_ep = self._epochs()
 
         if t_ds % self.gmz_ds == 0:
             fresh = in_range & ~self.adv_seen
@@ -979,7 +993,8 @@ class _Run:
                     "type": "advert", "t": now, "tx": z.info.rsu_entity,
                     "zone": z.info.zone_id, "bytes": ADVERT_WIRE_BYTES,
                     "first_verifiers": [
-                        self.vehicles[vi].vid for vi in np.flatnonzero(fresh[:, j])
+                        self.vehicles[vi].vid
+                        for vi in fresh[:, j].nonzero()[0].tolist()
                     ],
                 })
             self.adv_seen |= fresh
@@ -1004,7 +1019,7 @@ class _Run:
             self.arr_m[need] = t_ds
             self.pending[need] = True
         deliver = self.pending & (self.due_m == t_ds) & in_range
-        for vi, j in np.argwhere(deliver).tolist():
+        for vi, j in zip(*(a.tolist() for a in deliver.nonzero())):
             ep = int(cur_ep[j])
             self.held_ep[vi, j] = ep
             self.pending[vi, j] = False
@@ -1014,31 +1029,32 @@ class _Run:
                 "epoch": ep, "via": "rsu",
                 "latency_s": (t_ds - int(self.arr_m[vi, j])) / 10.0,
             })
-        return in_range, cur_ep
+        return near
 
-    def _beacons(self, tk: _Tick, held: np.ndarray) -> np.ndarray:
+    def _beacons(
+        self, tk: _Tick, held: np.ndarray, counts: dict[str, np.ndarray]
+    ) -> np.ndarray:
         """Vehicle beacons and what they cost their receivers; returns the
         neighbour matrix of the active vehicles."""
-        av, xs, ys, k, sec = tk.av, tk.xs, tk.ys, tk.k, tk.sec
-        pos = np.stack([xs, ys], axis=1)
-        d2p = ((pos[:, None, :] - pos[None, :, :]) ** 2).sum(-1)
-        np.fill_diagonal(d2p, np.inf)
-        neighbor = d2p <= self.radio2
+        av, xs, ys = tk.av, tk.xs, tk.ys
+        dx = xs[:, None] - xs[None, :]
+        dy = ys[:, None] - ys[None, :]
+        neighbor = dx * dx + dy * dy <= self.radio2
+        np.fill_diagonal(neighbor, False)
         inside_mask = tk.cur_zone >= 0
-        outside_idx = np.flatnonzero(~inside_mask)
-        inside_idx = np.flatnonzero(inside_mask)
+        outside_idx = (~inside_mask).nonzero()[0]
 
         # plaintext beacons from vehicles outside every zone
         if outside_idx.size:
-            out_vi = av[outside_idx]
+            out_vi, out_rows = av[outside_idx], tk.rows[outside_idx]
             xo, yo = xs[outside_idx], ys[outside_idx]
             self.log.beacons(
                 tk.now, self.veh_name[out_vi], self.pid_name[out_vi],
-                self.link_name[out_vi], xo, yo, self.SPD[out_vi, k],
-                self.HDG[out_vi, k], self.lengths[out_vi], False, -1, xo, yo,
+                self.link_name[out_vi], xo, yo, self.SPD[out_rows],
+                self.HDG[out_rows], self.lengths[out_vi], False, -1, xo, yo,
             )
         # encrypted beacons inside zones: logged, never observed
-        for ii in inside_idx.tolist():
+        for ii in inside_mask.nonzero()[0].tolist():
             self.emit({
                 "type": "beacon_encrypted", "t": tk.now,
                 "tx": self.vehicles[int(av[ii])].vid,
@@ -1048,94 +1064,108 @@ class _Run:
 
         # vehicle-side reception accounting (vectorized; real pseudonyms
         # are never in any filter, a 1e-20 false-positive we neglect)
-        counters = self.counters
-        cnt_real = neighbor[:, outside_idx].sum(axis=1)
-        cnt_enc = neighbor[:, inside_idx].sum(axis=1)
-        counters["rx_beacons"][av, sec] += cnt_real
-        counters["rx_bytes"][av, sec] += (
+        cnt_real = (neighbor & ~inside_mask).sum(axis=1)
+        cnt_enc = neighbor.sum(axis=1) - cnt_real
+        counts["rx_beacons"] += cnt_real
+        counts["rx_bytes"] += (
             cnt_real * BEACON_WIRE_BYTES + cnt_enc * ENCRYPTED_BEACON_WIRE_BYTES
         )
-        counters["checks"][av, sec] += cnt_real * held.sum(axis=1)
-        counters["verifies"][av, sec] += cnt_real
+        counts["checks"] += cnt_real * held.sum(axis=1)
+        counts["verifies"] += cnt_real
         return neighbor
 
-    def _decoys(self, tk: _Tick, held: np.ndarray) -> None:
-        """Decoy beacons due at this tick and what they cost their receivers;
-        streams that sent their last pose end."""
-        av, xs, ys, t_ds, now, sec = tk.av, tk.xs, tk.ys, tk.t_ds, tk.now, tk.sec
-        log, counters = self.log, self.counters
-        h_count = held.sum(axis=1)
-        rank = held.cumsum(axis=1)
-        for s in self.streams.values():
-            pose = s.poses.get(t_ds)
-            if pose is None:
-                continue
-            if not self.ca.filter_for(s.plan.zone_id).contains(s.plan.chaff.id):
-                self.audit_violations.append(
-                    f"decoy {s.chaff_hex} emitted while absent from "
-                    f"{s.plan.zone_id}'s filter at t={now}"
+    def _decoys(
+        self, tk: _Tick, held: np.ndarray, counts: dict[str, np.ndarray]
+    ) -> None:
+        """Decoy beacons due at this tick and what they cost their receivers,
+        as one streams x active reception matrix; streams that sent their
+        last pose end."""
+        av, xs, ys, t_ds, now, log = tk.av, tk.xs, tk.ys, tk.t_ds, tk.now, self.log
+        due = [
+            (s, pose) for s in self.streams.values()
+            if (pose := s.poses.get(t_ds)) is not None
+        ]
+        if due:
+            # each stream's transmitter: the zone's RSU, or a relay, which
+            # drives for as long as its stream runs and so is an active row
+            active = av.tolist()
+            tx_x, tx_y, tx_r2, relay, relay_row = [], [], [], [], []
+            for i, (s, pose) in enumerate(due):
+                if s.tx_vi < 0:
+                    x, y = self.zone_disks[s.zone_j][:2]
+                    tx_r2.append(self.rsu_r2)
+                else:
+                    row = bisect.bisect_left(active, s.tx_vi)
+                    x, y = float(xs[row]), float(ys[row])
+                    tx_r2.append(self.radio2)
+                    relay.append(i)
+                    relay_row.append(row)
+                tx_x.append(x)
+                tx_y.append(y)
+                if not self.ca.filter_for(s.plan.zone_id).contains(s.plan.chaff.id):
+                    self.audit_violations.append(
+                        f"decoy {s.chaff_hex} emitted while absent from "
+                        f"{s.plan.zone_id}'s filter at t={now}"
+                    )
+                log.beacon(
+                    now, log.name(s.transmitter), log.name(s.chaff_hex),
+                    log.name(s.link_hex), pose[0], pose[1], s.plan.speed_mps,
+                    pose[2], s.plan.length_m, True, log.name(s.plan.zone_id),
+                    x, y,
                 )
-            if s.tx_vi < 0:
-                tx_x, tx_y = self.zcx[s.zone_j], self.zcy[s.zone_j]
-                tx_r2, tx_row = self.rsu_r2, -1
-            else:
-                tx_x, tx_y = self.X[s.tx_vi, tk.k], self.Y[s.tx_vi, tk.k]
-                tx_row_arr = np.flatnonzero(av == s.tx_vi)
-                tx_r2 = self.radio2
-                tx_row = int(tx_row_arr[0]) if tx_row_arr.size else -1
-            log.beacon(
-                now, log.name(s.transmitter), log.name(s.chaff_hex),
-                log.name(s.link_hex), pose[0], pose[1], s.plan.speed_mps,
-                pose[2], s.plan.length_m, True, log.name(s.plan.zone_id),
-                tx_x, tx_y,
+            hx, hy = np.array(tx_x)[:, None], np.array(tx_y)[:, None]
+            rx = (xs - hx) ** 2 + (ys - hy) ** 2 <= np.array(tx_r2)[:, None]
+            rx[relay, relay_row] = False
+            # a receiver holding the stream's zone filter discards the chaff
+            # after checking the filters up to that zone's; the others check
+            # every filter they hold and verify the unknown pseudonym
+            zone = [s.zone_j for s, _ in due]
+            hold = rx & held[:, zone].T
+            n_rx = rx.sum(axis=0)
+            n_hold = hold.sum(axis=0)
+            n_miss = n_rx - n_hold
+            counts["rx_beacons"] += n_rx
+            counts["rx_bytes"] += n_rx * BEACON_WIRE_BYTES
+            counts["discard_chaff"] += n_hold
+            counts["checks"] += (
+                (held.cumsum(axis=1)[:, zone].T * hold).sum(axis=0)
+                + n_miss * held.sum(axis=1)
             )
-            rx = (xs - tx_x) ** 2 + (ys - tx_y) ** 2 <= tx_r2
-            if tx_row >= 0:
-                rx[tx_row] = False
-            if rx.any():
-                hold = rx & held[:, s.zone_j]
-                miss = rx & ~held[:, s.zone_j]
-                counters["rx_beacons"][av[rx], sec] += 1
-                counters["rx_bytes"][av[rx], sec] += BEACON_WIRE_BYTES
-                if hold.any():
-                    counters["discard_chaff"][av[hold], sec] += 1
-                    counters["checks"][av[hold], sec] += rank[hold, s.zone_j]
-                if miss.any():
-                    counters["unknown_pending"][av[miss], sec] += 1
-                    counters["checks"][av[miss], sec] += h_count[miss]
-                    counters["verifies"][av[miss], sec] += 1
+            counts["unknown_pending"] += n_miss
+            counts["verifies"] += n_miss
 
         for s in [s for s in self.streams.values() if t_ds >= s.last_ds]:
             self._end_stream(s, now, s.natural_reason)
 
     def _peer_exchange(
-        self, tk: _Tick, neighbor: np.ndarray, in_range: np.ndarray,
-        cur_ep: np.ndarray,
+        self, tk: _Tick, neighbor: np.ndarray, near: np.ndarray,
+        held_ep: np.ndarray, cur_ep: np.ndarray, counts: dict[str, np.ndarray],
     ) -> None:
         """Vehicles outside every RSU range with a stale filter ask their
-        neighbours for a newer one."""
-        av, now, sec = tk.av, tk.now, tk.sec
-        outside_all = ~in_range[av].any(axis=1)
-        req_stale = self.held_ep[av] < cur_ep[None, :]
+        neighbours for a newer one. near and held_ep are active rows: the
+        RSUs each is in range of and the filter epochs each holds."""
+        av, now = tk.av, tk.now
+        outside_all = ~near.any(axis=1)
+        req_stale = held_ep < cur_ep
         requesters = outside_all & req_stale.any(axis=1)
         if not requesters.any():
             return
-        self.counters["peer_queries"][av[requesters], sec] += 1
+        counts["peer_queries"][requesters] += 1
+        req_rows = requesters.nonzero()[0]
         got_any = np.zeros(av.size, dtype=bool)
         staged: list[tuple[int, int, int]] = []
         for j, zone_id in enumerate(self.zone_ids):
-            need_j = requesters & req_stale[:, j]
-            if not need_j.any():
+            need = req_rows[req_stale[req_rows, j]]
+            if not need.size:
                 continue
-            hv = self.held_ep[av, j]
+            hv = held_ep[:, j]
             # responder: lowest vehicle id (rows are vid-sorted) holding a
             # strictly newer epoch, per choose_filter_responder
-            cond = neighbor & (hv[None, :] > hv[:, None])
-            has = cond.any(axis=1) & need_j
-            resp = cond.argmax(axis=1)
-            for r in np.flatnonzero(has).tolist():
+            cond = neighbor[need] & (hv[None, :] > hv[need, None])
+            has = cond.any(axis=1)
+            for r, resp in zip(need[has].tolist(), cond[has].argmax(axis=1).tolist()):
                 rx_vid = self.vehicles[int(av[r])].vid
-                ep_resp = int(hv[resp[r]])
+                ep_resp = int(hv[resp])
                 blob, env = self.filter_snaps[j].get(ep_resp, (None, None))
                 if blob is None:
                     continue
@@ -1149,7 +1179,7 @@ class _Run:
                 staged.append((int(av[r]), j, ep_resp))
                 self.emit({
                     "type": "peer_filter", "t": now,
-                    "tx": self.vehicles[int(av[resp[r]])].vid, "rx": rx_vid,
+                    "tx": self.vehicles[int(av[resp])].vid, "rx": rx_vid,
                     "zone": zone_id, "epoch": ep_resp,
                     "bytes": len(blob) + PSEUDONYM_WIRE_BYTES + ENCRYPTION_OVERHEAD_BYTES,
                 })
@@ -1162,9 +1192,7 @@ class _Run:
             if ep > self.held_ep[vi, j]:
                 self.held_ep[vi, j] = ep
                 self.pending[vi, j] = False
-        unanswered = requesters & ~got_any
-        if unanswered.any():
-            self.counters["peer_unanswered"][av[unanswered], sec] += 1
+        counts["peer_unanswered"][requesters & ~got_any] += 1
 
     def _despawns(self, tk: _Tick) -> None:
         """Trips that end at this tick."""
@@ -1196,8 +1224,11 @@ class _Run:
                     "kind": kind, "detail": detail,
                 })
 
-        del self.X, self.Y, self.SPD, self.HDG, self.ZIDX  # the log needs none of them
-        event_log, observations = self.log.finish(self.counters, self.veh_name)
+        # the log needs none of the poses
+        del self.X, self.Y, self.SPD, self.HDG, self.ZIDX, self.EDGE
+        event_log, observations = self.log.finish(
+            self.counters, self.veh_name, self.first_sec, self.seconds
+        )
 
         seen = _observed_spans(observations)
         for tr in self.transitions:

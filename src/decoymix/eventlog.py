@@ -3,11 +3,12 @@ reception summaries as numpy columns.
 
 Beacons and reception summaries are most of a run's records, so they never
 become one dict each. The engine logs beacons as blocks of raw columns and
-hands over its reception counter matrices; finish() rounds every beacon
-field as it goes on the air, works out which eavesdroppers heard each
-beacon, and merges the three streams. Every record takes a sequence number
-when it is logged, and one lexsort over (time, entity, sequence) gives the
-order a stable sort of all records by (time, entity) gives.
+hands over its reception counters, a slot per vehicle second on the road;
+finish() rounds every beacon field as it goes on the air, works out which
+eavesdroppers heard each beacon, and merges the three streams. Every record
+takes a sequence number when it is logged, and one lexsort over (time,
+entity, sequence) gives the order a stable sort of all records by (time,
+entity) gives.
 `EventLog.write_jsonl` writes that order without building the dicts;
 `EventLog.records` builds them, as the reference view.
 """
@@ -332,16 +333,19 @@ class EventLogBuilder:
         return cols
 
     def finish(
-        self, counters: dict[str, np.ndarray], vehicle_names: np.ndarray
+        self, counters: np.ndarray, vehicle_names: np.ndarray,
+        first_sec: np.ndarray, seconds: np.ndarray,
     ) -> tuple[EventLog, dict[str, list[tuple]]]:
         """The merged log and each eavesdropper's observations.
 
-        counters holds a vehicle x second matrix per name in
-        RECEPTION_COUNTERS; each cell with any nonzero counter is one
-        reception summary, appended last in (vehicle, second) order. An
-        observation is (t, pseudonym, x, y, speed, heading, length,
-        eavesdropper id), for every beacon the eavesdropper heard, in the
-        order the beacons were sent."""
+        counters holds one row per name in RECEPTION_COUNTERS and one column,
+        or slot, per vehicle second: vehicle i's seconds first_sec[i] to
+        first_sec[i] + seconds[i] - 1, in order, vehicles in order;
+        vehicle_names[i] is its string-table index. Each slot with any
+        nonzero counter is one reception summary, appended last in
+        (vehicle, second) order. An observation is (t, pseudonym, x, y,
+        speed, heading, length, eavesdropper id), for every beacon the
+        eavesdropper heard, in the order the beacons were sent."""
         cols = self._beacon_columns()
         for name, digits in _PUBLISHED_DIGITS:
             cols[name] = round_array(cols[name], digits)
@@ -350,13 +354,13 @@ class EventLogBuilder:
         cols["observers"] = (hx[:, None] - ex) ** 2 + (hy[:, None] - ey) ** 2 <= er2
         observations = self._observations(cols)
 
-        vi, sec = np.nonzero(sum(counters[name] for name in RECEPTION_COUNTERS) > 0)
-        rec_counts = np.stack(
-            [counters[name][vi, sec] for name in RECEPTION_COUNTERS], axis=1
-        )
+        slot = np.flatnonzero(counters.any(axis=0))
+        rec_counts = np.ascontiguousarray(counters[:, slot].T)
+        base = np.cumsum(seconds) - seconds
+        vi = np.searchsorted(base, slot, side="right") - 1
         rec_vehicle = vehicle_names[vi]
-        rec_t = sec.astype(np.float64)
-        n_pro, n_bea, n_rec = len(self.protocol), cols["t"].size, vi.size
+        rec_t = (slot - base[vi] + first_sec[vi]).astype(np.float64)
+        n_pro, n_bea, n_rec = len(self.protocol), cols["t"].size, slot.size
 
         entity = [self.name(_event_entity(e)) for e in self.protocol]
         rank = name_ranks(self.names)

@@ -2,8 +2,11 @@ from __future__ import annotations
 
 import math
 import random
+from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from decoymix.chaff_filter import (
     BUCKET_CAPACITY,
@@ -149,7 +152,7 @@ def test_alt_index_is_an_involution():
 
 def test_fingerprint_never_zero():
     f = new_filter(1000, 1e-3)
-    assert all(f._fingerprint(i) != 0 for i in _ids(5000, 7))
+    assert all(f._locate(i)[0] != 0 for i in _ids(5000, 7))
 
 
 def test_empirical_fpr_small_scale():
@@ -236,3 +239,48 @@ def test_membership_pure_function_of_state():
     cid = _ids(1, 12)[0]
     f.insert(cid)
     assert [f.contains(cid) for _ in range(5)] == [True] * 5
+
+
+_OPS = st.lists(
+    st.one_of(
+        st.tuples(
+            st.sampled_from(["insert", "remove", "contains"]), st.integers(0, 40)
+        ),
+        st.just(("round_trip", 0)),
+    ),
+    max_size=120,
+)
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(ops=_OPS)
+def test_filter_matches_a_set_model(ops):
+    # 70-bit fingerprints in 8 buckets: no two of the 41 ids collide, so the
+    # filter answers exactly as the model. The filter keeps duplicates, so
+    # the model counts each id's copies.
+    f = new_filter(30, 1e-20, epoch=3, kick_seed=5)
+    model: Counter[bytes] = Counter()
+    ids = [n.to_bytes(16, "little") for n in range(41)]
+    for op, n in ops:
+        cid = ids[n]
+        if op == "insert":
+            try:
+                f.insert(cid)
+                model[cid] += 1
+            except FilterSaturated:
+                pass  # rolled back: the filter is as it was
+        elif op == "remove":
+            if model[cid]:
+                f.remove(cid)
+                model[cid] -= 1
+            else:
+                with pytest.raises(RemoveAbsent):
+                    f.remove(cid)
+        elif op == "contains":
+            assert f.contains(cid) == (model[cid] > 0)
+        else:
+            blob = f.serialize()
+            f = ChaffFilter.deserialize(blob)
+            assert f.serialize() == blob
+        assert f.item_count == sum(model.values())
+    assert [f.contains(cid) for cid in ids] == [model[cid] > 0 for cid in ids]

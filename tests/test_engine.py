@@ -14,10 +14,12 @@ from decoymix.engine import (
     BEACON_WIRE_BYTES,
     ENCRYPTED_BEACON_WIRE_BYTES,
     OBSERVATION_HEADER,
+    RECEPTION_COUNTERS,
     EavesdropperSpec,
     ScenarioConfig,
     ZoneSpec,
     _build_stream_poses,
+    _Run,
     accept_peer_filter,
     audit_ground_truth,
     audit_observability,
@@ -28,7 +30,7 @@ from decoymix.engine import (
 )
 from decoymix.errors import ConfigError, NoResponder
 from decoymix.mixzone import DecoyPlan, MixZoneController
-from decoymix.mobility import Trip
+from decoymix.mobility import Trip, trip_samples_with_edges
 from decoymix.roads import make_grid
 
 
@@ -637,3 +639,47 @@ def test_event_export_is_json_lines(grid4):
     rows = [json.loads(line) for line in buf.getvalue().splitlines()]
     assert len(rows) == len(res.events)
     assert all("type" in r and "t" in r for r in rows)
+
+
+def test_span_storage_holds_the_kept_samples_and_seconds(grid4):
+    # a 60 s clock on the 0.5 s lattice: veh-a (1,500 m at 4 m/s) outlasts
+    # it, veh-b departs on the last tick 240 m behind veh-a, and veh-c
+    # departs off the lattice and arrives in-run
+    trips = (
+        straight_trip("veh-a", depart=0.0, speed=4.0),
+        Trip("veh-b", 60.0, ("j0_1__j1_1",), (10.0,), 4.5),
+        Trip("veh-c", 10.2, ("j0_0__j0_1",), (12.0,), 7.5),
+    )
+    state = _Run(one_zone_config(grid4, trips=trips, duration_s=60.0))
+    assert state.tick_ds == 5 and state.nticks == 121
+    kept = []
+    for trip in trips:
+        samples = trip_samples_with_edges(grid4, trip, 0.5)
+        kept.append([sample for sample in samples if sample[0].time_s <= 60.0])
+    assert [len(k) for k in kept] == [121, 1, 83]
+    rows = [sample for k in kept for sample in k]
+    assert state.X.tolist() == [s.x for s, _ in rows]
+    assert state.Y.tolist() == [s.y for s, _ in rows]
+    assert state.SPD.tolist() == [s.speed_mps for s, _ in rows]
+    assert state.HDG.tolist() == [s.heading_rad for s, _ in rows]
+    owner = [i for i, k in enumerate(kept) for _ in k]
+    assert [trips[i].edge_ids[e] for i, e in zip(owner, state.EDGE.tolist())] == [
+        eid for _, eid in rows
+    ]
+
+    # seconds 0-60, 60 and 10-51
+    spans = list(zip(state.t0s.tolist(), state.tends.tolist()))
+    assert spans == [(0, 600), (600, 600), (105, 515)]
+    assert state.counters.shape == (
+        len(RECEPTION_COUNTERS), sum(end // 10 - t0 // 10 + 1 for t0, end in spans)
+    ) == (len(RECEPTION_COUNTERS), 61 + 1 + 42)
+
+    for k in range(state.nticks):
+        state.step(k)
+    last = {
+        e["entity"]: e for e in state.finish().events
+        if e["type"] == "reception_summary" and e["t"] == 60.0
+    }
+    # the two vehicles on the road at the final tick hear each other then
+    assert sorted(last) == ["veh-a", "veh-b"]
+    assert last["veh-a"]["rx_beacons"] >= 1 and last["veh-b"]["rx_beacons"] >= 1

@@ -3,16 +3,20 @@ from __future__ import annotations
 import math
 import random
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from decoymix.errors import SynthesisFailed
 from decoymix.mobility import (
+    TraceSample,
     Trip,
     synthesize_trips,
     trip_samples_with_edges,
     validate_trip,
 )
-from decoymix.roads import RoadGraph, make_grid
+from decoymix.roads import Edge, RoadGraph, make_grid, point_along, polyline_length
 
 
 def test_synthesize_deterministic_for_fixed_seed(grid4):
@@ -111,3 +115,90 @@ def test_samples_lie_on_step_lattice(grid4):
         assert abs(s.time_s * 10 % 5) < 1e-9
     # 500 m at 10 m/s: arrival at 53.14, last lattice sample strictly before
     assert samples[-1].time_s == 53.0
+
+
+def _scalar_samples(g, trip, step_s):
+    """The reference sampler: one point_along call per lattice tick."""
+    step_ds = round(step_s * 10)
+    schedule = []
+    elapsed = 0.0
+    for eid, speed in zip(trip.edge_ids, trip.speeds_mps):
+        schedule.append((elapsed, eid, speed))
+        elapsed += g.edges[eid].length / speed
+    samples = []
+    tick = math.ceil(trip.departure_s * 10 / step_ds) * step_ds
+    seg = 0
+    while True:
+        t = tick / 10.0
+        dt = t - trip.departure_s
+        if dt >= elapsed:
+            break
+        while seg + 1 < len(schedule) and schedule[seg + 1][0] <= dt:
+            seg += 1
+        start, eid, speed = schedule[seg]
+        x, y, heading = point_along(g.edges[eid].shape, (dt - start) * speed)
+        samples.append((TraceSample(t, trip.vehicle_id, x, y, speed, heading), eid))
+        tick += step_ds
+    return samples
+
+
+def _sample_bits(rows):
+    """Every float of every row as its bit pattern (which tells -0.0 from
+    0.0), with the edge id."""
+    floats = [[s.time_s, s.x, s.y, s.speed_mps, s.heading_rad] for s, _ in rows]
+    bits = np.array(floats, dtype=np.float64).reshape(-1, 5).view(np.int64)
+    return bits.tolist(), [eid for _, eid in rows]
+
+
+@st.composite
+def _chain_trips(draw):
+    """A chain of polyline edges on small integer coordinates, where repeated
+    points make zero-length segments and axis-aligned steps make integer
+    segment ends, and a trip along it."""
+    coord = st.integers(-6, 6).map(float)
+    point = st.tuples(coord, coord)
+    here = draw(point)
+    junctions, edges = {"j0": here}, []
+    for i in range(draw(st.integers(1, 4))):
+        shape = [here]
+        for _ in range(draw(st.integers(1, 4))):
+            step = draw(st.sampled_from(["same", "x", "y", "any"]))
+            if step == "same":
+                nxt = here
+            elif step == "x":
+                nxt = (here[0] + draw(st.integers(-5, 5)), here[1])
+            elif step == "y":
+                nxt = (here[0], here[1] + draw(st.integers(-5, 5)))
+            else:
+                nxt = draw(point)
+            shape.append(nxt)
+            here = nxt
+        junctions[f"j{i + 1}"] = here
+        # an edge may declare a length up to 1e-6 m past its arc, so a
+        # vehicle can run past the polyline's last point
+        length = polyline_length(tuple(shape)) + draw(st.sampled_from([0.0, 5e-7]))
+        edges.append(Edge(f"e{i}", f"j{i}", f"j{i + 1}", tuple(shape), 30.0, length))
+    # speeds and departures on binary fractions land offsets exactly on
+    # segment ends, a departure a hair before the lattice just past them;
+    # the others fall anywhere
+    speeds = tuple(
+        draw(st.sampled_from([0.5, 1.0, 2.0, 4.0]) | st.floats(0.3, 25.0))
+        for _ in edges
+    )
+    lattice = st.integers(1, 40).map(lambda k: k / 2)
+    departure = draw(
+        lattice | lattice.map(lambda d: d - 1e-7) | st.floats(0.0, 20.0)
+    )
+    trip = Trip("v", departure, tuple(e.id for e in edges), speeds, 4.5)
+    step_s = draw(st.sampled_from([0.1, 0.5, 1.0, 2.0]))
+    return RoadGraph(junctions, edges), trip, step_s
+
+
+@settings(max_examples=400, derandomize=True, database=None, deadline=None)
+@given(case=_chain_trips())
+def test_columnar_samples_match_the_scalar_loop_bit_for_bit(case):
+    g, trip, step_s = case
+    samples = trip_samples_with_edges(g, trip, step_s)
+    expected = _scalar_samples(g, trip, step_s)
+    assert len(samples) == len(expected)
+    assert _sample_bits(list(samples)) == _sample_bits(expected)
