@@ -125,7 +125,8 @@ class ScenarioConfig:
             )
         for name in ("gamma_mz_s", "filter_tx_interval_s", "duration_s"):
             val = getattr(self, name)
-            if val <= 0 or abs(round(val * 10) - val * 10) > 1e-9:
+            ds = val * 10  # inf for the largest floats
+            if not 0 < val or ds == math.inf or abs(round(ds) - ds) > 1e-9:
                 raise ConfigError(f"{name} must be a positive 0.1 s multiple")
         for name in ("relay_fraction", "non_coop_fraction", "hbc_rsu_fraction"):
             val = getattr(self, name)
@@ -205,7 +206,7 @@ class ScenarioConfig:
         except KeyError:
             raise ConfigError("scenario is missing graph_file") from None
         graph_path = base / _typed("graph_file", graph_file, str)
-        if not graph_path.exists():
+        if not graph_path.is_file():
             raise ConfigError(f"graph file not found: {graph_path}")
         graph = RoadGraph.load(graph_path)
 
@@ -436,6 +437,10 @@ class _Stream:
     poses: dict[int, tuple[float, float, float]]
     last_ds: int
     natural_reason: str
+    # whether the zone filter held the chaff id at filter epoch filter_ep;
+    # the authority moves the epoch whenever it changes the filter
+    filter_ep: int = -1
+    in_filter: bool = False
 
 
 @dataclass(slots=True)
@@ -447,19 +452,21 @@ class _VehicleRt:
     pool: list[Credential]
     active: Credential
     pool_next: int = 1
-    changes: int = 0
     visit: dict | None = None
     stream: _Stream | None = None
 
 
 class _Tick(NamedTuple):
-    """What every phase of one tick reads: the clock and the active vehicles
-    (av, in vehicle-id order) with their pose rows, positions and zones."""
+    """What every phase of one tick reads: the clock, the tick's rows lo to
+    hi - 1, and their vehicles (av, in vehicle-id order), positions and
+    zones."""
 
+    k: int
     t_ds: int
     now: float
+    lo: int
+    hi: int
     av: np.ndarray
-    rows: np.ndarray
     xs: np.ndarray
     ys: np.ndarray
     cur_zone: np.ndarray
@@ -470,6 +477,18 @@ def _published(coord: float) -> float:
     is decided on this value too, so no beacon sent in the clear claims a
     position on or inside a zone disk."""
     return round(coord, 3)
+
+
+def _by_tick(
+    ticks: np.ndarray, vehicles: np.ndarray, *cols: np.ndarray
+) -> dict[int, list[tuple]]:
+    """Event rows (vehicle, *cols) grouped by tick, each tick's rows in
+    vehicle order; rows of one vehicle keep their order."""
+    order = np.lexsort((vehicles, ticks))
+    out: dict[int, list[tuple]] = {}
+    for k, *row in zip(*(a[order].tolist() for a in (ticks, vehicles, *cols))):
+        out.setdefault(k, []).append(tuple(row))
+    return out
 
 
 def _build_stream_poses(
@@ -561,6 +580,9 @@ class _Run:
         # decoys on at all iff some relay probability exists; the sparse RSU rule
         # rides the same switch
         self.sparse_on = config.relay_fraction > 0.0
+        # set whenever a zone filter moves to a new epoch, cleared when the
+        # RSU phase has looked for vehicles that now hold a stale filter
+        self.epoch_moved = False
         self._build_world()
         self._precompute_poses(config.resolve_trips())
 
@@ -575,12 +597,14 @@ class _Run:
             (len(RECEPTION_COUNTERS), int(self.seconds.sum())), dtype=np.int64
         )
         self.held_ep = np.full((nv, nz), -1, dtype=np.int64)
+        # a chunk collection in progress: (vehicle, zone) is pending from
+        # tick time arr_m to due_m, and due_at[due_m] lists it
         self.pending = np.zeros((nv, nz), dtype=bool)
         self.due_m = np.zeros((nv, nz), dtype=np.int64)
         self.arr_m = np.zeros((nv, nz), dtype=np.int64)
-        self.in_range_prev = np.zeros((nv, nz), dtype=bool)
-        self.adv_seen = np.zeros((nv, nz), dtype=bool)
-        self.inside = np.full(nv, -1, dtype=np.int64)
+        self.due_at: dict[int, list[tuple[int, int]]] = {}
+        # each beacon tick's first sequence number for its plaintext beacons
+        self.plain_seq = [0] * self.nticks
 
     # ------------------------------------------------------------ set-up
 
@@ -652,12 +676,11 @@ class _Run:
             (zs.center_x_m, zs.center_y_m, zs.radius_m ** 2) for zs in zspecs
         ]
         self.zcx, self.zcy, self.zr2 = (np.array(c) for c in zip(*self.zone_disks))
-        self.cycle_ds = np.array(
-            [z.chunk_count * self.fi_ds for z in self.zones], dtype=np.int64
-        )
+        self.cycle_ds = [z.chunk_count * self.fi_ds for z in self.zones]
 
-        # PCA-signed filter snapshots, one per (zone, epoch); peers relay these
-        self.filter_snaps: list[dict[int, tuple[bytes, SignedEnvelope]]] = [
+        # PCA-signed filter snapshots, one per (zone, epoch), with the verdict
+        # a peer receiving the snapshot reaches; peers relay these
+        self.filter_snaps: list[dict[int, tuple[bytes, SignedEnvelope, bool]]] = [
             {} for _ in self.zones
         ]
         self._snapshot_filters(0.0)
@@ -672,15 +695,23 @@ class _Run:
         self.emit = self.log.event
 
     def _precompute_poses(self, trips: Sequence[Trip]) -> None:
-        """Every vehicle's pose, zone and edge on the tick lattice, and its
-        pseudonym pool.
+        """Every vehicle's rows on the tick lattice, the per-tick events
+        that follow from the trajectories alone, and each pseudonym pool.
 
-        The poses are stored by vehicle span: the rows of X, Y, SPD, HDG,
-        ZIDX and EDGE hold each vehicle's samples from its first tick to its
-        last, vehicles in id order, so vehicle i's pose at tick k is row
-        pose_row[i] + k. Its reception counters take one slot per second it
-        is on the road, seconds first_sec[i] to first_sec[i] + seconds[i] - 1,
-        laid out the same way: second sec is slot slot_row[i] + sec."""
+        The rows are tick-major: tick k's rows are tick_ptr[k] to
+        tick_ptr[k + 1] - 1, one per vehicle on the road, in vehicle-id
+        order. Row r holds vehicle VEH[r]'s pose (X, Y, SPD, HDG), its zone
+        (ZIDX, -1 outside every disk), its edge index (EDGE), which RSUs it
+        is in range of (RNG, one column per zone) and its reception-counter
+        slot (SLOT). Vehicle i's counters take one slot per second it is on
+        the road, seconds first_sec[i] to first_sec[i] + seconds[i] - 1,
+        vehicles in order.
+
+        The events map a tick to its list, in vehicle order: zone_moves
+        (vehicle, previous zone, new zone, row), range_entries and
+        range_exits (vehicle, zone), despawns (vehicle,) and first_adverts
+        (vehicle, zone), the first advert tick at which the vehicle is in
+        the zone's RSU range."""
         config, seed, ca = self.config, self.seed, self.ca
         tick_ds, dur_ds = self.tick_ds, self.dur_ds
         kept = []
@@ -694,15 +725,26 @@ class _Run:
             if n > 0:
                 kept.append((trip, samples, t0_ds, n))
 
+        nv, nz = len(kept), len(self.zones)
         counts = np.array([n for *_, n in kept], dtype=np.int64)
-        ends = np.cumsum(counts)
-        starts = ends - counts
+        starts = np.cumsum(counts) - counts
         self.t0s = np.array([t0_ds for _, _, t0_ds, _ in kept], dtype=np.int64)
         self.tends = self.t0s + (counts - 1) * tick_ds
-        self.pose_row = starts - self.t0s // tick_ds
         self.first_sec = np.minimum(self.t0s // 10, self.last_sec)
         self.seconds = np.minimum(self.tends // 10, self.last_sec) - self.first_sec + 1
-        self.slot_row = np.cumsum(self.seconds) - self.seconds - self.first_sec
+
+        # built vehicle-major (vehicle i's rows from starts[i], one per
+        # tick), where a row's predecessor is the row before it, then
+        # permuted to tick-major one column at a time
+        veh = np.repeat(np.arange(nv, dtype=np.int32), counts)
+        tick = np.arange(counts.sum()) - np.repeat(starts - self.t0s // tick_ds, counts)
+        order = np.argsort(tick, kind="stable")
+        # each vehicle-major row's tick-major row
+        tm_row = np.empty_like(order)
+        tm_row[order] = np.arange(order.size)
+        self.tick_ptr = np.concatenate(
+            ([0], np.cumsum(np.bincount(tick, minlength=self.nticks)))
+        ).tolist()
 
         def column(name: str, dtype=np.float64) -> np.ndarray:
             if not kept:
@@ -711,24 +753,57 @@ class _Run:
                 [getattr(samples, name)[:n] for _, samples, _, n in kept], dtype=dtype
             )
 
-        self.X, self.Y = column("x"), column("y")
-        self.SPD, self.HDG = column("speed"), column("heading")
-        self.EDGE = column("edge", np.int32)
-        # zone visits are trajectory-only, so pool sizes stay identical
-        # across relay/non-coop sweeps on the same seed
-        xp = round_array(self.X, 3)
-        yp = round_array(self.Y, 3)
-        d2 = (
-            (xp[:, None] - self.zcx[None, :]) ** 2
-            + (yp[:, None] - self.zcy[None, :]) ** 2
-        )
-        inside = d2 <= self.zr2[None, :]
-        self.ZIDX = np.where(inside.any(axis=1), inside.argmax(axis=1), -1)
-        prev = np.roll(self.ZIDX, 1)
+        # zones on the positions as published, RSU range on the simulated
+        # ones; the lowest zone index wins where disks overlap
+        x, y = column("x"), column("y")
+        xp, yp = round_array(x, 3), round_array(y, 3)
+        zidx = np.full(x.size, -1, dtype=np.int32)
+        rng = np.empty((x.size, nz), dtype=bool)
+        for j in range(nz):
+            cx, cy = self.zcx[j], self.zcy[j]
+            rng[:, j] = (x - cx) ** 2 + (y - cy) ** 2 <= self.rsu_r2
+            zidx[((xp - cx) ** 2 + (yp - cy) ** 2 <= self.zr2[j]) & (zidx < 0)] = j
+        del xp, yp
+        self.X, self.Y = x[order], y[order]
+        del x, y
+        self.SPD = column("speed")[order]
+        self.HDG = column("heading")[order]
+        self.EDGE = column("edge", np.int32)[order]
+        self.ZIDX, self.RNG, self.VEH = zidx[order], rng[order], veh[order]
+        slot_row = np.cumsum(self.seconds) - self.seconds - self.first_sec
+        self.SLOT = (
+            np.repeat(slot_row, counts)
+            + np.minimum(tick * tick_ds // 10, self.last_sec)
+        ).astype(np.int32)[order]
+
+        # zone transitions; zone visits are trajectory-only, so pool sizes
+        # stay identical across relay/non-coop sweeps on the same seed
+        prev = np.roll(zidx, 1)
         prev[starts] = -1
-        entries = np.cumsum((self.ZIDX != -1) & (self.ZIDX != prev))
-        entered = np.concatenate(([0], entries))
-        visits = (entered[ends] - entered[starts]).tolist()
+        moved = np.flatnonzero(zidx != prev)
+        entered = moved[zidx[moved] >= 0]
+        visits = np.bincount(veh[entered], minlength=nv).tolist()
+        # (vehicle, tick) of every zone entry, as vehicle * nticks + tick,
+        # sorted; a cooperative vehicle changes pseudonym at each
+        self.entry_keys = veh[entered].astype(np.int64) * self.nticks + tick[entered]
+        self.zone_moves = _by_tick(
+            tick[moved], veh[moved], prev[moved], zidx[moved], tm_row[moved]
+        )
+        # RSU range entries and exits
+        prev = np.roll(rng, 1, axis=0)
+        prev[starts] = False
+        r, j = (rng & ~prev).nonzero()
+        self.range_entries = _by_tick(tick[r], veh[r], j)
+        r, j = (prev & ~rng).nonzero()
+        self.range_exits = _by_tick(tick[r], veh[r], j)
+        # the first advert tick of each (vehicle, zone) in range
+        r, j = (rng & (tick * tick_ds % self.gmz_ds == 0)[:, None]).nonzero()
+        by_zone = np.lexsort((r, j))
+        r, j = r[by_zone], j[by_zone]
+        head = np.ones(r.size, dtype=bool)
+        head[1:] = (veh[r[1:]] != veh[r[:-1]]) | (j[1:] != j[:-1])
+        self.first_adverts = _by_tick(tick[r[head]], veh[r[head]], j[head])
+        self.despawns = _by_tick(self.tends // tick_ds, np.arange(nv))
 
         self.vehicles: list[_VehicleRt] = []
         for (trip, *_), end_ds, n_visits in zip(kept, self.tends.tolist(), visits):
@@ -744,31 +819,45 @@ class _Run:
             )
         vehicles = self.vehicles
         self.lengths = np.array([v.trip.length_m for v in vehicles])
+        self.non_coop = np.array([v.non_coop for v in vehicles], dtype=bool)
 
-        # string-table indices of each vehicle's id, active pseudonym and link
+        # string-table indices of each vehicle's id, and of the pseudonym and
+        # link id it holds after c changes, at pool_base[i] + c
         name = self.log.name
         self.veh_name = np.array([name(v.vid) for v in vehicles], dtype=np.int32)
-        self.pid_name = np.array(
-            [name(v.active.id.hex()) for v in vehicles], dtype=np.int32
-        )
-        self.link_name = np.array(
-            [name(f"{stable_u64(seed, 'link', v.vid, 0):016x}") for v in vehicles],
-            dtype=np.int32,
-        )
+        pid, link, sizes = [], [], []
+        for v in vehicles:
+            held = v.pool[:1] if v.non_coop else v.pool
+            pid.extend(name(cred.id.hex()) for cred in held)
+            link.extend(
+                name(f"{stable_u64(seed, 'link', v.vid, c):016x}")
+                for c in range(len(held))
+            )
+            sizes.append(len(held))
+        self.pool_pid = np.array(pid, dtype=np.int32)
+        self.pool_link = np.array(link, dtype=np.int32)
+        sizes = np.array(sizes, dtype=np.int64)
+        self.pool_base = np.cumsum(sizes) - sizes
 
     # ------------------------------------------------------------ helpers
 
     def _snapshot_filters(self, now: float) -> None:
         """Sign each zone filter at its current epoch, once per epoch, and
         note the epochs in cur_ep. Only provisioning and retiring chaff
-        move an epoch, and every retire is followed by this call."""
+        move an epoch, and every retire is followed by this call.
+
+        Each snapshot is verified once, here: the PCA credential is valid
+        for the whole run, so a peer's verdict cannot depend on when the
+        snapshot reaches it."""
         for j, zid in enumerate(self.zone_ids):
             filt = self.ca.filter_for(zid)
             if filt.epoch not in self.filter_snaps[j]:
                 blob = filt.serialize()
+                env = sign(blob, self.pca_cred, now=now)
                 self.filter_snaps[j][filt.epoch] = (
-                    blob, sign(blob, self.pca_cred, now=now)
+                    blob, env, accept_peer_filter(env, self.pca_cred, now)
                 )
+                self.epoch_moved = True
         self.cur_ep = np.array(
             [self.ca.filter_for(zid).epoch for zid in self.zone_ids], dtype=np.int64
         )
@@ -877,12 +966,7 @@ class _Run:
         if changed:
             new = v.pool[v.pool_next]
             v.pool_next += 1
-            v.changes += 1
             v.active = new
-            self.pid_name[vi] = self.log.name(new.id.hex())
-            self.link_name[vi] = self.log.name(
-                f"{stable_u64(self.seed, 'link', v.vid, v.changes):016x}"
-            )
             self.emit({
                 "type": "pseudonym_change", "t": now, "vehicle": v.vid,
                 "zone": zone_id, "old": old.id.hex(), "new": new.id.hex(),
@@ -901,7 +985,6 @@ class _Run:
         record the visit's ground truth and close the visit, returned."""
         v = self.vehicles[vi]
         visit, v.visit = v.visit, None
-        self.inside[vi] = -1
         zone_id = self.zone_ids[visit["zone_j"]]
         self.emit({
             "type": "zone_exit", "t": now, "vehicle": v.vid,
@@ -934,58 +1017,49 @@ class _Run:
 
     def step(self, k: int) -> None:
         t_ds = k * self.tick_ds
-        now = t_ds / 10.0
-        av = ((self.t0s <= t_ds) & (self.tends >= t_ds)).nonzero()[0]
-        rows = self.pose_row[av] + k
-        tk = _Tick(t_ds, now, av, rows, self.X[rows], self.Y[rows], self.ZIDX[rows])
+        lo, hi = self.tick_ptr[k], self.tick_ptr[k + 1]
+        tk = _Tick(
+            k, t_ds, t_ds / 10.0, lo, hi, self.VEH[lo:hi], self.X[lo:hi],
+            self.Y[lo:hi], self.ZIDX[lo:hi],
+        )
         self._zone_transitions(tk)
         # the epochs as this tick's RSU phase saw them; decoy streams that
         # end this tick retire chaff and move them on
         cur_ep = self.cur_ep
-        near = self._rsu_range_and_chunks(tk)
-        if t_ds % self.gv_ds == 0 and (av.size or self.streams):
-            held_ep = self.held_ep[av]
+        self._rsu_range_and_chunks(tk)
+        if t_ds % self.gv_ds == 0 and (hi > lo or self.streams):
+            held_ep = self.held_ep[tk.av]
             held = held_ep >= 0
             # this tick's reception counts of the active vehicles, a row per
             # counter, added to their slots for this second at the end
-            received = np.zeros((len(RECEPTION_COUNTERS), av.size), dtype=np.int64)
+            received = np.zeros((len(RECEPTION_COUNTERS), hi - lo), dtype=np.int64)
             counts = dict(zip(RECEPTION_COUNTERS, received))
             neighbor = self._beacons(tk, held, counts)
             self._decoys(tk, held, counts)
-            self._peer_exchange(tk, neighbor, near, held_ep, cur_ep, counts)
-            slots = self.slot_row[av] + min(t_ds // 10, self.last_sec)
-            self.counters[:, slots] += received
+            self._peer_exchange(tk, neighbor, held_ep, cur_ep, counts)
+            self.counters[:, self.SLOT[lo:hi]] += received
         self._despawns(tk)
 
     def _zone_transitions(self, tk: _Tick) -> None:
         """Zone exits and entries, in vehicle-id order."""
-        for ii in (tk.cur_zone != self.inside[tk.av]).nonzero()[0].tolist():
-            vi = int(tk.av[ii])
-            new_j = int(tk.cur_zone[ii])
-            if self.inside[vi] >= 0:
-                row = int(tk.rows[ii])
+        for vi, prev_j, new_j, row in self.zone_moves.get(tk.k, ()):
+            if prev_j >= 0:
                 edge_id = self.vehicles[vi].trip.edge_ids[self.EDGE[row]]
                 self._exit_zone(vi, tk.now, edge_id, float(self.SPD[row]))
             if new_j >= 0:
-                self._enter_zone(vi, new_j, tk.now, (float(tk.xs[ii]), float(tk.ys[ii])))
-            self.inside[vi] = new_j
+                self._enter_zone(
+                    vi, new_j, tk.now, (float(self.X[row]), float(self.Y[row]))
+                )
 
-    def _rsu_range_and_chunks(self, tk: _Tick) -> np.ndarray:
-        """RSU range, adverts, chunk broadcasts and chunk deliveries; returns
-        which RSUs each active vehicle is in range of."""
-        t_ds, now, cur_ep = tk.t_ds, tk.now, self.cur_ep
-        near = (
-            (tk.xs[:, None] - self.zcx[None, :]) ** 2
-            + (tk.ys[:, None] - self.zcy[None, :]) ** 2
-        ) <= self.rsu_r2
-        in_range = np.zeros_like(self.in_range_prev)
-        in_range[tk.av] = near
+    def _rsu_range_and_chunks(self, tk: _Tick) -> None:
+        """RSU range, adverts, chunk broadcasts and chunk deliveries."""
+        k, t_ds, now, cur_ep = tk.k, tk.t_ds, tk.now, self.cur_ep
         # leaving range drops a collection in progress
-        self.pending &= in_range | ~self.in_range_prev
-        self.in_range_prev = in_range
+        for vi, j in self.range_exits.get(k, ()):
+            self.pending[vi, j] = False
 
         if t_ds % self.gmz_ds == 0:
-            fresh = in_range & ~self.adv_seen
+            fresh = self.first_adverts.get(k, ())
             for j, z in enumerate(self.zones):
                 if z.controller.advertise(now) is None:
                     continue
@@ -993,11 +1067,9 @@ class _Run:
                     "type": "advert", "t": now, "tx": z.info.rsu_entity,
                     "zone": z.info.zone_id, "bytes": ADVERT_WIRE_BYTES,
                     "first_verifiers": [
-                        self.vehicles[vi].vid
-                        for vi in fresh[:, j].nonzero()[0].tolist()
+                        self.vehicles[vi].vid for vi, jj in fresh if jj == j
                     ],
                 })
-            self.adv_seen |= fresh
 
         if t_ds % self.fi_ds == 0:
             for j, z in enumerate(self.zones):
@@ -1009,17 +1081,34 @@ class _Run:
                     "bytes": z.chunk_payloads[slot] + CHUNK_CERT_BYTES,
                 })
 
-        # a vehicle newly in range of a newer filter collects one full chunk
-        # cycle from the next wraparound (chunk_delivery_latency)
-        need = in_range & (self.held_ep < cur_ep[None, :]) & ~self.pending
-        if need.any():
-            cycle = self.cycle_ds
+        # a vehicle in range of a newer filter than it holds, and not yet
+        # collecting it, collects one full chunk cycle from the next
+        # wraparound (chunk_delivery_latency). Only a range entry or a new
+        # epoch can make such a vehicle.
+        if self.epoch_moved:
+            self.epoch_moved = False
+            av = tk.av
+            need = (
+                self.RNG[tk.lo:tk.hi] & (self.held_ep[av] < cur_ep) & ~self.pending[av]
+            )
+            rows, js = need.nonzero()
+            starting = zip(av[rows].tolist(), js.tolist())
+        else:
+            starting = self.range_entries.get(k, ())
+        for vi, j in starting:
+            if self.pending[vi, j] or self.held_ep[vi, j] >= cur_ep[j]:
+                continue
+            cycle = self.cycle_ds[j]
             due = t_ds + (cycle - t_ds % cycle) % cycle + cycle
-            self.due_m[need] = np.broadcast_to(due, need.shape)[need]
-            self.arr_m[need] = t_ds
-            self.pending[need] = True
-        deliver = self.pending & (self.due_m == t_ds) & in_range
-        for vi, j in zip(*(a.tolist() for a in deliver.nonzero())):
+            self.pending[vi, j] = True
+            self.due_m[vi, j] = due
+            self.arr_m[vi, j] = t_ds
+            self.due_at.setdefault(due, []).append((vi, j))
+        # a collection that was dropped, or dropped and started again with
+        # another due tick, delivers nothing here
+        for vi, j in sorted(self.due_at.pop(t_ds, ())):
+            if not self.pending[vi, j] or self.due_m[vi, j] != t_ds:
+                continue
             ep = int(cur_ep[j])
             self.held_ep[vi, j] = ep
             self.pending[vi, j] = False
@@ -1029,7 +1118,6 @@ class _Run:
                 "epoch": ep, "via": "rsu",
                 "latency_s": (t_ds - int(self.arr_m[vi, j])) / 10.0,
             })
-        return near
 
     def _beacons(
         self, tk: _Tick, held: np.ndarray, counts: dict[str, np.ndarray]
@@ -1042,19 +1130,13 @@ class _Run:
         neighbor = dx * dx + dy * dy <= self.radio2
         np.fill_diagonal(neighbor, False)
         inside_mask = tk.cur_zone >= 0
-        outside_idx = (~inside_mask).nonzero()[0]
+        inside_idx = inside_mask.nonzero()[0]
 
-        # plaintext beacons from vehicles outside every zone
-        if outside_idx.size:
-            out_vi, out_rows = av[outside_idx], tk.rows[outside_idx]
-            xo, yo = xs[outside_idx], ys[outside_idx]
-            self.log.beacons(
-                tk.now, self.veh_name[out_vi], self.pid_name[out_vi],
-                self.link_name[out_vi], xo, yo, self.SPD[out_rows],
-                self.HDG[out_rows], self.lengths[out_vi], False, -1, xo, yo,
-            )
+        # plaintext beacons from vehicles outside every zone take their
+        # sequence numbers now and are logged at wrap-up, all at once
+        self.plain_seq[tk.k] = self.log.reserve(av.size - inside_idx.size)
         # encrypted beacons inside zones: logged, never observed
-        for ii in inside_mask.nonzero()[0].tolist():
+        for ii in inside_idx.tolist():
             self.emit({
                 "type": "beacon_encrypted", "t": tk.now,
                 "tx": self.vehicles[int(av[ii])].vid,
@@ -1102,7 +1184,10 @@ class _Run:
                     relay_row.append(row)
                 tx_x.append(x)
                 tx_y.append(y)
-                if not self.ca.filter_for(s.plan.zone_id).contains(s.plan.chaff.id):
+                filt = self.ca.filter_for(s.plan.zone_id)
+                if filt.epoch != s.filter_ep:
+                    s.filter_ep, s.in_filter = filt.epoch, filt.contains(s.plan.chaff.id)
+                if not s.in_filter:
                     self.audit_violations.append(
                         f"decoy {s.chaff_hex} emitted while absent from "
                         f"{s.plan.zone_id}'s filter at t={now}"
@@ -1138,14 +1223,14 @@ class _Run:
             self._end_stream(s, now, s.natural_reason)
 
     def _peer_exchange(
-        self, tk: _Tick, neighbor: np.ndarray, near: np.ndarray,
-        held_ep: np.ndarray, cur_ep: np.ndarray, counts: dict[str, np.ndarray],
+        self, tk: _Tick, neighbor: np.ndarray, held_ep: np.ndarray,
+        cur_ep: np.ndarray, counts: dict[str, np.ndarray],
     ) -> None:
         """Vehicles outside every RSU range with a stale filter ask their
-        neighbours for a newer one. near and held_ep are active rows: the
-        RSUs each is in range of and the filter epochs each holds."""
+        neighbours for a newer one. held_ep holds the filter epochs of the
+        active rows."""
         av, now = tk.av, tk.now
-        outside_all = ~near.any(axis=1)
+        outside_all = ~self.RNG[tk.lo:tk.hi].any(axis=1)
         req_stale = held_ep < cur_ep
         requesters = outside_all & req_stale.any(axis=1)
         if not requesters.any():
@@ -1166,10 +1251,8 @@ class _Run:
             for r, resp in zip(need[has].tolist(), cond[has].argmax(axis=1).tolist()):
                 rx_vid = self.vehicles[int(av[r])].vid
                 ep_resp = int(hv[resp])
-                blob, env = self.filter_snaps[j].get(ep_resp, (None, None))
-                if blob is None:
-                    continue
-                if not accept_peer_filter(env, self.pca_cred, now):
+                blob, _, accepted = self.filter_snaps[j][ep_resp]
+                if not accepted:
                     self.emit({
                         "type": "peer_filter_rejected", "t": now,
                         "vehicle": rx_vid, "zone": zone_id,
@@ -1196,7 +1279,7 @@ class _Run:
 
     def _despawns(self, tk: _Tick) -> None:
         """Trips that end at this tick."""
-        for vi in np.flatnonzero(self.tends == tk.t_ds).tolist():
+        for (vi,) in self.despawns.get(tk.k, ()):
             v = self.vehicles[vi]
             if v.stream is not None:
                 self._end_stream(v.stream, tk.now, "transmitter_done")
@@ -1204,9 +1287,41 @@ class _Run:
                 visit = self._leave_zone(vi, tk.now, "despawn")
                 self.zones[visit["zone_j"]].controller.drop_member(visit["member_id"])
             self.pending[vi, :] = False
-            self.in_range_prev[vi, :] = False
 
     # ------------------------------------------------------------ wrap up
+
+    def _log_vehicle_beacons(self) -> None:
+        """Every plaintext vehicle beacon, logged at once: each row outside
+        every zone at a beacon tick, under the pseudonym and link id its
+        vehicle held then, with the sequence numbers its tick reserved.
+
+        A cooperative vehicle holds pool[c] and link id c after c zone
+        entries; entries happen in the tick's zone transitions, before its
+        beacons."""
+        ptr = np.array(self.tick_ptr)
+        tick = np.repeat(np.arange(self.nticks), np.diff(ptr))
+        rows = np.flatnonzero(
+            (self.ZIDX < 0) & (tick * self.tick_ds % self.gv_ds == 0)
+        )
+        k, vi = tick[rows], self.VEH[rows]
+        del tick
+        key = vi.astype(np.int64) * self.nticks
+        changes = (
+            np.searchsorted(self.entry_keys, key + k, side="right")
+            - np.searchsorted(self.entry_keys, key)
+        )
+        pool_i = self.pool_base[vi] + np.where(self.non_coop[vi], 0, changes)
+        # a tick's plaintext rows are consecutive in rows
+        seq = (
+            np.array(self.plain_seq)[k] + np.arange(rows.size)
+            - np.searchsorted(rows, ptr[k])
+        )
+        x, y = self.X[rows], self.Y[rows]
+        self.log.beacons(
+            seq, k * self.tick_ds / 10.0, self.veh_name[vi], self.pool_pid[pool_i],
+            self.pool_link[pool_i], x, y, self.SPD[rows], self.HDG[rows],
+            self.lengths[vi], False, -1, x, y,
+        )
 
     def finish(self) -> RunResult:
         final_now = ((self.nticks - 1) * self.tick_ds) / 10.0
@@ -1224,8 +1339,10 @@ class _Run:
                     "kind": kind, "detail": detail,
                 })
 
-        # the log needs none of the poses
+        self._log_vehicle_beacons()
+        # the log needs none of the rows
         del self.X, self.Y, self.SPD, self.HDG, self.ZIDX, self.EDGE
+        del self.RNG, self.VEH, self.SLOT
         event_log, observations = self.log.finish(
             self.counters, self.veh_name, self.first_sec, self.seconds
         )

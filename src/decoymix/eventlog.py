@@ -6,9 +6,9 @@ become one dict each. The engine logs beacons as blocks of raw columns and
 hands over its reception counters, a slot per vehicle second on the road;
 finish() rounds every beacon field as it goes on the air, works out which
 eavesdroppers heard each beacon, and merges the three streams. Every record
-takes a sequence number when it is logged, and one lexsort over (time,
-entity, sequence) gives the order a stable sort of all records by (time,
-entity) gives.
+takes a sequence number when it is sent (a block of beacons logged later
+reserves its numbers then), and one lexsort over (time, entity, sequence)
+gives the order a stable sort of all records by (time, entity) gives.
 `EventLog.write_jsonl` writes that order without building the dicts;
 `EventLog.records` builds them, as the reference view.
 """
@@ -151,27 +151,32 @@ class EventLog:
     def write_jsonl(self, fh) -> None:
         """One compact JSON object per line, byte for byte what encoding
         each of `records()` gives: column rows are formatted directly,
-        floats by repr as the JSON encoder does, and every string is
-        encoded once per distinct value."""
+        floats by repr as the JSON encoder does, every string is encoded
+        once per distinct value, and so is every value of the beacon
+        columns that repeat most (time, speed, heading and length)."""
         b, r = self.beacons, self.receptions
         enc = [encode_event(s) for s in b.names] + ["null"]  # zone -1: null
         observer_sets, code = _observer_sets(b)
         observers = [encode_event(ids) for ids in observer_sets]
         chaff_flag = ("false", "true")
+        columns = (
+            _Reprs(b.t), b.tx, b.pseudonym, b.link, b.x, b.y, _Reprs(b.speed),
+            _Reprs(b.heading), _Reprs(b.length), b.chaff, b.zone, code,
+        )
 
         def protocol_lines(lo, hi):
             return [encode_event(e) + "\n" for e in self.protocol[lo:hi]]
 
         def beacon_lines(lo, hi):
             return [
-                f'{{"type":"beacon","t":{t!r},"tx":{enc[tx]},'
+                f'{{"type":"beacon","t":{t},"tx":{enc[tx]},'
                 f'"pseudonym":{enc[pid]},"link":{enc[link]},"x":{x!r},'
-                f'"y":{y!r},"speed":{speed!r},"heading":{heading!r},'
-                f'"length":{length!r},"chaff":{chaff_flag[chaff]},'
+                f'"y":{y!r},"speed":{speed},"heading":{heading},'
+                f'"length":{length},"chaff":{chaff_flag[chaff]},'
                 f'"zone":{enc[zone]},"bytes":{BEACON_WIRE_BYTES},'
                 f'"observers":{observers[c]}}}\n'
                 for t, tx, pid, link, x, y, speed, heading, length, chaff, zone, c
-                in _beacon_rows(b, lo, hi, code)
+                in zip(*(col[lo:hi].tolist() for col in columns))
             ]
 
         def reception_lines(lo, hi):
@@ -211,6 +216,21 @@ def _observer_sets(b: BeaconColumns) -> tuple[list[list[str]], np.ndarray]:
         count=len(b.eaves),
     )
     return [[b.eaves[w] for w in np.flatnonzero(row)] for row in bits], code
+
+
+class _Reprs:
+    """A float column's values as reprs: one repr per distinct value, told
+    apart by bit pattern so that -0.0 keeps its sign. Slicing gives the
+    reprs of those rows as an object array."""
+
+    def __init__(self, col: np.ndarray) -> None:
+        distinct, self.code = np.unique(col.view(np.int64), return_inverse=True)
+        self.reprs = np.array(
+            [repr(v) for v in distinct.view(np.float64).tolist()], dtype=object
+        )
+
+    def __getitem__(self, rows: slice) -> np.ndarray:
+        return self.reprs[self.code[rows]]
 
 
 def _beacon_rows(b: BeaconColumns, lo: int, hi: int, code: np.ndarray):
@@ -294,21 +314,27 @@ class EventLogBuilder:
         self.protocol_seq.append(self.seq)
         self.seq += 1
 
-    def beacons(self, t, tx, pseudonym, link, x, y, speed, heading, length,
-                chaff, zone, hx, hy) -> None:
-        """Log len(tx) beacons sent at time t. Every other argument holds one
-        value per beacon or one for all: string-table indices for tx,
-        pseudonym, link and zone (-1: none), the unrounded claimed pose, and
-        (hx, hy), the transmitter's position, which decides who hears it."""
-        k = len(tx)
-        self._blocks.append((
-            np.arange(self.seq, self.seq + k), t, tx, pseudonym, link, x, y,
-            speed, heading, length, chaff, zone, hx, hy,
-        ))
+    def reserve(self, k: int) -> int:
+        """Take the next k sequence numbers for records logged later;
+        returns the first."""
         self.seq += k
+        return self.seq - k
+
+    def beacons(self, seq, t, tx, pseudonym, link, x, y, speed, heading,
+                length, chaff, zone, hx, hy) -> None:
+        """Log len(seq) beacons under sequence numbers seq, which reserve()
+        handed out. Every other argument holds one value per beacon or one
+        for all: the send time, string-table indices for tx, pseudonym, link
+        and zone (-1: none), the unrounded claimed pose, and (hx, hy), the
+        transmitter's position, which decides who hears it."""
+        self._blocks.append((
+            seq, t, tx, pseudonym, link, x, y, speed, heading, length, chaff,
+            zone, hx, hy,
+        ))
 
     def beacon(self, *row) -> None:
-        """Log one beacon; arguments as for beacons(), one value each."""
+        """Log one beacon under the next sequence number; arguments as for
+        beacons() after seq, one value each."""
         self._rows.append((self.seq, *row))
         self.seq += 1
         if len(self._rows) >= _MERGE_BLOCK:

@@ -1,13 +1,17 @@
 from __future__ import annotations
 
+import copy
 import io
 import json
+import math
 import random
 from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from decoymix.core import Credential, CredentialKind, sign
 from decoymix.engine import (
@@ -131,6 +135,116 @@ def test_config_from_file_rejects_unknown_keys(grid4, tmp_path):
     p.write_text(json.dumps(doc))
     with pytest.raises(ConfigError):
         ScenarioConfig.from_file(p)
+
+
+VALID_SCENARIO = {
+    "graph_file": "net.json",
+    "traffic": {"n_vehicles": 5, "arrival_rate_per_s": 0.5},
+    "zones": [
+        {"zone_id": "z-a", "center_x_m": 500.0, "center_y_m": 500.0, "radius_m": 100.0},
+        {"zone_id": "z-b", "center_x_m": 1000.0, "center_y_m": 500.0, "radius_m": 80},
+    ],
+    "eavesdroppers": [
+        {"eaves_id": "eav-0", "x_m": 500.0, "y_m": 500.0, "range_m": 250.0}
+    ],
+    "gamma_v_s": 0.5,
+    "gamma_mz_s": 1.0,
+    "relay_fraction": 0.25,
+    "filter_tx_interval_s": 1.0,
+    "duration_s": 120.0,
+    "rng_seed": 11,
+    "chaff_per_zone": 20,
+}
+
+# any JSON value, a little nested, and numbers at the edges of what each
+# field takes: non-finite, negative, zero, huge, bool, numeric strings
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=6,
+)
+_EDGE_VALUES = st.sampled_from([
+    math.nan, math.inf, -math.inf, -1, -0.5, 0, 0.0, 1e-300, 1e308, 2 ** 64,
+    -(2 ** 70), True, False, "1.0", "", ".", "net.json", "missing.json",
+    "net.json\x00", [], {}, None,
+])
+# three edits in four use an edge value
+_VALUES = st.integers(0, 3).flatmap(lambda i: _JSON if i == 0 else _EDGE_VALUES)
+
+
+def _mutate(doc: dict, data) -> None:
+    """One random edit: a field of doc, of its traffic block or of a zone or
+    eavesdropper object set to another value or dropped, an unknown key
+    added to one of them, or a list element replaced, dropped or appended."""
+
+    def value():  # a copy, so no edit reaches the strategy's own [] or {}
+        return copy.deepcopy(data.draw(_VALUES))
+
+    objects = [doc] + [
+        node for v in doc.values()
+        for node in ([v] + (v if isinstance(v, list) else []))
+        if isinstance(node, dict)
+    ]
+    fields = [(obj, key) for obj in objects for key in sorted(obj)]
+    lists = [v for v in doc.values() if isinstance(v, list)]
+    edit = data.draw(st.sampled_from(("set", "set", "drop", "extra", "element")))
+    if edit in ("set", "drop") and fields:
+        obj, key = data.draw(st.sampled_from(fields))
+        if edit == "set":
+            obj[key] = value()
+        else:
+            del obj[key]
+    elif edit == "element" and lists:
+        target = data.draw(st.sampled_from(lists))
+        i = data.draw(st.integers(0, len(target)))
+        if i == len(target):
+            target.append(value())
+        elif data.draw(st.booleans()):
+            del target[i]
+        else:
+            target[i] = value()
+    else:
+        data.draw(st.sampled_from(objects))[data.draw(st.text(max_size=8))] = value()
+
+
+@pytest.fixture(scope="module")
+def scenario_dir(grid4, tmp_path_factory):
+    d = tmp_path_factory.mktemp("scenario")
+    (d / "net.json").write_text(grid4.to_json(), encoding="utf-8")
+    return d
+
+
+def test_valid_scenario_dict_loads(scenario_dir):
+    cfg = ScenarioConfig.from_dict(copy.deepcopy(VALID_SCENARIO), scenario_dir)
+    assert [z.zone_id for z in cfg.zones] == ["z-a", "z-b"]
+
+
+@pytest.mark.parametrize("edit", [
+    {"graph_file": ""}, {"graph_file": "."},  # the scenario's own directory
+    {"duration_s": 1e308}, {"gamma_mz_s": 1e308}, {"filter_tx_interval_s": 1e308},
+])
+def test_scenario_dict_naming_a_directory_or_overflowing_the_lattice_is_refused(
+    scenario_dir, edit
+):
+    with pytest.raises(ConfigError):
+        ScenarioConfig.from_dict({**copy.deepcopy(VALID_SCENARIO), **edit}, scenario_dir)
+
+
+@settings(max_examples=600, derandomize=True, database=None, deadline=None)
+@given(data=st.data())
+def test_mutated_scenario_dict_loads_or_raises_config_error(scenario_dir, data):
+    doc = copy.deepcopy(VALID_SCENARIO)
+    for _ in range(data.draw(st.integers(1, 3))):
+        _mutate(doc, data)
+    try:
+        cfg = ScenarioConfig.from_dict(doc, scenario_dir)
+    except ConfigError:
+        return
+    # accepted only with every field of its declared type
+    assert all(isinstance(z.center_x_m, (int, float)) for z in cfg.zones)
+    assert all(isinstance(e.eaves_id, str) for e in cfg.eavesdroppers)
+    assert isinstance(cfg.n_vehicles, int) and not isinstance(cfg.n_vehicles, bool)
 
 
 def test_resolve_trips_is_deterministic(grid4):
@@ -467,6 +581,54 @@ def test_audits_pass_on_mixed_scenario(grid4):
     assert audit_ground_truth(res) == []
 
 
+def test_vehicle_beacons_follow_the_pseudonym_changes_and_beacon_ticks(grid4):
+    # plaintext vehicle beacons are logged in one pass at wrap-up; the
+    # reference is the run's own records: each vehicle beacons on every
+    # beacon tick it is on the road outside a zone, under the pseudonym of
+    # its last pseudonym_change, with one link id per pseudonym
+    cfg = mixed_config(grid4, gamma_v_s=1.0, gamma_mz_s=0.5)
+    res = run(cfg)
+    state = _Run(cfg)
+    assert state.tick_ds == 5 and state.gv_ds == 10
+    names = [v.vid for v in state.vehicles]
+    expected = {
+        (k * 0.5, names[vi])
+        for k in range(state.nticks) if k % 2 == 0
+        for vi, z in zip(
+            state.VEH[state.tick_ptr[k]:state.tick_ptr[k + 1]].tolist(),
+            state.ZIDX[state.tick_ptr[k]:state.tick_ptr[k + 1]].tolist(),
+        )
+        if z < 0
+    }
+    beacons = [e for e in res.events if e["type"] == "beacon" and not e["chaff"]]
+    assert {(e["t"], e["tx"]) for e in beacons} == expected
+    assert len(beacons) == len(expected)
+
+    changes: dict[str, list[tuple[float, str, str]]] = {}
+    for e in res.events:
+        if e["type"] == "pseudonym_change":
+            changes.setdefault(e["vehicle"], []).append((e["t"], e["old"], e["new"]))
+    assert any(len(c) >= 2 for c in changes.values())
+    non_coop = {v.vid for v in state.vehicles if v.non_coop}
+    assert non_coop and not non_coop & set(changes)
+    links: dict[str, set[str]] = {}
+    senders: dict[str, set[str]] = {}
+    for e in beacons:
+        held = [(t, new) for t, _, new in changes.get(e["tx"], ()) if t <= e["t"]]
+        if held:
+            assert e["pseudonym"] == held[-1][1]
+        elif e["tx"] in changes:
+            assert e["pseudonym"] == changes[e["tx"]][0][1]
+        links.setdefault(e["pseudonym"], set()).add(e["link"])
+        senders.setdefault(e["pseudonym"], set()).add(e["tx"])
+    assert all(len(ids) == 1 for ids in links.values())
+    assert len({next(iter(ids)) for ids in links.values()}) == len(links)
+    # a pseudonym belongs to one vehicle; a non-cooperative one keeps its own
+    assert all(len(tx) == 1 for tx in senders.values())
+    for vid in non_coop:
+        assert len({e["pseudonym"] for e in beacons if e["tx"] == vid}) <= 1
+
+
 def _audit_single_pseudonym_reference(result) -> list[str]:
     """audit_single_pseudonym as a dict of pseudonym sets per (transmitter,
     instant): the reference for the vectorized version."""
@@ -544,6 +706,38 @@ def test_relay_chaff_that_resolves_to_no_vehicle_is_a_violation(grid4, monkeypat
     assert res.audit_violations == [
         f"relay veh-000 sent chaff {start['chaff']} that resolves to None "
         f"at t={start['t']}"
+    ]
+
+
+def test_decoy_sent_after_its_chaff_left_the_filter_is_a_violation(grid4):
+    # the chaff id of the live relay stream is pulled from the zone filter
+    # (the authority moves the epoch with every change): every decoy beacon
+    # sent after that is a finding, and none before
+    state = _Run(one_zone_config(grid4, relay_fraction=1.0))
+    k = 0
+    while not state.streams:
+        state.step(k)
+        k += 1
+    (stream,) = state.streams.values()
+    # ten beacons into the stream
+    first_ds = min(stream.poses)
+    while k * state.tick_ds <= first_ds + 10 * state.gv_ds:
+        state.step(k)
+        k += 1
+    assert state.audit_violations == []
+    filt = state.ca.filter_for("z-a")
+    filt.remove(stream.plan.chaff.id)
+    filt.epoch += 1
+    pulled_ds = k * state.tick_ds
+    sent_after = [t for t in stream.poses if pulled_ds <= t < stream.last_ds]
+    # up to the stream's last pose, whose tick retires the chaff
+    for k in range(k, stream.last_ds // state.tick_ds):
+        state.step(k)
+    assert len(sent_after) > 10 and stream.chaff_hex in state.streams
+    assert state.audit_violations == [
+        f"decoy {stream.chaff_hex} emitted while absent from z-a's filter "
+        f"at t={t / 10.0}"
+        for t in sorted(sent_after)
     ]
 
 
@@ -641,6 +835,18 @@ def test_event_export_is_json_lines(grid4):
     assert all("type" in r and "t" in r for r in rows)
 
 
+def _kept_samples(graph, trips, tick_s, duration_s):
+    """Each trip's samples up to the clock's end, by tick index."""
+    return [
+        {
+            round(sample.time_s / tick_s): (sample, eid)
+            for sample, eid in trip_samples_with_edges(graph, trip, tick_s)
+            if sample.time_s <= duration_s
+        }
+        for trip in trips
+    ]
+
+
 def test_span_storage_holds_the_kept_samples_and_seconds(grid4):
     # a 60 s clock on the 0.5 s lattice: veh-a (1,500 m at 4 m/s) outlasts
     # it, veh-b departs on the last tick 240 m behind veh-a, and veh-c
@@ -652,20 +858,8 @@ def test_span_storage_holds_the_kept_samples_and_seconds(grid4):
     )
     state = _Run(one_zone_config(grid4, trips=trips, duration_s=60.0))
     assert state.tick_ds == 5 and state.nticks == 121
-    kept = []
-    for trip in trips:
-        samples = trip_samples_with_edges(grid4, trip, 0.5)
-        kept.append([sample for sample in samples if sample[0].time_s <= 60.0])
+    kept = _kept_samples(grid4, trips, 0.5, 60.0)
     assert [len(k) for k in kept] == [121, 1, 83]
-    rows = [sample for k in kept for sample in k]
-    assert state.X.tolist() == [s.x for s, _ in rows]
-    assert state.Y.tolist() == [s.y for s, _ in rows]
-    assert state.SPD.tolist() == [s.speed_mps for s, _ in rows]
-    assert state.HDG.tolist() == [s.heading_rad for s, _ in rows]
-    owner = [i for i, k in enumerate(kept) for _ in k]
-    assert [trips[i].edge_ids[e] for i, e in zip(owner, state.EDGE.tolist())] == [
-        eid for _, eid in rows
-    ]
 
     # seconds 0-60, 60 and 10-51
     spans = list(zip(state.t0s.tolist(), state.tends.tolist()))
@@ -673,6 +867,24 @@ def test_span_storage_holds_the_kept_samples_and_seconds(grid4):
     assert state.counters.shape == (
         len(RECEPTION_COUNTERS), sum(end // 10 - t0 // 10 + 1 for t0, end in spans)
     ) == (len(RECEPTION_COUNTERS), 61 + 1 + 42)
+
+    # every kept sample sits at its (tick, vehicle) row, a tick's rows in
+    # vehicle order, and each row's counter slot is its vehicle second
+    ptr = state.tick_ptr
+    assert len(ptr) == state.nticks + 1 and ptr[0] == 0
+    assert ptr[-1] == state.X.size == sum(len(k) for k in kept)
+    slot_base = [0, 61, 62]
+    for k in range(state.nticks):
+        rows = range(ptr[k], ptr[k + 1])
+        vis = [i for i, samples in enumerate(kept) if k in samples]
+        assert state.VEH[ptr[k]:ptr[k + 1]].tolist() == vis
+        for r, i in zip(rows, vis):
+            sample, eid = kept[i][k]
+            assert (state.X[r], state.Y[r], state.SPD[r], state.HDG[r]) == (
+                sample.x, sample.y, sample.speed_mps, sample.heading_rad
+            )
+            assert trips[i].edge_ids[state.EDGE[r]] == eid
+            assert state.SLOT[r] == slot_base[i] + min(k * 5 // 10, 60) - spans[i][0] // 10
 
     for k in range(state.nticks):
         state.step(k)
@@ -683,3 +895,103 @@ def test_span_storage_holds_the_kept_samples_and_seconds(grid4):
     # the two vehicles on the road at the final tick hear each other then
     assert sorted(last) == ["veh-a", "veh-b"]
     assert last["veh-a"]["rx_beacons"] >= 1 and last["veh-b"]["rx_beacons"] >= 1
+
+
+def test_precomputed_events_match_the_per_tick_scans(grid4):
+    # two zones 500 m apart with 250 m RSU ranges and a 1.5 s advert
+    # interval on the 0.5 s lattice, over a 60 s clock:
+    # veh-a crosses z-a northbound (range entry, zone entry and exit, range
+    # exit) and outlasts the clock; veh-b departs on the last tick; veh-c
+    # departs off the lattice and arrives in-run far from both RSUs; veh-d
+    # starts inside z-a and its range, then leaves z-a's range and enters
+    # z-b's; veh-e ends its trip inside z-b
+    trips = (
+        straight_trip("veh-a", depart=0.0, speed=13.0),
+        Trip("veh-b", 60.0, ("j0_1__j1_1",), (10.0,), 4.5),
+        Trip("veh-c", 10.2, ("j0_0__j0_1",), (12.0,), 7.5),
+        Trip("veh-d", 3.0, ("j1_1__j1_2", "j1_2__j1_3"), (12.0, 12.0), 4.5),
+        Trip("veh-e", 5.0, ("j1_3__j1_2",), (12.0,), 4.5),
+    )
+    cfg = ScenarioConfig(
+        graph=grid4,
+        zones=(ZoneSpec("z-a", 500.0, 500.0, 100.0), ZoneSpec("z-b", 1000.0, 500.0, 100.0)),
+        trips=trips, rsu_range_m=250.0, gamma_mz_s=1.5, duration_s=60.0, rng_seed=3,
+    )
+    state = _Run(cfg)
+    assert state.tick_ds == 5 and state.gmz_ds == 15
+    kept = _kept_samples(grid4, trips, 0.5, 60.0)
+    disks = [(500.0, 500.0, 100.0 ** 2), (1000.0, 500.0, 100.0 ** 2)]
+    nv, nz = len(trips), len(disks)
+
+    # the per-tick scans the event lists replace, one tick at a time
+    inside = [-1] * nv
+    in_range_prev = np.zeros((nv, nz), dtype=bool)
+    adv_seen = np.zeros((nv, nz), dtype=bool)
+    seen = {name: [] for name in (
+        "zone_moves", "range_entries", "range_exits", "first_adverts", "despawns",
+    )}
+    for k in range(state.nticks):
+        t = k * 5
+        av = np.flatnonzero((state.t0s <= t) & (state.tends >= t)).tolist()
+        lo, hi = state.tick_ptr[k], state.tick_ptr[k + 1]
+        assert state.VEH[lo:hi].tolist() == av
+        poses = [kept[i][k][0] for i in av]
+        assert state.X[lo:hi].tolist() == [p.x for p in poses]
+        assert state.Y[lo:hi].tolist() == [p.y for p in poses]
+
+        zone = [
+            next((j for j, (cx, cy, r2) in enumerate(disks)
+                  if (round(p.x, 3) - cx) ** 2 + (round(p.y, 3) - cy) ** 2 <= r2), -1)
+            for p in poses
+        ]
+        near = np.array(
+            [[(p.x - cx) ** 2 + (p.y - cy) ** 2 <= 250.0 ** 2 for cx, cy, _ in disks]
+             for p in poses], dtype=bool,
+        ).reshape(len(av), nz)
+        assert state.ZIDX[lo:hi].tolist() == zone
+        assert state.RNG[lo:hi].tolist() == near.tolist()
+
+        moves = []
+        for ii, (vi, j) in enumerate(zip(av, zone)):
+            if j != inside[vi]:
+                moves.append((vi, inside[vi], j, lo + ii))
+                inside[vi] = j
+        in_range = np.zeros((nv, nz), dtype=bool)
+        in_range[av] = near
+        entries = list(zip(*(in_range & ~in_range_prev).nonzero()))
+        exits = list(zip(*(in_range_prev & ~in_range).nonzero()))
+        in_range_prev = in_range
+        fresh = []
+        if t % 15 == 0:
+            fresh = list(zip(*(in_range & ~adv_seen).nonzero()))
+            adv_seen |= in_range
+        despawns = [(vi,) for vi in np.flatnonzero(state.tends == t).tolist()]
+        for (vi,) in despawns:
+            inside[vi] = -1
+            in_range_prev[vi] = False
+
+        for name, expected in zip(seen, (moves, entries, exits, fresh, despawns)):
+            got = getattr(state, name).get(k, [])
+            assert got == [tuple(int(v) for v in e) for e in expected], (name, k)
+            seen[name].extend(got)
+
+    for name in seen:
+        assert set(getattr(state, name)) <= set(range(state.nticks)), name
+    # every path is exercised: zone and range entries on a trip's first
+    # row, zone exits, a range exit and entry in one tick, adverts first
+    # heard after a range entry, and a despawn inside a zone
+    first_d = int(state.t0s[3]) // 5
+    # veh-a and veh-d are on the road then
+    assert state.zone_moves[first_d] == [(3, -1, 0, state.tick_ptr[first_d] + 1)]
+    assert (3, 0) in state.range_entries[first_d]
+    assert any(prev >= 0 and new < 0 for _, prev, new, _ in seen["zone_moves"])
+    assert any(
+        (3, 0) in state.range_exits[k] and (3, 1) in state.range_entries.get(k, ())
+        for k in state.range_exits
+    )
+    assert (0, 0) in seen["range_exits"]
+    assert len(seen["first_adverts"]) == len(set(seen["first_adverts"])) >= 4
+    last_e = int(state.tends[4]) // 5
+    assert state.ZIDX[state.tick_ptr[last_e + 1] - 1] == 1
+    assert (4,) in state.despawns[last_e]
+    assert len(seen["despawns"]) == nv

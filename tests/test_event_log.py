@@ -25,7 +25,12 @@ from decoymix.engine import (
     ZoneSpec,
     run,
 )
-from decoymix.eventlog import encode_event, round_array
+from decoymix.eventlog import (
+    RECEPTION_COUNTERS,
+    EventLogBuilder,
+    encode_event,
+    round_array,
+)
 from decoymix.metrics import (
     build_linkability_report,
     overhead,
@@ -216,3 +221,58 @@ def test_odd_ids_are_escaped_in_the_export():
     assert text.isascii()
     assert '"zone":"z-\\"q\\\\\\u00e9"' in text
     assert '"observers":["eav-\\"\\\\\\u00fc"' in text
+
+
+def test_repeated_and_signed_zero_beacon_values_are_written_as_encoded():
+    # a log built the way the engine builds one, with beacon times, speeds,
+    # headings and lengths drawn from a few values each, 0.0 and -0.0 among
+    # the headings and speeds: write_jsonl formats these columns from one
+    # repr per distinct value, which must keep the sign of zero
+    rng = random.Random(7)
+    log = EventLogBuilder(
+        ["eav-a", "eav-b"], np.array([0.0, 600.0]), np.array([0.0, 0.0]),
+        np.array([400.0 ** 2, 400.0 ** 2]),
+    )
+    vehicles = np.array([log.name(f"veh-{i}") for i in range(5)], dtype=np.int32)
+    pids = np.array([log.name(f"p-{i}") for i in range(5)], dtype=np.int32)
+    headings = (0.0, -0.0, math.pi, -math.pi / 2, 1.2345678)
+    speeds = (0.0, -0.0, 13.89, 7.25)
+    for step in range(60):
+        t = step * 0.5
+        x = np.array([rng.uniform(-500.0, 1100.0) for _ in vehicles])
+        y = np.array([rng.uniform(-300.0, 300.0) for _ in vehicles])
+        log.beacons(
+            np.arange(log.reserve(5), log.seq), t, vehicles, pids, pids, x, y,
+            np.array([rng.choice(speeds) for _ in vehicles]),
+            np.array([rng.choice(headings) for _ in vehicles]),
+            np.array([rng.choice((4.5, 7.5)) for _ in vehicles]),
+            False, -1, x, y,
+        )
+        if step % 4 == 0:
+            log.beacon(
+                t, log.name("rsu:z"), log.name(f"chaff-{step % 3}"),
+                log.name("link-c"), 300.0, 10.0, 13.89, -0.0, 4.5, True,
+                log.name("z"), 300.0, 0.0,
+            )
+        if step % 10 == 0:
+            log.event({"type": "advert", "t": t, "tx": "rsu:z", "zone": "z"})
+    counters = np.array(
+        [[rng.choice((0, 0, 1, 3)) for _ in range(5 * 30)]
+         for _ in RECEPTION_COUNTERS], dtype=np.int64,
+    )
+    event_log, _ = log.finish(
+        counters, vehicles, np.zeros(5, dtype=np.int64), np.full(5, 30)
+    )
+
+    buf = io.StringIO()
+    event_log.write_jsonl(buf)
+    records = event_log.records()
+    assert buf.getvalue() == "".join(encode_event(e) + "\n" for e in records)
+    beacons = [e for e in records if e["type"] == "beacon"]
+    for field in ("heading", "speed"):
+        signs = {math.copysign(1.0, e[field]) for e in beacons if e[field] == 0.0}
+        assert signs == {-1.0, 1.0}, field
+        assert f'"{field}":-0.0,' in buf.getvalue()
+        assert f'"{field}":0.0,' in buf.getvalue()
+    for field in ("t", "speed", "heading", "length"):
+        assert len({e[field] for e in beacons}) < len(beacons) / 4, field
