@@ -11,7 +11,13 @@ from pathlib import Path
 
 from decoymix.adversary import export_candidate_sets
 from decoymix.cli import attack_result, main
-from decoymix.engine import EavesdropperSpec, ScenarioConfig, ZoneSpec, run
+from decoymix.engine import (
+    EavesdropperSpec,
+    RunResult,
+    ScenarioConfig,
+    ZoneSpec,
+    run,
+)
 from decoymix.metrics import (
     build_linkability_report,
     overhead,
@@ -107,6 +113,27 @@ GRID_CELL_DIGESTS = {
         "2dffcc2626a2ef164b16e3cadd7eb716cd973f487f179f768ec798f97e8aac2b",
 }
 
+# a multi-zone cell where vehicles pass filters to each other: 5x5 grid,
+# three zones with 250 m RSU ranges, 60 trips (synthesize_trips seed 11),
+# 300 s, relay 0.5, non-coop 0.2, 0.5 s adverts on 1 s beacons, so only
+# every other tick is a beacon tick
+MULTI_ZONE_DIGESTS = {
+    "candidate_sets.jsonl":
+        "0aa72c0cbd0226438288adacb20b13c7935e88874b801be954e2545414bfa581",
+    "events.jsonl":
+        "53e82b5120d1c19de6b6c60c7f9408ab9804a2dfa824b9b8c51e9886565050fb",
+    "linkability.csv":
+        "f2fae5130b6434e8ad637c809cafcfd710c426af984809eb5a44a72f6ec816cd",
+    "linkability.json":
+        "a8373c15bf07e17c72658d236cb9901ecf263ca7f562c127e0d832f2ce609ae0",
+    "observations.csv":
+        "f147de0740886666a62c50b31aaa34a8be30608cd6044c0bcc381c9417e40683",
+    "overhead.csv":
+        "9cb78662712ffdc27f1cd35ab26ab9b74fa9dbcde1d743fe687c543d80a9cf97",
+    "overhead.json":
+        "06e28453aa5f1a8c9b8b945706158b0d1402380e7e23bc3ff91119f06ec1604f",
+}
+
 CRUISE = 13.89
 ARMS = (
     ("j0_1__j1_1", "j1_1__j2_1"),
@@ -125,8 +152,9 @@ def _digests(base: Path) -> dict[str, str]:
     }
 
 
-def _write_reports(cfg: ScenarioConfig, label: str, out: Path) -> None:
-    """Run one scenario and write every report file in both formats."""
+def _write_reports(cfg: ScenarioConfig, label: str, out: Path) -> RunResult:
+    """Run one scenario, write every report file in both formats and return
+    the run."""
     result = run(cfg)
     sets, chains, tracks = attack_result(result)
     link_rep = build_linkability_report(
@@ -145,6 +173,7 @@ def _write_reports(cfg: ScenarioConfig, label: str, out: Path) -> None:
         write_overhead_csv(over_rep, fh)
     (out / "linkability.json").write_text(link_rep.to_json(), encoding="utf-8")
     (out / "overhead.json").write_text(over_rep.to_json(), encoding="utf-8")
+    return result
 
 
 def test_run_command_report_digests(tmp_path):
@@ -196,3 +225,37 @@ def test_baseline_grid_cell_report_digests(tmp_path):
     )
     _write_reports(cfg, "grid", tmp_path)
     assert _digests(tmp_path) == GRID_CELL_DIGESTS
+
+
+def test_multi_zone_peer_cell_report_digests(tmp_path):
+    g = make_grid(5, 5, 500.0)
+    cfg = ScenarioConfig(
+        graph=g,
+        zones=(
+            ZoneSpec("z-a", 500.0, 500.0, 100.0),
+            ZoneSpec("z-b", 1500.0, 1000.0, 100.0),
+            ZoneSpec("z-c", 1000.0, 1500.0, 100.0),
+        ),
+        eavesdroppers=(
+            EavesdropperSpec("eav-a", 500.0, 500.0, 400.0),
+            EavesdropperSpec("eav-b", 1500.0, 1000.0, 400.0),
+        ),
+        trips=tuple(synthesize_trips(g, 60, 0.5, 11)),
+        relay_fraction=0.5, non_coop_fraction=0.2, rng_seed=5,
+        duration_s=300.0, rsu_range_m=250.0, gamma_v_s=1.0, gamma_mz_s=0.5,
+        chaff_per_zone=300, filter_capacity=400,
+    )
+    result = _write_reports(cfg, "multizone", tmp_path)
+    # the paths this cell is here for: peer deliveries, RSU-sent decoys
+    # and vehicles holding two or more zone filters
+    events = result.events
+    assert any(e["type"] == "peer_filter" for e in events)
+    assert any(
+        e["type"] == "decoy_start" and e["source"] == "rsu" for e in events
+    )
+    held: dict[str, set[str]] = {}
+    for e in events:
+        if e["type"] == "filter_delivered":
+            held.setdefault(e["vehicle"], set()).add(e["zone"])
+    assert max(len(zones) for zones in held.values()) >= 2
+    assert _digests(tmp_path) == MULTI_ZONE_DIGESTS
