@@ -8,7 +8,6 @@ decoy streams without reshuffling the ones already present.
 
 from __future__ import annotations
 
-import bisect
 import functools
 import json
 import math
@@ -70,6 +69,10 @@ CHUNK_CERT_BYTES = PSEUDONYM_WIRE_BYTES
 STANDARD_BEACON_INTERVALS_S = (0.2, 0.5, 1.0)
 
 OBSERVATION_HEADER = "time,pseudonym_id,x,y,speed,heading,length,eavesdropper_id"
+
+# the pairs the wrap-up's reception counting compares at once; a block of
+# float64 distances takes 2 MB
+BLOCK_ELEMENTS = 1 << 18
 
 
 # ---------------------------------------------------------------------------
@@ -264,7 +267,7 @@ class ScenarioConfig:
             doc = json.loads(path.read_text(encoding="utf-8"))
         except FileNotFoundError:
             raise ConfigError(f"scenario file not found: {path}") from None
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # JSONDecodeError, or an int too long to parse
             raise ConfigError(f"scenario file is not valid JSON: {exc}") from None
         if not isinstance(doc, dict):
             raise ConfigError("scenario file must hold a JSON object")
@@ -274,8 +277,8 @@ class ScenarioConfig:
 def _typed(name: str, value, kind: type):
     """value checked against a field's declared type, else ConfigError.
 
-    A float field takes any finite int or float as given; an int field takes
-    an int or an integral float, as an int. bool counts as neither."""
+    A float field takes any finite int or float, as a float; an int field
+    takes an int or an integral float, as an int. bool counts as neither."""
     if kind in (int, float):
         what = "an integer" if kind is int else "a number"
         if isinstance(value, bool) or not isinstance(value, (int, float)):
@@ -286,7 +289,10 @@ def _typed(name: str, value, kind: type):
             if value != int(value):
                 raise ConfigError(f"{name} must be {what}, got {value!r}")
             return int(value)
-        return value
+        try:
+            return float(value)
+        except OverflowError:
+            raise ConfigError(f"{name} is too large for a float") from None
     if not isinstance(value, kind):
         raise ConfigError(
             f"{name} must be of type {kind.__name__}, got {value!r}"
@@ -356,6 +362,20 @@ class RunResult:
         """Every event record as a dict, in output order: the reference view
         of the log, built on first access."""
         return self.log.records()
+
+    @functools.cached_property
+    def observed_spans(self) -> dict[str, tuple[float, float]]:
+        """First and last time each pseudonym was observed by any
+        eavesdropper, found in one walk over the observations."""
+        seen: dict[str, tuple[float, float]] = {}
+        for rows in self.observations.values():
+            for row in rows:
+                t, pid = row[0], row[1]
+                lohi = seen.get(pid)
+                seen[pid] = (
+                    (t, t) if lohi is None else (min(lohi[0], t), max(lohi[1], t))
+                )
+        return seen
 
     def all_observations(self) -> list[tuple]:
         merged: list[tuple] = []
@@ -491,6 +511,22 @@ def _by_tick(
     return out
 
 
+def _padded_blocks(sizes: list[int]) -> list[tuple[int, int, int]]:
+    """Runs a to b - 1 of consecutive sizes, each with its largest size w,
+    such that (b - a) * w * w is at most BLOCK_ELEMENTS unless the run is a
+    single size."""
+    blocks, first, widest = [], 0, 0
+    for i, n in enumerate(sizes):
+        wider = max(widest, n)
+        if i > first and (i - first + 1) * wider * wider > BLOCK_ELEMENTS:
+            blocks.append((first, i, widest))
+            first, wider = i, n
+        widest = wider
+    if sizes:
+        blocks.append((first, len(sizes), widest))
+    return blocks
+
+
 def _build_stream_poses(
     g: RoadGraph,
     plan: DecoyPlan,
@@ -592,11 +628,22 @@ class _Run:
         # when it ends
         self.streams: dict[str, _Stream] = {}
         self.audit_violations: list[str] = []
-        # one row per name in RECEPTION_COUNTERS, one column per slot
+        # one row per name in RECEPTION_COUNTERS, one column per slot;
+        # filled at wrap-up by _count_receptions
         self.counters = np.zeros(
             (len(RECEPTION_COUNTERS), int(self.seconds.sum())), dtype=np.int64
         )
         self.held_ep = np.full((nv, nz), -1, dtype=np.int64)
+        # the first tick at whose beacon phase the vehicle holds the zone's
+        # filter at any epoch; nticks while it holds none
+        self.held_from = np.full((nv, nz), self.nticks, dtype=np.int64)
+        # what the wrap-up counts receptions from: every decoy beacon sent,
+        # as (tick, transmitter x, y, range squared, zone, relay vehicle or
+        # -1), and the rows that asked their neighbours for a filter and
+        # those that got one
+        self.decoy_sends: list[tuple[int, float, float, float, int, int]] = []
+        self.peer_asked: list[np.ndarray] = []
+        self.peer_answered: list[np.ndarray] = []
         # a chunk collection in progress: (vehicle, zone) is pending from
         # tick time arr_m to due_m, and due_at[due_m] lists it
         self.pending = np.zeros((nv, nz), dtype=bool)
@@ -702,10 +749,11 @@ class _Run:
         tick_ptr[k + 1] - 1, one per vehicle on the road, in vehicle-id
         order. Row r holds vehicle VEH[r]'s pose (X, Y, SPD, HDG), its zone
         (ZIDX, -1 outside every disk), its edge index (EDGE), which RSUs it
-        is in range of (RNG, one column per zone) and its reception-counter
-        slot (SLOT). Vehicle i's counters take one slot per second it is on
-        the road, seconds first_sec[i] to first_sec[i] + seconds[i] - 1,
-        vehicles in order.
+        is in range of (RNG, one column per zone), its reception-counter
+        slot (SLOT) and, at beacon ticks, how many vehicle beacons it hears,
+        in all and in the clear (n_heard, n_clear). Vehicle i's counters
+        take one slot per second it is on the road, seconds first_sec[i] to
+        first_sec[i] + seconds[i] - 1, vehicles in order.
 
         The events map a tick to its list, in vehicle order: zone_moves
         (vehicle, previous zone, new zone, row), range_entries and
@@ -770,6 +818,13 @@ class _Run:
         self.HDG = column("heading")[order]
         self.EDGE = column("edge", np.int32)[order]
         self.ZIDX, self.RNG, self.VEH = zidx[order], rng[order], veh[order]
+        self.n_heard, self.n_clear = self._neighbour_counts()
+        # the rows outside every RSU range, where a stale filter is asked of
+        # the neighbours, and whether each has a neighbour to ask; tick k's
+        # are out_rows[out_ptr[k]:out_ptr[k + 1]]
+        self.out_rows = np.flatnonzero(~self.RNG.any(axis=1))
+        self.out_ptr = np.searchsorted(self.out_rows, self.tick_ptr).tolist()
+        self.out_heard = self.n_heard[self.out_rows] > 0
         slot_row = np.cumsum(self.seconds) - self.seconds - self.first_sec
         self.SLOT = (
             np.repeat(slot_row, counts)
@@ -838,6 +893,43 @@ class _Run:
         self.pool_link = np.array(link, dtype=np.int32)
         sizes = np.array(sizes, dtype=np.int64)
         self.pool_base = np.cumsum(sizes) - sizes
+
+    def _neighbour_counts(self) -> tuple[np.ndarray, np.ndarray]:
+        """How many radio neighbours each row has at its tick, in total and
+        outside every zone; zero off the beacon ticks. Radio range is
+        symmetric, so these are also the beacons each row hears.
+
+        Consecutive beacon ticks go in blocks, each padded with NaN to its
+        largest active count and compared all at once."""
+        ptr = np.array(self.tick_ptr)
+        n_all = np.zeros(ptr[-1], dtype=np.int32)
+        n_out = np.zeros(ptr[-1], dtype=np.int32)
+        ks = np.flatnonzero(
+            (np.arange(self.nticks) * self.tick_ds % self.gv_ds == 0) & (np.diff(ptr) > 0)
+        )
+        outside = self.ZIDX < 0
+        for a, b, width in _padded_blocks((ptr[ks + 1] - ptr[ks]).tolist()):
+            block = ks[a:b]
+            col = np.arange(width)
+            real = col < (ptr[block + 1] - ptr[block])[:, None]
+            rows = (ptr[block][:, None] + col)[real]
+            x = np.full(real.shape, np.nan)
+            y = np.full(real.shape, np.nan)
+            out = np.zeros(real.shape, dtype=bool)
+            x[real], y[real], out[real] = self.X[rows], self.Y[rows], outside[rows]
+            # dx * dx + dy * dy, as the peer exchange computes it
+            dx = x[:, :, None] - x[:, None, :]
+            dx *= dx
+            dy = y[:, :, None] - y[:, None, :]
+            dy *= dy
+            dx += dy
+            near = dx <= self.radio2
+            del dx, dy
+            # every row is its own neighbour; NaN pads are nobody's
+            n_all[rows] = near.sum(axis=2)[real] - 1
+            near &= out[:, None, :]
+            n_out[rows] = near.sum(axis=2)[real] - out[real]
+        return n_all, n_out
 
     # ------------------------------------------------------------ helpers
 
@@ -926,8 +1018,16 @@ class _Run:
         })
         self._snapshot_filters(now)
 
+    def _take_filter(self, vi: int, j: int, ep: int, k: int) -> None:
+        """Vehicle vi now holds zone j's filter at epoch ep, and counts it
+        in the beacon phases from tick k on."""
+        if self.held_ep[vi, j] < 0:
+            self.held_from[vi, j] = k
+        self.held_ep[vi, j] = ep
+        self.pending[vi, j] = False
+
     def _enter_zone(
-        self, vi: int, zone_j: int, now: float, pos: tuple[float, float]
+        self, vi: int, zone_j: int, k: int, now: float, pos: tuple[float, float]
     ) -> None:
         v = self.vehicles[vi]
         z = self.zones[zone_j]
@@ -954,8 +1054,7 @@ class _Run:
         })
         for jj, ep in enumerate(cur_ep):
             if ep > self.held_ep[vi, jj]:
-                self.held_ep[vi, jj] = ep
-                self.pending[vi, jj] = False
+                self._take_filter(vi, jj, ep, k)
                 self.emit({
                     "type": "filter_delivered", "t": now, "vehicle": v.vid,
                     "zone": self.zone_ids[jj], "epoch": ep, "via": "join",
@@ -1028,16 +1127,9 @@ class _Run:
         cur_ep = self.cur_ep
         self._rsu_range_and_chunks(tk)
         if t_ds % self.gv_ds == 0 and (hi > lo or self.streams):
-            held_ep = self.held_ep[tk.av]
-            held = held_ep >= 0
-            # this tick's reception counts of the active vehicles, a row per
-            # counter, added to their slots for this second at the end
-            received = np.zeros((len(RECEPTION_COUNTERS), hi - lo), dtype=np.int64)
-            counts = dict(zip(RECEPTION_COUNTERS, received))
-            neighbor = self._beacons(tk, held, counts)
-            self._decoys(tk, held, counts)
-            self._peer_exchange(tk, neighbor, held_ep, cur_ep, counts)
-            self.counters[:, self.SLOT[lo:hi]] += received
+            self._beacons(tk)
+            self._decoys(tk)
+            self._peer_exchange(tk, cur_ep)
         self._despawns(tk)
 
     def _zone_transitions(self, tk: _Tick) -> None:
@@ -1048,7 +1140,7 @@ class _Run:
                 self._exit_zone(vi, tk.now, edge_id, float(self.SPD[row]))
             if new_j >= 0:
                 self._enter_zone(
-                    vi, new_j, tk.now, (float(self.X[row]), float(self.Y[row]))
+                    vi, new_j, tk.k, tk.now, (float(self.X[row]), float(self.Y[row]))
                 )
 
     def _rsu_range_and_chunks(self, tk: _Tick) -> None:
@@ -1110,8 +1202,7 @@ class _Run:
             if not self.pending[vi, j] or self.due_m[vi, j] != t_ds:
                 continue
             ep = int(cur_ep[j])
-            self.held_ep[vi, j] = ep
-            self.pending[vi, j] = False
+            self._take_filter(vi, j, ep, k)
             self.emit({
                 "type": "filter_delivered", "t": now,
                 "vehicle": self.vehicles[vi].vid, "zone": self.zone_ids[j],
@@ -1119,137 +1210,95 @@ class _Run:
                 "latency_s": (t_ds - int(self.arr_m[vi, j])) / 10.0,
             })
 
-    def _beacons(
-        self, tk: _Tick, held: np.ndarray, counts: dict[str, np.ndarray]
-    ) -> np.ndarray:
-        """Vehicle beacons and what they cost their receivers; returns the
-        neighbour matrix of the active vehicles."""
-        av, xs, ys = tk.av, tk.xs, tk.ys
-        dx = xs[:, None] - xs[None, :]
-        dy = ys[:, None] - ys[None, :]
-        neighbor = dx * dx + dy * dy <= self.radio2
-        np.fill_diagonal(neighbor, False)
-        inside_mask = tk.cur_zone >= 0
-        inside_idx = inside_mask.nonzero()[0]
-
+    def _beacons(self, tk: _Tick) -> None:
+        """Vehicle beacons; their receivers are counted at wrap-up."""
+        inside_idx = (tk.cur_zone >= 0).nonzero()[0]
         # plaintext beacons from vehicles outside every zone take their
         # sequence numbers now and are logged at wrap-up, all at once
-        self.plain_seq[tk.k] = self.log.reserve(av.size - inside_idx.size)
+        self.plain_seq[tk.k] = self.log.reserve(tk.av.size - inside_idx.size)
         # encrypted beacons inside zones: logged, never observed
         for ii in inside_idx.tolist():
             self.emit({
                 "type": "beacon_encrypted", "t": tk.now,
-                "tx": self.vehicles[int(av[ii])].vid,
+                "tx": self.vehicles[int(tk.av[ii])].vid,
                 "zone": self.zone_ids[int(tk.cur_zone[ii])],
                 "bytes": ENCRYPTED_BEACON_WIRE_BYTES,
             })
 
-        # vehicle-side reception accounting (vectorized; real pseudonyms
-        # are never in any filter, a 1e-20 false-positive we neglect)
-        cnt_real = (neighbor & ~inside_mask).sum(axis=1)
-        cnt_enc = neighbor.sum(axis=1) - cnt_real
-        counts["rx_beacons"] += cnt_real
-        counts["rx_bytes"] += (
-            cnt_real * BEACON_WIRE_BYTES + cnt_enc * ENCRYPTED_BEACON_WIRE_BYTES
-        )
-        counts["checks"] += cnt_real * held.sum(axis=1)
-        counts["verifies"] += cnt_real
-        return neighbor
-
-    def _decoys(
-        self, tk: _Tick, held: np.ndarray, counts: dict[str, np.ndarray]
-    ) -> None:
-        """Decoy beacons due at this tick and what they cost their receivers,
-        as one streams x active reception matrix; streams that sent their
-        last pose end."""
-        av, xs, ys, t_ds, now, log = tk.av, tk.xs, tk.ys, tk.t_ds, tk.now, self.log
-        due = [
-            (s, pose) for s in self.streams.values()
-            if (pose := s.poses.get(t_ds)) is not None
-        ]
-        if due:
-            # each stream's transmitter: the zone's RSU, or a relay, which
-            # drives for as long as its stream runs and so is an active row
-            active = av.tolist()
-            tx_x, tx_y, tx_r2, relay, relay_row = [], [], [], [], []
-            for i, (s, pose) in enumerate(due):
-                if s.tx_vi < 0:
-                    x, y = self.zone_disks[s.zone_j][:2]
-                    tx_r2.append(self.rsu_r2)
-                else:
-                    row = bisect.bisect_left(active, s.tx_vi)
-                    x, y = float(xs[row]), float(ys[row])
-                    tx_r2.append(self.radio2)
-                    relay.append(i)
-                    relay_row.append(row)
-                tx_x.append(x)
-                tx_y.append(y)
-                filt = self.ca.filter_for(s.plan.zone_id)
-                if filt.epoch != s.filter_ep:
-                    s.filter_ep, s.in_filter = filt.epoch, filt.contains(s.plan.chaff.id)
-                if not s.in_filter:
-                    self.audit_violations.append(
-                        f"decoy {s.chaff_hex} emitted while absent from "
-                        f"{s.plan.zone_id}'s filter at t={now}"
-                    )
-                log.beacon(
-                    now, log.name(s.transmitter), log.name(s.chaff_hex),
-                    log.name(s.link_hex), pose[0], pose[1], s.plan.speed_mps,
-                    pose[2], s.plan.length_m, True, log.name(s.plan.zone_id),
-                    x, y,
+    def _decoys(self, tk: _Tick) -> None:
+        """Decoy beacons due at this tick, noted in decoy_sends for the
+        wrap-up to count their receivers; streams that sent their last pose
+        end."""
+        t_ds, now, log = tk.t_ds, tk.now, self.log
+        for s in self.streams.values():
+            pose = s.poses.get(t_ds)
+            if pose is None:
+                continue
+            # the transmitter: the zone's RSU, or a relay, which drives for
+            # as long as its stream runs and so is an active row
+            if s.tx_vi < 0:
+                x, y = self.zone_disks[s.zone_j][:2]
+                r2 = self.rsu_r2
+            else:
+                row = tk.lo + int(np.searchsorted(tk.av, s.tx_vi))
+                x, y = float(self.X[row]), float(self.Y[row])
+                r2 = self.radio2
+            self.decoy_sends.append((tk.k, x, y, r2, s.zone_j, s.tx_vi))
+            filt = self.ca.filter_for(s.plan.zone_id)
+            if filt.epoch != s.filter_ep:
+                s.filter_ep, s.in_filter = filt.epoch, filt.contains(s.plan.chaff.id)
+            if not s.in_filter:
+                self.audit_violations.append(
+                    f"decoy {s.chaff_hex} emitted while absent from "
+                    f"{s.plan.zone_id}'s filter at t={now}"
                 )
-            hx, hy = np.array(tx_x)[:, None], np.array(tx_y)[:, None]
-            rx = (xs - hx) ** 2 + (ys - hy) ** 2 <= np.array(tx_r2)[:, None]
-            rx[relay, relay_row] = False
-            # a receiver holding the stream's zone filter discards the chaff
-            # after checking the filters up to that zone's; the others check
-            # every filter they hold and verify the unknown pseudonym
-            zone = [s.zone_j for s, _ in due]
-            hold = rx & held[:, zone].T
-            n_rx = rx.sum(axis=0)
-            n_hold = hold.sum(axis=0)
-            n_miss = n_rx - n_hold
-            counts["rx_beacons"] += n_rx
-            counts["rx_bytes"] += n_rx * BEACON_WIRE_BYTES
-            counts["discard_chaff"] += n_hold
-            counts["checks"] += (
-                (held.cumsum(axis=1)[:, zone].T * hold).sum(axis=0)
-                + n_miss * held.sum(axis=1)
+            log.beacon(
+                now, log.name(s.transmitter), log.name(s.chaff_hex),
+                log.name(s.link_hex), pose[0], pose[1], s.plan.speed_mps,
+                pose[2], s.plan.length_m, True, log.name(s.plan.zone_id),
+                x, y,
             )
-            counts["unknown_pending"] += n_miss
-            counts["verifies"] += n_miss
 
         for s in [s for s in self.streams.values() if t_ds >= s.last_ds]:
             self._end_stream(s, now, s.natural_reason)
 
-    def _peer_exchange(
-        self, tk: _Tick, neighbor: np.ndarray, held_ep: np.ndarray,
-        cur_ep: np.ndarray, counts: dict[str, np.ndarray],
-    ) -> None:
+    def _peer_exchange(self, tk: _Tick, cur_ep: np.ndarray) -> None:
         """Vehicles outside every RSU range with a stale filter ask their
-        neighbours for a newer one. held_ep holds the filter epochs of the
-        active rows."""
-        av, now = tk.av, tk.now
-        outside_all = ~self.RNG[tk.lo:tk.hi].any(axis=1)
-        req_stale = held_ep < cur_ep
-        requesters = outside_all & req_stale.any(axis=1)
-        if not requesters.any():
+        neighbours for a newer one; what they get counts from the next
+        tick on."""
+        a, b = self.out_ptr[tk.k], self.out_ptr[tk.k + 1]
+        if a == b:
             return
-        counts["peer_queries"][requesters] += 1
-        req_rows = requesters.nonzero()[0]
-        got_any = np.zeros(av.size, dtype=bool)
+        held_ep = self.held_ep[tk.av]
+        li = self.out_rows[a:b] - tk.lo
+        req_ep = held_ep[li]
+        asking = (req_ep < cur_ep).any(axis=1)
+        if not asking.any():
+            return
+        self.peer_asked.append(li[asking] + tk.lo)
+        # only a requester with a radio neighbour can be answered
+        asking &= self.out_heard[a:b]
+        if not asking.any():
+            return
+        li, req_ep = li[asking], req_ep[asking]
+        dx = tk.xs[li, None] - tk.xs
+        dy = tk.ys[li, None] - tk.ys
+        near = dx * dx + dy * dy <= self.radio2
+        av, now = tk.av, tk.now
+        answered = np.zeros(li.size, dtype=bool)
         staged: list[tuple[int, int, int]] = []
         for j, zone_id in enumerate(self.zone_ids):
-            need = req_rows[req_stale[req_rows, j]]
-            if not need.size:
-                continue
             hv = held_ep[:, j]
-            # responder: lowest vehicle id (rows are vid-sorted) holding a
-            # strictly newer epoch, per choose_filter_responder
-            cond = neighbor[need] & (hv[None, :] > hv[need, None])
+            # responder: the lowest vehicle id (rows are vid-sorted) among
+            # the neighbours holding a strictly newer epoch, per
+            # choose_filter_responder; a requester is never its own
+            cond = near & (hv > req_ep[:, j, None])
             has = cond.any(axis=1)
-            for r, resp in zip(need[has].tolist(), cond[has].argmax(axis=1).tolist()):
-                rx_vid = self.vehicles[int(av[r])].vid
+            if not has.any():
+                continue
+            for r, resp in zip(has.nonzero()[0].tolist(), cond[has].argmax(axis=1).tolist()):
+                vi = int(av[li[r]])
+                rx_vid = self.vehicles[vi].vid
                 ep_resp = int(hv[resp])
                 blob, _, accepted = self.filter_snaps[j][ep_resp]
                 if not accepted:
@@ -1258,8 +1307,8 @@ class _Run:
                         "vehicle": rx_vid, "zone": zone_id,
                     })
                     continue
-                got_any[r] = True
-                staged.append((int(av[r]), j, ep_resp))
+                answered[r] = True
+                staged.append((vi, j, ep_resp))
                 self.emit({
                     "type": "peer_filter", "t": now,
                     "tx": self.vehicles[int(av[resp])].vid, "rx": rx_vid,
@@ -1273,9 +1322,9 @@ class _Run:
                 })
         for vi, j, ep in staged:
             if ep > self.held_ep[vi, j]:
-                self.held_ep[vi, j] = ep
-                self.pending[vi, j] = False
-        counts["peer_unanswered"][requesters & ~got_any] += 1
+                self._take_filter(vi, j, ep, tk.k + 1)
+        if staged:
+            self.peer_answered.append(li[answered] + tk.lo)
 
     def _despawns(self, tk: _Tick) -> None:
         """Trips that end at this tick."""
@@ -1290,21 +1339,87 @@ class _Run:
 
     # ------------------------------------------------------------ wrap up
 
-    def _log_vehicle_beacons(self) -> None:
+    def _count_receptions(self, tick: np.ndarray) -> None:
+        """Fill the reception counters of every vehicle second in one pass
+        over the rows (tick holds each row's tick): the vehicle beacons each
+        row hears, the decoy beacons in decoy_sends, and the peer queries.
+
+        A receiver checks each chaff id against the filters it holds then
+        (held_from). Real pseudonyms are never in any filter, a 1e-20
+        false positive neglected, so a vehicle beacon costs a check per
+        held filter and a verification. A receiver holding a decoy's zone
+        filter discards it after checking the filters up to that zone's;
+        the others check every filter they hold and verify the unknown
+        pseudonym."""
+        counts = dict(zip(RECEPTION_COUNTERS, self.counters))
+        nslots = self.counters.shape[1]
+
+        def per_slot(slots: np.ndarray, weights: np.ndarray | None = None) -> np.ndarray:
+            return np.bincount(slots, weights, minlength=nslots).astype(np.int64)
+
+        vi = self.VEH
+        n_held = (self.held_from[vi] <= tick[:, None]).sum(axis=1)
+        n_clear = self.n_clear.astype(np.int64)
+        counts["rx_beacons"] += per_slot(self.SLOT, n_clear)
+        counts["rx_bytes"] += per_slot(self.SLOT, n_clear * BEACON_WIRE_BYTES
+                                       + (self.n_heard - n_clear) * ENCRYPTED_BEACON_WIRE_BYTES)
+        counts["checks"] += per_slot(self.SLOT, n_clear * n_held)
+        counts["verifies"] += per_slot(self.SLOT, n_clear)
+        del n_held, n_clear
+
+        if self.decoy_sends:
+            ks, hx, hy, r2, zone, relay = (
+                np.array(c) for c in zip(*self.decoy_sends)
+            )
+            ptr = np.array(self.tick_ptr)
+            lo, n = ptr[ks], ptr[ks + 1] - ptr[ks]
+            # one (send, row) pair per send and row of its tick, in blocks
+            # of about BLOCK_ELEMENTS pairs
+            first = np.cumsum(n) - n
+            cuts = (np.flatnonzero(np.diff(first // BLOCK_ELEMENTS)) + 1).tolist()
+            for a, b in zip([0, *cuts], [*cuts, ks.size]):
+                cnt = n[a:b]
+                s = np.repeat(np.arange(a, b), cnt)
+                rows = np.repeat(lo[a:b] - (np.cumsum(cnt) - cnt), cnt) + np.arange(s.size)
+                rx = (self.X[rows] - hx[s]) ** 2 + (self.Y[rows] - hy[s]) ** 2 <= r2[s]
+                rx &= vi[rows] != relay[s]
+                rows, s = rows[rx], s[rx]
+                held = self.held_from[vi[rows]] <= ks[s][:, None]
+                pick = np.arange(rows.size), zone[s]
+                hold = held[pick]
+                slots = self.SLOT[rows]
+                heard = per_slot(slots)
+                discarded = per_slot(slots, hold)
+                counts["rx_beacons"] += heard
+                counts["rx_bytes"] += heard * BEACON_WIRE_BYTES
+                counts["discard_chaff"] += discarded
+                counts["checks"] += per_slot(
+                    slots, np.where(hold, held.cumsum(axis=1)[pick], held.sum(axis=1))
+                )
+                counts["unknown_pending"] += heard - discarded
+                counts["verifies"] += heard - discarded
+
+        none = np.empty(0, dtype=np.int64)
+        asked = per_slot(self.SLOT[np.concatenate([none, *self.peer_asked])])
+        counts["peer_queries"] += asked
+        counts["peer_unanswered"] += asked - per_slot(
+            self.SLOT[np.concatenate([none, *self.peer_answered])]
+        )
+
+    def _log_vehicle_beacons(self, tick: np.ndarray) -> None:
         """Every plaintext vehicle beacon, logged at once: each row outside
-        every zone at a beacon tick, under the pseudonym and link id its
-        vehicle held then, with the sequence numbers its tick reserved.
+        every zone at a beacon tick (tick holds each row's), under the
+        pseudonym and link id its vehicle held then, with the sequence
+        numbers its tick reserved.
 
         A cooperative vehicle holds pool[c] and link id c after c zone
         entries; entries happen in the tick's zone transitions, before its
         beacons."""
         ptr = np.array(self.tick_ptr)
-        tick = np.repeat(np.arange(self.nticks), np.diff(ptr))
         rows = np.flatnonzero(
             (self.ZIDX < 0) & (tick * self.tick_ds % self.gv_ds == 0)
         )
         k, vi = tick[rows], self.VEH[rows]
-        del tick
         key = vi.astype(np.int64) * self.nticks
         changes = (
             np.searchsorted(self.entry_keys, key + k, side="right")
@@ -1339,15 +1454,22 @@ class _Run:
                     "kind": kind, "detail": detail,
                 })
 
-        self._log_vehicle_beacons()
+        ptr = np.array(self.tick_ptr)
+        tick = np.repeat(np.arange(self.nticks), np.diff(ptr))
+        self._count_receptions(tick)
+        self._log_vehicle_beacons(tick)
+        del tick
         # the log needs none of the rows
         del self.X, self.Y, self.SPD, self.HDG, self.ZIDX, self.EDGE
-        del self.RNG, self.VEH, self.SLOT
+        del self.RNG, self.VEH, self.SLOT, self.n_heard, self.n_clear
         event_log, observations = self.log.finish(
             self.counters, self.veh_name, self.first_sec, self.seconds
         )
-
-        seen = _observed_spans(observations)
+        result = RunResult(
+            self.config, event_log, observations, self.transitions,
+            [z.info for z in self.zones], self.audit_violations,
+        )
+        seen = result.observed_spans
         for tr in self.transitions:
             old_seen = seen.get(tr.old_id)
             new_seen = seen.get(tr.new_id)
@@ -1357,25 +1479,7 @@ class _Run:
                 and new_seen is not None
                 and new_seen[1] >= tr.t_exit - 1e-9
             )
-        return RunResult(
-            self.config, event_log, observations, self.transitions,
-            [z.info for z in self.zones], self.audit_violations,
-        )
-
-
-def _observed_spans(
-    observations: dict[str, list[tuple]]
-) -> dict[str, tuple[float, float]]:
-    """First and last time each pseudonym was observed by any eavesdropper."""
-    seen: dict[str, tuple[float, float]] = {}
-    for rows in observations.values():
-        for row in rows:
-            t, pid = row[0], row[1]
-            lohi = seen.get(pid)
-            seen[pid] = (
-                (t, t) if lohi is None else (min(lohi[0], t), max(lohi[1], t))
-            )
-    return seen
+        return result
 
 
 # ---------------------------------------------------------------------------
@@ -1429,7 +1533,7 @@ def audit_single_pseudonym(result: RunResult) -> list[str]:
 def audit_ground_truth(result: RunResult) -> list[str]:
     """Old ids never reappear after entering; new ids never appear before."""
     bad: list[str] = []
-    seen = _observed_spans(result.observations)
+    seen = result.observed_spans
     for tr in result.transitions:
         old_seen = seen.get(tr.old_id)
         new_seen = seen.get(tr.new_id)

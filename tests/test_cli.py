@@ -212,9 +212,12 @@ def test_run_audit_finding_exits_4_after_writing_the_cell(tmp_path, capsys,
     (("sparse_threshold",), 1.5),
     (("zones", 0, "center_x_m"), "500"),
     (("traffic", "n_vehicles"), "abc"),
+    (("rsu_range_m",), 10 ** 400),
+    (("zones", 0, "radius_m"), 10 ** 400),
 ], ids=[
     "duration_s-string", "relay_fraction-null", "rng_seed-string",
     "sparse_threshold-1.5", "zone-center_x_m-string", "traffic-n_vehicles-string",
+    "rsu_range_m-beyond-float", "zone-radius_m-beyond-float",
 ])
 def test_run_mistyped_scenario_field_exits_2(tmp_path, capsys, path, value):
     scenario = small_scenario(tmp_path, vehicles=3, duration=60.0)
@@ -229,6 +232,18 @@ def test_run_mistyped_scenario_field_exits_2(tmp_path, capsys, path, value):
     assert rc == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and path[-1] in err
+
+
+def test_run_scenario_with_an_int_too_long_to_parse_exits_2(tmp_path, capsys):
+    # json refuses ints of more than 4,300 digits with a bare ValueError
+    scenario = small_scenario(tmp_path, vehicles=3, duration=60.0)
+    text = scenario.read_text()
+    scenario.write_text(text.replace("{", '{"rng_seed": ' + "7" * 5000 + ", ", 1))
+    capsys.readouterr()
+    rc = main(["run", "--scenario", str(scenario), "--out", str(tmp_path / "o")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "not valid JSON" in err
 
 
 @pytest.mark.parametrize("overrides", [

@@ -7,6 +7,7 @@ import math
 import random
 from dataclasses import replace
 from types import SimpleNamespace
+from typing import get_type_hints
 
 import numpy as np
 import pytest
@@ -34,7 +35,7 @@ from decoymix.engine import (
 )
 from decoymix.errors import ConfigError, NoResponder
 from decoymix.mixzone import DecoyPlan, MixZoneController
-from decoymix.mobility import Trip, trip_samples_with_edges
+from decoymix.mobility import Trip, synthesize_trips, trip_samples_with_edges
 from decoymix.roads import make_grid
 
 
@@ -166,7 +167,8 @@ _JSON = st.recursive(
 )
 _EDGE_VALUES = st.sampled_from([
     math.nan, math.inf, -math.inf, -1, -0.5, 0, 0.0, 1e-300, 1e308, 2 ** 64,
-    -(2 ** 70), True, False, "1.0", "", ".", "net.json", "missing.json",
+    -(2 ** 70), 10 ** 400, -(10 ** 400), True, False, "1.0", "", ".",
+    "net.json", "missing.json",
     "net.json\x00", [], {}, None,
 ])
 # three edits in four use an edge value
@@ -231,6 +233,18 @@ def test_scenario_dict_naming_a_directory_or_overflowing_the_lattice_is_refused(
         ScenarioConfig.from_dict({**copy.deepcopy(VALID_SCENARIO), **edit}, scenario_dir)
 
 
+@pytest.mark.parametrize("field", ["rsu_range_m", "duration_s", "filter_target_fp"])
+def test_float_field_beyond_the_float_range_is_refused(scenario_dir, field):
+    # an int past 1.8e308 once loaded as an int, and the run then raised
+    # OverflowError converting it
+    doc = {**copy.deepcopy(VALID_SCENARIO), field: 10 ** 400}
+    with pytest.raises(ConfigError, match=field):
+        ScenarioConfig.from_dict(doc, scenario_dir)
+    doc[field] = 600
+    if field != "filter_target_fp":
+        assert type(getattr(ScenarioConfig.from_dict(doc, scenario_dir), field)) is float
+
+
 @settings(max_examples=600, derandomize=True, database=None, deadline=None)
 @given(data=st.data())
 def test_mutated_scenario_dict_loads_or_raises_config_error(scenario_dir, data):
@@ -241,10 +255,12 @@ def test_mutated_scenario_dict_loads_or_raises_config_error(scenario_dir, data):
         cfg = ScenarioConfig.from_dict(doc, scenario_dir)
     except ConfigError:
         return
-    # accepted only with every field of its declared type
-    assert all(isinstance(z.center_x_m, (int, float)) for z in cfg.zones)
-    assert all(isinstance(e.eaves_id, str) for e in cfg.eavesdroppers)
-    assert isinstance(cfg.n_vehicles, int) and not isinstance(cfg.n_vehicles, bool)
+    # accepted only with every field of its declared type, float fields as
+    # floats, so the run's float arithmetic cannot overflow on an int
+    for obj in (cfg, *cfg.zones, *cfg.eavesdroppers):
+        for name, kind in get_type_hints(type(obj)).items():
+            if kind in (int, float, str):
+                assert type(getattr(obj, name)) is kind, name
 
 
 def test_resolve_trips_is_deterministic(grid4):
@@ -995,3 +1011,157 @@ def test_precomputed_events_match_the_per_tick_scans(grid4):
     assert state.ZIDX[state.tick_ptr[last_e + 1] - 1] == 1
     assert (4,) in state.despawns[last_e]
     assert len(seen["despawns"]) == nv
+
+
+class _PerTickCounters(_Run):
+    """A run that also counts receptions the way the tick loop once did,
+    one tick at a time from the state of that tick's beacon phase, into
+    ref: the reference for the wrap-up pass that fills counters."""
+
+    def __init__(self, config):
+        super().__init__(config)
+        self.ref = np.zeros_like(self.counters)
+        # filters held by receivers that heard something, and the plaintext
+        # beacons heard by each vehicle on the tick its peer delivery came
+        self.held_counts: set[int] = set()
+        self.peer_rx_heard: list[int] = []
+
+    def _beacons(self, tk):
+        self.held_ep_now = self.held_ep[tk.av]
+        held = self.held_ep_now >= 0
+        self.received = np.zeros((len(RECEPTION_COUNTERS), tk.av.size), dtype=np.int64)
+        counts = dict(zip(RECEPTION_COUNTERS, self.received))
+        dx = tk.xs[:, None] - tk.xs[None, :]
+        dy = tk.ys[:, None] - tk.ys[None, :]
+        self.neighbor = dx * dx + dy * dy <= self.radio2
+        np.fill_diagonal(self.neighbor, False)
+        inside_mask = tk.cur_zone >= 0
+        cnt_real = (self.neighbor & ~inside_mask).sum(axis=1)
+        cnt_enc = self.neighbor.sum(axis=1) - cnt_real
+        counts["rx_beacons"] += cnt_real
+        counts["rx_bytes"] += (
+            cnt_real * BEACON_WIRE_BYTES + cnt_enc * ENCRYPTED_BEACON_WIRE_BYTES
+        )
+        counts["checks"] += cnt_real * held.sum(axis=1)
+        counts["verifies"] += cnt_real
+        self.cnt_real = cnt_real
+        super()._beacons(tk)
+
+    def _decoys(self, tk):
+        held = self.held_ep_now >= 0
+        counts = dict(zip(RECEPTION_COUNTERS, self.received))
+        due = [
+            (s, pose) for s in self.streams.values()
+            if (pose := s.poses.get(tk.t_ds)) is not None
+        ]
+        if due:
+            active = tk.av.tolist()
+            tx_x, tx_y, tx_r2, relay, relay_row = [], [], [], [], []
+            for i, (s, _) in enumerate(due):
+                if s.tx_vi < 0:
+                    x, y = self.zone_disks[s.zone_j][:2]
+                    tx_r2.append(self.rsu_r2)
+                else:
+                    row = active.index(s.tx_vi)
+                    x, y = float(tk.xs[row]), float(tk.ys[row])
+                    tx_r2.append(self.radio2)
+                    relay.append(i)
+                    relay_row.append(row)
+                tx_x.append(x)
+                tx_y.append(y)
+            hx, hy = np.array(tx_x)[:, None], np.array(tx_y)[:, None]
+            rx = (tk.xs - hx) ** 2 + (tk.ys - hy) ** 2 <= np.array(tx_r2)[:, None]
+            rx[relay, relay_row] = False
+            zone = [s.zone_j for s, _ in due]
+            hold = rx & held[:, zone].T
+            n_rx = rx.sum(axis=0)
+            n_hold = hold.sum(axis=0)
+            n_miss = n_rx - n_hold
+            counts["rx_beacons"] += n_rx
+            counts["rx_bytes"] += n_rx * BEACON_WIRE_BYTES
+            counts["discard_chaff"] += n_hold
+            counts["checks"] += (
+                (held.cumsum(axis=1)[:, zone].T * hold).sum(axis=0)
+                + n_miss * held.sum(axis=1)
+            )
+            counts["unknown_pending"] += n_miss
+            counts["verifies"] += n_miss
+        super()._decoys(tk)
+
+    def _peer_exchange(self, tk, cur_ep):
+        held_ep = self.held_ep_now
+        counts = dict(zip(RECEPTION_COUNTERS, self.received))
+        outside_all = ~self.RNG[tk.lo:tk.hi].any(axis=1)
+        req_stale = held_ep < cur_ep
+        requesters = outside_all & req_stale.any(axis=1)
+        got_any = np.zeros(tk.av.size, dtype=bool)
+        if requesters.any():
+            counts["peer_queries"][requesters] += 1
+            req_rows = requesters.nonzero()[0]
+            for j in range(len(self.zones)):
+                need = req_rows[req_stale[req_rows, j]]
+                hv = held_ep[:, j]
+                cond = self.neighbor[need] & (hv[None, :] > hv[need, None])
+                has = cond.any(axis=1)
+                for r, resp in zip(need[has].tolist(), cond[has].argmax(axis=1).tolist()):
+                    if self.filter_snaps[j][int(hv[resp])][2]:
+                        got_any[r] = True
+            counts["peer_unanswered"][requesters & ~got_any] += 1
+        self.peer_rx_heard.extend(self.cnt_real[got_any].tolist())
+        heard = self.received[RECEPTION_COUNTERS.index("rx_beacons")] > 0
+        self.held_counts.update((held_ep[heard] >= 0).sum(axis=1).tolist())
+        super()._peer_exchange(tk, cur_ep)
+        self.ref[:, self.SLOT[tk.lo:tk.hi]] += self.received
+
+
+def test_wrap_up_reception_counters_match_the_per_tick_math():
+    # 60 trips on a 5x5 grid plus two that depart side by side on the last
+    # tick, outside every RSU range. Three zones with 250 m RSU ranges:
+    # z-c sits on the y = 1000 road 200 m east of the x = 500 road, so a
+    # vehicle southbound on x = 500 collects z-c's filter and then z-a's
+    # before it joins z-a and gets all three; vehicles outside every range
+    # pass filters on to each other. 0.5 s adverts on 1 s beacons, so only
+    # every other tick is a beacon tick.
+    g = make_grid(5, 5, 500.0)
+    last = tuple(Trip(vid, 300.0, ("j0_1__j1_1",), (10.0,), 4.5) for vid in ("veh-z1", "veh-z2"))
+    cfg = ScenarioConfig(
+        graph=g,
+        zones=(
+            ZoneSpec("z-a", 500.0, 500.0, 100.0),
+            ZoneSpec("z-b", 1500.0, 1000.0, 100.0),
+            ZoneSpec("z-c", 700.0, 1000.0, 50.0),
+        ),
+        eavesdroppers=(EavesdropperSpec("eav-a", 500.0, 500.0, 400.0),),
+        trips=(*synthesize_trips(g, 60, 0.5, 11), *last),
+        relay_fraction=0.5, non_coop_fraction=0.2, rng_seed=5,
+        duration_s=300.0, rsu_range_m=250.0, gamma_v_s=1.0, gamma_mz_s=0.5,
+        chaff_per_zone=300, filter_capacity=400,
+    )
+    state = _PerTickCounters(cfg)
+    assert state.tick_ds == 5 and state.gv_ds == 10
+    for k in range(state.nticks):
+        state.step(k)
+    sends = list(state.decoy_sends)
+    final = state.tick_ptr[-2:]
+    last_rows = state.VEH[final[0]:final[1]].tolist()
+    result = state.finish()
+    for i, name in enumerate(RECEPTION_COUNTERS):
+        np.testing.assert_array_equal(state.counters[i], state.ref[i], err_msg=name)
+
+    # every path the pass must get right was taken: RSU and relay decoys
+    # (a relay never hears itself), receivers holding one, two and three
+    # filters, peer deliveries to vehicles that heard plaintext beacons on
+    # the delivery tick (they count the new filter from the next tick
+    # on), and the two last-tick trips hearing each other
+    assert {tx_vi < 0 for *_, tx_vi in sends} == {True, False}
+    assert {1, 2, 3} <= state.held_counts
+    assert any(n > 0 for n in state.peer_rx_heard)
+    names = [state.vehicles[vi].vid for vi in last_rows]
+    assert {"veh-z1", "veh-z2"} <= set(names)
+    summaries = {
+        e["entity"]: e for e in result.events
+        if e["type"] == "reception_summary" and e["t"] == 300.0
+    }
+    for vid in ("veh-z1", "veh-z2"):
+        assert summaries[vid]["rx_beacons"] >= 1
+        assert summaries[vid]["peer_queries"] == 1
