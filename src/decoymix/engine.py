@@ -1459,9 +1459,11 @@ class _Run:
         self._count_receptions(tick)
         self._log_vehicle_beacons(tick)
         del tick
-        # the log needs none of the rows
+        # the log needs none of the rows, nor what receptions were counted from
         del self.X, self.Y, self.SPD, self.HDG, self.ZIDX, self.EDGE
         del self.RNG, self.VEH, self.SLOT, self.n_heard, self.n_clear
+        del self.out_rows, self.out_heard, self.decoy_sends, self.peer_asked
+        del self.peer_answered
         event_log, observations = self.log.finish(
             self.counters, self.veh_name, self.first_sec, self.seconds
         )
