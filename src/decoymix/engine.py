@@ -70,9 +70,10 @@ STANDARD_BEACON_INTERVALS_S = (0.2, 0.5, 1.0)
 
 OBSERVATION_HEADER = "time,pseudonym_id,x,y,speed,heading,length,eavesdropper_id"
 
-# the pairs the wrap-up's reception counting compares at once; a block of
-# float64 distances takes 2 MB
-BLOCK_ELEMENTS = 1 << 18
+# the pairs the reception counting compares at once: a block of float64
+# distances takes 512 KB, small enough that its transients do not raise a
+# run's peak memory
+BLOCK_ELEMENTS = 1 << 16
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from decoymix import engine
 from decoymix.core import Credential, CredentialKind, sign
 from decoymix.engine import (
     BEACON_WIRE_BYTES,
@@ -1114,7 +1115,8 @@ class _PerTickCounters(_Run):
         self.ref[:, self.SLOT[tk.lo:tk.hi]] += self.received
 
 
-def test_wrap_up_reception_counters_match_the_per_tick_math():
+@pytest.mark.parametrize("block", [engine.BLOCK_ELEMENTS, 64], ids=["default-blocks", "tiny-blocks"])
+def test_wrap_up_reception_counters_match_the_per_tick_math(monkeypatch, block):
     # 60 trips on a 5x5 grid plus two that depart side by side on the last
     # tick, outside every RSU range. Three zones with 250 m RSU ranges:
     # z-c sits on the y = 1000 road 200 m east of the x = 500 road, so a
@@ -1137,6 +1139,9 @@ def test_wrap_up_reception_counters_match_the_per_tick_math():
         duration_s=300.0, rsu_range_m=250.0, gamma_v_s=1.0, gamma_mz_s=0.5,
         chaff_per_zone=300, filter_capacity=400,
     )
+    # tiny blocks put most ticks, and most ticks' decoy sends, in blocks of
+    # their own, and give many ticks more rows than a block holds
+    monkeypatch.setattr(engine, "BLOCK_ELEMENTS", block)
     state = _PerTickCounters(cfg)
     assert state.tick_ds == 5 and state.gv_ds == 10
     for k in range(state.nticks):
