@@ -639,10 +639,10 @@ class _Run:
         # filter at any epoch; nticks while it holds none
         self.held_from = np.full((nv, nz), self.nticks, dtype=np.int64)
         # what the wrap-up counts receptions from: every decoy beacon sent,
-        # as (tick, transmitter x, y, range squared, zone, relay vehicle or
-        # -1), and the rows that asked their neighbours for a filter and
-        # those that got one
-        self.decoy_sends: list[tuple[int, float, float, float, int, int]] = []
+        # as (tick, transmitter x, y, zone, relay vehicle or -1 for the
+        # zone's RSU), and the rows that asked their neighbours for a
+        # filter and those that got one
+        self.decoy_sends: list[tuple[int, float, float, int, int]] = []
         self.peer_asked: list[np.ndarray] = []
         self.peer_answered: list[np.ndarray] = []
         # a chunk collection in progress: (vehicle, zone) is pending from
@@ -1239,12 +1239,10 @@ class _Run:
             # as long as its stream runs and so is an active row
             if s.tx_vi < 0:
                 x, y = self.zone_disks[s.zone_j][:2]
-                r2 = self.rsu_r2
             else:
                 row = tk.lo + int(np.searchsorted(tk.av, s.tx_vi))
                 x, y = float(self.X[row]), float(self.Y[row])
-                r2 = self.radio2
-            self.decoy_sends.append((tk.k, x, y, r2, s.zone_j, s.tx_vi))
+            self.decoy_sends.append((tk.k, x, y, s.zone_j, s.tx_vi))
             filt = self.ca.filter_for(s.plan.zone_id)
             if filt.epoch != s.filter_ep:
                 s.filter_ep, s.in_filter = filt.epoch, filt.contains(s.plan.chaff.id)
@@ -1297,7 +1295,8 @@ class _Run:
             has = cond.any(axis=1)
             if not has.any():
                 continue
-            for r, resp in zip(has.nonzero()[0].tolist(), cond[has].argmax(axis=1).tolist()):
+            responders = cond[has].argmax(axis=1).tolist()
+            for r, resp in zip(has.nonzero()[0].tolist(), responders):
                 vi = int(av[li[r]])
                 rx_vid = self.vehicles[vi].vid
                 ep_resp = int(hv[resp])
@@ -1362,16 +1361,20 @@ class _Run:
         n_held = (self.held_from[vi] <= tick[:, None]).sum(axis=1)
         n_clear = self.n_clear.astype(np.int64)
         counts["rx_beacons"] += per_slot(self.SLOT, n_clear)
-        counts["rx_bytes"] += per_slot(self.SLOT, n_clear * BEACON_WIRE_BYTES
-                                       + (self.n_heard - n_clear) * ENCRYPTED_BEACON_WIRE_BYTES)
+        counts["rx_bytes"] += per_slot(
+            self.SLOT,
+            n_clear * BEACON_WIRE_BYTES
+            + (self.n_heard - n_clear) * ENCRYPTED_BEACON_WIRE_BYTES,
+        )
         counts["checks"] += per_slot(self.SLOT, n_clear * n_held)
         counts["verifies"] += per_slot(self.SLOT, n_clear)
         del n_held, n_clear
 
         if self.decoy_sends:
-            ks, hx, hy, r2, zone, relay = (
+            ks, hx, hy, zone, relay = (
                 np.array(c) for c in zip(*self.decoy_sends)
             )
+            r2 = np.where(relay < 0, self.rsu_r2, self.radio2)
             ptr = np.array(self.tick_ptr)
             lo, n = ptr[ks], ptr[ks + 1] - ptr[ks]
             # one (send, row) pair per send and row of its tick, in blocks
@@ -1455,8 +1458,7 @@ class _Run:
                     "kind": kind, "detail": detail,
                 })
 
-        ptr = np.array(self.tick_ptr)
-        tick = np.repeat(np.arange(self.nticks), np.diff(ptr))
+        tick = np.repeat(np.arange(self.nticks), np.diff(self.tick_ptr))
         self._count_receptions(tick)
         self._log_vehicle_beacons(tick)
         del tick

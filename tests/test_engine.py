@@ -1015,9 +1015,9 @@ def test_precomputed_events_match_the_per_tick_scans(grid4):
 
 
 class _PerTickCounters(_Run):
-    """A run that also counts receptions the way the tick loop once did,
-    one tick at a time from the state of that tick's beacon phase, into
-    ref: the reference for the wrap-up pass that fills counters."""
+    """A run that also counts receptions tick by tick, from the state of
+    each tick's beacon phase, into ref: the reference for the wrap-up pass
+    that fills counters."""
 
     def __init__(self, config):
         super().__init__(config)
@@ -1115,7 +1115,9 @@ class _PerTickCounters(_Run):
         self.ref[:, self.SLOT[tk.lo:tk.hi]] += self.received
 
 
-@pytest.mark.parametrize("block", [engine.BLOCK_ELEMENTS, 64], ids=["default-blocks", "tiny-blocks"])
+@pytest.mark.parametrize(
+    "block", [engine.BLOCK_ELEMENTS, 64], ids=["default-blocks", "tiny-blocks"]
+)
 def test_wrap_up_reception_counters_match_the_per_tick_math(monkeypatch, block):
     # 60 trips on a 5x5 grid plus two that depart side by side on the last
     # tick, outside every RSU range. Three zones with 250 m RSU ranges:
@@ -1125,7 +1127,9 @@ def test_wrap_up_reception_counters_match_the_per_tick_math(monkeypatch, block):
     # pass filters on to each other. 0.5 s adverts on 1 s beacons, so only
     # every other tick is a beacon tick.
     g = make_grid(5, 5, 500.0)
-    last = tuple(Trip(vid, 300.0, ("j0_1__j1_1",), (10.0,), 4.5) for vid in ("veh-z1", "veh-z2"))
+    last = tuple(
+        Trip(vid, 300.0, ("j0_1__j1_1",), (10.0,), 4.5) for vid in ("veh-z1", "veh-z2")
+    )
     cfg = ScenarioConfig(
         graph=g,
         zones=(
