@@ -234,7 +234,7 @@ def test_scenario_dict_naming_a_directory_or_overflowing_the_lattice_is_refused(
         ScenarioConfig.from_dict({**copy.deepcopy(VALID_SCENARIO), **edit}, scenario_dir)
 
 
-@pytest.mark.parametrize("field", ["rsu_range_m", "duration_s", "filter_target_fp"])
+@pytest.mark.parametrize("field", ["rsu_range_m", "duration_s"])
 def test_float_field_beyond_the_float_range_is_refused(scenario_dir, field):
     # an int past 1.8e308 once loaded as an int, and the run then raised
     # OverflowError converting it
@@ -242,8 +242,7 @@ def test_float_field_beyond_the_float_range_is_refused(scenario_dir, field):
     with pytest.raises(ConfigError, match=field):
         ScenarioConfig.from_dict(doc, scenario_dir)
     doc[field] = 600
-    if field != "filter_target_fp":
-        assert type(getattr(ScenarioConfig.from_dict(doc, scenario_dir), field)) is float
+    assert type(getattr(ScenarioConfig.from_dict(doc, scenario_dir), field)) is float
 
 
 @settings(max_examples=600, derandomize=True, database=None, deadline=None)
