@@ -1,4 +1,4 @@
-"""Frozen sha256 digests of every report file for three fixed scenarios.
+"""Frozen sha256 digests of every report file for five fixed scenarios.
 
 Refactors must reproduce these bytes exactly. A change that moves a digest on
 purpose updates the table here and says in CHANGES.md which files moved and
@@ -134,6 +134,26 @@ MULTI_ZONE_DIGESTS = {
         "06e28453aa5f1a8c9b8b945706158b0d1402380e7e23bc3ff91119f06ec1604f",
 }
 
+# the undefended baseline: 4x4 grid, two 100 m zones, 80 trips
+# (synthesize_trips seed 13), 600 s, relay 0.0, so no decoy stream ever
+# runs and most ticks hold only periodic records
+RELAY0_DIGESTS = {
+    "candidate_sets.jsonl":
+        "b457403a1b640ebba9d72787e788e64e24708ebc8df07e722babf7b6d816a5ef",
+    "events.jsonl":
+        "dd7218c0890a5a9875c9255bdd43af55ce187535efd4cf3f53b68b067513d14d",
+    "linkability.csv":
+        "ca31b8f6fa5070b3eb2acb6fa519e60371c4f8a51772b3f959dd393a28d56e14",
+    "linkability.json":
+        "33c5439bdb1759613d9e50b965fce5edd91f697bf4fa8865769418edc0a2f6e4",
+    "observations.csv":
+        "c6e7add9bb686822f1b4871f932ed63a85942e9d82f35a84d42e549f5186fe93",
+    "overhead.csv":
+        "86416d1a4e84e9e8f1ae5af1858fd3b5adc52b1dbdd92276ac35f63d17d12fa0",
+    "overhead.json":
+        "2f582b0010f9999b84a686bd8dc8246bf68d3ede116a0c2f9ffee18af57a8053",
+}
+
 CRUISE = 13.89
 ARMS = (
     ("j0_1__j1_1", "j1_1__j2_1"),
@@ -259,3 +279,33 @@ def test_multi_zone_peer_cell_report_digests(tmp_path):
             held.setdefault(e["vehicle"], set()).add(e["zone"])
     assert max(len(zones) for zones in held.values()) >= 2
     assert _digests(tmp_path) == MULTI_ZONE_DIGESTS
+
+
+def relay0_config() -> ScenarioConfig:
+    """The undefended relay-0 cell whose digests RELAY0_DIGESTS holds."""
+    g = make_grid(4, 4, 500.0)
+    return ScenarioConfig(
+        graph=g,
+        zones=(
+            ZoneSpec("z-j1_1", 500.0, 500.0, 100.0),
+            ZoneSpec("z-j1_2", 1000.0, 500.0, 100.0),
+        ),
+        eavesdroppers=(
+            EavesdropperSpec("eav-j1_1", 500.0, 500.0, 450.0),
+            EavesdropperSpec("eav-j1_2", 1000.0, 500.0, 450.0),
+        ),
+        trips=tuple(synthesize_trips(g, 80, 0.2, 13)),
+        relay_fraction=0.0, rng_seed=2, duration_s=600.0,
+    )
+
+
+def test_relay0_cell_report_digests(tmp_path):
+    result = _write_reports(relay0_config(), "relay0", tmp_path)
+    events = result.events
+    # no decoys, and filters reach vehicles by all three routes
+    assert not any(e["type"] == "decoy_start" for e in events)
+    assert {
+        e["via"] for e in events if e["type"] == "filter_delivered"
+    } == {"join", "rsu", "peer"}
+    assert any(e["type"] == "peer_filter" for e in events)
+    assert _digests(tmp_path) == RELAY0_DIGESTS
