@@ -146,6 +146,12 @@ class RunManifest:
                 )
             if not values:
                 raise ConfigError(f"sweep axis {axis} has no values")
+            # each value names its own cell directory and summary row
+            labels = [f"{v:g}" for v in values]
+            if len(set(labels)) != len(labels):
+                raise ConfigError(
+                    f"sweep axis {axis} repeats a value: {', '.join(labels)}"
+                )
         n_jobs = len(self.seeds)
         for _, values in self.sweep:
             n_jobs *= len(values)
@@ -185,6 +191,10 @@ def parse_seeds(text: str) -> tuple[int, ...]:
             lo, hi = int(lo), int(hi)
             if hi < lo:
                 raise ConfigError(f"empty seed range {text!r}")
+            if hi - lo + 1 > MAX_JOBS:
+                raise ConfigError(
+                    f"seed range {text!r} holds more than {MAX_JOBS} seeds"
+                )
             return tuple(range(lo, hi + 1))
         return tuple(int(s) for s in text.split(","))
     except ValueError:
@@ -227,16 +237,17 @@ def _refuse_overwrite(out: Path, force: bool) -> None:
 def cell_reports(result):
     """(candidate sets, linkability report, overhead report) of one run.
 
-    Beacons and reception summaries stay columns: overhead folds them as
-    such, and anonymity sets read only the protocol events, so the dict view
-    `result.events` is never built."""
+    Beacons, periodic records and reception summaries stay columns:
+    overhead folds them as such, and anonymity sets read only the protocol
+    events, so the dict view `result.events` is never built."""
     sets, chains, tracks = attack_result(result)
     log = result.log
     link_rep = build_linkability_report(
         result.transitions, sets, chains, tracks, log.protocol
     )
     over_rep = overhead(
-        log.protocol, result.config.duration_s, log.beacons, log.receptions
+        log.protocol, result.config.duration_s, log.beacons, log.receptions,
+        log.periodic,
     )
     return sets, link_rep, over_rep
 

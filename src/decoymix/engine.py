@@ -8,6 +8,7 @@ decoy streams without reshuffling the ones already present.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import json
 import math
@@ -32,7 +33,10 @@ from .core import (
 )
 from .errors import ConfigError, NeverAssigned, NoResponder
 from .eventlog import (
+    ADVERT,
     BEACON_WIRE_BYTES,
+    CHUNK,
+    ENCRYPTED,
     RECEPTION_COUNTERS,
     EventLog,
     EventLogBuilder,
@@ -74,6 +78,14 @@ OBSERVATION_HEADER = "time,pseudonym_id,x,y,speed,heading,length,eavesdropper_id
 # distances takes 512 KB, small enough that its transients do not raise a
 # run's peak memory
 BLOCK_ELEMENTS = 1 << 16
+
+# the phases of a tick, in step order. A record's order key is tick *
+# N_PHASES + phase; the wrap-up logs under key nticks * N_PHASES, after
+# every tick. Adverts, chunks and beacons are logged at wrap-up under their
+# tick's key.
+(PH_ZONES, PH_ADVERTS, PH_CHUNKS, PH_RSU, PH_BEACONS, PH_DECOYS, PH_PEERS,
+ PH_DESPAWNS) = range(8)
+N_PHASES = 8
 
 
 # ---------------------------------------------------------------------------
@@ -479,8 +491,7 @@ class _VehicleRt:
 
 class _Tick(NamedTuple):
     """What every phase of one tick reads: the clock, the tick's rows lo to
-    hi - 1, and their vehicles (av, in vehicle-id order), positions and
-    zones."""
+    hi - 1, and their vehicles (av, in vehicle-id order) and positions."""
 
     k: int
     t_ds: int
@@ -490,7 +501,6 @@ class _Tick(NamedTuple):
     av: np.ndarray
     xs: np.ndarray
     ys: np.ndarray
-    cur_zone: np.ndarray
 
 
 def _published(coord: float) -> float:
@@ -584,10 +594,15 @@ def _build_stream_poses(
 
 
 def run(config: ScenarioConfig) -> RunResult:
+    """Simulate one run, stepping only the ticks where something happens
+    (next-event time advance), and audit it. Stepping every tick gives the
+    same run."""
     config.validate()
     state = _Run(config)
-    for k in range(state.nticks):
+    k = 0
+    while k < state.nticks:
         state.step(k)
+        k = state.next_visit(k)
     result = state.finish()
     for audit in (audit_observability, audit_single_pseudonym, audit_ground_truth):
         result.audit_violations.extend(audit(result))
@@ -596,8 +611,10 @@ def run(config: ScenarioConfig) -> RunResult:
 
 class _Run:
     """One run's state. Construction builds the world and precomputes every
-    pose; step() runs the phases of one tick in output order; finish()
-    wraps up and hands back the RunResult."""
+    pose; step() runs the phases of one tick in output order; next_visit()
+    names the next tick whose step does anything; finish() wraps up, logs
+    what follows from the schedule and the rows alone, and hands back the
+    RunResult."""
 
     def __init__(self, config: ScenarioConfig) -> None:
         self.config = config
@@ -651,8 +668,6 @@ class _Run:
         self.due_m = np.zeros((nv, nz), dtype=np.int64)
         self.arr_m = np.zeros((nv, nz), dtype=np.int64)
         self.due_at: dict[int, list[tuple[int, int]]] = {}
-        # each beacon tick's first sequence number for its plaintext beacons
-        self.plain_seq = [0] * self.nticks
 
     # ------------------------------------------------------------ set-up
 
@@ -726,13 +741,6 @@ class _Run:
         self.zcx, self.zcy, self.zr2 = (np.array(c) for c in zip(*self.zone_disks))
         self.cycle_ds = [z.chunk_count * self.fi_ds for z in self.zones]
 
-        # PCA-signed filter snapshots, one per (zone, epoch), with the verdict
-        # a peer receiving the snapshot reaches; peers relay these
-        self.filter_snaps: list[dict[int, tuple[bytes, SignedEnvelope, bool]]] = [
-            {} for _ in self.zones
-        ]
-        self._snapshot_filters(0.0)
-
         espcs = sorted(config.eavesdroppers, key=lambda e: e.eaves_id)
         self.log = EventLogBuilder(
             [e.eaves_id for e in espcs],
@@ -741,6 +749,23 @@ class _Run:
             np.array([e.range_m ** 2 for e in espcs]),
         )
         self.emit = self.log.event
+        self.zone_name = np.array(
+            [self.log.name(zid) for zid in self.zone_ids], dtype=np.int32
+        )
+        self.rsu_name = np.array(
+            [self.log.name(z.info.rsu_entity) for z in self.zones], dtype=np.int32
+        )
+
+        # PCA-signed filter snapshots, one per (zone, epoch), with the verdict
+        # a peer receiving the snapshot reaches; peers relay these. Every
+        # move of the current epochs is noted in epoch_log as (order key of
+        # the phase that moved them, epochs), the first before any tick.
+        self.filter_snaps: list[dict[int, tuple[bytes, SignedEnvelope, bool]]] = [
+            {} for _ in self.zones
+        ]
+        self.epoch_log: list[tuple[int, np.ndarray]] = []
+        self.log.key = -1
+        self._snapshot_filters(0.0)
 
     def _precompute_poses(self, trips: Sequence[Trip]) -> None:
         """Every vehicle's rows on the tick lattice, the per-tick events
@@ -791,9 +816,11 @@ class _Run:
         # each vehicle-major row's tick-major row
         tm_row = np.empty_like(order)
         tm_row[order] = np.arange(order.size)
-        self.tick_ptr = np.concatenate(
+        # tick_ptr as an array, for the vector lookups
+        self.tick_lo = np.concatenate(
             ([0], np.cumsum(np.bincount(tick, minlength=self.nticks)))
-        ).tolist()
+        )
+        self.tick_ptr = self.tick_lo.tolist()
 
         def column(name: str, dtype=np.float64) -> np.ndarray:
             if not kept:
@@ -820,11 +847,16 @@ class _Run:
         self.EDGE = column("edge", np.int32)[order]
         self.ZIDX, self.RNG, self.VEH = zidx[order], rng[order], veh[order]
         self.n_heard, self.n_clear = self._neighbour_counts()
-        # the rows outside every RSU range, where a stale filter is asked of
-        # the neighbours, and whether each has a neighbour to ask; tick k's
-        # are out_rows[out_ptr[k]:out_ptr[k + 1]]
-        self.out_rows = np.flatnonzero(~self.RNG.any(axis=1))
-        self.out_ptr = np.searchsorted(self.out_rows, self.tick_ptr).tolist()
+        # the beacon-tick rows outside every RSU range, where a stale filter
+        # is asked of the neighbours, and whether each has a neighbour to
+        # ask; tick k's are out_rows[out_ptr[k]:out_ptr[k + 1]], and out_lo
+        # is out_ptr as an array
+        gv_ticks = self.gv_ds // tick_ds
+        self.out_rows = np.flatnonzero(
+            ~self.RNG.any(axis=1) & (tick[order] % gv_ticks == 0)
+        )
+        self.out_lo = np.searchsorted(self.out_rows, self.tick_lo)
+        self.out_ptr = self.out_lo.tolist()
         self.out_heard = self.n_heard[self.out_rows] > 0
         slot_row = np.cumsum(self.seconds) - self.seconds - self.first_sec
         self.SLOT = (
@@ -860,6 +892,10 @@ class _Run:
         head[1:] = (veh[r[1:]] != veh[r[:-1]]) | (j[1:] != j[:-1])
         self.first_adverts = _by_tick(tick[r[head]], veh[r[head]], j[head])
         self.despawns = _by_tick(self.tends // tick_ds, np.arange(nv))
+        # the ticks with any of these events, then nticks
+        self.event_ticks = sorted(
+            {*self.zone_moves, *self.range_entries, *self.range_exits, *self.despawns}
+        ) + [self.nticks]
 
         self.vehicles: list[_VehicleRt] = []
         for (trip, *_), end_ds, n_visits in zip(kept, self.tends.tolist(), visits):
@@ -902,7 +938,7 @@ class _Run:
 
         Consecutive beacon ticks go in blocks, each padded with NaN to its
         largest active count and compared all at once."""
-        ptr = np.array(self.tick_ptr)
+        ptr = self.tick_lo
         n_all = np.zeros(ptr[-1], dtype=np.int32)
         n_out = np.zeros(ptr[-1], dtype=np.int32)
         ks = np.flatnonzero(
@@ -936,12 +972,14 @@ class _Run:
 
     def _snapshot_filters(self, now: float) -> None:
         """Sign each zone filter at its current epoch, once per epoch, and
-        note the epochs in cur_ep. Only provisioning and retiring chaff
-        move an epoch, and every retire is followed by this call.
+        note the epochs in cur_ep and epoch_log. Only provisioning and
+        retiring chaff move an epoch, and every retire is followed by this
+        call.
 
         Each snapshot is verified once, here: the PCA credential is valid
         for the whole run, so a peer's verdict cannot depend on when the
         snapshot reaches it."""
+        moved = False
         for j, zid in enumerate(self.zone_ids):
             filt = self.ca.filter_for(zid)
             if filt.epoch not in self.filter_snaps[j]:
@@ -950,10 +988,14 @@ class _Run:
                 self.filter_snaps[j][filt.epoch] = (
                     blob, env, accept_peer_filter(env, self.pca_cred, now)
                 )
-                self.epoch_moved = True
-        self.cur_ep = np.array(
-            [self.ca.filter_for(zid).epoch for zid in self.zone_ids], dtype=np.int64
-        )
+                moved = True
+        if moved:
+            self.epoch_moved = True
+            self.cur_ep = np.array(
+                [self.ca.filter_for(zid).epoch for zid in self.zone_ids],
+                dtype=np.int64,
+            )
+            self.epoch_log.append((self.log.key, self.cur_ep))
 
     def _start_stream(
         self, plan: DecoyPlan, tx_vi: int, reference_hex: str, horizon_ds: int,
@@ -1116,22 +1158,95 @@ class _Run:
     # ------------------------------------------------------------ one tick
 
     def step(self, k: int) -> None:
+        """Tick k's phases that act on the run's state, each logging under
+        its order key. Adverts, chunks and beacons are logged at wrap-up."""
         t_ds = k * self.tick_ds
         lo, hi = self.tick_ptr[k], self.tick_ptr[k + 1]
         tk = _Tick(
             k, t_ds, t_ds / 10.0, lo, hi, self.VEH[lo:hi], self.X[lo:hi],
-            self.Y[lo:hi], self.ZIDX[lo:hi],
+            self.Y[lo:hi],
         )
+        log, key = self.log, k * N_PHASES
+        log.key = key + PH_ZONES
         self._zone_transitions(tk)
         # the epochs as this tick's RSU phase saw them; decoy streams that
         # end this tick retire chaff and move them on
         cur_ep = self.cur_ep
-        self._rsu_range_and_chunks(tk)
+        log.key = key + PH_RSU
+        self._rsu_range(tk)
         if t_ds % self.gv_ds == 0 and (hi > lo or self.streams):
-            self._beacons(tk)
+            log.key = key + PH_DECOYS
             self._decoys(tk)
+            log.key = key + PH_PEERS
             self._peer_exchange(tk, cur_ep)
+        log.key = key + PH_DESPAWNS
         self._despawns(tk)
+
+    def next_visit(self, k: int) -> int:
+        """The first tick after k whose step can act, nticks if none: one
+        with a zone move, RSU range entry or exit, or despawn; a chunk
+        delivery's due tick; a beacon tick while a decoy stream is live;
+        the next tick while an epoch move awaits the RSU phase; or a beacon
+        tick where a peer answers a stale filter. The ticks skipped have
+        only records the wrap-up logs, and their peer queries are noted."""
+        if self.epoch_moved:
+            return k + 1
+        n = self.event_ticks[bisect.bisect_right(self.event_ticks, k)]
+        if self.due_at:
+            n = min(n, min(self.due_at) // self.tick_ds)
+        if self.streams:
+            gv_ticks = self.gv_ds // self.tick_ds
+            n = min(n, (k // gv_ticks + 1) * gv_ticks)
+        return self._peer_search(k + 1, n)
+
+    def _peer_search(self, a: int, b: int) -> int:
+        """The first beacon tick from a to b - 1 at which a stale row
+        outside every RSU range has a radio neighbour holding a strictly
+        newer epoch of some zone, b if none. No filter or epoch moves
+        before b, so held_ep and cur_ep hold for every tick searched. The
+        stale rows of the ticks before the one returned ask in vain and go
+        to peer_asked.
+
+        Each requester with a neighbour is paired with the rows of its tick
+        that hold any filter, in blocks of about BLOCK_ELEMENTS pairs, and
+        each pair is tested as _peer_exchange tests it; nothing of a window
+        is kept past it."""
+        lo, hi = self.out_ptr[a], self.out_ptr[b]
+        if lo == hi:
+            return b
+        held_ep, veh = self.held_ep, self.VEH
+        rows = self.out_rows[lo:hi]
+        stale = (held_ep < self.cur_ep).any(axis=1)[veh[rows]]
+        asking = np.flatnonzero(stale & self.out_heard[lo:hi])
+        found = b
+        if asking.size:
+            holds = (held_ep >= 0).any(axis=1)
+            # requesters in tick order; each one's tick, and that tick's rows
+            ticks = np.searchsorted(self.out_lo, asking + lo, side="right") - 1
+            start = self.tick_lo[ticks]
+            n_rows = self.tick_lo[ticks + 1] - start
+            first = np.cumsum(n_rows) - n_rows
+            cuts = (np.flatnonzero(np.diff(first // BLOCK_ELEMENTS)) + 1).tolist()
+            for i, j in zip([0, *cuts], [*cuts, asking.size]):
+                cnt = n_rows[i:j]
+                which = np.repeat(np.arange(i, j), cnt)
+                other = np.repeat(start[i:j] - first[i:j], cnt) + np.arange(
+                    first[i], first[i] + which.size
+                )
+                keep = holds[veh[other]]
+                which, other = which[keep], other[keep]
+                req = rows[asking[which]]
+                dx = self.X[req] - self.X[other]
+                dy = self.Y[req] - self.Y[other]
+                hit = dx * dx + dy * dy <= self.radio2
+                hit &= (held_ep[veh[other]] > held_ep[veh[req]]).any(axis=1)
+                if hit.any():
+                    found = int(ticks[which[hit.argmax()]])
+                    break
+        cut = self.out_ptr[found] - lo
+        if stale[:cut].any():
+            self.peer_asked.append(rows[:cut][stale[:cut]])
+        return found
 
     def _zone_transitions(self, tk: _Tick) -> None:
         """Zone exits and entries, in vehicle-id order."""
@@ -1144,35 +1259,12 @@ class _Run:
                     vi, new_j, tk.k, tk.now, (float(self.X[row]), float(self.Y[row]))
                 )
 
-    def _rsu_range_and_chunks(self, tk: _Tick) -> None:
-        """RSU range, adverts, chunk broadcasts and chunk deliveries."""
+    def _rsu_range(self, tk: _Tick) -> None:
+        """RSU range exits, chunk collections and chunk deliveries."""
         k, t_ds, now, cur_ep = tk.k, tk.t_ds, tk.now, self.cur_ep
         # leaving range drops a collection in progress
         for vi, j in self.range_exits.get(k, ()):
             self.pending[vi, j] = False
-
-        if t_ds % self.gmz_ds == 0:
-            fresh = self.first_adverts.get(k, ())
-            for j, z in enumerate(self.zones):
-                if z.controller.advertise(now) is None:
-                    continue
-                self.emit({
-                    "type": "advert", "t": now, "tx": z.info.rsu_entity,
-                    "zone": z.info.zone_id, "bytes": ADVERT_WIRE_BYTES,
-                    "first_verifiers": [
-                        self.vehicles[vi].vid for vi, jj in fresh if jj == j
-                    ],
-                })
-
-        if t_ds % self.fi_ds == 0:
-            for j, z in enumerate(self.zones):
-                slot = (t_ds // self.fi_ds) % z.chunk_count
-                self.emit({
-                    "type": "chunk", "t": now, "tx": z.info.rsu_entity,
-                    "zone": z.info.zone_id, "epoch": int(cur_ep[j]),
-                    "index": slot, "total": z.chunk_count,
-                    "bytes": z.chunk_payloads[slot] + CHUNK_CERT_BYTES,
-                })
 
         # a vehicle in range of a newer filter than it holds, and not yet
         # collecting it, collects one full chunk cycle from the next
@@ -1209,21 +1301,6 @@ class _Run:
                 "vehicle": self.vehicles[vi].vid, "zone": self.zone_ids[j],
                 "epoch": ep, "via": "rsu",
                 "latency_s": (t_ds - int(self.arr_m[vi, j])) / 10.0,
-            })
-
-    def _beacons(self, tk: _Tick) -> None:
-        """Vehicle beacons; their receivers are counted at wrap-up."""
-        inside_idx = (tk.cur_zone >= 0).nonzero()[0]
-        # plaintext beacons from vehicles outside every zone take their
-        # sequence numbers now and are logged at wrap-up, all at once
-        self.plain_seq[tk.k] = self.log.reserve(tk.av.size - inside_idx.size)
-        # encrypted beacons inside zones: logged, never observed
-        for ii in inside_idx.tolist():
-            self.emit({
-                "type": "beacon_encrypted", "t": tk.now,
-                "tx": self.vehicles[int(tk.av[ii])].vid,
-                "zone": self.zone_ids[int(tk.cur_zone[ii])],
-                "bytes": ENCRYPTED_BEACON_WIRE_BYTES,
             })
 
     def _decoys(self, tk: _Tick) -> None:
@@ -1375,7 +1452,7 @@ class _Run:
                 np.array(c) for c in zip(*self.decoy_sends)
             )
             r2 = np.where(relay < 0, self.rsu_r2, self.radio2)
-            ptr = np.array(self.tick_ptr)
+            ptr = self.tick_lo
             lo, n = ptr[ks], ptr[ks + 1] - ptr[ks]
             # one (send, row) pair per send and row of its tick, in blocks
             # of about BLOCK_ELEMENTS pairs
@@ -1412,14 +1489,13 @@ class _Run:
 
     def _log_vehicle_beacons(self, tick: np.ndarray) -> None:
         """Every plaintext vehicle beacon, logged at once: each row outside
-        every zone at a beacon tick (tick holds each row's), under the
-        pseudonym and link id its vehicle held then, with the sequence
-        numbers its tick reserved.
+        every zone at a beacon tick (tick holds each row's), under its
+        tick's beacon-phase key and the pseudonym and link id its vehicle
+        held then.
 
         A cooperative vehicle holds pool[c] and link id c after c zone
         entries; entries happen in the tick's zone transitions, before its
         beacons."""
-        ptr = np.array(self.tick_ptr)
         rows = np.flatnonzero(
             (self.ZIDX < 0) & (tick * self.tick_ds % self.gv_ds == 0)
         )
@@ -1430,20 +1506,71 @@ class _Run:
             - np.searchsorted(self.entry_keys, key)
         )
         pool_i = self.pool_base[vi] + np.where(self.non_coop[vi], 0, changes)
-        # a tick's plaintext rows are consecutive in rows
-        seq = (
-            np.array(self.plain_seq)[k] + np.arange(rows.size)
-            - np.searchsorted(rows, ptr[k])
-        )
         x, y = self.X[rows], self.Y[rows]
         self.log.beacons(
-            seq, k * self.tick_ds / 10.0, self.veh_name[vi], self.pool_pid[pool_i],
-            self.pool_link[pool_i], x, y, self.SPD[rows], self.HDG[rows],
-            self.lengths[vi], False, -1, x, y,
+            k * N_PHASES + PH_BEACONS, rows, k * self.tick_ds / 10.0,
+            self.veh_name[vi], self.pool_pid[pool_i], self.pool_link[pool_i],
+            x, y, self.SPD[rows], self.HDG[rows], self.lengths[vi], False, -1,
+            x, y,
         )
+
+    def _log_periodic(self, tick: np.ndarray) -> None:
+        """Every advert, chunk and encrypted beacon, logged at once under
+        its tick's key.
+
+        Each row inside a zone at a beacon tick (tick holds each row's)
+        sends an encrypted beacon. Each zone's controller is asked for an
+        advert at every advert tick, in tick order, and its suppression rule
+        decides which exist; an advert lists the vehicles that first hear
+        one of the zone's there (first_adverts). A chunk carries the zone
+        filter's epoch as that tick's RSU phase saw it: the last entry of
+        epoch_log before that phase's key."""
+        log, tick_ds = self.log, self.tick_ds
+        rows = np.flatnonzero((self.ZIDX >= 0) & (tick * tick_ds % self.gv_ds == 0))
+        k = tick[rows]
+        log.periodic(
+            ENCRYPTED, k * N_PHASES + PH_BEACONS, rows, k * tick_ds / 10.0,
+            self.veh_name[self.VEH[rows]], self.zone_name[self.ZIDX[rows]],
+            ENCRYPTED_BEACON_WIRE_BYTES,
+        )
+        del rows, k
+
+        veh_name = self.veh_name.tolist()
+        key, zone, verifiers = [], [], []
+        for k in range(0, self.nticks, self.gmz_ds // tick_ds):
+            now = k * tick_ds / 10.0
+            fresh = self.first_adverts.get(k, ())
+            for j, z in enumerate(self.zones):
+                if z.controller.advertise(now) is None:
+                    continue
+                key.append(k * N_PHASES + PH_ADVERTS)
+                zone.append(j)
+                verifiers.append(log.verifiers(
+                    tuple(veh_name[vi] for vi, jj in fresh if jj == j)
+                ))
+        key, zone = np.array(key, dtype=np.int64), np.array(zone, dtype=np.int64)
+        log.periodic(
+            ADVERT, key, zone, key // N_PHASES * tick_ds / 10.0,
+            self.rsu_name[zone], self.zone_name[zone], ADVERT_WIRE_BYTES,
+            verifiers=np.array(verifiers, dtype=np.int32),
+        )
+
+        t_ds = np.arange(0, self.nticks, self.fi_ds // tick_ds) * tick_ds
+        key = t_ds // tick_ds * N_PHASES + PH_CHUNKS
+        moves, epochs = zip(*self.epoch_log)
+        epoch = np.array(epochs)[np.searchsorted(moves, key) - 1]
+        for j, z in enumerate(self.zones):
+            slot = t_ds // self.fi_ds % z.chunk_count
+            log.periodic(
+                CHUNK, key, j, t_ds / 10.0, self.rsu_name[j], self.zone_name[j],
+                np.array(z.chunk_payloads)[slot] + CHUNK_CERT_BYTES,
+                epoch=epoch[:, j], index=slot, total=z.chunk_count,
+            )
 
     def finish(self) -> RunResult:
         final_now = ((self.nticks - 1) * self.tick_ds) / 10.0
+        # after every tick
+        self.log.key = self.nticks * N_PHASES
         for s in self.streams.values():
             # the clock stopped mid-stream; no retire message was ever sent
             self.emit({
@@ -1458,15 +1585,16 @@ class _Run:
                     "kind": kind, "detail": detail,
                 })
 
-        tick = np.repeat(np.arange(self.nticks), np.diff(self.tick_ptr))
+        tick = np.repeat(np.arange(self.nticks), np.diff(self.tick_lo))
         self._count_receptions(tick)
         self._log_vehicle_beacons(tick)
+        self._log_periodic(tick)
         del tick
         # the log needs none of the rows, nor what receptions were counted from
         del self.X, self.Y, self.SPD, self.HDG, self.ZIDX, self.EDGE
         del self.RNG, self.VEH, self.SLOT, self.n_heard, self.n_clear
-        del self.out_rows, self.out_heard, self.decoy_sends, self.peer_asked
-        del self.peer_answered
+        del self.out_rows, self.out_lo, self.out_heard, self.decoy_sends
+        del self.peer_asked, self.peer_answered
         event_log, observations = self.log.finish(
             self.counters, self.veh_name, self.first_sec, self.seconds
         )

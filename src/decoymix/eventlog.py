@@ -1,16 +1,20 @@
-"""A run's event log: protocol events as dicts, beacons and per-second
-reception summaries as numpy columns.
+"""A run's event log: protocol events as dicts; beacons, periodic records
+and per-second reception summaries as numpy columns.
 
-Beacons and reception summaries are most of a run's records, so they never
-become one dict each. The engine logs beacons as blocks of raw columns and
-hands over its reception counters, a slot per vehicle second on the road;
-finish() rounds every beacon field as it goes on the air, works out which
-eavesdroppers heard each beacon, and merges the three streams. Every record
-takes a sequence number when it is sent (a block of beacons logged later
-reserves its numbers then), and one lexsort over (time, entity, sequence)
-gives the order a stable sort of all records by (time, entity) gives.
-`EventLog.write_jsonl` writes that order without building the dicts;
-`EventLog.records` builds them, as the reference view.
+Beacons, the records that follow from the schedule alone (adverts, chunks
+and encrypted beacons) and reception summaries are most of a run's records,
+so they never become one dict each. The engine logs them as blocks of raw
+columns and hands over its reception counters, a slot per vehicle second on
+the road; finish() rounds every beacon field as it goes on the air, works
+out which eavesdroppers heard each beacon, and merges the four streams.
+
+Every record carries an order key (key, n). The engine sets `key` to its
+tick and phase before it logs a phase's records, and n counts the records
+logged, so records of one key keep the order they were logged in; a block
+logged later, at wrap-up, gives its own keys. One lexsort over (time,
+entity, key, n) then gives the output order. `EventLog.write_jsonl` writes
+that order without building the dicts; `EventLog.records` builds them, as
+the reference view.
 """
 
 from __future__ import annotations
@@ -49,17 +53,32 @@ _RECEPTION_LINE = (
     + "}}\n"
 )
 
-_PROTOCOL, _BEACON, _RECEPTION = range(3)
+_PROTOCOL, _BEACON, _PERIODIC, _RECEPTION = range(4)
 _MERGE_BLOCK = 4096
+# the order key of the reception summaries: after every other record
+_LAST_KEY = np.iinfo(np.int64).max
 
-# a logged beacon: sequence number, time, string-table indices, the claimed
-# pose as simulated, and the transmitter's position
+# the periodic records, by kind
+PERIODIC_TYPES = ("advert", "chunk", "beacon_encrypted")
+ADVERT, CHUNK, ENCRYPTED = range(3)
+
+# a logged beacon: order key, time, string-table indices, the claimed pose
+# as simulated, and the transmitter's position
 _RAW_BEACON_COLUMNS = (
-    ("seq", np.int64), ("t", np.float64), ("tx", np.int32),
+    ("key", np.int64), ("n", np.int64), ("t", np.float64), ("tx", np.int32),
     ("pseudonym", np.int32), ("link", np.int32), ("x", np.float64),
     ("y", np.float64), ("speed", np.float64), ("heading", np.float64),
     ("length", np.float64), ("chaff", np.bool_), ("zone", np.int32),
     ("hx", np.float64), ("hy", np.float64),
+)
+# a logged periodic record: order key, kind, time, string-table indices of
+# the transmitter and zone, wire bytes, a chunk's epoch, index and total,
+# and an advert's first verifiers, as an index into the verifier lists
+_PERIODIC_COLUMNS = (
+    ("key", np.int64), ("n", np.int64), ("kind", np.uint8), ("t", np.float64),
+    ("tx", np.int32), ("zone", np.int32), ("bytes", np.int64),
+    ("epoch", np.int64), ("index", np.int64), ("total", np.int64),
+    ("verifiers", np.int32),
 )
 # decimals each published beacon field carries
 _PUBLISHED_DIGITS = (("x", 3), ("y", 3), ("speed", 3), ("heading", 6), ("length", 1))
@@ -89,6 +108,35 @@ class BeaconColumns:
 
 
 @dataclass
+class PeriodicColumns:
+    """Every advert, chunk and encrypted beacon of a run, one row each in
+    output order. kind indexes PERIODIC_TYPES; tx and zone index `names`.
+    A chunk row carries its filter epoch, chunk index and chunk total; an
+    advert row's first verifiers are verifier_lists[verifiers], as
+    string-table indices."""
+
+    names: list[str]
+    verifier_lists: list[tuple[int, ...]]
+    kind: np.ndarray
+    t: np.ndarray
+    tx: np.ndarray
+    zone: np.ndarray
+    bytes: np.ndarray
+    epoch: np.ndarray
+    index: np.ndarray
+    total: np.ndarray
+    verifiers: np.ndarray
+
+    def rows(self, lo: int, hi: int):
+        """Rows lo..hi as Python values, in column order."""
+        return zip(*(
+            col[lo:hi].tolist()
+            for col in (self.kind, self.t, self.tx, self.zone, self.bytes,
+                        self.epoch, self.index, self.total, self.verifiers)
+        ))
+
+
+@dataclass
 class ReceptionColumns:
     """Each vehicle's reception counters for every second in which any of
     them is nonzero, one row each in output order. vehicle indexes `names`;
@@ -106,17 +154,18 @@ class ReceptionColumns:
 
 @dataclass
 class EventLog:
-    """Three streams, each in output order; kinds[i] names the stream that
+    """Four streams, each in output order; kinds[i] names the stream that
     holds the i-th output record."""
 
     protocol: list[dict]
     beacons: BeaconColumns
+    periodic: PeriodicColumns
     receptions: ReceptionColumns
     kinds: np.ndarray
 
     def records(self) -> list[dict]:
         """Every record as a dict, in output order."""
-        b, r = self.beacons, self.receptions
+        b, p, r = self.beacons, self.periodic, self.receptions
         names = b.names + [None]  # zone -1 reads as None
         observers, code = _observer_sets(b)
 
@@ -133,6 +182,16 @@ class EventLog:
                 in _beacon_rows(b, lo, hi, code)
             ]
 
+        def periodic_dict(kind, t, tx, zone, nbytes, epoch, index, total, v):
+            e = {"type": PERIODIC_TYPES[kind], "t": t, "tx": names[tx],
+                 "zone": names[zone]}
+            if kind == CHUNK:
+                e.update(epoch=epoch, index=index, total=total)
+            e["bytes"] = nbytes
+            if kind == ADVERT:
+                e["first_verifiers"] = [names[i] for i in p.verifier_lists[v]]
+            return e
+
         def reception_dicts(lo, hi):
             return [
                 {"type": "reception_summary", "t": t, "entity": names[v],
@@ -143,7 +202,9 @@ class EventLog:
         return [
             e
             for block in self._merged(
-                lambda lo, hi: self.protocol[lo:hi], beacon_dicts, reception_dicts
+                lambda lo, hi: self.protocol[lo:hi], beacon_dicts,
+                lambda lo, hi: [periodic_dict(*row) for row in p.rows(lo, hi)],
+                reception_dicts,
             )
             for e in block
         ]
@@ -154,7 +215,7 @@ class EventLog:
         floats by repr as the JSON encoder does, every string is encoded
         once per distinct value, and so is every value of the beacon
         columns that repeat most (time, speed, heading and length)."""
-        b, r = self.beacons, self.receptions
+        b, p, r = self.beacons, self.periodic, self.receptions
         enc = [encode_event(s) for s in b.names] + ["null"]  # zone -1: null
         observer_sets, code = _observer_sets(b)
         observers = [encode_event(ids) for ids in observer_sets]
@@ -179,23 +240,46 @@ class EventLog:
                 in zip(*(col[lo:hi].tolist() for col in columns))
             ]
 
+        verifiers = [
+            encode_event([b.names[i] for i in ids]) for ids in p.verifier_lists
+        ]
+
+        def periodic_line(kind, t, tx, zone, nbytes, epoch, index, total, v):
+            head = (
+                f'{{"type":"{PERIODIC_TYPES[kind]}","t":{t!r},"tx":{enc[tx]},'
+                f'"zone":{enc[zone]}'
+            )
+            if kind == ENCRYPTED:
+                return f'{head},"bytes":{nbytes}}}\n'
+            if kind == CHUNK:
+                return (
+                    f'{head},"epoch":{epoch},"index":{index},"total":{total},'
+                    f'"bytes":{nbytes}}}\n'
+                )
+            return f'{head},"bytes":{nbytes},"first_verifiers":{verifiers[v]}}}\n'
+
         def reception_lines(lo, hi):
             return [
                 _RECEPTION_LINE.format(t, enc[v], *counts)
                 for v, t, counts in _reception_rows(r, lo, hi)
             ]
 
-        for block in self._merged(protocol_lines, beacon_lines, reception_lines):
+        for block in self._merged(
+            protocol_lines, beacon_lines,
+            lambda lo, hi: [periodic_line(*row) for row in p.rows(lo, hi)],
+            reception_lines,
+        ):
             fh.write("".join(block))
 
     def _merged(self, *render):
         """Blocks of rendered records in output order; render[kind](lo, hi)
         renders rows lo..hi of that stream."""
-        start = [0, 0, 0]
+        start = [0] * len(render)
         for lo in range(0, self.kinds.size, _MERGE_BLOCK):
             block = self.kinds[lo:lo + _MERGE_BLOCK]
             nexts = []
-            for kind, n in enumerate(np.bincount(block, minlength=3).tolist()):
+            counts = np.bincount(block, minlength=len(render)).tolist()
+            for kind, n in enumerate(counts):
                 nexts.append(iter(render[kind](start[kind], start[kind] + n)).__next__)
                 start[kind] += n
             yield [nexts[k]() for k in block.tolist()]
@@ -282,24 +366,31 @@ def _event_entity(e: dict) -> str:
 
 
 class EventLogBuilder:
-    """The log as the engine emits it: protocol events as dicts, beacons as
-    blocks of raw columns, strings interned in one table. Every record takes
-    the next sequence number. finish() publishes the beacons (rounds them as
-    they go on the air), works out which eavesdroppers heard each one, and
-    sorts every record into output order."""
+    """The log as the engine emits it: protocol events as dicts, beacons and
+    periodic records as blocks of raw columns, strings interned in one
+    table. A record logged one at a time takes the current `key` and the
+    next n. finish() publishes the beacons (rounds them as they go on the
+    air), works out which eavesdroppers heard each one, and sorts every
+    record into output order."""
 
     def __init__(self, eaves: Sequence[str], ex, ey, er2):
         """eaves are the eavesdropper ids, in order; ex, ey and er2 their
         positions and squared ranges."""
         self.eaves = tuple(eaves)
         self._eaves_disks = (ex, ey, er2)
-        self.seq = 0
+        # the order key of the records logged next, and how many records
+        # were logged one at a time
+        self.key = 0
+        self.n = 0
         self.protocol: list[dict] = []
-        self.protocol_seq: list[int] = []
+        self._protocol_order: list[tuple[int, int]] = []
         self.names: list[str] = []
         self._name_index: dict[str, int] = {}
+        self.verifier_lists: list[tuple[int, ...]] = [()]
+        self._verifier_index: dict[tuple[int, ...], int] = {(): 0}
         self._blocks: list[tuple] = []
         self._rows: list[tuple] = []
+        self._periodic: list[tuple] = []
 
     def name(self, s: str) -> int:
         """s's index in the string table."""
@@ -309,54 +400,54 @@ class EventLogBuilder:
             self.names.append(s)
         return i
 
+    def verifiers(self, ids: tuple[int, ...]) -> int:
+        """The index of a list of string-table indices among the verifier
+        lists."""
+        i = self._verifier_index.get(ids)
+        if i is None:
+            i = self._verifier_index[ids] = len(self.verifier_lists)
+            self.verifier_lists.append(ids)
+        return i
+
     def event(self, e: dict) -> None:
         self.protocol.append(e)
-        self.protocol_seq.append(self.seq)
-        self.seq += 1
+        self._protocol_order.append((self.key, self.n))
+        self.n += 1
 
-    def reserve(self, k: int) -> int:
-        """Take the next k sequence numbers for records logged later;
-        returns the first."""
-        self.seq += k
-        return self.seq - k
-
-    def beacons(self, seq, t, tx, pseudonym, link, x, y, speed, heading,
+    def beacons(self, key, n, t, tx, pseudonym, link, x, y, speed, heading,
                 length, chaff, zone, hx, hy) -> None:
-        """Log len(seq) beacons under sequence numbers seq, which reserve()
-        handed out. Every other argument holds one value per beacon or one
-        for all: the send time, string-table indices for tx, pseudonym, link
-        and zone (-1: none), the unrounded claimed pose, and (hx, hy), the
-        transmitter's position, which decides who hears it."""
+        """Log len(key) beacons under order keys (key, n). Every other
+        argument holds one value per beacon or one for all: the send time,
+        string-table indices for tx, pseudonym, link and zone (-1: none),
+        the unrounded claimed pose, and (hx, hy), the transmitter's
+        position, which decides who hears it."""
         self._blocks.append((
-            seq, t, tx, pseudonym, link, x, y, speed, heading, length, chaff,
+            key, n, t, tx, pseudonym, link, x, y, speed, heading, length, chaff,
             zone, hx, hy,
         ))
 
     def beacon(self, *row) -> None:
-        """Log one beacon under the next sequence number; arguments as for
-        beacons() after seq, one value each."""
-        self._rows.append((self.seq, *row))
-        self.seq += 1
+        """Log one beacon under the current key; arguments as for beacons()
+        after n, one value each."""
+        self._rows.append((self.key, self.n, *row))
+        self.n += 1
         if len(self._rows) >= _MERGE_BLOCK:
             self._flush_rows()
+
+    def periodic(self, kind, key, n, t, tx, zone, nbytes, epoch=0, index=0,
+                 total=0, verifiers=0) -> None:
+        """Log len(key) periodic records of one kind (ADVERT, CHUNK or
+        ENCRYPTED) under order keys (key, n); the other arguments hold one
+        value per record or one for all, as in PeriodicColumns, verifiers
+        as returned by verifiers()."""
+        self._periodic.append((
+            key, n, kind, t, tx, zone, nbytes, epoch, index, total, verifiers,
+        ))
 
     def _flush_rows(self) -> None:
         if self._rows:
             self._blocks.append(tuple(np.array(c) for c in zip(*self._rows)))
             self._rows = []
-
-    def _beacon_columns(self) -> dict[str, np.ndarray]:
-        """Every logged beacon, raw, in the order the blocks were logged;
-        the blocks are released."""
-        self._flush_rows()
-        ends = np.cumsum([len(b[0]) for b in self._blocks], dtype=np.int64).tolist()
-        cols = {}
-        for i, (name, dtype) in enumerate(_RAW_BEACON_COLUMNS):
-            col = cols[name] = np.empty(ends[-1] if ends else 0, dtype)
-            for b, lo, hi in zip(self._blocks, [0, *ends], ends):
-                col[lo:hi] = b[i]
-        self._blocks = []
-        return cols
 
     def finish(
         self, counters: np.ndarray, vehicle_names: np.ndarray,
@@ -368,11 +459,15 @@ class EventLogBuilder:
         or slot, per vehicle second: vehicle i's seconds first_sec[i] to
         first_sec[i] + seconds[i] - 1, in order, vehicles in order;
         vehicle_names[i] is its string-table index. Each slot with any
-        nonzero counter is one reception summary, appended last in
-        (vehicle, second) order. An observation is (t, pseudonym, x, y,
-        speed, heading, length, eavesdropper id), for every beacon the
-        eavesdropper heard, in the order the beacons were sent."""
-        cols = self._beacon_columns()
+        nonzero counter is one reception summary, ordered after every other
+        record of its (time, vehicle), in (vehicle, second) order. An
+        observation is (t, pseudonym, x, y, speed, heading, length,
+        eavesdropper id), for every beacon the eavesdropper heard, in the
+        order of the beacons' keys."""
+        self._flush_rows()
+        cols = _columns(self._blocks, _RAW_BEACON_COLUMNS)
+        pcols = _columns(self._periodic, _PERIODIC_COLUMNS)
+        self._blocks = self._periodic = []
         for name, digits in _PUBLISHED_DIGITS:
             cols[name] = round_array(cols[name], digits)
         ex, ey, er2 = self._eaves_disks
@@ -386,32 +481,43 @@ class EventLogBuilder:
         vi = np.searchsorted(base, slot, side="right") - 1
         rec_vehicle = vehicle_names[vi]
         rec_t = (slot - base[vi] + first_sec[vi]).astype(np.float64)
-        n_pro, n_bea, n_rec = len(self.protocol), cols["t"].size, slot.size
+        sizes = [len(self.protocol), cols["t"].size, pcols["t"].size, slot.size]
 
         entity = [self.name(_event_entity(e)) for e in self.protocol]
         rank = name_ranks(self.names)
         t = np.concatenate([
             np.array([e["t"] for e in self.protocol], dtype=np.float64),
-            cols["t"], rec_t,
+            cols["t"], pcols["t"], rec_t,
         ])
         entity_rank = rank[np.concatenate([
-            np.array(entity, dtype=np.int64), cols["tx"], rec_vehicle,
+            np.array(entity, dtype=np.int64), cols["tx"], pcols["tx"], rec_vehicle,
         ])]
-        seq = np.concatenate([
-            np.array(self.protocol_seq, dtype=np.int64), cols.pop("seq"),
-            np.arange(self.seq, self.seq + n_rec),
+        protocol_order = np.array(self._protocol_order, dtype=np.int64).reshape(-1, 2)
+        key = np.concatenate([
+            protocol_order[:, 0], cols.pop("key"), pcols.pop("key"),
+            np.full(slot.size, _LAST_KEY),
         ])
-        order = np.lexsort((seq, entity_rank, t))
+        n = np.concatenate([
+            protocol_order[:, 1], cols.pop("n"), pcols.pop("n"), np.arange(slot.size),
+        ])
+        order = np.lexsort((n, key, entity_rank, t))
+        del t, entity_rank, key, n
         kinds = np.repeat(
-            np.array([_PROTOCOL, _BEACON, _RECEPTION], dtype=np.uint8),
-            [n_pro, n_bea, n_rec],
+            np.array([_PROTOCOL, _BEACON, _PERIODIC, _RECEPTION], dtype=np.uint8),
+            sizes,
         )[order]
-        b = order[kinds == _BEACON] - n_pro
-        r = order[kinds == _RECEPTION] - n_pro - n_bea
+        starts = np.cumsum(sizes) - sizes
+        b = order[kinds == _BEACON] - starts[_BEACON]
+        p = order[kinds == _PERIODIC] - starts[_PERIODIC]
+        r = order[kinds == _RECEPTION] - starts[_RECEPTION]
         log = EventLog(
             [self.protocol[i] for i in order[kinds == _PROTOCOL].tolist()],
             BeaconColumns(
                 self.names, self.eaves, **{name: col[b] for name, col in cols.items()}
+            ),
+            PeriodicColumns(
+                self.names, self.verifier_lists,
+                **{name: col[p] for name, col in pcols.items()},
             ),
             ReceptionColumns(self.names, rec_vehicle[r], rec_t[r], rec_counts[r]),
             kinds,
@@ -419,8 +525,9 @@ class EventLogBuilder:
         return log, observations
 
     def _observations(self, cols: dict[str, np.ndarray]) -> dict[str, list[tuple]]:
-        """Each eavesdropper's observation tuples, in sending order."""
-        sent = np.argsort(cols["seq"], kind="stable")
+        """Each eavesdropper's observation tuples, in the order of the
+        beacons' keys."""
+        sent = np.lexsort((cols["n"], cols["key"]))
         t = round_array(cols["t"], 1)
         observations = {}
         for w, eid in enumerate(self.eaves):
@@ -433,3 +540,16 @@ class EventLogBuilder:
                 itertools.repeat(eid),
             ))
         return observations
+
+
+def _columns(blocks: list[tuple], spec) -> dict[str, np.ndarray]:
+    """Blocks of raw columns, each block's first column an array and the
+    others arrays or scalars, as one array per (name, dtype) of spec, in the
+    order the blocks were logged."""
+    ends = np.cumsum([len(b[0]) for b in blocks], dtype=np.int64).tolist()
+    cols = {}
+    for i, (name, dtype) in enumerate(spec):
+        col = cols[name] = np.empty(ends[-1] if ends else 0, dtype)
+        for b, lo, hi in zip(blocks, [0, *ends], ends):
+            col[lo:hi] = b[i]
+    return cols

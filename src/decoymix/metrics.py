@@ -17,7 +17,12 @@ from typing import Mapping, Sequence, TextIO
 import numpy as np
 
 from .adversary import Chain, LinkCandidateSet, PseudonymTrack, chain_distance_m
-from .eventlog import BEACON_WIRE_BYTES, BeaconColumns, ReceptionColumns
+from .eventlog import (
+    BEACON_WIRE_BYTES,
+    BeaconColumns,
+    PeriodicColumns,
+    ReceptionColumns,
+)
 from .errors import NoTransitions
 
 RSU_SIGN_MS = 0.3
@@ -343,14 +348,20 @@ def _add_cells(
     table: dict[str, dict[int, int]], names: Sequence[str],
     entity: np.ndarray, sec: np.ndarray, n: np.ndarray,
 ) -> None:
-    """_bump(table, names[entity], sec, n) for every row, where no two rows
-    share an (entity, sec) cell; zero counts add nothing."""
+    """_bump(table, names[entity], sec, n) for every row, summed per (entity,
+    sec) cell; zero counts add nothing."""
     keep = np.flatnonzero(n)
     if not keep.size:
         return
-    order = keep[np.lexsort((sec[keep], entity[keep]))]
-    entity, sec, n = entity[order], sec[order].tolist(), n[order].tolist()
-    bounds = [0, *(np.flatnonzero(np.diff(entity)) + 1).tolist(), len(order)]
+    sec = sec[keep]
+    width = int(sec.max()) + 1
+    cells, inverse = np.unique(
+        entity[keep].astype(np.int64) * width + sec, return_inverse=True
+    )
+    n = np.bincount(inverse, n[keep], minlength=cells.size).astype(np.int64).tolist()
+    entity, sec = np.divmod(cells, width)
+    sec = sec.tolist()
+    bounds = [0, *(np.flatnonzero(np.diff(entity)) + 1).tolist(), cells.size]
     for lo, hi in zip(bounds, bounds[1:]):
         row = table.setdefault(names[entity[lo]], {})
         if not row:  # a fresh row takes the whole run at once
@@ -365,6 +376,7 @@ def overhead(
     duration_s: float,
     beacons: BeaconColumns | None = None,
     receptions: ReceptionColumns | None = None,
+    periodic: PeriodicColumns | None = None,
 ) -> OverheadReport:
     """Fold the event log into the per-entity ledgers.
 
@@ -374,28 +386,47 @@ def overhead(
     one (advert first hearers, join legs, retire processing at the issuer,
     each filter delivery, and the per-second reception counters).
 
-    A run's beacons and reception summaries may come as columns instead of
-    dicts in `events`; they are folded by the same rules.
+    A run's beacons, periodic records and reception summaries may come as
+    columns of its log, which share the log's string table, instead of
+    dicts in `events`; they are folded by the same rules, each ledger in
+    one pass.
     """
     rep = OverheadReport(duration_s, {})
-    if beacons is not None and beacons.t.size:
-        sec = beacons.t.astype(np.int64)
-        width = int(sec.max()) + 1
-        cells, n = np.unique(
-            beacons.tx.astype(np.int64) * width + sec, return_counts=True
-        )
-        ent, sec = np.divmod(cells, width)
-        _add_cells(rep.bytes_by_entity_second, beacons.names, ent, sec,
-                   n * BEACON_WIRE_BYTES)
-        _add_cells(rep.signs, beacons.names, ent, sec, n)
+    ledgers = {
+        "bytes": rep.bytes_by_entity_second, "signs": rep.signs,
+        "verifies": rep.verifies, "checks": rep.checks,
+    }
+    # (entity, second, count) columns for each ledger
+    parts: dict[str, list[tuple[np.ndarray, ...]]] = {name: [] for name in ledgers}
+    names: Sequence[str] = ()
+    if beacons is not None:
+        names, sec = beacons.names, beacons.t.astype(np.int64)
+        one = np.ones(sec.size, dtype=np.int64)
+        parts["bytes"].append((beacons.tx, sec, one * BEACON_WIRE_BYTES))
+        parts["signs"].append((beacons.tx, sec, one))
+    if periodic is not None:
+        names, sec = periodic.names, periodic.t.astype(np.int64)
+        parts["bytes"].append((periodic.tx, sec, periodic.bytes))
+        parts["signs"].append((periodic.tx, sec, np.ones(sec.size, dtype=np.int64)))
+        # each advert's first verifiers verify it
+        heard = np.flatnonzero(periodic.verifiers)
+        lists = [periodic.verifier_lists[c] for c in periodic.verifiers[heard].tolist()]
+        verifier = np.array([v for ids in lists for v in ids], dtype=np.int64)
+        parts["verifies"].append((
+            verifier, np.repeat(sec[heard], [len(ids) for ids in lists]),
+            np.ones(verifier.size, dtype=np.int64),
+        ))
     if receptions is not None:
-        ent, sec = receptions.vehicle, receptions.t.astype(np.int64)
-        names = receptions.names
-        _add_cells(rep.verifies, names, ent, sec, receptions.count("verifies"))
-        _add_cells(rep.checks, names, ent, sec, receptions.count("checks"))
+        names, ent = receptions.names, receptions.vehicle
+        sec = receptions.t.astype(np.int64)
         q = receptions.count("peer_queries")
-        _add_cells(rep.bytes_by_entity_second, names, ent, sec, q * PEER_QUERY_BYTES)
-        _add_cells(rep.signs, names, ent, sec, q)
+        parts["verifies"].append((ent, sec, receptions.count("verifies")))
+        parts["checks"].append((ent, sec, receptions.count("checks")))
+        parts["bytes"].append((ent, sec, q * PEER_QUERY_BYTES))
+        parts["signs"].append((ent, sec, q))
+    for name, table in ledgers.items():
+        if parts[name]:
+            _add_cells(table, names, *(np.concatenate(c) for c in zip(*parts[name])))
     for e in events:
         sec = int(e["t"])
         kind = e["type"]

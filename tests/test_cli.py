@@ -185,6 +185,37 @@ def test_run_bad_sweep_axis_exits_2(tmp_path):
     assert rc == 2
 
 
+@pytest.mark.parametrize("values", [
+    "0.5,0.5", "0.50,.5", "0,0.25,0.5,.25", "0.1234567,0.12345671",
+])
+def test_run_repeated_sweep_value_exits_2(tmp_path, capsys, values):
+    # a repeated value, or two whose labels coincide, would run one cell
+    # directory twice and write its summary row twice
+    scenario = small_scenario(tmp_path, vehicles=3, duration=60.0)
+    out = tmp_path / "o"
+    capsys.readouterr()
+    rc = main(["run", "--scenario", str(scenario), "--seeds", "1",
+               "--sweep", f"relay_fraction={values}", "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "repeats a value" in err
+    assert not out.exists()
+
+
+def test_run_seed_range_beyond_the_job_cap_exits_2(tmp_path, capsys):
+    # refused from the span alone, before any seed tuple is built
+    scenario = small_scenario(tmp_path, vehicles=3, duration=60.0)
+    capsys.readouterr()
+    rc = main(["run", "--scenario", str(scenario), "--seeds", f"0..{10 ** 12}",
+               "--out", str(tmp_path / "o")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "more than 10000 seeds" in err
+    with pytest.raises(ConfigError):
+        parse_seeds(f"-5..{10 ** 18}")
+    assert len(parse_seeds("1..10000")) == 10_000
+
+
 def test_run_audit_finding_exits_4_after_writing_the_cell(tmp_path, capsys,
                                                          monkeypatch):
     monkeypatch.setattr(

@@ -39,6 +39,8 @@ from decoymix.mixzone import DecoyPlan, MixZoneController
 from decoymix.mobility import Trip, synthesize_trips, trip_samples_with_edges
 from decoymix.roads import make_grid
 
+import test_golden
+
 
 def straight_trip(vid="veh-000", depart=0.0, speed=10.0, length=4.5):
     """South-to-north through the zone at j1_1."""
@@ -1026,7 +1028,8 @@ class _PerTickCounters(_Run):
         self.held_counts: set[int] = set()
         self.peer_rx_heard: list[int] = []
 
-    def _beacons(self, tk):
+    def _decoys(self, tk):
+        # the vehicle beacons, counted as the tick's beacon phase heard them
         self.held_ep_now = self.held_ep[tk.av]
         held = self.held_ep_now >= 0
         self.received = np.zeros((len(RECEPTION_COUNTERS), tk.av.size), dtype=np.int64)
@@ -1035,7 +1038,7 @@ class _PerTickCounters(_Run):
         dy = tk.ys[:, None] - tk.ys[None, :]
         self.neighbor = dx * dx + dy * dy <= self.radio2
         np.fill_diagonal(self.neighbor, False)
-        inside_mask = tk.cur_zone >= 0
+        inside_mask = self.ZIDX[tk.lo:tk.hi] >= 0
         cnt_real = (self.neighbor & ~inside_mask).sum(axis=1)
         cnt_enc = self.neighbor.sum(axis=1) - cnt_real
         counts["rx_beacons"] += cnt_real
@@ -1045,11 +1048,8 @@ class _PerTickCounters(_Run):
         counts["checks"] += cnt_real * held.sum(axis=1)
         counts["verifies"] += cnt_real
         self.cnt_real = cnt_real
-        super()._beacons(tk)
 
-    def _decoys(self, tk):
-        held = self.held_ep_now >= 0
-        counts = dict(zip(RECEPTION_COUNTERS, self.received))
+        # the decoy beacons
         due = [
             (s, pose) for s in self.streams.values()
             if (pose := s.poses.get(tk.t_ds)) is not None
@@ -1173,3 +1173,150 @@ def test_wrap_up_reception_counters_match_the_per_tick_math(monkeypatch, block):
     for vid in ("veh-z1", "veh-z2"):
         assert summaries[vid]["rx_beacons"] >= 1
         assert summaries[vid]["peer_queries"] == 1
+
+
+class _PerTickPeriodic(_Run):
+    """A run that logs adverts, chunks and encrypted beacons tick by tick,
+    as dicts in their tick's phases, with the epochs and rows the phase
+    sees: the reference for the columns the wrap-up builds."""
+
+    def _rsu_range(self, tk):
+        log, key, now = self.log, tk.k * engine.N_PHASES, tk.now
+        if tk.t_ds % self.gmz_ds == 0:
+            log.key = key + engine.PH_ADVERTS
+            fresh = self.first_adverts.get(tk.k, ())
+            for j, z in enumerate(self.zones):
+                if z.controller.advertise(now) is None:
+                    continue
+                self.emit({
+                    "type": "advert", "t": now, "tx": z.info.rsu_entity,
+                    "zone": z.info.zone_id, "bytes": engine.ADVERT_WIRE_BYTES,
+                    "first_verifiers": [
+                        self.vehicles[vi].vid for vi, jj in fresh if jj == j
+                    ],
+                })
+        if tk.t_ds % self.fi_ds == 0:
+            log.key = key + engine.PH_CHUNKS
+            for j, z in enumerate(self.zones):
+                slot = (tk.t_ds // self.fi_ds) % z.chunk_count
+                self.emit({
+                    "type": "chunk", "t": now, "tx": z.info.rsu_entity,
+                    "zone": z.info.zone_id, "epoch": int(self.cur_ep[j]),
+                    "index": slot, "total": z.chunk_count,
+                    "bytes": z.chunk_payloads[slot] + engine.CHUNK_CERT_BYTES,
+                })
+        log.key = key + engine.PH_RSU
+        super()._rsu_range(tk)
+
+    def _decoys(self, tk):
+        self.log.key = tk.k * engine.N_PHASES + engine.PH_BEACONS
+        for vi, j in zip(tk.av.tolist(), self.ZIDX[tk.lo:tk.hi].tolist()):
+            if j >= 0:
+                self.emit({
+                    "type": "beacon_encrypted", "t": tk.now,
+                    "tx": self.vehicles[vi].vid, "zone": self.zone_ids[j],
+                    "bytes": ENCRYPTED_BEACON_WIRE_BYTES,
+                })
+        self.log.key = tk.k * engine.N_PHASES + engine.PH_DECOYS
+        super()._decoys(tk)
+
+    def _log_periodic(self, tick):
+        pass  # logged tick by tick
+
+
+def _off_lattice_adverts_config():
+    """Relays crossing two zones 500 m apart, beacons every 1 s and adverts
+    every 1.5 s on the 0.5 s lattice: adverts fall on and off the beacon
+    ticks, and relay streams that end at the next zone's door retire chaff
+    in the zone phase of ticks that also carry chunks."""
+    g = make_grid(4, 4, 500.0)
+    return ScenarioConfig(
+        graph=g,
+        zones=(
+            ZoneSpec("z-a", 500.0, 500.0, 100.0),
+            ZoneSpec("z-b", 1000.0, 500.0, 100.0),
+        ),
+        eavesdroppers=(EavesdropperSpec("eav-a", 750.0, 500.0, 500.0),),
+        trips=tuple(synthesize_trips(g, 60, 0.2, 3)),
+        relay_fraction=1.0, rng_seed=3, duration_s=400.0, gamma_v_s=1.0,
+        gamma_mz_s=1.5, chaff_per_zone=300, filter_capacity=400,
+    )
+
+
+def _sweep_configs(tmp_path):
+    """The test_c14 sweep's four cells."""
+    base = ScenarioConfig.from_file(test_golden.sweep_scenario(tmp_path))
+    return [
+        base.replaced(rng_seed=seed, relay_fraction=rf)
+        for seed in (1, 2) for rf in (0.0, 1.0)
+    ]
+
+
+# each case's configs, built in a temporary directory
+_NEXT_EVENT_CASES = {
+    "c14-sweep": _sweep_configs,
+    "crossing": lambda _: [test_golden.crossing_config()],
+    "grid-cell": lambda _: [test_golden.grid_cell_config()],
+    "multi-zone": lambda _: [test_golden.multi_zone_config()],
+    "relay0": lambda _: [test_golden.relay0_config()],
+    "off-lattice-adverts": lambda _: [_off_lattice_adverts_config()],
+}
+
+
+@pytest.mark.parametrize("case", list(_NEXT_EVENT_CASES))
+def test_next_event_loop_matches_stepping_every_tick(monkeypatch, tmp_path, case):
+    # run() steps only the ticks where something happens and logs the
+    # periodic records at wrap-up; the reference steps every tick and logs
+    # them tick by tick
+    states = []
+
+    class Recorded(_Run):
+        def __init__(self, config):
+            super().__init__(config)
+            self.stepped = 0
+            states.append(self)
+
+        def step(self, k):
+            self.stepped += 1
+            super().step(k)
+
+    for cfg in _NEXT_EVENT_CASES[case](tmp_path):
+        monkeypatch.setattr(engine, "_Run", Recorded)
+        result = run(cfg)
+        monkeypatch.undo()
+        state = states.pop()
+
+        ref_state = _PerTickPeriodic(cfg)
+        for k in range(ref_state.nticks):
+            ref_state.step(k)
+        ref = ref_state.finish()
+        for audit in (audit_observability, audit_single_pseudonym, audit_ground_truth):
+            ref.audit_violations.extend(audit(ref))
+
+        got, want = io.StringIO(), io.StringIO()
+        result.export_events(got)
+        ref.export_events(want)
+        assert got.getvalue() == want.getvalue()
+        np.testing.assert_array_equal(state.counters, ref_state.counters)
+        assert result.observations == ref.observations
+        assert result.transitions == ref.transitions
+        assert result.audit_violations == ref.audit_violations
+        assert state.stepped <= state.nticks
+
+        events = ref.events
+        if case == "relay0":
+            # most ticks hold only periodic records and unanswered queries
+            assert state.stepped < state.nticks // 2
+            assert any(e["type"] == "peer_filter" for e in events)
+        if case == "off-lattice-adverts":
+            # a retire in the zone phase of a chunk tick moves the epoch
+            # that tick's chunks carry
+            moved = {
+                (e["t"], e["zone"]) for e in events
+                if e["type"] == "decoy_end" and e["reason"] == "transmitter_zone_entry"
+            }
+            chunk_ticks = {(e["t"], e["zone"]) for e in events if e["type"] == "chunk"}
+            assert moved & chunk_ticks
+            assert any(
+                e["type"] == "advert" and e["t"] % 1.0 == 0.5 for e in events
+            )

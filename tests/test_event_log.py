@@ -18,6 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from decoymix.adversary import export_candidate_sets
+from decoymix import engine
 from decoymix.cli import attack_result, cell_reports
 from decoymix.engine import (
     EavesdropperSpec,
@@ -26,6 +27,9 @@ from decoymix.engine import (
     run,
 )
 from decoymix.eventlog import (
+    ADVERT,
+    CHUNK,
+    ENCRYPTED,
     RECEPTION_COUNTERS,
     EventLogBuilder,
     encode_event,
@@ -189,8 +193,15 @@ def test_columns_reproduce_the_dict_view(make_config):
     )
 
     # every column path is exercised: vehicle and decoy beacons, observed
-    # ones, and reception summaries with peer queries or checks
+    # ones, reception summaries with peer queries or checks, encrypted
+    # beacons, adverts heard first by none and by several vehicles, and
+    # chunks (of two filter epochs in the crossing, where relays retire)
     beacons = [e for e in events if e["type"] == "beacon"]
+    assert any(e["type"] == "beacon_encrypted" for e in events)
+    heard_first = {len(e["first_verifiers"]) for e in events if e["type"] == "advert"}
+    assert 0 in heard_first and max(heard_first) > 1
+    epochs = {e["epoch"] for e in events if e["type"] == "chunk"}
+    assert len(epochs) > 1 or make_config is _odd_ids
     assert any(e["chaff"] and e["zone"] for e in beacons)
     assert any(not e["chaff"] and e["zone"] is None for e in beacons)
     assert any(e["observers"] for e in beacons)
@@ -239,10 +250,11 @@ def test_repeated_and_signed_zero_beacon_values_are_written_as_encoded():
     speeds = (0.0, -0.0, 13.89, 7.25)
     for step in range(60):
         t = step * 0.5
+        log.key = step
         x = np.array([rng.uniform(-500.0, 1100.0) for _ in vehicles])
         y = np.array([rng.uniform(-300.0, 300.0) for _ in vehicles])
         log.beacons(
-            np.arange(log.reserve(5), log.seq), t, vehicles, pids, pids, x, y,
+            np.full(5, step), np.arange(5), t, vehicles, pids, pids, x, y,
             np.array([rng.choice(speeds) for _ in vehicles]),
             np.array([rng.choice(headings) for _ in vehicles]),
             np.array([rng.choice((4.5, 7.5)) for _ in vehicles]),
@@ -276,3 +288,111 @@ def test_repeated_and_signed_zero_beacon_values_are_written_as_encoded():
         assert f'"{field}":0.0,' in buf.getvalue()
     for field in ("t", "speed", "heading", "length"):
         assert len({e[field] for e in beacons}) < len(beacons) / 4, field
+
+
+def _tick_records_log():
+    """A log built the way the engine builds one, over four ticks of 1 s:
+    records logged in their tick's phases, then beacons and periodic records
+    logged at wrap-up under their ticks' keys. veh-1 gets a filter from the
+    RSU at t = 2, sends an encrypted beacon and despawns inside the zone,
+    all on that tick; the adverts are heard first by none, one and three
+    vehicles; the chunks carry epochs 1 and 2."""
+    log = EventLogBuilder(
+        ["eav-a"], np.array([0.0]), np.array([0.0]), np.array([500.0 ** 2])
+    )
+    n_ph = engine.N_PHASES
+    veh = [log.name(f"veh-{i}") for i in range(4)]
+    rsu, zone = log.name("rsu:z"), log.name("z")
+    for k in range(4):
+        now = float(k)
+        log.key = k * n_ph + engine.PH_RSU
+        if k == 2:
+            log.event({
+                "type": "filter_delivered", "t": now, "vehicle": "veh-1",
+                "zone": "z", "epoch": 2, "via": "rsu", "latency_s": 2.0,
+            })
+        log.key = k * n_ph + engine.PH_DESPAWNS
+        if k == 2:
+            log.event({
+                "type": "zone_exit", "t": now, "vehicle": "veh-1", "zone": "z",
+                "reason": "despawn",
+            })
+        if k == 1:
+            log.event({
+                "type": "retire", "t": now, "tx": "rsu:z", "chaff": "c-0",
+                "zone": "z", "bytes": 156,
+            })
+    ks = np.arange(4)
+    log.periodic(
+        ADVERT, ks * n_ph + engine.PH_ADVERTS, 0, ks * 1.0, rsu, zone, 92,
+        verifiers=np.array([
+            log.verifiers(()), log.verifiers((veh[0],)),
+            log.verifiers((veh[3], veh[1], veh[2])), log.verifiers(()),
+        ]),
+    )
+    log.periodic(
+        CHUNK, ks * n_ph + engine.PH_CHUNKS, 0, ks * 1.0, rsu, zone,
+        np.array([1140, 1140, 800, 1140]), epoch=np.array([1, 1, 2, 2]),
+        index=ks % 3, total=3,
+    )
+    log.periodic(
+        ENCRYPTED, np.array([2 * n_ph + engine.PH_BEACONS] * 2), np.array([5, 6]),
+        2.0, np.array([veh[1], veh[2]]), zone, 490,
+    )
+    x = np.array([300.0, 320.0])
+    log.beacons(
+        ks[:2] * n_ph + engine.PH_BEACONS, np.arange(2), ks[:2] * 1.0, veh[0],
+        log.name("p-0"), log.name("l-0"), x, x, 10.0, 0.5, 4.5, False, -1, x, x,
+    )
+    counters = np.zeros((len(RECEPTION_COUNTERS), 4), dtype=np.int64)
+    counters[RECEPTION_COUNTERS.index("checks"), 2] = 3
+    counters[RECEPTION_COUNTERS.index("verifies"), 2] = 1
+    event_log, _ = log.finish(
+        counters, np.array([veh[1]], dtype=np.int32), np.zeros(1, dtype=np.int64),
+        np.array([4]),
+    )
+    return event_log
+
+
+def test_periodic_columns_take_their_tick_phase():
+    event_log = _tick_records_log()
+    records = event_log.records()
+    buf = io.StringIO()
+    event_log.write_jsonl(buf)
+    assert buf.getvalue() == "".join(encode_event(e) + "\n" for e in records)
+
+    # veh-1's records at t = 2: the RSU delivery, the encrypted beacon, the
+    # despawn, then the second's reception summary
+    assert [e["type"] for e in records if e["t"] == 2.0 and "veh-1" in (
+        e.get("tx"), e.get("vehicle"), e.get("entity"))
+    ] == ["filter_delivered", "beacon_encrypted", "zone_exit", "reception_summary"]
+    # the RSU's records of a tick: advert, chunk, then the rest of the tick
+    assert [e["type"] for e in records if e["t"] == 1.0 and e.get("tx") == "rsu:z"] == [
+        "advert", "chunk", "retire",
+    ]
+    adverts = [e for e in records if e["type"] == "advert"]
+    assert [e["first_verifiers"] for e in adverts] == [
+        [], ["veh-0"], ["veh-3", "veh-1", "veh-2"], [],
+    ]
+    assert list(adverts[0]) == [
+        "type", "t", "tx", "zone", "bytes", "first_verifiers",
+    ]
+    chunks = [e for e in records if e["type"] == "chunk"]
+    assert [e["epoch"] for e in chunks] == [1, 1, 2, 2]
+    assert list(chunks[0]) == [
+        "type", "t", "tx", "zone", "epoch", "index", "total", "bytes",
+    ]
+
+
+def test_overhead_over_periodic_columns_matches_the_dicts():
+    event_log = _tick_records_log()
+    from_columns = overhead(
+        event_log.protocol, 4.0, event_log.beacons, event_log.receptions,
+        event_log.periodic,
+    )
+    assert from_columns == overhead(event_log.records(), 4.0)
+    # the first verifiers verify, the RSU signs and sends every record
+    assert from_columns.verifies["veh-0"] == {1: 1}
+    assert from_columns.verifies["veh-3"] == {2: 1}
+    assert from_columns.signs["rsu:z"] == {0: 2, 1: 3, 2: 2, 3: 2}
+    assert from_columns.bytes_by_entity_second["veh-2"] == {2: 490}

@@ -196,24 +196,18 @@ def _write_reports(cfg: ScenarioConfig, label: str, out: Path) -> RunResult:
     return result
 
 
-def test_run_command_report_digests(tmp_path):
-    scen = tmp_path / "scen"
+def sweep_scenario(out: Path) -> Path:
+    """Write the test_c14 sweep's scenario into out; returns its path."""
     assert main([
         "gen-grid", "--rows", "3", "--cols", "3", "--spacing", "500",
         "--zones", "1", "--vehicles", "12", "--arrival-rate", "0.1",
-        "--duration", "240", "--out", str(scen),
+        "--duration", "240", "--out", str(out),
     ]) == 0
-    out = tmp_path / "out"
-    assert main([
-        "run", "--scenario", str(scen / "scenario.json"),
-        "--seeds", "1..2", "--sweep", "relay_fraction=0,1.0",
-        "--out", str(out),
-    ]) == 0
-    assert _digests(out) == RUN_DIGESTS
+    return out / "scenario.json"
 
 
-def test_four_arm_crossing_report_digests(tmp_path):
-    cfg = ScenarioConfig(
+def crossing_config() -> ScenarioConfig:
+    return ScenarioConfig(
         graph=make_grid(3, 3, 500.0),
         zones=(ZoneSpec("z-c", 500.0, 500.0, 100.0),),
         eavesdroppers=(EavesdropperSpec("eav-c", 500.0, 500.0, 600.0),),
@@ -223,13 +217,11 @@ def test_four_arm_crossing_report_digests(tmp_path):
         ),
         relay_fraction=1.0, rng_seed=0, duration_s=180.0,
     )
-    _write_reports(cfg, "crossing", tmp_path)
-    assert _digests(tmp_path) == CROSSING_DIGESTS
 
 
-def test_baseline_grid_cell_report_digests(tmp_path):
+def grid_cell_config() -> ScenarioConfig:
     g = make_grid(4, 4, 500.0)
-    cfg = ScenarioConfig(
+    return ScenarioConfig(
         graph=g,
         zones=(
             ZoneSpec("z-j1_1", 500.0, 500.0, 100.0),
@@ -243,13 +235,11 @@ def test_baseline_grid_cell_report_digests(tmp_path):
         relay_fraction=1.0, rng_seed=0, duration_s=2100.0,
         chaff_per_zone=2000, filter_capacity=2000,
     )
-    _write_reports(cfg, "grid", tmp_path)
-    assert _digests(tmp_path) == GRID_CELL_DIGESTS
 
 
-def test_multi_zone_peer_cell_report_digests(tmp_path):
+def multi_zone_config() -> ScenarioConfig:
     g = make_grid(5, 5, 500.0)
-    cfg = ScenarioConfig(
+    return ScenarioConfig(
         graph=g,
         zones=(
             ZoneSpec("z-a", 500.0, 500.0, 100.0),
@@ -265,20 +255,6 @@ def test_multi_zone_peer_cell_report_digests(tmp_path):
         duration_s=300.0, rsu_range_m=250.0, gamma_v_s=1.0, gamma_mz_s=0.5,
         chaff_per_zone=300, filter_capacity=400,
     )
-    result = _write_reports(cfg, "multizone", tmp_path)
-    # the paths this cell is here for: peer deliveries, RSU-sent decoys
-    # and vehicles holding two or more zone filters
-    events = result.events
-    assert any(e["type"] == "peer_filter" for e in events)
-    assert any(
-        e["type"] == "decoy_start" and e["source"] == "rsu" for e in events
-    )
-    held: dict[str, set[str]] = {}
-    for e in events:
-        if e["type"] == "filter_delivered":
-            held.setdefault(e["vehicle"], set()).add(e["zone"])
-    assert max(len(zones) for zones in held.values()) >= 2
-    assert _digests(tmp_path) == MULTI_ZONE_DIGESTS
 
 
 def relay0_config() -> ScenarioConfig:
@@ -297,6 +273,44 @@ def relay0_config() -> ScenarioConfig:
         trips=tuple(synthesize_trips(g, 80, 0.2, 13)),
         relay_fraction=0.0, rng_seed=2, duration_s=600.0,
     )
+
+
+def test_run_command_report_digests(tmp_path):
+    scen = sweep_scenario(tmp_path / "scen")
+    out = tmp_path / "out"
+    assert main([
+        "run", "--scenario", str(scen),
+        "--seeds", "1..2", "--sweep", "relay_fraction=0,1.0",
+        "--out", str(out),
+    ]) == 0
+    assert _digests(out) == RUN_DIGESTS
+
+
+def test_four_arm_crossing_report_digests(tmp_path):
+    _write_reports(crossing_config(), "crossing", tmp_path)
+    assert _digests(tmp_path) == CROSSING_DIGESTS
+
+
+def test_baseline_grid_cell_report_digests(tmp_path):
+    _write_reports(grid_cell_config(), "grid", tmp_path)
+    assert _digests(tmp_path) == GRID_CELL_DIGESTS
+
+
+def test_multi_zone_peer_cell_report_digests(tmp_path):
+    result = _write_reports(multi_zone_config(), "multizone", tmp_path)
+    # the paths this cell is here for: peer deliveries, RSU-sent decoys
+    # and vehicles holding two or more zone filters
+    events = result.events
+    assert any(e["type"] == "peer_filter" for e in events)
+    assert any(
+        e["type"] == "decoy_start" and e["source"] == "rsu" for e in events
+    )
+    held: dict[str, set[str]] = {}
+    for e in events:
+        if e["type"] == "filter_delivered":
+            held.setdefault(e["vehicle"], set()).add(e["zone"])
+    assert max(len(zones) for zones in held.values()) >= 2
+    assert _digests(tmp_path) == MULTI_ZONE_DIGESTS
 
 
 def test_relay0_cell_report_digests(tmp_path):
