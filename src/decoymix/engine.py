@@ -10,11 +10,12 @@ from __future__ import annotations
 
 import bisect
 import functools
+import heapq
 import json
 import math
 import random
 import struct
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import NamedTuple, Sequence, get_type_hints
 
@@ -81,8 +82,8 @@ BLOCK_ELEMENTS = 1 << 16
 
 # the phases of a tick, in step order. A record's order key is tick *
 # N_PHASES + phase; the wrap-up logs under key nticks * N_PHASES, after
-# every tick. Adverts, chunks and beacons are logged at wrap-up under their
-# tick's key.
+# every tick. Adverts, chunks and every beacon are logged at wrap-up under
+# their tick's key.
 (PH_ZONES, PH_ADVERTS, PH_CHUNKS, PH_RSU, PH_BEACONS, PH_DECOYS, PH_PEERS,
  PH_DESPAWNS) = range(8)
 N_PHASES = 8
@@ -153,24 +154,20 @@ class ScenarioConfig:
                 "filter_bandwidth_bytes_per_s times filter_tx_interval_s must "
                 "be at least 1, so each chunk carries a byte"
             )
-        for name in ("vehicle_radio_range_m", "rsu_range_m", "rsu_chaff_duration_s"):
+        for name in ("vehicle_radio_range_m", "rsu_range_m", "rsu_chaff_duration_s",
+                     "filter_capacity", "v_min_mps"):
             if getattr(self, name) <= 0:
                 raise ConfigError(f"{name} must be positive")
+        for name in ("sparse_threshold", "chaff_per_zone"):
+            if getattr(self, name) < 0:
+                raise ConfigError(f"{name} must be non-negative")
         if self.trips is None:
             if self.n_vehicles < 0:
                 raise ConfigError("n_vehicles must be non-negative")
             if self.n_vehicles > 0 and self.arrival_rate_per_s <= 0:
                 raise ConfigError("arrival_rate_per_s must be positive")
-        if self.sparse_threshold < 0:
-            raise ConfigError("sparse_threshold must be non-negative")
-        if self.chaff_per_zone < 0:
-            raise ConfigError("chaff_per_zone must be non-negative")
-        if self.filter_capacity <= 0:
-            raise ConfigError("filter_capacity must be positive")
         if not 0.0 < self.filter_target_fp < 1.0:
             raise ConfigError("filter_target_fp must lie in (0, 1)")
-        if self.v_min_mps <= 0:
-            raise ConfigError("v_min_mps must be positive")
         if not self.zones:
             raise ConfigError("scenario must declare at least one zone")
         seen_zones: set[str] = set()
@@ -245,18 +242,13 @@ class ScenarioConfig:
         if extra_traffic:
             raise ConfigError(f"unknown traffic keys: {sorted(extra_traffic)}")
 
-        scalar_fields = {
-            "gamma_v_s", "gamma_mz_s", "relay_fraction", "non_coop_fraction",
-            "hbc_rsu_fraction", "filter_bandwidth_bytes_per_s",
-            "filter_tx_interval_s", "sparse_threshold", "rng_seed",
-            "duration_s", "v_min_mps", "rsu_range_m", "vehicle_radio_range_m",
-            "rsu_chaff_duration_s", "chaff_per_zone", "filter_capacity",
-            "filter_target_fp",
-        }
-        unknown = set(doc) - scalar_fields
+        types = get_type_hints(cls)
+        # every field but these takes a plain value at the top level
+        unknown = set(doc) - (set(types) - {
+            "graph", "zones", "eavesdroppers", "trips", "n_vehicles", "arrival_rate_per_s",
+        })
         if unknown:
             raise ConfigError(f"unknown scenario keys: {sorted(unknown)}")
-        types = get_type_hints(cls)
         cfg = cls(
             graph=graph,
             zones=zones,
@@ -365,9 +357,9 @@ class RunResult:
     observations: dict[str, list[tuple]]
     transitions: list[Transition]
     zones: list[ZoneInfo]
-    # every audit finding: first the tick loop's, in time order (a decoy sent
-    # while absent from its filter, relay chaff that does not resolve to its
-    # relay), then those of the three post-run audits
+    # every audit finding: first the run's own, in tick and phase order (relay
+    # chaff that does not resolve to its relay, a decoy sent while absent
+    # from its filter), then those of the three post-run audits
     audit_violations: list[str]
 
     @functools.cached_property
@@ -470,17 +462,17 @@ class _Stream:
     poses: dict[int, tuple[float, float, float]]
     last_ds: int
     natural_reason: str
-    # whether the zone filter held the chaff id at filter epoch filter_ep;
-    # the authority moves the epoch whenever it changes the filter
-    filter_ep: int = -1
-    in_filter: bool = False
+    # the order key under which the stream ended, and (order key, whether
+    # the zone filter holds the chaff id from then on) noted at the start
+    # and at each move of the zone filter's epoch
+    end_key: int = -1
+    held: list[tuple[int, bool]] = field(default_factory=list)
 
 
 @dataclass(slots=True)
 class _VehicleRt:
     vid: str
     trip: Trip
-    end_ds: int
     non_coop: bool
     pool: list[Credential]
     active: Credential
@@ -550,43 +542,31 @@ def _build_stream_poses(
     edges; stop at dead ends, at the horizon, or the moment the claimed
     position would re-enter any zone disk."""
     poses: dict[int, tuple[float, float, float]] = {}
-    start_ds_exact = plan.start_time_s * 10.0
-    t = gv_ds * math.ceil(start_ds_exact / gv_ds - 1e-9)
+    t = gv_ds * math.ceil(plan.start_time_s * 10.0 / gv_ds - 1e-9)
     cur = g.edges[plan.exit_edge_id]
     # launch 1 mm past the crossing so a tick landing exactly at the exit
     # point is not mistaken for a zone re-entry and killed at birth
     cur_entry = plan.boundary_offset_m + 1e-3
     consumed = 0.0
-    reason = "horizon"
     while t <= horizon_ds:
         dist = plan.speed_mps * (t / 10.0 - plan.start_time_s)
-        advanced = True
         while dist - consumed > (cur.length - cur_entry) + 1e-9:
             consumed += cur.length - cur_entry
             nxt = g.next_edges(cur.id)
             if not nxt:
-                reason = "route_end"
-                advanced = False
-                break
+                return poses, "route_end"
             cur = g.edges[route_rng.choice(nxt)]
             cur_entry = 0.0
-        if not advanced:
-            break
         off = min(cur_entry + (dist - consumed), cur.length)
         x, y, heading = point_along(cur.shape, off)
         px, py = _published(x), _published(y)
-        hit_zone = False
         for cx, cy, r2 in zone_disks:
             dx, dy = px - cx, py - cy
             if dx * dx + dy * dy <= r2:
-                hit_zone = True
-                break
-        if hit_zone:
-            reason = "zone_entry"
-            break
+                return poses, "zone_entry"
         poses[t] = (x, y, heading)
         t += gv_ds
-    return poses, reason
+    return poses, "horizon"
 
 
 # ---------------------------------------------------------------------------
@@ -613,8 +593,8 @@ class _Run:
     """One run's state. Construction builds the world and precomputes every
     pose; step() runs the phases of one tick in output order; next_visit()
     names the next tick whose step does anything; finish() wraps up, logs
-    what follows from the schedule and the rows alone, and hands back the
-    RunResult."""
+    what follows from the schedule, the rows and the decoy streams' poses
+    alone, and hands back the RunResult."""
 
     def __init__(self, config: ScenarioConfig) -> None:
         self.config = config
@@ -637,15 +617,17 @@ class _Run:
         # set whenever a zone filter moves to a new epoch, cleared when the
         # RSU phase has looked for vehicles that now hold a stale filter
         self.epoch_moved = False
+        # live decoy streams by chaff id, in start order; a stream leaves
+        # when it ends. started holds every stream, in start order
+        self.streams: dict[str, _Stream] = {}
+        self.started: list[_Stream] = []
+        # the run's audit findings, each with its order key
+        self.findings: list[tuple[int, str]] = []
         self._build_world()
         self._precompute_poses(config.resolve_trips())
 
         nv, nz = len(self.vehicles), len(self.zones)
         self.transitions: list[Transition] = []
-        # live decoy streams by chaff id, in start order; a stream leaves
-        # when it ends
-        self.streams: dict[str, _Stream] = {}
-        self.audit_violations: list[str] = []
         # one row per name in RECEPTION_COUNTERS, one column per slot;
         # filled at wrap-up by _count_receptions
         self.counters = np.zeros(
@@ -655,11 +637,8 @@ class _Run:
         # the first tick at whose beacon phase the vehicle holds the zone's
         # filter at any epoch; nticks while it holds none
         self.held_from = np.full((nv, nz), self.nticks, dtype=np.int64)
-        # what the wrap-up counts receptions from: every decoy beacon sent,
-        # as (tick, transmitter x, y, zone, relay vehicle or -1 for the
-        # zone's RSU), and the rows that asked their neighbours for a
-        # filter and those that got one
-        self.decoy_sends: list[tuple[int, float, float, int, int]] = []
+        # the rows that asked their neighbours for a filter and those that
+        # got one, for the wrap-up to count
         self.peer_asked: list[np.ndarray] = []
         self.peer_answered: list[np.ndarray] = []
         # a chunk collection in progress: (vehicle, zone) is pending from
@@ -892,13 +871,14 @@ class _Run:
         head[1:] = (veh[r[1:]] != veh[r[:-1]]) | (j[1:] != j[:-1])
         self.first_adverts = _by_tick(tick[r[head]], veh[r[head]], j[head])
         self.despawns = _by_tick(self.tends // tick_ds, np.arange(nv))
-        # the ticks with any of these events, then nticks
-        self.event_ticks = sorted(
+        # a heap of the ticks the loop must visit: those with any of these
+        # events, nticks, and chunk deliveries and stream ends as scheduled
+        self.wake = sorted(
             {*self.zone_moves, *self.range_entries, *self.range_exits, *self.despawns}
         ) + [self.nticks]
 
         self.vehicles: list[_VehicleRt] = []
-        for (trip, *_), end_ds, n_visits in zip(kept, self.tends.tolist(), visits):
+        for (trip, *_), n_visits in zip(kept, visits):
             vid = trip.vehicle_id
             ca.register_vehicle(vid)
             pool = ca.issue_pseudonyms(vid, n_visits + 1, 0.0, config.duration_s + 1.0)
@@ -907,7 +887,7 @@ class _Run:
                 < config.non_coop_fraction
             )
             self.vehicles.append(
-                _VehicleRt(vid, trip, end_ds, non_coop, pool, pool[0])
+                _VehicleRt(vid, trip, non_coop, pool, pool[0])
             )
         vehicles = self.vehicles
         self.lengths = np.array([v.trip.length_m for v in vehicles])
@@ -972,14 +952,15 @@ class _Run:
 
     def _snapshot_filters(self, now: float) -> None:
         """Sign each zone filter at its current epoch, once per epoch, and
-        note the epochs in cur_ep and epoch_log. Only provisioning and
-        retiring chaff move an epoch, and every retire is followed by this
-        call.
+        note the epochs in cur_ep and epoch_log, and in each live stream of
+        a moved zone whether the filter still holds its chaff id. Only
+        provisioning and retiring chaff move an epoch, and every retire is
+        followed by this call.
 
         Each snapshot is verified once, here: the PCA credential is valid
         for the whole run, so a peer's verdict cannot depend on when the
         snapshot reaches it."""
-        moved = False
+        moved = set()
         for j, zid in enumerate(self.zone_ids):
             filt = self.ca.filter_for(zid)
             if filt.epoch not in self.filter_snaps[j]:
@@ -988,8 +969,11 @@ class _Run:
                 self.filter_snaps[j][filt.epoch] = (
                     blob, env, accept_peer_filter(env, self.pca_cred, now)
                 )
-                moved = True
+                moved.add(j)
         if moved:
+            for s in self.streams.values():
+                if s.zone_j in moved:
+                    self._note_held(s)
             self.epoch_moved = True
             self.cur_ep = np.array(
                 [self.ca.filter_for(zid).epoch for zid in self.zone_ids],
@@ -1018,6 +1002,7 @@ class _Run:
             self.zones[zone_j].info.rsu_entity if tx_vi < 0 else self.vehicles[tx_vi].vid,
             tx_vi, zone_j, poses, max(poses, default=-1), reason,
         )
+        self.started.append(s)
         if tx_vi >= 0:
             # the accountability chain: the authority traces a relay's chaff
             # id through the zone's assignment back to the relay
@@ -1026,10 +1011,10 @@ class _Run:
             except NeverAssigned:
                 owner = None
             if owner != s.transmitter:
-                self.audit_violations.append(
+                self.findings.append((self.log.key, (
                     f"relay {s.transmitter} sent chaff {chaff_hex} that "
                     f"resolves to {owner} at t={now}"
-                )
+                )))
         self.emit({
             "type": "decoy_start", "t": now, "zone": plan.zone_id,
             "chaff": chaff_hex, "source": plan.source,
@@ -1041,11 +1026,18 @@ class _Run:
         if not poses:
             self._end_stream(s, now, reason)
             return None
+        self._note_held(s)
+        heapq.heappush(self.wake, s.last_ds // self.tick_ds)
         return s
+
+    def _note_held(self, s: _Stream) -> None:
+        filt = self.ca.filter_for(s.plan.zone_id)
+        s.held.append((self.log.key, filt.contains(s.plan.chaff.id)))
 
     def _end_stream(self, s: _Stream, now: float, reason: str) -> None:
         """Stop s, unlink it from its relay and retire its chaff credential."""
         del self.streams[s.chaff_hex]
+        s.end_key = self.log.key
         if s.tx_vi >= 0:
             self.vehicles[s.tx_vi].stream = None
         self.emit({
@@ -1153,7 +1145,8 @@ class _Run:
         chaff = visit["chaff"]
         if chaff is not None and not v.non_coop:
             relay_plan = controller.launch_relay_decoy(chaff.id, edge_id, now)
-            v.stream = self._start_stream(relay_plan, vi, member_hex, v.end_ds, now)
+            horizon = int(self.tends[vi])
+            v.stream = self._start_stream(relay_plan, vi, member_hex, horizon, now)
 
     # ------------------------------------------------------------ one tick
 
@@ -1174,30 +1167,25 @@ class _Run:
         cur_ep = self.cur_ep
         log.key = key + PH_RSU
         self._rsu_range(tk)
-        if t_ds % self.gv_ds == 0 and (hi > lo or self.streams):
+        if t_ds % self.gv_ds == 0:
             log.key = key + PH_DECOYS
-            self._decoys(tk)
+            self._end_streams(tk)
             log.key = key + PH_PEERS
             self._peer_exchange(tk, cur_ep)
         log.key = key + PH_DESPAWNS
         self._despawns(tk)
 
     def next_visit(self, k: int) -> int:
-        """The first tick after k whose step can act, nticks if none: one
-        with a zone move, RSU range entry or exit, or despawn; a chunk
-        delivery's due tick; a beacon tick while a decoy stream is live;
-        the next tick while an epoch move awaits the RSU phase; or a beacon
-        tick where a peer answers a stale filter. The ticks skipped have
-        only records the wrap-up logs, and their peer queries are noted."""
+        """The first tick after k whose step can act, nticks if none: the
+        next tick in wake; the next tick while an epoch move awaits the RSU
+        phase; or a beacon tick where a peer answers a stale filter. The
+        ticks skipped have only records the wrap-up logs, and their peer
+        queries are noted."""
         if self.epoch_moved:
             return k + 1
-        n = self.event_ticks[bisect.bisect_right(self.event_ticks, k)]
-        if self.due_at:
-            n = min(n, min(self.due_at) // self.tick_ds)
-        if self.streams:
-            gv_ticks = self.gv_ds // self.tick_ds
-            n = min(n, (k // gv_ticks + 1) * gv_ticks)
-        return self._peer_search(k + 1, n)
+        while self.wake[0] <= k:
+            heapq.heappop(self.wake)
+        return self._peer_search(k + 1, self.wake[0])
 
     def _peer_search(self, a: int, b: int) -> int:
         """The first beacon tick from a to b - 1 at which a stale row
@@ -1289,6 +1277,7 @@ class _Run:
             self.due_m[vi, j] = due
             self.arr_m[vi, j] = t_ds
             self.due_at.setdefault(due, []).append((vi, j))
+            heapq.heappush(self.wake, due // self.tick_ds)
         # a collection that was dropped, or dropped and started again with
         # another due tick, delivers nothing here
         for vi, j in sorted(self.due_at.pop(t_ds, ())):
@@ -1303,40 +1292,10 @@ class _Run:
                 "latency_s": (t_ds - int(self.arr_m[vi, j])) / 10.0,
             })
 
-    def _decoys(self, tk: _Tick) -> None:
-        """Decoy beacons due at this tick, noted in decoy_sends for the
-        wrap-up to count their receivers; streams that sent their last pose
-        end."""
-        t_ds, now, log = tk.t_ds, tk.now, self.log
-        for s in self.streams.values():
-            pose = s.poses.get(t_ds)
-            if pose is None:
-                continue
-            # the transmitter: the zone's RSU, or a relay, which drives for
-            # as long as its stream runs and so is an active row
-            if s.tx_vi < 0:
-                x, y = self.zone_disks[s.zone_j][:2]
-            else:
-                row = tk.lo + int(np.searchsorted(tk.av, s.tx_vi))
-                x, y = float(self.X[row]), float(self.Y[row])
-            self.decoy_sends.append((tk.k, x, y, s.zone_j, s.tx_vi))
-            filt = self.ca.filter_for(s.plan.zone_id)
-            if filt.epoch != s.filter_ep:
-                s.filter_ep, s.in_filter = filt.epoch, filt.contains(s.plan.chaff.id)
-            if not s.in_filter:
-                self.audit_violations.append(
-                    f"decoy {s.chaff_hex} emitted while absent from "
-                    f"{s.plan.zone_id}'s filter at t={now}"
-                )
-            log.beacon(
-                now, log.name(s.transmitter), log.name(s.chaff_hex),
-                log.name(s.link_hex), pose[0], pose[1], s.plan.speed_mps,
-                pose[2], s.plan.length_m, True, log.name(s.plan.zone_id),
-                x, y,
-            )
-
-        for s in [s for s in self.streams.values() if t_ds >= s.last_ds]:
-            self._end_stream(s, now, s.natural_reason)
+    def _end_streams(self, tk: _Tick) -> None:
+        """The decoy streams that sent their last pose at this tick end."""
+        for s in [s for s in self.streams.values() if tk.t_ds >= s.last_ds]:
+            self._end_stream(s, tk.now, s.natural_reason)
 
     def _peer_exchange(self, tk: _Tick, cur_ep: np.ndarray) -> None:
         """Vehicles outside every RSU range with a stale filter ask their
@@ -1407,8 +1366,6 @@ class _Run:
         """Trips that end at this tick."""
         for (vi,) in self.despawns.get(tk.k, ()):
             v = self.vehicles[vi]
-            if v.stream is not None:
-                self._end_stream(v.stream, tk.now, "transmitter_done")
             if v.visit is not None:
                 visit = self._leave_zone(vi, tk.now, "despawn")
                 self.zones[visit["zone_j"]].controller.drop_member(visit["member_id"])
@@ -1416,10 +1373,11 @@ class _Run:
 
     # ------------------------------------------------------------ wrap up
 
-    def _count_receptions(self, tick: np.ndarray) -> None:
+    def _count_receptions(self, tick: np.ndarray, sends: tuple) -> None:
         """Fill the reception counters of every vehicle second in one pass
         over the rows (tick holds each row's tick): the vehicle beacons each
-        row hears, the decoy beacons in decoy_sends, and the peer queries.
+        row hears, the decoy beacons in sends (as _log_decoys returns them),
+        and the peer queries.
 
         A receiver checks each chaff id against the filters it holds then
         (held_from). Real pseudonyms are never in any filter, a 1e-20
@@ -1447,38 +1405,35 @@ class _Run:
         counts["verifies"] += per_slot(self.SLOT, n_clear)
         del n_held, n_clear
 
-        if self.decoy_sends:
-            ks, hx, hy, zone, relay = (
-                np.array(c) for c in zip(*self.decoy_sends)
+        ks, hx, hy, zone, relay = sends
+        r2 = np.where(relay < 0, self.rsu_r2, self.radio2)
+        ptr = self.tick_lo
+        lo, n = ptr[ks], ptr[ks + 1] - ptr[ks]
+        # one (send, row) pair per send and row of its tick, in blocks
+        # of about BLOCK_ELEMENTS pairs
+        first = np.cumsum(n) - n
+        cuts = (np.flatnonzero(np.diff(first // BLOCK_ELEMENTS)) + 1).tolist()
+        for a, b in zip([0, *cuts], [*cuts, ks.size]):
+            cnt = n[a:b]
+            s = np.repeat(np.arange(a, b), cnt)
+            rows = np.repeat(lo[a:b] - (np.cumsum(cnt) - cnt), cnt) + np.arange(s.size)
+            rx = (self.X[rows] - hx[s]) ** 2 + (self.Y[rows] - hy[s]) ** 2 <= r2[s]
+            rx &= vi[rows] != relay[s]
+            rows, s = rows[rx], s[rx]
+            held = self.held_from[vi[rows]] <= ks[s][:, None]
+            pick = np.arange(rows.size), zone[s]
+            hold = held[pick]
+            slots = self.SLOT[rows]
+            heard = per_slot(slots)
+            discarded = per_slot(slots, hold)
+            counts["rx_beacons"] += heard
+            counts["rx_bytes"] += heard * BEACON_WIRE_BYTES
+            counts["discard_chaff"] += discarded
+            counts["checks"] += per_slot(
+                slots, np.where(hold, held.cumsum(axis=1)[pick], held.sum(axis=1))
             )
-            r2 = np.where(relay < 0, self.rsu_r2, self.radio2)
-            ptr = self.tick_lo
-            lo, n = ptr[ks], ptr[ks + 1] - ptr[ks]
-            # one (send, row) pair per send and row of its tick, in blocks
-            # of about BLOCK_ELEMENTS pairs
-            first = np.cumsum(n) - n
-            cuts = (np.flatnonzero(np.diff(first // BLOCK_ELEMENTS)) + 1).tolist()
-            for a, b in zip([0, *cuts], [*cuts, ks.size]):
-                cnt = n[a:b]
-                s = np.repeat(np.arange(a, b), cnt)
-                rows = np.repeat(lo[a:b] - (np.cumsum(cnt) - cnt), cnt) + np.arange(s.size)
-                rx = (self.X[rows] - hx[s]) ** 2 + (self.Y[rows] - hy[s]) ** 2 <= r2[s]
-                rx &= vi[rows] != relay[s]
-                rows, s = rows[rx], s[rx]
-                held = self.held_from[vi[rows]] <= ks[s][:, None]
-                pick = np.arange(rows.size), zone[s]
-                hold = held[pick]
-                slots = self.SLOT[rows]
-                heard = per_slot(slots)
-                discarded = per_slot(slots, hold)
-                counts["rx_beacons"] += heard
-                counts["rx_bytes"] += heard * BEACON_WIRE_BYTES
-                counts["discard_chaff"] += discarded
-                counts["checks"] += per_slot(
-                    slots, np.where(hold, held.cumsum(axis=1)[pick], held.sum(axis=1))
-                )
-                counts["unknown_pending"] += heard - discarded
-                counts["verifies"] += heard - discarded
+            counts["unknown_pending"] += heard - discarded
+            counts["verifies"] += heard - discarded
 
         none = np.empty(0, dtype=np.int64)
         asked = per_slot(self.SLOT[np.concatenate([none, *self.peer_asked])])
@@ -1513,6 +1468,56 @@ class _Run:
             x, y, self.SPD[rows], self.HDG[rows], self.lengths[vi], False, -1,
             x, y,
         )
+
+    def _log_decoys(self, tick: np.ndarray) -> tuple:
+        """Log every decoy beacon at once and note its findings; return the
+        sends as (tick, transmitter x, y, zone, relay vehicle or -1) columns.
+
+        A stream sent each pose whose tick's decoy-phase key is at or before
+        the key under which it ended: a zone-phase end drops that tick's
+        pose, a natural end keeps it. A relay transmits from its row at the
+        send's tick (tick holds each row's), an RSU from its zone's centre.
+        n runs below every protocol record's, in stream start order, so in
+        its tick a beacon precedes the retires. A send whose chaff id held
+        last noted absent from its zone filter is a finding."""
+        log, started = self.log, self.started
+        sent = [
+            (k, i, *pose)
+            for i, s in enumerate(started)
+            for t, pose in s.poses.items()
+            if (k := t // self.tick_ds) * N_PHASES + PH_DECOYS <= s.end_key
+        ]
+        k, i, x, y, heading = np.array(sent, dtype=np.float64).reshape(-1, 5).T
+        k, i = k.astype(np.int64), i.astype(np.int64)
+        zone, relay, tx, chaff, link = np.array([
+            (s.zone_j, s.tx_vi, log.name(s.transmitter), log.name(s.chaff_hex),
+             log.name(s.link_hex)) for s in started
+        ], dtype=np.int64).reshape(-1, 5)[i].T
+        speed, length = np.array(
+            [(s.plan.speed_mps, s.plan.length_m) for s in started]
+        ).reshape(-1, 2)[i].T
+        hx, hy, by = self.zcx[zone], self.zcy[zone], relay >= 0
+        nv = len(self.vehicles)
+        row = np.searchsorted(tick * nv + self.VEH, k[by] * nv + relay[by])
+        hx[by], hy[by] = self.X[row], self.Y[row]
+        key = k * N_PHASES + PH_DECOYS
+        log.beacons(
+            key, np.arange(key.size) - key.size, k * self.tick_ds / 10.0, tx,
+            chaff, link, x, y, speed, heading, length, True, self.zone_name[zone],
+            hx, hy,
+        )
+        for j, s in enumerate(started):
+            if all(held for _, held in s.held):
+                continue
+            noted = [at for at, _ in s.held]
+            for at in key[i == j].tolist():
+                if not s.held[bisect.bisect_left(noted, at) - 1][1]:
+                    self.findings.append((at, (
+                        f"decoy {s.chaff_hex} emitted while absent from "
+                        f"{s.plan.zone_id}'s filter at "
+                        f"t={at // N_PHASES * self.tick_ds / 10.0}"
+                    )))
+        return k, hx, hy, zone, relay
 
     def _log_periodic(self, tick: np.ndarray) -> None:
         """Every advert, chunk and encrypted beacon, logged at once under
@@ -1568,16 +1573,8 @@ class _Run:
             )
 
     def finish(self) -> RunResult:
-        final_now = ((self.nticks - 1) * self.tick_ds) / 10.0
         # after every tick
         self.log.key = self.nticks * N_PHASES
-        for s in self.streams.values():
-            # the clock stopped mid-stream; no retire message was ever sent
-            self.emit({
-                "type": "decoy_end", "t": final_now, "zone": s.plan.zone_id,
-                "chaff": s.chaff_hex, "reason": "run_end",
-            })
-
         for z in self.zones:
             for t, kind, detail in z.controller.events:
                 self.emit({
@@ -1586,21 +1583,23 @@ class _Run:
                 })
 
         tick = np.repeat(np.arange(self.nticks), np.diff(self.tick_lo))
-        self._count_receptions(tick)
+        self._count_receptions(tick, self._log_decoys(tick))
         self._log_vehicle_beacons(tick)
         self._log_periodic(tick)
         del tick
         # the log needs none of the rows, nor what receptions were counted from
         del self.X, self.Y, self.SPD, self.HDG, self.ZIDX, self.EDGE
         del self.RNG, self.VEH, self.SLOT, self.n_heard, self.n_clear
-        del self.out_rows, self.out_lo, self.out_heard, self.decoy_sends
+        del self.out_rows, self.out_lo, self.out_heard
         del self.peer_asked, self.peer_answered
         event_log, observations = self.log.finish(
             self.counters, self.veh_name, self.first_sec, self.seconds
         )
+        # sorted stably: a tick's findings keep their stream start order
+        findings = sorted(self.findings, key=lambda f: f[0])
         result = RunResult(
             self.config, event_log, observations, self.transitions,
-            [z.info for z in self.zones], self.audit_violations,
+            [z.info for z in self.zones], [text for _, text in findings],
         )
         seen = result.observed_spans
         for tr in self.transitions:

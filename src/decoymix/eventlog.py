@@ -9,9 +9,9 @@ the road; finish() rounds every beacon field as it goes on the air, works
 out which eavesdroppers heard each beacon, and merges the four streams.
 
 Every record carries an order key (key, n). The engine sets `key` to its
-tick and phase before it logs a phase's records, and n counts the records
-logged, so records of one key keep the order they were logged in; a block
-logged later, at wrap-up, gives its own keys. One lexsort over (time,
+tick and phase before it logs a phase's protocol events, and n counts the
+events logged, so events of one key keep the order they were logged in; a
+block logged at wrap-up gives its own keys and n. One lexsort over (time,
 entity, key, n) then gives the output order. `EventLog.write_jsonl` writes
 that order without building the dicts; `EventLog.records` builds them, as
 the reference view.
@@ -368,8 +368,8 @@ def _event_entity(e: dict) -> str:
 class EventLogBuilder:
     """The log as the engine emits it: protocol events as dicts, beacons and
     periodic records as blocks of raw columns, strings interned in one
-    table. A record logged one at a time takes the current `key` and the
-    next n. finish() publishes the beacons (rounds them as they go on the
+    table. A protocol event takes the current `key`, and its place among
+    the events as n. finish() publishes the beacons (rounds them as they go on the
     air), works out which eavesdroppers heard each one, and sorts every
     record into output order."""
 
@@ -378,18 +378,15 @@ class EventLogBuilder:
         positions and squared ranges."""
         self.eaves = tuple(eaves)
         self._eaves_disks = (ex, ey, er2)
-        # the order key of the records logged next, and how many records
-        # were logged one at a time
+        # the order key of the protocol events logged next
         self.key = 0
-        self.n = 0
         self.protocol: list[dict] = []
-        self._protocol_order: list[tuple[int, int]] = []
+        self._protocol_keys: list[int] = []
         self.names: list[str] = []
         self._name_index: dict[str, int] = {}
         self.verifier_lists: list[tuple[int, ...]] = [()]
         self._verifier_index: dict[tuple[int, ...], int] = {(): 0}
         self._blocks: list[tuple] = []
-        self._rows: list[tuple] = []
         self._periodic: list[tuple] = []
 
     def name(self, s: str) -> int:
@@ -411,8 +408,7 @@ class EventLogBuilder:
 
     def event(self, e: dict) -> None:
         self.protocol.append(e)
-        self._protocol_order.append((self.key, self.n))
-        self.n += 1
+        self._protocol_keys.append(self.key)
 
     def beacons(self, key, n, t, tx, pseudonym, link, x, y, speed, heading,
                 length, chaff, zone, hx, hy) -> None:
@@ -426,14 +422,6 @@ class EventLogBuilder:
             zone, hx, hy,
         ))
 
-    def beacon(self, *row) -> None:
-        """Log one beacon under the current key; arguments as for beacons()
-        after n, one value each."""
-        self._rows.append((self.key, self.n, *row))
-        self.n += 1
-        if len(self._rows) >= _MERGE_BLOCK:
-            self._flush_rows()
-
     def periodic(self, kind, key, n, t, tx, zone, nbytes, epoch=0, index=0,
                  total=0, verifiers=0) -> None:
         """Log len(key) periodic records of one kind (ADVERT, CHUNK or
@@ -443,11 +431,6 @@ class EventLogBuilder:
         self._periodic.append((
             key, n, kind, t, tx, zone, nbytes, epoch, index, total, verifiers,
         ))
-
-    def _flush_rows(self) -> None:
-        if self._rows:
-            self._blocks.append(tuple(np.array(c) for c in zip(*self._rows)))
-            self._rows = []
 
     def finish(
         self, counters: np.ndarray, vehicle_names: np.ndarray,
@@ -464,7 +447,6 @@ class EventLogBuilder:
         observation is (t, pseudonym, x, y, speed, heading, length,
         eavesdropper id), for every beacon the eavesdropper heard, in the
         order of the beacons' keys."""
-        self._flush_rows()
         cols = _columns(self._blocks, _RAW_BEACON_COLUMNS)
         pcols = _columns(self._periodic, _PERIODIC_COLUMNS)
         self._blocks = self._periodic = []
@@ -492,13 +474,13 @@ class EventLogBuilder:
         entity_rank = rank[np.concatenate([
             np.array(entity, dtype=np.int64), cols["tx"], pcols["tx"], rec_vehicle,
         ])]
-        protocol_order = np.array(self._protocol_order, dtype=np.int64).reshape(-1, 2)
         key = np.concatenate([
-            protocol_order[:, 0], cols.pop("key"), pcols.pop("key"),
-            np.full(slot.size, _LAST_KEY),
+            np.array(self._protocol_keys, dtype=np.int64), cols.pop("key"),
+            pcols.pop("key"), np.full(slot.size, _LAST_KEY),
         ])
         n = np.concatenate([
-            protocol_order[:, 1], cols.pop("n"), pcols.pop("n"), np.arange(slot.size),
+            np.arange(len(self.protocol)), cols.pop("n"), pcols.pop("n"),
+            np.arange(slot.size),
         ])
         order = np.lexsort((n, key, entity_rank, t))
         del t, entity_rank, key, n

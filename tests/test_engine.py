@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from decoymix import engine
+from decoymix.chaff_filter import ChaffFilter
 from decoymix.core import Credential, CredentialKind, sign
 from decoymix.engine import (
     BEACON_WIRE_BYTES,
@@ -37,7 +38,7 @@ from decoymix.engine import (
 from decoymix.errors import ConfigError, NoResponder
 from decoymix.mixzone import DecoyPlan, MixZoneController
 from decoymix.mobility import Trip, synthesize_trips, trip_samples_with_edges
-from decoymix.roads import make_grid
+from decoymix.roads import Edge, RoadGraph, make_grid, polyline_length
 
 import test_golden
 
@@ -727,10 +728,19 @@ def test_relay_chaff_that_resolves_to_no_vehicle_is_a_violation(grid4, monkeypat
     ]
 
 
+def _change_filter(state, k, zone_id, change, chaff_id):
+    """Change a zone filter before tick k as the authority does: the
+    change, a new epoch, then a snapshot."""
+    filt = state.ca.filter_for(zone_id)
+    change(filt, chaff_id)
+    filt.epoch += 1
+    state._snapshot_filters(k * state.tick_ds / 10.0)
+
+
 def test_decoy_sent_after_its_chaff_left_the_filter_is_a_violation(grid4):
-    # the chaff id of the live relay stream is pulled from the zone filter
-    # (the authority moves the epoch with every change): every decoy beacon
-    # sent after that is a finding, and none before
+    # the chaff id of the live relay stream is pulled from the zone filter:
+    # every decoy beacon sent after that is a finding, and none before. It
+    # is put back before the stream's last pose, whose tick retires it
     state = _Run(one_zone_config(grid4, relay_fraction=1.0))
     k = 0
     while not state.streams:
@@ -742,17 +752,19 @@ def test_decoy_sent_after_its_chaff_left_the_filter_is_a_violation(grid4):
     while k * state.tick_ds <= first_ds + 10 * state.gv_ds:
         state.step(k)
         k += 1
-    assert state.audit_violations == []
-    filt = state.ca.filter_for("z-a")
-    filt.remove(stream.plan.chaff.id)
-    filt.epoch += 1
+    assert state.findings == []
+    chaff_id = stream.plan.chaff.id
+    _change_filter(state, k, "z-a", ChaffFilter.remove, chaff_id)
     pulled_ds = k * state.tick_ds
     sent_after = [t for t in stream.poses if pulled_ds <= t < stream.last_ds]
-    # up to the stream's last pose, whose tick retires the chaff
     for k in range(k, stream.last_ds // state.tick_ds):
         state.step(k)
     assert len(sent_after) > 10 and stream.chaff_hex in state.streams
-    assert state.audit_violations == [
+    _change_filter(state, k + 1, "z-a", ChaffFilter.insert, chaff_id)
+    for k in range(k + 1, state.nticks):
+        state.step(k)
+    assert stream.chaff_hex not in state.streams
+    assert state.finish().audit_violations == [
         f"decoy {stream.chaff_hex} emitted while absent from z-a's filter "
         f"at t={t / 10.0}"
         for t in sorted(sent_after)
@@ -1028,7 +1040,7 @@ class _PerTickCounters(_Run):
         self.held_counts: set[int] = set()
         self.peer_rx_heard: list[int] = []
 
-    def _decoys(self, tk):
+    def _end_streams(self, tk):
         # the vehicle beacons, counted as the tick's beacon phase heard them
         self.held_ep_now = self.held_ep[tk.av]
         held = self.held_ep_now >= 0
@@ -1086,7 +1098,7 @@ class _PerTickCounters(_Run):
             )
             counts["unknown_pending"] += n_miss
             counts["verifies"] += n_miss
-        super()._decoys(tk)
+        super()._end_streams(tk)
 
     def _peer_exchange(self, tk, cur_ep):
         held_ep = self.held_ep_now
@@ -1149,7 +1161,6 @@ def test_wrap_up_reception_counters_match_the_per_tick_math(monkeypatch, block):
     assert state.tick_ds == 5 and state.gv_ds == 10
     for k in range(state.nticks):
         state.step(k)
-    sends = list(state.decoy_sends)
     final = state.tick_ptr[-2:]
     last_rows = state.VEH[final[0]:final[1]].tolist()
     result = state.finish()
@@ -1161,7 +1172,8 @@ def test_wrap_up_reception_counters_match_the_per_tick_math(monkeypatch, block):
     # filters, peer deliveries to vehicles that heard plaintext beacons on
     # the delivery tick (they count the new filter from the next tick
     # on), and the two last-tick trips hearing each other
-    assert {tx_vi < 0 for *_, tx_vi in sends} == {True, False}
+    b = result.log.beacons
+    assert {b.names[tx].startswith("rsu:") for tx in b.tx[b.chaff]} == {True, False}
     assert {1, 2, 3} <= state.held_counts
     assert any(n > 0 for n in state.peer_rx_heard)
     names = [state.vehicles[vi].vid for vi in last_rows]
@@ -1208,7 +1220,7 @@ class _PerTickPeriodic(_Run):
         log.key = key + engine.PH_RSU
         super()._rsu_range(tk)
 
-    def _decoys(self, tk):
+    def _end_streams(self, tk):
         self.log.key = tk.k * engine.N_PHASES + engine.PH_BEACONS
         for vi, j in zip(tk.av.tolist(), self.ZIDX[tk.lo:tk.hi].tolist()):
             if j >= 0:
@@ -1218,10 +1230,60 @@ class _PerTickPeriodic(_Run):
                     "bytes": ENCRYPTED_BEACON_WIRE_BYTES,
                 })
         self.log.key = tk.k * engine.N_PHASES + engine.PH_DECOYS
-        super()._decoys(tk)
+        super()._end_streams(tk)
 
     def _log_periodic(self, tick):
         pass  # logged tick by tick
+
+
+class _PerTickDecoys(_PerTickPeriodic):
+    """A run that also logs decoy beacons tick by tick, in their tick's
+    decoy phase from the streams live there, notes each send, and checks
+    each sent chaff id against its zone filter as it goes: the reference
+    for the decoy columns, the sends the wrap-up counts receptions from,
+    and the membership findings."""
+
+    def __init__(self, config):
+        super().__init__(config)
+        self.sent = []
+
+    def _end_streams(self, tk):
+        log = self.log
+        log.key = tk.k * engine.N_PHASES + engine.PH_DECOYS
+        for s in self.streams.values():
+            pose = s.poses.get(tk.t_ds)
+            if pose is None:
+                continue
+            # the transmitter: the zone's RSU, or a relay, which drives for
+            # as long as its stream runs and so is an active row
+            if s.tx_vi < 0:
+                x, y = self.zone_disks[s.zone_j][:2]
+            else:
+                row = tk.lo + int(np.searchsorted(tk.av, s.tx_vi))
+                x, y = float(self.X[row]), float(self.Y[row])
+            self.sent.append((tk.k, s, x, y))
+            if not self.ca.filter_for(s.plan.zone_id).contains(s.plan.chaff.id):
+                self.findings.append((log.key, (
+                    f"decoy {s.chaff_hex} emitted while absent from "
+                    f"{s.plan.zone_id}'s filter at t={tk.now}"
+                )))
+            # the phase sends before its streams end: n below every event's
+            log.beacons(
+                np.array([log.key]), len(self.sent) - 2**62, tk.now,
+                log.name(s.transmitter), log.name(s.chaff_hex),
+                log.name(s.link_hex), pose[0], pose[1], s.plan.speed_mps,
+                pose[2], s.plan.length_m, True, log.name(s.plan.zone_id), x, y,
+            )
+        super()._end_streams(tk)
+
+    def _log_decoys(self, tick):
+        # logged and checked tick by tick; the sends, as the wrap-up's are
+        k, streams, hx, hy = list(zip(*self.sent)) or [()] * 4
+        return (
+            np.array(k, dtype=np.int64), np.array(hx), np.array(hy),
+            np.array([s.zone_j for s in streams], dtype=np.int64),
+            np.array([s.tx_vi for s in streams], dtype=np.int64),
+        )
 
 
 def _off_lattice_adverts_config():
@@ -1243,6 +1305,48 @@ def _off_lattice_adverts_config():
     )
 
 
+def _dead_end_config():
+    """Relays crossing one zone onto long roads; the zone's other exits are
+    dead ends 400 m past its edge, so a phantom sent down one of them
+    outruns its road before its relay's trip ends (route_end)."""
+    junctions = {
+        "c": (500.0, 500.0), "n": (500.0, 1000.0), "n2": (500.0, 2500.0),
+        "e": (1000.0, 500.0), "e2": (2500.0, 500.0), "s": (500.0, 0.0),
+        "w": (0.0, 500.0),
+    }
+    edges = [
+        Edge(f"{a}__{b}", a, b, (junctions[a], junctions[b]), 13.89,
+             polyline_length((junctions[a], junctions[b])))
+        for road in ("c n", "n n2", "c e", "e e2", "c s", "c w")
+        for a, b in (road.split(), road.split()[::-1])
+    ]
+    routes = (("s", "n"), ("w", "e"), ("s", "e"), ("w", "n")) * 2
+    return ScenarioConfig(
+        graph=RoadGraph(junctions, edges),
+        zones=(ZoneSpec("z-c", 500.0, 500.0, 100.0),),
+        eavesdroppers=(EavesdropperSpec("eav-c", 500.0, 500.0, 600.0),),
+        trips=tuple(
+            Trip(f"veh-{i}", 20.0 * i, (f"{a}__c", f"c__{b}", f"{b}__{b}2"),
+                 (10.0, 10.0, 10.0), 4.5)
+            for i, (a, b) in enumerate(routes)
+        ),
+        relay_fraction=1.0, rng_seed=1, duration_s=400.0,
+    )
+
+
+def _live_beacon_ticks(state, events):
+    """How many beacon ticks lie between some decoy stream's start tick and
+    its end tick."""
+    started = {e["chaff"]: e["t"] for e in events if e["type"] == "decoy_start"}
+    gv_ticks = state.gv_ds // state.tick_ds
+    live = set()
+    for e in events:
+        if e["type"] == "decoy_end":
+            a, b = (round(t * 10) // state.tick_ds for t in (started[e["chaff"]], e["t"]))
+            live.update(range(-(-a // gv_ticks) * gv_ticks, b + 1, gv_ticks))
+    return len(live)
+
+
 def _sweep_configs(tmp_path):
     """The test_c14 sweep's four cells."""
     base = ScenarioConfig.from_file(test_golden.sweep_scenario(tmp_path))
@@ -1260,14 +1364,15 @@ _NEXT_EVENT_CASES = {
     "multi-zone": lambda _: [test_golden.multi_zone_config()],
     "relay0": lambda _: [test_golden.relay0_config()],
     "off-lattice-adverts": lambda _: [_off_lattice_adverts_config()],
+    "dead-end": lambda _: [_dead_end_config()],
 }
 
 
 @pytest.mark.parametrize("case", list(_NEXT_EVENT_CASES))
 def test_next_event_loop_matches_stepping_every_tick(monkeypatch, tmp_path, case):
     # run() steps only the ticks where something happens and logs the
-    # periodic records at wrap-up; the reference steps every tick and logs
-    # them tick by tick
+    # periodic records and decoy beacons at wrap-up; the reference steps
+    # every tick and logs them tick by tick
     states = []
 
     class Recorded(_Run):
@@ -1286,7 +1391,7 @@ def test_next_event_loop_matches_stepping_every_tick(monkeypatch, tmp_path, case
         monkeypatch.undo()
         state = states.pop()
 
-        ref_state = _PerTickPeriodic(cfg)
+        ref_state = _PerTickDecoys(cfg)
         for k in range(ref_state.nticks):
             ref_state.step(k)
         ref = ref_state.finish()
@@ -1302,8 +1407,16 @@ def test_next_event_loop_matches_stepping_every_tick(monkeypatch, tmp_path, case
         assert result.transitions == ref.transitions
         assert result.audit_violations == ref.audit_violations
         assert state.stepped <= state.nticks
-
+        # every stream ends in the tick loop, and a decoy stream is visited
+        # only where it starts and ends
+        assert not state.streams
         events = ref.events
+        assert {e["reason"] for e in events if e["type"] == "decoy_end"} <= {
+            "horizon", "zone_entry", "route_end", "transmitter_zone_entry",
+        }
+        if cfg.relay_fraction == 1.0:
+            assert state.stepped < _live_beacon_ticks(state, events)
+
         if case == "relay0":
             # most ticks hold only periodic records and unanswered queries
             assert state.stepped < state.nticks // 2
@@ -1319,4 +1432,9 @@ def test_next_event_loop_matches_stepping_every_tick(monkeypatch, tmp_path, case
             assert moved & chunk_ticks
             assert any(
                 e["type"] == "advert" and e["t"] % 1.0 == 0.5 for e in events
+            )
+        if case == "dead-end":
+            assert any(
+                e["type"] == "decoy_end" and e["reason"] == "route_end"
+                for e in events
             )

@@ -261,10 +261,10 @@ def test_repeated_and_signed_zero_beacon_values_are_written_as_encoded():
             False, -1, x, y,
         )
         if step % 4 == 0:
-            log.beacon(
-                t, log.name("rsu:z"), log.name(f"chaff-{step % 3}"),
-                log.name("link-c"), 300.0, 10.0, 13.89, -0.0, 4.5, True,
-                log.name("z"), 300.0, 0.0,
+            log.beacons(
+                np.array([step]), -1, t, log.name("rsu:z"),
+                log.name(f"chaff-{step % 3}"), log.name("link-c"), 300.0, 10.0,
+                13.89, -0.0, 4.5, True, log.name("z"), 300.0, 0.0,
             )
         if step % 10 == 0:
             log.event({"type": "advert", "t": t, "tx": "rsu:z", "zone": "z"})
