@@ -55,10 +55,11 @@ def parse_observation_csv(fh: Iterable[str]) -> list[ObsRow]:
         if not line:
             continue
         t, pid, x, y, spd, hdg, length, eid = line.split(",")
-        rows.append(
-            ObsRow(float(t), pid, float(x), float(y), float(spd),
-                   float(hdg), float(length), eid)
-        )
+        values = [float(v) for v in (t, x, y, spd, hdg, length)]
+        if not all(map(math.isfinite, values)):
+            raise ValueError(f"non-finite value in row {line!r}")
+        t, x, y, spd, hdg, length = values
+        rows.append(ObsRow(t, pid, x, y, spd, hdg, length, eid))
     rows.sort(key=lambda r: (r.time_s, r.pseudonym_id, r.eaves_id))
     return rows
 
@@ -96,6 +97,14 @@ class PseudonymTrack:
             else:
                 out[r.eaves_id] = (min(lohi[0], r.time_s), max(lohi[1], r.time_s))
         return out
+
+    @cached_property
+    def bbox(self) -> tuple[float, float, float, float]:
+        """(min x, min y, max x, max y) of the rows; computed once per
+        track, since classify_tracks tests it against every zone."""
+        xs = [r.x for r in self.rows]
+        ys = [r.y for r in self.rows]
+        return min(xs), min(ys), max(xs), max(ys)
 
     def path_length_m(self) -> float:
         """Arc length of the observed trajectory (duplicate-time rows from
@@ -163,9 +172,17 @@ def classify_tracks(
     trivially linked ids (same pseudonym heard going in and coming out)."""
     instances: dict[float, LinkingInstance] = {}
     trivial: list[str] = []
+    # no row of a track whose bounding box lies farther than every
+    # eavesdropper's range from the centre is in the catchment; the 1 m
+    # margin keeps rounding from deciding
+    cx, cy = zone.center
+    reach = max([0.0, *eaves_ranges.values()]) + 1.0
     for cls in sorted(tracks_by_class):
         inst = LinkingInstance()
         for track in tracks_by_class[cls]:
+            x0, y0, x1, y1 = track.bbox
+            if math.hypot(max(x0 - cx, cx - x1, 0.0), max(y0 - cy, cy - y1, 0.0)) > reach:
+                continue
             catch = _catchment(track, zone, eaves_ranges)
             if not catch:
                 continue

@@ -530,6 +530,11 @@ def _padded_blocks(sizes: list[int]) -> list[tuple[int, int, int]]:
     return blocks
 
 
+def _first_pose_ds(plan: DecoyPlan, gv_ds: int) -> int:
+    """The first beacon tick (ds) at or after the phantom's exit."""
+    return gv_ds * math.ceil(plan.start_time_s * 10.0 / gv_ds - 1e-9)
+
+
 def _build_stream_poses(
     g: RoadGraph,
     plan: DecoyPlan,
@@ -542,7 +547,7 @@ def _build_stream_poses(
     edges; stop at dead ends, at the horizon, or the moment the claimed
     position would re-enter any zone disk."""
     poses: dict[int, tuple[float, float, float]] = {}
-    t = gv_ds * math.ceil(plan.start_time_s * 10.0 / gv_ds - 1e-9)
+    t = _first_pose_ds(plan, gv_ds)
     cur = g.edges[plan.exit_edge_id]
     # launch 1 mm past the crossing so a tick landing exactly at the exit
     # point is not mistaken for a zone re-entry and killed at birth
@@ -1131,7 +1136,9 @@ class _Run:
             ))
         return visit
 
-    def _exit_zone(self, vi: int, now: float, edge_id: str, speed: float) -> None:
+    def _exit_zone(
+        self, vi: int, k: int, now: float, edge_id: str, speed: float
+    ) -> None:
         visit = self._leave_zone(vi, now, "exit")
         v = self.vehicles[vi]
         controller = self.zones[visit["zone_j"]].controller
@@ -1145,8 +1152,25 @@ class _Run:
         chaff = visit["chaff"]
         if chaff is not None and not v.non_coop:
             relay_plan = controller.launch_relay_decoy(chaff.id, edge_id, now)
-            horizon = int(self.tends[vi])
-            v.stream = self._start_stream(relay_plan, vi, member_hex, horizon, now)
+            v.stream = self._start_stream(
+                relay_plan, vi, member_hex, self._relay_horizon(vi, k, relay_plan),
+                now,
+            )
+
+    def _relay_horizon(self, vi: int, k: int, plan: DecoyPlan) -> int:
+        """The last pose time (ds) of plan's stream, which vehicle vi
+        launches at tick k: vi's last tick, or sooner the first beacon tick
+        at or after both vi's next zone entry and the stream's first pose.
+        The stream ends at that entry (transmitter_zone_entry), before the
+        entry tick's decoy phase, so no pose from then on is sent; the one
+        pose kept there stops the stream's natural end from coming first."""
+        horizon = int(self.tends[vi])
+        i = int(np.searchsorted(self.entry_keys, vi * self.nticks + k))
+        if i < self.entry_keys.size and self.entry_keys[i] < (vi + 1) * self.nticks:
+            entry_ds = int(self.entry_keys[i] - vi * self.nticks) * self.tick_ds
+            at_entry = -(-entry_ds // self.gv_ds) * self.gv_ds
+            horizon = min(horizon, max(at_entry, _first_pose_ds(plan, self.gv_ds)))
+        return horizon
 
     # ------------------------------------------------------------ one tick
 
@@ -1241,7 +1265,7 @@ class _Run:
         for vi, prev_j, new_j, row in self.zone_moves.get(tk.k, ()):
             if prev_j >= 0:
                 edge_id = self.vehicles[vi].trip.edge_ids[self.EDGE[row]]
-                self._exit_zone(vi, tk.now, edge_id, float(self.SPD[row]))
+                self._exit_zone(vi, tk.k, tk.now, edge_id, float(self.SPD[row]))
             if new_j >= 0:
                 self._enter_zone(
                     vi, new_j, tk.k, tk.now, (float(self.X[row]), float(self.Y[row]))

@@ -15,7 +15,10 @@ built for the one tolerance, SNAP_TOLERANCE_M; snap takes no other.
 
 Search is implemented locally (edge-state Dijkstra/BFS with sorted tie
 breaking) so results are deterministic and the no-U-turn rule, which needs
-edge state, is expressible.
+edge state, is expressible. A path check through a zone depends only on the
+start lane, the goal lane and the zone, so each (start lane, zone) pair is
+searched once, for every goal lane at once, and the answer is kept; the
+graph is never changed after construction, so a kept answer stays right.
 """
 
 from __future__ import annotations
@@ -143,6 +146,13 @@ class RoadGraph:
             eid: frozenset(by_ends.get((e.head, e.tail), ()))
             for eid, e in self.edges.items()
         }
+        # successor lanes, U-turn twins excluded, in out_edges order
+        self._next: dict[str, tuple[str, ...]] = {
+            eid: tuple(f for f in self.out_edges[e.head] if f not in self.reverse_of[eid])
+            for eid, e in self.edges.items()
+        }
+        # (start lane, zone edge ids) -> lanes_via's answer
+        self._lanes_via: dict[tuple[str, frozenset[str]], frozenset[str]] = {}
         self._snap_cells = _snap_cells(self.edges.values())
 
     # file format: junctions [{id,x,y}], edges [{id,from,to,shape,speed_limit}]
@@ -216,11 +226,34 @@ class RoadGraph:
             )
         return best[1], best[2]
 
-    def next_edges(self, eid: str) -> list[str]:
-        e = self.edges[eid]
-        out = self.out_edges.get(e.head, [])
-        rev = self.reverse_of[eid]
-        return [f for f in out if f not in rev]
+    def next_edges(self, eid: str) -> tuple[str, ...]:
+        return self._next[eid]
+
+    def lanes_via(self, start_edge: str, zone_edges: frozenset[str]) -> frozenset[str]:
+        """Every lane a directed path from start_edge's head reaches after
+        touching zone_edges (start_edge counts as touched if it is a zone
+        edge). start_edge itself is in the set only if a loop returns to it.
+
+        One exhaustive BFS over (edge, touched-the-zone-yet) states, kept
+        per (start lane, zone): at most lanes x zones answers per graph."""
+        key = (start_edge, zone_edges)
+        lanes = self._lanes_via.get(key)
+        if lanes is None:
+            start_touched = start_edge in zone_edges
+            seen = {
+                (nxt, start_touched or nxt in zone_edges)
+                for nxt in self._next[start_edge]
+            }
+            queue = deque(seen)
+            while queue:
+                eid, touched = queue.popleft()
+                for nxt in self._next[eid]:
+                    state = (nxt, touched or nxt in zone_edges)
+                    if state not in seen:
+                        seen.add(state)
+                        queue.append(state)
+            lanes = self._lanes_via[key] = frozenset(eid for eid, touched in seen if touched)
+        return lanes
 
     def shortest_path(self, a: str, b: str) -> list[str] | None:
         """Deterministic Dijkstra over edge lengths; returns edge ids or None."""
@@ -442,32 +475,15 @@ def path_exists(
     goal_edge, goal_off = g.snap(to_pos, heading=to_heading)
     touches = via_zone.edge_ids
 
+    # a later offset of a zone lane is reached by driving on; an earlier
+    # one, or any offset off the zone, needs a loop, which lanes_via finds
     if (
         start_edge == goal_edge
         and start_edge in touches
         and goal_off >= start_off - 1e-9
     ):
         return True
-
-    # BFS over (edge, crossed-the-zone-yet) states. The start state is not
-    # itself accepting: reaching an earlier offset of the same edge requires
-    # an actual loop.
-    start_touched = start_edge in touches
-    seen: set[tuple[str, bool]] = set()
-    queue: deque[tuple[str, bool]] = deque(
-        (nxt, start_touched or nxt in touches)
-        for nxt in g.next_edges(start_edge)
-    )
-    while queue:
-        eid, touched = queue.popleft()
-        if (eid, touched) in seen:
-            continue
-        seen.add((eid, touched))
-        if eid == goal_edge and (touched or eid in touches):
-            return True
-        for nxt in g.next_edges(eid):
-            queue.append((nxt, touched or nxt in touches))
-    return False
+    return goal_edge in g.lanes_via(start_edge, touches)
 
 
 def make_grid(

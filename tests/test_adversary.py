@@ -7,11 +7,13 @@ import random
 
 import pytest
 
+from decoymix import adversary
 from decoymix.adversary import (
     Chain,
     ChainLink,
     LinkCandidateSet,
     ObsRow,
+    PseudonymTrack,
     attach_truth,
     brute_force_oracle,
     build_tracks,
@@ -131,6 +133,44 @@ def test_far_track_ignored_entirely(grid4, zone_j1_1):
     instances, trivial = classify_tracks(build_tracks(rows), zone_j1_1, EAVES)
     ids = {t.pseudonym_id for i in instances.values() for t in i.entering + i.exiting}
     assert "far" not in ids and trivial == []
+
+
+def test_catchment_skip_keeps_instances_and_trivial_ids(monkeypatch, zone_j1_1):
+    # tracks entering, leaving, and turning back (heard going in, then
+    # out), on a straight arm and a diagonal one, with their bounding box
+    # at the largest range, 0.5 m past it and 1.5 m past it; only those
+    # 1.5 m past are skipped, and their rows are all out of range anyway
+    ranges = {"eav-0": 250.0, "eav-1": 300.0}
+    rows = []
+    for tag, d in (("at", 300.0), ("half", 300.5), ("past", 301.5)):
+        for i, arm in enumerate((S, (0.6, -0.8))):
+            near = {"eid": "eav-1", "d_near": d, "d_far": d + 100.0}
+            rows += approach_rows(f"{tag}{i}-in", arm, 40.0, **near)
+            rows += depart_rows(f"{tag}{i}-out", arm, 60.0, **near)
+            rows += approach_rows(f"{tag}{i}-back", arm, 40.0, **near)
+            rows += depart_rows(f"{tag}{i}-back", arm, 60.0, **near)
+    seen = []
+    catchment = adversary._catchment
+    monkeypatch.setattr(
+        adversary, "_catchment", lambda t, *a: seen.append(t.pseudonym_id) or catchment(t, *a)
+    )
+
+    def classified():
+        instances, trivial = classify_tracks(build_tracks(rows), zone_j1_1, ranges)
+        ids = {cls: ([t.pseudonym_id for t in inst.entering],
+                     [t.pseudonym_id for t in inst.exiting])
+               for cls, inst in instances.items()}
+        return ids, trivial
+
+    skipped = classified()
+    assert {pid[:2] for pid in seen} == {"at", "ha"}
+    assert skipped == ({4.5: (["at0-in", "at1-in"], ["at0-out", "at1-out"])},
+                       ["at0-back", "at1-back"])
+    # a bounding box around the centre is never skipped
+    monkeypatch.setattr(PseudonymTrack, "bbox", (-math.inf, -math.inf, math.inf, math.inf))
+    seen.clear()
+    assert classified() == skipped
+    assert {pid[:2] for pid in seen} == {"at", "ha", "pa"}
 
 
 def test_all_non_cooperative_gives_empty_instance(grid4, zone_j1_1):

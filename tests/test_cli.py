@@ -419,17 +419,22 @@ def test_attack_round_trip_matches_in_process(tmp_path):
     assert summary["n_entering"] == len(sets)
 
 
-def test_attack_zero_crossings(tmp_path):
+def empty_scenario(tmp_path):
+    """A 2x2 grid scenario with one zone and no traffic."""
     g = make_grid(2, 2, 1000.0)
     (tmp_path / "graph.json").write_text(g.to_json(), encoding="utf-8")
     doc = {
-        "graph_file": "graph.json",
-        "traffic": {"n_vehicles": 0},
+        "graph_file": "graph.json", "traffic": {"n_vehicles": 0},
         "zones": [{"zone_id": "z-a", "center_x_m": 0.0, "center_y_m": 0.0,
                    "radius_m": 100.0}],
     }
     scenario = tmp_path / "scenario.json"
     scenario.write_text(json.dumps(doc), encoding="utf-8")
+    return scenario
+
+
+def test_attack_zero_crossings(tmp_path):
+    scenario = empty_scenario(tmp_path)
     obs = tmp_path / "obs.csv"
     obs.write_text("time,pseudonym_id,x,y,speed,heading,length,eavesdropper_id\n")
     out = tmp_path / "attack"
@@ -442,15 +447,7 @@ def test_attack_zero_crossings(tmp_path):
 
 
 def test_attack_malformed_csv_exits_2(tmp_path):
-    g = make_grid(2, 2, 1000.0)
-    (tmp_path / "graph.json").write_text(g.to_json(), encoding="utf-8")
-    doc = {
-        "graph_file": "graph.json", "traffic": {"n_vehicles": 0},
-        "zones": [{"zone_id": "z-a", "center_x_m": 0.0, "center_y_m": 0.0,
-                   "radius_m": 100.0}],
-    }
-    scenario = tmp_path / "scenario.json"
-    scenario.write_text(json.dumps(doc), encoding="utf-8")
+    scenario = empty_scenario(tmp_path)
     obs = tmp_path / "obs.csv"
     obs.write_text("header\nnot,a,valid,row\n")
     rc = main(["attack", "--obs", str(obs), "--scenario", str(scenario),
@@ -458,16 +455,30 @@ def test_attack_malformed_csv_exits_2(tmp_path):
     assert rc == 2
 
 
+OBS_FIELDS = ("time", "pseudonym_id", "x", "y", "speed", "heading", "length",
+              "eavesdropper_id")
+
+
+@pytest.mark.parametrize("field", ["time", "x", "y", "speed", "heading", "length"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e400"])
+def test_attack_non_finite_observation_exits_2(tmp_path, capsys, field, value):
+    # a row beside the zone, heading away from it, with one value not finite
+    fine = dict(zip(OBS_FIELDS, ("1.0", "ab", "150.000", "0.000", "10.000",
+                                 "0.000000", "4.5", "eav-0")))
+    bad = {**fine, field: value}
+    obs = tmp_path / "obs.csv"
+    obs.write_text(",".join(OBS_FIELDS) + "\n" + ",".join(fine.values()) + "\n"
+                   + ",".join(bad.values()) + "\n")
+    rc = main(["attack", "--obs", str(obs), "--scenario", str(empty_scenario(tmp_path)),
+               "--out", str(tmp_path / "a")])
+    assert rc == 2
+    err = capsys.readouterr().err.strip()
+    assert err.startswith("error: malformed observation CSV: ")
+    assert "\n" not in err
+
+
 def test_attack_missing_obs_exits_2(tmp_path):
-    g = make_grid(2, 2, 1000.0)
-    (tmp_path / "graph.json").write_text(g.to_json(), encoding="utf-8")
-    doc = {
-        "graph_file": "graph.json", "traffic": {"n_vehicles": 0},
-        "zones": [{"zone_id": "z-a", "center_x_m": 0.0, "center_y_m": 0.0,
-                   "radius_m": 100.0}],
-    }
-    scenario = tmp_path / "scenario.json"
-    scenario.write_text(json.dumps(doc), encoding="utf-8")
+    scenario = empty_scenario(tmp_path)
     rc = main(["attack", "--obs", str(tmp_path / "none.csv"),
                "--scenario", str(scenario), "--out", str(tmp_path / "a")])
     assert rc == 2

@@ -38,9 +38,10 @@ from decoymix.engine import (
 from decoymix.errors import ConfigError, NoResponder
 from decoymix.mixzone import DecoyPlan, MixZoneController
 from decoymix.mobility import Trip, synthesize_trips, trip_samples_with_edges
-from decoymix.roads import Edge, RoadGraph, make_grid, polyline_length
+from decoymix.roads import make_grid
 
 import test_golden
+from test_roads import dead_end_crossing
 
 
 def straight_trip(vid="veh-000", depart=0.0, speed=10.0, length=4.5):
@@ -1241,11 +1242,15 @@ class _PerTickDecoys(_PerTickPeriodic):
     decoy phase from the streams live there, notes each send, and checks
     each sent chaff id against its zone filter as it goes: the reference
     for the decoy columns, the sends the wrap-up counts receptions from,
-    and the membership findings."""
+    and the membership findings. Its relay streams build poses up to the
+    relay's last tick, past the next zone entry that ends them."""
 
     def __init__(self, config):
         super().__init__(config)
         self.sent = []
+
+    def _relay_horizon(self, vi, k, plan):
+        return int(self.tends[vi])
 
     def _end_streams(self, tk):
         log = self.log
@@ -1305,24 +1310,31 @@ def _off_lattice_adverts_config():
     )
 
 
+def _near_zones_config():
+    """Relays crossing two zones 50 m apart on one road: a relay enters
+    the second zone before the phantom it launched at the first has left
+    it, so its stream ends before its first pose."""
+    g = make_grid(4, 4, 500.0)
+    return ScenarioConfig(
+        graph=g,
+        zones=(
+            ZoneSpec("z-a", 500.0, 500.0, 100.0),
+            ZoneSpec("z-b", 750.0, 500.0, 100.0),
+        ),
+        eavesdroppers=(EavesdropperSpec("eav-a", 750.0, 500.0, 500.0),),
+        trips=tuple(synthesize_trips(g, 60, 0.2, 1)),
+        relay_fraction=1.0, rng_seed=1, duration_s=400.0, chaff_per_zone=300,
+        filter_capacity=400,
+    )
+
+
 def _dead_end_config():
     """Relays crossing one zone onto long roads; the zone's other exits are
     dead ends 400 m past its edge, so a phantom sent down one of them
     outruns its road before its relay's trip ends (route_end)."""
-    junctions = {
-        "c": (500.0, 500.0), "n": (500.0, 1000.0), "n2": (500.0, 2500.0),
-        "e": (1000.0, 500.0), "e2": (2500.0, 500.0), "s": (500.0, 0.0),
-        "w": (0.0, 500.0),
-    }
-    edges = [
-        Edge(f"{a}__{b}", a, b, (junctions[a], junctions[b]), 13.89,
-             polyline_length((junctions[a], junctions[b])))
-        for road in ("c n", "n n2", "c e", "e e2", "c s", "c w")
-        for a, b in (road.split(), road.split()[::-1])
-    ]
     routes = (("s", "n"), ("w", "e"), ("s", "e"), ("w", "n")) * 2
     return ScenarioConfig(
-        graph=RoadGraph(junctions, edges),
+        graph=dead_end_crossing(),
         zones=(ZoneSpec("z-c", 500.0, 500.0, 100.0),),
         eavesdroppers=(EavesdropperSpec("eav-c", 500.0, 500.0, 600.0),),
         trips=tuple(
@@ -1365,6 +1377,7 @@ _NEXT_EVENT_CASES = {
     "relay0": lambda _: [test_golden.relay0_config()],
     "off-lattice-adverts": lambda _: [_off_lattice_adverts_config()],
     "dead-end": lambda _: [_dead_end_config()],
+    "near-zones": lambda _: [_near_zones_config()],
 }
 
 
@@ -1416,6 +1429,20 @@ def test_next_event_loop_matches_stepping_every_tick(monkeypatch, tmp_path, case
         }
         if cfg.relay_fraction == 1.0:
             assert state.stepped < _live_beacon_ticks(state, events)
+        # a relay stream holds at most one pose at or after its relay's next
+        # zone entry, where it ends: fewer poses than the reference builds
+        started = {e["chaff"]: e["t"] for e in events if e["type"] == "decoy_start"}
+        for s in state.started:
+            if s.tx_vi < 0:
+                continue
+            key = s.tx_vi * state.nticks + round(started[s.chaff_hex] * 10) // state.tick_ds
+            i = np.searchsorted(state.entry_keys, key)
+            if i < state.entry_keys.size and state.entry_keys[i] // state.nticks == s.tx_vi:
+                entry_ds = (state.entry_keys[i] % state.nticks) * state.tick_ds
+                assert sum(t >= entry_ds for t in s.poses) <= 1
+        if any(e.get("reason") == "transmitter_zone_entry" for e in events):
+            assert (sum(len(s.poses) for s in state.started)
+                    < sum(len(s.poses) for s in ref_state.started))
 
         if case == "relay0":
             # most ticks hold only periodic records and unanswered queries

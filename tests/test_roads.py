@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import math
 import random
+from collections import deque
 
 import pytest
 from hypothesis import given, settings
@@ -368,6 +369,101 @@ def test_path_exists_monotone_under_edge_removal(grid4, zone_j1_1):
         a, b = rng.choice(spots), rng.choice(spots)
         if path_exists(smaller, a, b, z_small):
             assert path_exists(grid4, a, b, zone_j1_1)
+
+
+def _path_exists_per_pair(g, from_pos, to_pos, via_zone, from_heading=None,
+                          to_heading=None):
+    """Reference path check, searched afresh for each pair: snap both ends,
+    apply the same-edge rule, then BFS over (edge, touched-the-zone-yet)
+    states from the start lane's successors, derived here from out_edges
+    and reverse_of, until the goal lane is reached touched."""
+    start_edge, start_off = g.snap(from_pos, heading=from_heading)
+    goal_edge, goal_off = g.snap(to_pos, heading=to_heading)
+    touches = via_zone.edge_ids
+    if start_edge == goal_edge and start_edge in touches and goal_off >= start_off - 1e-9:
+        return True
+
+    def successors(eid):
+        return [f for f in g.out_edges[g.edges[eid].head] if f not in g.reverse_of[eid]]
+
+    start_touched = start_edge in touches
+    seen = set()
+    queue = deque((nxt, start_touched or nxt in touches) for nxt in successors(start_edge))
+    while queue:
+        eid, touched = queue.popleft()
+        if (eid, touched) in seen:
+            continue
+        seen.add((eid, touched))
+        if eid == goal_edge and (touched or eid in touches):
+            return True
+        queue.extend((nxt, touched or nxt in touches) for nxt in successors(eid))
+    return False
+
+
+def dead_end_crossing() -> RoadGraph:
+    """A two-way crossing at c = (500, 500) whose north and east roads run
+    on to n2 and e2 and end there, and whose south and west roads end at s
+    and w: no lane leads back to one already driven."""
+    junctions = {
+        "c": (500.0, 500.0), "n": (500.0, 1000.0), "n2": (500.0, 2500.0),
+        "e": (1000.0, 500.0), "e2": (2500.0, 500.0), "s": (500.0, 0.0),
+        "w": (0.0, 500.0),
+    }
+    return RoadGraph(junctions, [
+        Edge(f"{a}__{b}", a, b, (junctions[a], junctions[b]), 13.89,
+             polyline_length((junctions[a], junctions[b])))
+        for road in ("c n", "n n2", "c e", "e e2", "c s", "c w")
+        for a, b in (road.split(), road.split()[::-1])
+    ])
+
+
+def _lane_sets_match_per_pair(g: RoadGraph, centers, radius: float) -> set[bool]:
+    """Compare path_exists with the per-pair reference for every (start
+    lane, goal lane) pair and every zone, one graph serving all zones;
+    a pair on one lane is tried with the goal ahead of the start and
+    behind it. Returns the answers seen."""
+    probes = {}
+    for eid, e in g.edges.items():
+        for frac in (0.3, 0.7):
+            x, y, h = point_along(e.shape, frac * e.length)
+            assert g.snap((x, y), heading=h)[0] == eid
+            probes[eid, frac] = ((x, y), h)
+    answers = set()
+    for center in centers:
+        z = zone_from_center(g, center, radius)
+        for a in sorted(g.edges):
+            for b in sorted(g.edges):
+                for fa, fb in ((0.3, 0.7), (0.7, 0.3)) if a == b else ((0.3, 0.7),):
+                    (pa, ha), (pb, hb) = probes[a, fa], probes[b, fb]
+                    got = path_exists(g, pa, pb, z, ha, hb)
+                    assert got == _path_exists_per_pair(g, pa, pb, z, ha, hb), (
+                        center, a, fa, b, fb)
+                    answers.add(got)
+    return answers
+
+
+@pytest.mark.parametrize("g, centers, answers", [
+    # zones on a junction, a corner and the middle of a road; every lane
+    # of the grid reaches every lane through any zone
+    (make_grid(4, 4, 500.0), [(500.0, 500.0), (1500.0, 0.0), (1000.0, 750.0)],
+     {True}),
+    # the T-junction's centre, its two-lane s-t stem and its east arm
+    (_t_junction(), [(0.0, 0.0), (0.0, -300.0), (300.0, 0.0)], {True, False}),
+    (dead_end_crossing(), [(500.0, 500.0), (500.0, 1500.0), (2500.0, 500.0)],
+     {True, False}),
+], ids=["grid4", "t-junction", "dead-end"])
+def test_lane_sets_match_the_per_pair_search(g, centers, answers):
+    assert _lane_sets_match_per_pair(g, centers, 100.0) == answers
+
+
+@settings(max_examples=15, derandomize=True, database=None, deadline=None)
+@given(
+    removed=st.sets(st.sampled_from(sorted(make_grid(4, 4, 500.0).edges)), max_size=16),
+    center=st.sampled_from([(500.0, 500.0), (1000.0, 1000.0), (0.0, 500.0), (750.0, 0.0)]),
+)
+def test_lane_sets_match_the_per_pair_search_on_grid4_subgraphs(grid4, removed, center):
+    sub = RoadGraph(grid4.junctions, [e for eid, e in grid4.edges.items() if eid not in removed])
+    _lane_sets_match_per_pair(sub, [center], 100.0)
 
 
 def test_grid_fixture_every_entry_reaches_all_non_u_turn_exits(grid4, zone_j1_1):
