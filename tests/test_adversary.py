@@ -210,6 +210,25 @@ def test_time_window_excludes_early_and_late_exits(grid4, zone_j1_1):
     assert {s.entering: s.candidates for s in sets}["old"] == frozenset({"ok"})
 
 
+def test_eaves_spans_are_each_ears_first_and_last_time():
+    # rows arrive shuffled, with repeated times and several ears per id;
+    # a track's rows are time-ordered, so its first and last row per ear
+    # give the span the minimum and maximum would
+    rng = random.Random(4)
+    rows = [
+        row(rng.randrange(60) / 2, rng.choice("abcd"), 0.0, 0.0, 0.0,
+            eid=rng.choice(["eav-0", "eav-1", "eav-2"]))
+        for _ in range(400)
+    ]
+    tracks = flat_tracks(build_tracks(rows))
+    assert len(tracks) == 4
+    for track in tracks.values():
+        times: dict[str, list[float]] = {}
+        for r in track.rows:
+            times.setdefault(r.eaves_id, []).append(r.time_s)
+        assert track.eaves_spans == {e: (min(ts), max(ts)) for e, ts in times.items()}
+
+
 def test_seen_together_excludes_coexisting_ids(grid4, zone_j1_1):
     # "ghost" appears while "old" is still being heard by the same ear
     rows = (approach_rows("old", S, 39.5)

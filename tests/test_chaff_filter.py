@@ -65,6 +65,29 @@ def test_deletable_model_matches_actual_serialization():
     assert deletable_size_bytes(1000, 1e-3) == f.serialized_size() == len(f.serialize())
 
 
+@pytest.mark.parametrize("capacity,p", [(400, 1e-20), (2000, 1e-20), (1000, 1e-3)])
+def test_serialized_size_is_the_length_of_every_serialization(capacity, p):
+    # a run charges serialized_size() for a filter at any epoch without
+    # serializing it: every slot is written whatever the table holds
+    f = new_filter(capacity, p)
+    size = f.serialized_size()
+    ids = _ids(capacity, capacity)
+    lengths = [len(f.serialize())]
+    for n, cid in enumerate(ids, 1):
+        f.insert(cid)
+        f.epoch += 1
+        if n % 97 == 0:
+            lengths.append(len(f.serialize()))
+    for n, cid in enumerate(ids[: capacity // 2], 1):
+        f.remove(cid)
+        f.epoch += 1
+        if n % 97 == 0:
+            lengths.append(len(f.serialize()))
+    assert f.item_count == capacity - capacity // 2 and f.epoch == capacity * 3 // 2
+    assert f.serialized_size() == size
+    assert set(lengths) == {size}
+
+
 # construction
 
 

@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+from decoymix import cli
 from decoymix.adversary import export_candidate_sets, rows_from_result
 from decoymix.cli import (
     RunManifest,
@@ -110,6 +111,21 @@ def test_gen_grid_rejects_tight_spacing(tmp_path):
     rc = main(["gen-grid", "--rows", "4", "--cols", "4", "--zones", "1",
                "--spacing", "150", "--out", str(tmp_path / "g")])
     assert rc == 2
+
+
+@pytest.mark.parametrize("flag,value", [
+    ("--spacing", "inf"), ("--spacing", "nan"), ("--vehicles", "-1"),
+    ("--duration", "0.05"), ("--arrival-rate", "nan"),
+    ("--arrival-rate", "-inf"), ("--duration", "inf"),
+])
+def test_gen_grid_bad_value_exits_2_and_writes_nothing(tmp_path, capsys, flag, value):
+    out = tmp_path / "g"
+    rc = main(["gen-grid", "--rows", "4", "--cols", "4", "--zones", "1",
+               f"{flag}={value}", "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not out.exists()
 
 
 def test_gen_grid_spacing_500_zones_stay_apart(tmp_path):
@@ -349,6 +365,41 @@ def test_run_parallel_matches_serial(tmp_path):
     a = serial / "base" / "seed1" / "candidate_sets.jsonl"
     b = parallel / "base" / "seed1" / "candidate_sets.jsonl"
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_run_starts_no_more_workers_than_jobs(tmp_path, monkeypatch):
+    # the pool is sized to the jobs, whatever --workers asks for; a fake
+    # pool records its size and runs the jobs in this process
+    sizes = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs):
+            return map(fn, jobs)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 64)
+    scenario = small_scenario(tmp_path, vehicles=4, duration=60.0)
+    out = tmp_path / "runs"
+    assert main(["run", "--scenario", str(scenario), "--seeds", "1,2",
+                 "--out", str(out), "--workers", "10000"]) == 0
+    assert sizes == [2]
+    # one job, or one CPU, runs in this process without a pool
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 1)
+    assert main(["run", "--scenario", str(scenario), "--seeds", "1,2",
+                 "--out", str(out), "--force", "--workers", "10000"]) == 0
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: None)
+    assert main(["run", "--scenario", str(scenario), "--seeds", "3",
+                 "--out", str(out), "--force", "--workers", "10000"]) == 0
+    assert sizes == [2]
 
 
 # ---------------------------------------------------------------------------

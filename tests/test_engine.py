@@ -14,9 +14,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from decoymix import engine
-from decoymix.chaff_filter import ChaffFilter
-from decoymix.core import Credential, CredentialKind, sign
+from decoymix import engine, mixzone
+from decoymix.chaff_filter import ChaffFilter, new_filter
+from decoymix.core import (
+    ENCRYPTION_OVERHEAD_BYTES,
+    PSEUDONYM_WIRE_BYTES,
+    SESSION_KEY_BYTES,
+    Credential,
+    CredentialKind,
+)
 from decoymix.engine import (
     BEACON_WIRE_BYTES,
     ENCRYPTED_BEACON_WIRE_BYTES,
@@ -27,7 +33,6 @@ from decoymix.engine import (
     ZoneSpec,
     _build_stream_poses,
     _Run,
-    accept_peer_filter,
     audit_ground_truth,
     audit_observability,
     audit_single_pseudonym,
@@ -36,7 +41,7 @@ from decoymix.engine import (
     run,
 )
 from decoymix.errors import ConfigError, NoResponder
-from decoymix.mixzone import DecoyPlan, MixZoneController
+from decoymix.mixzone import ADVERT_PAYLOAD_BYTES, DecoyPlan, MixZoneController
 from decoymix.mobility import Trip, synthesize_trips, trip_samples_with_edges
 from decoymix.roads import make_grid
 
@@ -306,14 +311,6 @@ def test_choose_filter_responder_requires_strictly_newer():
         choose_filter_responder([], 0)
 
 
-def test_accept_peer_filter_rejects_tampering():
-    pca = Credential(b"\x05" * 16, CredentialKind.LONG_TERM, "root", "pca", 0.0, 1e6)
-    env = sign(b"filter-image", pca, now=1.0)
-    assert accept_peer_filter(env, pca, now=2.0)
-    forged = type(env)(b"filter-imagX", env.signer, env.signature_tag)
-    assert not accept_peer_filter(forged, pca, now=2.0)
-
-
 # --- single-vehicle run, baseline mode --------------------------------------
 
 def test_single_trip_changes_pseudonym_across_zone(grid4):
@@ -445,6 +442,47 @@ def test_join_response_carries_current_filters(grid4):
     res = run(cfg)
     dels = [e for e in res.events if e["type"] == "filter_delivered"]
     assert dels, "filter must arrive by join even without chunk reception"
+
+
+def test_wire_sizes_follow_their_formulas_in_a_mixed_run():
+    # three zones, relays and plain members, peer deliveries. A filter
+    # travels as its serialized size, the same at every epoch: a join
+    # response carries every zone's (and a relay's chaff credential), a
+    # peer delivery one zone's
+    cfg = test_golden.multi_zone_config()
+    filt = len(new_filter(cfg.filter_capacity, cfg.filter_target_fp).serialize())
+    res = run(cfg)
+    joins = [e for e in res.events if e["type"] == "join_response"]
+    peers = [e for e in res.events if e["type"] == "peer_filter"]
+    assert {e["relay"] for e in joins} == {True, False}
+    assert len({e["epoch"] for e in peers}) >= 2
+    for e in joins:
+        assert e["bytes"] == (
+            SESSION_KEY_BYTES + len(cfg.zones) * filt
+            + (PSEUDONYM_WIRE_BYTES if e["relay"] else 0) + ENCRYPTION_OVERHEAD_BYTES
+        )
+    for e in peers:
+        assert e["bytes"] == filt + PSEUDONYM_WIRE_BYTES + ENCRYPTION_OVERHEAD_BYTES
+    # an advert: centre x, y as doubles, radius and timestamp as f32, and
+    # the RSU's credential. Every zone sends one at every 0.5 s tick
+    assert ADVERT_PAYLOAD_BYTES == 24
+    adverts = [e for e in res.events if e["type"] == "advert"]
+    assert {e["bytes"] for e in adverts} == {24 + PSEUDONYM_WIRE_BYTES}
+    assert len(adverts) == len(cfg.zones) * (round(cfg.duration_s / 0.5) + 1)
+
+
+def test_a_run_serializes_no_filter_and_signs_no_advert(monkeypatch):
+    # filters travel as (epoch, size) and adverts are logged from the
+    # schedule, so neither is built during a run
+    def refuse(*args, **kwargs):
+        raise AssertionError("called during a run")
+
+    monkeypatch.setattr(ChaffFilter, "serialize", refuse)
+    monkeypatch.setattr(mixzone, "sign", refuse)
+    res = run(test_golden.multi_zone_config().replaced(relay_fraction=1.0))
+    kinds = {e["type"] for e in res.events}
+    assert {"advert", "retire", "peer_filter", "join_response"} <= kinds
+    assert res.audit_violations == []
 
 
 def test_chunk_events_cycle_through_indices(grid4):
@@ -729,13 +767,13 @@ def test_relay_chaff_that_resolves_to_no_vehicle_is_a_violation(grid4, monkeypat
     ]
 
 
-def _change_filter(state, k, zone_id, change, chaff_id):
-    """Change a zone filter before tick k as the authority does: the
-    change, a new epoch, then a snapshot."""
+def _change_filter(state, zone_id, change, chaff_id):
+    """Change a zone filter between ticks as the authority does: the
+    change, a new epoch, then the run notes the epochs."""
     filt = state.ca.filter_for(zone_id)
     change(filt, chaff_id)
     filt.epoch += 1
-    state._snapshot_filters(k * state.tick_ds / 10.0)
+    state._note_epochs()
 
 
 def test_decoy_sent_after_its_chaff_left_the_filter_is_a_violation(grid4):
@@ -755,13 +793,13 @@ def test_decoy_sent_after_its_chaff_left_the_filter_is_a_violation(grid4):
         k += 1
     assert state.findings == []
     chaff_id = stream.plan.chaff.id
-    _change_filter(state, k, "z-a", ChaffFilter.remove, chaff_id)
+    _change_filter(state, "z-a", ChaffFilter.remove, chaff_id)
     pulled_ds = k * state.tick_ds
     sent_after = [t for t in stream.poses if pulled_ds <= t < stream.last_ds]
     for k in range(k, stream.last_ds // state.tick_ds):
         state.step(k)
     assert len(sent_after) > 10 and stream.chaff_hex in state.streams
-    _change_filter(state, k + 1, "z-a", ChaffFilter.insert, chaff_id)
+    _change_filter(state, "z-a", ChaffFilter.insert, chaff_id)
     for k in range(k + 1, state.nticks):
         state.step(k)
     assert stream.chaff_hex not in state.streams
@@ -1115,10 +1153,7 @@ class _PerTickCounters(_Run):
                 need = req_rows[req_stale[req_rows, j]]
                 hv = held_ep[:, j]
                 cond = self.neighbor[need] & (hv[None, :] > hv[need, None])
-                has = cond.any(axis=1)
-                for r, resp in zip(need[has].tolist(), cond[has].argmax(axis=1).tolist()):
-                    if self.filter_snaps[j][int(hv[resp])][2]:
-                        got_any[r] = True
+                got_any[need[cond.any(axis=1)]] = True
             counts["peer_unanswered"][requesters & ~got_any] += 1
         self.peer_rx_heard.extend(self.cnt_real[got_any].tolist())
         heard = self.received[RECEPTION_COUNTERS.index("rx_beacons")] > 0
@@ -1199,8 +1234,6 @@ class _PerTickPeriodic(_Run):
             log.key = key + engine.PH_ADVERTS
             fresh = self.first_adverts.get(tk.k, ())
             for j, z in enumerate(self.zones):
-                if z.controller.advertise(now) is None:
-                    continue
                 self.emit({
                     "type": "advert", "t": now, "tx": z.info.rsu_entity,
                     "zone": z.info.zone_id, "bytes": engine.ADVERT_WIRE_BYTES,

@@ -21,6 +21,10 @@ ALLOWED = {
     # test_chaff_filter.test_round_trip_behaves_identically inverts
     # serialize() with it
     "chaff_filter.ChaffFilter.deserialize",
+    # the filter's wire format: runs charge serialized_size() in its place,
+    # and test_chaff_filter.test_serialized_size_is_the_length_of_every_serialization
+    # checks the two against each other
+    "chaff_filter.ChaffFilter.serialize",
     # the filter-size formulas of test_acceptance.test_c02 and test_c03;
     # test_chaff_filter.test_deletable_model_matches_actual_serialization
     # checks the deletable one against serialize()
