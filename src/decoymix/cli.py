@@ -239,9 +239,10 @@ def _refuse_overwrite(out: Path, force: bool) -> None:
 def cell_reports(result):
     """(candidate sets, linkability report, overhead report) of one run.
 
-    Beacons, periodic records and reception summaries stay columns:
-    overhead folds them as such, and anonymity sets read only the protocol
-    events, so the dict view `result.events` is never built."""
+    Beacons, periodic records, reception summaries and filter answers and
+    deliveries stay columns: overhead folds them as such, and anonymity
+    sets read only the protocol events, so the dict view `result.events` is
+    never built."""
     sets, chains, tracks = attack_result(result)
     log = result.log
     link_rep = build_linkability_report(
@@ -249,7 +250,7 @@ def cell_reports(result):
     )
     over_rep = overhead(
         log.protocol, result.config.duration_s, log.beacons, log.receptions,
-        log.periodic,
+        log.periodic, log.deliveries,
     )
     return sets, link_rep, over_rep
 

@@ -35,7 +35,10 @@ from .eventlog import (
     BEACON_WIRE_BYTES,
     CHUNK,
     ENCRYPTED,
+    PEER_FILTER,
     RECEPTION_COUNTERS,
+    VIA_PEER,
+    VIA_RSU,
     EventLog,
     EventLogBuilder,
     name_ranks,
@@ -158,6 +161,11 @@ class ScenarioConfig:
         for name in ("sparse_threshold", "chaff_per_zone"):
             if getattr(self, name) < 0:
                 raise ConfigError(f"{name} must be non-negative")
+        if self.chaff_per_zone > self.filter_capacity:
+            raise ConfigError(
+                f"chaff_per_zone ({self.chaff_per_zone}) exceeds filter_capacity "
+                f"({self.filter_capacity}); a zone filter must hold all its chaff ids"
+            )
         if self.trips is None:
             if self.n_vehicles < 0:
                 raise ConfigError("n_vehicles must be non-negative")
@@ -706,6 +714,10 @@ class _Run:
         ]
         self.zcx, self.zcy, self.zr2 = (np.array(c) for c in zip(*self.zone_disks))
         self.cycle_ds = [z.chunk_count * self.fi_ds for z in self.zones]
+        # a peer's filter answer on the wire, per zone
+        self.answer_bytes = np.array(
+            [z.filter_bytes for z in self.zones], dtype=np.int64
+        ) + (PSEUDONYM_WIRE_BYTES + ENCRYPTION_OVERHEAD_BYTES)
 
         espcs = sorted(config.eavesdroppers, key=lambda e: e.eaves_id)
         self.log = EventLogBuilder(
@@ -1023,11 +1035,12 @@ class _Run:
         })
         self._note_epochs()
 
-    def _take_filter(self, vi: int, j: int, ep: int, k: int) -> None:
-        """Vehicle vi now holds zone j's filter at epoch ep, and counts it
-        in the beacon phases from tick k on."""
-        if self.held_ep[vi, j] < 0:
-            self.held_from[vi, j] = k
+    def _take_filters(self, vi, j, ep, k: int) -> None:
+        """Each vehicle vi[i] now holds zone j[i]'s filter at epoch ep[i],
+        and counts it in the beacon phases from tick k on. vi, j and ep are
+        arrays, or scalars for one filter; no (vehicle, zone) comes twice."""
+        fresh = self.held_ep[vi, j] < 0
+        self.held_from[vi, j] = np.where(fresh, k, self.held_from[vi, j])
         self.held_ep[vi, j] = ep
         self.pending[vi, j] = False
 
@@ -1059,7 +1072,7 @@ class _Run:
         })
         for jj, ep in enumerate(cur_ep):
             if ep > self.held_ep[vi, jj]:
-                self._take_filter(vi, jj, ep, k)
+                self._take_filters(vi, jj, ep, k)
                 self.emit({
                     "type": "filter_delivered", "t": now, "vehicle": v.vid,
                     "zone": self.zone_ids[jj], "epoch": ep, "via": "join",
@@ -1268,18 +1281,22 @@ class _Run:
             self.due_at.setdefault(due, []).append((vi, j))
             heapq.heappush(self.wake, due // self.tick_ds)
         # a collection that was dropped, or dropped and started again with
-        # another due tick, delivers nothing here
-        for vi, j in sorted(self.due_at.pop(t_ds, ())):
-            if not self.pending[vi, j] or self.due_m[vi, j] != t_ds:
-                continue
-            ep = int(cur_ep[j])
-            self._take_filter(vi, j, ep, k)
-            self.emit({
-                "type": "filter_delivered", "t": now,
-                "vehicle": self.vehicles[vi].vid, "zone": self.zone_ids[j],
-                "epoch": ep, "via": "rsu",
-                "latency_s": (t_ds - int(self.arr_m[vi, j])) / 10.0,
-            })
+        # another due tick, delivers nothing here; one started again with
+        # the same due tick delivers once
+        done = sorted({
+            (vi, j) for vi, j in self.due_at.pop(t_ds, ())
+            if self.pending[vi, j] and self.due_m[vi, j] == t_ds
+        })
+        if not done:
+            return
+        vi, j = np.array(done).T
+        ep = cur_ep[j]
+        self._take_filters(vi, j, ep, k)
+        self.log.deliveries(
+            VIA_RSU, np.full(vi.size, self.log.key), np.arange(vi.size), now,
+            self.veh_name[vi], -1, self.zone_name[j], ep,
+            latency_s=(t_ds - self.arr_m[vi, j]) / 10.0,
+        )
 
     def _end_streams(self, tk: _Tick) -> None:
         """The decoy streams that sent their last pose at this tick end."""
@@ -1308,44 +1325,33 @@ class _Run:
         dx = tk.xs[li, None] - tk.xs
         dy = tk.ys[li, None] - tk.ys
         near = dx * dx + dy * dy <= self.radio2
-        av, now = tk.av, tk.now
-        answered = np.zeros(li.size, dtype=bool)
-        staged: list[tuple[int, int, int]] = []
-        for j, zone_id in enumerate(self.zone_ids):
-            hv = held_ep[:, j]
-            # responder: the lowest vehicle id (rows are vid-sorted) among
-            # the neighbours holding a strictly newer epoch, per
-            # choose_filter_responder; a requester is never its own
-            cond = near & (hv > req_ep[:, j, None])
-            has = cond.any(axis=1)
-            if not has.any():
-                continue
-            nbytes = (
-                self.zones[j].filter_bytes + PSEUDONYM_WIRE_BYTES
-                + ENCRYPTION_OVERHEAD_BYTES
-            )
-            answered |= has
-            responders = cond[has].argmax(axis=1).tolist()
-            for r, resp in zip(has.nonzero()[0].tolist(), responders):
-                vi = int(av[li[r]])
-                rx_vid = self.vehicles[vi].vid
-                ep_resp = int(hv[resp])
-                staged.append((vi, j, ep_resp))
-                self.emit({
-                    "type": "peer_filter", "t": now,
-                    "tx": self.vehicles[int(av[resp])].vid, "rx": rx_vid,
-                    "zone": zone_id, "epoch": ep_resp, "bytes": nbytes,
-                })
-                self.emit({
-                    "type": "filter_delivered", "t": now, "vehicle": rx_vid,
-                    "zone": zone_id, "epoch": ep_resp, "via": "peer",
-                    "latency_s": None,
-                })
-        for vi, j, ep in staged:
-            if ep > self.held_ep[vi, j]:
-                self._take_filter(vi, j, ep, tk.k + 1)
-        if staged:
-            self.peer_answered.append(li[answered] + tk.lo)
+        # per zone, each answered requester's responder: the lowest vehicle
+        # id (rows are vid-sorted) among the neighbours holding a strictly
+        # newer epoch, per choose_filter_responder; a requester is never its
+        # own
+        answers = []
+        for j in range(len(self.zones)):
+            cond = near & (held_ep[:, j] > req_ep[:, j, None])
+            r = np.flatnonzero(cond.any(axis=1))
+            if r.size:
+                answers.append((r, cond[r].argmax(axis=1), np.full(r.size, j)))
+        if not answers:
+            return
+        r, resp, j = (np.concatenate(c) for c in zip(*answers))
+        vi, ep = tk.av[li[r]], held_ep[resp, j]
+        # each (vehicle, zone) is answered at most once, with a newer epoch
+        # than the vehicle holds
+        self._take_filters(vi, j, ep, tk.k + 1)
+        self.peer_answered.append(np.unique(li[r]) + tk.lo)
+        # zone by zone, requesters in row order, each answer before its
+        # delivery
+        key, n = np.full(r.size, self.log.key), 2 * np.arange(r.size)
+        rx, zone = self.veh_name[vi], self.zone_name[j]
+        self.log.deliveries(
+            PEER_FILTER, key, n, tk.now, self.veh_name[tk.av[resp]], rx, zone, ep,
+            nbytes=self.answer_bytes[j],
+        )
+        self.log.deliveries(VIA_PEER, key, n + 1, tk.now, rx, -1, zone, ep)
 
     def _despawns(self, tk: _Tick) -> None:
         """Trips that end at this tick."""

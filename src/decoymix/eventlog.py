@@ -1,20 +1,22 @@
-"""A run's event log: protocol events as dicts; beacons, periodic records
-and per-second reception summaries as numpy columns.
+"""A run's event log: protocol events as dicts; beacons, periodic records,
+filter answers and deliveries, and per-second reception summaries as numpy
+columns.
 
 Beacons, the records that follow from the schedule alone (adverts, chunks
-and encrypted beacons) and reception summaries are most of a run's records,
-so they never become one dict each. The engine logs them as blocks of raw
-columns and hands over its reception counters, a slot per vehicle second on
-the road; finish() rounds every beacon field as it goes on the air, works
-out which eavesdroppers heard each beacon, and merges the four streams.
+and encrypted beacons), the filters peers and RSUs hand over, and reception
+summaries are most of a run's records, so they never become one dict each.
+The engine logs them as blocks of raw columns and hands over its reception
+counters, a slot per vehicle second on the road; finish() rounds every
+beacon field as it goes on the air, works out which eavesdroppers heard each
+beacon, and merges the five streams.
 
 Every record carries an order key (key, n). The engine sets `key` to its
 tick and phase before it logs a phase's protocol events, and n counts the
 events logged, so events of one key keep the order they were logged in; a
-block logged at wrap-up gives its own keys and n. One lexsort over (time,
-entity, key, n) then gives the output order. `EventLog.write_jsonl` writes
-that order without building the dicts; `EventLog.records` builds them, as
-the reference view.
+block logged at wrap-up or by a phase of its own gives its own keys and n.
+One lexsort over (time, entity, key, n) then gives the output order.
+`EventLog.write_jsonl` writes that order without building the dicts;
+`EventLog.records` builds them, as the reference view.
 """
 
 from __future__ import annotations
@@ -45,15 +47,7 @@ RECEPTION_COUNTERS = (
 # one shared compact encoder; json.dumps with separators builds a new one per call
 encode_event = json.JSONEncoder(separators=(",", ":")).encode
 
-# a reception_summary record as encode_event writes it, from (t, encoded
-# entity, *counts)
-_RECEPTION_LINE = (
-    '{{"type":"reception_summary","t":{!r},"entity":{}'
-    + "".join(f',"{name}":{{}}' for name in RECEPTION_COUNTERS)
-    + "}}\n"
-)
-
-_PROTOCOL, _BEACON, _PERIODIC, _RECEPTION = range(4)
+_PROTOCOL, _BEACON, _PERIODIC, _RECEPTION, _DELIVERY = range(5)
 _MERGE_BLOCK = 4096
 # the order key of the reception summaries: after every other record
 _LAST_KEY = np.iinfo(np.int64).max
@@ -79,6 +73,19 @@ _PERIODIC_COLUMNS = (
     ("tx", np.int32), ("zone", np.int32), ("bytes", np.int64),
     ("epoch", np.int64), ("index", np.int64), ("total", np.int64),
     ("verifiers", np.int32),
+)
+# the filter answers and deliveries, by kind: a peer's answer to a stale
+# filter (peer_filter), and the filter delivered by that peer or by an RSU
+# (filter_delivered); a join's deliveries stay protocol events
+PEER_FILTER, VIA_PEER, VIA_RSU = range(3)
+# a logged answer or delivery: order key, kind, time, string-table indices
+# of the entity (an answer's sender, a delivery's vehicle), an answer's
+# receiver and the zone, the filter epoch, an answer's wire bytes and an
+# RSU delivery's latency
+_DELIVERY_COLUMNS = (
+    ("key", np.int64), ("n", np.int64), ("kind", np.uint8), ("t", np.float64),
+    ("entity", np.int32), ("rx", np.int32), ("zone", np.int32),
+    ("epoch", np.int64), ("bytes", np.int64), ("latency_s", np.float64),
 )
 # decimals each published beacon field carries
 _PUBLISHED_DIGITS = (("x", 3), ("y", 3), ("speed", 3), ("heading", 6), ("length", 1))
@@ -137,6 +144,33 @@ class PeriodicColumns:
 
 
 @dataclass
+class DeliveryColumns:
+    """Every peer's filter answer and every filter delivered by a peer or
+    an RSU, one row each in output order. kind is PEER_FILTER, VIA_PEER or
+    VIA_RSU; entity, rx and zone index `names`. An answer row's entity
+    sends `bytes` to rx; a delivery row's entity is the vehicle that gets
+    the filter, and an RSU delivery took latency_s since it began."""
+
+    names: list[str]
+    kind: np.ndarray
+    t: np.ndarray
+    entity: np.ndarray
+    rx: np.ndarray
+    zone: np.ndarray
+    epoch: np.ndarray
+    bytes: np.ndarray
+    latency_s: np.ndarray
+
+    def rows(self, lo: int, hi: int):
+        """Rows lo..hi as Python values, in column order."""
+        return zip(*(
+            col[lo:hi].tolist()
+            for col in (self.kind, self.t, self.entity, self.rx, self.zone,
+                        self.epoch, self.bytes, self.latency_s)
+        ))
+
+
+@dataclass
 class ReceptionColumns:
     """Each vehicle's reception counters for every second in which any of
     them is nonzero, one row each in output order. vehicle indexes `names`;
@@ -154,18 +188,19 @@ class ReceptionColumns:
 
 @dataclass
 class EventLog:
-    """Four streams, each in output order; kinds[i] names the stream that
+    """Five streams, each in output order; kinds[i] names the stream that
     holds the i-th output record."""
 
     protocol: list[dict]
     beacons: BeaconColumns
     periodic: PeriodicColumns
     receptions: ReceptionColumns
+    deliveries: DeliveryColumns
     kinds: np.ndarray
 
     def records(self) -> list[dict]:
         """Every record as a dict, in output order."""
-        b, p, r = self.beacons, self.periodic, self.receptions
+        b, p, r, d = self.beacons, self.periodic, self.receptions, self.deliveries
         names = b.names + [None]  # zone -1 reads as None
         observers, code = _observer_sets(b)
 
@@ -199,12 +234,23 @@ class EventLog:
                 for v, t, counts in _reception_rows(r, lo, hi)
             ]
 
+        def delivery_dict(kind, t, entity, rx, zone, epoch, nbytes, latency):
+            if kind == PEER_FILTER:
+                return {"type": "peer_filter", "t": t, "tx": names[entity],
+                        "rx": names[rx], "zone": names[zone], "epoch": epoch,
+                        "bytes": nbytes}
+            return {"type": "filter_delivered", "t": t, "vehicle": names[entity],
+                    "zone": names[zone], "epoch": epoch,
+                    "via": "rsu" if kind == VIA_RSU else "peer",
+                    "latency_s": latency if kind == VIA_RSU else None}
+
         return [
             e
             for block in self._merged(
                 lambda lo, hi: self.protocol[lo:hi], beacon_dicts,
                 lambda lo, hi: [periodic_dict(*row) for row in p.rows(lo, hi)],
                 reception_dicts,
+                lambda lo, hi: [delivery_dict(*row) for row in d.rows(lo, hi)],
             )
             for e in block
         ]
@@ -212,32 +258,51 @@ class EventLog:
     def write_jsonl(self, fh) -> None:
         """One compact JSON object per line, byte for byte what encoding
         each of `records()` gives: column rows are formatted directly,
-        floats by repr as the JSON encoder does, every string is encoded
-        once per distinct value, and so is every value of the beacon
-        columns that repeat most (time, speed, heading and length)."""
-        b, p, r = self.beacons, self.periodic, self.receptions
+        floats by repr as the JSON encoder does, and every string is encoded
+        once per distinct value. The pieces of a line that repeat most are
+        built once per distinct value too: a beacon's time, its fields from
+        tx to "x", and its fields from speed to the end; a reception
+        summary's time, and its counters."""
+        b, p, r, d = self.beacons, self.periodic, self.receptions, self.deliveries
         enc = [encode_event(s) for s in b.names] + ["null"]  # zone -1: null
         observer_sets, code = _observer_sets(b)
         observers = [encode_event(ids) for ids in observer_sets]
         chaff_flag = ("false", "true")
-        columns = (
-            _Reprs(b.t), b.tx, b.pseudonym, b.link, b.x, b.y, _Reprs(b.speed),
-            _Reprs(b.heading), _Reprs(b.length), b.chaff, b.zone, code,
+        times = _Reprs(b.t)
+        first, head_code = _distinct(b.tx, b.pseudonym, b.link)
+        heads = np.array([
+            f',"tx":{enc[tx]},"pseudonym":{enc[pid]},"link":{enc[link]},"x":'
+            for tx, pid, link in zip(
+                b.tx[first].tolist(), b.pseudonym[first].tolist(),
+                b.link[first].tolist(),
+            )
+        ], dtype=object)
+        # bit patterns tell -0.0 from 0.0
+        first, tail_code = _distinct(
+            b.speed.view(np.int64), b.heading.view(np.int64),
+            b.length.view(np.int64), b.chaff, b.zone, code,
         )
+        tails = np.array([
+            f',"speed":{speed!r},"heading":{heading!r},"length":{length!r},'
+            f'"chaff":{chaff_flag[chaff]},"zone":{enc[zone]},'
+            f'"bytes":{BEACON_WIRE_BYTES},"observers":{observers[c]}}}\n'
+            for speed, heading, length, chaff, zone, c in zip(*(
+                col[first].tolist()
+                for col in (b.speed, b.heading, b.length, b.chaff, b.zone, code)
+            ))
+        ], dtype=object)
 
         def protocol_lines(lo, hi):
             return [encode_event(e) + "\n" for e in self.protocol[lo:hi]]
 
         def beacon_lines(lo, hi):
             return [
-                f'{{"type":"beacon","t":{t},"tx":{enc[tx]},'
-                f'"pseudonym":{enc[pid]},"link":{enc[link]},"x":{x!r},'
-                f'"y":{y!r},"speed":{speed},"heading":{heading},'
-                f'"length":{length},"chaff":{chaff_flag[chaff]},'
-                f'"zone":{enc[zone]},"bytes":{BEACON_WIRE_BYTES},'
-                f'"observers":{observers[c]}}}\n'
-                for t, tx, pid, link, x, y, speed, heading, length, chaff, zone, c
-                in zip(*(col[lo:hi].tolist() for col in columns))
+                f'{{"type":"beacon","t":{t}{head}{x!r},"y":{y!r}{tail}'
+                for t, head, x, y, tail in zip(
+                    times[lo:hi].tolist(), heads[head_code[lo:hi]].tolist(),
+                    b.x[lo:hi].tolist(), b.y[lo:hi].tolist(),
+                    tails[tail_code[lo:hi]].tolist(),
+                )
             ]
 
         verifiers = [
@@ -258,16 +323,47 @@ class EventLog:
                 )
             return f'{head},"bytes":{nbytes},"first_verifiers":{verifiers[v]}}}\n'
 
+        seconds = _Reprs(r.t)
+        first, counts_code = _distinct(*r.counts.T)
+        counts = np.array([
+            "".join(f',"{name}":{n}' for name, n in zip(RECEPTION_COUNTERS, row))
+            + "}\n"
+            for row in r.counts[first].tolist()
+        ], dtype=object)
+
         def reception_lines(lo, hi):
             return [
-                _RECEPTION_LINE.format(t, enc[v], *counts)
-                for v, t, counts in _reception_rows(r, lo, hi)
+                f'{{"type":"reception_summary","t":{t},"entity":{enc[v]}{c}'
+                for v, t, c in zip(
+                    r.vehicle[lo:hi].tolist(), seconds[lo:hi].tolist(),
+                    counts[counts_code[lo:hi]].tolist(),
+                )
             ]
+
+        def delivery_line(kind, t, entity, rx, zone, epoch, nbytes, latency):
+            if kind == PEER_FILTER:
+                return (
+                    f'{{"type":"peer_filter","t":{t!r},"tx":{enc[entity]},'
+                    f'"rx":{enc[rx]},"zone":{enc[zone]},"epoch":{epoch},'
+                    f'"bytes":{nbytes}}}\n'
+                )
+            if kind == VIA_PEER:
+                return (
+                    f'{{"type":"filter_delivered","t":{t!r},"vehicle":{enc[entity]},'
+                    f'"zone":{enc[zone]},"epoch":{epoch},"via":"peer",'
+                    f'"latency_s":null}}\n'
+                )
+            return (
+                f'{{"type":"filter_delivered","t":{t!r},"vehicle":{enc[entity]},'
+                f'"zone":{enc[zone]},"epoch":{epoch},"via":"rsu",'
+                f'"latency_s":{latency!r}}}\n'
+            )
 
         for block in self._merged(
             protocol_lines, beacon_lines,
             lambda lo, hi: [periodic_line(*row) for row in p.rows(lo, hi)],
             reception_lines,
+            lambda lo, hi: [delivery_line(*row) for row in d.rows(lo, hi)],
         ):
             fh.write("".join(block))
 
@@ -290,16 +386,41 @@ def _observer_sets(b: BeaconColumns) -> tuple[list[list[str]], np.ndarray]:
     into them."""
     if not b.eaves:
         return [[]], np.zeros(b.t.size, dtype=np.int64)
-    # one fixed-width byte string per row sorts far faster than unique rows
+    # each row's flags packed eight to a byte
     packed = np.packbits(b.observers, axis=1)
-    distinct, code = np.unique(
-        packed.view(f"V{packed.shape[1]}").ravel(), return_inverse=True
-    )
-    bits = np.unpackbits(
-        distinct.view(np.uint8).reshape(distinct.size, packed.shape[1]), axis=1,
-        count=len(b.eaves),
-    )
+    first, code = _distinct(*packed.T)
+    bits = np.unpackbits(packed[first], axis=1, count=len(b.eaves))
     return [[b.eaves[w] for w in np.flatnonzero(row)] for row in bits], code
+
+
+def _distinct(*cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct rows of equal-length integer or bool columns: one row
+    index holding each, and each row's index among them.
+
+    The columns fold into one integer code per row, each column as its
+    offset from its least value where its values span fewer than the rows,
+    else as the index of its distinct value; the codes are renumbered
+    first where the next fold could overflow them."""
+    key, span = np.zeros(cols[0].size, dtype=np.int64), 1
+    if not key.size:
+        return key, key
+    for col in cols:
+        col = col.astype(np.int64, copy=False)
+        lo, hi = int(col.min()), int(col.max())
+        if hi - lo < col.size:
+            code, width = col - lo, hi - lo + 1
+        else:
+            _, code = np.unique(col, return_inverse=True)
+            width = int(code.max()) + 1
+        if span * width >= 1 << 62:
+            _, key = np.unique(key, return_inverse=True)
+            span = int(key.max()) + 1
+        key = key * width + code
+        span *= width
+    _, key = np.unique(key, return_inverse=True)
+    first = np.empty(int(key.max()) + 1, dtype=np.int64)
+    first[key] = np.arange(key.size)
+    return first, key
 
 
 class _Reprs:
@@ -366,12 +487,13 @@ def _event_entity(e: dict) -> str:
 
 
 class EventLogBuilder:
-    """The log as the engine emits it: protocol events as dicts, beacons and
-    periodic records as blocks of raw columns, strings interned in one
-    table. A protocol event takes the current `key`, and its place among
-    the events as n. finish() publishes the beacons (rounds them as they go on the
-    air), works out which eavesdroppers heard each one, and sorts every
-    record into output order."""
+    """The log as the engine emits it: protocol events as dicts; beacons,
+    periodic records and filter answers and deliveries as blocks of raw
+    columns; strings interned in one table. A protocol event takes the
+    current `key`, and its place among the events as n. finish() publishes
+    the beacons (rounds them as they go on the air), works out which
+    eavesdroppers heard each one, and sorts every record into output
+    order."""
 
     def __init__(self, eaves: Sequence[str], ex, ey, er2):
         """eaves are the eavesdropper ids, in order; ex, ey and er2 their
@@ -388,6 +510,7 @@ class EventLogBuilder:
         self._verifier_index: dict[tuple[int, ...], int] = {(): 0}
         self._blocks: list[tuple] = []
         self._periodic: list[tuple] = []
+        self._deliveries: list[tuple] = []
 
     def name(self, s: str) -> int:
         """s's index in the string table."""
@@ -432,6 +555,17 @@ class EventLogBuilder:
             key, n, kind, t, tx, zone, nbytes, epoch, index, total, verifiers,
         ))
 
+    def deliveries(self, kind, key, n, t, entity, rx, zone, epoch, nbytes=0,
+                   latency_s=0.0) -> None:
+        """Log len(key) filter answers or deliveries of one kind
+        (PEER_FILTER, VIA_PEER or VIA_RSU) under order keys (key, n); the
+        other arguments hold one value per record or one for all, as in
+        DeliveryColumns. A phase that logs these logs no protocol event
+        under the same key, so n need only order them among themselves."""
+        self._deliveries.append((
+            key, n, kind, t, entity, rx, zone, epoch, nbytes, latency_s,
+        ))
+
     def finish(
         self, counters: np.ndarray, vehicle_names: np.ndarray,
         first_sec: np.ndarray, seconds: np.ndarray,
@@ -449,7 +583,8 @@ class EventLogBuilder:
         order of the beacons' keys."""
         cols = _columns(self._blocks, _RAW_BEACON_COLUMNS)
         pcols = _columns(self._periodic, _PERIODIC_COLUMNS)
-        self._blocks = self._periodic = []
+        dcols = _columns(self._deliveries, _DELIVERY_COLUMNS)
+        self._blocks = self._periodic = self._deliveries = []
         for name, digits in _PUBLISHED_DIGITS:
             cols[name] = round_array(cols[name], digits)
         ex, ey, er2 = self._eaves_disks
@@ -463,35 +598,42 @@ class EventLogBuilder:
         vi = np.searchsorted(base, slot, side="right") - 1
         rec_vehicle = vehicle_names[vi]
         rec_t = (slot - base[vi] + first_sec[vi]).astype(np.float64)
-        sizes = [len(self.protocol), cols["t"].size, pcols["t"].size, slot.size]
+        sizes = [
+            len(self.protocol), cols["t"].size, pcols["t"].size, slot.size,
+            dcols["t"].size,
+        ]
 
         entity = [self.name(_event_entity(e)) for e in self.protocol]
         rank = name_ranks(self.names)
         t = np.concatenate([
             np.array([e["t"] for e in self.protocol], dtype=np.float64),
-            cols["t"], pcols["t"], rec_t,
+            cols["t"], pcols["t"], rec_t, dcols["t"],
         ])
         entity_rank = rank[np.concatenate([
             np.array(entity, dtype=np.int64), cols["tx"], pcols["tx"], rec_vehicle,
+            dcols["entity"],
         ])]
         key = np.concatenate([
             np.array(self._protocol_keys, dtype=np.int64), cols.pop("key"),
-            pcols.pop("key"), np.full(slot.size, _LAST_KEY),
+            pcols.pop("key"), np.full(slot.size, _LAST_KEY), dcols.pop("key"),
         ])
         n = np.concatenate([
             np.arange(len(self.protocol)), cols.pop("n"), pcols.pop("n"),
-            np.arange(slot.size),
+            np.arange(slot.size), dcols.pop("n"),
         ])
         order = np.lexsort((n, key, entity_rank, t))
         del t, entity_rank, key, n
         kinds = np.repeat(
-            np.array([_PROTOCOL, _BEACON, _PERIODIC, _RECEPTION], dtype=np.uint8),
+            np.array(
+                [_PROTOCOL, _BEACON, _PERIODIC, _RECEPTION, _DELIVERY], dtype=np.uint8
+            ),
             sizes,
         )[order]
         starts = np.cumsum(sizes) - sizes
         b = order[kinds == _BEACON] - starts[_BEACON]
         p = order[kinds == _PERIODIC] - starts[_PERIODIC]
         r = order[kinds == _RECEPTION] - starts[_RECEPTION]
+        d = order[kinds == _DELIVERY] - starts[_DELIVERY]
         log = EventLog(
             [self.protocol[i] for i in order[kinds == _PROTOCOL].tolist()],
             BeaconColumns(
@@ -502,6 +644,7 @@ class EventLogBuilder:
                 **{name: col[p] for name, col in pcols.items()},
             ),
             ReceptionColumns(self.names, rec_vehicle[r], rec_t[r], rec_counts[r]),
+            DeliveryColumns(self.names, **{name: col[d] for name, col in dcols.items()}),
             kinds,
         )
         return log, observations

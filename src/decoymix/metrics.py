@@ -19,7 +19,9 @@ import numpy as np
 from .adversary import Chain, LinkCandidateSet, PseudonymTrack, chain_distance_m
 from .eventlog import (
     BEACON_WIRE_BYTES,
+    PEER_FILTER,
     BeaconColumns,
+    DeliveryColumns,
     PeriodicColumns,
     ReceptionColumns,
 )
@@ -377,6 +379,7 @@ def overhead(
     beacons: BeaconColumns | None = None,
     receptions: ReceptionColumns | None = None,
     periodic: PeriodicColumns | None = None,
+    deliveries: DeliveryColumns | None = None,
 ) -> OverheadReport:
     """Fold the event log into the per-entity ledgers.
 
@@ -386,10 +389,10 @@ def overhead(
     one (advert first hearers, join legs, retire processing at the issuer,
     each filter delivery, and the per-second reception counters).
 
-    A run's beacons, periodic records and reception summaries may come as
-    columns of its log, which share the log's string table, instead of
-    dicts in `events`; they are folded by the same rules, each ledger in
-    one pass.
+    A run's beacons, periodic records, reception summaries and filter
+    answers and deliveries may come as columns of its log, which share the
+    log's string table, instead of dicts in `events`; they are folded by
+    the same rules, each ledger in one pass.
     """
     rep = OverheadReport(duration_s, {})
     ledgers = {
@@ -424,6 +427,15 @@ def overhead(
         parts["checks"].append((ent, sec, receptions.count("checks")))
         parts["bytes"].append((ent, sec, q * PEER_QUERY_BYTES))
         parts["signs"].append((ent, sec, q))
+    if deliveries is not None:
+        # an answer's sender signs it and sends its bytes; a delivery's
+        # vehicle verifies the filter, and carries 0 bytes
+        names, ent = deliveries.names, deliveries.entity
+        sec = deliveries.t.astype(np.int64)
+        answer = (deliveries.kind == PEER_FILTER).astype(np.int64)
+        parts["bytes"].append((ent, sec, deliveries.bytes))
+        parts["signs"].append((ent, sec, answer))
+        parts["verifies"].append((ent, sec, 1 - answer))
     for name, table in ledgers.items():
         if parts[name]:
             _add_cells(table, names, *(np.concatenate(c) for c in zip(*parts[name])))

@@ -281,6 +281,25 @@ def test_run_mistyped_scenario_field_exits_2(tmp_path, capsys, path, value):
     assert err.count("\n") == 1 and path[-1] in err
 
 
+def test_run_with_more_chaff_than_the_filter_holds_exits_2_and_writes_no_cell(
+    tmp_path, capsys
+):
+    # provisioning 3,000 chaff ids into a filter sized for 100 saturates it;
+    # the scenario is refused before any cell runs
+    scenario = small_scenario(tmp_path, vehicles=3, duration=60.0)
+    doc = json.loads(scenario.read_text())
+    doc.update(chaff_per_zone=3000, filter_capacity=100)
+    scenario.write_text(json.dumps(doc))
+    capsys.readouterr()
+    out = tmp_path / "o"
+    rc = main(["run", "--scenario", str(scenario), "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert "chaff_per_zone" in err and "filter_capacity" in err
+    assert not out.exists()
+
+
 def test_run_scenario_with_an_int_too_long_to_parse_exits_2(tmp_path, capsys):
     # json refuses ints of more than 4,300 digits with a bare ValueError
     scenario = small_scenario(tmp_path, vehicles=3, duration=60.0)

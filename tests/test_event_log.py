@@ -1,10 +1,11 @@
 """The columnar event log against its dict reference view.
 
-Beacons and reception summaries are kept as numpy columns and written
-without building a dict per record; `RunResult.events` rebuilds every record
-as a dict. These tests hold the fast path to that reference: the rounding
-helper to `round`, the JSONL export to encoding each dict, and the CLI's
-reports to the ones built from the dicts.
+Beacons, periodic records, filter answers and deliveries, and reception
+summaries are kept as numpy columns and written without building a dict per
+record; `RunResult.events` rebuilds every record as a dict. These tests hold
+the fast path to that reference: the rounding helper to `round`, the JSONL
+export to encoding each dict, and the CLI's reports to the ones built from
+the dicts.
 """
 from __future__ import annotations
 
@@ -30,8 +31,12 @@ from decoymix.eventlog import (
     ADVERT,
     CHUNK,
     ENCRYPTED,
+    PEER_FILTER,
     RECEPTION_COUNTERS,
+    VIA_PEER,
+    VIA_RSU,
     EventLogBuilder,
+    _distinct,
     encode_event,
     round_array,
 )
@@ -43,6 +48,8 @@ from decoymix.metrics import (
 )
 from decoymix.mobility import Trip
 from decoymix.roads import make_grid
+
+import test_golden
 
 # ---------------------------------------------------------------------------
 # round_array
@@ -171,8 +178,12 @@ def _report_text(sets, link_rep, over_rep) -> str:
     return buf.getvalue() + link_rep.to_json() + over_rep.to_json()
 
 
-@pytest.mark.parametrize("make_config", [_crossing, _odd_ids], ids=["c12", "odd-ids"])
-def test_columns_reproduce_the_dict_view(make_config):
+@pytest.mark.parametrize("make_config, routes", [
+    (_crossing, {"rsu"}),
+    (_odd_ids, {"rsu", "peer"}),
+    (test_golden.grid_cell_config, {"rsu", "peer", "join"}),
+], ids=["c12", "odd-ids", "grid-cell"])
+def test_columns_reproduce_the_dict_view(make_config, routes):
     result = run(make_config())
 
     buf = io.StringIO()
@@ -208,6 +219,20 @@ def test_columns_reproduce_the_dict_view(make_config):
     if len(result.config.eavesdroppers) > 1:  # observer order is exercised
         assert any(len(e["observers"]) > 1 for e in beacons)
     assert any(e["type"] == "reception_summary" for e in events)
+    # filters delivered by each route the config takes: RSU deliveries (at
+    # a non-integer latency but in the crossing), peer answers with their
+    # deliveries, and join deliveries, the only ones kept as protocol events
+    delivered = [e for e in events if e["type"] == "filter_delivered"]
+    assert {e["via"] for e in delivered} == routes
+    assert any(e["type"] == "peer_filter" for e in events) == ("peer" in routes)
+    assert any(
+        e["latency_s"] % 1.0 for e in delivered if e["via"] == "rsu"
+    ) or make_config is _crossing
+    assert all(e["latency_s"] is None for e in delivered if e["via"] != "rsu")
+    assert not any(
+        e["type"] == "peer_filter" or e.get("via") in ("rsu", "peer")
+        for e in result.log.protocol
+    )
 
 
 def test_run_without_beacons_reproduces_the_dict_view():
@@ -293,10 +318,12 @@ def test_repeated_and_signed_zero_beacon_values_are_written_as_encoded():
 def _tick_records_log():
     """A log built the way the engine builds one, over four ticks of 1 s:
     records logged in their tick's phases, then beacons and periodic records
-    logged at wrap-up under their ticks' keys. veh-1 gets a filter from the
-    RSU at t = 2, sends an encrypted beacon and despawns inside the zone,
-    all on that tick; the adverts are heard first by none, one and three
-    vehicles; the chunks carry epochs 1 and 2."""
+    logged at wrap-up under their ticks' keys. veh-2 gets a filter as it
+    joins at t = 1; veh-1 gets one from the RSU at t = 2, after 1.5 s, sends
+    an encrypted beacon and despawns inside the zone, all on that tick;
+    veh-0 answers veh-2's stale filter at t = 3. The adverts are heard
+    first by none, one and three vehicles; the chunks carry epochs 1 and
+    2."""
     log = EventLogBuilder(
         ["eav-a"], np.array([0.0]), np.array([0.0]), np.array([500.0 ** 2])
     )
@@ -305,12 +332,24 @@ def _tick_records_log():
     rsu, zone = log.name("rsu:z"), log.name("z")
     for k in range(4):
         now = float(k)
+        log.key = k * n_ph + engine.PH_ZONES
+        if k == 1:
+            log.event({
+                "type": "filter_delivered", "t": now, "vehicle": "veh-2",
+                "zone": "z", "epoch": 1, "via": "join", "latency_s": None,
+            })
         log.key = k * n_ph + engine.PH_RSU
         if k == 2:
-            log.event({
-                "type": "filter_delivered", "t": now, "vehicle": "veh-1",
-                "zone": "z", "epoch": 2, "via": "rsu", "latency_s": 2.0,
-            })
+            log.deliveries(
+                VIA_RSU, np.array([log.key]), 0, now, veh[1], -1, zone, 2,
+                latency_s=1.5,
+            )
+        log.key = k * n_ph + engine.PH_PEERS
+        if k == 3:
+            key = np.array([log.key])
+            log.deliveries(PEER_FILTER, key, 0, now, veh[0], veh[2], zone, 2,
+                           nbytes=1234)
+            log.deliveries(VIA_PEER, key, 1, now, veh[2], -1, zone, 2)
         log.key = k * n_ph + engine.PH_DESPAWNS
         if k == 2:
             log.event({
@@ -382,17 +421,103 @@ def test_periodic_columns_take_their_tick_phase():
     assert list(chunks[0]) == [
         "type", "t", "tx", "zone", "epoch", "index", "total", "bytes",
     ]
+    # the answer under its sender, the deliveries under their vehicles
+    assert [
+        (e["type"], e.get("tx") or e["vehicle"], e.get("via"), e.get("latency_s"))
+        for e in records if e["type"] in ("peer_filter", "filter_delivered")
+    ] == [
+        ("filter_delivered", "veh-2", "join", None),
+        ("filter_delivered", "veh-1", "rsu", 1.5),
+        ("peer_filter", "veh-0", None, None),
+        ("filter_delivered", "veh-2", "peer", None),
+    ]
+    assert [list(e) for e in records if e["type"] == "peer_filter"] == [
+        ["type", "t", "tx", "rx", "zone", "epoch", "bytes"],
+    ]
+    assert {tuple(e) for e in records if e["type"] == "filter_delivered"} == {
+        ("type", "t", "vehicle", "zone", "epoch", "via", "latency_s"),
+    }
+    assert len(event_log.protocol) == 3
 
 
 def test_overhead_over_periodic_columns_matches_the_dicts():
     event_log = _tick_records_log()
     from_columns = overhead(
         event_log.protocol, 4.0, event_log.beacons, event_log.receptions,
-        event_log.periodic,
+        event_log.periodic, event_log.deliveries,
     )
     assert from_columns == overhead(event_log.records(), 4.0)
     # the first verifiers verify, the RSU signs and sends every record
     assert from_columns.verifies["veh-0"] == {1: 1}
     assert from_columns.verifies["veh-3"] == {2: 1}
     assert from_columns.signs["rsu:z"] == {0: 2, 1: 3, 2: 2, 3: 2}
+    # each delivery is verified by its vehicle (veh-1 also verifies an
+    # advert and, by its counters, a beacon); the peer that answers signs
+    # and sends the answer
+    assert from_columns.verifies["veh-1"] == {2: 3}
+    assert from_columns.verifies["veh-2"] == {1: 1, 2: 1, 3: 1}
+    assert from_columns.signs["veh-0"] == {0: 1, 1: 1, 3: 1}
+    assert from_columns.bytes_by_entity_second["veh-0"][3] == 1234
     assert from_columns.bytes_by_entity_second["veh-2"] == {2: 490}
+
+
+@pytest.mark.parametrize("n_cols, values", [
+    (1, 5), (3, 400), (10, 10 ** 6), (12, 3),
+], ids=["one-column", "dense", "renumbered", "few-values"])
+def test_distinct_rows_are_the_distinct_tuples(n_cols, values):
+    # ten columns of up to 300 distinct values each fold into codes past
+    # 2**62 unless renumbered on the way; bool columns and negative,
+    # extreme and repeated values among them
+    rng = np.random.default_rng(n_cols)
+    n = 300
+    cols = [rng.integers(-values, values, n) for _ in range(n_cols)]
+    cols[0][:3] = np.iinfo(np.int64).min, np.iinfo(np.int64).max, -1
+    cols.append(rng.random(n) < 0.5)
+    rows = list(zip(*(c.tolist() for c in cols)))
+    first, code = _distinct(*cols)
+    distinct = [rows[i] for i in first.tolist()]
+    assert len(set(distinct)) == len(distinct) == len(set(rows))
+    assert [distinct[c] for c in code.tolist()] == rows
+
+
+def test_distinct_rows_of_many_narrow_columns_stay_apart():
+    # seventy bool columns fold into 2**70 codes, which must be renumbered
+    # before the first column's bit would overflow out of them
+    first_col = np.array([False, True, False, True, True])
+    rest = [np.array([True, True, False, False, True])] * 69
+    first, code = _distinct(first_col, *rest)
+    assert len(first) == len(set(code[:4].tolist())) == 4
+    assert code[1] == code[4]
+
+
+def test_reception_lines_from_interned_pieces_are_written_as_encoded():
+    # a summary line is written from its time and its counters, each
+    # formatted once per distinct value: slots whose last four counters are
+    # all zero, mixed, or 2**40, next to all-zero slots, which write no
+    # summary
+    rng = random.Random(11)
+    log = EventLogBuilder([], np.empty(0), np.empty(0), np.empty(0))
+    vehicles = np.array([log.name(f"veh-{i}") for i in range(6)], dtype=np.int32)
+    seconds = np.array([40, 25, 40, 1, 33, 40])
+    first_sec = np.array([0, 10, 0, 39, 5, 0])
+    big = 2 ** 40
+    counters = np.array(
+        [[rng.choice((0, 0, 0, 1, 2, 7, 1200, big)) for _ in range(seconds.sum())]
+         for _ in RECEPTION_COUNTERS], dtype=np.int64,
+    )
+    counters[4:, ::3] = 0
+    counters[:, 1::7] = 0
+    counters[:, 5::11] = big
+    event_log, _ = log.finish(counters, vehicles, first_sec, seconds)
+
+    buf = io.StringIO()
+    event_log.write_jsonl(buf)
+    records = event_log.records()
+    assert buf.getvalue() == "".join(encode_event(e) + "\n" for e in records)
+    last = RECEPTION_COUNTERS[4:]
+    assert len(records) == np.count_nonzero(counters.any(axis=0))
+    assert any(all(e[c] == 0 for c in last) for e in records)
+    assert any(0 in {e[c] for c in last} and len({e[c] for c in last}) > 1
+               for e in records)
+    assert any(all(e[c] == big for c in RECEPTION_COUNTERS) for e in records)
+    assert f'"peer_unanswered":{big}}}' in buf.getvalue()
