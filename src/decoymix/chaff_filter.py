@@ -30,6 +30,7 @@ TARGET_LOAD_FACTOR = 0.95
 _M64 = (1 << 64) - 1
 
 _HEADER = struct.Struct("<2sBBHIIH")  # magic, version, fp bits, bucket cap, buckets, items, epoch
+_MAX_EPOCH = 0xFFFF  # the header's epoch field is 16 bits
 _MAGIC = b"CF"
 _VERSION = 1
 
@@ -191,6 +192,11 @@ class ChaffFilter:
     # little-endian, empty slots as zero (live fingerprints are never zero).
 
     def serialize(self) -> bytes:
+        if not 0 <= self.epoch <= _MAX_EPOCH:
+            raise ValueError(
+                f"epoch {self.epoch} does not fit the 16-bit epoch field "
+                f"(0 to {_MAX_EPOCH})"
+            )
         header = _HEADER.pack(
             _MAGIC,
             _VERSION,

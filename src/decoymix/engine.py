@@ -821,18 +821,19 @@ class _Run:
         self.HDG = column("heading")[order]
         self.EDGE = column("edge", np.int32)[order]
         self.ZIDX, self.RNG, self.VEH = zidx[order], rng[order], veh[order]
-        self.n_heard, self.n_clear = self._neighbour_counts()
         # the beacon-tick rows outside every RSU range, where a stale filter
-        # is asked of the neighbours, and whether each has a neighbour to
-        # ask; tick k's are out_rows[out_ptr[k]:out_ptr[k + 1]], and out_lo
-        # is out_ptr as an array
+        # is asked of the neighbours; tick k's are
+        # out_rows[out_ptr[k]:out_ptr[k + 1]], and out_lo is out_ptr as an
+        # array
         gv_ticks = self.gv_ds // tick_ds
         self.out_rows = np.flatnonzero(
             ~self.RNG.any(axis=1) & (tick[order] % gv_ticks == 0)
         )
         self.out_lo = np.searchsorted(self.out_rows, self.tick_lo)
         self.out_ptr = self.out_lo.tolist()
-        self.out_heard = self.n_heard[self.out_rows] > 0
+        self.n_heard, self.n_clear, self.nb_ptr, self.nb_rows = (
+            self._neighbour_counts()
+        )
         slot_row = np.cumsum(self.seconds) - self.seconds - self.first_sec
         self.SLOT = (
             np.repeat(slot_row, counts)
@@ -907,16 +908,26 @@ class _Run:
         sizes = np.array(sizes, dtype=np.int64)
         self.pool_base = np.cumsum(sizes) - sizes
 
-    def _neighbour_counts(self) -> tuple[np.ndarray, np.ndarray]:
+    def _neighbour_counts(self) -> tuple[np.ndarray, ...]:
         """How many radio neighbours each row has at its tick, in total and
-        outside every zone; zero off the beacon ticks. Radio range is
-        symmetric, so these are also the beacons each row hears.
+        outside every zone, zero off the beacon ticks; and the neighbours of
+        each row in out_rows. Radio range is symmetric, so the counts are
+        also the beacons each row hears. The peer exchange and the peer
+        search read the neighbours they ask from here.
+
+        Out row i's neighbours, itself left out, are nb_rows[nb_ptr[i]:
+        nb_ptr[i + 1]] in row order, which within a tick is vehicle-id
+        order. So tick k's requesters own one slice of nb_rows, from
+        nb_ptr[out_ptr[k]] to nb_ptr[out_ptr[k + 1]].
 
         Consecutive beacon ticks go in blocks, each padded with NaN to its
         largest active count and compared all at once."""
         ptr = self.tick_lo
         n_all = np.zeros(ptr[-1], dtype=np.int32)
         n_out = np.zeros(ptr[-1], dtype=np.int32)
+        is_out = np.zeros(ptr[-1], dtype=bool)
+        is_out[self.out_rows] = True
+        pieces = [np.empty(0, dtype=np.int32)]
         ks = np.flatnonzero(
             (np.arange(self.nticks) * self.tick_ds % self.gv_ds == 0) & (np.diff(ptr) > 0)
         )
@@ -930,7 +941,8 @@ class _Run:
             y = np.full(real.shape, np.nan)
             out = np.zeros(real.shape, dtype=bool)
             x[real], y[real], out[real] = self.X[rows], self.Y[rows], outside[rows]
-            # dx * dx + dy * dy, as the peer exchange computes it
+            # dx * dx + dy * dy, rounded as written: a pair at the range's
+            # edge is in or out by the last bit of this sum
             dx = x[:, :, None] - x[:, None, :]
             dx *= dx
             dy = y[:, :, None] - y[:, None, :]
@@ -940,9 +952,19 @@ class _Run:
             del dx, dy
             # every row is its own neighbour; NaN pads are nobody's
             n_all[rows] = near.sum(axis=2)[real] - 1
+            # the out rows' neighbours but themselves, in row order: at
+            # holds the out rows' flat places in the block, and a
+            # neighbour's row is its tick's first row plus its column
+            at = np.flatnonzero(real)[is_out[rows]]
+            heard = near.reshape(-1, width)[at]
+            heard[np.arange(at.size), at % width] = False
+            f = np.flatnonzero(heard)
+            i = f // width
+            pieces.append((ptr[block][at // width][i] + f - i * width).astype(np.int32))
             near &= out[:, None, :]
             n_out[rows] = near.sum(axis=2)[real] - out[real]
-        return n_all, n_out
+        nb_ptr = np.concatenate(([0], np.cumsum(n_all[self.out_rows], dtype=np.int64)))
+        return n_all, n_out, nb_ptr, np.concatenate(pieces)
 
     # ------------------------------------------------------------ helpers
 
@@ -1197,41 +1219,29 @@ class _Run:
         stale rows of the ticks before the one returned ask in vain and go
         to peer_asked.
 
-        Each requester with a neighbour is paired with the rows of its tick
-        that hold any filter, in blocks of about BLOCK_ELEMENTS pairs, and
-        each pair is tested as _peer_exchange tests it; nothing of a window
-        is kept past it."""
+        The window's neighbour pairs are tested as _peer_exchange tests
+        them, in chunks of about BLOCK_ELEMENTS pairs, up to the first
+        hit."""
         lo, hi = self.out_ptr[a], self.out_ptr[b]
         if lo == hi:
             return b
         held_ep, veh = self.held_ep, self.VEH
         rows = self.out_rows[lo:hi]
         stale = (held_ep < self.cur_ep).any(axis=1)[veh[rows]]
-        asking = np.flatnonzero(stale & self.out_heard[lo:hi])
         found = b
-        if asking.size:
-            holds = (held_ep >= 0).any(axis=1)
-            # requesters in tick order; each one's tick, and that tick's rows
-            ticks = np.searchsorted(self.out_lo, asking + lo, side="right") - 1
-            start = self.tick_lo[ticks]
-            n_rows = self.tick_lo[ticks + 1] - start
-            first = np.cumsum(n_rows) - n_rows
+        if stale.any():
+            ptr = self.nb_ptr[lo:hi + 1]
+            first = ptr[:-1] - ptr[0]
             cuts = (np.flatnonzero(np.diff(first // BLOCK_ELEMENTS)) + 1).tolist()
-            for i, j in zip([0, *cuts], [*cuts, asking.size]):
-                cnt = n_rows[i:j]
-                which = np.repeat(np.arange(i, j), cnt)
-                other = np.repeat(start[i:j] - first[i:j], cnt) + np.arange(
-                    first[i], first[i] + which.size
-                )
-                keep = holds[veh[other]]
-                which, other = which[keep], other[keep]
-                req = rows[asking[which]]
-                dx = self.X[req] - self.X[other]
-                dy = self.Y[req] - self.Y[other]
-                hit = dx * dx + dy * dy <= self.radio2
-                hit &= (held_ep[veh[other]] > held_ep[veh[req]]).any(axis=1)
+            for i, j in zip([0, *cuts], [*cuts, hi - lo]):
+                # each pair's requester; only the stale ones ask
+                own = np.repeat(np.arange(i, j), np.diff(ptr[i:j + 1]))
+                asks = stale[own]
+                own, nb = own[asks], self.nb_rows[ptr[i]:ptr[j]][asks]
+                hit = (held_ep[veh[nb]] > held_ep[veh[rows[own]]]).any(axis=1)
                 if hit.any():
-                    found = int(ticks[which[hit.argmax()]])
+                    at = lo + own[hit.argmax()]
+                    found = int(np.searchsorted(self.out_lo, at, side="right")) - 1
                     break
         cut = self.out_ptr[found] - lo
         if stale[:cut].any():
@@ -1306,49 +1316,48 @@ class _Run:
     def _peer_exchange(self, tk: _Tick, cur_ep: np.ndarray) -> None:
         """Vehicles outside every RSU range with a stale filter ask their
         neighbours for a newer one; what they get counts from the next
-        tick on."""
+        tick on.
+
+        Per zone, each requester's responder is the first of its neighbour
+        pairs (nb_rows, in vehicle-id order) that holds a strictly newer
+        epoch: the lowest vehicle id among them, per
+        choose_filter_responder. A requester is never its own."""
         a, b = self.out_ptr[tk.k], self.out_ptr[tk.k + 1]
         if a == b:
             return
-        held_ep = self.held_ep[tk.av]
-        li = self.out_rows[a:b] - tk.lo
-        req_ep = held_ep[li]
+        held_ep, veh = self.held_ep, self.VEH
+        rows = self.out_rows[a:b]
+        req_ep = held_ep[veh[rows]]
         asking = (req_ep < cur_ep).any(axis=1)
         if not asking.any():
             return
-        self.peer_asked.append(li[asking] + tk.lo)
-        # only a requester with a radio neighbour can be answered
-        asking &= self.out_heard[a:b]
-        if not asking.any():
+        self.peer_asked.append(rows[asking])
+        # the tick's pairs, each with its requester, of the rows that ask
+        ptr = self.nb_ptr[a:b + 1]
+        own = np.repeat(np.arange(b - a), np.diff(ptr))
+        asks = asking[own]
+        own, nb = own[asks], veh[self.nb_rows[ptr[0]:ptr[-1]][asks]]
+        # every hit, zone by zone, requesters in row order
+        j, p = (held_ep[nb] > req_ep[own]).T.nonzero()
+        if not j.size:
             return
-        li, req_ep = li[asking], req_ep[asking]
-        dx = tk.xs[li, None] - tk.xs
-        dy = tk.ys[li, None] - tk.ys
-        near = dx * dx + dy * dy <= self.radio2
-        # per zone, each answered requester's responder: the lowest vehicle
-        # id (rows are vid-sorted) among the neighbours holding a strictly
-        # newer epoch, per choose_filter_responder; a requester is never its
-        # own
-        answers = []
-        for j in range(len(self.zones)):
-            cond = near & (held_ep[:, j] > req_ep[:, j, None])
-            r = np.flatnonzero(cond.any(axis=1))
-            if r.size:
-                answers.append((r, cond[r].argmax(axis=1), np.full(r.size, j)))
-        if not answers:
-            return
-        r, resp, j = (np.concatenate(c) for c in zip(*answers))
-        vi, ep = tk.av[li[r]], held_ep[resp, j]
+        first = np.ones(j.size, dtype=bool)
+        first[1:] = (j[1:] != j[:-1]) | (own[p[1:]] != own[p[:-1]])
+        j, p = j[first], p[first]
+        r, resp = own[p], nb[p]
+        vi, ep = veh[rows[r]], held_ep[resp, j]
         # each (vehicle, zone) is answered at most once, with a newer epoch
         # than the vehicle holds
         self._take_filters(vi, j, ep, tk.k + 1)
-        self.peer_answered.append(np.unique(li[r]) + tk.lo)
+        answered = np.zeros(b - a, dtype=bool)
+        answered[r] = True
+        self.peer_answered.append(rows[answered])
         # zone by zone, requesters in row order, each answer before its
         # delivery
         key, n = np.full(r.size, self.log.key), 2 * np.arange(r.size)
         rx, zone = self.veh_name[vi], self.zone_name[j]
         self.log.deliveries(
-            PEER_FILTER, key, n, tk.now, self.veh_name[tk.av[resp]], rx, zone, ep,
+            PEER_FILTER, key, n, tk.now, self.veh_name[resp], rx, zone, ep,
             nbytes=self.answer_bytes[j],
         )
         self.log.deliveries(VIA_PEER, key, n + 1, tk.now, rx, -1, zone, ep)
@@ -1562,8 +1571,9 @@ class _Run:
             )
 
     def finish(self) -> RunResult:
-        # after every tick
+        # after every tick; the wrap-up asks no neighbour
         self.log.key = self.nticks * N_PHASES
+        del self.out_rows, self.out_lo, self.out_ptr, self.nb_ptr, self.nb_rows
         for z in self.zones:
             for t, kind, detail in z.controller.events:
                 self.emit({
@@ -1579,7 +1589,6 @@ class _Run:
         # the log needs none of the rows, nor what receptions were counted from
         del self.X, self.Y, self.SPD, self.HDG, self.ZIDX, self.EDGE
         del self.RNG, self.VEH, self.SLOT, self.n_heard, self.n_clear
-        del self.out_rows, self.out_lo, self.out_heard
         del self.peer_asked, self.peer_answered
         event_log, observations = self.log.finish(
             self.counters, self.veh_name, self.first_sec, self.seconds

@@ -209,6 +209,16 @@ def test_round_trip_behaves_identically():
     assert g.serialize() == f.serialize()
 
 
+def test_epoch_field_holds_16_bits():
+    f = new_filter(10, 1e-3, epoch=65535)
+    assert ChaffFilter.deserialize(f.serialize()).epoch == 65535
+    size = f.serialized_size()
+    f.epoch = 65536
+    with pytest.raises(ValueError, match="16-bit epoch field"):
+        f.serialize()
+    assert f.serialized_size() == size
+
+
 def _serialize_by_or_loop(f: ChaffFilter) -> bytes:
     """Reference packing: OR each slot into one growing int."""
     fb = f.fingerprint_bits

@@ -1066,6 +1066,58 @@ def test_precomputed_events_match_the_per_tick_scans(grid4):
     assert len(seen["despawns"]) == nv
 
 
+@pytest.mark.parametrize(
+    "block", [engine.BLOCK_ELEMENTS, 16], ids=["default-blocks", "tiny-blocks"]
+)
+def test_neighbour_pairs_match_a_per_tick_scan(monkeypatch, block):
+    # ticks 0 and 2 are beacon ticks (0.5 s lattice, 1 s beacons). At tick
+    # 0: rows 0 and 1 lie exactly 300 m apart on the x axis; row 2 lies at
+    # (180, 240), so its dx * dx + dy * dy to row 0 is exactly 300 m
+    # squared; row 3 lies 1 mm past 300 m of row 0; row 4 is in an RSU
+    # range and row 5 inside a zone. Tick 1 repeats tick 0's first rows off
+    # the beacon lattice; at tick 2 a row sits where row 0 was, alone
+    xy = [
+        (0.0, 0.0), (300.0, 0.0), (180.0, 240.0), (-0.001, 300.0), (150.0, 100.0),
+        (100.0, -50.0),
+        (0.0, 0.0), (300.0, 0.0),
+        (0.0, 0.0),
+    ]
+    tick_lo = np.array([0, 6, 8, 9, 9])
+    in_rsu = np.zeros(len(xy), dtype=bool)
+    in_rsu[4] = True
+    zidx = np.full(len(xy), -1, dtype=np.int32)
+    zidx[5] = 0
+    tick = np.repeat(np.arange(4), np.diff(tick_lo))
+    out_rows = np.flatnonzero(~in_rsu & (tick % 2 == 0))
+    x, y = (np.array(c) for c in zip(*xy))
+    state = SimpleNamespace(
+        X=x, Y=y, ZIDX=zidx, tick_lo=tick_lo, nticks=4, tick_ds=5, gv_ds=10,
+        radio2=300.0 ** 2, out_rows=out_rows,
+    )
+    monkeypatch.setattr(engine, "BLOCK_ELEMENTS", block)
+    n_heard, n_clear, nb_ptr, nb_rows = _Run._neighbour_counts(state)
+    assert nb_rows.dtype == np.int32 and nb_ptr.size == out_rows.size + 1
+
+    def near(r):
+        return [
+            q for q in range(tick_lo[tick[r]], tick_lo[tick[r] + 1])
+            if q != r and (x[r] - x[q]) ** 2 + (y[r] - y[q]) ** 2 <= 300.0 ** 2
+        ]
+
+    beacon = tick % 2 == 0
+    assert n_heard.tolist() == [len(near(r)) if beacon[r] else 0 for r in range(len(xy))]
+    assert n_clear.tolist() == [
+        sum(zidx[q] < 0 for q in near(r)) if beacon[r] else 0 for r in range(len(xy))
+    ]
+    lists = {
+        r: nb_rows[nb_ptr[i]:nb_ptr[i + 1]].tolist()
+        for i, r in enumerate(out_rows.tolist())
+    }
+    assert lists == {r: near(r) for r in out_rows.tolist()}
+    assert lists[0] == [1, 2, 4, 5] and lists[3] == [2, 4] and lists[8] == []
+    assert 4 not in lists and 6 not in lists
+
+
 class _PerTickCounters(_Run):
     """A run that also counts receptions tick by tick, from the state of
     each tick's beacon phase, into ref: the reference for the wrap-up pass
@@ -1223,10 +1275,56 @@ def test_wrap_up_reception_counters_match_the_per_tick_math(monkeypatch, block):
         assert summaries[vid]["peer_queries"] == 1
 
 
-class _PerTickPeriodic(_Run):
+class _DensePeerExchange(_Run):
+    """A run whose peer exchange measures the distance from each asking
+    row to every row of its tick and looks for each zone's responders in
+    that matrix: the reference for the exchange and the peer search over
+    the neighbour pass's pairs."""
+
+    def _peer_exchange(self, tk, cur_ep):
+        a, b = self.out_ptr[tk.k], self.out_ptr[tk.k + 1]
+        if a == b:
+            return
+        held_ep = self.held_ep[tk.av]
+        li = self.out_rows[a:b] - tk.lo
+        req_ep = held_ep[li]
+        asking = (req_ep < cur_ep).any(axis=1)
+        if not asking.any():
+            return
+        self.peer_asked.append(li[asking] + tk.lo)
+        li, req_ep = li[asking], req_ep[asking]
+        dx = tk.xs[li, None] - tk.xs
+        dy = tk.ys[li, None] - tk.ys
+        near = dx * dx + dy * dy <= self.radio2
+        # per zone, each answered requester's responder: the lowest vehicle
+        # id (rows are vid-sorted) among the neighbours holding a strictly
+        # newer epoch; a requester is never its own
+        answers = []
+        for j in range(len(self.zones)):
+            cond = near & (held_ep[:, j] > req_ep[:, j, None])
+            r = np.flatnonzero(cond.any(axis=1))
+            if r.size:
+                answers.append((r, cond[r].argmax(axis=1), np.full(r.size, j)))
+        if not answers:
+            return
+        r, resp, j = (np.concatenate(c) for c in zip(*answers))
+        vi, ep = tk.av[li[r]], held_ep[resp, j]
+        self._take_filters(vi, j, ep, tk.k + 1)
+        self.peer_answered.append(np.unique(li[r]) + tk.lo)
+        key, n = np.full(r.size, self.log.key), 2 * np.arange(r.size)
+        rx, zone = self.veh_name[vi], self.zone_name[j]
+        self.log.deliveries(
+            engine.PEER_FILTER, key, n, tk.now, self.veh_name[tk.av[resp]], rx,
+            zone, ep, nbytes=self.answer_bytes[j],
+        )
+        self.log.deliveries(engine.VIA_PEER, key, n + 1, tk.now, rx, -1, zone, ep)
+
+
+class _PerTickPeriodic(_DensePeerExchange):
     """A run that logs adverts, chunks and encrypted beacons tick by tick,
     as dicts in their tick's phases, with the epochs and rows the phase
-    sees: the reference for the columns the wrap-up builds."""
+    sees: the reference for the columns the wrap-up builds. Its peers
+    answer through the dense exchange."""
 
     def _rsu_range(self, tk):
         log, key, now = self.log, tk.k * engine.N_PHASES, tk.now
@@ -1411,14 +1509,19 @@ _NEXT_EVENT_CASES = {
     "off-lattice-adverts": lambda _: [_off_lattice_adverts_config()],
     "dead-end": lambda _: [_dead_end_config()],
     "near-zones": lambda _: [_near_zones_config()],
+    # the peer search walks many windows across several chunks of pairs
+    "multi-zone-tiny-blocks": lambda _: [test_golden.multi_zone_config()],
 }
 
 
 @pytest.mark.parametrize("case", list(_NEXT_EVENT_CASES))
 def test_next_event_loop_matches_stepping_every_tick(monkeypatch, tmp_path, case):
-    # run() steps only the ticks where something happens and logs the
-    # periodic records and decoy beacons at wrap-up; the reference steps
-    # every tick and logs them tick by tick
+    # run() steps only the ticks where something happens, finds the next
+    # tick a peer answers from the neighbour pairs, and logs the periodic
+    # records and decoy beacons at wrap-up; the reference steps every tick,
+    # answers peers from distance matrices and logs tick by tick
+    if case.endswith("tiny-blocks"):
+        monkeypatch.setattr(engine, "BLOCK_ELEMENTS", 64)
     states = []
 
     class Recorded(_Run):
@@ -1432,9 +1535,9 @@ def test_next_event_loop_matches_stepping_every_tick(monkeypatch, tmp_path, case
             super().step(k)
 
     for cfg in _NEXT_EVENT_CASES[case](tmp_path):
-        monkeypatch.setattr(engine, "_Run", Recorded)
-        result = run(cfg)
-        monkeypatch.undo()
+        with monkeypatch.context() as m:
+            m.setattr(engine, "_Run", Recorded)
+            result = run(cfg)
         state = states.pop()
 
         ref_state = _PerTickDecoys(cfg)
