@@ -51,12 +51,13 @@ from .mixzone import (
     MixZoneController,
     make_join_payload,
 )
-from .mobility import Trip, synthesize_trips, trip_samples_with_edges, validate_trip
+from .mobility import (
+    Trip, points_along, synthesize_trips, trip_samples_with_edges, validate_trip,
+)
 from .roads import (
     DEFAULT_V_MIN_MPS,
     MixZoneGeometry,
     RoadGraph,
-    point_along,
     traverse_time_bounds,
     zone_from_center,
 )
@@ -68,7 +69,6 @@ ADVERT_WIRE_BYTES = ADVERT_PAYLOAD_BYTES + PSEUDONYM_WIRE_BYTES
 JOIN_REQUEST_WIRE_BYTES = JOIN_REQUEST_PAYLOAD_BYTES + PSEUDONYM_WIRE_BYTES
 RETIRE_PAYLOAD_BYTES = 16
 RETIRE_WIRE_BYTES = RETIRE_PAYLOAD_BYTES + PSEUDONYM_WIRE_BYTES
-PEER_QUERY_WIRE_BYTES = 16 + PSEUDONYM_WIRE_BYTES
 CHUNK_CERT_BYTES = PSEUDONYM_WIRE_BYTES
 
 STANDARD_BEACON_INTERVALS_S = (0.2, 0.5, 1.0)
@@ -226,7 +226,11 @@ class ScenarioConfig:
         graph_path = base / _typed("graph_file", graph_file, str)
         if not graph_path.is_file():
             raise ConfigError(f"graph file not found: {graph_path}")
-        return cls.over_graph(RoadGraph.load(graph_path), doc)
+        try:
+            graph = RoadGraph.load(graph_path)
+        except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError too
+            raise ConfigError(f"graph file {graph_path}: {exc}") from None
+        return cls.over_graph(graph, doc)
 
     @classmethod
     def over_graph(cls, graph: RoadGraph, doc: dict) -> "ScenarioConfig":
@@ -273,6 +277,10 @@ class ScenarioConfig:
             **{name: _typed(name, val, types[name]) for name, val in doc.items()},
         )
         cfg.validate()
+        for z in zones:
+            geom = zone_from_center(graph, (z.center_x_m, z.center_y_m), z.radius_m)
+            if not geom.internal_paths:
+                raise ConfigError(f"zone {z.zone_id}: no road runs through its disk")
         return cfg
 
     @classmethod
@@ -459,6 +467,18 @@ class _ZoneRt:
     chunk_payloads: list[int]
 
 
+class _Poses(NamedTuple):
+    """A decoy stream's poses as columns: beacon tick (ds), position, heading."""
+
+    ds: np.ndarray
+    x: np.ndarray
+    y: np.ndarray
+    heading: np.ndarray
+
+
+_NO_POSES = _Poses(np.empty(0, dtype=np.int64), np.empty(0), np.empty(0), np.empty(0))
+
+
 @dataclass(slots=True)
 class _Stream:
     plan: DecoyPlan
@@ -467,7 +487,7 @@ class _Stream:
     transmitter: str
     tx_vi: int  # the relay's vehicle row; -1 when the zone's RSU transmits
     zone_j: int
-    poses: dict[int, tuple[float, float, float]]
+    poses: _Poses
     last_ds: int
     natural_reason: str
     # the order key under which the stream ended, and (order key, whether
@@ -501,13 +521,6 @@ class _Tick(NamedTuple):
     av: np.ndarray
     xs: np.ndarray
     ys: np.ndarray
-
-
-def _published(coord: float) -> float:
-    """A coordinate as beacons carry it, to the millimetre. Zone membership
-    is decided on this value too, so no beacon sent in the clear claims a
-    position on or inside a zone disk."""
-    return round(coord, 3)
 
 
 def _by_tick(
@@ -550,36 +563,43 @@ def _build_stream_poses(
     route_rng: random.Random,
     gv_ds: int,
     horizon_ds: int,
-) -> tuple[dict[int, tuple[float, float, float]], str]:
-    """Walk the phantom along its exit edge and onward through successor
-    edges; stop at dead ends, at the horizon, or the moment the claimed
-    position would re-enter any zone disk."""
-    poses: dict[int, tuple[float, float, float]] = {}
-    t = _first_pose_ds(plan, gv_ds)
+) -> tuple[_Poses, str]:
+    """The phantom's poses at the beacon ticks up to the horizon: along its
+    exit edge, then successor edges drawn from route_rng, cut before a dead
+    end (route_end) or at the first pose whose claimed position lies in a
+    zone disk (zone_entry). Each pose lies on the first route edge it does
+    not pass, as a walk edge by edge finds it, and is evaluated by
+    mobility.points_along with the rest in one pass."""
+    ds = np.arange(_first_pose_ds(plan, gv_ds), horizon_ds + 1, gv_ds, dtype=np.int64)
+    dist = plan.speed_mps * (ds / 10.0 - plan.start_time_s)
     cur = g.edges[plan.exit_edge_id]
     # launch 1 mm past the crossing so a tick landing exactly at the exit
     # point is not mistaken for a zone re-entry and killed at birth
-    cur_entry = plan.boundary_offset_m + 1e-3
-    consumed = 0.0
-    while t <= horizon_ds:
-        dist = plan.speed_mps * (t / 10.0 - plan.start_time_s)
-        while dist - consumed > (cur.length - cur_entry) + 1e-9:
-            consumed += cur.length - cur_entry
-            nxt = g.next_edges(cur.id)
-            if not nxt:
-                return poses, "route_end"
-            cur = g.edges[route_rng.choice(nxt)]
-            cur_entry = 0.0
-        off = min(cur_entry + (dist - consumed), cur.length)
-        x, y, heading = point_along(cur.shape, off)
-        px, py = _published(x), _published(y)
-        for cx, cy, r2 in zone_disks:
-            dx, dy = px - cx, py - cy
-            if dx * dx + dy * dy <= r2:
-                return poses, "zone_entry"
-        poses[t] = (x, y, heading)
-        t += gv_ds
-    return poses, "horizon"
+    route, entry, consumed = [cur], [plan.boundary_offset_m + 1e-3], [0.0]
+    while ds.size and dist[-1] - consumed[-1] > (cur.length - entry[-1]) + 1e-9:
+        if not (nxt := g.next_edges(cur.id)):
+            break
+        consumed.append(consumed[-1] + (cur.length - entry[-1]))
+        cur = g.edges[route_rng.choice(nxt)]
+        route.append(cur)
+        entry.append(0.0)
+    length = np.array([e.length for e in route])
+    entry, consumed = np.array(entry), np.array(consumed)
+    passes = dist[:, None] - consumed > (length - entry) + 1e-9
+    # the edges each pose passes lead its route; past a dead end, all of them
+    edge = np.logical_and.accumulate(passes, axis=1).sum(axis=1)
+    n = int(np.count_nonzero(edge < len(route)))
+    off = np.minimum(entry[edge[:n]] + (dist[:n] - consumed[edge[:n]]), length[edge[:n]])
+    x, y, heading = points_along(g, tuple(e.id for e in route), edge[:n], off)
+    px, py = round_array(x, 3), round_array(y, 3)
+    inside = np.zeros(n, dtype=bool)
+    for cx, cy, r2 in zone_disks:
+        dx, dy = px - cx, py - cy
+        inside |= dx * dx + dy * dy <= r2
+    reason = "route_end" if n < ds.size else "horizon"
+    if inside.any():
+        n, reason = int(inside.argmax()), "zone_entry"
+    return _Poses(ds[:n], x[:n], y[:n], heading[:n]), reason
 
 
 # ---------------------------------------------------------------------------
@@ -1004,7 +1024,7 @@ class _Run:
             plan, chaff_hex,
             f"{stable_u64(self.seed, 'chafflink', plan.zone_id, chaff_hex):016x}",
             self.zones[zone_j].info.rsu_entity if tx_vi < 0 else self.vehicles[tx_vi].vid,
-            tx_vi, zone_j, poses, max(poses, default=-1), reason,
+            tx_vi, zone_j, poses, int(poses.ds[-1]) if poses.ds.size else -1, reason,
         )
         self.started.append(s)
         if tx_vi >= 0:
@@ -1027,7 +1047,7 @@ class _Run:
             "speed": round(plan.speed_mps, 3), "tx": s.transmitter,
         })
         self.streams[chaff_hex] = s
-        if not poses:
+        if not poses.ds.size:
             self._end_stream(s, now, reason)
             return None
         self._note_held(s)
@@ -1136,9 +1156,7 @@ class _Run:
             ))
         return visit
 
-    def _exit_zone(
-        self, vi: int, k: int, now: float, edge_id: str, speed: float
-    ) -> None:
+    def _exit_zone(self, vi: int, now: float, edge_id: str, speed: float) -> None:
         visit = self._leave_zone(vi, now, "exit")
         v = self.vehicles[vi]
         controller = self.zones[visit["zone_j"]].controller
@@ -1152,25 +1170,11 @@ class _Run:
         chaff = visit["chaff"]
         if chaff is not None and not v.non_coop:
             relay_plan = controller.launch_relay_decoy(chaff.id, edge_id, now)
+            # the relay's next zone entry ends the stream before its decoy
+            # phase (transmitter_zone_entry); no pose from then on is sent
             v.stream = self._start_stream(
-                relay_plan, vi, member_hex, self._relay_horizon(vi, k, relay_plan),
-                now,
+                relay_plan, vi, member_hex, int(self.tends[vi]), now
             )
-
-    def _relay_horizon(self, vi: int, k: int, plan: DecoyPlan) -> int:
-        """The last pose time (ds) of plan's stream, which vehicle vi
-        launches at tick k: vi's last tick, or sooner the first beacon tick
-        at or after both vi's next zone entry and the stream's first pose.
-        The stream ends at that entry (transmitter_zone_entry), before the
-        entry tick's decoy phase, so no pose from then on is sent; the one
-        pose kept there stops the stream's natural end from coming first."""
-        horizon = int(self.tends[vi])
-        i = int(np.searchsorted(self.entry_keys, vi * self.nticks + k))
-        if i < self.entry_keys.size and self.entry_keys[i] < (vi + 1) * self.nticks:
-            entry_ds = int(self.entry_keys[i] - vi * self.nticks) * self.tick_ds
-            at_entry = -(-entry_ds // self.gv_ds) * self.gv_ds
-            horizon = min(horizon, max(at_entry, _first_pose_ds(plan, self.gv_ds)))
-        return horizon
 
     # ------------------------------------------------------------ one tick
 
@@ -1253,7 +1257,7 @@ class _Run:
         for vi, prev_j, new_j, row in self.zone_moves.get(tk.k, ()):
             if prev_j >= 0:
                 edge_id = self.vehicles[vi].trip.edge_ids[self.EDGE[row]]
-                self._exit_zone(vi, tk.k, tk.now, edge_id, float(self.SPD[row]))
+                self._exit_zone(vi, tk.now, edge_id, float(self.SPD[row]))
             if new_j >= 0:
                 self._enter_zone(
                     vi, new_j, tk.k, tk.now, (float(self.X[row]), float(self.Y[row]))
@@ -1481,14 +1485,15 @@ class _Run:
         its tick a beacon precedes the retires. A send whose chaff id held
         last noted absent from its zone filter is a finding."""
         log, started = self.log, self.started
-        sent = [
-            (k, i, *pose)
-            for i, s in enumerate(started)
-            for t, pose in s.poses.items()
-            if (k := t // self.tick_ds) * N_PHASES + PH_DECOYS <= s.end_key
-        ]
-        k, i, x, y, heading = np.array(sent, dtype=np.float64).reshape(-1, 5).T
-        k, i = k.astype(np.int64), i.astype(np.int64)
+        sizes = np.array([s.poses.ds.size for s in started], dtype=np.int64)
+        i = np.repeat(np.arange(sizes.size), sizes)
+        end_key = np.array([s.end_key for s in started], dtype=np.int64)[i]
+        ds, x, y, heading = (
+            np.concatenate(col) for col in zip(_NO_POSES, *(s.poses for s in started))
+        )
+        k = ds // self.tick_ds
+        sent = k * N_PHASES + PH_DECOYS <= end_key
+        k, i, x, y, heading = (c[sent] for c in (k, i, x, y, heading))
         zone, relay, tx, chaff, link = np.array([
             (s.zone_j, s.tx_vi, log.name(s.transmitter), log.name(s.chaff_hex),
              log.name(s.link_hex)) for s in started

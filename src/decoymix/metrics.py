@@ -17,6 +17,7 @@ from typing import Mapping, Sequence, TextIO
 import numpy as np
 
 from .adversary import Chain, LinkCandidateSet, PseudonymTrack, chain_distance_m
+from .core import CAM_WIRE_BYTES, PSEUDONYM_WIRE_BYTES
 from .eventlog import (
     BEACON_WIRE_BYTES,
     PEER_FILTER,
@@ -32,8 +33,8 @@ RSU_VERIFY_MS = 0.4
 VEHICLE_SIGN_MS = 3.0
 VEHICLE_VERIFY_MS = 3.5
 MEMBERSHIP_CHECK_MS = 3.68e-4
-CAM_BYTES = 350
-CREDENTIAL_BYTES = 140
+CAM_BYTES = CAM_WIRE_BYTES
+CREDENTIAL_BYTES = PSEUDONYM_WIRE_BYTES
 PEER_QUERY_BYTES = 16 + CREDENTIAL_BYTES
 KB = 1000.0  # rates are decimal kilobytes per second
 

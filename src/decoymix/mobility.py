@@ -185,11 +185,11 @@ def trip_samples_with_edges(g: RoadGraph, trip: Trip, step_s: float) -> TripSamp
     edge = np.searchsorted(np.array(starts[1:]), dt, side="right")
     speed = np.array(trip.speeds_mps)[edge]
     off = (dt - np.array(starts)[edge]) * speed
-    x, y, heading = _points_along(g, trip.edge_ids, edge, off)
+    x, y, heading = points_along(g, trip.edge_ids, edge, off)
     return TripSamples(trip.vehicle_id, trip.edge_ids, t, x, y, speed, heading, edge)
 
 
-def _points_along(
+def points_along(
     g: RoadGraph, edge_ids: tuple[str, ...], edge: np.ndarray, off: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """roads.point_along(g.edges[edge_ids[edge[i]]].shape, off[i]) for every

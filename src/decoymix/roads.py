@@ -124,6 +124,14 @@ def _snap_cells(edges) -> dict[tuple[int, int], tuple[str, ...]]:
     return {cell: tuple(sorted(ids)) for cell, ids in cells.items()}
 
 
+def _finite(value) -> float:
+    """value as a float; ValueError unless it is a finite number."""
+    out = float(value)
+    if not math.isfinite(out):
+        raise ValueError(f"non-finite number {value!r}")
+    return out
+
+
 class RoadGraph:
     def __init__(self, junctions: dict[str, Point], edges: list[Edge]) -> None:
         self.junctions = dict(junctions)
@@ -159,21 +167,33 @@ class RoadGraph:
 
     @classmethod
     def from_json(cls, text: str) -> "RoadGraph":
-        doc = json.loads(text)
-        junctions = {j["id"]: (float(j["x"]), float(j["y"])) for j in doc["junctions"]}
-        edges = []
-        for rec in doc["edges"]:
-            shape = tuple((float(x), float(y)) for x, y in rec["shape"])
-            edges.append(
-                Edge(
-                    id=rec["id"],
-                    tail=rec["from"],
-                    head=rec["to"],
-                    shape=shape,
-                    speed_limit=float(rec["speed_limit"]),
-                    length=polyline_length(shape),
+        """The graph a JSON document describes. ValueError names what is
+        wrong when the text is not JSON, a key is missing or mistyped, a
+        number is not finite, or a shape has fewer than two points."""
+        try:
+            doc = json.loads(text)
+            junctions = {
+                j["id"]: (_finite(j["x"]), _finite(j["y"])) for j in doc["junctions"]
+            }
+            edges = []
+            for rec in doc["edges"]:
+                shape = tuple((_finite(x), _finite(y)) for x, y in rec["shape"])
+                if len(shape) < 2:
+                    raise ValueError(f"edge {rec['id']}: shape needs at least two points")
+                edges.append(
+                    Edge(
+                        id=rec["id"],
+                        tail=rec["from"],
+                        head=rec["to"],
+                        shape=shape,
+                        speed_limit=_finite(rec["speed_limit"]),
+                        length=polyline_length(shape),
+                    )
                 )
-            )
+        except KeyError as exc:
+            raise ValueError(f"missing key {exc}") from None
+        except TypeError as exc:
+            raise ValueError(f"malformed graph: {exc}") from None
         return cls(junctions, edges)
 
     def to_json(self) -> str:

@@ -26,6 +26,8 @@ from decoymix.engine import (
 from decoymix.errors import ConfigError
 from decoymix.roads import make_grid, zone_from_center
 
+from test_roads import dead_end_crossing
+
 
 def test_parse_seeds_range_and_list():
     assert parse_seeds("1..5") == (1, 2, 3, 4, 5)
@@ -310,6 +312,84 @@ def test_run_scenario_with_an_int_too_long_to_parse_exits_2(tmp_path, capsys):
     assert rc == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "not valid JSON" in err
+
+
+def _edit_first_edge(change):
+    """A graph.json edit that applies change to the first edge's record."""
+    def edit(text):
+        doc = json.loads(text)
+        change(doc["edges"][0])
+        return json.dumps(doc)
+    return edit
+
+
+# each case turns graph.json's text into a broken text
+_BROKEN_GRAPHS = {
+    "truncated": lambda text: text[: len(text) // 2],
+    "missing-speed-limit": _edit_first_edge(lambda e: e.pop("speed_limit")),
+    "unknown-junction": _edit_first_edge(lambda e: e.update(to="nowhere")),
+    "speed-limit-0": _edit_first_edge(lambda e: e.update(speed_limit=0)),
+    "nan-in-shape": _edit_first_edge(lambda e: e["shape"].append([float("nan"), 0.0])),
+    "inf-junction": lambda text: text.replace('"x": 0.0', '"x": 1e999', 1),
+    "one-point-shape": _edit_first_edge(lambda e: e.update(shape=e["shape"][:1])),
+}
+
+
+def _cli_argv(command, scenario, out):
+    """run or attack argv on scenario, writing to out; attack reads an
+    observation file with no rows."""
+    if command == "run":
+        return ["run", "--scenario", str(scenario), "--out", str(out)]
+    obs = scenario.parent / "obs.csv"
+    obs.write_text("time,pseudonym_id,x,y,speed,heading,length,eavesdropper_id\n")
+    return ["attack", "--obs", str(obs), "--scenario", str(scenario), "--out", str(out)]
+
+
+@pytest.mark.parametrize("command", ["run", "attack"])
+@pytest.mark.parametrize("case", sorted(_BROKEN_GRAPHS))
+def test_broken_graph_file_exits_2_and_writes_no_cell(tmp_path, capsys, command, case):
+    scenario = small_scenario(tmp_path, vehicles=3, duration=60.0)
+    graph = scenario.parent / "graph.json"
+    text = graph.read_text()
+    broken = _BROKEN_GRAPHS[case](text)
+    assert broken != text
+    graph.write_text(broken)
+    capsys.readouterr()
+    out = tmp_path / "o"
+    assert main(_cli_argv(command, scenario, out)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: graph file {graph}: ") and err.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["run", "attack"])
+def test_zone_no_road_crosses_exits_2_and_writes_no_cell(tmp_path, capsys, command):
+    # gen-grid's 3x3 grid has roads every 1000 m; a 100 m disk between
+    # them touches none
+    scenario = small_scenario(tmp_path, vehicles=3, duration=60.0)
+    doc = json.loads(scenario.read_text())
+    doc["zones"].append({"zone_id": "z-field", "center_x_m": 500.0,
+                         "center_y_m": 500.0, "radius_m": 100.0})
+    scenario.write_text(json.dumps(doc))
+    capsys.readouterr()
+    out = tmp_path / "o"
+    assert main(_cli_argv(command, scenario, out)) == 2
+    err = capsys.readouterr().err
+    assert err == "error: zone z-field: no road runs through its disk\n"
+    assert not out.exists()
+
+
+def test_zone_round_a_dead_end_is_refused():
+    # the disk round n2 is crossed twice, by the road in and the road back
+    # out, but the no-U-turn rule leaves no path from the one to the other
+    doc = {"zones": [{"zone_id": "z-c", "center_x_m": 500.0, "center_y_m": 500.0,
+                      "radius_m": 100.0}], "traffic": {"n_vehicles": 0}}
+    g = dead_end_crossing()
+    ScenarioConfig.over_graph(g, doc)
+    doc["zones"].append({"zone_id": "z-n2", "center_x_m": 500.0,
+                         "center_y_m": 2500.0, "radius_m": 100.0})
+    with pytest.raises(ConfigError, match="^zone z-n2: no road runs through its disk$"):
+        ScenarioConfig.over_graph(g, doc)
 
 
 @pytest.mark.parametrize("overrides", [

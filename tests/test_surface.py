@@ -1,8 +1,8 @@
 """Guard against library code that only tests reach.
 
-Every public function and method in src/decoymix must be referenced somewhere
-in src/ outside its own definition: by the engine, the CLI, or another
-library function they use. Names are matched by identifier, not by type, so
+Every public function, method and module-level constant in src/decoymix must
+be referenced somewhere in src/ outside its own definition: by the engine, the
+CLI, or another library function they use. Names are matched by identifier, not by type, so
 the guard can miss dead code but never flags code the program uses.
 """
 
@@ -41,19 +41,25 @@ ALLOWED = {
 
 
 def _definitions(module: str, tree: ast.Module):
-    """(qualified name, node) of each public module-level function and
-    public method of a module-level class."""
+    """(qualified name, name, node) of each public module-level function,
+    public module-level constant and public method of a module-level class.
+    A constant's node is the assignment that binds it."""
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             if not node.name.startswith("_"):
-                yield f"{module}.{node.name}", node
+                yield f"{module}.{node.name}", node.name, node
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for name in (n for t in targets for n in ast.walk(t)):
+                if isinstance(name, ast.Name) and not name.id.startswith("_"):
+                    yield f"{module}.{name.id}", name.id, node
         elif isinstance(node, ast.ClassDef):
             for item in node.body:
                 if (
                     isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
                     and not item.name.startswith("_")
                 ):
-                    yield f"{module}.{node.name}.{item.name}", item
+                    yield f"{module}.{node.name}.{item.name}", item.name, item
 
 
 def _references(tree: ast.Module):
@@ -67,8 +73,8 @@ def _references(tree: ast.Module):
 
 
 def unreached_surface() -> list[str]:
-    """Qualified names of public functions and methods that nothing in src/
-    references outside their own body."""
+    """Qualified names of public functions, methods and constants that
+    nothing in src/ references outside their own definition."""
     trees = {
         p.stem: ast.parse(p.read_text(encoding="utf-8"), filename=str(p))
         for p in sorted(SRC.glob("*.py"))
@@ -79,9 +85,9 @@ def unreached_surface() -> list[str]:
             refs.setdefault(name, []).append(node)
     unused = []
     for module, tree in trees.items():
-        for qualname, fn in _definitions(module, tree):
-            own = {id(n) for n in ast.walk(fn)}
-            if not any(id(n) not in own for n in refs.get(fn.name, ())):
+        for qualname, name, node in _definitions(module, tree):
+            own = {id(n) for n in ast.walk(node)}
+            if not any(id(n) not in own for n in refs.get(name, ())):
                 unused.append(qualname)
     return unused
 
@@ -90,8 +96,8 @@ def unreached_surface() -> list[str]:
 def test_every_public_function_is_reached_from_src():
     unused = [q for q in unreached_surface() if q not in ALLOWED]
     assert unused == [], (
-        "public functions or methods that nothing in src/ calls; delete "
-        f"them, or list a reference implementation in ALLOWED: {unused}"
+        "public functions, methods or constants that nothing in src/ reads; "
+        f"delete them, or list a reference implementation in ALLOWED: {unused}"
     )
 
 
