@@ -17,8 +17,11 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Mapping, Sequence, TextIO
 
+import numpy as np
+
 from .core import stable_u64
 from .errors import OffNetwork
+from .eventlog import OBSERVATION_HEADER, Observations, ObsRow
 from .roads import (
     MixZoneGeometry,
     RoadGraph,
@@ -28,28 +31,25 @@ from .roads import (
 )
 
 LENGTH_CLASS_PRECISION_M = 0.1
+# a distance or a radial dot this close to its threshold, relative to the
+# magnitudes involved, is recomputed with math, as the scalar reference does
+_UNSURE = 1e-9
 
 
-@dataclass(frozen=True)
-class ObsRow:
-    """One eavesdropped beacon: the attack's only input."""
-
-    time_s: float
-    pseudonym_id: str
-    x: float
-    y: float
-    speed_mps: float
-    heading_rad: float
-    length_m: float
-    eaves_id: str
-
-
-def parse_observation_csv(fh: Iterable[str]) -> list[ObsRow]:
-    rows: list[ObsRow] = []
+def parse_observation_csv(fh: Iterable[str]) -> Observations:
+    """The observation table of a CSV file as RunResult.export_observations
+    writes it. ValueError names a first line that is not
+    OBSERVATION_HEADER, a row without eight fields, or a value that is not
+    a finite number."""
     it = iter(fh)
     header = next(it, None)
     if header is None:
-        return rows
+        return Observations.from_rows([])
+    if header.rstrip("\r\n") != OBSERVATION_HEADER:
+        raise ValueError(
+            f"first line {header.strip()!r} is not the header {OBSERVATION_HEADER!r}"
+        )
+    rows = []
     for line in it:
         line = line.strip()
         if not line:
@@ -59,99 +59,106 @@ def parse_observation_csv(fh: Iterable[str]) -> list[ObsRow]:
         if not all(map(math.isfinite, values)):
             raise ValueError(f"non-finite value in row {line!r}")
         t, x, y, spd, hdg, length = values
-        rows.append(ObsRow(t, pid, x, y, spd, hdg, length, eid))
-    rows.sort(key=lambda r: (r.time_s, r.pseudonym_id, r.eaves_id))
-    return rows
+        rows.append((t, pid, x, y, spd, hdg, length, eid))
+    return Observations.from_rows(rows)
 
 
-def rows_from_result(result) -> list[ObsRow]:
-    """Adapter from a RunResult's merged observation tuples."""
-    return [ObsRow(*row) for row in result.all_observations()]
-
-
-@dataclass
+@dataclass(eq=False)
 class PseudonymTrack:
-    """Everything ever heard under one pseudonym id."""
+    """Everything ever heard under one pseudonym id: rows of an
+    observation table, time-ordered across all eavesdroppers."""
 
     pseudonym_id: str
     length_m: float
-    rows: tuple[ObsRow, ...]  # time-ordered across all eavesdroppers
+    obs: Observations
+    rows: np.ndarray
+    # (first, last) time each eavesdropper heard this id, which link
+    # compares against every candidate
+    eaves_spans: dict[str, tuple[float, float]]
 
-    @property
+    @cached_property
     def first(self) -> ObsRow:
-        return self.rows[0]
+        return self.obs.row(self.rows[0])
 
-    @property
+    @cached_property
     def last(self) -> ObsRow:
-        return self.rows[-1]
-
-    @cached_property
-    def eaves_spans(self) -> dict[str, tuple[float, float]]:
-        """(first, last) time each eavesdropper heard this id: the times of
-        its first and last row, the rows being time-ordered. Computed once
-        per track, since link compares it against every candidate."""
-        first: dict[str, float] = {}
-        last: dict[str, float] = {}
-        for r in self.rows:
-            first.setdefault(r.eaves_id, r.time_s)
-            last[r.eaves_id] = r.time_s
-        return {eid: (t, last[eid]) for eid, t in first.items()}
-
-    @cached_property
-    def bbox(self) -> tuple[float, float, float, float]:
-        """(min x, min y, max x, max y) of the rows; computed once per
-        track, since classify_tracks tests it against every zone."""
-        xs = [r.x for r in self.rows]
-        ys = [r.y for r in self.rows]
-        return min(xs), min(ys), max(xs), max(ys)
+        return self.obs.row(self.rows[-1])
 
     def path_length_m(self) -> float:
         """Arc length of the observed trajectory (duplicate-time rows from
         multiple eavesdroppers contribute nothing)."""
+        t = self.obs.t[self.rows]
+        kept = self.rows[np.flatnonzero(np.r_[True, t[1:] > t[:-1]])]
         total = 0.0
-        px = py = None
-        pt = None
-        for r in self.rows:
-            if pt is not None and r.time_s > pt:
-                total += math.hypot(r.x - px, r.y - py)
-            if pt is None or r.time_s > pt:
-                px, py, pt = r.x, r.y, r.time_s
+        for step in map(math.hypot, np.diff(self.obs.x[kept]).tolist(),
+                        np.diff(self.obs.y[kept]).tolist()):
+            total += step
         return total
 
 
-def build_tracks(rows: Sequence[ObsRow]) -> dict[float, list[PseudonymTrack]]:
+def build_tracks(obs: Observations) -> dict[float, list[PseudonymTrack]]:
     """Group rows per pseudonym, then partition by exact length class."""
-    by_pid: dict[str, list[ObsRow]] = {}
-    for r in sorted(rows, key=lambda r: (r.time_s, r.eaves_id)):
-        by_pid.setdefault(r.pseudonym_id, []).append(r)
     classes: dict[float, list[PseudonymTrack]] = {}
-    for pid in sorted(by_pid):
-        track_rows = by_pid[pid]
+    if not obs.t.size:
+        return classes
+    # pseudonym indices sort as the ids do; a stable sort keeps each id's
+    # rows in time, then eavesdropper, order
+    order = np.argsort(obs.pseudonym, kind="stable")
+    pid = obs.pseudonym[order]
+    for rows, spans in zip(
+        np.split(order, np.flatnonzero(pid[1:] != pid[:-1]) + 1), _eaves_spans(obs)
+    ):
         cls = round(
-            round(track_rows[0].length_m / LENGTH_CLASS_PRECISION_M)
+            round(obs.length[rows[0]].item() / LENGTH_CLASS_PRECISION_M)
             * LENGTH_CLASS_PRECISION_M,
             1,
         )
         classes.setdefault(cls, []).append(
-            PseudonymTrack(pid, cls, tuple(track_rows))
+            PseudonymTrack(obs.names[obs.pseudonym[rows[0]]], cls, obs, rows, spans)
         )
     return classes
 
 
-def _radial_dot(row: ObsRow, zone: MixZoneGeometry) -> float:
-    rx = row.x - zone.center[0]
-    ry = row.y - zone.center[1]
-    return math.cos(row.heading_rad) * rx + math.sin(row.heading_rad) * ry
+def _eaves_spans(obs: Observations) -> list[dict[str, tuple[float, float]]]:
+    """For each pseudonym heard, in index order: the (first, last) time each
+    eavesdropper heard it, as the times of the first and last row of each
+    (pseudonym, eavesdropper) run, the rows of a run being time-ordered."""
+    by_ear = np.lexsort((obs.eaves, obs.pseudonym))
+    pid, ear = obs.pseudonym[by_ear], obs.eaves[by_ear]
+    run = np.flatnonzero(np.r_[True, (pid[1:] != pid[:-1]) | (ear[1:] != ear[:-1])])
+    end = np.r_[run[1:], pid.size] - 1
+    spans: list[dict[str, tuple[float, float]]] = []
+    prev = -1
+    for p, e, lo, hi in zip(pid[run].tolist(), ear[run].tolist(),
+                            obs.t[by_ear[run]].tolist(), obs.t[by_ear[end]].tolist()):
+        if p != prev:
+            spans.append({})
+            prev = p
+        spans[-1][obs.names[e]] = (lo, hi)
+    return spans
 
 
-def _catchment(track: PseudonymTrack, zone: MixZoneGeometry,
-               eaves_ranges: Mapping[str, float]) -> list[ObsRow]:
-    out = []
-    for r in track.rows:
-        reach = eaves_ranges.get(r.eaves_id, 0.0)
-        if math.hypot(r.x - zone.center[0], r.y - zone.center[1]) <= reach:
-            out.append(r)
-    return out
+def _near_and_radial(
+    obs: Observations, rows: np.ndarray, zone: MixZoneGeometry,
+    eaves_ranges: Mapping[str, float],
+) -> tuple[np.ndarray, np.ndarray]:
+    """For each of these rows: whether its eavesdropper's range reaches the
+    zone centre from its claimed position (the catchment), and the dot of
+    its heading with the centre-to-position vector (< 0: inbound)."""
+    reach_of = np.array([eaves_ranges.get(name, 0.0) for name in obs.names])
+    rx = obs.x[rows] - zone.center[0]
+    ry = obs.y[rows] - zone.center[1]
+    h = obs.heading[rows]
+    reach = reach_of[obs.eaves[rows]]
+    dist = np.hypot(rx, ry)
+    near = dist <= reach
+    dot = np.cos(h) * rx + np.sin(h) * ry
+    # numpy's hypot, cos and sin may differ from math's in the last bit
+    for i in np.flatnonzero(np.abs(dist - reach) <= _UNSURE * reach).tolist():
+        near[i] = math.hypot(rx[i], ry[i]) <= reach[i]
+    for i in np.flatnonzero(np.abs(dot) <= _UNSURE * (np.abs(rx) + np.abs(ry))).tolist():
+        dot[i] = math.cos(h[i]) * rx[i] + math.sin(h[i]) * ry[i]
+    return near, dot
 
 
 @dataclass
@@ -168,44 +175,39 @@ def classify_tracks(
     eaves_ranges: Mapping[str, float],
 ) -> tuple[dict[float, LinkingInstance], list[str]]:
     """Split tracks into entering/exiting at this zone and peel off the
-    trivially linked ids (same pseudonym heard going in and coming out)."""
+    trivially linked ids (same pseudonym heard going in and coming out).
+
+    Every row of every track is tested at once: a track is trivial when a
+    row of its catchment points outward after one that points inward;
+    else it enters when its last row anywhere is in the catchment,
+    inbound, and exits when its first row anywhere is, outbound."""
+    tracks = [t for cls in sorted(tracks_by_class) for t in tracks_by_class[cls]]
+    if not tracks:
+        return {}, []
+    rows = np.concatenate([t.rows for t in tracks])
+    starts = np.cumsum([0] + [t.rows.size for t in tracks[:-1]])
+    ends = np.r_[starts[1:], rows.size] - 1
+    near, dot = _near_and_radial(tracks[0].obs, rows, zone, eaves_ranges)
+    at = np.arange(rows.size)
+    first_in = np.minimum.reduceat(np.where(near & (dot < 0), at, rows.size), starts)
+    last_out = np.maximum.reduceat(np.where(near & (dot > 0), at, -1), starts)
+    turned = last_out > first_in
+    enters = ~turned & near[ends] & (dot[ends] < 0)
+    exits = ~turned & near[starts] & (dot[starts] > 0)
+
     instances: dict[float, LinkingInstance] = {}
-    trivial: list[str] = []
-    # no row of a track whose bounding box lies farther than every
-    # eavesdropper's range from the centre is in the catchment; the 1 m
-    # margin keeps rounding from deciding
-    cx, cy = zone.center
-    reach = max([0.0, *eaves_ranges.values()]) + 1.0
-    for cls in sorted(tracks_by_class):
-        inst = LinkingInstance()
-        for track in tracks_by_class[cls]:
-            x0, y0, x1, y1 = track.bbox
-            if math.hypot(max(x0 - cx, cx - x1, 0.0), max(y0 - cy, cy - y1, 0.0)) > reach:
-                continue
-            catch = _catchment(track, zone, eaves_ranges)
-            if not catch:
-                continue
-            dots = [_radial_dot(r, zone) for r in catch]
-            inward_then_outward = False
-            first_in = None
-            for i, d in enumerate(dots):
-                if d < 0 and first_in is None:
-                    first_in = i
-                if d > 0 and first_in is not None and i > first_in:
-                    inward_then_outward = True
-                    break
-            if inward_then_outward:
-                trivial.append(track.pseudonym_id)
-                continue
-            # entering: the id's final observation anywhere is here, inbound
-            if track.last is catch[-1] and dots[-1] < 0:
-                inst.entering.append(track)
-            # exiting: the id's first observation anywhere is here, outbound
-            if track.first is catch[0] and dots[0] > 0:
-                inst.exiting.append(track)
-        if inst.entering or inst.exiting:
-            instances[cls] = inst
-    return instances, sorted(set(trivial))
+    for track, trivial, ent, ext in zip(
+        tracks, turned.tolist(), enters.tolist(), exits.tolist()
+    ):
+        if trivial or not (ent or ext):
+            continue
+        inst = instances.setdefault(track.length_m, LinkingInstance())
+        if ent:
+            inst.entering.append(track)
+        if ext:
+            inst.exiting.append(track)
+    trivial = sorted({t.pseudonym_id for t, hit in zip(tracks, turned.tolist()) if hit})
+    return instances, trivial
 
 
 def seen_together(a: PseudonymTrack, b: PseudonymTrack) -> bool:
@@ -268,19 +270,16 @@ def link(
             if exit_direction_consistent((x.first.x, x.first.y),
                                          x.first.heading_rad, zone)
         ]
+        appeared = np.array([x.first.time_s for x in exits])
         for ent in inst.entering:
             keep = set()
-            for cand in exits:
-                if cand.pseudonym_id == ent.pseudonym_id:
+            diff = appeared - ent.last.time_s
+            for i in np.flatnonzero((diff >= lo) & (diff <= hi)).tolist():
+                cand = exits[i]
+                if cand.pseudonym_id == ent.pseudonym_id or seen_together(ent, cand):
                     continue
-                diff = cand.first.time_s - ent.last.time_s
-                if diff < lo or diff > hi:
-                    continue
-                if seen_together(ent, cand):
-                    continue
-                if not _path_via_zone(g, ent.last, cand.first, zone):
-                    continue
-                keep.add(cand.pseudonym_id)
+                if _path_via_zone(g, ent.last, cand.first, zone):
+                    keep.add(cand.pseudonym_id)
             out.append(
                 LinkCandidateSet(zone_id, ent.pseudonym_id, frozenset(keep))
             )

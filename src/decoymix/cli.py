@@ -29,7 +29,6 @@ from typing import Mapping, Sequence
 
 from .adversary import (
     LinkCandidateSet,
-    ObsRow,
     attach_truth,
     build_tracks,
     chain,
@@ -39,17 +38,17 @@ from .adversary import (
     hbc_rsu_link,
     link,
     parse_observation_csv,
-    rows_from_result,
 )
 from .engine import ScenarioConfig, run
 from .errors import AuditFailure, ConfigError
+from .eventlog import Observations
 from .metrics import (
     build_linkability_report,
     overhead,
     write_linkability_csv,
     write_overhead_csv,
 )
-from .roads import RoadGraph, central_junctions, make_grid, zone_from_center
+from .roads import RoadGraph, central_junctions, make_grid
 
 SWEEP_AXES = (
     "relay_fraction", "non_coop_fraction", "hbc_rsu_fraction", "gamma_v_s",
@@ -65,7 +64,7 @@ EAVES_RANGE_M = 250.0
 
 
 def attack_rows(
-    rows: Sequence[ObsRow],
+    obs: Observations,
     g: RoadGraph,
     zone_geoms: Sequence[tuple[str, object]],
     eaves_ranges: Mapping[str, float],
@@ -74,13 +73,13 @@ def attack_rows(
     chain_seed: int,
     hbc: Mapping[str, tuple[Mapping[str, str], frozenset]] | None = None,
 ):
-    """Full linking attack over an observation log.
+    """Full linking attack over an observation table.
 
     zone_geoms is an ordered list of (zone_id, geometry). hbc optionally maps
     a zone id to (decrypted old->new view, own chaff ids) for zones whose RSU
     cooperates with the adversary.
     """
-    tracks_by_class = build_tracks(rows)
+    tracks_by_class = build_tracks(obs)
     sets: list[LinkCandidateSet] = []
     for zid, geom in zone_geoms:
         zsets = link(
@@ -111,7 +110,7 @@ def attack_result(result, chain_seed: int | None = None):
             }
             hbc[zi.zone_id] = (internal, zi.chaff_ids)
     sets, chains, tracks = attack_rows(
-        rows_from_result(result),
+        result.observations,
         cfg.graph,
         [(zi.zone_id, zi.geometry) for zi in result.zones],
         eaves_ranges,
@@ -424,20 +423,17 @@ def cmd_attack(args) -> int:
     cfg = ScenarioConfig.from_file(args.scenario)
     try:
         with open(args.obs, encoding="utf-8") as fh:
-            rows = parse_observation_csv(fh)
+            obs = parse_observation_csv(fh)
     except FileNotFoundError:
         raise ConfigError(f"observation file not found: {args.obs}") from None
     except ValueError as exc:
         raise ConfigError(f"malformed observation CSV: {exc}") from None
 
-    zone_geoms = [
-        (z.zone_id, zone_from_center(cfg.graph, (z.center_x_m, z.center_y_m),
-                                     z.radius_m))
-        for z in cfg.zones
-    ]
+    geoms = cfg.geometries()
+    zone_geoms = [(z.zone_id, geoms[z.zone_id]) for z in cfg.zones]
     eaves_ranges = {e.eaves_id: e.range_m for e in cfg.eavesdroppers}
     sets, chains, tracks = attack_rows(
-        rows, cfg.graph, zone_geoms, eaves_ranges,
+        obs, cfg.graph, zone_geoms, eaves_ranges,
         v_min=cfg.v_min_mps, chain_seed=args.chain_seed,
     )
 

@@ -41,6 +41,7 @@ from .eventlog import (
     VIA_RSU,
     EventLog,
     EventLogBuilder,
+    Observations,
     name_ranks,
     round_array,
 )
@@ -72,8 +73,6 @@ RETIRE_WIRE_BYTES = RETIRE_PAYLOAD_BYTES + PSEUDONYM_WIRE_BYTES
 CHUNK_CERT_BYTES = PSEUDONYM_WIRE_BYTES
 
 STANDARD_BEACON_INTERVALS_S = (0.2, 0.5, 1.0)
-
-OBSERVATION_HEADER = "time,pseudonym_id,x,y,speed,heading,length,eavesdropper_id"
 
 # the pairs the reception counting compares at once: a block of float64
 # distances takes 512 KB, small enough that its transients do not raise a
@@ -134,6 +133,10 @@ class ScenarioConfig:
     chaff_per_zone: int = 200
     filter_capacity: int = 1000
     filter_target_fp: float = 1e-20
+    # each zone's geometry by zone id, built once by geometries()
+    zone_geometries: dict[str, MixZoneGeometry] | None = field(
+        default=None, compare=False, repr=False
+    )
 
     def validate(self) -> None:
         if self.gamma_v_s not in STANDARD_BEACON_INTERVALS_S:
@@ -213,7 +216,22 @@ class ScenarioConfig:
         )
 
     def replaced(self, **kw) -> "ScenarioConfig":
+        if "graph" in kw or "zones" in kw:
+            kw.setdefault("zone_geometries", None)
         return replace(self, **kw)
+
+    def geometries(self) -> dict[str, MixZoneGeometry]:
+        """Each zone's geometry on the graph, by zone id: built on the first
+        call and kept, so a scenario load builds each zone once and its
+        runs and attacks reuse it."""
+        if self.zone_geometries is None:
+            self.zone_geometries = {
+                z.zone_id: zone_from_center(
+                    self.graph, (z.center_x_m, z.center_y_m), z.radius_m
+                )
+                for z in self.zones
+            }
+        return self.zone_geometries
 
     @classmethod
     def from_dict(cls, doc: dict, base_dir: Path | None = None) -> "ScenarioConfig":
@@ -260,6 +278,7 @@ class ScenarioConfig:
         # every field but these takes a plain value at the top level
         unknown = set(doc) - (set(types) - {
             "graph", "zones", "eavesdroppers", "trips", "n_vehicles", "arrival_rate_per_s",
+            "zone_geometries",
         })
         if unknown:
             raise ConfigError(f"unknown scenario keys: {sorted(unknown)}")
@@ -277,10 +296,9 @@ class ScenarioConfig:
             **{name: _typed(name, val, types[name]) for name, val in doc.items()},
         )
         cfg.validate()
-        for z in zones:
-            geom = zone_from_center(graph, (z.center_x_m, z.center_y_m), z.radius_m)
+        for zone_id, geom in cfg.geometries().items():
             if not geom.internal_paths:
-                raise ConfigError(f"zone {z.zone_id}: no road runs through its disk")
+                raise ConfigError(f"zone {zone_id}: no road runs through its disk")
         return cfg
 
     @classmethod
@@ -372,7 +390,7 @@ class ZoneInfo:
 class RunResult:
     config: ScenarioConfig
     log: EventLog
-    observations: dict[str, list[tuple]]
+    observations: Observations
     transitions: list[Transition]
     zones: list[ZoneInfo]
     # every audit finding: first the run's own, in tick and phase order (relay
@@ -389,31 +407,19 @@ class RunResult:
     @functools.cached_property
     def observed_spans(self) -> dict[str, tuple[float, float]]:
         """First and last time each pseudonym was observed by any
-        eavesdropper, found in one walk over the observations."""
-        seen: dict[str, tuple[float, float]] = {}
-        for rows in self.observations.values():
-            for row in rows:
-                t, pid = row[0], row[1]
-                lohi = seen.get(pid)
-                seen[pid] = (
-                    (t, t) if lohi is None else (min(lohi[0], t), max(lohi[1], t))
-                )
-        return seen
-
-    def all_observations(self) -> list[tuple]:
-        merged: list[tuple] = []
-        for eid in sorted(self.observations):
-            merged.extend(self.observations[eid])
-        merged.sort(key=lambda r: (r[0], r[7], r[1]))
-        return merged
+        eavesdropper: the times of its first and last row, the rows being
+        time-ordered."""
+        obs = self.observations
+        pid = obs.pseudonym
+        ids, first = np.unique(pid, return_index=True)
+        last = pid.size - 1 - np.unique(pid[::-1], return_index=True)[1]
+        return {
+            obs.names[p]: (lo, hi)
+            for p, lo, hi in zip(ids.tolist(), obs.t[first].tolist(), obs.t[last].tolist())
+        }
 
     def export_observations(self, fh) -> None:
-        fh.write(OBSERVATION_HEADER + "\n")
-        for t, pid, x, y, speed, heading, length, eid in self.all_observations():
-            fh.write(
-                f"{t:.1f},{pid},{x:.3f},{y:.3f},{speed:.3f},"
-                f"{heading:.6f},{length:.1f},{eid}\n"
-            )
+        self.observations.write_csv(fh)
 
     def export_events(self, fh) -> None:
         self.log.write_jsonl(fh)
@@ -694,9 +700,10 @@ class _Run:
         zspecs = sorted(config.zones, key=lambda z: z.zone_id)
         hbc_count = int(round(config.hbc_rsu_fraction * len(zspecs)))
         per_chunk = config.filter_bandwidth_bytes_per_s * config.filter_tx_interval_s
+        geoms = config.geometries()
         self.zones: list[_ZoneRt] = []
         for j, zs in enumerate(zspecs):
-            geom = zone_from_center(g, (zs.center_x_m, zs.center_y_m), zs.radius_m)
+            geom = geoms[zs.zone_id]
             bounds = traverse_time_bounds(geom, g, config.v_min_mps)
             ca.register_rsu(zs.zone_id)
             chaff = (
@@ -1622,21 +1629,20 @@ class _Run:
 
 
 def audit_observability(result: RunResult) -> list[str]:
-    """No observed beacon may claim a position inside any zone disk."""
-    bad: list[str] = []
-    disks = [
-        (z.geometry.center[0], z.geometry.center[1], z.geometry.radius ** 2, z.zone_id)
-        for z in result.zones
+    """No observed beacon may claim a position inside any zone disk.
+    Findings come in (eavesdropper id, time, pseudonym, zone) order."""
+    obs = result.observations
+    cx, cy, r = np.array([(*z.geometry.center, z.geometry.radius) for z in result.zones]).T
+    rows, zones = np.nonzero(
+        (obs.x[:, None] - cx) ** 2 + (obs.y[:, None] - cy) ** 2 <= r ** 2
+    )
+    order = np.argsort(obs.eaves[rows], kind="stable")
+    return [
+        f"{obs.names[obs.eaves[i]]} logged {obs.names[obs.pseudonym[i]]} at "
+        f"({obs.x[i].item()}, {obs.y[i].item()}) inside "
+        f"{result.zones[j].zone_id} at t={obs.t[i].item()}"
+        for i, j in zip(rows[order].tolist(), zones[order].tolist())
     ]
-    for eid in sorted(result.observations):
-        for row in result.observations[eid]:
-            x, y = row[2], row[3]
-            for cx, cy, r2, zid in disks:
-                if (x - cx) ** 2 + (y - cy) ** 2 <= r2:
-                    bad.append(
-                        f"{eid} logged {row[1]} at ({x}, {y}) inside {zid} at t={row[0]}"
-                    )
-    return bad
 
 
 def audit_single_pseudonym(result: RunResult) -> list[str]:

@@ -8,7 +8,9 @@ summaries are most of a run's records, so they never become one dict each.
 The engine logs them as blocks of raw columns and hands over its reception
 counters, a slot per vehicle second on the road; finish() rounds every
 beacon field as it goes on the air, works out which eavesdroppers heard each
-beacon, and merges the five streams.
+beacon, and merges the five streams. The eavesdroppers' share of the
+beacons comes out as one more table, Observations, which is all the attack
+reads.
 
 Every record carries an order key (key, n). The engine sets `key` to its
 tick and phase before it logs a phase's protocol events, and n counts the
@@ -21,10 +23,9 @@ One lexsort over (time, entity, key, n) then gives the output order.
 
 from __future__ import annotations
 
-import itertools
 import json
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -89,6 +90,111 @@ _DELIVERY_COLUMNS = (
 )
 # decimals each published beacon field carries
 _PUBLISHED_DIGITS = (("x", 3), ("y", 3), ("speed", 3), ("heading", 6), ("length", 1))
+
+OBSERVATION_HEADER = "time,pseudonym_id,x,y,speed,heading,length,eavesdropper_id"
+
+
+class ObsRow(NamedTuple):
+    """One eavesdropped beacon, as the attack reads it."""
+
+    time_s: float
+    pseudonym_id: str
+    x: float
+    y: float
+    speed_mps: float
+    heading_rad: float
+    length_m: float
+    eaves_id: str
+
+
+@dataclass(eq=False)
+class Observations:
+    """Every eavesdropped beacon, one row per (beacon, eavesdropper that
+    heard it): the attack's only input. Rows are sorted by time, then
+    eavesdropper id, then pseudonym; rows equal in all three keep the order
+    they were sent or read in. pseudonym and eaves index `names`, which is
+    sorted, so comparing indices compares the strings."""
+
+    names: list[str]
+    t: np.ndarray
+    pseudonym: np.ndarray
+    x: np.ndarray
+    y: np.ndarray
+    speed: np.ndarray
+    heading: np.ndarray
+    length: np.ndarray
+    eaves: np.ndarray
+
+    @classmethod
+    def build(cls, t, x, y, speed, heading, length, pid_names: Sequence[str],
+              pid_code, eaves_names: Sequence[str], eaves_code) -> "Observations":
+        """The table of these float columns; row i's pseudonym is
+        pid_names[pid_code[i]] and its eavesdropper eaves_names[eaves_code[i]].
+        The given row order breaks ties."""
+        names = sorted(set(pid_names) | set(eaves_names))
+        pos = {s: i for i, s in enumerate(names)}
+
+        def codes(strings, code):
+            return np.array([pos[s] for s in strings], dtype=np.int64)[code]
+
+        pseudonym = codes(pid_names, pid_code)
+        eaves = codes(eaves_names, eaves_code)
+        order = np.lexsort((pseudonym, eaves, t))
+        return cls(names, *(
+            np.asarray(col)[order]
+            for col in (t, pseudonym, x, y, speed, heading, length, eaves)
+        ))
+
+    @classmethod
+    def from_rows(cls, rows: Iterable[tuple]) -> "Observations":
+        """The table of (time, pseudonym id, x, y, speed, heading, length,
+        eavesdropper id) rows."""
+        cols = list(zip(*rows)) or [()] * 8
+        t, x, y, speed, heading, length = (
+            np.array(cols[i], dtype=np.float64) for i in (0, 2, 3, 4, 5, 6)
+        )
+        (pids, pid_code), (eids, eaves_code) = (
+            np.unique(np.array(cols[i], dtype=object), return_inverse=True)
+            for i in (1, 7)
+        )
+        return cls.build(t, x, y, speed, heading, length, pids.tolist(), pid_code,
+                         eids.tolist(), eaves_code)
+
+    def row(self, i: int) -> ObsRow:
+        """Row i as the attack reads it."""
+        return ObsRow(
+            self.t[i].item(), self.names[self.pseudonym[i]], self.x[i].item(),
+            self.y[i].item(), self.speed[i].item(), self.heading[i].item(),
+            self.length[i].item(), self.names[self.eaves[i]],
+        )
+
+    def write_csv(self, fh) -> None:
+        """OBSERVATION_HEADER, then one line per row: time to 0.1 s,
+        position and speed to 1 mm, heading to 1 µrad, length to 0.1 m.
+        Each distinct time, x, y, pseudonym and (speed, heading, length,
+        eavesdropper) tail is formatted once."""
+        names = np.array(self.names, dtype=object)
+        mm = "{:.3f}".format
+        # bit patterns tell -0.0 from 0.0
+        first, tail_code = _distinct(
+            self.speed.view(np.int64), self.heading.view(np.int64),
+            self.length.view(np.int64), self.eaves,
+        )
+        tails = np.array([
+            f",{speed:.3f},{heading:.6f},{length:.1f},{eid}\n"
+            for speed, heading, length, eid in zip(
+                self.speed[first].tolist(), self.heading[first].tolist(),
+                self.length[first].tolist(), names[self.eaves[first]].tolist(),
+            )
+        ], dtype=object)
+        fh.write(OBSERVATION_HEADER + "\n" + "".join([
+            f"{t},{pid},{x},{y}{tail}"
+            for t, pid, x, y, tail in zip(
+                _Reprs(self.t, "{:.1f}".format)[:].tolist(),
+                names[self.pseudonym].tolist(), _Reprs(self.x, mm)[:].tolist(),
+                _Reprs(self.y, mm)[:].tolist(), tails[tail_code].tolist(),
+            )
+        ]))
 
 
 @dataclass
@@ -424,14 +530,14 @@ def _distinct(*cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 class _Reprs:
-    """A float column's values as reprs: one repr per distinct value, told
-    apart by bit pattern so that -0.0 keeps its sign. Slicing gives the
-    reprs of those rows as an object array."""
+    """A float column's values as text, repr unless told otherwise: one
+    string per distinct value, told apart by bit pattern so that -0.0 keeps
+    its sign. Slicing gives the strings of those rows as an object array."""
 
-    def __init__(self, col: np.ndarray) -> None:
+    def __init__(self, col: np.ndarray, fmt=repr) -> None:
         distinct, self.code = np.unique(col.view(np.int64), return_inverse=True)
         self.reprs = np.array(
-            [repr(v) for v in distinct.view(np.float64).tolist()], dtype=object
+            [fmt(v) for v in distinct.view(np.float64).tolist()], dtype=object
         )
 
     def __getitem__(self, rows: slice) -> np.ndarray:
@@ -569,18 +675,15 @@ class EventLogBuilder:
     def finish(
         self, counters: np.ndarray, vehicle_names: np.ndarray,
         first_sec: np.ndarray, seconds: np.ndarray,
-    ) -> tuple[EventLog, dict[str, list[tuple]]]:
-        """The merged log and each eavesdropper's observations.
+    ) -> tuple[EventLog, Observations]:
+        """The merged log and the eavesdroppers' observation table.
 
         counters holds one row per name in RECEPTION_COUNTERS and one column,
         or slot, per vehicle second: vehicle i's seconds first_sec[i] to
         first_sec[i] + seconds[i] - 1, in order, vehicles in order;
         vehicle_names[i] is its string-table index. Each slot with any
         nonzero counter is one reception summary, ordered after every other
-        record of its (time, vehicle), in (vehicle, second) order. An
-        observation is (t, pseudonym, x, y, speed, heading, length,
-        eavesdropper id), for every beacon the eavesdropper heard, in the
-        order of the beacons' keys."""
+        record of its (time, vehicle), in (vehicle, second) order."""
         cols = _columns(self._blocks, _RAW_BEACON_COLUMNS)
         pcols = _columns(self._periodic, _PERIODIC_COLUMNS)
         dcols = _columns(self._deliveries, _DELIVERY_COLUMNS)
@@ -649,22 +752,19 @@ class EventLogBuilder:
         )
         return log, observations
 
-    def _observations(self, cols: dict[str, np.ndarray]) -> dict[str, list[tuple]]:
-        """Each eavesdropper's observation tuples, in the order of the
-        beacons' keys."""
+    def _observations(self, cols: dict[str, np.ndarray]) -> Observations:
+        """The table of every beacon an eavesdropper heard, once per
+        eavesdropper; rows of one time, eavesdropper and pseudonym keep
+        the order of the beacons' keys."""
         sent = np.lexsort((cols["n"], cols["key"]))
-        t = round_array(cols["t"], 1)
-        observations = {}
-        for w, eid in enumerate(self.eaves):
-            rows = sent[cols["observers"][sent, w]]
-            observations[eid] = list(zip(
-                t[rows].tolist(),
-                [self.names[p] for p in cols["pseudonym"][rows].tolist()],
-                *(cols[name][rows].tolist()
-                  for name in ("x", "y", "speed", "heading", "length")),
-                itertools.repeat(eid),
-            ))
-        return observations
+        heard, w = np.nonzero(cols["observers"][sent])
+        rows = sent[heard]
+        pids, pid_code = np.unique(cols["pseudonym"][rows], return_inverse=True)
+        return Observations.build(
+            round_array(cols["t"][rows], 1),
+            *(cols[name][rows] for name in ("x", "y", "speed", "heading", "length")),
+            [self.names[i] for i in pids.tolist()], pid_code, self.eaves, w,
+        )
 
 
 def _columns(blocks: list[tuple], spec) -> dict[str, np.ndarray]:

@@ -162,6 +162,8 @@ class RoadGraph:
         # (start lane, zone edge ids) -> lanes_via's answer
         self._lanes_via: dict[tuple[str, frozenset[str]], frozenset[str]] = {}
         self._snap_cells = _snap_cells(self.edges.values())
+        # (x, y, heading) -> snap's answer, or OffNetwork's message
+        self._snaps: dict[tuple, tuple[str, float] | str] = {}
 
     # file format: junctions [{id,x,y}], edges [{id,from,to,shape,speed_limit}]
 
@@ -225,7 +227,22 @@ class RoadGraph:
 
         Distance ties break by heading alignment when a heading is given
         (opposite lanes of a two-way road share geometry), then by edge id.
+        The graph never changes, so each answer is kept per (x, y, heading),
+        OffNetwork included.
         """
+        key = (pos[0], pos[1], heading)
+        found = self._snaps.get(key)
+        if found is None:
+            try:
+                found = self._nearest_lane(pos, heading)
+            except OffNetwork as exc:
+                found = str(exc)
+            self._snaps[key] = found
+        if isinstance(found, str):
+            raise OffNetwork(found)
+        return found
+
+    def _nearest_lane(self, pos: Point, heading: float | None) -> tuple[str, float]:
         try:
             cell = (math.floor(pos[0] / SNAP_CELL_M), math.floor(pos[1] / SNAP_CELL_M))
         except (ValueError, OverflowError):  # a nan or infinite coordinate

@@ -17,7 +17,6 @@ import pytest
 from decoymix.adversary import (
     LinkCandidateSet,
     brute_force_oracle,
-    build_tracks,
     link,
 )
 from decoymix.chaff_filter import (
@@ -40,7 +39,7 @@ from decoymix.metrics import CAM_BYTES, CREDENTIAL_BYTES, overhead, success_rate
 from decoymix.mobility import Trip, synthesize_trips
 from decoymix.roads import make_grid
 
-from test_adversary import V_MIN, random_instance
+from test_adversary import V_MIN, random_instance, tracks_of
 
 
 def _verdict(tag: str, ok: bool, detail: str) -> None:
@@ -247,7 +246,7 @@ def test_c05_linker_matches_oracle_on_500_instances(grid4, zone_j1_1):
     divergent = []
     for seed in range(500):
         rows, eaves = random_instance(seed)
-        fast = link(build_tracks(rows), zone_j1_1, grid4, V_MIN, "z", eaves)
+        fast = link(tracks_of(rows), zone_j1_1, grid4, V_MIN, "z", eaves)
         slow = brute_force_oracle(rows, zone_j1_1, grid4, V_MIN, "z", eaves)
         if ({s.entering: s.candidates for s in fast}
                 != {s.entering: s.candidates for s in slow}):

@@ -5,15 +5,17 @@ import json
 import math
 import random
 
+import numpy as np
 import pytest
 
+import test_golden
 from decoymix import adversary
 from decoymix.adversary import (
     Chain,
     ChainLink,
     LinkCandidateSet,
+    Observations,
     ObsRow,
-    PseudonymTrack,
     attach_truth,
     brute_force_oracle,
     build_tracks,
@@ -28,12 +30,21 @@ from decoymix.adversary import (
     seen_together,
 )
 
+from decoymix.engine import run
+from decoymix.errors import OffNetwork
+from decoymix.roads import RoadGraph
+
 EAVES = {"eav-0": 250.0}
 V_MIN = 1.39
 
 
 def row(t, pid, x, y, heading, length=4.5, speed=10.0, eid="eav-0"):
     return ObsRow(t, pid, x, y, speed, heading, length, eid)
+
+
+def tracks_of(rows):
+    """The tracks by length class of a list of observation rows."""
+    return build_tracks(Observations.from_rows(rows))
 
 
 def approach_rows(pid, arm, t_end, length=4.5, speed=10.0, eid="eav-0",
@@ -80,19 +91,19 @@ def test_build_tracks_partitions_by_length_class():
         row(1.0, "b", 300, 100, 0.0, length=4.5),
         row(1.0, "c", 500, 100, 0.0, length=12.0),
     ]
-    classes = build_tracks(rows)
+    classes = tracks_of(rows)
     assert {k: len(v) for k, v in classes.items()} == {4.5: 2, 12.0: 1}
 
 
 def test_build_tracks_empty_log():
-    assert build_tracks([]) == {}
+    assert tracks_of([]) == {}
 
 
 def test_single_observation_track_has_equal_endpoints():
-    classes = build_tracks([row(3.0, "solo", 100, 100, 0.0)])
+    classes = tracks_of([row(3.0, "solo", 100, 100, 0.0)])
     track = classes[4.5][0]
-    assert track.first is track.last
-    assert [r.time_s for r in track.rows] == [3.0]
+    assert track.first == track.last
+    assert track.obs.t[track.rows].tolist() == [3.0]
 
 
 def test_parse_observation_csv_round_trip():
@@ -101,7 +112,8 @@ def test_parse_observation_csv_round_trip():
         "1.0,ab,100.000,200.000,10.000,1.570796,4.5,eav-0\n"
         "0.5,cd,110.000,200.000,10.000,0.000000,7.5,eav-1\n"
     )
-    rows = parse_observation_csv(io.StringIO(text))
+    obs = parse_observation_csv(io.StringIO(text))
+    rows = [obs.row(i) for i in range(obs.t.size)]
     assert [r.pseudonym_id for r in rows] == ["cd", "ab"]
     assert rows[1].heading_rad == pytest.approx(1.570796)
 
@@ -110,7 +122,7 @@ def test_parse_observation_csv_round_trip():
 
 def test_pass_through_id_is_trivially_linked(grid4, zone_j1_1):
     rows = approach_rows("nc", S, 39.5) + depart_rows("nc", N, 60.5)
-    classes = build_tracks(rows)
+    classes = tracks_of(rows)
     instances, trivial = classify_tracks(classes, zone_j1_1, EAVES)
     assert trivial == ["nc"]
     assert instances == {}
@@ -118,7 +130,7 @@ def test_pass_through_id_is_trivially_linked(grid4, zone_j1_1):
 
 def test_changed_ids_classify_entering_and_exiting(grid4, zone_j1_1):
     rows = approach_rows("old", S, 39.5) + depart_rows("new", N, 60.5)
-    instances, trivial = classify_tracks(build_tracks(rows), zone_j1_1, EAVES)
+    instances, trivial = classify_tracks(tracks_of(rows), zone_j1_1, EAVES)
     assert trivial == []
     inst = instances[4.5]
     assert [t.pseudonym_id for t in inst.entering] == ["old"]
@@ -130,16 +142,16 @@ def test_far_track_ignored_entirely(grid4, zone_j1_1):
         row(5.0, "far", 1400, 1500, 0.0),
         row(6.0, "far", 1410, 1500, 0.0),
     ]
-    instances, trivial = classify_tracks(build_tracks(rows), zone_j1_1, EAVES)
+    instances, trivial = classify_tracks(tracks_of(rows), zone_j1_1, EAVES)
     ids = {t.pseudonym_id for i in instances.values() for t in i.entering + i.exiting}
     assert "far" not in ids and trivial == []
 
 
-def test_catchment_skip_keeps_instances_and_trivial_ids(monkeypatch, zone_j1_1):
+def test_catchment_ends_at_the_ears_range(zone_j1_1):
     # tracks entering, leaving, and turning back (heard going in, then
-    # out), on a straight arm and a diagonal one, with their bounding box
-    # at the largest range, 0.5 m past it and 1.5 m past it; only those
-    # 1.5 m past are skipped, and their rows are all out of range anyway
+    # out), on a straight arm and a diagonal one, nearest the centre at the
+    # ear's range, 0.5 m past it and 1.5 m past it; only those at the range
+    # are in the catchment
     ranges = {"eav-0": 250.0, "eav-1": 300.0}
     rows = []
     for tag, d in (("at", 300.0), ("half", 300.5), ("past", 301.5)):
@@ -149,34 +161,42 @@ def test_catchment_skip_keeps_instances_and_trivial_ids(monkeypatch, zone_j1_1):
             rows += depart_rows(f"{tag}{i}-out", arm, 60.0, **near)
             rows += approach_rows(f"{tag}{i}-back", arm, 40.0, **near)
             rows += depart_rows(f"{tag}{i}-back", arm, 60.0, **near)
-    seen = []
-    catchment = adversary._catchment
-    monkeypatch.setattr(
-        adversary, "_catchment", lambda t, *a: seen.append(t.pseudonym_id) or catchment(t, *a)
+    instances, trivial = classify_tracks(tracks_of(rows), zone_j1_1, ranges)
+    ids = {cls: ([t.pseudonym_id for t in inst.entering],
+                 [t.pseudonym_id for t in inst.exiting])
+           for cls, inst in instances.items()}
+    assert (ids, trivial) == (
+        {4.5: (["at0-in", "at1-in"], ["at0-out", "at1-out"])},
+        ["at0-back", "at1-back"],
     )
 
-    def classified():
-        instances, trivial = classify_tracks(build_tracks(rows), zone_j1_1, ranges)
-        ids = {cls: ([t.pseudonym_id for t in inst.entering],
-                     [t.pseudonym_id for t in inst.exiting])
-               for cls, inst in instances.items()}
-        return ids, trivial
 
-    skipped = classified()
-    assert {pid[:2] for pid in seen} == {"at", "ha"}
-    assert skipped == ({4.5: (["at0-in", "at1-in"], ["at0-out", "at1-out"])},
-                       ["at0-back", "at1-back"])
-    # a bounding box around the centre is never skipped
-    monkeypatch.setattr(PseudonymTrack, "bbox", (-math.inf, -math.inf, math.inf, math.inf))
-    seen.clear()
-    assert classified() == skipped
-    assert {pid[:2] for pid in seen} == {"at", "ha", "pa"}
+def test_catchment_and_direction_on_their_thresholds_match_math(zone_j1_1):
+    # rows exactly at their own ear's range by math.hypot, and rows heading
+    # square to the centre, where numpy's hypot, cos and sin may round the
+    # other way: each row is decided as the scalar math decides it
+    rng = random.Random(7)
+    cx, cy = zone_j1_1.center
+    rows, ranges = [], {}
+    for i in range(3000):
+        rx, ry = rng.uniform(-300, 300), rng.uniform(-300, 300)
+        ranges[f"eav-{i}"] = math.hypot(rx, ry)
+        h = math.atan2(ry, rx) + rng.choice((-1, 1)) * math.pi / 2
+        rows.append(row(float(i), f"p{i}", cx + rx, cy + ry, h, eid=f"eav-{i}"))
+    obs = Observations.from_rows(rows)
+    near, dot = adversary._near_and_radial(obs, np.arange(len(rows)), zone_j1_1, ranges)
+    for i in range(len(rows)):
+        r = obs.row(i)
+        rx, ry = r.x - cx, r.y - cy
+        assert near[i] == (math.hypot(rx, ry) <= ranges[r.eaves_id])
+        want = math.cos(r.heading_rad) * rx + math.sin(r.heading_rad) * ry
+        assert (dot[i] < 0, dot[i] > 0) == (want < 0, want > 0)
 
 
 def test_all_non_cooperative_gives_empty_instance(grid4, zone_j1_1):
     rows = (approach_rows("u", S, 30.0) + depart_rows("u", N, 50.0)
             + approach_rows("v", W, 42.0) + depart_rows("v", E, 64.0))
-    instances, trivial = classify_tracks(build_tracks(rows), zone_j1_1, EAVES)
+    instances, trivial = classify_tracks(tracks_of(rows), zone_j1_1, EAVES)
     assert instances == {} and trivial == ["u", "v"]
 
 
@@ -184,7 +204,7 @@ def test_all_non_cooperative_gives_empty_instance(grid4, zone_j1_1):
 
 def test_single_vehicle_links_to_singleton(grid4, zone_j1_1):
     rows = approach_rows("old", S, 39.5) + depart_rows("new", N, 60.5)
-    sets = link(build_tracks(rows), zone_j1_1, grid4, V_MIN, "z", EAVES)
+    sets = link(tracks_of(rows), zone_j1_1, grid4, V_MIN, "z", EAVES)
     assert len(sets) == 1
     assert sets[0].entering == "old"
     assert sets[0].candidates == frozenset({"new"})
@@ -194,7 +214,7 @@ def test_two_simultaneous_vehicles_confuse_each_other(grid4, zone_j1_1):
     rows = (approach_rows("a_old", S, 39.5) + depart_rows("a_new", N, 60.5)
             + approach_rows("b_old", W, 39.5) + depart_rows("b_new", E, 60.5))
     sets = {s.entering: s.candidates for s in
-            link(build_tracks(rows), zone_j1_1, grid4, V_MIN, "z", EAVES)}
+            link(tracks_of(rows), zone_j1_1, grid4, V_MIN, "z", EAVES)}
     assert sets["a_old"] == frozenset({"a_new", "b_new"})
     assert sets["b_old"] == frozenset({"a_new", "b_new"})
 
@@ -206,7 +226,7 @@ def test_time_window_excludes_early_and_late_exits(grid4, zone_j1_1):
             + depart_rows("fast", N, 100.0 + lo - 1.0)
             + depart_rows("slow", E, 100.0 + hi + 1.0)
             + depart_rows("ok", W, 100.0 + lo + 5.0))
-    sets = link(build_tracks(rows), zone_j1_1, grid4, V_MIN, "z", EAVES)
+    sets = link(tracks_of(rows), zone_j1_1, grid4, V_MIN, "z", EAVES)
     assert {s.entering: s.candidates for s in sets}["old"] == frozenset({"ok"})
 
 
@@ -220,11 +240,11 @@ def test_eaves_spans_are_each_ears_first_and_last_time():
             eid=rng.choice(["eav-0", "eav-1", "eav-2"]))
         for _ in range(400)
     ]
-    tracks = flat_tracks(build_tracks(rows))
+    tracks = flat_tracks(tracks_of(rows))
     assert len(tracks) == 4
     for track in tracks.values():
         times: dict[str, list[float]] = {}
-        for r in track.rows:
+        for r in map(track.obs.row, track.rows):
             times.setdefault(r.eaves_id, []).append(r.time_s)
         assert track.eaves_spans == {e: (min(ts), max(ts)) for e, ts in times.items()}
 
@@ -234,10 +254,10 @@ def test_seen_together_excludes_coexisting_ids(grid4, zone_j1_1):
     rows = (approach_rows("old", S, 39.5)
             + depart_rows("ghost", N, 30.0)
             + depart_rows("new", N, 60.5))
-    sets = link(build_tracks(rows), zone_j1_1, grid4, V_MIN, "z", EAVES)
+    sets = link(tracks_of(rows), zone_j1_1, grid4, V_MIN, "z", EAVES)
     by = {s.entering: s.candidates for s in sets}
     assert by["old"] == frozenset({"new"})
-    a = build_tracks(rows)[4.5]
+    a = tracks_of(rows)[4.5]
     tracks = {t.pseudonym_id: t for t in a}
     assert seen_together(tracks["old"], tracks["ghost"])
     assert not seen_together(tracks["old"], tracks["new"])
@@ -246,7 +266,7 @@ def test_seen_together_excludes_coexisting_ids(grid4, zone_j1_1):
 def test_inward_heading_exit_never_a_candidate(grid4, zone_j1_1):
     # an id first heard pointing back at the zone is not an exiting track
     rows = approach_rows("old", S, 39.5) + approach_rows("fake", N, 80.0)
-    sets = link(build_tracks(rows), zone_j1_1, grid4, V_MIN, "z", EAVES)
+    sets = link(tracks_of(rows), zone_j1_1, grid4, V_MIN, "z", EAVES)
     by = {s.entering: s.candidates for s in sets}
     assert by["old"] == frozenset()
 
@@ -255,14 +275,14 @@ def test_exit_gate_rejects_appearance_far_from_exit_points(grid4, zone_j1_1):
     # first heard 160 m out, beyond the 50 m proximity gate
     rows = (approach_rows("old", S, 39.5)
             + depart_rows("mid", N, 61.0, d_near=160.0))
-    sets = link(build_tracks(rows), zone_j1_1, grid4, V_MIN, "z", EAVES)
+    sets = link(tracks_of(rows), zone_j1_1, grid4, V_MIN, "z", EAVES)
     assert {s.entering: s.candidates for s in sets}["old"] == frozenset()
 
 
 def test_length_classes_never_mix(grid4, zone_j1_1):
     rows = (approach_rows("old", S, 39.5, length=4.5)
             + depart_rows("bus", N, 60.5, length=12.0))
-    sets = link(build_tracks(rows), zone_j1_1, grid4, V_MIN, "z", EAVES)
+    sets = link(tracks_of(rows), zone_j1_1, grid4, V_MIN, "z", EAVES)
     assert {s.entering: s.candidates for s in sets}["old"] == frozenset()
 
 
@@ -270,10 +290,10 @@ def test_adding_conforming_decoy_never_shrinks_sets(grid4, zone_j1_1):
     base = (approach_rows("a_old", S, 39.5) + depart_rows("a_new", N, 60.5)
             + approach_rows("b_old", W, 40.0) + depart_rows("b_new", E, 61.0))
     before = {s.entering: s.candidates for s in
-              link(build_tracks(base), zone_j1_1, grid4, V_MIN, "z", EAVES)}
+              link(tracks_of(base), zone_j1_1, grid4, V_MIN, "z", EAVES)}
     with_decoy = base + depart_rows("phantom", N, 62.0)
     after = {s.entering: s.candidates for s in
-             link(build_tracks(with_decoy), zone_j1_1, grid4, V_MIN, "z", EAVES)}
+             link(tracks_of(with_decoy), zone_j1_1, grid4, V_MIN, "z", EAVES)}
     for ent, cands in before.items():
         assert cands <= after[ent]
 
@@ -333,7 +353,7 @@ def random_instance(seed: int) -> tuple[list[ObsRow], dict[str, float]]:
 def test_link_matches_brute_force_oracle_on_500_instances(grid4, zone_j1_1):
     for seed in range(500):
         rows, eaves = random_instance(seed)
-        fast = link(build_tracks(rows), zone_j1_1, grid4, V_MIN, "z", eaves)
+        fast = link(tracks_of(rows), zone_j1_1, grid4, V_MIN, "z", eaves)
         slow = brute_force_oracle(rows, zone_j1_1, grid4, V_MIN, "z", eaves)
         as_dict = lambda sets: {s.entering: s.candidates for s in sets}
         assert as_dict(fast) == as_dict(slow), f"divergence at seed {seed}"
@@ -347,7 +367,7 @@ def test_emitted_pairs_satisfy_all_conditions(grid4, zone_j1_1):
     # re-check each emitted pair independently of the linker internals
     from decoymix.roads import exit_direction_consistent, path_exists, traverse_time_bounds
     rows, eaves = random_instance(123)
-    classes = build_tracks(rows)
+    classes = tracks_of(rows)
     tracks = flat_tracks(classes)
     lo, hi = traverse_time_bounds(zone_j1_1, grid4, V_MIN)
     for s in link(classes, zone_j1_1, grid4, V_MIN, "z", eaves):
@@ -366,6 +386,41 @@ def test_emitted_pairs_satisfy_all_conditions(grid4, zone_j1_1):
                 zone_j1_1, from_heading=ent.last.heading_rad,
                 to_heading=cand.first.heading_rad,
             )
+
+
+# --- the snap memo ------------------------------------------------------------
+
+def _snap_outcome(g, row):
+    try:
+        return g.snap((row.x, row.y), heading=row.heading_rad)
+    except OffNetwork:
+        return "off-network"
+
+
+def test_snap_memo_matches_a_fresh_graph_at_every_track_end():
+    # every end row link checks on the multi-zone golden scenario: each
+    # entering id's last row and each exiting id's first row
+    cfg = test_golden.multi_zone_config()
+    result = run(cfg)
+    g = cfg.graph
+    eaves = {e.eaves_id: e.range_m for e in cfg.eavesdroppers}
+    classes = build_tracks(result.observations)
+    ends = set()
+    for zi in result.zones:
+        instances, _ = classify_tracks(classes, zi.geometry, eaves)
+        for inst in instances.values():
+            ends |= {t.last for t in inst.entering} | {t.first for t in inst.exiting}
+    assert len(ends) > 20
+    for row in sorted(ends):
+        want = _snap_outcome(RoadGraph(g.junctions, list(g.edges.values())), row)
+        assert _snap_outcome(g, row) == want
+        assert _snap_outcome(g, row) == want  # answered from the memo
+
+
+def test_off_network_snap_raises_on_every_call(grid4):
+    for _ in range(3):
+        with pytest.raises(OffNetwork, match="from the network"):
+            grid4.snap((250.0, 80.0), heading=0.0)
 
 
 # --- chaining -----------------------------------------------------------------
@@ -401,7 +456,7 @@ def test_chain_choice_is_seed_deterministic():
 def test_chain_distance_includes_gap_jumps():
     rows = ([row(float(t), "p0", 100.0 + 10 * t, 0.0, 0.0) for t in range(5)]
             + [row(10.0 + t, "p1", 300.0 + 10 * t, 0.0, 0.0) for t in range(3)])
-    tracks = flat_tracks(build_tracks(rows))
+    tracks = flat_tracks(tracks_of(rows))
     ch = Chain(("p0", "p1"), (ChainLink("z", "p0", "p1", 1),))
     # p0 covers 40 m, gap 140 → 300 jumps 160 m, p1 covers 20 m
     assert chain_distance_m(ch, tracks) == pytest.approx(40 + 160 + 20)

@@ -5,8 +5,8 @@ import json
 
 import pytest
 
-from decoymix import cli
-from decoymix.adversary import export_candidate_sets, rows_from_result
+from decoymix import cli, engine, eventlog
+from decoymix.adversary import export_candidate_sets
 from decoymix.cli import (
     RunManifest,
     attack_result,
@@ -24,6 +24,7 @@ from decoymix.engine import (
     run,
 )
 from decoymix.errors import ConfigError
+from decoymix.eventlog import Observations
 from decoymix.roads import make_grid, zone_from_center
 
 from test_roads import dead_end_crossing
@@ -440,6 +441,52 @@ def test_run_never_builds_the_event_dicts(tmp_path, monkeypatch):
     assert (out / "relay_fraction=1" / "seed1" / "events.jsonl").stat().st_size
 
 
+def test_run_never_builds_tuple_views_of_the_observations(tmp_path, monkeypatch):
+    # the attack reads the observation table's columns; an ObsRow is built
+    # for a track's ends only, never one per row
+    def refuse(*args):
+        raise AssertionError("observation rows turned into tuples by decoymix run")
+
+    monkeypatch.setattr(Observations, "from_rows", classmethod(refuse))
+    made = []
+    obs_row = eventlog.ObsRow
+    monkeypatch.setattr(eventlog, "ObsRow", lambda *a: made.append(a) or obs_row(*a))
+    scenario = small_scenario(tmp_path)
+    out = tmp_path / "runs"
+    assert main(["run", "--scenario", str(scenario), "--seeds", "1",
+                 "--sweep", "relay_fraction=1", "--out", str(out)]) == 0
+    csv = (out / "relay_fraction=1" / "seed1" / "observations.csv").read_text()
+    rows = csv.splitlines()[1:]
+    ids = {line.split(",")[1] for line in rows}
+    assert made and len(made) <= 2 * len(ids) < len(rows)
+
+
+def test_zone_geometry_is_built_once_per_scenario_load(tmp_path, monkeypatch):
+    scen = tmp_path / "scen"
+    assert main(["gen-grid", "--rows", "4", "--cols", "4", "--zones", "2",
+                 "--vehicles", "4", "--duration", "60", "--arrival-rate", "0.15",
+                 "--out", str(scen)]) == 0
+    scenario = scen / "scenario.json"
+    built = []
+    zone_from_center = engine.zone_from_center
+    monkeypatch.setattr(
+        engine, "zone_from_center",
+        lambda g, center, radius: built.append(center) or zone_from_center(g, center, radius),
+    )
+    cfg = ScenarioConfig.from_file(scenario)
+    assert len(built) == 2
+    run(cfg.replaced(rng_seed=3))
+    assert len(built) == 2
+    # decoymix run loads the scenario once to fail fast, then once per job
+    out = tmp_path / "runs"
+    assert main(["run", "--scenario", str(scenario), "--seeds", "1,2",
+                 "--out", str(out)]) == 0
+    assert len(built) == 2 + 3 * 2
+    assert main(["attack", "--obs", str(out / "base" / "seed1" / "observations.csv"),
+                 "--scenario", str(scenario), "--out", str(tmp_path / "a")]) == 0
+    assert len(built) == 2 + 3 * 2 + 2
+
+
 def test_run_json_format(tmp_path):
     scenario = small_scenario(tmp_path, vehicles=3, duration=60.0)
     out = tmp_path / "runs"
@@ -557,7 +604,7 @@ def test_attack_round_trip_matches_in_process(tmp_path):
     zone_geoms = [(zi.zone_id, zi.geometry) for zi in result.zones]
     eaves_ranges = {e.eaves_id: e.range_m for e in cfg.eavesdroppers}
     sets, _, _ = attack_rows(
-        rows_from_result(result), cfg.graph, zone_geoms, eaves_ranges,
+        result.observations, cfg.graph, zone_geoms, eaves_ranges,
         v_min=cfg.v_min_mps, chain_seed=21,
     )
     assert sets, "scenario produced no linking instances"
@@ -625,6 +672,24 @@ def test_attack_non_finite_observation_exits_2(tmp_path, capsys, field, value):
     err = capsys.readouterr().err.strip()
     assert err.startswith("error: malformed observation CSV: ")
     assert "\n" not in err
+
+
+@pytest.mark.parametrize("first", [
+    "1.0,ab,150.000,0.000,10.000,0.000000,4.5,eav-0",
+    "time,pseudonym,x,y,speed,heading,length,eavesdropper",
+])
+def test_attack_refuses_a_first_line_that_is_not_the_header(tmp_path, capsys, first):
+    # a headerless file would lose its first observation, and a header
+    # naming other columns would be read by position
+    obs = tmp_path / "obs.csv"
+    obs.write_text(first + "\n1.5,ab,155.000,0.000,10.000,0.000000,4.5,eav-0\n")
+    rc = main(["attack", "--obs", str(obs), "--scenario", str(empty_scenario(tmp_path)),
+               "--out", str(tmp_path / "a")])
+    assert rc == 2
+    err = capsys.readouterr().err.strip()
+    assert err.startswith("error: malformed observation CSV: first line ")
+    assert "\n" not in err
+    assert not (tmp_path / "a").exists()
 
 
 def test_attack_missing_obs_exits_2(tmp_path):

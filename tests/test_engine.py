@@ -26,7 +26,6 @@ from decoymix.core import (
 from decoymix.engine import (
     BEACON_WIRE_BYTES,
     ENCRYPTED_BEACON_WIRE_BYTES,
-    OBSERVATION_HEADER,
     RECEPTION_COUNTERS,
     EavesdropperSpec,
     ScenarioConfig,
@@ -41,12 +40,25 @@ from decoymix.engine import (
     run,
 )
 from decoymix.errors import ConfigError, NoResponder
+from decoymix.eventlog import OBSERVATION_HEADER
 from decoymix.mixzone import ADVERT_PAYLOAD_BYTES, DecoyPlan, MixZoneController
 from decoymix.mobility import Trip, synthesize_trips, trip_samples_with_edges
 from decoymix.roads import Edge, RoadGraph, make_grid, point_along, polyline_length
 
 import test_golden
 from test_roads import dead_end_crossing
+
+
+def heard_by(result, eid):
+    """The observation rows of one eavesdropper, in table order."""
+    obs = result.observations
+    return [obs.row(i) for i in np.flatnonzero(np.array(obs.names)[obs.eaves] == eid)]
+
+
+def assert_same_observations(a, b):
+    assert a.names == b.names
+    for col in ("t", "pseudonym", "x", "y", "speed", "heading", "length", "eaves"):
+        np.testing.assert_array_equal(getattr(a, col), getattr(b, col))
 
 
 def straight_trip(vid="veh-000", depart=0.0, speed=10.0, length=4.5):
@@ -323,10 +335,10 @@ def test_single_trip_changes_pseudonym_across_zone(grid4):
     assert tr.t_entry == pytest.approx(40.0)
     assert tr.entry_observed and tr.exit_observed
 
-    pids = {row[1] for row in res.observations["eav-0"]}
+    pids = {row[1] for row in heard_by(res, "eav-0")}
     assert pids == {tr.old_id, tr.new_id}
     # old id only before entry, new id only after exit
-    for row in res.observations["eav-0"]:
+    for row in heard_by(res, "eav-0"):
         if row[1] == tr.old_id:
             assert row[0] < tr.t_entry
         else:
@@ -500,7 +512,7 @@ def test_non_coop_vehicle_keeps_pseudonym(grid4):
     assert not [e for e in res.events if e["type"] == "pseudonym_change"]
     # it still joins the zone (encryption compliance)
     assert [e for e in res.events if e["type"] == "join_request"]
-    pids = {row[1] for row in res.observations["eav-0"]}
+    pids = {row[1] for row in heard_by(res, "eav-0")}
     assert len(pids) == 1
 
 
@@ -514,7 +526,7 @@ def test_relay_run_starts_and_retires_decoy(grid4):
     assert len(retires) == 1 and len(ends) == 1
     # phantom id appears in the observation log alongside the real ids
     chaff_id = starts[0]["chaff"]
-    assert any(row[1] == chaff_id for row in res.observations["eav-0"])
+    assert any(row[1] == chaff_id for row in heard_by(res, "eav-0"))
     assert res.audit_violations == []
 
 
@@ -747,7 +759,7 @@ def test_identical_seed_gives_identical_run(grid4):
     a = run(cfg)
     b = run(cfg)
     assert a.events == b.events
-    assert a.observations == b.observations
+    assert_same_observations(a.observations, b.observations)
     assert [vars(t) for t in a.transitions] == [vars(t) for t in b.transitions]
 
 
@@ -1677,7 +1689,7 @@ def test_next_event_loop_matches_stepping_every_tick(monkeypatch, tmp_path, case
         ref.export_events(want)
         assert got.getvalue() == want.getvalue()
         np.testing.assert_array_equal(state.counters, ref_state.counters)
-        assert result.observations == ref.observations
+        assert_same_observations(result.observations, ref.observations)
         assert result.transitions == ref.transitions
         assert result.audit_violations == ref.audit_violations
         assert state.stepped <= state.nticks

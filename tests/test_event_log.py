@@ -35,7 +35,9 @@ from decoymix.eventlog import (
     RECEPTION_COUNTERS,
     VIA_PEER,
     VIA_RSU,
+    OBSERVATION_HEADER,
     EventLogBuilder,
+    Observations,
     _distinct,
     encode_event,
     round_array,
@@ -521,3 +523,49 @@ def test_reception_lines_from_interned_pieces_are_written_as_encoded():
                for e in records)
     assert any(all(e[c] == big for c in RECEPTION_COUNTERS) for e in records)
     assert f'"peer_unanswered":{big}}}' in buf.getvalue()
+
+
+def _csv_reference(rows) -> str:
+    """The observation CSV as the per-row formatter wrote it, rows merged
+    in (time, eavesdropper id, pseudonym) order: the reference for
+    Observations.write_csv."""
+    lines = [OBSERVATION_HEADER + "\n"]
+    for t, pid, x, y, speed, heading, length, eid in sorted(
+        rows, key=lambda r: (r[0], r[7], r[1])
+    ):
+        lines.append(
+            f"{t:.1f},{pid},{x:.3f},{y:.3f},{speed:.3f},"
+            f"{heading:.6f},{length:.1f},{eid}\n"
+        )
+    return "".join(lines)
+
+
+def test_observation_csv_matches_the_per_row_formatter():
+    # negative and signed-zero values, values on a .0005 boundary,
+    # coordinates above 1e6, and one (speed, heading, length) tail heard by
+    # two eavesdroppers, in an order the table must sort
+    rows = [
+        (2.0, "p-b", -0.0, -12.3455, 0.0, -0.0, 4.5, "eav-1"),
+        (2.0, "p-a", 0.0, 12.3455, -0.0, 0.0, 4.5, "eav-1"),
+        (1.0, "p-b", 0.0005, 1.0005, 2.0015, 3.1415925, 4.55, "eav-0"),
+        (1.0, "p-b", 0.0005, 1.0005, 2.0015, 3.1415925, 4.55, "eav-1"),
+        (-0.0, "p-c", 1234567.8915, -2345678.0005, 13.8905, -1.5707965, 12.05, "eav-0"),
+        (0.0, "p-c", 1234567.891, 1e7 + 0.0005, 13.89, 1.0, 12.0, "eav-0"),
+        (3.05, "p-a", -999.9995, -0.0004, 7.25, 6.283185, 4.45, "eav-0"),
+        (1.0, "p-a", 5.0, 5.0, 7.25, 6.283185, 4.45, "eav-0"),
+    ]
+    buf = io.StringIO()
+    Observations.from_rows(rows).write_csv(buf)
+    assert buf.getvalue() == _csv_reference(rows)
+    # the shared tail stays two tails, one per eavesdropper
+    lines = buf.getvalue().splitlines()
+    assert "1.0,p-b,0.001,1.000,2.002,3.141592,4.5,eav-0" in lines
+    assert "1.0,p-b,0.001,1.000,2.002,3.141592,4.5,eav-1" in lines
+    assert "2.0,p-b,-0.000,-12.345,0.000,-0.000000,4.5,eav-1" in lines
+    assert lines[1].startswith("-0.0,p-c,1234567.891,")
+
+
+def test_empty_observation_csv_is_the_header_alone():
+    buf = io.StringIO()
+    Observations.from_rows([]).write_csv(buf)
+    assert buf.getvalue() == _csv_reference([]) == OBSERVATION_HEADER + "\n"

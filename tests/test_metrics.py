@@ -4,7 +4,9 @@ import io
 
 import pytest
 
-from decoymix.adversary import Chain, ChainLink, LinkCandidateSet, ObsRow, PseudonymTrack
+from decoymix.adversary import (
+    Chain, ChainLink, LinkCandidateSet, Observations, ObsRow, build_tracks, flat_tracks,
+)
 from decoymix.engine import ScenarioConfig, Transition, ZoneSpec, run
 from decoymix.errors import NoTransitions
 from decoymix.metrics import (
@@ -82,7 +84,7 @@ def straight_track(pid, x0, x1, t0=0.0):
         ObsRow(t0, pid, x0, 0.0, 10.0, 0.0, 4.5, "e0"),
         ObsRow(t0 + 1.0, pid, x1, 0.0, 10.0, 0.0, 4.5, "e0"),
     )
-    return PseudonymTrack(pid, 4.5, rows)
+    return flat_tracks(build_tracks(Observations.from_rows(rows)))[pid]
 
 
 def test_correct_prefix_counts_leading_matches():
@@ -139,7 +141,7 @@ def test_tracked_distance_truncates_to_correct_prefix():
 
 def test_tracked_distance_zero_goes_to_bucket_zero():
     rows = (ObsRow(0.0, "a", 5.0, 5.0, 0.0, 0.0, 4.5, "e0"),)
-    tracks = {"a": PseudonymTrack("a", 4.5, rows)}
+    tracks = flat_tracks(build_tracks(Observations.from_rows(rows)))
     td = tracked_distance([Chain(("a",), ())], tracks, {})
     assert td.histogram_km == {0: 1}
     assert td.average_m == 0.0
