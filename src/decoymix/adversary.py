@@ -38,13 +38,13 @@ _UNSURE = 1e-9
 
 def parse_observation_csv(fh: Iterable[str]) -> Observations:
     """The observation table of a CSV file as RunResult.export_observations
-    writes it. ValueError names a first line that is not
-    OBSERVATION_HEADER, a row without eight fields, or a value that is not
-    a finite number."""
+    writes it. ValueError names an empty file or a first line that is not
+    OBSERVATION_HEADER (an export always has it), a row without eight
+    fields, or a value that is not a finite number."""
     it = iter(fh)
     header = next(it, None)
     if header is None:
-        return Observations.from_rows([])
+        raise ValueError(f"empty file, not even the header {OBSERVATION_HEADER!r}")
     if header.rstrip("\r\n") != OBSERVATION_HEADER:
         raise ValueError(
             f"first line {header.strip()!r} is not the header {OBSERVATION_HEADER!r}"

@@ -680,9 +680,9 @@ class _Run:
         # got one, for the wrap-up to count
         self.peer_asked: list[np.ndarray] = []
         self.peer_answered: list[np.ndarray] = []
-        # a chunk collection in progress: (vehicle, zone) is pending from
-        # tick time arr_m to due_m, and due_at[due_m] lists it
-        self.pending = np.zeros((nv, nz), dtype=bool)
+        # a chunk collection in progress: (vehicle, zone) collects from
+        # tick time arr_m to due_m, and due_at[due_m] lists it. A due tick
+        # is at least one chunk cycle away, so due_m 0 means none
         self.due_m = np.zeros((nv, nz), dtype=np.int64)
         self.arr_m = np.zeros((nv, nz), dtype=np.int64)
         self.due_at: dict[int, list[tuple[int, int]]] = {}
@@ -1091,7 +1091,7 @@ class _Run:
         fresh = self.held_ep[vi, j] < 0
         self.held_from[vi, j] = np.where(fresh, k, self.held_from[vi, j])
         self.held_ep[vi, j] = ep
-        self.pending[vi, j] = False
+        self.due_m[vi, j] = 0
 
     def _enter_zone(
         self, vi: int, zone_j: int, k: int, now: float, pos: tuple[float, float]
@@ -1275,7 +1275,7 @@ class _Run:
         k, t_ds, now, cur_ep = tk.k, tk.t_ds, tk.now, self.cur_ep
         # leaving range drops a collection in progress
         for vi, j in self.range_exits.get(k, ()):
-            self.pending[vi, j] = False
+            self.due_m[vi, j] = 0
 
         # a vehicle in range of a newer filter than it holds, and not yet
         # collecting it, collects one full chunk cycle from the next
@@ -1285,18 +1285,17 @@ class _Run:
             self.epoch_moved = False
             av = tk.av
             need = (
-                self.RNG[tk.lo:tk.hi] & (self.held_ep[av] < cur_ep) & ~self.pending[av]
+                self.RNG[tk.lo:tk.hi] & (self.held_ep[av] < cur_ep) & (self.due_m[av] == 0)
             )
             rows, js = need.nonzero()
             starting = zip(av[rows].tolist(), js.tolist())
         else:
             starting = self.range_entries.get(k, ())
         for vi, j in starting:
-            if self.pending[vi, j] or self.held_ep[vi, j] >= cur_ep[j]:
+            if self.due_m[vi, j] or self.held_ep[vi, j] >= cur_ep[j]:
                 continue
             cycle = self.cycle_ds[j]
             due = t_ds + (cycle - t_ds % cycle) % cycle + cycle
-            self.pending[vi, j] = True
             self.due_m[vi, j] = due
             self.arr_m[vi, j] = t_ds
             self.due_at.setdefault(due, []).append((vi, j))
@@ -1306,7 +1305,7 @@ class _Run:
         # the same due tick delivers once
         done = sorted({
             (vi, j) for vi, j in self.due_at.pop(t_ds, ())
-            if self.pending[vi, j] and self.due_m[vi, j] == t_ds
+            if self.due_m[vi, j] == t_ds
         })
         if not done:
             return
@@ -1380,7 +1379,7 @@ class _Run:
             if v.visit is not None:
                 visit = self._leave_zone(vi, tk.now, "despawn")
                 self.zones[visit["zone_j"]].controller.drop_member(visit["member_id"])
-            self.pending[vi, :] = False
+            self.due_m[vi, :] = 0
 
     # ------------------------------------------------------------ wrap up
 

@@ -82,9 +82,3 @@ class StaleRequest(DecoymixError):
 
 class NoResponder(DecoymixError):
     """No neighbour holds the requested filter at a newer epoch."""
-
-
-# metrics
-
-class NoTransitions(DecoymixError):
-    """Linkability asked for on a log with zero pseudonym transitions."""

@@ -26,16 +26,13 @@ from .eventlog import (
     PeriodicColumns,
     ReceptionColumns,
 )
-from .errors import NoTransitions
 
 RSU_SIGN_MS = 0.3
 RSU_VERIFY_MS = 0.4
 VEHICLE_SIGN_MS = 3.0
 VEHICLE_VERIFY_MS = 3.5
 MEMBERSHIP_CHECK_MS = 3.68e-4
-CAM_BYTES = CAM_WIRE_BYTES
-CREDENTIAL_BYTES = PSEUDONYM_WIRE_BYTES
-PEER_QUERY_BYTES = 16 + CREDENTIAL_BYTES
+PEER_QUERY_BYTES = 16 + PSEUDONYM_WIRE_BYTES
 KB = 1000.0  # rates are decimal kilobytes per second
 
 TRACKED_DISTANCE_BUCKET_M = 1000.0
@@ -45,14 +42,40 @@ TRACKED_DISTANCE_BUCKET_M = 1000.0
 # linkability
 
 
-def success_rate(sets: Sequence[LinkCandidateSet]) -> float:
-    """Mean per-transition linking probability.
+def scored_sets(
+    transitions: Sequence, candidate_sets: Sequence[LinkCandidateSet]
+) -> list[LinkCandidateSet]:
+    """The pseudonym changes a success rate scores, sorted by (zone, old id),
+    each as its candidate set with the new id as truth.
+
+    A change is scored when its old id was heard entering the zone and its
+    new id was heard leaving it. A change whose new id is never heard
+    leaving could not be linked by any attack, so it is left out rather
+    than counted as a miss. A scored change whose entering id got no
+    candidate set scores as an empty set.
+    """
+    by_key = {(s.zone_id, s.entering): s.candidates for s in candidate_sets}
+    scored = sorted(
+        (tr for tr in transitions if tr.entry_observed and tr.exit_observed),
+        key=lambda tr: (tr.zone_id, tr.old_id),
+    )
+    return [
+        LinkCandidateSet(
+            tr.zone_id, tr.old_id,
+            by_key.get((tr.zone_id, tr.old_id), frozenset()), tr.new_id,
+        )
+        for tr in scored
+    ]
+
+
+def success_rate(sets: Sequence[LinkCandidateSet]) -> float | None:
+    """Mean per-change linking probability, or None with nothing to score.
 
     A set containing the truth among k candidates contributes 1/k; an empty
     set or a miss contributes 0.
     """
     if not sets:
-        raise NoTransitions("no change records to evaluate")
+        return None
     total = 0.0
     for s in sets:
         if s.truth is None:
@@ -188,7 +211,7 @@ def empirical_cdf(values: Sequence[int]) -> list[tuple[int, float]]:
 @dataclass
 class LinkabilityReport:
     n_transitions: int
-    success_rate: float | None  # None when there were no transitions
+    success_rate: float | None  # None when no change was scored
     per_zone: dict[str, float | None]
     per_hour: dict[int, float | None]
     linked_set_counts: dict[str, int]
@@ -215,13 +238,6 @@ class LinkabilityReport:
         return json.dumps(doc, sort_keys=True, indent=2)
 
 
-def _rate_or_none(sets: list[LinkCandidateSet]) -> float | None:
-    try:
-        return success_rate(sets)
-    except NoTransitions:
-        return None
-
-
 def build_linkability_report(
     transitions: Sequence,
     candidate_sets: Sequence[LinkCandidateSet],
@@ -229,41 +245,23 @@ def build_linkability_report(
     tracks: Mapping[str, PseudonymTrack],
     events: Sequence[dict],
 ) -> LinkabilityReport:
-    """Score an attack against ground truth.
-
-    Only change records observable on both sides are evaluated; a record
-    whose entering id produced no candidate set scores as an empty set.
-    """
-    truth = {
-        (tr.zone_id, tr.old_id): tr.new_id
-        for tr in transitions
-        if tr.entry_observed and tr.exit_observed
-    }
-    by_key = {(s.zone_id, s.entering): s for s in candidate_sets}
-    evaluated: list[LinkCandidateSet] = []
-    for (zid, old), new in sorted(truth.items()):
-        s = by_key.get((zid, old))
-        cands = s.candidates if s is not None else frozenset()
-        evaluated.append(LinkCandidateSet(zid, old, cands, new))
-
+    """Score an attack against ground truth, over the changes that
+    scored_sets lists."""
+    evaluated = scored_sets(transitions, candidate_sets)
+    truth = {(s.zone_id, s.entering): s.truth for s in evaluated}
+    t_entry = {(tr.zone_id, tr.old_id): tr.t_entry for tr in transitions}
     per_zone: dict[str, list[LinkCandidateSet]] = {}
-    for s in evaluated:
-        per_zone.setdefault(s.zone_id, []).append(s)
-    t_entry_by_key = {
-        (tr.zone_id, tr.old_id): tr.t_entry
-        for tr in transitions
-        if tr.entry_observed and tr.exit_observed
-    }
     per_hour: dict[int, list[LinkCandidateSet]] = {}
     for s in evaluated:
-        hour = int(t_entry_by_key[(s.zone_id, s.entering)] // 3600)
+        per_zone.setdefault(s.zone_id, []).append(s)
+        hour = int(t_entry[(s.zone_id, s.entering)] // 3600)
         per_hour.setdefault(hour, []).append(s)
 
     return LinkabilityReport(
         n_transitions=len(evaluated),
-        success_rate=_rate_or_none(evaluated),
-        per_zone={z: _rate_or_none(ss) for z, ss in sorted(per_zone.items())},
-        per_hour={h: _rate_or_none(ss) for h, ss in sorted(per_hour.items())},
+        success_rate=success_rate(evaluated),
+        per_zone={z: success_rate(ss) for z, ss in sorted(per_zone.items())},
+        per_hour={h: success_rate(ss) for h, ss in sorted(per_hour.items())},
         linked_set_counts=linked_set_size_counts(chains, truth),
         tracked=tracked_distance(chains, tracks, truth),
         anonymity_sizes=anonymity_set_sizes(events),
@@ -326,8 +324,8 @@ class OverheadReport:
                 "vehicle_sign_ms": VEHICLE_SIGN_MS,
                 "vehicle_verify_ms": VEHICLE_VERIFY_MS,
                 "membership_check_ms": MEMBERSHIP_CHECK_MS,
-                "cam_bytes": CAM_BYTES,
-                "credential_bytes": CREDENTIAL_BYTES,
+                "cam_bytes": CAM_WIRE_BYTES,
+                "credential_bytes": PSEUDONYM_WIRE_BYTES,
             },
             "entities": {
                 ent: {

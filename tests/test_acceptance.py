@@ -25,6 +25,7 @@ from decoymix.chaff_filter import (
     paper_reported_size_bytes,
 )
 from decoymix.cli import attack_result, main
+from decoymix.core import CAM_WIRE_BYTES, PSEUDONYM_WIRE_BYTES
 from decoymix.engine import (
     EavesdropperSpec,
     ScenarioConfig,
@@ -35,7 +36,7 @@ from decoymix.engine import (
     chunk_delivery_latency,
     run,
 )
-from decoymix.metrics import CAM_BYTES, CREDENTIAL_BYTES, overhead, success_rate
+from decoymix.metrics import overhead, scored_sets, success_rate
 from decoymix.mobility import Trip, synthesize_trips
 from decoymix.roads import make_grid
 
@@ -104,8 +105,9 @@ def _audited_run(cfg: ScenarioConfig, thorough: bool = False):
 
 
 def _attack_rate(cfg: ScenarioConfig) -> float:
-    sets, _, _ = attack_result(_audited_run(cfg))
-    return success_rate([s for s in sets if s.truth is not None])
+    result = _audited_run(cfg)
+    sets, _, _ = attack_result(result)
+    return success_rate(scored_sets(result.transitions, sets))
 
 
 _GRID_RATES: dict[tuple[float, float, float, int], float] = {}
@@ -432,7 +434,7 @@ def test_c12_overhead_deterministic_and_exact():
     rsu = overhead(adverts, 600.0)
     beacons = [
         {"type": "beacon", "t": i * 0.2, "tx": "veh-a",
-         "bytes": CAM_BYTES + CREDENTIAL_BYTES}
+         "bytes": CAM_WIRE_BYTES + PSEUDONYM_WIRE_BYTES}
         for i in range(600 * 5)
     ]
     veh = overhead(beacons, 600.0)

@@ -692,6 +692,19 @@ def test_attack_refuses_a_first_line_that_is_not_the_header(tmp_path, capsys, fi
     assert not (tmp_path / "a").exists()
 
 
+def test_attack_zero_byte_observation_file_exits_2(tmp_path, capsys):
+    # an export always writes the header, so an empty file is not one
+    obs = tmp_path / "obs.csv"
+    obs.write_bytes(b"")
+    rc = main(["attack", "--obs", str(obs), "--scenario", str(empty_scenario(tmp_path)),
+               "--out", str(tmp_path / "a")])
+    assert rc == 2
+    err = capsys.readouterr().err.strip()
+    assert err.startswith("error: malformed observation CSV: ")
+    assert "\n" not in err
+    assert not (tmp_path / "a").exists()
+
+
 def test_attack_missing_obs_exits_2(tmp_path):
     scenario = empty_scenario(tmp_path)
     rc = main(["attack", "--obs", str(tmp_path / "none.csv"),

@@ -8,9 +8,10 @@ from __future__ import annotations
 
 import hashlib
 from pathlib import Path
+from statistics import fmean, stdev
 
 from decoymix.adversary import export_candidate_sets
-from decoymix.cli import attack_result, main
+from decoymix.cli import attack_result, cell_reports, main
 from decoymix.engine import (
     EavesdropperSpec,
     RunResult,
@@ -19,8 +20,9 @@ from decoymix.engine import (
     run,
 )
 from decoymix.metrics import (
-    build_linkability_report,
     overhead,
+    scored_sets,
+    success_rate,
     write_linkability_csv,
     write_overhead_csv,
 )
@@ -173,14 +175,12 @@ def _digests(base: Path) -> dict[str, str]:
 
 
 def _write_reports(cfg: ScenarioConfig, label: str, out: Path) -> RunResult:
-    """Run one scenario, write every report file in both formats and return
-    the run."""
+    """Run one scenario, write every report file in both formats as
+    `decoymix run` builds them and return the run."""
     result = run(cfg)
-    sets, chains, tracks = attack_result(result)
-    link_rep = build_linkability_report(
-        result.transitions, sets, chains, tracks, result.events
-    )
-    over_rep = overhead(result.events, cfg.duration_s)
+    sets, link_rep, over_rep = cell_reports(result)
+    # the column fold agrees with the reference fold over the dict view
+    assert over_rep == overhead(result.events, cfg.duration_s)
     with open(out / "events.jsonl", "w", encoding="utf-8") as fh:
         result.export_events(fh)
     with open(out / "observations.csv", "w", encoding="utf-8") as fh:
@@ -284,6 +284,17 @@ def test_run_command_report_digests(tmp_path):
         "--out", str(out),
     ]) == 0
     assert _digests(out) == RUN_DIGESTS
+    # each summary row holds the mean and std over seeds of the library's
+    # rate over each run's scored changes
+    base = ScenarioConfig.from_file(scen)
+    for line in (out / "summary.csv").read_text().splitlines()[1:]:
+        relay, _, mean, std = line.split(",")
+        rates = []
+        for seed in (1, 2):
+            result = run(base.replaced(rng_seed=seed, relay_fraction=float(relay)))
+            sets, _, _ = attack_result(result)
+            rates.append(success_rate(scored_sets(result.transitions, sets)))
+        assert (mean, std) == (f"{fmean(rates):.6f}", f"{stdev(rates):.6f}")
 
 
 def test_four_arm_crossing_report_digests(tmp_path):

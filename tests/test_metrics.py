@@ -7,10 +7,9 @@ import pytest
 from decoymix.adversary import (
     Chain, ChainLink, LinkCandidateSet, Observations, ObsRow, build_tracks, flat_tracks,
 )
+from decoymix.core import CAM_WIRE_BYTES
 from decoymix.engine import ScenarioConfig, Transition, ZoneSpec, run
-from decoymix.errors import NoTransitions
 from decoymix.metrics import (
-    CAM_BYTES,
     MEMBERSHIP_CHECK_MS,
     OverheadReport,
     anonymity_set_sizes,
@@ -19,6 +18,7 @@ from decoymix.metrics import (
     empirical_cdf,
     linked_set_size_counts,
     overhead,
+    scored_sets,
     success_rate,
     tracked_distance,
     write_linkability_csv,
@@ -53,9 +53,8 @@ def test_success_rate_all_empty_is_zero():
     assert success_rate(sets) == 0.0
 
 
-def test_success_rate_no_transitions_raises():
-    with pytest.raises(NoTransitions):
-        success_rate([])
+def test_success_rate_of_no_changes_is_none():
+    assert success_rate([]) is None
 
 
 def test_success_rate_requires_truth():
@@ -273,7 +272,7 @@ def test_overhead_advert_only_rate():
 def test_overhead_beacon_rate_at_five_hz():
     n = 600 * 5
     events = [
-        {"type": "beacon", "t": i * 0.2, "tx": "veh-a", "bytes": CAM_BYTES + 140}
+        {"type": "beacon", "t": i * 0.2, "tx": "veh-a", "bytes": CAM_WIRE_BYTES + 140}
         for i in range(n)
     ]
     rep = overhead(events, 600.0)
@@ -367,18 +366,28 @@ def one_zone_scenario_run():
 
 def test_build_linkability_report_scores_and_slices():
     transitions = [
+        Transition("v3", "z-b", "c", "c2", 4000.0, 4040.0, True, True),
         Transition("v1", "z-a", "a", "a2", 100.0, 140.0, True, True),
         Transition("v2", "z-a", "b", "b2", 200.0, 230.0, True, True),
-        Transition("v3", "z-b", "c", "c2", 4000.0, 4040.0, True, True),
         Transition("v4", "z-b", "d", "d2", 300.0, 340.0, False, True),
+        # the new id is never heard leaving, so nothing could link it
+        Transition("v5", "z-a", "e", "e2", 500.0, 540.0, True, False),
     ]
     sets = [
         LinkCandidateSet("z-a", "a", frozenset({"a2"}), None),
         LinkCandidateSet("z-a", "b", frozenset({"b2", "x"}), None),
+        LinkCandidateSet("z-a", "e", frozenset({"x"}), None),
+        LinkCandidateSet("z-b", "d", frozenset({"d2"}), None),
         # no set produced for ("z-b", "c"): counts as an empty set
     ]
+    # v4's entry and v5's exit were never observed, so only three changes
+    # score, in (zone, old id) order, each with its truth
+    assert scored_sets(transitions, sets) == [
+        LinkCandidateSet("z-a", "a", frozenset({"a2"}), "a2"),
+        LinkCandidateSet("z-a", "b", frozenset({"b2", "x"}), "b2"),
+        LinkCandidateSet("z-b", "c", frozenset(), "c2"),
+    ]
     rep = build_linkability_report(transitions, sets, [], {}, [])
-    # v4's entry was never observed, so only three transitions evaluate
     assert rep.n_transitions == 3
     assert rep.success_rate == pytest.approx((1.0 + 0.5 + 0.0) / 3)
     assert rep.per_zone == {
