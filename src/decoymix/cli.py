@@ -25,7 +25,7 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .adversary import (
     LinkCandidateSet,
@@ -66,7 +66,7 @@ EAVES_RANGE_M = 250.0
 def attack_rows(
     obs: Observations,
     g: RoadGraph,
-    zone_geoms: Sequence[tuple[str, object]],
+    zone_geoms: Iterable[tuple[str, object]],
     eaves_ranges: Mapping[str, float],
     *,
     v_min: float,
@@ -75,9 +75,9 @@ def attack_rows(
 ):
     """Full linking attack over an observation table.
 
-    zone_geoms is an ordered list of (zone_id, geometry). hbc optionally maps
-    a zone id to (decrypted old->new view, own chaff ids) for zones whose RSU
-    cooperates with the adversary.
+    zone_geoms holds (zone_id, geometry) pairs, in the order the sets come
+    out. hbc optionally maps a zone id to (decrypted old->new view, own
+    chaff ids) for zones whose RSU cooperates with the adversary.
     """
     tracks_by_class = build_tracks(obs)
     sets: list[LinkCandidateSet] = []
@@ -112,7 +112,7 @@ def attack_result(result, chain_seed: int | None = None):
     sets, chains, tracks = attack_rows(
         result.observations,
         cfg.graph,
-        [(zi.zone_id, zi.geometry) for zi in result.zones],
+        cfg.geometries().items(),
         eaves_ranges,
         v_min=cfg.v_min_mps,
         chain_seed=cfg.rng_seed if chain_seed is None else chain_seed,
@@ -238,10 +238,9 @@ def _refuse_overwrite(out: Path, force: bool) -> None:
 def cell_reports(result):
     """(candidate sets, linkability report, overhead report) of one run.
 
-    Beacons, periodic records, reception summaries and filter answers and
-    deliveries stay columns: overhead folds them as such, and anonymity
-    sets read only the protocol events, so the dict view `result.events` is
-    never built."""
+    Beacons, messages and reception summaries stay columns: overhead folds
+    them as such, and anonymity sets read only the protocol events, so the
+    dict view `result.events` is never built."""
     sets, chains, tracks = attack_result(result)
     log = result.log
     link_rep = build_linkability_report(
@@ -249,7 +248,7 @@ def cell_reports(result):
     )
     over_rep = overhead(
         log.protocol, result.config.duration_s, log.beacons, log.receptions,
-        log.periodic, log.deliveries,
+        log.messages,
     )
     return sets, link_rep, over_rep
 
@@ -429,11 +428,9 @@ def cmd_attack(args) -> int:
     except ValueError as exc:
         raise ConfigError(f"malformed observation CSV: {exc}") from None
 
-    geoms = cfg.geometries()
-    zone_geoms = [(z.zone_id, geoms[z.zone_id]) for z in cfg.zones]
     eaves_ranges = {e.eaves_id: e.range_m for e in cfg.eavesdroppers}
     sets, chains, tracks = attack_rows(
-        obs, cfg.graph, zone_geoms, eaves_ranges,
+        obs, cfg.graph, cfg.geometries().items(), eaves_ranges,
         v_min=cfg.v_min_mps, chain_seed=args.chain_seed,
     )
 

@@ -221,15 +221,16 @@ class ScenarioConfig:
         return replace(self, **kw)
 
     def geometries(self) -> dict[str, MixZoneGeometry]:
-        """Each zone's geometry on the graph, by zone id: built on the first
-        call and kept, so a scenario load builds each zone once and its
-        runs and attacks reuse it."""
+        """Each zone's geometry on the graph, by zone id, in zone-id order
+        (the order a run and an attack take the zones in): built on the
+        first call and kept, so a scenario load builds each zone once and
+        its runs and attacks reuse it."""
         if self.zone_geometries is None:
             self.zone_geometries = {
                 z.zone_id: zone_from_center(
                     self.graph, (z.center_x_m, z.center_y_m), z.radius_m
                 )
-                for z in self.zones
+                for z in sorted(self.zones, key=lambda z: z.zone_id)
             }
         return self.zone_geometries
 
@@ -1312,9 +1313,9 @@ class _Run:
         vi, j = np.array(done).T
         ep = cur_ep[j]
         self._take_filters(vi, j, ep, k)
-        self.log.deliveries(
+        self.log.message(
             VIA_RSU, np.full(vi.size, self.log.key), np.arange(vi.size), now,
-            self.veh_name[vi], -1, self.zone_name[j], ep,
+            self.veh_name[vi], self.zone_name[j], epoch=ep,
             latency_s=(t_ds - self.arr_m[vi, j]) / 10.0,
         )
 
@@ -1366,11 +1367,11 @@ class _Run:
         # delivery
         key, n = np.full(r.size, self.log.key), 2 * np.arange(r.size)
         rx, zone = self.veh_name[vi], self.zone_name[j]
-        self.log.deliveries(
-            PEER_FILTER, key, n, tk.now, self.veh_name[resp], rx, zone, ep,
-            nbytes=self.answer_bytes[j],
+        self.log.message(
+            PEER_FILTER, key, n, tk.now, self.veh_name[resp], zone,
+            self.answer_bytes[j], rx=rx, epoch=ep,
         )
-        self.log.deliveries(VIA_PEER, key, n + 1, tk.now, rx, -1, zone, ep)
+        self.log.message(VIA_PEER, key, n + 1, tk.now, rx, zone, epoch=ep)
 
     def _despawns(self, tk: _Tick) -> None:
         """Trips that end at this tick."""
@@ -1543,7 +1544,7 @@ class _Run:
         log, tick_ds = self.log, self.tick_ds
         rows = np.flatnonzero((self.ZIDX >= 0) & (tick * tick_ds % self.gv_ds == 0))
         k = tick[rows]
-        log.periodic(
+        log.message(
             ENCRYPTED, k * N_PHASES + PH_BEACONS, rows, k * tick_ds / 10.0,
             self.veh_name[self.VEH[rows]], self.zone_name[self.ZIDX[rows]],
             ENCRYPTED_BEACON_WIRE_BYTES,
@@ -1563,7 +1564,7 @@ class _Run:
                 by_zone.setdefault(j, []).append(veh_name[vi])
             for j, names in by_zone.items():
                 verifiers[k // step * nz + j] = log.verifiers(tuple(names))
-        log.periodic(
+        log.message(
             ADVERT, key, zone, key // N_PHASES * tick_ds / 10.0,
             self.rsu_name[zone], self.zone_name[zone], ADVERT_WIRE_BYTES,
             verifiers=verifiers,
@@ -1575,7 +1576,7 @@ class _Run:
         epoch = np.array(epochs)[np.searchsorted(moves, key) - 1]
         for j, z in enumerate(self.zones):
             slot = t_ds // self.fi_ds % z.chunk_count
-            log.periodic(
+            log.message(
                 CHUNK, key, j, t_ds / 10.0, self.rsu_name[j], self.zone_name[j],
                 np.array(z.chunk_payloads)[slot] + CHUNK_CERT_BYTES,
                 epoch=epoch[:, j], index=slot, total=z.chunk_count,

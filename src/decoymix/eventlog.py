@@ -1,6 +1,6 @@
-"""A run's event log: protocol events as dicts; beacons, periodic records,
-filter answers and deliveries, and per-second reception summaries as numpy
-columns.
+"""A run's event log: protocol events as dicts; beacons, messages (adverts,
+chunks, encrypted beacons, filter answers and deliveries) and per-second
+reception summaries as numpy columns.
 
 Beacons, the records that follow from the schedule alone (adverts, chunks
 and encrypted beacons), the filters peers and RSUs hand over, and reception
@@ -8,7 +8,7 @@ summaries are most of a run's records, so they never become one dict each.
 The engine logs them as blocks of raw columns and hands over its reception
 counters, a slot per vehicle second on the road; finish() rounds every
 beacon field as it goes on the air, works out which eavesdroppers heard each
-beacon, and merges the five streams. The eavesdroppers' share of the
+beacon, and merges the four streams. The eavesdroppers' share of the
 beacons comes out as one more table, Observations, which is all the attack
 reads.
 
@@ -48,14 +48,20 @@ RECEPTION_COUNTERS = (
 # one shared compact encoder; json.dumps with separators builds a new one per call
 encode_event = json.JSONEncoder(separators=(",", ":")).encode
 
-_PROTOCOL, _BEACON, _PERIODIC, _RECEPTION, _DELIVERY = range(5)
+_PROTOCOL, _BEACON, _MESSAGE, _RECEPTION = range(4)
 _MERGE_BLOCK = 4096
 # the order key of the reception summaries: after every other record
 _LAST_KEY = np.iinfo(np.int64).max
 
-# the periodic records, by kind
-PERIODIC_TYPES = ("advert", "chunk", "beacon_encrypted")
-ADVERT, CHUNK, ENCRYPTED = range(3)
+# the messages, by kind: the records that follow from the schedule alone
+# (adverts, chunks and encrypted beacons), a peer's answer to a stale filter
+# (peer_filter), and the filter delivered by that peer or by an RSU
+# (filter_delivered); a join's deliveries stay protocol events
+MESSAGE_TYPES = (
+    "advert", "chunk", "beacon_encrypted", "peer_filter", "filter_delivered",
+    "filter_delivered",
+)
+ADVERT, CHUNK, ENCRYPTED, PEER_FILTER, VIA_PEER, VIA_RSU = range(6)
 
 # a logged beacon: order key, time, string-table indices, the claimed pose
 # as simulated, and the transmitter's position
@@ -66,27 +72,16 @@ _RAW_BEACON_COLUMNS = (
     ("length", np.float64), ("chaff", np.bool_), ("zone", np.int32),
     ("hx", np.float64), ("hy", np.float64),
 )
-# a logged periodic record: order key, kind, time, string-table indices of
-# the transmitter and zone, wire bytes, a chunk's epoch, index and total,
-# and an advert's first verifiers, as an index into the verifier lists
-_PERIODIC_COLUMNS = (
+# a logged message: order key, kind, time, string-table indices of the
+# transmitter (a delivery's vehicle), an answer's receiver and the zone,
+# wire bytes, the filter epoch of a chunk, answer or delivery, a chunk's
+# index and total, an advert's first verifiers, as an index into the
+# verifier lists, and an RSU delivery's latency
+_MESSAGE_COLUMNS = (
     ("key", np.int64), ("n", np.int64), ("kind", np.uint8), ("t", np.float64),
-    ("tx", np.int32), ("zone", np.int32), ("bytes", np.int64),
+    ("tx", np.int32), ("rx", np.int32), ("zone", np.int32), ("bytes", np.int64),
     ("epoch", np.int64), ("index", np.int64), ("total", np.int64),
-    ("verifiers", np.int32),
-)
-# the filter answers and deliveries, by kind: a peer's answer to a stale
-# filter (peer_filter), and the filter delivered by that peer or by an RSU
-# (filter_delivered); a join's deliveries stay protocol events
-PEER_FILTER, VIA_PEER, VIA_RSU = range(3)
-# a logged answer or delivery: order key, kind, time, string-table indices
-# of the entity (an answer's sender, a delivery's vehicle), an answer's
-# receiver and the zone, the filter epoch, an answer's wire bytes and an
-# RSU delivery's latency
-_DELIVERY_COLUMNS = (
-    ("key", np.int64), ("n", np.int64), ("kind", np.uint8), ("t", np.float64),
-    ("entity", np.int32), ("rx", np.int32), ("zone", np.int32),
-    ("epoch", np.int64), ("bytes", np.int64), ("latency_s", np.float64),
+    ("verifiers", np.int32), ("latency_s", np.float64),
 )
 # decimals each published beacon field carries
 _PUBLISHED_DIGITS = (("x", 3), ("y", 3), ("speed", 3), ("heading", 6), ("length", 1))
@@ -221,59 +216,35 @@ class BeaconColumns:
 
 
 @dataclass
-class PeriodicColumns:
-    """Every advert, chunk and encrypted beacon of a run, one row each in
-    output order. kind indexes PERIODIC_TYPES; tx and zone index `names`.
-    A chunk row carries its filter epoch, chunk index and chunk total; an
-    advert row's first verifiers are verifier_lists[verifiers], as
-    string-table indices."""
+class MessageColumns:
+    """Every advert, chunk, encrypted beacon, peer's filter answer and
+    filter delivered by a peer or an RSU, one row each in output order.
+    kind is one of ADVERT to VIA_RSU; tx, rx and zone index `names`. tx
+    sends `bytes`, to rx for an answer; a delivery's tx is the vehicle that
+    gets the filter. A chunk, answer or delivery carries its filter epoch,
+    a chunk its index and total, and an RSU delivery the latency_s it took
+    since it began; an advert's first verifiers are
+    verifier_lists[verifiers], as string-table indices."""
 
     names: list[str]
     verifier_lists: list[tuple[int, ...]]
     kind: np.ndarray
     t: np.ndarray
     tx: np.ndarray
+    rx: np.ndarray
     zone: np.ndarray
     bytes: np.ndarray
     epoch: np.ndarray
     index: np.ndarray
     total: np.ndarray
     verifiers: np.ndarray
-
-    def rows(self, lo: int, hi: int):
-        """Rows lo..hi as Python values, in column order."""
-        return zip(*(
-            col[lo:hi].tolist()
-            for col in (self.kind, self.t, self.tx, self.zone, self.bytes,
-                        self.epoch, self.index, self.total, self.verifiers)
-        ))
-
-
-@dataclass
-class DeliveryColumns:
-    """Every peer's filter answer and every filter delivered by a peer or
-    an RSU, one row each in output order. kind is PEER_FILTER, VIA_PEER or
-    VIA_RSU; entity, rx and zone index `names`. An answer row's entity
-    sends `bytes` to rx; a delivery row's entity is the vehicle that gets
-    the filter, and an RSU delivery took latency_s since it began."""
-
-    names: list[str]
-    kind: np.ndarray
-    t: np.ndarray
-    entity: np.ndarray
-    rx: np.ndarray
-    zone: np.ndarray
-    epoch: np.ndarray
-    bytes: np.ndarray
     latency_s: np.ndarray
 
     def rows(self, lo: int, hi: int):
         """Rows lo..hi as Python values, in column order."""
-        return zip(*(
-            col[lo:hi].tolist()
-            for col in (self.kind, self.t, self.entity, self.rx, self.zone,
-                        self.epoch, self.bytes, self.latency_s)
-        ))
+        return _rows(lo, hi, self.kind, self.t, self.tx, self.rx, self.zone,
+                     self.bytes, self.epoch, self.index, self.total,
+                     self.verifiers, self.latency_s)
 
 
 @dataclass
@@ -294,19 +265,18 @@ class ReceptionColumns:
 
 @dataclass
 class EventLog:
-    """Five streams, each in output order; kinds[i] names the stream that
+    """Four streams, each in output order; kinds[i] names the stream that
     holds the i-th output record."""
 
     protocol: list[dict]
     beacons: BeaconColumns
-    periodic: PeriodicColumns
+    messages: MessageColumns
     receptions: ReceptionColumns
-    deliveries: DeliveryColumns
     kinds: np.ndarray
 
     def records(self) -> list[dict]:
         """Every record as a dict, in output order."""
-        b, p, r, d = self.beacons, self.periodic, self.receptions, self.deliveries
+        b, m, r = self.beacons, self.messages, self.receptions
         names = b.names + [None]  # zone -1 reads as None
         observers, code = _observer_sets(b)
 
@@ -320,43 +290,43 @@ class EventLog:
                     "bytes": BEACON_WIRE_BYTES, "observers": list(observers[c]),
                 }
                 for t, tx, pid, link, x, y, speed, heading, length, chaff, zone, c
-                in _beacon_rows(b, lo, hi, code)
+                in _rows(lo, hi, b.t, b.tx, b.pseudonym, b.link, b.x, b.y,
+                         b.speed, b.heading, b.length, b.chaff, b.zone, code)
             ]
 
-        def periodic_dict(kind, t, tx, zone, nbytes, epoch, index, total, v):
-            e = {"type": PERIODIC_TYPES[kind], "t": t, "tx": names[tx],
+        def message_dict(kind, t, tx, rx, zone, nbytes, epoch, index, total, v,
+                         latency):
+            if kind == PEER_FILTER:
+                return {"type": "peer_filter", "t": t, "tx": names[tx],
+                        "rx": names[rx], "zone": names[zone], "epoch": epoch,
+                        "bytes": nbytes}
+            if kind in (VIA_PEER, VIA_RSU):
+                return {"type": "filter_delivered", "t": t, "vehicle": names[tx],
+                        "zone": names[zone], "epoch": epoch,
+                        "via": "rsu" if kind == VIA_RSU else "peer",
+                        "latency_s": latency if kind == VIA_RSU else None}
+            e = {"type": MESSAGE_TYPES[kind], "t": t, "tx": names[tx],
                  "zone": names[zone]}
             if kind == CHUNK:
                 e.update(epoch=epoch, index=index, total=total)
             e["bytes"] = nbytes
             if kind == ADVERT:
-                e["first_verifiers"] = [names[i] for i in p.verifier_lists[v]]
+                e["first_verifiers"] = [names[i] for i in m.verifier_lists[v]]
             return e
 
         def reception_dicts(lo, hi):
             return [
                 {"type": "reception_summary", "t": t, "entity": names[v],
                  **dict(zip(RECEPTION_COUNTERS, counts))}
-                for v, t, counts in _reception_rows(r, lo, hi)
+                for v, t, counts in _rows(lo, hi, r.vehicle, r.t, r.counts)
             ]
-
-        def delivery_dict(kind, t, entity, rx, zone, epoch, nbytes, latency):
-            if kind == PEER_FILTER:
-                return {"type": "peer_filter", "t": t, "tx": names[entity],
-                        "rx": names[rx], "zone": names[zone], "epoch": epoch,
-                        "bytes": nbytes}
-            return {"type": "filter_delivered", "t": t, "vehicle": names[entity],
-                    "zone": names[zone], "epoch": epoch,
-                    "via": "rsu" if kind == VIA_RSU else "peer",
-                    "latency_s": latency if kind == VIA_RSU else None}
 
         return [
             e
             for block in self._merged(
                 lambda lo, hi: self.protocol[lo:hi], beacon_dicts,
-                lambda lo, hi: [periodic_dict(*row) for row in p.rows(lo, hi)],
+                lambda lo, hi: [message_dict(*row) for row in m.rows(lo, hi)],
                 reception_dicts,
-                lambda lo, hi: [delivery_dict(*row) for row in d.rows(lo, hi)],
             )
             for e in block
         ]
@@ -369,7 +339,7 @@ class EventLog:
         built once per distinct value too: a beacon's time, its fields from
         tx to "x", and its fields from speed to the end; a reception
         summary's time, and its counters."""
-        b, p, r, d = self.beacons, self.periodic, self.receptions, self.deliveries
+        b, m, r = self.beacons, self.messages, self.receptions
         enc = [encode_event(s) for s in b.names] + ["null"]  # zone -1: null
         observer_sets, code = _observer_sets(b)
         observers = [encode_event(ids) for ids in observer_sets]
@@ -412,12 +382,31 @@ class EventLog:
             ]
 
         verifiers = [
-            encode_event([b.names[i] for i in ids]) for ids in p.verifier_lists
+            encode_event([b.names[i] for i in ids]) for ids in m.verifier_lists
         ]
 
-        def periodic_line(kind, t, tx, zone, nbytes, epoch, index, total, v):
+        def message_line(kind, t, tx, rx, zone, nbytes, epoch, index, total, v,
+                         latency):
+            if kind == PEER_FILTER:
+                return (
+                    f'{{"type":"peer_filter","t":{t!r},"tx":{enc[tx]},'
+                    f'"rx":{enc[rx]},"zone":{enc[zone]},"epoch":{epoch},'
+                    f'"bytes":{nbytes}}}\n'
+                )
+            if kind == VIA_PEER:
+                return (
+                    f'{{"type":"filter_delivered","t":{t!r},"vehicle":{enc[tx]},'
+                    f'"zone":{enc[zone]},"epoch":{epoch},"via":"peer",'
+                    f'"latency_s":null}}\n'
+                )
+            if kind == VIA_RSU:
+                return (
+                    f'{{"type":"filter_delivered","t":{t!r},"vehicle":{enc[tx]},'
+                    f'"zone":{enc[zone]},"epoch":{epoch},"via":"rsu",'
+                    f'"latency_s":{latency!r}}}\n'
+                )
             head = (
-                f'{{"type":"{PERIODIC_TYPES[kind]}","t":{t!r},"tx":{enc[tx]},'
+                f'{{"type":"{MESSAGE_TYPES[kind]}","t":{t!r},"tx":{enc[tx]},'
                 f'"zone":{enc[zone]}'
             )
             if kind == ENCRYPTED:
@@ -446,30 +435,10 @@ class EventLog:
                 )
             ]
 
-        def delivery_line(kind, t, entity, rx, zone, epoch, nbytes, latency):
-            if kind == PEER_FILTER:
-                return (
-                    f'{{"type":"peer_filter","t":{t!r},"tx":{enc[entity]},'
-                    f'"rx":{enc[rx]},"zone":{enc[zone]},"epoch":{epoch},'
-                    f'"bytes":{nbytes}}}\n'
-                )
-            if kind == VIA_PEER:
-                return (
-                    f'{{"type":"filter_delivered","t":{t!r},"vehicle":{enc[entity]},'
-                    f'"zone":{enc[zone]},"epoch":{epoch},"via":"peer",'
-                    f'"latency_s":null}}\n'
-                )
-            return (
-                f'{{"type":"filter_delivered","t":{t!r},"vehicle":{enc[entity]},'
-                f'"zone":{enc[zone]},"epoch":{epoch},"via":"rsu",'
-                f'"latency_s":{latency!r}}}\n'
-            )
-
         for block in self._merged(
             protocol_lines, beacon_lines,
-            lambda lo, hi: [periodic_line(*row) for row in p.rows(lo, hi)],
+            lambda lo, hi: [message_line(*row) for row in m.rows(lo, hi)],
             reception_lines,
-            lambda lo, hi: [delivery_line(*row) for row in d.rows(lo, hi)],
         ):
             fh.write("".join(block))
 
@@ -544,20 +513,10 @@ class _Reprs:
         return self.reprs[self.code[rows]]
 
 
-def _beacon_rows(b: BeaconColumns, lo: int, hi: int, code: np.ndarray):
-    """Beacon rows lo..hi as Python values, the observer column as the
-    index of its distinct observer list."""
-    return zip(*(
-        col[lo:hi].tolist()
-        for col in (b.t, b.tx, b.pseudonym, b.link, b.x, b.y, b.speed,
-                    b.heading, b.length, b.chaff, b.zone, code)
-    ))
-
-
-def _reception_rows(r: ReceptionColumns, lo: int, hi: int):
-    return zip(
-        r.vehicle[lo:hi].tolist(), r.t[lo:hi].tolist(), r.counts[lo:hi].tolist()
-    )
+def _rows(lo: int, hi: int, *cols: np.ndarray):
+    """Rows lo..hi of equal-length columns as Python values, in column
+    order; a row of a 2-d column is one list."""
+    return zip(*(col[lo:hi].tolist() for col in cols))
 
 
 def round_array(values, digits: int) -> np.ndarray:
@@ -593,13 +552,12 @@ def _event_entity(e: dict) -> str:
 
 
 class EventLogBuilder:
-    """The log as the engine emits it: protocol events as dicts; beacons,
-    periodic records and filter answers and deliveries as blocks of raw
-    columns; strings interned in one table. A protocol event takes the
-    current `key`, and its place among the events as n. finish() publishes
-    the beacons (rounds them as they go on the air), works out which
-    eavesdroppers heard each one, and sorts every record into output
-    order."""
+    """The log as the engine emits it: protocol events as dicts; beacons
+    and messages as blocks of raw columns; strings interned in one table.
+    A protocol event takes the current `key`, and its place among the
+    events as n. finish() publishes the beacons (rounds them as they go on
+    the air), works out which eavesdroppers heard each one, and sorts every
+    record into output order."""
 
     def __init__(self, eaves: Sequence[str], ex, ey, er2):
         """eaves are the eavesdropper ids, in order; ex, ey and er2 their
@@ -615,8 +573,7 @@ class EventLogBuilder:
         self.verifier_lists: list[tuple[int, ...]] = [()]
         self._verifier_index: dict[tuple[int, ...], int] = {(): 0}
         self._blocks: list[tuple] = []
-        self._periodic: list[tuple] = []
-        self._deliveries: list[tuple] = []
+        self._messages: list[tuple] = []
 
     def name(self, s: str) -> int:
         """s's index in the string table."""
@@ -651,25 +608,16 @@ class EventLogBuilder:
             zone, hx, hy,
         ))
 
-    def periodic(self, kind, key, n, t, tx, zone, nbytes, epoch=0, index=0,
-                 total=0, verifiers=0) -> None:
-        """Log len(key) periodic records of one kind (ADVERT, CHUNK or
-        ENCRYPTED) under order keys (key, n); the other arguments hold one
-        value per record or one for all, as in PeriodicColumns, verifiers
-        as returned by verifiers()."""
-        self._periodic.append((
-            key, n, kind, t, tx, zone, nbytes, epoch, index, total, verifiers,
-        ))
-
-    def deliveries(self, kind, key, n, t, entity, rx, zone, epoch, nbytes=0,
-                   latency_s=0.0) -> None:
-        """Log len(key) filter answers or deliveries of one kind
-        (PEER_FILTER, VIA_PEER or VIA_RSU) under order keys (key, n); the
-        other arguments hold one value per record or one for all, as in
-        DeliveryColumns. A phase that logs these logs no protocol event
-        under the same key, so n need only order them among themselves."""
-        self._deliveries.append((
-            key, n, kind, t, entity, rx, zone, epoch, nbytes, latency_s,
+    def message(self, kind, key, n, t, tx, zone, nbytes=0, *, rx=-1, epoch=0,
+                index=0, total=0, verifiers=0, latency_s=0.0) -> None:
+        """Log len(key) messages of one kind (ADVERT to VIA_RSU) under order
+        keys (key, n); the other arguments hold one value per message or one
+        for all, as in MessageColumns, verifiers as returned by verifiers().
+        A phase that logs answers or deliveries logs no protocol event under
+        the same key, so n need only order them among themselves."""
+        self._messages.append((
+            key, n, kind, t, tx, rx, zone, nbytes, epoch, index, total,
+            verifiers, latency_s,
         ))
 
     def finish(
@@ -685,9 +633,8 @@ class EventLogBuilder:
         nonzero counter is one reception summary, ordered after every other
         record of its (time, vehicle), in (vehicle, second) order."""
         cols = _columns(self._blocks, _RAW_BEACON_COLUMNS)
-        pcols = _columns(self._periodic, _PERIODIC_COLUMNS)
-        dcols = _columns(self._deliveries, _DELIVERY_COLUMNS)
-        self._blocks = self._periodic = self._deliveries = []
+        mcols = _columns(self._messages, _MESSAGE_COLUMNS)
+        self._blocks = self._messages = []
         for name, digits in _PUBLISHED_DIGITS:
             cols[name] = round_array(cols[name], digits)
         ex, ey, er2 = self._eaves_disks
@@ -701,53 +648,45 @@ class EventLogBuilder:
         vi = np.searchsorted(base, slot, side="right") - 1
         rec_vehicle = vehicle_names[vi]
         rec_t = (slot - base[vi] + first_sec[vi]).astype(np.float64)
-        sizes = [
-            len(self.protocol), cols["t"].size, pcols["t"].size, slot.size,
-            dcols["t"].size,
-        ]
+        sizes = [len(self.protocol), cols["t"].size, mcols["t"].size, slot.size]
 
         entity = [self.name(_event_entity(e)) for e in self.protocol]
         rank = name_ranks(self.names)
         t = np.concatenate([
             np.array([e["t"] for e in self.protocol], dtype=np.float64),
-            cols["t"], pcols["t"], rec_t, dcols["t"],
+            cols["t"], mcols["t"], rec_t,
         ])
         entity_rank = rank[np.concatenate([
-            np.array(entity, dtype=np.int64), cols["tx"], pcols["tx"], rec_vehicle,
-            dcols["entity"],
+            np.array(entity, dtype=np.int64), cols["tx"], mcols["tx"], rec_vehicle,
         ])]
         key = np.concatenate([
             np.array(self._protocol_keys, dtype=np.int64), cols.pop("key"),
-            pcols.pop("key"), np.full(slot.size, _LAST_KEY), dcols.pop("key"),
+            mcols.pop("key"), np.full(slot.size, _LAST_KEY),
         ])
         n = np.concatenate([
-            np.arange(len(self.protocol)), cols.pop("n"), pcols.pop("n"),
-            np.arange(slot.size), dcols.pop("n"),
+            np.arange(len(self.protocol)), cols.pop("n"), mcols.pop("n"),
+            np.arange(slot.size),
         ])
         order = np.lexsort((n, key, entity_rank, t))
         del t, entity_rank, key, n
         kinds = np.repeat(
-            np.array(
-                [_PROTOCOL, _BEACON, _PERIODIC, _RECEPTION, _DELIVERY], dtype=np.uint8
-            ),
+            np.array([_PROTOCOL, _BEACON, _MESSAGE, _RECEPTION], dtype=np.uint8),
             sizes,
         )[order]
         starts = np.cumsum(sizes) - sizes
         b = order[kinds == _BEACON] - starts[_BEACON]
-        p = order[kinds == _PERIODIC] - starts[_PERIODIC]
+        m = order[kinds == _MESSAGE] - starts[_MESSAGE]
         r = order[kinds == _RECEPTION] - starts[_RECEPTION]
-        d = order[kinds == _DELIVERY] - starts[_DELIVERY]
         log = EventLog(
             [self.protocol[i] for i in order[kinds == _PROTOCOL].tolist()],
             BeaconColumns(
                 self.names, self.eaves, **{name: col[b] for name, col in cols.items()}
             ),
-            PeriodicColumns(
+            MessageColumns(
                 self.names, self.verifier_lists,
-                **{name: col[p] for name, col in pcols.items()},
+                **{name: col[m] for name, col in mcols.items()},
             ),
             ReceptionColumns(self.names, rec_vehicle[r], rec_t[r], rec_counts[r]),
-            DeliveryColumns(self.names, **{name: col[d] for name, col in dcols.items()}),
             kinds,
         )
         return log, observations

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence, TextIO
 
@@ -20,10 +21,9 @@ from .adversary import Chain, LinkCandidateSet, PseudonymTrack, chain_distance_m
 from .core import CAM_WIRE_BYTES, PSEUDONYM_WIRE_BYTES
 from .eventlog import (
     BEACON_WIRE_BYTES,
-    PEER_FILTER,
+    VIA_PEER,
     BeaconColumns,
-    DeliveryColumns,
-    PeriodicColumns,
+    MessageColumns,
     ReceptionColumns,
 )
 
@@ -197,13 +197,12 @@ def anonymity_set_sizes(events: Sequence[dict]) -> list[int]:
 
 
 def empirical_cdf(values: Sequence[int]) -> list[tuple[int, float]]:
-    if not values:
-        return []
+    """(value, share of values at most it) for each distinct value, in
+    value order."""
     out: list[tuple[int, float]] = []
-    n = len(values)
-    seen = 0
-    for v in sorted(set(values)):
-        seen += sum(1 for x in values if x == v)
+    n, seen = len(values), 0
+    for v, k in sorted(Counter(values).items()):
+        seen += k
         out.append((v, seen / n))
     return out
 
@@ -377,8 +376,7 @@ def overhead(
     duration_s: float,
     beacons: BeaconColumns | None = None,
     receptions: ReceptionColumns | None = None,
-    periodic: PeriodicColumns | None = None,
-    deliveries: DeliveryColumns | None = None,
+    messages: MessageColumns | None = None,
 ) -> OverheadReport:
     """Fold the event log into the per-entity ledgers.
 
@@ -388,10 +386,9 @@ def overhead(
     one (advert first hearers, join legs, retire processing at the issuer,
     each filter delivery, and the per-second reception counters).
 
-    A run's beacons, periodic records, reception summaries and filter
-    answers and deliveries may come as columns of its log, which share the
-    log's string table, instead of dicts in `events`; they are folded by
-    the same rules, each ledger in one pass.
+    A run's beacons, messages and reception summaries may come as columns
+    of its log, which share the log's string table, instead of dicts in
+    `events`; they are folded by the same rules, each ledger in one pass.
     """
     rep = OverheadReport(duration_s, {})
     ledgers = {
@@ -406,14 +403,19 @@ def overhead(
         one = np.ones(sec.size, dtype=np.int64)
         parts["bytes"].append((beacons.tx, sec, one * BEACON_WIRE_BYTES))
         parts["signs"].append((beacons.tx, sec, one))
-    if periodic is not None:
-        names, sec = periodic.names, periodic.t.astype(np.int64)
-        parts["bytes"].append((periodic.tx, sec, periodic.bytes))
-        parts["signs"].append((periodic.tx, sec, np.ones(sec.size, dtype=np.int64)))
-        # each advert's first verifiers verify it
-        heard = np.flatnonzero(periodic.verifiers)
-        lists = [periodic.verifier_lists[c] for c in periodic.verifiers[heard].tolist()]
+    if messages is not None:
+        # adverts, chunks, encrypted beacons and answers are signed by their
+        # sender; a delivery's vehicle verifies the filter, and carries 0
+        # bytes; each advert's first verifiers verify it
+        m = messages
+        names, sec = m.names, m.t.astype(np.int64)
+        delivery = (m.kind >= VIA_PEER).astype(np.int64)
+        parts["bytes"].append((m.tx, sec, m.bytes))
+        parts["signs"].append((m.tx, sec, 1 - delivery))
+        heard = np.flatnonzero(m.verifiers)
+        lists = [m.verifier_lists[c] for c in m.verifiers[heard].tolist()]
         verifier = np.array([v for ids in lists for v in ids], dtype=np.int64)
+        parts["verifies"].append((m.tx, sec, delivery))
         parts["verifies"].append((
             verifier, np.repeat(sec[heard], [len(ids) for ids in lists]),
             np.ones(verifier.size, dtype=np.int64),
@@ -426,15 +428,6 @@ def overhead(
         parts["checks"].append((ent, sec, receptions.count("checks")))
         parts["bytes"].append((ent, sec, q * PEER_QUERY_BYTES))
         parts["signs"].append((ent, sec, q))
-    if deliveries is not None:
-        # an answer's sender signs it and sends its bytes; a delivery's
-        # vehicle verifies the filter, and carries 0 bytes
-        names, ent = deliveries.names, deliveries.entity
-        sec = deliveries.t.astype(np.int64)
-        answer = (deliveries.kind == PEER_FILTER).astype(np.int64)
-        parts["bytes"].append((ent, sec, deliveries.bytes))
-        parts["signs"].append((ent, sec, answer))
-        parts["verifies"].append((ent, sec, 1 - answer))
     for name, table in ledgers.items():
         if parts[name]:
             _add_cells(table, names, *(np.concatenate(c) for c in zip(*parts[name])))

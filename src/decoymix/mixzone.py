@@ -35,8 +35,6 @@ ADVERT_PAYLOAD_BYTES = _ADVERT.size
 _JOIN_REQUEST = struct.Struct("<dd")
 JOIN_REQUEST_PAYLOAD_BYTES = _JOIN_REQUEST.size
 JOIN_TIMESTAMP_TOLERANCE_S = 5.0
-DEFAULT_SPARSE_THRESHOLD = 2
-DEFAULT_RSU_RANGE_M = 600.0
 EXIT_SPEED_HISTORY = 10
 
 
@@ -126,8 +124,8 @@ class MixZoneController:
         traverse_bounds: tuple[float, float],
         beacon_interval_s: float,
         run_seed: int,
-        sparse_threshold: int = DEFAULT_SPARSE_THRESHOLD,
-        rsu_range_m: float = DEFAULT_RSU_RANGE_M,
+        sparse_threshold: int,
+        rsu_range_m: float,
     ) -> None:
         self.zone_id = zone_id
         self.geometry = geometry

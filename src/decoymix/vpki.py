@@ -21,9 +21,6 @@ from .errors import (
     UnknownChaff,
 )
 
-DEFAULT_FILTER_CAPACITY = 1000
-DEFAULT_FILTER_TARGET_FP = 1e-20
-
 
 class AssignmentSource(Protocol):
     """What an RSU must answer during resolution."""
@@ -37,8 +34,8 @@ class CredentialAuthority:
     def __init__(
         self,
         rng_seed: int,
-        filter_capacity: int = DEFAULT_FILTER_CAPACITY,
-        filter_target_fp: float = DEFAULT_FILTER_TARGET_FP,
+        filter_capacity: int,
+        filter_target_fp: float,
     ) -> None:
         self._rng = random.Random(rng_seed)
         self._filter_capacity = filter_capacity

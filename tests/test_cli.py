@@ -552,12 +552,13 @@ def test_run_starts_no_more_workers_than_jobs(tmp_path, monkeypatch):
 # attack round trip
 
 
-def mixed_run():
+def mixed_run(
+    zones=(ZoneSpec("z-a", 1000.0, 1000.0, 100.0),),
+    eavesdroppers=(EavesdropperSpec("eav-0", 1000.0, 1000.0, 250.0),),
+):
     g = make_grid(3, 3, 1000.0)
     cfg = ScenarioConfig(
-        graph=g,
-        zones=(ZoneSpec("z-a", 1000.0, 1000.0, 100.0),),
-        eavesdroppers=(EavesdropperSpec("eav-0", 1000.0, 1000.0, 250.0),),
+        graph=g, zones=zones, eavesdroppers=eavesdroppers,
         n_vehicles=10, arrival_rate_per_s=0.1,
         rng_seed=21, duration_s=240.0, relay_fraction=1.0,
     )
@@ -590,30 +591,41 @@ def write_mixed_scenario(tmp_path, cfg):
 
 
 def test_attack_round_trip_matches_in_process(tmp_path):
-    cfg, result = mixed_run()
-    obs_path = tmp_path / "observations.csv"
-    with open(obs_path, "w", encoding="utf-8") as fh:
-        result.export_observations(fh)
-    scenario = write_mixed_scenario(tmp_path, cfg)
-
-    out = tmp_path / "attack"
-    rc = main(["attack", "--obs", str(obs_path), "--scenario", str(scenario),
-               "--chain-seed", "21", "--out", str(out)])
-    assert rc == 0
-
-    zone_geoms = [(zi.zone_id, zi.geometry) for zi in result.zones]
-    eaves_ranges = {e.eaves_id: e.range_m for e in cfg.eavesdroppers}
-    sets, _, _ = attack_rows(
-        result.observations, cfg.graph, zone_geoms, eaves_ranges,
-        v_min=cfg.v_min_mps, chain_seed=21,
+    # one zone; then two listed in descending id order, which the run and
+    # the attack both take in id order
+    two_zones = mixed_run(
+        (ZoneSpec("z-b", 1000.0, 1000.0, 100.0), ZoneSpec("z-a", 1000.0, 0.0, 100.0)),
+        (EavesdropperSpec("eav-0", 1000.0, 1000.0, 250.0),
+         EavesdropperSpec("eav-1", 1000.0, 0.0, 250.0)),
     )
-    assert sets, "scenario produced no linking instances"
-    buf = io.StringIO()
-    export_candidate_sets(sets, buf)
-    assert (out / "candidate_sets.jsonl").read_text() == buf.getvalue()
-    summary = json.loads((out / "attack_summary.json").read_text())
-    assert summary["no_transitions"] is False
-    assert summary["n_entering"] == len(sets)
+    for case, (cfg, result) in enumerate([mixed_run(), two_zones]):
+        d = tmp_path / str(case)
+        d.mkdir()
+        obs_path = d / "observations.csv"
+        with open(obs_path, "w", encoding="utf-8") as fh:
+            result.export_observations(fh)
+        scenario = write_mixed_scenario(d, cfg)
+
+        out = d / "attack"
+        rc = main(["attack", "--obs", str(obs_path), "--scenario", str(scenario),
+                   "--chain-seed", "21", "--out", str(out)])
+        assert rc == 0
+
+        zone_geoms = [(zi.zone_id, zi.geometry) for zi in result.zones]
+        eaves_ranges = {e.eaves_id: e.range_m for e in cfg.eavesdroppers}
+        sets, _, _ = attack_rows(
+            result.observations, cfg.graph, zone_geoms, eaves_ranges,
+            v_min=cfg.v_min_mps, chain_seed=21,
+        )
+        assert {s.zone_id for s in sets} == {z.zone_id for z in cfg.zones}, (
+            "scenario produced no linking instances in some zone"
+        )
+        buf = io.StringIO()
+        export_candidate_sets(sets, buf)
+        assert (out / "candidate_sets.jsonl").read_text() == buf.getvalue()
+        summary = json.loads((out / "attack_summary.json").read_text())
+        assert summary["no_transitions"] is False
+        assert summary["n_entering"] == len(sets)
 
 
 def empty_scenario(tmp_path):

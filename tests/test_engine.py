@@ -1454,11 +1454,11 @@ class _DensePeerExchange(_Run):
         self.peer_answered.append(np.unique(li[r]) + tk.lo)
         key, n = np.full(r.size, self.log.key), 2 * np.arange(r.size)
         rx, zone = self.veh_name[vi], self.zone_name[j]
-        self.log.deliveries(
-            engine.PEER_FILTER, key, n, tk.now, self.veh_name[tk.av[resp]], rx,
-            zone, ep, nbytes=self.answer_bytes[j],
+        self.log.message(
+            engine.PEER_FILTER, key, n, tk.now, self.veh_name[tk.av[resp]], zone,
+            self.answer_bytes[j], rx=rx, epoch=ep,
         )
-        self.log.deliveries(engine.VIA_PEER, key, n + 1, tk.now, rx, -1, zone, ep)
+        self.log.message(engine.VIA_PEER, key, n + 1, tk.now, rx, zone, epoch=ep)
 
 
 class _PerTickPeriodic(_DensePeerExchange):

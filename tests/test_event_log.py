@@ -342,16 +342,16 @@ def _tick_records_log():
             })
         log.key = k * n_ph + engine.PH_RSU
         if k == 2:
-            log.deliveries(
-                VIA_RSU, np.array([log.key]), 0, now, veh[1], -1, zone, 2,
+            log.message(
+                VIA_RSU, np.array([log.key]), 0, now, veh[1], zone, epoch=2,
                 latency_s=1.5,
             )
         log.key = k * n_ph + engine.PH_PEERS
         if k == 3:
             key = np.array([log.key])
-            log.deliveries(PEER_FILTER, key, 0, now, veh[0], veh[2], zone, 2,
-                           nbytes=1234)
-            log.deliveries(VIA_PEER, key, 1, now, veh[2], -1, zone, 2)
+            log.message(PEER_FILTER, key, 0, now, veh[0], zone, 1234, rx=veh[2],
+                        epoch=2)
+            log.message(VIA_PEER, key, 1, now, veh[2], zone, epoch=2)
         log.key = k * n_ph + engine.PH_DESPAWNS
         if k == 2:
             log.event({
@@ -364,19 +364,19 @@ def _tick_records_log():
                 "zone": "z", "bytes": 156,
             })
     ks = np.arange(4)
-    log.periodic(
+    log.message(
         ADVERT, ks * n_ph + engine.PH_ADVERTS, 0, ks * 1.0, rsu, zone, 92,
         verifiers=np.array([
             log.verifiers(()), log.verifiers((veh[0],)),
             log.verifiers((veh[3], veh[1], veh[2])), log.verifiers(()),
         ]),
     )
-    log.periodic(
+    log.message(
         CHUNK, ks * n_ph + engine.PH_CHUNKS, 0, ks * 1.0, rsu, zone,
         np.array([1140, 1140, 800, 1140]), epoch=np.array([1, 1, 2, 2]),
         index=ks % 3, total=3,
     )
-    log.periodic(
+    log.message(
         ENCRYPTED, np.array([2 * n_ph + engine.PH_BEACONS] * 2), np.array([5, 6]),
         2.0, np.array([veh[1], veh[2]]), zone, 490,
     )
@@ -446,7 +446,7 @@ def test_overhead_over_periodic_columns_matches_the_dicts():
     event_log = _tick_records_log()
     from_columns = overhead(
         event_log.protocol, 4.0, event_log.beacons, event_log.receptions,
-        event_log.periodic, event_log.deliveries,
+        event_log.messages,
     )
     assert from_columns == overhead(event_log.records(), 4.0)
     # the first verifiers verify, the RSU signs and sends every record

@@ -34,6 +34,8 @@ def _controller(grid4, zone_j1_1, relay_fraction, pool=None, **kw):
         bounds,
         beacon_interval_s=0.5,
         run_seed=99,
+        sparse_threshold=2,
+        rsu_range_m=600.0,
         **kw,
     )
 

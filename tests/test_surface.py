@@ -1,9 +1,10 @@
 """Guard against library code that only tests reach.
 
-Every public function, method and module-level constant in src/decoymix must
-be referenced somewhere in src/ outside its own definition: by the engine, the
-CLI, or another library function they use. Names are matched by identifier, not by type, so
-the guard can miss dead code but never flags code the program uses.
+Every public function, class, method and module-level constant in
+src/decoymix must be referenced somewhere in src/ outside its own definition:
+by the engine, the CLI, or another library function they use. Names are
+matched by identifier, not by type, so the guard can miss dead code but never
+flags code the program uses.
 """
 
 from __future__ import annotations
@@ -42,8 +43,9 @@ ALLOWED = {
 
 def _definitions(module: str, tree: ast.Module):
     """(qualified name, name, node) of each public module-level function,
-    public module-level constant and public method of a module-level class.
-    A constant's node is the assignment that binds it."""
+    public module-level constant, public module-level class and public
+    method of a module-level class. A constant's node is the assignment
+    that binds it."""
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             if not node.name.startswith("_"):
@@ -54,6 +56,8 @@ def _definitions(module: str, tree: ast.Module):
                 if isinstance(name, ast.Name) and not name.id.startswith("_"):
                     yield f"{module}.{name.id}", name.id, node
         elif isinstance(node, ast.ClassDef):
+            if not node.name.startswith("_"):
+                yield f"{module}.{node.name}", node.name, node
             for item in node.body:
                 if (
                     isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
@@ -73,8 +77,8 @@ def _references(tree: ast.Module):
 
 
 def unreached_surface() -> list[str]:
-    """Qualified names of public functions, methods and constants that
-    nothing in src/ references outside their own definition."""
+    """Qualified names of public functions, classes, methods and constants
+    that nothing in src/ references outside their own definition."""
     trees = {
         p.stem: ast.parse(p.read_text(encoding="utf-8"), filename=str(p))
         for p in sorted(SRC.glob("*.py"))
@@ -96,7 +100,8 @@ def unreached_surface() -> list[str]:
 def test_every_public_function_is_reached_from_src():
     unused = [q for q in unreached_surface() if q not in ALLOWED]
     assert unused == [], (
-        "public functions, methods or constants that nothing in src/ reads; "
+        "public functions, classes, methods or constants that nothing in src/ "
+        "reads; "
         f"delete them, or list a reference implementation in ALLOWED: {unused}"
     )
 

@@ -17,7 +17,7 @@ from decoymix.vpki import CredentialAuthority
 
 
 def _authority(seed=1, capacity=1000):
-    ca = CredentialAuthority(seed, filter_capacity=capacity)
+    ca = CredentialAuthority(seed, filter_capacity=capacity, filter_target_fp=1e-20)
     ca.register_vehicle("veh_a")
     ca.register_vehicle("veh_b")
     ca.register_rsu("rsu_1")
