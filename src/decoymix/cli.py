@@ -39,7 +39,7 @@ from .adversary import (
     link,
     parse_observation_csv,
 )
-from .engine import ScenarioConfig, run
+from .engine import run, zone_geometries
 from .errors import AuditFailure, ConfigError
 from .eventlog import Observations
 from .metrics import (
@@ -49,10 +49,8 @@ from .metrics import (
     write_overhead_csv,
 )
 from .roads import RoadGraph, central_junctions, make_grid
+from .scenario import SWEEP_AXES, ScenarioConfig
 
-SWEEP_AXES = (
-    "relay_fraction", "non_coop_fraction", "hbc_rsu_fraction", "gamma_v_s",
-)
 MAX_JOBS = 10_000
 
 ZONE_RADIUS_M = 100.0
@@ -112,7 +110,7 @@ def attack_result(result, chain_seed: int | None = None):
     sets, chains, tracks = attack_rows(
         result.observations,
         cfg.graph,
-        cfg.geometries().items(),
+        zone_geometries(cfg).items(),
         eaves_ranges,
         v_min=cfg.v_min_mps,
         chain_seed=cfg.rng_seed if chain_seed is None else chain_seed,
@@ -257,9 +255,8 @@ def _execute_job(job: tuple) -> tuple:
     """One (sweep point, seed) cell: simulate, attack, write reports, then
     raise AuditFailure if the run's audits found anything.
 
-    Module level and primitive-typed so a process pool can ship it."""
-    scenario_path, point, seed, run_dir, fmt = job
-    cfg = ScenarioConfig.from_file(scenario_path).replaced(rng_seed=seed, **point)
+    Module level, and its job picklable, so a process pool can ship it."""
+    cfg, point, seed, run_dir, fmt = job
     result = run(cfg)
     sets, link_rep, over_rep = cell_reports(result)
 
@@ -298,7 +295,11 @@ def cmd_run(args) -> int:
         workers=args.workers,
     )
     manifest.validate()
-    ScenarioConfig.from_file(manifest.scenario)  # fail fast on a bad scenario
+    # fail fast on a bad scenario or sweep value, before any file is written
+    cfg = ScenarioConfig.from_file(manifest.scenario)
+    zone_geometries(cfg)
+    for point in manifest.points():
+        cfg.replaced(**point).validate()
 
     _refuse_overwrite(manifest.out, args.force)
     manifest.out.mkdir(parents=True, exist_ok=True)
@@ -308,7 +309,7 @@ def cmd_run(args) -> int:
 
     jobs = [
         (
-            str(manifest.scenario), point, seed,
+            cfg.replaced(rng_seed=seed, **point), point, seed,
             str(manifest.out / point_label(point) / f"seed{seed}"),
             manifest.fmt,
         )
@@ -400,7 +401,7 @@ def cmd_gen_grid(args) -> int:
         "sparse_threshold": 2,
         "rsu_range_m": 600.0,
     }
-    ScenarioConfig.over_graph(g, scenario)
+    zone_geometries(ScenarioConfig.over_graph(g, scenario))
 
     out = Path(args.out)
     _refuse_overwrite(out, args.force)
@@ -420,6 +421,7 @@ def cmd_gen_grid(args) -> int:
 
 def cmd_attack(args) -> int:
     cfg = ScenarioConfig.from_file(args.scenario)
+    geoms = zone_geometries(cfg)
     try:
         with open(args.obs, encoding="utf-8") as fh:
             obs = parse_observation_csv(fh)
@@ -430,7 +432,7 @@ def cmd_attack(args) -> int:
 
     eaves_ranges = {e.eaves_id: e.range_m for e in cfg.eavesdroppers}
     sets, chains, tracks = attack_rows(
-        obs, cfg.graph, cfg.geometries().items(), eaves_ranges,
+        obs, cfg.graph, geoms.items(), eaves_ranges,
         v_min=cfg.v_min_mps, chain_seed=args.chain_seed,
     )
 

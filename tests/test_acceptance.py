@@ -27,9 +27,6 @@ from decoymix.chaff_filter import (
 from decoymix.cli import attack_result, main
 from decoymix.core import CAM_WIRE_BYTES, PSEUDONYM_WIRE_BYTES
 from decoymix.engine import (
-    EavesdropperSpec,
-    ScenarioConfig,
-    ZoneSpec,
     audit_ground_truth,
     audit_observability,
     audit_single_pseudonym,
@@ -39,6 +36,7 @@ from decoymix.engine import (
 from decoymix.metrics import overhead, scored_sets, success_rate
 from decoymix.mobility import Trip, synthesize_trips
 from decoymix.roads import make_grid
+from decoymix.scenario import EavesdropperSpec, ScenarioConfig, ZoneSpec
 
 from test_adversary import V_MIN, random_instance, tracks_of
 

@@ -16,16 +16,11 @@ from decoymix.cli import (
     parse_sweep,
     point_label,
 )
-from decoymix.engine import (
-    EavesdropperSpec,
-    RunResult,
-    ScenarioConfig,
-    ZoneSpec,
-    run,
-)
+from decoymix.engine import RunResult, run
 from decoymix.errors import ConfigError
 from decoymix.eventlog import Observations
 from decoymix.roads import make_grid, zone_from_center
+from decoymix.scenario import EavesdropperSpec, ScenarioConfig, ZoneSpec
 
 from test_roads import dead_end_crossing
 
@@ -221,6 +216,23 @@ def test_run_repeated_sweep_value_exits_2(tmp_path, capsys, values):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("sweep, message", [
+    ("relay_fraction=0,1.5", "relay_fraction must lie in [0, 1]"),
+    ("gamma_v_s=0.5,nan", "gamma_v_s must be one of (0.2, 0.5, 1.0)"),
+], ids=["relay-above-one", "gamma-nan"])
+def test_run_bad_sweep_value_exits_2_before_any_cell(tmp_path, capsys, sweep, message):
+    # every sweep point is checked before manifest.json is written, so a bad
+    # value after a good one leaves no cell of the good one behind
+    scenario = small_scenario(tmp_path, vehicles=3, duration=60.0)
+    out = tmp_path / "o"
+    capsys.readouterr()
+    rc = main(["run", "--scenario", str(scenario), "--seeds", "1",
+               "--sweep", sweep, "--out", str(out)])
+    assert rc == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
 def test_run_seed_range_beyond_the_job_cap_exits_2(tmp_path, capsys):
     # refused from the span alone, before any seed tuple is built
     scenario = small_scenario(tmp_path, vehicles=3, duration=60.0)
@@ -386,11 +398,12 @@ def test_zone_round_a_dead_end_is_refused():
     doc = {"zones": [{"zone_id": "z-c", "center_x_m": 500.0, "center_y_m": 500.0,
                       "radius_m": 100.0}], "traffic": {"n_vehicles": 0}}
     g = dead_end_crossing()
-    ScenarioConfig.over_graph(g, doc)
+    engine.zone_geometries(ScenarioConfig.over_graph(g, doc))
     doc["zones"].append({"zone_id": "z-n2", "center_x_m": 500.0,
                          "center_y_m": 2500.0, "radius_m": 100.0})
+    cfg = ScenarioConfig.over_graph(g, doc)
     with pytest.raises(ConfigError, match="^zone z-n2: no road runs through its disk$"):
-        ScenarioConfig.over_graph(g, doc)
+        engine.zone_geometries(cfg)
 
 
 @pytest.mark.parametrize("overrides", [
@@ -467,24 +480,31 @@ def test_zone_geometry_is_built_once_per_scenario_load(tmp_path, monkeypatch):
                  "--vehicles", "4", "--duration", "60", "--arrival-rate", "0.15",
                  "--out", str(scen)]) == 0
     scenario = scen / "scenario.json"
-    built = []
+    # the benchmark's traced run times both through these engine names
+    built, synthesized = [], []
     zone_from_center = engine.zone_from_center
     monkeypatch.setattr(
         engine, "zone_from_center",
         lambda g, center, radius: built.append(center) or zone_from_center(g, center, radius),
     )
+    synthesize_trips = engine.synthesize_trips
+    monkeypatch.setattr(
+        engine, "synthesize_trips",
+        lambda *a: synthesized.append(a) or synthesize_trips(*a),
+    )
     cfg = ScenarioConfig.from_file(scenario)
+    engine.zone_geometries(cfg)
     assert len(built) == 2
     run(cfg.replaced(rng_seed=3))
-    assert len(built) == 2
-    # decoymix run loads the scenario once to fail fast, then once per job
+    assert len(built) == 2 and len(synthesized) == 1
+    # decoymix run loads the scenario once, and its jobs reuse the load
     out = tmp_path / "runs"
     assert main(["run", "--scenario", str(scenario), "--seeds", "1,2",
                  "--out", str(out)]) == 0
-    assert len(built) == 2 + 3 * 2
+    assert len(built) == 2 + 2 and len(synthesized) == 1 + 2
     assert main(["attack", "--obs", str(out / "base" / "seed1" / "observations.csv"),
                  "--scenario", str(scenario), "--out", str(tmp_path / "a")]) == 0
-    assert len(built) == 2 + 3 * 2 + 2
+    assert len(built) == 2 + 2 + 2
 
 
 def test_run_json_format(tmp_path):

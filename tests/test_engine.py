@@ -27,9 +27,6 @@ from decoymix.engine import (
     BEACON_WIRE_BYTES,
     ENCRYPTED_BEACON_WIRE_BYTES,
     RECEPTION_COUNTERS,
-    EavesdropperSpec,
-    ScenarioConfig,
-    ZoneSpec,
     _build_stream_poses,
     _Run,
     audit_ground_truth,
@@ -44,6 +41,7 @@ from decoymix.eventlog import OBSERVATION_HEADER
 from decoymix.mixzone import ADVERT_PAYLOAD_BYTES, DecoyPlan, MixZoneController
 from decoymix.mobility import Trip, synthesize_trips, trip_samples_with_edges
 from decoymix.roads import Edge, RoadGraph, make_grid, point_along, polyline_length
+from decoymix.scenario import EavesdropperSpec, ScenarioConfig, ZoneSpec
 
 import test_golden
 from test_roads import dead_end_crossing
@@ -141,7 +139,7 @@ def test_config_from_file_round_trip(grid4, tmp_path):
     assert cfg.relay_fraction == 0.25
     assert cfg.zones[0].radius_m == 100.0
     assert cfg.eavesdroppers[0].range_m == 250.0
-    assert len(cfg.resolve_trips()) == 5
+    assert len(engine.resolve_trips(cfg)) == 5
 
 
 def test_config_from_file_rejects_unknown_keys(grid4, tmp_path):
@@ -286,7 +284,7 @@ def test_mutated_scenario_dict_loads_or_raises_config_error(scenario_dir, data):
 
 def test_resolve_trips_is_deterministic(grid4):
     cfg = one_zone_config(grid4, trips=None, n_vehicles=8, arrival_rate_per_s=1.0)
-    assert cfg.resolve_trips() == cfg.resolve_trips()
+    assert engine.resolve_trips(cfg) == engine.resolve_trips(cfg)
 
 
 # --- chunk latency closed form ---------------------------------------------

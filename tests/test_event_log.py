@@ -21,12 +21,7 @@ from hypothesis import strategies as st
 from decoymix.adversary import export_candidate_sets
 from decoymix import engine
 from decoymix.cli import attack_result, cell_reports
-from decoymix.engine import (
-    EavesdropperSpec,
-    ScenarioConfig,
-    ZoneSpec,
-    run,
-)
+from decoymix.engine import run
 from decoymix.eventlog import (
     ADVERT,
     CHUNK,
@@ -50,6 +45,7 @@ from decoymix.metrics import (
 )
 from decoymix.mobility import Trip
 from decoymix.roads import make_grid
+from decoymix.scenario import EavesdropperSpec, ScenarioConfig, ZoneSpec
 
 import test_golden
 

@@ -12,13 +12,7 @@ from statistics import fmean, stdev
 
 from decoymix.adversary import export_candidate_sets
 from decoymix.cli import attack_result, cell_reports, main
-from decoymix.engine import (
-    EavesdropperSpec,
-    RunResult,
-    ScenarioConfig,
-    ZoneSpec,
-    run,
-)
+from decoymix.engine import RunResult, run
 from decoymix.metrics import (
     overhead,
     scored_sets,
@@ -28,6 +22,7 @@ from decoymix.metrics import (
 )
 from decoymix.mobility import Trip, synthesize_trips
 from decoymix.roads import make_grid
+from decoymix.scenario import EavesdropperSpec, ScenarioConfig, ZoneSpec
 
 # the test_c14 sweep: 3x3 grid, one zone, 12 vehicles, seeds 1..2 at relay
 # fractions 0 and 1

@@ -8,7 +8,7 @@ from decoymix.adversary import (
     Chain, ChainLink, LinkCandidateSet, Observations, ObsRow, build_tracks, flat_tracks,
 )
 from decoymix.core import CAM_WIRE_BYTES
-from decoymix.engine import ScenarioConfig, Transition, ZoneSpec, run
+from decoymix.engine import Transition, run
 from decoymix.metrics import (
     MEMBERSHIP_CHECK_MS,
     OverheadReport,
@@ -25,6 +25,7 @@ from decoymix.metrics import (
     write_overhead_csv,
 )
 from decoymix.roads import make_grid
+from decoymix.scenario import ScenarioConfig, ZoneSpec
 
 
 def cset(entering, candidates, truth):
