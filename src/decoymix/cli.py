@@ -22,7 +22,6 @@ import math
 import os
 import statistics
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
@@ -320,6 +319,10 @@ def cmd_run(args) -> int:
     # than there are jobs or CPUs
     workers = min(manifest.workers, len(jobs), os.cpu_count() or 1)
     if workers > 1:
+        # imported here: the pool machinery costs every other run memory
+        # and start-up time for nothing
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             outcomes = list(pool.map(_execute_job, jobs))
     else:

@@ -777,10 +777,12 @@ class _Run:
 
     def _start_stream(
         self, plan: DecoyPlan, tx_vi: int, reference_hex: str, horizon_ds: int,
-        now: float,
+        now: float, stop_k: int | None = None,
     ) -> _Stream | None:
         """Launch plan's phantom, sent by vehicle row tx_vi or, for -1, by the
-        zone's RSU; None when it has no pose to send."""
+        zone's RSU; None when it has no pose to send. stop_k is the tick
+        whose zone phase ends the stream, if one does; the loop need not
+        visit its natural end past that."""
         route_rng = random.Random(
             stable_u64(self.seed, "decoyroute", plan.zone_id, reference_hex)
         )
@@ -821,7 +823,8 @@ class _Run:
             self._end_stream(s, now, reason)
             return None
         self._note_held(s)
-        heapq.heappush(self.wake, s.last_ds // self.tick_ds)
+        end_k = s.last_ds // self.tick_ds
+        heapq.heappush(self.wake, end_k if stop_k is None else min(end_k, stop_k))
         return s
 
     def _note_held(self, s: _Stream) -> None:
@@ -926,7 +929,18 @@ class _Run:
             ))
         return visit
 
-    def _exit_zone(self, vi: int, now: float, edge_id: str, speed: float) -> None:
+    def _next_entry(self, vi: int, k: int) -> int:
+        """The tick of vehicle vi's first zone entry at or after tick k,
+        nticks if none."""
+        first = vi * self.nticks
+        i = int(np.searchsorted(self.entry_keys, first + k))
+        if i < self.entry_keys.size and self.entry_keys[i] < first + self.nticks:
+            return int(self.entry_keys[i]) - first
+        return self.nticks
+
+    def _exit_zone(
+        self, vi: int, k: int, now: float, edge_id: str, speed: float
+    ) -> None:
         visit = self._leave_zone(vi, now, "exit")
         v = self.vehicles[vi]
         controller = self.zones[visit["zone_j"]].controller
@@ -941,9 +955,17 @@ class _Run:
         if chaff is not None and not v.non_coop:
             relay_plan = controller.launch_relay_decoy(chaff.id, edge_id, now)
             # the relay's next zone entry ends the stream before its decoy
-            # phase (transmitter_zone_entry); no pose from then on is sent
+            # phase (transmitter_zone_entry); no pose from then on is sent.
+            # Its poses run to the first beacon tick at or after the entry,
+            # and past its first pose, so that the stream is still live there
+            stop_k = self._next_entry(vi, k)
+            stop_ds = max(
+                -(-stop_k * self.tick_ds // self.gv_ds) * self.gv_ds,
+                _first_pose_ds(relay_plan, self.gv_ds),
+            )
             v.stream = self._start_stream(
-                relay_plan, vi, member_hex, int(self.tends[vi]), now
+                relay_plan, vi, member_hex, min(int(self.tends[vi]), stop_ds), now,
+                stop_k,
             )
 
     # ------------------------------------------------------------ one tick
@@ -1025,7 +1047,7 @@ class _Run:
         for vi, prev_j, new_j, row in self.zone_moves.get(tk.k, ()):
             if prev_j >= 0:
                 edge_id = self.vehicles[vi].trip.edge_ids[self.EDGE[row]]
-                self._exit_zone(vi, tk.now, edge_id, float(self.SPD[row]))
+                self._exit_zone(vi, tk.k, tk.now, edge_id, float(self.SPD[row]))
             if new_j >= 0:
                 self._enter_zone(
                     vi, new_j, tk.k, tk.now, (float(self.X[row]), float(self.Y[row]))

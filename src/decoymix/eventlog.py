@@ -334,11 +334,12 @@ class EventLog:
     def write_jsonl(self, fh) -> None:
         """One compact JSON object per line, byte for byte what encoding
         each of `records()` gives: column rows are formatted directly,
-        floats by repr as the JSON encoder does, and every string is encoded
-        once per distinct value. The pieces of a line that repeat most are
-        built once per distinct value too: a beacon's time, its fields from
-        tx to "x", and its fields from speed to the end; a reception
-        summary's time, and its counters."""
+        floats by repr as the JSON encoder does (a beacon's x and y from
+        their whole millimetres, which give the same text), and every
+        string is encoded once per distinct value. The pieces of a line
+        that repeat most are built once per distinct value too: a beacon's
+        time, its fields from tx to "x", and its fields from speed to the
+        end; a reception summary's time, and its counters."""
         b, m, r = self.beacons, self.messages, self.receptions
         enc = [encode_event(s) for s in b.names] + ["null"]  # zone -1: null
         observer_sets, code = _observer_sets(b)
@@ -373,10 +374,10 @@ class EventLog:
 
         def beacon_lines(lo, hi):
             return [
-                f'{{"type":"beacon","t":{t}{head}{x!r},"y":{y!r}{tail}'
-                for t, head, x, y, tail in zip(
+                f'{{"type":"beacon","t":{t}{head}{xm}{xf},"y":{ym}{yf}{tail}'
+                for t, head, xm, xf, ym, yf, tail in zip(
                     times[lo:hi].tolist(), heads[head_code[lo:hi]].tolist(),
-                    b.x[lo:hi].tolist(), b.y[lo:hi].tolist(),
+                    *_mm_reprs(b.x[lo:hi]), *_mm_reprs(b.y[lo:hi]),
                     tails[tail_code[lo:hi]].tolist(),
                 )
             ]
@@ -513,6 +514,31 @@ class _Reprs:
         return self.reprs[self.code[rows]]
 
 
+# a whole number of millimetres' fraction of a metre as repr writes it
+_MM_FRACTIONS = np.array(
+    [f".{f:03d}".rstrip("0") if f else ".0" for f in range(1000)], dtype=object
+)
+
+
+def _mm_reprs(col: np.ndarray) -> tuple[list[str], list[str]]:
+    """Each value's repr, as a head and a tail that concatenate to it.
+
+    A value from 0 to below 1e12 that is the double nearest a whole number
+    of millimetres is that decimal of at most 15 significant digits, which
+    repr writes as it is: its whole metres, then its fraction from a table.
+    Any other value, -0.0, nan and inf included, is its repr with an empty
+    tail."""
+    with np.errstate(invalid="ignore"):
+        mm = np.rint(col * 1000.0)
+        on_grid = (mm / 1000.0 == col) & (col < 1e12) & ~np.signbit(col)
+    metres, frac = np.divmod(np.where(on_grid, mm, 0.0).astype(np.int64), 1000)
+    heads = [str(m) for m in metres.tolist()]
+    tails = _MM_FRACTIONS[frac].tolist()
+    for i in np.flatnonzero(~on_grid).tolist():
+        heads[i], tails[i] = repr(col[i].item()), ""
+    return heads, tails
+
+
 def _rows(lo: int, hi: int, *cols: np.ndarray):
     """Rows lo..hi of equal-length columns as Python values, in column
     order; a row of a 2-d column is one list."""
@@ -572,8 +598,8 @@ class EventLogBuilder:
         self._name_index: dict[str, int] = {}
         self.verifier_lists: list[tuple[int, ...]] = [()]
         self._verifier_index: dict[tuple[int, ...], int] = {(): 0}
-        self._blocks: list[tuple] = []
-        self._messages: list[tuple] = []
+        self._blocks: list[list] = []
+        self._messages: list[list] = []
 
     def name(self, s: str) -> int:
         """s's index in the string table."""
@@ -603,10 +629,10 @@ class EventLogBuilder:
         string-table indices for tx, pseudonym, link and zone (-1: none),
         the unrounded claimed pose, and (hx, hy), the transmitter's
         position, which decides who hears it."""
-        self._blocks.append((
+        self._blocks.append([
             key, n, t, tx, pseudonym, link, x, y, speed, heading, length, chaff,
             zone, hx, hy,
-        ))
+        ])
 
     def message(self, kind, key, n, t, tx, zone, nbytes=0, *, rx=-1, epoch=0,
                 index=0, total=0, verifiers=0, latency_s=0.0) -> None:
@@ -615,10 +641,10 @@ class EventLogBuilder:
         for all, as in MessageColumns, verifiers as returned by verifiers().
         A phase that logs answers or deliveries logs no protocol event under
         the same key, so n need only order them among themselves."""
-        self._messages.append((
+        self._messages.append([
             key, n, kind, t, tx, rx, zone, nbytes, epoch, index, total,
             verifiers, latency_s,
-        ))
+        ])
 
     def finish(
         self, counters: np.ndarray, vehicle_names: np.ndarray,
@@ -643,11 +669,11 @@ class EventLogBuilder:
         observations = self._observations(cols)
 
         slot = np.flatnonzero(counters.any(axis=0))
-        rec_counts = np.ascontiguousarray(counters[:, slot].T)
         base = np.cumsum(seconds) - seconds
         vi = np.searchsorted(base, slot, side="right") - 1
         rec_vehicle = vehicle_names[vi]
         rec_t = (slot - base[vi] + first_sec[vi]).astype(np.float64)
+        del base, vi
         sizes = [len(self.protocol), cols["t"].size, mcols["t"].size, slot.size]
 
         entity = [self.name(_event_entity(e)) for e in self.protocol]
@@ -674,19 +700,19 @@ class EventLogBuilder:
             sizes,
         )[order]
         starts = np.cumsum(sizes) - sizes
-        b = order[kinds == _BEACON] - starts[_BEACON]
-        m = order[kinds == _MESSAGE] - starts[_MESSAGE]
-        r = order[kinds == _RECEPTION] - starts[_RECEPTION]
+        p, b, m, r = (
+            order[kinds == kind] - starts[kind]
+            for kind in (_PROTOCOL, _BEACON, _MESSAGE, _RECEPTION)
+        )
+        del order
+        # each column is dropped as it is permuted, so none is held twice
         log = EventLog(
-            [self.protocol[i] for i in order[kinds == _PROTOCOL].tolist()],
-            BeaconColumns(
-                self.names, self.eaves, **{name: col[b] for name, col in cols.items()}
+            [self.protocol[i] for i in p.tolist()],
+            BeaconColumns(self.names, self.eaves, **_permuted(cols, b)),
+            MessageColumns(self.names, self.verifier_lists, **_permuted(mcols, m)),
+            ReceptionColumns(
+                self.names, rec_vehicle[r], rec_t[r], counters[:, slot[r]].T
             ),
-            MessageColumns(
-                self.names, self.verifier_lists,
-                **{name: col[m] for name, col in mcols.items()},
-            ),
-            ReceptionColumns(self.names, rec_vehicle[r], rec_t[r], rec_counts[r]),
             kinds,
         )
         return log, observations
@@ -706,14 +732,21 @@ class EventLogBuilder:
         )
 
 
-def _columns(blocks: list[tuple], spec) -> dict[str, np.ndarray]:
+def _columns(blocks: list[list], spec) -> dict[str, np.ndarray]:
     """Blocks of raw columns, each block's first column an array and the
     others arrays or scalars, as one array per (name, dtype) of spec, in the
-    order the blocks were logged."""
+    order the blocks were logged. Each field is dropped from every block as
+    soon as it is copied, so no field is held twice."""
     ends = np.cumsum([len(b[0]) for b in blocks], dtype=np.int64).tolist()
     cols = {}
     for i, (name, dtype) in enumerate(spec):
         col = cols[name] = np.empty(ends[-1] if ends else 0, dtype)
         for b, lo, hi in zip(blocks, [0, *ends], ends):
             col[lo:hi] = b[i]
+            b[i] = None
     return cols
+
+
+def _permuted(cols: dict[str, np.ndarray], order: np.ndarray) -> dict[str, np.ndarray]:
+    """Every column's rows in order, each popped from cols as it goes."""
+    return {name: cols.pop(name)[order] for name in list(cols)}

@@ -9,11 +9,13 @@ deterministic order, so identical inputs give bit-identical reports.
 
 from __future__ import annotations
 
+import bisect
 import json
 import math
 from collections import Counter
-from dataclasses import dataclass, field
-from typing import Mapping, Sequence, TextIO
+from collections.abc import Mapping
+from dataclasses import dataclass
+from typing import Sequence, TextIO
 
 import numpy as np
 
@@ -270,48 +272,113 @@ def build_linkability_report(
 # ---------------------------------------------------------------------------
 # overhead
 
+# the ledgers, one count column each: wire bytes sent, signatures made,
+# verifications and filter membership checks done
+LEDGERS = ("bytes", "signs", "verifies", "checks")
+BYTES, SIGNS, VERIFIES, CHECKS = range(len(LEDGERS))
+
+_SIGNED = frozenset((
+    "beacon", "beacon_encrypted", "advert", "chunk", "join_request",
+    "join_response", "retire", "peer_filter",
+))
+
 
 def _is_infrastructure(entity: str) -> bool:
     return entity.startswith("rsu:") or entity == "pca"
 
 
-@dataclass
+class _Ledger(Mapping):
+    """One ledger of a report read as entity -> {second: count}, over its
+    nonzero cells; entities in sorted order."""
+
+    def __init__(self, rep: "OverheadReport", ledger: int) -> None:
+        self._rep, self._col = rep, rep.counts[:, ledger]
+
+    def __getitem__(self, entity: str) -> dict[int, int]:
+        rows = self._rep.rows(entity)
+        n = self._col[rows]
+        keep = np.flatnonzero(n)
+        if not keep.size:
+            raise KeyError(entity)
+        return dict(zip(self._rep.second[rows][keep].tolist(), n[keep].tolist()))
+
+    def _held(self) -> list[int]:
+        return np.unique(self._rep.entity[self._col != 0]).tolist()
+
+    def __iter__(self):
+        return iter([self._rep.entities[i] for i in self._held()])
+
+    def __len__(self) -> int:
+        return len(self._held())
+
+
+@dataclass(eq=False)
 class OverheadReport:
-    """Per-entity per-second byte and millisecond ledgers.
+    """The nonzero (entity, second) cells of the four ledgers, one row
+    each, sorted by (entity, second): entity indexes `entities`, which is
+    sorted, and counts holds one column per name in LEDGERS.
 
     Milliseconds derive from integer sign/verify/check counts multiplied by
-    the cost constants once per bucket, so recomputation is bit-exact.
+    the cost constants once per cell, so recomputation is bit-exact.
     """
 
     duration_s: float
-    bytes_by_entity_second: dict[str, dict[int, int]]
-    signs: dict[str, dict[int, int]] = field(default_factory=dict)
-    verifies: dict[str, dict[int, int]] = field(default_factory=dict)
-    checks: dict[str, dict[int, int]] = field(default_factory=dict)
+    entities: list[str]
+    entity: np.ndarray
+    second: np.ndarray
+    counts: np.ndarray
+
+    def __post_init__(self) -> None:
+        # entity i's rows are bounds[i] to bounds[i + 1] - 1
+        self._bounds = np.searchsorted(
+            self.entity, np.arange(len(self.entities) + 1)
+        ).tolist()
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, OverheadReport):
+            return NotImplemented
+        return (
+            self.duration_s == other.duration_s and self.entities == other.entities
+            and np.array_equal(self.second, other.second)
+            and np.array_equal(self.entity, other.entity)
+            and np.array_equal(self.counts, other.counts)
+        )
+
+    def rows(self, entity: str) -> slice:
+        """One entity's rows, in second order; empty if it has none."""
+        i = bisect.bisect_left(self.entities, entity)
+        if i == len(self.entities) or self.entities[i] != entity:
+            return slice(0, 0)
+        return slice(self._bounds[i], self._bounds[i + 1])
+
+    # each ledger read as entity -> {second: count}
+    bytes_by_entity_second = property(lambda self: _Ledger(self, BYTES))
+    signs = property(lambda self: _Ledger(self, SIGNS))
+    verifies = property(lambda self: _Ledger(self, VERIFIES))
+    checks = property(lambda self: _Ledger(self, CHECKS))
 
     def ms_by_second(self, ent: str) -> dict[int, float]:
-        """One entity's milliseconds per second, in second order."""
+        """One entity's milliseconds per second, in second order, over the
+        seconds in which it signs, verifies or checks anything."""
         sign_ms = RSU_SIGN_MS if _is_infrastructure(ent) else VEHICLE_SIGN_MS
         verify_ms = RSU_VERIFY_MS if _is_infrastructure(ent) else VEHICLE_VERIFY_MS
-        signs = self.signs.get(ent, {})
-        verifies = self.verifies.get(ent, {})
-        checks = self.checks.get(ent, {})
-        return {
-            sec: (
-                signs.get(sec, 0) * sign_ms
-                + verifies.get(sec, 0) * verify_ms
-                + checks.get(sec, 0) * MEMBERSHIP_CHECK_MS
-            )
-            for sec in sorted(set(signs) | set(verifies) | set(checks))
-        }
+        rows = self.rows(ent)
+        counts = self.counts[rows]
+        keep = np.flatnonzero(counts[:, SIGNS:].any(axis=1))
+        signs, verifies, checks = counts[keep, SIGNS:].T
+        # the float operations of the per-cell expression on Python ints, in
+        # its order, so every value is the same bit for bit
+        ms = signs * sign_ms + verifies * verify_ms + checks * MEMBERSHIP_CHECK_MS
+        return dict(zip(self.second[rows][keep].tolist(), ms.tolist()))
 
     def total_bytes(self, entity: str) -> int:
-        return sum(self.bytes_by_entity_second.get(entity, {}).values())
+        return int(self.counts[self.rows(entity), BYTES].sum())
 
     def avg_rate_kb_per_s(self, entity: str) -> float:
         return self.total_bytes(entity) / self.duration_s / KB
 
     def avg_ms_per_s(self, entity: str) -> float:
+        # summed one second after the other, as the seconds come
         return sum(self.ms_by_second(entity).values()) / self.duration_s
 
     def to_json(self) -> str:
@@ -332,43 +399,10 @@ class OverheadReport:
                     "avg_kb_per_s": self.avg_rate_kb_per_s(ent),
                     "avg_ms_per_s": self.avg_ms_per_s(ent),
                 }
-                for ent in sorted(self.bytes_by_entity_second)
+                for ent in self.bytes_by_entity_second
             },
         }
         return json.dumps(doc, sort_keys=True, indent=2)
-
-
-def _bump(table: dict[str, dict[int, int]], ent: str, sec: int, n: int) -> None:
-    if n:
-        row = table.setdefault(ent, {})
-        row[sec] = row.get(sec, 0) + n
-
-
-def _add_cells(
-    table: dict[str, dict[int, int]], names: Sequence[str],
-    entity: np.ndarray, sec: np.ndarray, n: np.ndarray,
-) -> None:
-    """_bump(table, names[entity], sec, n) for every row, summed per (entity,
-    sec) cell; zero counts add nothing."""
-    keep = np.flatnonzero(n)
-    if not keep.size:
-        return
-    sec = sec[keep]
-    width = int(sec.max()) + 1
-    cells, inverse = np.unique(
-        entity[keep].astype(np.int64) * width + sec, return_inverse=True
-    )
-    n = np.bincount(inverse, n[keep], minlength=cells.size).astype(np.int64).tolist()
-    entity, sec = np.divmod(cells, width)
-    sec = sec.tolist()
-    bounds = [0, *(np.flatnonzero(np.diff(entity)) + 1).tolist(), cells.size]
-    for lo, hi in zip(bounds, bounds[1:]):
-        row = table.setdefault(names[entity[lo]], {})
-        if not row:  # a fresh row takes the whole run at once
-            row.update(zip(sec[lo:hi], n[lo:hi]))
-            continue
-        for s, k in zip(sec[lo:hi], n[lo:hi]):
-            row[s] = row.get(s, 0) + k
 
 
 def overhead(
@@ -388,21 +422,14 @@ def overhead(
 
     A run's beacons, messages and reception summaries may come as columns
     of its log, which share the log's string table, instead of dicts in
-    `events`; they are folded by the same rules, each ledger in one pass.
+    `events`; they are folded by the same rules, all in one table.
     """
-    rep = OverheadReport(duration_s, {})
-    ledgers = {
-        "bytes": rep.bytes_by_entity_second, "signs": rep.signs,
-        "verifies": rep.verifies, "checks": rep.checks,
-    }
-    # (entity, second, count) columns for each ledger
-    parts: dict[str, list[tuple[np.ndarray, ...]]] = {name: [] for name in ledgers}
-    names: Sequence[str] = ()
+    # (entity, second, {ledger: count}) columns; entity indexes names
+    parts: list[tuple[np.ndarray, np.ndarray, dict[int, np.ndarray | int]]] = []
+    names: list[str] = []
     if beacons is not None:
         names, sec = beacons.names, beacons.t.astype(np.int64)
-        one = np.ones(sec.size, dtype=np.int64)
-        parts["bytes"].append((beacons.tx, sec, one * BEACON_WIRE_BYTES))
-        parts["signs"].append((beacons.tx, sec, one))
+        parts.append((beacons.tx, sec, {BYTES: BEACON_WIRE_BYTES, SIGNS: 1}))
     if messages is not None:
         # adverts, chunks, encrypted beacons and answers are signed by their
         # sender; a delivery's vehicle verifies the filter, and carries 0
@@ -410,56 +437,112 @@ def overhead(
         m = messages
         names, sec = m.names, m.t.astype(np.int64)
         delivery = (m.kind >= VIA_PEER).astype(np.int64)
-        parts["bytes"].append((m.tx, sec, m.bytes))
-        parts["signs"].append((m.tx, sec, 1 - delivery))
+        parts.append((
+            m.tx, sec, {BYTES: m.bytes, SIGNS: 1 - delivery, VERIFIES: delivery},
+        ))
         heard = np.flatnonzero(m.verifiers)
         lists = [m.verifier_lists[c] for c in m.verifiers[heard].tolist()]
-        verifier = np.array([v for ids in lists for v in ids], dtype=np.int64)
-        parts["verifies"].append((m.tx, sec, delivery))
-        parts["verifies"].append((
-            verifier, np.repeat(sec[heard], [len(ids) for ids in lists]),
-            np.ones(verifier.size, dtype=np.int64),
+        parts.append((
+            np.array([v for ids in lists for v in ids], dtype=np.int64),
+            np.repeat(sec[heard], [len(ids) for ids in lists]), {VERIFIES: 1},
         ))
     if receptions is not None:
-        names, ent = receptions.names, receptions.vehicle
-        sec = receptions.t.astype(np.int64)
-        q = receptions.count("peer_queries")
-        parts["verifies"].append((ent, sec, receptions.count("verifies")))
-        parts["checks"].append((ent, sec, receptions.count("checks")))
-        parts["bytes"].append((ent, sec, q * PEER_QUERY_BYTES))
-        parts["signs"].append((ent, sec, q))
-    for name, table in ledgers.items():
-        if parts[name]:
-            _add_cells(table, names, *(np.concatenate(c) for c in zip(*parts[name])))
+        names, q = receptions.names, receptions.count("peer_queries")
+        parts.append((receptions.vehicle, receptions.t.astype(np.int64), {
+            BYTES: q * PEER_QUERY_BYTES, SIGNS: q,
+            VERIFIES: receptions.count("verifies"), CHECKS: receptions.count("checks"),
+        }))
+    cells: list[tuple[int, str, int, int]] = []
     for e in events:
         sec = int(e["t"])
         kind = e["type"]
         tx = e.get("tx")
         if tx is not None and "bytes" in e:
-            _bump(rep.bytes_by_entity_second, tx, sec, e["bytes"])
-        if kind in ("beacon", "beacon_encrypted", "advert", "chunk",
-                    "join_request", "join_response", "retire", "peer_filter"):
-            _bump(rep.signs, tx, sec, 1)
+            cells.append((BYTES, tx, sec, e["bytes"]))
+        if kind in _SIGNED:
+            cells.append((SIGNS, tx, sec, 1))
         if kind == "advert":
-            for v in e["first_verifiers"]:
-                _bump(rep.verifies, v, sec, 1)
-        elif kind == "join_request":
-            _bump(rep.verifies, e["rx"], sec, 1)
-        elif kind == "join_response":
-            _bump(rep.verifies, e["rx"], sec, 1)
+            cells.extend((VERIFIES, v, sec, 1) for v in e["first_verifiers"])
+        elif kind in ("join_request", "join_response"):
+            cells.append((VERIFIES, e["rx"], sec, 1))
         elif kind == "retire":
-            _bump(rep.verifies, "pca", sec, 1)
+            cells.append((VERIFIES, "pca", sec, 1))
         elif kind == "filter_delivered":
-            _bump(rep.verifies, e["vehicle"], sec, 1)
+            cells.append((VERIFIES, e["vehicle"], sec, 1))
         elif kind == "reception_summary":
-            ent = e["entity"]
-            _bump(rep.verifies, ent, sec, e["verifies"])
-            _bump(rep.checks, ent, sec, e["checks"])
-            q = e["peer_queries"]
-            if q:
-                _bump(rep.bytes_by_entity_second, ent, sec, q * PEER_QUERY_BYTES)
-                _bump(rep.signs, ent, sec, q)
-    return rep
+            ent, q = e["entity"], e["peer_queries"]
+            cells += [
+                (VERIFIES, ent, sec, e["verifies"]), (CHECKS, ent, sec, e["checks"]),
+                (BYTES, ent, sec, q * PEER_QUERY_BYTES), (SIGNS, ent, sec, q),
+            ]
+    if cells:
+        # the events' entities take indices past the string table's; a
+        # name in both folds into one entity below
+        ledger, ent, sec, n = zip(*cells)
+        extra = sorted(set(ent))
+        index = {s: len(names) + i for i, s in enumerate(extra)}
+        names = [*names, *extra]
+        ledger, n = np.array(ledger), np.array(n, dtype=np.int64)
+        parts.append((
+            np.array([index[s] for s in ent], dtype=np.int64),
+            np.array(sec, dtype=np.int64),
+            {i: np.where(ledger == i, n, 0) for i in range(len(LEDGERS))},
+        ))
+    return _fold(duration_s, names, parts)
+
+
+def _fold(
+    duration_s: float, names: Sequence[str],
+    parts: list[tuple[np.ndarray, np.ndarray, dict[int, np.ndarray | int]]],
+) -> OverheadReport:
+    """The report of (entity, second, {ledger: count}) columns, entity an
+    index into names and each count a column or one value for all rows:
+    every ledger's counts summed per (entity name, second) cell, by one
+    sort of the cells' codes, entity rank × width + second. Rows that
+    count nothing are left out."""
+    keeps = []
+    for ent, _, counts in parts:
+        live = np.any(
+            [np.broadcast_to(n, ent.shape) != 0 for n in counts.values()], axis=0
+        )
+        # a part whose rows all count is read in place
+        keeps.append(slice(None) if live.all() else np.flatnonzero(live))
+    # each entity index's place among the names that count anything; equal
+    # names take one place
+    used = np.zeros(len(names), dtype=bool)
+    for (ent, _, _), keep in zip(parts, keeps):
+        used[ent[keep]] = True
+    used_ids = np.flatnonzero(used).tolist()
+    entities = sorted({names[i] for i in used_ids})
+    place = {s: r for r, s in enumerate(entities)}
+    rank = np.zeros(len(names), dtype=np.int64)
+    rank[used_ids] = [place[names[i]] for i in used_ids]
+    width = 1 + max((int(sec.max()) for _, sec, _ in parts if sec.size), default=0)
+
+    # each part's rows lo to hi - 1 of the rows that count
+    ends = np.cumsum([ent[keep].size for (ent, _, _), keep in zip(parts, keeps)])
+    spans = list(zip([0, *ends.tolist()], ends.tolist()))
+    code = np.empty(spans[-1][1] if spans else 0, dtype=np.int64)
+    for (ent, sec, _), keep, (lo, hi) in zip(parts, keeps, spans):
+        np.multiply(rank[ent[keep]], width, out=code[lo:hi])
+        code[lo:hi] += sec[keep]
+    order = np.argsort(code)
+    code = code[order]
+    # the first sorted row of each cell
+    first = np.ones(code.size, dtype=bool)
+    np.not_equal(code[1:], code[:-1], out=first[1:])
+    head = np.flatnonzero(first)
+    entity, second = np.divmod(code[head], width)
+    del code, first
+    counts = np.zeros((head.size, len(LEDGERS)), dtype=np.int64)
+    if head.size:
+        # one ledger's counts at a time, in the rows' sorted order
+        n = np.empty(order.size, dtype=np.int64)
+        for i in range(len(LEDGERS)):
+            for (ent, _, c), keep, (lo, hi) in zip(parts, keeps, spans):
+                n[lo:hi] = np.broadcast_to(c.get(i, 0), ent.shape)[keep]
+            counts[:, i] = np.add.reduceat(n[order], head)
+    return OverheadReport(duration_s, entities, entity, second, counts)
 
 
 # ---------------------------------------------------------------------------
@@ -481,11 +564,7 @@ def write_linkability_csv(reports: Mapping[str, LinkabilityReport], fh: TextIO) 
 
 def write_overhead_csv(rep: OverheadReport, fh: TextIO) -> None:
     fh.write("entity,total_bytes,avg_kb_per_s,avg_ms_per_s\n")
-    entities = sorted(
-        set(rep.bytes_by_entity_second) | set(rep.signs)
-        | set(rep.verifies) | set(rep.checks)
-    )
-    for ent in entities:
+    for ent in rep.entities:
         fh.write(f"{ent},{rep.total_bytes(ent)},"
                  f"{rep.avg_rate_kb_per_s(ent):.6f},"
                  f"{rep.avg_ms_per_s(ent):.6f}\n")

@@ -1,7 +1,12 @@
 """CLI subcommands: manifest parsing, sweeps, grid generation, offline attack."""
 
+import concurrent.futures
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -551,7 +556,8 @@ def test_run_starts_no_more_workers_than_jobs(tmp_path, monkeypatch):
         def map(self, fn, jobs):
             return map(fn, jobs)
 
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+    # the pool class is looked up only when a pool runs
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr(cli.os, "cpu_count", lambda: 64)
     scenario = small_scenario(tmp_path, vehicles=4, duration=60.0)
     out = tmp_path / "runs"
@@ -566,6 +572,28 @@ def test_run_starts_no_more_workers_than_jobs(tmp_path, monkeypatch):
     assert main(["run", "--scenario", str(scenario), "--seeds", "3",
                  "--out", str(out), "--force", "--workers", "10000"]) == 0
     assert sizes == [2]
+
+
+def test_serial_run_imports_no_process_pool(tmp_path):
+    # the pool machinery costs a fresh interpreter memory and start-up
+    # time, so a run without a pool never imports it
+    scenario = small_scenario(tmp_path, vehicles=4, duration=60.0)
+    argv = ["run", "--scenario", str(scenario), "--seeds", "1,2",
+            "--out", str(tmp_path / "runs"), "--workers", "1"]
+    code = (
+        "import sys\n"
+        "from decoymix.cli import main\n"
+        f"assert main({argv!r}) == 0\n"
+        "print('concurrent.futures' in sys.modules)\n"
+    )
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p
+    )}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "False"
 
 
 # ---------------------------------------------------------------------------

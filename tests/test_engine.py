@@ -1576,6 +1576,25 @@ def _off_lattice_adverts_config():
     )
 
 
+def _off_lattice_entries_config():
+    """Relays crossing two zones 500 m apart, beacons every 1 s and chunks
+    every 0.5 s on the 0.5 s lattice: relays enter their next zone on and
+    off the beacon ticks, and one relay enters it before the phantom it
+    launched at the last zone has left that zone."""
+    g = make_grid(4, 4, 500.0)
+    return ScenarioConfig(
+        graph=g,
+        zones=(
+            ZoneSpec("z-a", 500.0, 500.0, 100.0),
+            ZoneSpec("z-b", 1000.0, 500.0, 100.0),
+        ),
+        eavesdroppers=(EavesdropperSpec("eav-a", 750.0, 500.0, 500.0),),
+        trips=tuple(synthesize_trips(g, 60, 0.2, 2)),
+        relay_fraction=1.0, rng_seed=2, duration_s=400.0, gamma_v_s=1.0,
+        filter_tx_interval_s=0.5, chaff_per_zone=300, filter_capacity=400,
+    )
+
+
 def _near_zones_config():
     """Relays crossing two zones 50 m apart on one road: a relay enters
     the second zone before the phantom it launched at the first has left
@@ -1644,6 +1663,7 @@ _NEXT_EVENT_CASES = {
     "off-lattice-adverts": lambda _: [_off_lattice_adverts_config()],
     "dead-end": lambda _: [_dead_end_config()],
     "near-zones": lambda _: [_near_zones_config()],
+    "off-lattice-entries": lambda _: [_off_lattice_entries_config()],
     # the peer search walks many windows across several chunks of pairs
     "multi-zone-tiny-blocks": lambda _: [test_golden.multi_zone_config()],
 }
@@ -1716,6 +1736,20 @@ def test_next_event_loop_matches_stepping_every_tick(monkeypatch, tmp_path, case
             assert any(
                 e["type"] == "advert" and e["t"] % 1.0 == 0.5 for e in events
             )
+        if case == "off-lattice-entries":
+            # a relay's stream is built up to the first beacon tick at or
+            # after its relay's next zone entry, or up to its first pose
+            gv = state.gv_ds
+            ended = {
+                e["chaff"]: round(e["t"] * 10) for e in events
+                if e["type"] == "decoy_end" and e["reason"] == "transmitter_zone_entry"
+            }
+            assert any(ds % gv for ds in ended.values())
+            stopped = [s for s in state.started if s.chaff_hex in ended]
+            assert any(s.poses.ds[0] > ended[s.chaff_hex] for s in stopped)
+            for s in stopped:
+                stop_ds = -(-ended[s.chaff_hex] // gv) * gv
+                assert s.poses.ds[-1] == max(stop_ds, s.poses.ds[0])
         if case == "dead-end":
             assert any(
                 e["type"] == "decoy_end" and e["reason"] == "route_end"

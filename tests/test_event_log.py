@@ -12,6 +12,7 @@ from __future__ import annotations
 import io
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -34,6 +35,7 @@ from decoymix.eventlog import (
     EventLogBuilder,
     Observations,
     _distinct,
+    _mm_reprs,
     encode_event,
     round_array,
 )
@@ -255,6 +257,25 @@ def test_odd_ids_are_escaped_in_the_export():
     assert text.isascii()
     assert '"zone":"z-\\"q\\\\\\u00e9"' in text
     assert '"observers":["eav-\\"\\\\\\u00fc"' in text
+
+
+def test_millimetre_texts_are_the_reprs():
+    # write_jsonl writes a beacon's x and y from their whole millimetres
+    # wherever that is repr's text, and by repr everywhere else
+    rng = np.random.default_rng(23)
+    special = [
+        0.0, -0.0, 0.001, 0.1, 999999999999.999, 1e12, 1e12 + 0.125, -0.001,
+        -1234.5, -1e15, math.nan, math.inf, -math.inf, 0.0005, 1 / 3, 5e-324,
+        1e-7, 12.3456, 2.0 ** 52,
+    ]
+    col = np.concatenate([
+        special,
+        rng.integers(0, 10 ** 7, 10_000) / 1000.0,
+        rng.integers(0, 10 ** 15, 1_000) / 1000.0,
+        -rng.integers(0, 10 ** 7, 1_000) / 1000.0,
+    ])
+    heads, tails = _mm_reprs(col)
+    assert [h + t for h, t in zip(heads, tails)] == [repr(v) for v in col.tolist()]
 
 
 def test_repeated_and_signed_zero_beacon_values_are_written_as_encoded():
@@ -565,3 +586,36 @@ def test_empty_observation_csv_is_the_header_alone():
     buf = io.StringIO()
     Observations.from_rows([]).write_csv(buf)
     assert buf.getvalue() == _csv_reference([]) == OBSERVATION_HEADER + "\n"
+
+
+def test_finish_never_holds_a_column_twice(monkeypatch):
+    # finish() copies each logged field into its column and drops it from
+    # the blocks, and pops each column as it permutes it into output order,
+    # so it peaks less than one copy of its finished columns above the
+    # memory it started with
+    seen = {}
+    finish = EventLogBuilder.finish
+
+    def traced(self, *args):
+        tracemalloc.reset_peak()
+        start = tracemalloc.get_traced_memory()[0]
+        log, observations = finish(self, *args)
+        seen["rise"] = tracemalloc.get_traced_memory()[1] - start
+        seen["log"] = log
+        return log, observations
+
+    monkeypatch.setattr(EventLogBuilder, "finish", traced)
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        run(test_golden.multi_zone_config())
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    log = seen["log"]
+    columns = log.kinds.nbytes + sum(
+        col.nbytes for part in (log.beacons, log.messages, log.receptions)
+        for col in vars(part).values() if isinstance(col, np.ndarray)
+    )
+    assert seen["rise"] < columns

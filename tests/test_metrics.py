@@ -9,8 +9,14 @@ from decoymix.adversary import (
 )
 from decoymix.core import CAM_WIRE_BYTES
 from decoymix.engine import Transition, run
+from decoymix.eventlog import RECEPTION_COUNTERS
 from decoymix.metrics import (
     MEMBERSHIP_CHECK_MS,
+    PEER_QUERY_BYTES,
+    RSU_SIGN_MS,
+    RSU_VERIFY_MS,
+    VEHICLE_SIGN_MS,
+    VEHICLE_VERIFY_MS,
     OverheadReport,
     anonymity_set_sizes,
     build_linkability_report,
@@ -26,6 +32,8 @@ from decoymix.metrics import (
 )
 from decoymix.roads import make_grid
 from decoymix.scenario import ScenarioConfig, ZoneSpec
+
+import test_golden
 
 
 def cset(entering, candidates, truth):
@@ -350,6 +358,135 @@ def test_overhead_recompute_is_bit_identical():
     write_overhead_csv(b, buf_b)
     assert buf_a.getvalue() == buf_b.getvalue()
 
+
+
+# ---------------------------------------------------------------------------
+# overhead against the dict-of-dict fold
+
+
+def _bump(table, ent, sec, n):
+    if n:
+        row = table.setdefault(ent, {})
+        row[sec] = row.get(sec, 0) + n
+
+
+def reference_ledgers(events):
+    """The overhead ledgers folded one event dict at a time into
+    {ledger: {entity: {second: count}}}, nonzero counts only: the
+    reference for OverheadReport's table."""
+    led = {name: {} for name in ("bytes", "signs", "verifies", "checks")}
+    for e in events:
+        sec = int(e["t"])
+        kind = e["type"]
+        tx = e.get("tx")
+        if tx is not None and "bytes" in e:
+            _bump(led["bytes"], tx, sec, e["bytes"])
+        if kind in ("beacon", "beacon_encrypted", "advert", "chunk",
+                    "join_request", "join_response", "retire", "peer_filter"):
+            _bump(led["signs"], tx, sec, 1)
+        if kind == "advert":
+            for v in e["first_verifiers"]:
+                _bump(led["verifies"], v, sec, 1)
+        elif kind in ("join_request", "join_response"):
+            _bump(led["verifies"], e["rx"], sec, 1)
+        elif kind == "retire":
+            _bump(led["verifies"], "pca", sec, 1)
+        elif kind == "filter_delivered":
+            _bump(led["verifies"], e["vehicle"], sec, 1)
+        elif kind == "reception_summary":
+            ent = e["entity"]
+            _bump(led["verifies"], ent, sec, e["verifies"])
+            _bump(led["checks"], ent, sec, e["checks"])
+            q = e["peer_queries"]
+            _bump(led["bytes"], ent, sec, q * PEER_QUERY_BYTES)
+            _bump(led["signs"], ent, sec, q)
+    return led
+
+
+def reference_ms_by_second(led, ent):
+    infra = ent.startswith("rsu:") or ent == "pca"
+    sign_ms = RSU_SIGN_MS if infra else VEHICLE_SIGN_MS
+    verify_ms = RSU_VERIFY_MS if infra else VEHICLE_VERIFY_MS
+    signs, verifies, checks = (
+        led[name].get(ent, {}) for name in ("signs", "verifies", "checks")
+    )
+    return {
+        sec: (
+            signs.get(sec, 0) * sign_ms
+            + verifies.get(sec, 0) * verify_ms
+            + checks.get(sec, 0) * MEMBERSHIP_CHECK_MS
+        )
+        for sec in sorted(set(signs) | set(verifies) | set(checks))
+    }
+
+
+def assert_matches_reference(rep, events, duration_s):
+    """The report's table against the reference fold, exactly: every
+    ledger per entity, and each entity's bytes and milliseconds."""
+    led = reference_ledgers(events)
+    entities = sorted(set().union(*led.values()))
+    assert rep.entities == entities
+    for name, view in (("bytes", rep.bytes_by_entity_second), ("signs", rep.signs),
+                       ("verifies", rep.verifies), ("checks", rep.checks)):
+        assert list(view) == sorted(led[name])
+        assert {ent: view[ent] for ent in view} == led[name]
+    for ent in entities:
+        ms = reference_ms_by_second(led, ent)
+        assert rep.total_bytes(ent) == sum(led["bytes"].get(ent, {}).values())
+        assert rep.ms_by_second(ent) == ms
+        assert rep.avg_ms_per_s(ent) == sum(ms.values()) / duration_s
+
+
+def _sweep_cell_config(tmp_path):
+    base = ScenarioConfig.from_file(test_golden.sweep_scenario(tmp_path))
+    return base.replaced(rng_seed=1, relay_fraction=1.0)
+
+
+@pytest.mark.parametrize("make_config", [
+    _sweep_cell_config,
+    lambda _: test_golden.crossing_config(),
+    lambda _: test_golden.grid_cell_config(),
+    lambda _: test_golden.multi_zone_config(),
+    lambda _: test_golden.relay0_config(),
+], ids=["sweep-cell", "crossing", "grid-cell", "multi-zone", "relay0"])
+def test_overhead_table_matches_the_dict_fold(tmp_path, make_config):
+    cfg = make_config(tmp_path)
+    result = run(cfg)
+    log = result.log
+    rep = overhead(log.protocol, cfg.duration_s, log.beacons, log.receptions,
+                   log.messages)
+    assert_matches_reference(rep, result.events, cfg.duration_s)
+
+
+def test_overhead_table_matches_the_dict_fold_on_edge_cells():
+    def summary(t, ent, **counts):
+        row = {"type": "reception_summary", "t": t, "entity": ent}
+        row.update({name: counts.get(name, 0) for name in RECEPTION_COUNTERS})
+        return row
+
+    events = [
+        # bytes but nothing signed, verified or checked
+        {"type": "relay_hop", "t": 2.5, "tx": "veh-b", "bytes": 99},
+        # checks only
+        summary(1.0, "veh-c", checks=3),
+        # an advert heard first by three vehicles
+        {"type": "advert", "t": 4.0, "tx": "rsu:z", "zone": "z", "bytes": 164,
+         "first_verifiers": ["veh-c", "veh-a", "veh-d"]},
+        # a row of zero counters counts nothing
+        summary(5.0, "veh-z"),
+        summary(4.0, "veh-a", verifies=2, checks=1, peer_queries=1),
+    ]
+    rep = overhead(events, 10.0)
+    assert_matches_reference(rep, events, 10.0)
+    assert rep.entities == ["rsu:z", "veh-a", "veh-b", "veh-c", "veh-d"]
+    assert rep.ms_by_second("veh-b") == {}
+    assert rep.avg_ms_per_s("veh-b") == 0.0
+    assert rep.total_bytes("veh-z") == 0 and rep.ms_by_second("veh-z") == {}
+    buf = io.StringIO()
+    write_overhead_csv(rep, buf)
+    assert [line.split(",")[0] for line in buf.getvalue().splitlines()[1:]] == (
+        rep.entities
+    )
 
 def one_zone_scenario_run():
     g = make_grid(3, 3, 1000.0)
