@@ -27,6 +27,7 @@ from .core import (
     stable_bytes,
     stable_u64,
 )
+from . import eventlog
 from .errors import ConfigError, NeverAssigned, NoResponder
 from .eventlog import (
     ADVERT,
@@ -40,8 +41,10 @@ from .eventlog import (
     EventLog,
     EventLogBuilder,
     Observations,
+    RowPoses,
     name_ranks,
     round_array,
+    row_blocks,
 )
 from .mixzone import (
     ADVERT_PAYLOAD_BYTES,
@@ -295,12 +298,12 @@ def _by_tick(
     return out
 
 
-def _pair_blocks(pairs: np.ndarray) -> list[tuple[int, int]]:
+def _pair_blocks(pairs: np.ndarray, size: int) -> list[tuple[int, int]]:
     """Runs a to b - 1 of consecutive items, item i owning pairs[i] pairs,
-    cut where the pairs before an item cross a multiple of BLOCK_ELEMENTS:
-    blocks of about BLOCK_ELEMENTS pairs."""
+    cut where the pairs before an item cross a multiple of size: blocks of
+    about size pairs."""
     first = np.cumsum(pairs) - pairs
-    cuts = (np.flatnonzero(np.diff(first // BLOCK_ELEMENTS)) + 1).tolist()
+    cuts = (np.flatnonzero(np.diff(first // max(1, size))) + 1).tolist()
     return list(zip([0, *cuts], [*cuts, pairs.size]))
 
 
@@ -1027,7 +1030,7 @@ class _Run:
         found = b
         if stale.any():
             ptr = self.nb_ptr[lo:hi + 1]
-            for i, j in _pair_blocks(np.diff(ptr)):
+            for i, j in _pair_blocks(np.diff(ptr), BLOCK_ELEMENTS):
                 # each pair's requester; only the stale ones ask
                 own = np.repeat(np.arange(i, j), np.diff(ptr[i:j + 1]))
                 asks = stale[own]
@@ -1168,9 +1171,9 @@ class _Run:
 
     def _count_receptions(self, tick: np.ndarray, sends: tuple) -> None:
         """Fill the reception counters of every vehicle second in one pass
-        over the rows (tick holds each row's tick): the vehicle beacons each
-        row hears, the decoy beacons in sends (as _log_decoys returns them),
-        and the peer queries.
+        over the rows, a block at a time (tick holds each row's tick): the
+        vehicle beacons each row hears, the decoy beacons in sends (as
+        _log_decoys returns them), and the peer queries.
 
         A receiver checks each chaff id against the filters it holds then
         (held_from). Real pseudonyms are never in any filter, a 1e-20
@@ -1186,24 +1189,28 @@ class _Run:
             return np.bincount(slots, weights, minlength=nslots).astype(np.int64)
 
         vi = self.VEH
-        n_held = (self.held_from[vi] <= tick[:, None]).sum(axis=1)
-        n_clear = self.n_clear.astype(np.int64)
-        counts["rx_beacons"] += per_slot(self.SLOT, n_clear)
-        counts["rx_bytes"] += per_slot(
-            self.SLOT,
-            n_clear * BEACON_WIRE_BYTES
-            + (self.n_heard - n_clear) * ENCRYPTED_BEACON_WIRE_BYTES,
-        )
-        counts["checks"] += per_slot(self.SLOT, n_clear * n_held)
-        counts["verifies"] += per_slot(self.SLOT, n_clear)
-        del n_held, n_clear
+        # the vehicle beacons, a block of rows at a time
+        for a, b in row_blocks(vi.size):
+            rows = slice(a, b)
+            n_held = (self.held_from[vi[rows]] <= tick[rows, None]).sum(axis=1)
+            n_clear = self.n_clear[rows].astype(np.int64)
+            slots = self.SLOT[rows]
+            np.add.at(counts["rx_beacons"], slots, n_clear)
+            np.add.at(
+                counts["rx_bytes"], slots,
+                n_clear * BEACON_WIRE_BYTES
+                + (self.n_heard[rows] - n_clear) * ENCRYPTED_BEACON_WIRE_BYTES,
+            )
+            np.add.at(counts["checks"], slots, n_clear * n_held)
+            np.add.at(counts["verifies"], slots, n_clear)
 
         ks, hx, hy, zone, relay = sends
         r2 = np.where(relay < 0, self.rsu_r2, self.radio2)
         ptr = self.tick_lo
         lo, n = ptr[ks], ptr[ks + 1] - ptr[ks]
-        # one (send, row) pair per send and row of its tick
-        for a, b in _pair_blocks(n):
+        # one (send, row) pair per send and row of its tick, a quarter
+        # block at a time: the pass keeps a dozen columns of its pairs
+        for a, b in _pair_blocks(n, BLOCK_ELEMENTS // 4):
             cnt = n[a:b]
             s = np.repeat(np.arange(a, b), cnt)
             rows = np.repeat(lo[a:b] - (np.cumsum(cnt) - cnt), cnt) + np.arange(s.size)
@@ -1214,16 +1221,14 @@ class _Run:
             pick = np.arange(rows.size), zone[s]
             hold = held[pick]
             slots = self.SLOT[rows]
-            heard = per_slot(slots)
-            discarded = per_slot(slots, hold)
-            counts["rx_beacons"] += heard
-            counts["rx_bytes"] += heard * BEACON_WIRE_BYTES
-            counts["discard_chaff"] += discarded
-            counts["checks"] += per_slot(
-                slots, np.where(hold, held.cumsum(axis=1)[pick], held.sum(axis=1))
-            )
-            counts["unknown_pending"] += heard - discarded
-            counts["verifies"] += heard - discarded
+            np.add.at(counts["rx_beacons"], slots, 1)
+            np.add.at(counts["rx_bytes"], slots, BEACON_WIRE_BYTES)
+            np.add.at(counts["discard_chaff"], slots, hold)
+            np.add.at(counts["checks"], slots, np.where(
+                hold, held.cumsum(axis=1)[pick], held.sum(axis=1)
+            ))
+            np.add.at(counts["unknown_pending"], slots, ~hold)
+            np.add.at(counts["verifies"], slots, ~hold)
 
         none = np.empty(0, dtype=np.int64)
         asked = per_slot(self.SLOT[np.concatenate([none, *self.peer_asked])])
@@ -1233,31 +1238,33 @@ class _Run:
         )
 
     def _log_vehicle_beacons(self, tick: np.ndarray) -> None:
-        """Every plaintext vehicle beacon, logged at once: each row outside
-        every zone at a beacon tick (tick holds each row's), under its
-        tick's beacon-phase key and the pseudonym and link id its vehicle
-        held then.
+        """Every plaintext vehicle beacon, logged at once as its pose row:
+        each row outside every zone at a beacon tick (tick holds each
+        row's), under its tick's beacon-phase key and the pseudonym and
+        link id its vehicle held then. The log takes the pose columns over.
 
         A cooperative vehicle holds pool[c] and link id c after c zone
         entries; entries happen in the tick's zone transitions, before its
         beacons."""
-        rows = np.flatnonzero(
-            (self.ZIDX < 0) & (tick * self.tick_ds % self.gv_ds == 0)
-        )
-        k, vi = tick[rows], self.VEH[rows]
-        key = vi.astype(np.int64) * self.nticks
-        changes = (
-            np.searchsorted(self.entry_keys, key + k, side="right")
-            - np.searchsorted(self.entry_keys, key)
-        )
-        pool_i = self.pool_base[vi] + np.where(self.non_coop[vi], 0, changes)
-        x, y = self.X[rows], self.Y[rows]
-        self.log.beacons(
-            k * N_PHASES + PH_BEACONS, rows, k * self.tick_ds / 10.0,
-            self.veh_name[vi], self.pool_pid[pool_i], self.pool_link[pool_i],
-            x, y, self.SPD[rows], self.HDG[rows], self.lengths[vi], False, -1,
-            x, y,
-        )
+        rows = np.flatnonzero((self.ZIDX < 0) & (tick * self.tick_ds % self.gv_ds == 0))
+        pid = np.empty(rows.size, dtype=np.int32)
+        link = np.empty(rows.size, dtype=np.int32)
+        for a, b in row_blocks(rows.size):
+            r = rows[a:b]
+            k, vi = tick[r], self.VEH[r]
+            key = vi.astype(np.int64) * self.nticks
+            changes = (
+                np.searchsorted(self.entry_keys, key + k, side="right")
+                - np.searchsorted(self.entry_keys, key)
+            )
+            pool_i = self.pool_base[vi] + np.where(self.non_coop[vi], 0, changes)
+            pid[a:b] = self.pool_pid[pool_i]
+            link[a:b] = self.pool_link[pool_i]
+        ticks = np.arange(self.nticks)
+        self.log.vehicle_beacons(rows, pid, link, RowPoses(
+            self.tick_lo, ticks * self.tick_ds / 10.0, ticks * N_PHASES + PH_BEACONS,
+            self.X, self.Y, self.SPD, self.HDG, self.VEH, self.veh_name, self.lengths,
+        ))
 
     def _log_decoys(self, tick: np.ndarray) -> tuple:
         """Log every decoy beacon at once and note its findings; return the
@@ -1374,16 +1381,19 @@ class _Run:
 
         tick = np.repeat(np.arange(self.nticks), np.diff(self.tick_lo))
         self._count_receptions(tick, self._log_decoys(tick))
-        self._log_vehicle_beacons(tick)
-        self._log_periodic(tick)
-        del tick
-        # the log needs none of the rows, nor what receptions were counted from
-        del self.X, self.Y, self.SPD, self.HDG, self.ZIDX, self.EDGE
-        del self.RNG, self.VEH, self.SLOT, self.n_heard, self.n_clear
+        # what receptions were counted from; nothing later reads it
+        del self.RNG, self.EDGE, self.SLOT, self.n_heard, self.n_clear
         del self.peer_asked, self.peer_answered
+        self._log_periodic(tick)
+        self._log_vehicle_beacons(tick)
+        del tick
+        # the log holds the pose columns it still reads, and reorders the
+        # counters in place into its reception summaries
+        del self.X, self.Y, self.SPD, self.HDG, self.ZIDX, self.VEH
         event_log, observations = self.log.finish(
             self.counters, self.veh_name, self.first_sec, self.seconds
         )
+        del self.counters
         # sorted stably: a tick's findings keep their stream start order
         findings = sorted(self.findings, key=lambda f: f[0])
         result = RunResult(
@@ -1427,27 +1437,43 @@ def audit_observability(result: RunResult) -> list[str]:
 def audit_single_pseudonym(result: RunResult) -> list[str]:
     """Per instant: one real pseudonym per vehicle, at most one chaff id per
     relay. Real findings come first, then chaff ones, each in (transmitter
-    id, time) order."""
+    id, time) order.
+
+    The rows are checked in time order, about a row block at a time,
+    blocks cut between instants, so no pass sorts every key of every row."""
     b = result.log.beacons
-    tx_rank = name_ranks(b.names)[b.tx]
-    order = np.lexsort((b.pseudonym, b.t, tx_rank, b.chaff))
-    chaff, tx, t, pid = b.chaff[order], tx_rank[order], b.t[order], b.pseudonym[order]
-    # a group is one (chaff, transmitter, instant); runs of equal pseudonyms
-    # within it count once
-    new_group = np.ones(order.size, dtype=bool)
-    new_group[1:] = (chaff[1:] != chaff[:-1]) | (tx[1:] != tx[:-1]) | (t[1:] != t[:-1])
-    new_pid = new_group.copy()
-    new_pid[1:] |= pid[1:] != pid[:-1]
-    distinct = np.bincount(np.cumsum(new_group) - 1, weights=new_pid).astype(np.int64)
-    dup = distinct > 1
-    bad: list[str] = []
-    for i, n in zip(order[new_group][dup].tolist(), distinct[dup].tolist()):
-        name, when = b.names[b.tx[i]], b.t[i].item()
-        if not b.chaff[i]:
-            bad.append(f"{name} emitted {n} real pseudonyms at t={when}")
-        elif not name.startswith("rsu:"):
-            bad.append(f"relay {name} emitted {n} chaff ids at t={when}")
-    return bad
+    rank = name_ranks(b.names)
+    found: list[tuple[bool, int, float, str]] = []
+    by_time = np.argsort(b.t, kind="stable")
+    lo, n = 0, by_time.size
+    while lo < n:
+        hi = min(lo + eventlog.ROW_BLOCK, n)
+        while hi < n and b.t[by_time[hi]] == b.t[by_time[hi - 1]]:
+            hi += 1
+        rows = by_time[lo:hi]
+        lo = hi
+        tx_rank = rank[b.tx[rows]]
+        order = np.lexsort((b.pseudonym[rows], b.t[rows], tx_rank, b.chaff[rows]))
+        rows, tx = rows[order], tx_rank[order]
+        chaff, t, pid = b.chaff[rows], b.t[rows], b.pseudonym[rows]
+        # a group is one (chaff, transmitter, instant); runs of equal
+        # pseudonyms within it count once
+        new_group = np.ones(rows.size, dtype=bool)
+        new_group[1:] = (chaff[1:] != chaff[:-1]) | (tx[1:] != tx[:-1]) | (t[1:] != t[:-1])
+        new_pid = new_group.copy()
+        new_pid[1:] |= pid[1:] != pid[:-1]
+        distinct = np.bincount(np.cumsum(new_group) - 1, weights=new_pid).astype(np.int64)
+        dup = distinct > 1
+        for i, ids in zip(rows[new_group][dup].tolist(), distinct[dup].tolist()):
+            name, when, is_chaff = b.names[b.tx[i]], b.t[i].item(), bool(b.chaff[i])
+            if not is_chaff:
+                text = f"{name} emitted {ids} real pseudonyms at t={when}"
+            elif not name.startswith("rsu:"):
+                text = f"relay {name} emitted {ids} chaff ids at t={when}"
+            else:
+                continue
+            found.append((is_chaff, int(rank[b.tx[i]]), when, text))
+    return [text for *_, text in sorted(found, key=lambda f: f[:3])]
 
 
 def audit_ground_truth(result: RunResult) -> list[str]:

@@ -5,20 +5,23 @@ reception summaries as numpy columns.
 Beacons, the records that follow from the schedule alone (adverts, chunks
 and encrypted beacons), the filters peers and RSUs hand over, and reception
 summaries are most of a run's records, so they never become one dict each.
-The engine logs them as blocks of raw columns and hands over its reception
-counters, a slot per vehicle second on the road; finish() rounds every
-beacon field as it goes on the air, works out which eavesdroppers heard each
-beacon, and merges the four streams. The eavesdroppers' share of the
-beacons comes out as one more table, Observations, which is all the attack
-reads.
+The engine logs them as blocks of raw columns, its vehicle beacons as rows
+of its pose columns, and hands over its reception counters, a slot per
+vehicle second on the road; finish() gathers every beacon column once,
+straight into output order, rounding each field as it goes on the air,
+works out which eavesdroppers heard each beacon, and merges the four
+streams. The eavesdroppers' share of the beacons comes out as one more
+table, Observations, which is all the attack reads.
 
 Every record carries an order key (key, n). The engine sets `key` to its
 tick and phase before it logs a phase's protocol events, and n counts the
 events logged, so events of one key keep the order they were logged in; a
 block logged at wrap-up or by a phase of its own gives its own keys and n.
-One lexsort over (time, entity, key, n) then gives the output order.
-`EventLog.write_jsonl` writes that order without building the dicts;
-`EventLog.records` builds them, as the reference view.
+The output order is (time, entity, key, n): the vehicle beacons come in it
+already, the other records are few and sorted together, and the streams
+merge by their (time, entity) codes. `EventLog.write_jsonl` writes that
+order without building the dicts, interning the pieces of its lines in
+narrow codes; `EventLog.records` builds them, as the reference view.
 """
 
 from __future__ import annotations
@@ -49,9 +52,9 @@ RECEPTION_COUNTERS = (
 encode_event = json.JSONEncoder(separators=(",", ":")).encode
 
 _PROTOCOL, _BEACON, _MESSAGE, _RECEPTION = range(4)
-_MERGE_BLOCK = 4096
-# the order key of the reception summaries: after every other record
-_LAST_KEY = np.iinfo(np.int64).max
+_MERGE_BLOCK = 1024
+# the rows a blocked pass over columns handles at once: 64 KB of int64
+ROW_BLOCK = 1 << 13
 
 # the messages, by kind: the records that follow from the schedule alone
 # (adverts, chunks and encrypted beacons), a peer's answer to a stale filter
@@ -84,7 +87,7 @@ _MESSAGE_COLUMNS = (
     ("verifiers", np.int32), ("latency_s", np.float64),
 )
 # decimals each published beacon field carries
-_PUBLISHED_DIGITS = (("x", 3), ("y", 3), ("speed", 3), ("heading", 6), ("length", 1))
+_PUBLISHED_DIGITS = {"x": 3, "y": 3, "speed": 3, "heading": 6, "length": 1}
 
 OBSERVATION_HEADER = "time,pseudonym_id,x,y,speed,heading,length,eavesdropper_id"
 
@@ -121,24 +124,22 @@ class Observations:
     eaves: np.ndarray
 
     @classmethod
-    def build(cls, t, x, y, speed, heading, length, pid_names: Sequence[str],
-              pid_code, eaves_names: Sequence[str], eaves_code) -> "Observations":
-        """The table of these float columns; row i's pseudonym is
-        pid_names[pid_code[i]] and its eavesdropper eaves_names[eaves_code[i]].
-        The given row order breaks ties."""
+    def build(cls, t, pid_names: Sequence[str], pid_code,
+              eaves_names: Sequence[str], eaves_code, take) -> "Observations":
+        """The table of rows at times t; row i's pseudonym is
+        pid_names[pid_code[i]] and its eavesdropper eaves_names[eaves_code[i]],
+        and take(order) gives the x, y, speed, heading and length columns of
+        the rows in that order. The given row order breaks ties."""
         names = sorted(set(pid_names) | set(eaves_names))
         pos = {s: i for i, s in enumerate(names)}
 
         def codes(strings, code):
-            return np.array([pos[s] for s in strings], dtype=np.int64)[code]
+            return np.array([pos[s] for s in strings], dtype=np.int32)[code]
 
         pseudonym = codes(pid_names, pid_code)
         eaves = codes(eaves_names, eaves_code)
         order = np.lexsort((pseudonym, eaves, t))
-        return cls(names, *(
-            np.asarray(col)[order]
-            for col in (t, pseudonym, x, y, speed, heading, length, eaves)
-        ))
+        return cls(names, t[order], pseudonym[order], *take(order), eaves[order])
 
     @classmethod
     def from_rows(cls, rows: Iterable[tuple]) -> "Observations":
@@ -152,8 +153,10 @@ class Observations:
             np.unique(np.array(cols[i], dtype=object), return_inverse=True)
             for i in (1, 7)
         )
-        return cls.build(t, x, y, speed, heading, length, pids.tolist(), pid_code,
-                         eids.tolist(), eaves_code)
+        return cls.build(
+            t, pids.tolist(), pid_code, eids.tolist(), eaves_code,
+            lambda order: [col[order] for col in (x, y, speed, heading, length)],
+        )
 
     def row(self, i: int) -> ObsRow:
         """Row i as the attack reads it."""
@@ -165,9 +168,10 @@ class Observations:
 
     def write_csv(self, fh) -> None:
         """OBSERVATION_HEADER, then one line per row: time to 0.1 s,
-        position and speed to 1 mm, heading to 1 µrad, length to 0.1 m.
-        Each distinct time, x, y, pseudonym and (speed, heading, length,
-        eavesdropper) tail is formatted once."""
+        position and speed to 1 mm, heading to 1 µrad, length to 0.1 m,
+        written a merge block of lines at a time. Each distinct time,
+        pseudonym and (speed, heading, length, eavesdropper) tail is
+        formatted once."""
         names = np.array(self.names, dtype=object)
         mm = "{:.3f}".format
         # bit patterns tell -0.0 from 0.0
@@ -182,14 +186,18 @@ class Observations:
                 self.length[first].tolist(), names[self.eaves[first]].tolist(),
             )
         ], dtype=object)
-        fh.write(OBSERVATION_HEADER + "\n" + "".join([
-            f"{t},{pid},{x},{y}{tail}"
-            for t, pid, x, y, tail in zip(
-                _Reprs(self.t, "{:.1f}".format)[:].tolist(),
-                names[self.pseudonym].tolist(), _Reprs(self.x, mm)[:].tolist(),
-                _Reprs(self.y, mm)[:].tolist(), tails[tail_code].tolist(),
-            )
-        ]))
+        times = _Reprs(self.t, "{:.1f}".format)
+        fh.write(OBSERVATION_HEADER + "\n")
+        for lo in range(0, self.t.size, _MERGE_BLOCK):
+            hi = lo + _MERGE_BLOCK
+            fh.write("".join([
+                f"{t},{pid},{mm(x)},{mm(y)}{tail}"
+                for t, pid, x, y, tail in zip(
+                    times[lo:hi].tolist(), names[self.pseudonym[lo:hi]].tolist(),
+                    self.x[lo:hi].tolist(), self.y[lo:hi].tolist(),
+                    tails[tail_code[lo:hi]].tolist(),
+                )
+            ]))
 
 
 @dataclass
@@ -368,6 +376,7 @@ class EventLog:
                 for col in (b.speed, b.heading, b.length, b.chaff, b.zone, code)
             ))
         ], dtype=object)
+        del first, code
 
         def protocol_lines(lo, hi):
             return [encode_event(e) + "\n" for e in self.protocol[lo:hi]]
@@ -461,7 +470,7 @@ def _observer_sets(b: BeaconColumns) -> tuple[list[list[str]], np.ndarray]:
     """The distinct observer lists of the beacons, and each row's index
     into them."""
     if not b.eaves:
-        return [[]], np.zeros(b.t.size, dtype=np.int64)
+        return [[]], np.zeros(b.t.size, dtype=np.uint8)
     # each row's flags packed eight to a byte
     packed = np.packbits(b.observers, axis=1)
     first, code = _distinct(*packed.T)
@@ -469,34 +478,81 @@ def _observer_sets(b: BeaconColumns) -> tuple[list[list[str]], np.ndarray]:
     return [[b.eaves[w] for w in np.flatnonzero(row)] for row in bits], code
 
 
+def row_blocks(n: int) -> list[tuple[int, int]]:
+    """Rows lo..hi - 1 of n rows, ROW_BLOCK at a time."""
+    return [(lo, min(lo + ROW_BLOCK, n)) for lo in range(0, n, ROW_BLOCK)]
+
+
+def sorted_distinct(values: np.ndarray) -> np.ndarray:
+    """The distinct values, sorted: np.unique by one sort, which beats its
+    hashing on the small blocks the passes here work in."""
+    values = np.sort(values)
+    head = np.ones(values.size, dtype=bool)
+    np.not_equal(values[1:], values[:-1], out=head[1:])
+    return values[head]
+
+
+def _table(n: int, values) -> np.ndarray:
+    """The sorted distinct values of values(lo, hi) over n rows, gathered
+    one row block at a time."""
+    return sorted_distinct(np.concatenate(
+        [sorted_distinct(values(lo, hi)) for lo, hi in row_blocks(n)]
+    ))
+
+
 def _distinct(*cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The distinct rows of equal-length integer or bool columns: one row
-    index holding each, and each row's index among them.
+    index holding each, and each row's index among them, in the narrowest
+    unsigned dtype that holds it.
 
-    The columns fold into one integer code per row, each column as its
-    offset from its least value where its values span fewer than the rows,
-    else as the index of its distinct value; the codes are renumbered
-    first where the next fold could overflow them."""
-    key, span = np.zeros(cols[0].size, dtype=np.int64), 1
-    if not key.size:
-        return key, key
+    The columns fold in one at a time, a row block at a time: a row's code
+    so far times the column's width, plus the column's value as its offset
+    from its least value where its values span fewer than the rows, else
+    as the index of its distinct value. The codes are renumbered where
+    their bound would pass 2**32, and at the end, so no pass holds more
+    than one block of int64 codes."""
+    n = cols[0].size
+    code = np.zeros(n, dtype=np.uint8)
+    if not n:
+        return np.zeros(0, dtype=np.int64), code
+    span = 1
+
+    def renumbered(key) -> tuple[np.ndarray, int]:
+        keys = _table(n, key)
+        out = np.empty(n, dtype=np.min_scalar_type(keys.size - 1))
+        for lo, hi in row_blocks(n):
+            out[lo:hi] = np.searchsorted(keys, key(lo, hi))
+        return out, keys.size
+
     for col in cols:
-        col = col.astype(np.int64, copy=False)
-        lo, hi = int(col.min()), int(col.max())
-        if hi - lo < col.size:
-            code, width = col - lo, hi - lo + 1
+        least, most = col.min().item(), col.max().item()
+        if most - least < n:
+            values, width = None, most - least + 1
         else:
-            _, code = np.unique(col, return_inverse=True)
-            width = int(code.max()) + 1
-        if span * width >= 1 << 62:
-            _, key = np.unique(key, return_inverse=True)
-            span = int(key.max()) + 1
-        key = key * width + code
-        span *= width
-    _, key = np.unique(key, return_inverse=True)
-    first = np.empty(int(key.max()) + 1, dtype=np.int64)
-    first[key] = np.arange(key.size)
-    return first, key
+            values = _table(n, lambda lo, hi, col=col: col[lo:hi])
+            width = values.size
+
+        def key(lo, hi, code=code, col=col, least=least, values=values, width=width):
+            c = col[lo:hi]
+            c = c.astype(np.int64) - least if values is None else np.searchsorted(values, c)
+            return code[lo:hi].astype(np.int64) * width + c
+
+        if span * width < 1 << 32:
+            # a first column's distinct-value indices number its rows already
+            dense = span == 1 and values is not None
+            code = np.empty(n, dtype=np.min_scalar_type(span * width - 1))
+            for lo, hi in row_blocks(n):
+                code[lo:hi] = key(lo, hi)
+            span *= width
+        else:
+            code, span = renumbered(key)
+            dense = True
+    if not dense:
+        code, span = renumbered(lambda lo, hi: code[lo:hi])
+    first = np.empty(span, dtype=np.int64)
+    for lo, hi in row_blocks(n):
+        first[code[lo:hi]] = np.arange(lo, hi)
+    return first, code
 
 
 class _Reprs:
@@ -505,10 +561,8 @@ class _Reprs:
     its sign. Slicing gives the strings of those rows as an object array."""
 
     def __init__(self, col: np.ndarray, fmt=repr) -> None:
-        distinct, self.code = np.unique(col.view(np.int64), return_inverse=True)
-        self.reprs = np.array(
-            [fmt(v) for v in distinct.view(np.float64).tolist()], dtype=object
-        )
+        first, self.code = _distinct(col.view(np.int64))
+        self.reprs = np.array([fmt(v) for v in col[first].tolist()], dtype=object)
 
     def __getitem__(self, rows: slice) -> np.ndarray:
         return self.reprs[self.code[rows]]
@@ -579,11 +633,12 @@ def _event_entity(e: dict) -> str:
 
 class EventLogBuilder:
     """The log as the engine emits it: protocol events as dicts; beacons
-    and messages as blocks of raw columns; strings interned in one table.
-    A protocol event takes the current `key`, and its place among the
-    events as n. finish() publishes the beacons (rounds them as they go on
-    the air), works out which eavesdroppers heard each one, and sorts every
-    record into output order."""
+    and messages as blocks of raw columns, vehicle beacons as pose rows;
+    strings interned in one table. A protocol event takes the current
+    `key`, and its place among the events as n. finish() publishes the
+    beacons (rounds them as they go on the air), works out which
+    eavesdroppers heard each one, and merges every record into output
+    order."""
 
     def __init__(self, eaves: Sequence[str], ex, ey, er2):
         """eaves are the eavesdropper ids, in order; ex, ey and er2 their
@@ -600,6 +655,11 @@ class EventLogBuilder:
         self._verifier_index: dict[tuple[int, ...], int] = {(): 0}
         self._blocks: list[list] = []
         self._messages: list[list] = []
+        # the vehicle beacons: pose rows, pseudonyms and link ids, and the
+        # pose columns they are read from
+        self._rows = np.zeros(0, dtype=np.int64)
+        self._row_pid = self._row_link = np.zeros(0, dtype=np.int32)
+        self._poses: dict[str, np.ndarray] = {}
 
     def name(self, s: str) -> int:
         """s's index in the string table."""
@@ -646,6 +706,15 @@ class EventLogBuilder:
             verifiers, latency_s,
         ])
 
+    def vehicle_beacons(self, rows, pseudonym, link, poses: RowPoses) -> None:
+        """Log a plaintext beacon, in no zone, from each of pose rows `rows`
+        (ascending), sent under pseudonym[i] and link[i] (string-table
+        indices) and the order key (its tick's key, its row). Called once:
+        the log holds the pose columns from then on, and finish() drops
+        each as soon as it has read it for the last time."""
+        self._rows, self._row_pid, self._row_link = rows, pseudonym, link
+        self._poses = poses._asdict()
+
     def finish(
         self, counters: np.ndarray, vehicle_names: np.ndarray,
         first_sec: np.ndarray, seconds: np.ndarray,
@@ -657,79 +726,267 @@ class EventLogBuilder:
         first_sec[i] + seconds[i] - 1, in order, vehicles in order;
         vehicle_names[i] is its string-table index. Each slot with any
         nonzero counter is one reception summary, ordered after every other
-        record of its (time, vehicle), in (vehicle, second) order."""
-        cols = _columns(self._blocks, _RAW_BEACON_COLUMNS)
-        mcols = _columns(self._messages, _MESSAGE_COLUMNS)
-        self._blocks = self._messages = []
-        for name, digits in _PUBLISHED_DIGITS:
-            cols[name] = round_array(cols[name], digits)
-        ex, ey, er2 = self._eaves_disks
-        hx, hy = cols.pop("hx"), cols.pop("hy")
-        cols["observers"] = (hx[:, None] - ex) ** 2 + (hy[:, None] - ey) ** 2 <= er2
-        observations = self._observations(cols)
+        record of its (time, vehicle), in (vehicle, second) order. The
+        counters are reordered in place into the summaries' counts.
 
+        The vehicle beacons come in output order already; the protocol
+        events, the other beacons and the messages are few, and sorted
+        together. Both sequences and the summaries merge by each record's
+        (time, entity) code, so no pass sorts the whole log."""
+        entity = [self.name(_event_entity(e)) for e in self.protocol]
+        rank = name_ranks(self.names)
+        raw = _columns(self._blocks, _RAW_BEACON_COLUMNS)
+        msgs = _columns(self._messages, _MESSAGE_COLUMNS)
+        self._blocks = self._messages = []
+        poses = self._poses
+        n_veh, n_p, n_raw = self._rows.size, len(self.protocol), raw["t"].size
+
+        # a record's (time, entity) code: its time's index among every
+        # time the log can hold, times the names, plus its entity's rank
+        p_t = np.array([e["t"] for e in self.protocol], dtype=np.float64)
+        tick_t = poses.get("tick_t", np.zeros(0))
+        last = first_sec + seconds
+        times = np.unique(np.concatenate([
+            p_t, raw["t"], msgs["t"], tick_t,
+            np.arange(first_sec.min(initial=0), last.max(initial=0), dtype=np.float64),
+        ]))
+        width = len(self.names)
+        code_type = np.int32 if times.size * width < 1 << 31 else np.int64
+
+        def codes(t, ent):
+            return (np.searchsorted(times, t) * width + rank[ent]).astype(code_type)
+
+        # the vehicle beacons' codes, which must ascend
+        veh_code = np.empty(n_veh, dtype=code_type)
+        if n_veh:
+            tick_lo, tick_key = poses["tick_lo"], poses["tick_key"]
+            tick_code = np.searchsorted(times, tick_t) * width
+            vehicle, names = poses["vehicle"], poses["names"]
+            for lo, hi in row_blocks(n_veh):
+                r = self._rows[lo:hi]
+                veh_code[lo:hi] = (
+                    tick_code[_tick_of(tick_lo, r)] + rank[names[vehicle[r]]]
+                )
+            del vehicle, names
+            if np.any(veh_code[1:] <= veh_code[:-1]):
+                raise ValueError(
+                    "vehicle beacons must come in (tick, vehicle name) order"
+                )
+
+        # the protocol events, raw beacons and messages, sorted together by
+        # their full order keys; the stream breaks ties, in that order
+        small_key = np.concatenate([self._protocol_keys, raw["key"], msgs["key"]])
+        small_n = np.concatenate([np.arange(n_p), raw["n"], msgs["n"]])
+        small_t = np.concatenate([p_t, raw["t"], msgs["t"]])
+        small_ent = np.concatenate(
+            [np.array(entity, dtype=np.int64), raw["tx"], msgs["tx"]]
+        )
+        del p_t, entity
+        order = np.lexsort((small_n, small_key, rank[small_ent], small_t))
+        small_code = codes(small_t[order], small_ent[order])
+        small_key, small_n = small_key[order], small_n[order]
+        del small_t, small_ent
+        kind = np.repeat(
+            np.array([_PROTOCOL, _BEACON, _MESSAGE], dtype=np.uint8),
+            [n_p, n_raw, msgs["t"].size],
+        )[order]
+        # the vehicle beacons before each: those of a lesser code, and the
+        # one of its code, if any, where that one's (key, n) is less; a
+        # message follows a vehicle beacon equal in all four, the others
+        # precede it
+        veh_before = np.searchsorted(veh_code, small_code)
+        if n_veh:
+            at = np.minimum(veh_before, n_veh - 1)
+            r = self._rows[at]
+            r_key = tick_key[_tick_of(tick_lo, r)]
+            veh_before += (veh_code[at] == small_code) & (
+                (r_key < small_key) | (r_key == small_key) & (
+                    (r < small_n) | (r == small_n) & (kind == _MESSAGE)
+                )
+            )
+            del at, r, r_key
+        del small_key, small_n
+        protocol = [self.protocol[i] for i in order[kind == _PROTOCOL].tolist()]
+        m_order = order[kind == _MESSAGE] - n_p - n_raw
+        is_raw = kind == _BEACON
+        raw_order = order[is_raw] - n_p
+        # each raw beacon's place among the beacons
+        raw_before = veh_before[is_raw]
+        raw_pos = np.arange(raw_order.size) + raw_before
+        del order, is_raw
+
+        # the reception summaries, in (code, slot) order, each after every
+        # record of a code not above its own
         slot = np.flatnonzero(counters.any(axis=0))
         base = np.cumsum(seconds) - seconds
         vi = np.searchsorted(base, slot, side="right") - 1
         rec_vehicle = vehicle_names[vi]
-        rec_t = (slot - base[vi] + first_sec[vi]).astype(np.float64)
+        rec_t = slot - base[vi] + first_sec[vi]
         del base, vi
-        sizes = [len(self.protocol), cols["t"].size, mcols["t"].size, slot.size]
-
-        entity = [self.name(_event_entity(e)) for e in self.protocol]
-        rank = name_ranks(self.names)
-        t = np.concatenate([
-            np.array([e["t"] for e in self.protocol], dtype=np.float64),
-            cols["t"], mcols["t"], rec_t,
-        ])
-        entity_rank = rank[np.concatenate([
-            np.array(entity, dtype=np.int64), cols["tx"], mcols["tx"], rec_vehicle,
-        ])]
-        key = np.concatenate([
-            np.array(self._protocol_keys, dtype=np.int64), cols.pop("key"),
-            mcols.pop("key"), np.full(slot.size, _LAST_KEY),
-        ])
-        n = np.concatenate([
-            np.arange(len(self.protocol)), cols.pop("n"), mcols.pop("n"),
-            np.arange(slot.size),
-        ])
-        order = np.lexsort((n, key, entity_rank, t))
-        del t, entity_rank, key, n
-        kinds = np.repeat(
-            np.array([_PROTOCOL, _BEACON, _MESSAGE, _RECEPTION], dtype=np.uint8),
-            sizes,
-        )[order]
-        starts = np.cumsum(sizes) - sizes
-        p, b, m, r = (
-            order[kinds == kind] - starts[kind]
-            for kind in (_PROTOCOL, _BEACON, _MESSAGE, _RECEPTION)
+        rec_code = codes(rec_t, rec_vehicle)
+        rec_order = np.argsort(rec_code, kind="stable")
+        rec_code = rec_code[rec_order]
+        rec_pos = (
+            np.arange(rec_code.size) + np.searchsorted(veh_code, rec_code, side="right")
+            + np.searchsorted(small_code, rec_code, side="right")
         )
-        del order
-        # each column is dropped as it is permuted, so none is held twice
-        log = EventLog(
-            [self.protocol[i] for i in p.tolist()],
-            BeaconColumns(self.names, self.eaves, **_permuted(cols, b)),
-            MessageColumns(self.names, self.verifier_lists, **_permuted(mcols, m)),
-            ReceptionColumns(
-                self.names, rec_vehicle[r], rec_t[r], counters[:, slot[r]].T
-            ),
-            kinds,
+        del rec_code, veh_code, small_code
+        kinds = np.full(n_veh + kind.size + rec_pos.size, _RECEPTION, dtype=np.uint8)
+        others = np.ones(kinds.size, dtype=bool)
+        others[rec_pos] = False
+        del rec_pos
+        rest = np.full(n_veh + kind.size, _BEACON, dtype=np.uint8)
+        rest[np.arange(kind.size) + veh_before] = kind
+        kinds[others] = rest
+        del others, rest, kind, veh_before
+        # the counters reordered in place, each row through one copy
+        slot = slot[rec_order]
+        for c in counters:
+            c[:slot.size] = c[slot]
+        receptions = ReceptionColumns(
+            self.names, rec_vehicle[rec_order], rec_t[rec_order].astype(np.float64),
+            counters[:, :slot.size].T,
         )
-        return log, observations
+        del slot, rec_order, rec_vehicle, rec_t
 
-    def _observations(self, cols: dict[str, np.ndarray]) -> Observations:
+        del msgs["key"], msgs["n"]
+        messages = MessageColumns(
+            self.names, self.verifier_lists, **_permuted(msgs, m_order)
+        )
+        beacons = self._beacon_columns(raw, raw_order, raw_pos, raw_before)
+        observations = self._observations(beacons, raw, raw_order, raw_pos)
+        return EventLog(protocol, beacons, messages, receptions, kinds), observations
+
+    def _beacon_columns(self, raw, raw_order, raw_pos, raw_before) -> BeaconColumns:
+        """Every beacon's published columns, gathered once each straight
+        into output order, raw beacon raw_order[j] at raw_pos[j] and vehicle
+        beacon i after the raw_before[j] <= i. Each pose column is dropped
+        as soon as its last gather is done."""
+        rows, poses = self._rows, self._poses
+        n = rows.size + raw_order.size
+        # each vehicle beacon's place among the beacons
+        place = np.empty(rows.size, dtype=np.min_scalar_type(max(n - 1, 0)))
+        for lo, hi in row_blocks(rows.size):
+            i = np.arange(lo, hi)
+            place[lo:hi] = i + np.searchsorted(raw_before, i, side="right")
+
+        def vehicle_blocks():
+            """Blocks of vehicle beacons: their pose rows and places."""
+            for lo, hi in row_blocks(rows.size):
+                yield rows[lo:hi], lo, hi, place[lo:hi]
+
+        def column(name, dtype, vehicle_values, digits=None):
+            col = np.empty(n, dtype)
+            from_raw = raw.pop(name)
+            for lo, hi in row_blocks(raw_order.size):
+                col[raw_pos[lo:hi]] = from_raw[raw_order[lo:hi]]
+            del from_raw
+            for r, lo, hi, pos in vehicle_blocks():
+                col[pos] = vehicle_values(r, lo, hi)
+            if digits is not None:
+                for lo, hi in row_blocks(n):
+                    col[lo:hi] = round_array(col[lo:hi], digits)
+            return col
+
+        ex, ey, er2 = self._eaves_disks
+
+        def heard(hx, hy):
+            return (hx[:, None] - ex) ** 2 + (hy[:, None] - ey) ** 2 <= er2
+
+        observers = np.empty((n, len(self.eaves)), dtype=bool)
+        hx, hy = raw.pop("hx"), raw.pop("hy")
+        for lo, hi in row_blocks(raw_order.size):
+            j = raw_order[lo:hi]
+            observers[raw_pos[lo:hi]] = heard(hx[j], hy[j])
+        del hx, hy
+        for r, _, _, pos in vehicle_blocks():
+            observers[pos] = heard(poses["x"][r], poses["y"][r])
+        cols = {}
+        for name in ("x", "y", "speed", "heading"):
+            values = poses.pop(name, None)
+            cols[name] = column(
+                name, np.float64, lambda r, lo, hi: values[r], _PUBLISHED_DIGITS[name]
+            )
+            del values
+        vehicle, names = poses.pop("vehicle", None), poses.pop("names", None)
+        length = poses.pop("length", None)
+        cols["length"] = column(
+            "length", np.float64, lambda r, lo, hi: length[vehicle[r]],
+            _PUBLISHED_DIGITS["length"],
+        )
+        cols["tx"] = column("tx", np.int32, lambda r, lo, hi: names[vehicle[r]])
+        del vehicle, names, length
+        tick_lo, tick_t = poses.get("tick_lo"), poses.get("tick_t")
+        cols["t"] = column(
+            "t", np.float64, lambda r, lo, hi: tick_t[_tick_of(tick_lo, r)]
+        )
+        pid, link = self._row_pid, self._row_link
+        self._row_pid = self._row_link = None
+        cols["pseudonym"] = column("pseudonym", np.int32, lambda r, lo, hi: pid[lo:hi])
+        cols["link"] = column("link", np.int32, lambda r, lo, hi: link[lo:hi])
+        del pid, link
+        cols["chaff"] = column("chaff", np.bool_, lambda r, lo, hi: False)
+        cols["zone"] = column("zone", np.int32, lambda r, lo, hi: -1)
+        return BeaconColumns(self.names, self.eaves, observers=observers, **cols)
+
+    def _observations(self, b: BeaconColumns, raw, raw_order, raw_pos) -> Observations:
         """The table of every beacon an eavesdropper heard, once per
         eavesdropper; rows of one time, eavesdropper and pseudonym keep
-        the order of the beacons' keys."""
-        sent = np.lexsort((cols["n"], cols["key"]))
-        heard, w = np.nonzero(cols["observers"][sent])
+        the order of the beacons' keys. raw holds the raw beacons' key and
+        n; raw beacon raw_order[j] is beacon raw_pos[j]."""
+        heard_rows = np.flatnonzero(b.observers.any(axis=1))
+        # each heard row's raw beacon, or its vehicle beacon's index
+        j = np.searchsorted(raw_pos, heard_rows)
+        is_raw = j < raw_pos.size
+        is_raw[is_raw] = raw_pos[j[is_raw]] == heard_rows[is_raw]
+        key = np.empty(heard_rows.size, dtype=np.int64)
+        n = np.empty(heard_rows.size, dtype=np.int64)
+        k = raw_order[j[is_raw]]
+        key[is_raw], n[is_raw] = raw["key"][k], raw["n"][k]
+        r = self._rows[heard_rows[~is_raw] - j[~is_raw]]
+        if r.size:
+            poses = self._poses
+            key[~is_raw] = poses["tick_key"][_tick_of(poses["tick_lo"], r)]
+        n[~is_raw] = r
+        self._rows, self._poses = np.zeros(0, dtype=np.int64), {}
+        sent = heard_rows[np.lexsort((n, key))]
+        del heard_rows, j, is_raw, k, key, n, r
+        heard, w = np.nonzero(b.observers[sent])
         rows = sent[heard]
-        pids, pid_code = np.unique(cols["pseudonym"][rows], return_inverse=True)
+        del sent, heard
+        pids, pid_code = np.unique(b.pseudonym[rows], return_inverse=True)
         return Observations.build(
-            round_array(cols["t"][rows], 1),
-            *(cols[name][rows] for name in ("x", "y", "speed", "heading", "length")),
-            [self.names[i] for i in pids.tolist()], pid_code, self.eaves, w,
+            round_array(b.t[rows], 1), [self.names[i] for i in pids.tolist()],
+            pid_code, self.eaves, w,
+            lambda order: [
+                col[rows[order]] for col in (b.x, b.y, b.speed, b.heading, b.length)
+            ],
         )
+
+
+class RowPoses(NamedTuple):
+    """The vehicles' pose rows, which their plaintext beacons go out from.
+    Rows are tick-major: tick k's are tick_lo[k] to tick_lo[k + 1] - 1, one
+    per vehicle on the road, vehicles in the order of their names. Row r
+    holds vehicle vehicle[r]'s simulated pose; vehicle i is names[i] in the
+    string table and length[i] m long. Tick k's beacons go out at time
+    tick_t[k] under order key tick_key[k]."""
+
+    tick_lo: np.ndarray
+    tick_t: np.ndarray
+    tick_key: np.ndarray
+    x: np.ndarray
+    y: np.ndarray
+    speed: np.ndarray
+    heading: np.ndarray
+    vehicle: np.ndarray
+    names: np.ndarray
+    length: np.ndarray
+
+
+def _tick_of(tick_lo: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Each pose row's tick."""
+    return np.searchsorted(tick_lo, rows, side="right") - 1
 
 
 def _columns(blocks: list[list], spec) -> dict[str, np.ndarray]:

@@ -27,6 +27,8 @@ from .eventlog import (
     BeaconColumns,
     MessageColumns,
     ReceptionColumns,
+    row_blocks,
+    sorted_distinct,
 )
 
 RSU_SIGN_MS = 0.3
@@ -424,33 +426,37 @@ def overhead(
     of its log, which share the log's string table, instead of dicts in
     `events`; they are folded by the same rules, all in one table.
     """
-    # (entity, second, {ledger: count}) columns; entity indexes names
-    parts: list[tuple[np.ndarray, np.ndarray, dict[int, np.ndarray | int]]] = []
+    # (entity, time, {ledger: (column or None, factor)}) parts; entity
+    # indexes names
+    parts: list[tuple[np.ndarray, np.ndarray, dict[int, tuple]]] = []
     names: list[str] = []
     if beacons is not None:
-        names, sec = beacons.names, beacons.t.astype(np.int64)
-        parts.append((beacons.tx, sec, {BYTES: BEACON_WIRE_BYTES, SIGNS: 1}))
+        names = beacons.names
+        parts.append((beacons.tx, beacons.t, {
+            BYTES: (None, BEACON_WIRE_BYTES), SIGNS: (None, 1),
+        }))
     if messages is not None:
         # adverts, chunks, encrypted beacons and answers are signed by their
         # sender; a delivery's vehicle verifies the filter, and carries 0
         # bytes; each advert's first verifiers verify it
         m = messages
-        names, sec = m.names, m.t.astype(np.int64)
-        delivery = (m.kind >= VIA_PEER).astype(np.int64)
-        parts.append((
-            m.tx, sec, {BYTES: m.bytes, SIGNS: 1 - delivery, VERIFIES: delivery},
-        ))
+        names = m.names
+        delivery = m.kind >= VIA_PEER
+        parts.append((m.tx, m.t, {
+            BYTES: (m.bytes, 1), SIGNS: (~delivery, 1), VERIFIES: (delivery, 1),
+        }))
         heard = np.flatnonzero(m.verifiers)
         lists = [m.verifier_lists[c] for c in m.verifiers[heard].tolist()]
         parts.append((
             np.array([v for ids in lists for v in ids], dtype=np.int64),
-            np.repeat(sec[heard], [len(ids) for ids in lists]), {VERIFIES: 1},
+            np.repeat(m.t[heard], [len(ids) for ids in lists]), {VERIFIES: (None, 1)},
         ))
     if receptions is not None:
         names, q = receptions.names, receptions.count("peer_queries")
-        parts.append((receptions.vehicle, receptions.t.astype(np.int64), {
-            BYTES: q * PEER_QUERY_BYTES, SIGNS: q,
-            VERIFIES: receptions.count("verifies"), CHECKS: receptions.count("checks"),
+        parts.append((receptions.vehicle, receptions.t, {
+            BYTES: (q, PEER_QUERY_BYTES), SIGNS: (q, 1),
+            VERIFIES: (receptions.count("verifies"), 1),
+            CHECKS: (receptions.count("checks"), 1),
         }))
     cells: list[tuple[int, str, int, int]] = []
     for e in events:
@@ -486,63 +492,78 @@ def overhead(
         parts.append((
             np.array([index[s] for s in ent], dtype=np.int64),
             np.array(sec, dtype=np.int64),
-            {i: np.where(ledger == i, n, 0) for i in range(len(LEDGERS))},
+            {i: (np.where(ledger == i, n, 0), 1) for i in range(len(LEDGERS))},
         ))
     return _fold(duration_s, names, parts)
 
 
 def _fold(
     duration_s: float, names: Sequence[str],
-    parts: list[tuple[np.ndarray, np.ndarray, dict[int, np.ndarray | int]]],
+    parts: list[tuple[np.ndarray, np.ndarray, dict[int, tuple]]],
 ) -> OverheadReport:
-    """The report of (entity, second, {ledger: count}) columns, entity an
-    index into names and each count a column or one value for all rows:
-    every ledger's counts summed per (entity name, second) cell, by one
-    sort of the cells' codes, entity rank × width + second. Rows that
-    count nothing are left out."""
-    keeps = []
-    for ent, _, counts in parts:
-        live = np.any(
-            [np.broadcast_to(n, ent.shape) != 0 for n in counts.values()], axis=0
-        )
-        # a part whose rows all count is read in place
-        keeps.append(slice(None) if live.all() else np.flatnonzero(live))
+    """The report of (entity, time, {ledger: (column or None, factor)})
+    parts: entity an index into names, time in seconds, and each count a
+    column, or one for all rows where None, times the factor. Every
+    ledger's counts are summed per (entity name, whole second) cell; rows
+    that count nothing are left out.
+
+    Each part is read a block of rows at a time, three times: for the
+    names and seconds it counts in, for its distinct cells (coded entity
+    rank × width + second, in the narrowest integer that holds every
+    code), and for its counts, which are added into their cells. No pass
+    holds more than a block of the rows' codes, and the counts are int32
+    wherever their total fits."""
+
+    def blocks():
+        """(entity, second, {ledger: counts}) of each block of rows that
+        count something."""
+        for ent, t, counts in parts:
+            for lo, hi in row_blocks(ent.size):
+                got = {
+                    i: n if col is None else col[lo:hi] * n
+                    for i, (col, n) in counts.items() if n
+                }
+                if any(np.ndim(n) == 0 for n in got.values()):
+                    # a nonzero count for every row
+                    yield ent[lo:hi], t[lo:hi].astype(np.int64), got
+                    continue
+                live = np.zeros(hi - lo, dtype=bool)
+                for n in got.values():
+                    live |= n != 0
+                keep = np.flatnonzero(live)
+                yield ent[lo:hi][keep], t[lo:hi][keep].astype(np.int64), {
+                    i: n[keep] for i, n in got.items()
+                }
+
     # each entity index's place among the names that count anything; equal
-    # names take one place
+    # names take one place. No cell sums to more than every count does
     used = np.zeros(len(names), dtype=bool)
-    for (ent, _, _), keep in zip(parts, keeps):
-        used[ent[keep]] = True
+    width, total = 1, 0
+    for ent, sec, got in blocks():
+        used[ent] = True
+        width = max(width, int(sec.max(initial=0)) + 1)
+        total += sum(int(np.sum(n)) * (ent.size if np.ndim(n) == 0 else 1)
+                     for n in got.values())
     used_ids = np.flatnonzero(used).tolist()
     entities = sorted({names[i] for i in used_ids})
     place = {s: r for r, s in enumerate(entities)}
     rank = np.zeros(len(names), dtype=np.int64)
     rank[used_ids] = [place[names[i]] for i in used_ids]
-    width = 1 + max((int(sec.max()) for _, sec, _ in parts if sec.size), default=0)
+    code_type = np.int32 if len(entities) * width < 1 << 31 else np.int64
 
-    # each part's rows lo to hi - 1 of the rows that count
-    ends = np.cumsum([ent[keep].size for (ent, _, _), keep in zip(parts, keeps)])
-    spans = list(zip([0, *ends.tolist()], ends.tolist()))
-    code = np.empty(spans[-1][1] if spans else 0, dtype=np.int64)
-    for (ent, sec, _), keep, (lo, hi) in zip(parts, keeps, spans):
-        np.multiply(rank[ent[keep]], width, out=code[lo:hi])
-        code[lo:hi] += sec[keep]
-    order = np.argsort(code)
-    code = code[order]
-    # the first sorted row of each cell
-    first = np.ones(code.size, dtype=bool)
-    np.not_equal(code[1:], code[:-1], out=first[1:])
-    head = np.flatnonzero(first)
-    entity, second = np.divmod(code[head], width)
-    del code, first
-    counts = np.zeros((head.size, len(LEDGERS)), dtype=np.int64)
-    if head.size:
-        # one ledger's counts at a time, in the rows' sorted order
-        n = np.empty(order.size, dtype=np.int64)
-        for i in range(len(LEDGERS)):
-            for (ent, _, c), keep, (lo, hi) in zip(parts, keeps, spans):
-                n[lo:hi] = np.broadcast_to(c.get(i, 0), ent.shape)[keep]
-            counts[:, i] = np.add.reduceat(n[order], head)
-    return OverheadReport(duration_s, entities, entity, second, counts)
+    cells = sorted_distinct(np.concatenate([np.zeros(0, dtype=code_type)] + [
+        sorted_distinct(rank[ent] * width + sec).astype(code_type)
+        for ent, sec, _ in blocks()
+    ]))
+    count_type = np.int32 if total < 1 << 31 else np.int64
+    # one ledger a row, so each ledger's adds go to contiguous memory
+    counts = np.zeros((len(LEDGERS), cells.size), dtype=count_type)
+    for ent, sec, got in blocks():
+        at = np.searchsorted(cells, (rank[ent] * width + sec).astype(code_type))
+        for i, n in got.items():
+            np.add.at(counts[i], at, np.asarray(n, dtype=count_type))
+    entity, second = np.divmod(cells, code_type(width))
+    return OverheadReport(duration_s, entities, entity, second, counts.T)
 
 
 # ---------------------------------------------------------------------------

@@ -78,9 +78,14 @@ class ScenarioConfig:
             )
         for name in ("gamma_mz_s", "filter_tx_interval_s", "duration_s"):
             val = getattr(self, name)
-            ds = val * 10  # inf for the largest floats
-            if not 0 < val or ds == math.inf or abs(round(ds) - ds) > 1e-9:
-                raise ConfigError(f"{name} must be a positive 0.1 s multiple")
+            # past 2**53 deciseconds every float is integral, so the multiple
+            # check would pass anything, and the clock is no longer exact
+            ds = val * 10
+            if not 0 < val or ds > 2 ** 53 or abs(round(ds) - ds) > 1e-9:
+                raise ConfigError(
+                    f"{name} must be a positive 0.1 s multiple of at most "
+                    f"{2 ** 53 // 10} s"
+                )
         for name in ("relay_fraction", "non_coop_fraction", "hbc_rsu_fraction"):
             val = getattr(self, name)
             if not 0.0 <= val <= 1.0:

@@ -119,7 +119,7 @@ def test_gen_grid_rejects_tight_spacing(tmp_path):
 @pytest.mark.parametrize("flag,value", [
     ("--spacing", "inf"), ("--spacing", "nan"), ("--vehicles", "-1"),
     ("--duration", "0.05"), ("--arrival-rate", "nan"),
-    ("--arrival-rate", "-inf"), ("--duration", "inf"),
+    ("--arrival-rate", "-inf"), ("--duration", "inf"), ("--duration", "1e300"),
 ])
 def test_gen_grid_bad_value_exits_2_and_writes_nothing(tmp_path, capsys, flag, value):
     out = tmp_path / "g"
@@ -317,6 +317,21 @@ def test_run_with_more_chaff_than_the_filter_holds_exits_2_and_writes_no_cell(
     err = capsys.readouterr().err
     assert err.count("\n") == 1
     assert "chaff_per_zone" in err and "filter_capacity" in err
+    assert not out.exists()
+
+
+def test_run_duration_past_the_exact_decisecond_range_exits_2(tmp_path, capsys):
+    # 1e301 deciseconds is finite and integral, but no clock counts to it
+    scenario = small_scenario(tmp_path, vehicles=3, duration=60.0)
+    doc = json.loads(scenario.read_text())
+    doc["duration_s"] = 1e300
+    scenario.write_text(json.dumps(doc))
+    capsys.readouterr()
+    out = tmp_path / "o"
+    rc = main(["run", "--scenario", str(scenario), "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "duration_s" in err
     assert not out.exists()
 
 

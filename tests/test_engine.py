@@ -1270,6 +1270,11 @@ class _PerTickCounters(_Run):
         self.held_counts: set[int] = set()
         self.peer_rx_heard: list[int] = []
 
+    def _count_receptions(self, tick, sends):
+        # the log reorders the counters at wrap-up: keep them as counted
+        super()._count_receptions(tick, sends)
+        self.counted = self.counters.copy()
+
     def _end_streams(self, tk):
         # the vehicle beacons, counted as the tick's beacon phase heard them
         self.held_ep_now = self.held_ep[tk.av]
@@ -1392,7 +1397,7 @@ def test_wrap_up_reception_counters_match_the_per_tick_math(monkeypatch, block):
     last_rows = state.VEH[final[0]:final[1]].tolist()
     result = state.finish()
     for i, name in enumerate(RECEPTION_COUNTERS):
-        np.testing.assert_array_equal(state.counters[i], state.ref[i], err_msg=name)
+        np.testing.assert_array_equal(state.counted[i], state.ref[i], err_msg=name)
 
     # every path the pass must get right was taken: RSU and relay decoys
     # (a relay never hears itself), receivers holding one, two and three
@@ -1706,7 +1711,11 @@ def test_next_event_loop_matches_stepping_every_tick(monkeypatch, tmp_path, case
         result.export_events(got)
         ref.export_events(want)
         assert got.getvalue() == want.getvalue()
-        np.testing.assert_array_equal(state.counters, ref_state.counters)
+        # the reception counters, as the summaries hold them
+        got_rx, want_rx = result.log.receptions, ref.log.receptions
+        np.testing.assert_array_equal(got_rx.vehicle, want_rx.vehicle)
+        np.testing.assert_array_equal(got_rx.t, want_rx.t)
+        np.testing.assert_array_equal(got_rx.counts, want_rx.counts)
         assert_same_observations(result.observations, ref.observations)
         assert result.transitions == ref.transitions
         assert result.audit_violations == ref.audit_violations

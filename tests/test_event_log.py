@@ -20,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from decoymix.adversary import export_candidate_sets
-from decoymix import engine
+from decoymix import cli, engine, eventlog, metrics
 from decoymix.cli import attack_result, cell_reports
 from decoymix.engine import run
 from decoymix.eventlog import (
@@ -32,8 +32,10 @@ from decoymix.eventlog import (
     VIA_PEER,
     VIA_RSU,
     OBSERVATION_HEADER,
+    EventLog,
     EventLogBuilder,
     Observations,
+    RowPoses,
     _distinct,
     _mm_reprs,
     encode_event,
@@ -412,6 +414,22 @@ def _tick_records_log():
     return event_log
 
 
+def test_vehicle_beacons_out_of_tick_and_name_order_are_refused():
+    # the merge takes the vehicle beacons to be in output order already:
+    # rows of one tick in the order of their vehicles' names
+    log = EventLogBuilder([], np.empty(0), np.empty(0), np.empty(0))
+    names = np.array([log.name("veh-b"), log.name("veh-a")], dtype=np.int32)
+    poses = RowPoses(
+        np.array([0, 2]), np.array([0.0]), np.array([4]), np.zeros(2), np.zeros(2),
+        np.zeros(2), np.zeros(2), np.array([0, 1]), names, np.array([4.5, 4.5]),
+    )
+    pid = np.array([log.name("p-0"), log.name("p-1")], dtype=np.int32)
+    log.vehicle_beacons(np.array([0, 1]), pid, pid, poses)
+    with pytest.raises(ValueError, match="vehicle name"):
+        log.finish(np.zeros((len(RECEPTION_COUNTERS), 0), dtype=np.int64),
+                   names, np.zeros(2, dtype=np.int64), np.zeros(2, dtype=np.int64))
+
+
 def test_periodic_columns_take_their_tick_phase():
     event_log = _tick_records_log()
     records = event_log.records()
@@ -527,6 +545,8 @@ def test_reception_lines_from_interned_pieces_are_written_as_encoded():
     counters[4:, ::3] = 0
     counters[:, 1::7] = 0
     counters[:, 5::11] = big
+    # finish reorders the counters in place
+    n_summaries = np.count_nonzero(counters.any(axis=0))
     event_log, _ = log.finish(counters, vehicles, first_sec, seconds)
 
     buf = io.StringIO()
@@ -534,7 +554,7 @@ def test_reception_lines_from_interned_pieces_are_written_as_encoded():
     records = event_log.records()
     assert buf.getvalue() == "".join(encode_event(e) + "\n" for e in records)
     last = RECEPTION_COUNTERS[4:]
-    assert len(records) == np.count_nonzero(counters.any(axis=0))
+    assert len(records) == n_summaries
     assert any(all(e[c] == 0 for c in last) for e in records)
     assert any(0 in {e[c] for c in last} and len({e[c] for c in last}) > 1
                for e in records)
@@ -588,34 +608,107 @@ def test_empty_observation_csv_is_the_header_alone():
     assert buf.getvalue() == _csv_reference([]) == OBSERVATION_HEADER + "\n"
 
 
-def test_finish_never_holds_a_column_twice(monkeypatch):
-    # finish() copies each logged field into its column and drops it from
-    # the blocks, and pops each column as it permutes it into output order,
-    # so it peaks less than one copy of its finished columns above the
-    # memory it started with
-    seen = {}
-    finish = EventLogBuilder.finish
+class _Discard:
+    """A text sink that keeps nothing, so a writer's peak is its own."""
 
-    def traced(self, *args):
-        tracemalloc.reset_peak()
-        start = tracemalloc.get_traced_memory()[0]
-        log, observations = finish(self, *args)
-        seen["rise"] = tracemalloc.get_traced_memory()[1] - start
-        seen["log"] = log
-        return log, observations
+    def write(self, text: str) -> None:
+        pass
 
-    monkeypatch.setattr(EventLogBuilder, "finish", traced)
-    tracing = tracemalloc.is_tracing()
-    if not tracing:
-        tracemalloc.start()
-    try:
-        run(test_golden.multi_zone_config())
-    finally:
-        if not tracing:
-            tracemalloc.stop()
-    log = seen["log"]
-    columns = log.kinds.nbytes + sum(
+
+def _multi_zone_cell():
+    """The multi-zone golden run, its overhead report, and its events.jsonl
+    written to a sink that keeps nothing."""
+    result = run(test_golden.multi_zone_config())
+    over = cell_reports(result)[2]
+    result.export_events(_Discard())
+    return result, over
+
+
+def _column_bytes(log) -> int:
+    """The bytes of the log's columns."""
+    return log.kinds.nbytes + sum(
         col.nbytes for part in (log.beacons, log.messages, log.receptions)
         for col in vars(part).values() if isinstance(col, np.ndarray)
     )
-    assert seen["rise"] < columns
+
+
+# each stage's tracemalloc rise above its start, bounded by a fraction of
+# the log's column bytes. On the multi-zone golden run the stages rise
+# 0.62, 0.43, 0.66 and 0.49 of them; before the wrap-up read vehicle
+# beacons from the pose rows and the fold and the writer worked in row
+# blocks of narrow codes, they rose 1.33, 0.77, 1.01 and 1.68
+_STAGE_RISE_BOUNDS = (
+    (engine._Run, "finish", 0.9),
+    (EventLogBuilder, "finish", 0.6),
+    (metrics, "overhead", 0.75),
+    (EventLog, "write_jsonl", 0.75),
+)
+
+
+def test_finish_never_holds_a_column_twice(monkeypatch):
+    # finish() gathers each published column once, straight into output
+    # order, and drops each pose column after its last gather; the wrap-up
+    # around it, the overhead fold and the events.jsonl writer hold a block
+    # of rows' codes at a time. Each stage peaks well under one copy of the
+    # finished columns above the memory it started with
+    _multi_zone_cell()  # numpy imports what it needs on first use
+    for owner, name, bound in _STAGE_RISE_BOUNDS:
+        seen = {}
+        inner = getattr(owner, name)
+
+        def traced(*args, inner=inner, **kwargs):
+            tracemalloc.reset_peak()
+            start = tracemalloc.get_traced_memory()[0]
+            out = inner(*args, **kwargs)
+            seen["rise"] = tracemalloc.get_traced_memory()[1] - start
+            return out
+
+        with monkeypatch.context() as m:
+            m.setattr(owner, name, traced)
+            if owner is metrics:
+                m.setattr(cli, "overhead", traced)
+            tracing = tracemalloc.is_tracing()
+            if not tracing:
+                tracemalloc.start()
+            try:
+                result, _ = _multi_zone_cell()
+            finally:
+                if not tracing:
+                    tracemalloc.stop()
+        assert seen["rise"] < bound * _column_bytes(result.log), (owner, name)
+
+
+@pytest.mark.parametrize("rows", [1, 7])
+def test_tiny_row_and_merge_blocks_give_the_same_cell(monkeypatch, rows):
+    # every pass that works in row blocks (finish's gathers, the distinct-row
+    # folds, the overhead fold, the single-pseudonym audit) or in merge
+    # blocks (the events.jsonl and observation writers), cut at 1 and at 7
+    # rows, gives the bytes and the columns the default blocks give
+    def cell():
+        result, over = _multi_zone_cell()
+        events, csv, over_csv = io.StringIO(), io.StringIO(), io.StringIO()
+        result.export_events(events)
+        result.export_observations(csv)
+        write_overhead_csv(over, over_csv)
+        return result, over, (events.getvalue(), csv.getvalue(), over_csv.getvalue())
+
+    want, want_over, want_text = cell()
+    monkeypatch.setattr(eventlog, "ROW_BLOCK", rows)
+    monkeypatch.setattr(eventlog, "_MERGE_BLOCK", rows)
+    got, got_over, got_text = cell()
+    assert got_text == want_text
+    assert got_over == want_over
+    assert got.audit_violations == want.audit_violations
+    assert got.log.protocol == want.log.protocol
+    np.testing.assert_array_equal(got.log.kinds, want.log.kinds)
+    for part in ("beacons", "messages", "receptions"):
+        for field, col in vars(getattr(want.log, part)).items():
+            if isinstance(col, np.ndarray):
+                assert getattr(getattr(got.log, part), field).dtype == col.dtype
+                np.testing.assert_array_equal(
+                    getattr(getattr(got.log, part), field), col, err_msg=field
+                )
+            else:
+                assert getattr(getattr(got.log, part), field) == col, field
+    for field, col in vars(want.observations).items():
+        np.testing.assert_array_equal(getattr(got.observations, field), col)
