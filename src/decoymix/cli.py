@@ -371,8 +371,8 @@ def cmd_gen_grid(args) -> int:
     if args.spacing <= 2 * ZONE_RADIUS_M:
         raise ConfigError("spacing must exceed one zone diameter")
 
-    g = make_grid(args.rows, args.cols, args.spacing)
     try:
+        g = make_grid(args.rows, args.cols, args.spacing)
         picked = central_junctions(g, args.zones, 2 * ZONE_RADIUS_M)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None

@@ -147,7 +147,6 @@ class ZoneInfo:
 class RunResult:
     config: ScenarioConfig
     log: EventLog
-    observations: Observations
     transitions: list[Transition]
     zones: list[ZoneInfo]
     # every audit finding: first the run's own, in tick and phase order (relay
@@ -160,6 +159,12 @@ class RunResult:
         """Every event record as a dict, in output order: the reference view
         of the log, built on first access."""
         return self.log.records()
+
+    @functools.cached_property
+    def observations(self) -> Observations:
+        """What the eavesdroppers logged: the table of the published
+        beacons they heard, built on first access."""
+        return Observations.heard(self.log.beacons)
 
     @functools.cached_property
     def observed_spans(self) -> dict[str, tuple[float, float]]:
@@ -556,21 +561,21 @@ class _Run:
         the zone's RSU range."""
         config, seed, ca = self.config, self.seed, self.ca
         tick_ds, dur_ds = self.tick_ds, self.dur_ds
+        # each trip sampled up to the clock's last tick
         kept = []
         for trip in sorted(trips, key=lambda t: t.vehicle_id):
-            samples = trip_samples_with_edges(config.graph, trip, tick_ds / 10.0)
-            if not len(samples):
-                continue
-            t0_ds = round(float(samples.t[0]) * 10)
-            # the samples up to the clock's last tick
-            n = min(len(samples), (dur_ds - t0_ds) // tick_ds + 1)
-            if n > 0:
-                kept.append((trip, samples, t0_ds, n))
+            samples = trip_samples_with_edges(
+                config.graph, trip, tick_ds / 10.0, dur_ds / 10.0
+            )
+            if len(samples):
+                kept.append((trip, samples))
 
         nv, nz = len(kept), len(self.zones)
-        counts = np.array([n for *_, n in kept], dtype=np.int64)
+        counts = np.array([len(samples) for _, samples in kept], dtype=np.int64)
         starts = np.cumsum(counts) - counts
-        self.t0s = np.array([t0_ds for _, _, t0_ds, _ in kept], dtype=np.int64)
+        self.t0s = np.array(
+            [round(float(samples.t[0]) * 10) for _, samples in kept], dtype=np.int64
+        )
         self.tends = self.t0s + (counts - 1) * tick_ds
         self.first_sec = np.minimum(self.t0s // 10, self.last_sec)
         self.seconds = np.minimum(self.tends // 10, self.last_sec) - self.first_sec + 1
@@ -594,7 +599,7 @@ class _Run:
             if not kept:
                 return np.empty(0, dtype)
             return np.concatenate(
-                [getattr(samples, name)[:n] for _, samples, _, n in kept], dtype=dtype
+                [getattr(samples, name) for _, samples in kept], dtype=dtype
             )
 
         # zones on the positions as published, RSU range on the simulated
@@ -668,7 +673,7 @@ class _Run:
         ) + [self.nticks]
 
         self.vehicles: list[_VehicleRt] = []
-        for (trip, *_), n_visits in zip(kept, visits):
+        for (trip, _), n_visits in zip(kept, visits):
             vid = trip.vehicle_id
             ca.register_vehicle(vid)
             pool = ca.issue_pseudonyms(vid, n_visits + 1, 0.0, config.duration_s + 1.0)
@@ -1390,14 +1395,14 @@ class _Run:
         # the log holds the pose columns it still reads, and reorders the
         # counters in place into its reception summaries
         del self.X, self.Y, self.SPD, self.HDG, self.ZIDX, self.VEH
-        event_log, observations = self.log.finish(
+        event_log = self.log.finish(
             self.counters, self.veh_name, self.first_sec, self.seconds
         )
         del self.counters
         # sorted stably: a tick's findings keep their stream start order
         findings = sorted(self.findings, key=lambda f: f[0])
         result = RunResult(
-            self.config, event_log, observations, self.transitions,
+            self.config, event_log, self.transitions,
             [z.info for z in self.zones], [text for _, text in findings],
         )
         seen = result.observed_spans

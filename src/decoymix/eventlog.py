@@ -10,8 +10,8 @@ of its pose columns, and hands over its reception counters, a slot per
 vehicle second on the road; finish() gathers every beacon column once,
 straight into output order, rounding each field as it goes on the air,
 works out which eavesdroppers heard each beacon, and merges the four
-streams. The eavesdroppers' share of the beacons comes out as one more
-table, Observations, which is all the attack reads.
+streams. The eavesdroppers' share of the published beacons is one more
+table, Observations.heard, which is all the attack reads.
 
 Every record carries an order key (key, n). The engine sets `key` to its
 tick and phase before it logs a phase's protocol events, and n counts the
@@ -110,8 +110,8 @@ class Observations:
     """Every eavesdropped beacon, one row per (beacon, eavesdropper that
     heard it): the attack's only input. Rows are sorted by time, then
     eavesdropper id, then pseudonym; rows equal in all three keep the order
-    they were sent or read in. pseudonym and eaves index `names`, which is
-    sorted, so comparing indices compares the strings."""
+    they were published or read in. pseudonym and eaves index `names`, which
+    is sorted, so comparing indices compares the strings."""
 
     names: list[str]
     t: np.ndarray
@@ -156,6 +156,21 @@ class Observations:
         return cls.build(
             t, pids.tolist(), pid_code, eids.tolist(), eaves_code,
             lambda order: [col[order] for col in (x, y, speed, heading, length)],
+        )
+
+    @classmethod
+    def heard(cls, b: BeaconColumns) -> "Observations":
+        """The table of the published beacons b, one row per beacon and
+        eavesdropper that heard it, with time to 0.1 s; rows equal in time,
+        eavesdropper and pseudonym keep output order."""
+        rows, w = np.nonzero(b.observers)
+        pids, pid_code = np.unique(b.pseudonym[rows], return_inverse=True)
+        return cls.build(
+            round_array(b.t[rows], 1), [b.names[i] for i in pids.tolist()],
+            pid_code, b.eaves, w,
+            lambda order: [
+                col[rows[order]] for col in (b.x, b.y, b.speed, b.heading, b.length)
+            ],
         )
 
     def row(self, i: int) -> ObsRow:
@@ -718,8 +733,8 @@ class EventLogBuilder:
     def finish(
         self, counters: np.ndarray, vehicle_names: np.ndarray,
         first_sec: np.ndarray, seconds: np.ndarray,
-    ) -> tuple[EventLog, Observations]:
-        """The merged log and the eavesdroppers' observation table.
+    ) -> EventLog:
+        """The merged log.
 
         counters holds one row per name in RECEPTION_COUNTERS and one column,
         or slot, per vehicle second: vehicle i's seconds first_sec[i] to
@@ -781,7 +796,7 @@ class EventLogBuilder:
         small_ent = np.concatenate(
             [np.array(entity, dtype=np.int64), raw["tx"], msgs["tx"]]
         )
-        del p_t, entity
+        del p_t, entity, raw["key"], raw["n"], msgs["key"], msgs["n"]
         order = np.lexsort((small_n, small_key, rank[small_ent], small_t))
         small_code = codes(small_t[order], small_ent[order])
         small_key, small_n = small_key[order], small_n[order]
@@ -849,13 +864,11 @@ class EventLogBuilder:
         )
         del slot, rec_order, rec_vehicle, rec_t
 
-        del msgs["key"], msgs["n"]
         messages = MessageColumns(
             self.names, self.verifier_lists, **_permuted(msgs, m_order)
         )
         beacons = self._beacon_columns(raw, raw_order, raw_pos, raw_before)
-        observations = self._observations(beacons, raw, raw_order, raw_pos)
-        return EventLog(protocol, beacons, messages, receptions, kinds), observations
+        return EventLog(protocol, beacons, messages, receptions, kinds)
 
     def _beacon_columns(self, raw, raw_order, raw_pos, raw_before) -> BeaconColumns:
         """Every beacon's published columns, gathered once each straight
@@ -863,6 +876,7 @@ class EventLogBuilder:
         beacon i after the raw_before[j] <= i. Each pose column is dropped
         as soon as its last gather is done."""
         rows, poses = self._rows, self._poses
+        self._rows, self._poses = np.zeros(0, dtype=np.int64), {}
         n = rows.size + raw_order.size
         # each vehicle beacon's place among the beacons
         place = np.empty(rows.size, dtype=np.min_scalar_type(max(n - 1, 0)))
@@ -928,40 +942,6 @@ class EventLogBuilder:
         cols["chaff"] = column("chaff", np.bool_, lambda r, lo, hi: False)
         cols["zone"] = column("zone", np.int32, lambda r, lo, hi: -1)
         return BeaconColumns(self.names, self.eaves, observers=observers, **cols)
-
-    def _observations(self, b: BeaconColumns, raw, raw_order, raw_pos) -> Observations:
-        """The table of every beacon an eavesdropper heard, once per
-        eavesdropper; rows of one time, eavesdropper and pseudonym keep
-        the order of the beacons' keys. raw holds the raw beacons' key and
-        n; raw beacon raw_order[j] is beacon raw_pos[j]."""
-        heard_rows = np.flatnonzero(b.observers.any(axis=1))
-        # each heard row's raw beacon, or its vehicle beacon's index
-        j = np.searchsorted(raw_pos, heard_rows)
-        is_raw = j < raw_pos.size
-        is_raw[is_raw] = raw_pos[j[is_raw]] == heard_rows[is_raw]
-        key = np.empty(heard_rows.size, dtype=np.int64)
-        n = np.empty(heard_rows.size, dtype=np.int64)
-        k = raw_order[j[is_raw]]
-        key[is_raw], n[is_raw] = raw["key"][k], raw["n"][k]
-        r = self._rows[heard_rows[~is_raw] - j[~is_raw]]
-        if r.size:
-            poses = self._poses
-            key[~is_raw] = poses["tick_key"][_tick_of(poses["tick_lo"], r)]
-        n[~is_raw] = r
-        self._rows, self._poses = np.zeros(0, dtype=np.int64), {}
-        sent = heard_rows[np.lexsort((n, key))]
-        del heard_rows, j, is_raw, k, key, n, r
-        heard, w = np.nonzero(b.observers[sent])
-        rows = sent[heard]
-        del sent, heard
-        pids, pid_code = np.unique(b.pseudonym[rows], return_inverse=True)
-        return Observations.build(
-            round_array(b.t[rows], 1), [self.names[i] for i in pids.tolist()],
-            pid_code, self.eaves, w,
-            lambda order: [
-                col[rows[order]] for col in (b.x, b.y, b.speed, b.heading, b.length)
-            ],
-        )
 
 
 class RowPoses(NamedTuple):

@@ -154,14 +154,17 @@ def synthesize_trips(
     return trips
 
 
-def trip_samples_with_edges(g: RoadGraph, trip: Trip, step_s: float) -> TripSamples:
-    """Evaluate a trip on the global step lattice (integer deciseconds),
-    keeping the edge each sample falls on.
+def trip_samples_with_edges(
+    g: RoadGraph, trip: Trip, step_s: float, end_s: float
+) -> TripSamples:
+    """Evaluate a trip on the global step lattice (integer deciseconds) up
+    to end_s, the run's end, keeping the edge each sample falls on.
 
     The vehicle advances along each edge polyline at that edge's speed; the
-    last sample falls strictly before arrival. Positions and headings are
-    those of roads.point_along at each sample's arc offset, bit for bit: the
-    same float operations, evaluated for all samples in one numpy pass.
+    last sample falls strictly before arrival, and at or before end_s, so
+    no tick past the run is built. Positions and headings are those of
+    roads.point_along at each sample's arc offset, bit for bit: the same
+    float operations, evaluated for all samples in one numpy pass.
     """
     step_ds = round(step_s * 10)
     if step_ds < 1 or abs(step_ds - step_s * 10) > 1e-9:
@@ -173,10 +176,16 @@ def trip_samples_with_edges(g: RoadGraph, trip: Trip, step_s: float) -> TripSamp
         starts.append(elapsed)
         elapsed += g.edges[eid].length / speed
     total = elapsed
-    tick = math.ceil(trip.departure_s * 10 / step_ds) * step_ds
-    # t - departure grows with the tick, so the samples before arrival are a
-    # prefix; two ticks past total * 10 / step_ds always reach it
-    ticks = tick + step_ds * np.arange(math.floor(total * 10 / step_ds) + 3)
+    # the lattice ticks from the first at or after departure to the last at
+    # or before end_s, counted in Python ints. t - departure grows with the
+    # tick, so the samples before arrival are a prefix; two ticks past
+    # total * 10 / step_ds always reach it
+    lead, last = trip.departure_s * 10 / step_ds, round(end_s * 10) // step_ds
+    first = math.ceil(lead) if lead <= last else last + 1
+    count = last - first + 1
+    if total * 10 / step_ds < count:
+        count = min(count, math.floor(total * 10 / step_ds) + 3)
+    ticks = first * step_ds + step_ds * np.arange(count)
     t = ticks / 10.0
     dt = t - trip.departure_s
     n = int(np.searchsorted(dt, total, side="left"))

@@ -38,6 +38,9 @@ SNAP_CELL_M = 50.0
 # Bounding boxes grow by the tolerance plus 1 mm: snap compares distances
 # rounded to 1e-9 m, so a point a hair past 5 m can still snap.
 _SNAP_REACH_M = SNAP_TOLERANCE_M + 1e-3
+# the most snap-grid cells a graph's segments may cover, summed over its
+# segments; a 4x4 grid at 500 m covers 1,152 (448 distinct)
+SNAP_CELL_CAP = 1 << 20
 EXIT_PROXIMITY_GATE_M = 50.0
 
 Point = tuple[float, float]
@@ -110,14 +113,25 @@ class Edge:
 
 def _snap_cells(edges) -> dict[tuple[int, int], tuple[str, ...]]:
     """Bucket grid for snap: cell -> sorted ids of the edges with a segment
-    whose bounding box, grown by _SNAP_REACH_M, overlaps the cell."""
+    whose bounding box, grown by _SNAP_REACH_M, overlaps the cell.
+
+    Each segment's cells are counted, in Python ints, before they are
+    built: ValueError names the edge whose segment takes the count past
+    SNAP_CELL_CAP, so no graph builds more cells than that."""
     cells: dict[tuple[int, int], set[str]] = {}
+    count = 0
     for e in edges:
         for (ax, ay), (bx, by) in zip(e.shape, e.shape[1:]):
             x0 = math.floor((min(ax, bx) - _SNAP_REACH_M) / SNAP_CELL_M)
             x1 = math.floor((max(ax, bx) + _SNAP_REACH_M) / SNAP_CELL_M)
             y0 = math.floor((min(ay, by) - _SNAP_REACH_M) / SNAP_CELL_M)
             y1 = math.floor((max(ay, by) + _SNAP_REACH_M) / SNAP_CELL_M)
+            count += (x1 - x0 + 1) * (y1 - y0 + 1)
+            if count > SNAP_CELL_CAP:
+                raise ValueError(
+                    f"edge {e.id}: the snap grid would pass {SNAP_CELL_CAP} "
+                    f"cells of {SNAP_CELL_M:g} m"
+                )
             for ix in range(x0, x1 + 1):
                 for iy in range(y0, y1 + 1):
                     cells.setdefault((ix, iy), set()).add(e.id)

@@ -99,6 +99,8 @@ class ScenarioConfig:
                      "filter_capacity", "v_min_mps"):
             if getattr(self, name) <= 0:
                 raise ConfigError(f"{name} must be positive")
+        for name in ("vehicle_radio_range_m", "rsu_range_m"):
+            _check_square(name, getattr(self, name))
         for name in ("sparse_threshold", "chaff_per_zone"):
             if getattr(self, name) < 0:
                 raise ConfigError(f"{name} must be non-negative")
@@ -123,6 +125,7 @@ class ScenarioConfig:
             seen_zones.add(z.zone_id)
             if z.radius_m <= 0:
                 raise ConfigError(f"zone {z.zone_id} radius must be positive")
+            _check_square(f"zone {z.zone_id} radius_m", z.radius_m)
             if z.radius_m > self.rsu_range_m:
                 raise ConfigError(
                     f"zone {z.zone_id} radius exceeds the RSU range; joins at "
@@ -135,6 +138,7 @@ class ScenarioConfig:
             seen_eaves.add(e.eaves_id)
             if e.range_m <= 0:
                 raise ConfigError(f"eavesdropper {e.eaves_id} range must be positive")
+            _check_square(f"eavesdropper {e.eaves_id} range_m", e.range_m)
         if self.trips is not None:
             for trip in self.trips:
                 validate_trip(self.graph, trip)
@@ -220,6 +224,13 @@ class ScenarioConfig:
         if not isinstance(doc, dict):
             raise ConfigError("scenario file must hold a JSON object")
         return cls.from_dict(doc, base_dir=path.parent)
+
+
+def _check_square(name: str, range_m: float) -> None:
+    """ConfigError unless range_m squared is a finite float: the engine
+    compares squared distances with it."""
+    if not math.isfinite(range_m * range_m):
+        raise ConfigError(f"{name} is too large: its square is not a finite float")
 
 
 def _typed(name: str, value, kind: type):

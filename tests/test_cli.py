@@ -281,10 +281,16 @@ def test_run_audit_finding_exits_4_after_writing_the_cell(tmp_path, capsys,
     (("traffic", "n_vehicles"), "abc"),
     (("rsu_range_m",), 10 ** 400),
     (("zones", 0, "radius_m"), 10 ** 400),
+    # finite, but the engine compares squared distances with a range
+    (("vehicle_radio_range_m",), 1e200),
+    (("rsu_range_m",), 1e200),
+    (("eavesdroppers", 0, "range_m"), 1e300),
 ], ids=[
     "duration_s-string", "relay_fraction-null", "rng_seed-string",
     "sparse_threshold-1.5", "zone-center_x_m-string", "traffic-n_vehicles-string",
     "rsu_range_m-beyond-float", "zone-radius_m-beyond-float",
+    "vehicle_radio_range_m-square-beyond-float", "rsu_range_m-square-beyond-float",
+    "eavesdropper-range_m-square-beyond-float",
 ])
 def test_run_mistyped_scenario_field_exits_2(tmp_path, capsys, path, value):
     scenario = small_scenario(tmp_path, vehicles=3, duration=60.0)
@@ -299,6 +305,7 @@ def test_run_mistyped_scenario_field_exits_2(tmp_path, capsys, path, value):
     assert rc == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and path[-1] in err
+    assert not (tmp_path / "o").exists()
 
 
 def test_run_with_more_chaff_than_the_filter_holds_exits_2_and_writes_no_cell(
@@ -332,6 +339,62 @@ def test_run_duration_past_the_exact_decisecond_range_exits_2(tmp_path, capsys):
     assert rc == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "duration_s" in err
+    assert not out.exists()
+
+
+def _crawling_graph(tmp_path):
+    """A 3x3 scenario whose every road has a speed limit of 1e-300 m/s."""
+    scenario = small_scenario(tmp_path, vehicles=3, duration=60.0)
+    graph = scenario.parent / "graph.json"
+    doc = json.loads(graph.read_text())
+    for e in doc["edges"]:
+        e["speed_limit"] = 1e-300
+    graph.write_text(json.dumps(doc))
+    return scenario
+
+
+def _late_departures(tmp_path):
+    """A 3x3 scenario whose trips depart about 1e300 s apart."""
+    out = tmp_path / "scen"
+    assert main(["gen-grid", "--rows", "3", "--cols", "3", "--zones", "1",
+                 "--vehicles", "3", "--duration", "60", "--arrival-rate",
+                 "1e-300", "--out", str(out)]) == 0
+    return out / "scenario.json"
+
+
+@pytest.mark.parametrize("make", [_crawling_graph, _late_departures])
+def test_run_samples_trips_only_over_the_run(tmp_path, make):
+    # a trip that arrives or departs past any clock is sampled up to the
+    # run's end only
+    scenario = make(tmp_path)
+    out = tmp_path / "o"
+    assert main(["run", "--scenario", str(scenario), "--out", str(out)]) == 0
+    assert (out / "base" / "seed0" / "events.jsonl").exists()
+
+
+def test_gen_grid_spacing_past_the_snap_grid_cap_exits_2(tmp_path):
+    # a 1e300 m road would cover some 1e298 snap-grid cells; the graph
+    # refuses it before building any. Run under a 2 GB address-space limit
+    # and a timeout, so a graph that built its cells would fail, not
+    # exhaust the machine's memory
+    out = tmp_path / "g"
+    argv = ["gen-grid", "--rows", "3", "--cols", "3", "--zones", "1",
+            "--vehicles", "5", "--spacing", "1e300", "--out", str(out)]
+    code = (
+        "import resource, sys\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))\n"
+        "from decoymix.cli import main\n"
+        f"sys.exit(main({argv!r}))\n"
+    )
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p
+    )}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env, timeout=60)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("error: edge ") and proc.stderr.count("\n") == 1
+    assert "snap grid" in proc.stderr
     assert not out.exists()
 
 

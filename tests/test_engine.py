@@ -1039,7 +1039,7 @@ def _kept_samples(graph, trips, tick_s, duration_s):
     return [
         {
             round(sample.time_s / tick_s): (sample, eid)
-            for sample, eid in trip_samples_with_edges(graph, trip, tick_s)
+            for sample, eid in trip_samples_with_edges(graph, trip, tick_s, 1e6)
             if sample.time_s <= duration_s
         }
         for trip in trips

@@ -19,7 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from decoymix.adversary import export_candidate_sets
+from decoymix.adversary import export_candidate_sets, parse_observation_csv
 from decoymix import cli, engine, eventlog, metrics
 from decoymix.cli import attack_result, cell_reports
 from decoymix.engine import run
@@ -318,7 +318,7 @@ def test_repeated_and_signed_zero_beacon_values_are_written_as_encoded():
         [[rng.choice((0, 0, 1, 3)) for _ in range(5 * 30)]
          for _ in RECEPTION_COUNTERS], dtype=np.int64,
     )
-    event_log, _ = log.finish(
+    event_log = log.finish(
         counters, vehicles, np.zeros(5, dtype=np.int64), np.full(5, 30)
     )
 
@@ -407,7 +407,7 @@ def _tick_records_log():
     counters = np.zeros((len(RECEPTION_COUNTERS), 4), dtype=np.int64)
     counters[RECEPTION_COUNTERS.index("checks"), 2] = 3
     counters[RECEPTION_COUNTERS.index("verifies"), 2] = 1
-    event_log, _ = log.finish(
+    event_log = log.finish(
         counters, np.array([veh[1]], dtype=np.int32), np.zeros(1, dtype=np.int64),
         np.array([4]),
     )
@@ -547,7 +547,7 @@ def test_reception_lines_from_interned_pieces_are_written_as_encoded():
     counters[:, 5::11] = big
     # finish reorders the counters in place
     n_summaries = np.count_nonzero(counters.any(axis=0))
-    event_log, _ = log.finish(counters, vehicles, first_sec, seconds)
+    event_log = log.finish(counters, vehicles, first_sec, seconds)
 
     buf = io.StringIO()
     event_log.write_jsonl(buf)
@@ -606,6 +606,67 @@ def test_empty_observation_csv_is_the_header_alone():
     buf = io.StringIO()
     Observations.from_rows([]).write_csv(buf)
     assert buf.getvalue() == _csv_reference([]) == OBSERVATION_HEADER + "\n"
+
+
+# the observation table's contract, which the offline attack relies on:
+# observations.csv reads back as the table the run hands the in-process
+# attack, and that table is the published beacons' observer lists
+
+
+def _assert_same_table_bits(got: Observations, want: Observations) -> None:
+    """Equal names, and equal columns of equal dtypes, floats compared by
+    bit pattern."""
+    def bits(col):
+        return col.view(np.int64) if col.dtype == np.float64 else col
+
+    assert got.names == want.names
+    for field in ("t", "pseudonym", "x", "y", "speed", "heading", "length", "eaves"):
+        a, b = getattr(got, field), getattr(want, field)
+        assert a.dtype == b.dtype, field
+        np.testing.assert_array_equal(bits(a), bits(b), err_msg=field)
+
+
+@pytest.mark.parametrize(
+    "config", [test_golden.multi_zone_config, test_golden.grid_cell_config]
+)
+def test_run_table_is_the_csv_read_back_and_the_beacons_observers(config):
+    result = run(config())
+    buf = io.StringIO()
+    result.export_observations(buf)
+    buf.seek(0)
+    _assert_same_table_bits(parse_observation_csv(buf), result.observations)
+    # one row per id in each beacon's observers, time to 0.1 s, ties in
+    # the order the beacons are published
+    rows = [
+        (round(e["t"], 1), e["pseudonym"], e["x"], e["y"], e["speed"],
+         e["heading"], e["length"], eid)
+        for e in result.events if e["type"] == "beacon"
+        for eid in e["observers"]
+    ]
+    assert rows
+    _assert_same_table_bits(result.observations, Observations.from_rows(rows))
+
+
+def test_observation_ties_keep_output_order():
+    # two beacons at one time under one pseudonym, heard by one
+    # eavesdropper: tx-b sends first, but tx-a's beacon comes first in the
+    # log, and so in the table
+    log = EventLogBuilder(
+        ["eav-a"], np.array([0.0]), np.array([0.0]), np.array([500.0 ** 2])
+    )
+    pid = log.name("p-0")
+    for key, tx, x in ((1, "tx-b", 10.0), (2, "tx-a", 20.0)):
+        log.beacons(np.array([key]), 0, 5.0, log.name(tx), pid, pid, x, 0.0, 1.0,
+                    0.0, 4.5, False, -1, x, 0.0)
+    event_log = log.finish(
+        np.zeros((len(RECEPTION_COUNTERS), 0), dtype=np.int64),
+        np.zeros(0, dtype=np.int32), np.zeros(0, dtype=np.int64),
+        np.zeros(0, dtype=np.int64),
+    )
+    assert [e["tx"] for e in event_log.records()] == ["tx-a", "tx-b"]
+    obs = Observations.heard(event_log.beacons)
+    assert obs.t.tolist() == [5.0, 5.0]
+    assert obs.x.tolist() == [20.0, 10.0]
 
 
 class _Discard:

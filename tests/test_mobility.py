@@ -18,6 +18,9 @@ from decoymix.mobility import (
 )
 from decoymix.roads import Edge, RoadGraph, make_grid, point_along, polyline_length
 
+# a run's end past every trip these tests sample
+FAR_END_S = 1e6
+
 
 def test_synthesize_deterministic_for_fixed_seed(grid4):
     a = synthesize_trips(grid4, 30, 0.2, rng_seed=42)
@@ -97,7 +100,7 @@ def test_trip_invariants_rejected():
 
 def test_samples_advance_at_stated_speed(grid4):
     trip = synthesize_trips(grid4, 1, 1.0, rng_seed=9)[0]
-    samples = [s for s, _ in trip_samples_with_edges(grid4, trip, 0.5)]
+    samples = [s for s, _ in trip_samples_with_edges(grid4, trip, 0.5, FAR_END_S)]
     assert len(samples) > 3
     for a, b in zip(samples, samples[1:]):
         # grid edges are straight: same-edge displacement == speed * dt
@@ -109,7 +112,7 @@ def test_samples_advance_at_stated_speed(grid4):
 
 def test_samples_lie_on_step_lattice(grid4):
     trip = Trip("v0", 3.14, ("j0_0__j0_1",), (10.0,), 4.5)
-    samples = [s for s, _ in trip_samples_with_edges(grid4, trip, 0.5)]
+    samples = [s for s, _ in trip_samples_with_edges(grid4, trip, 0.5, FAR_END_S)]
     assert samples[0].time_s == 3.5
     for s in samples:
         assert abs(s.time_s * 10 % 5) < 1e-9
@@ -198,7 +201,35 @@ def _chain_trips(draw):
 @given(case=_chain_trips())
 def test_columnar_samples_match_the_scalar_loop_bit_for_bit(case):
     g, trip, step_s = case
-    samples = trip_samples_with_edges(g, trip, step_s)
+    samples = trip_samples_with_edges(g, trip, step_s, FAR_END_S)
     expected = _scalar_samples(g, trip, step_s)
     assert len(samples) == len(expected)
     assert _sample_bits(list(samples)) == _sample_bits(expected)
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(case=_chain_trips(), end_ds=st.integers(0, 600))
+def test_samples_cut_at_the_end_are_the_leading_samples_bit_for_bit(case, end_ds):
+    # a run's end cuts a trip's samples to those at or before it, each the
+    # same bits as the trip sampled with a far end gives
+    g, trip, step_s = case
+    far = trip_samples_with_edges(g, trip, step_s, FAR_END_S)
+    cut = trip_samples_with_edges(g, trip, step_s, end_ds / 10)
+    kept = int(np.count_nonzero(far.t * 10 <= end_ds + 1e-6))
+    assert len(cut) == kept
+    assert _sample_bits(list(cut)) == _sample_bits(list(far)[:kept])
+
+
+def test_a_trip_departing_past_the_end_has_no_samples(grid4):
+    # no tick past the end is built, however late the departure
+    for departure in (60.5, 1e300):
+        trip = Trip("v0", departure, ("j0_0__j0_1",), (10.0,), 4.5)
+        assert len(trip_samples_with_edges(grid4, trip, 0.5, 60.0)) == 0
+
+
+def test_a_crawling_trip_is_sampled_up_to_the_end_only(grid4):
+    # 500 m at 1e-300 m/s arrives past any clock; the samples stop at the end
+    trip = Trip("v0", 3.14, ("j0_0__j0_1",), (1e-300,), 4.5)
+    samples = trip_samples_with_edges(grid4, trip, 0.5, 60.0)
+    assert samples.t.tolist() == [k / 2 for k in range(7, 121)]
+    assert 0.0 < samples.x.max() < 1e-290

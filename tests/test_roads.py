@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from decoymix import roads
 from decoymix.errors import OffNetwork
 from decoymix.roads import (
     SNAP_CELL_M,
@@ -83,6 +84,17 @@ def test_snap_tolerance(grid4):
     assert off == pytest.approx(250.0, abs=0.01)
     with pytest.raises(OffNetwork):
         grid4.snap((250.0, 5.1))
+
+
+def test_snap_grid_past_its_cell_cap_is_refused(monkeypatch):
+    # a 4x4 grid at 500 m covers 1,152 cells summed over its segments: a
+    # cap one below refuses the graph, naming the edge whose segment
+    # passes it
+    monkeypatch.setattr(roads, "SNAP_CELL_CAP", 1152)
+    assert len(make_grid(4, 4, 500.0)._snap_cells) == 448
+    monkeypatch.setattr(roads, "SNAP_CELL_CAP", 1151)
+    with pytest.raises(ValueError, match="^edge j3_3__j3_2: the snap grid would pass"):
+        make_grid(4, 4, 500.0)
 
 
 def _polyline_graph() -> RoadGraph:
