@@ -363,6 +363,8 @@ def cmd_gen_grid(args) -> int:
             raise ConfigError(f"{flag} must be finite, got {value}")
     if args.rows < 2 or args.cols < 2:
         raise ConfigError("grid needs at least 2 rows and 2 cols")
+    if args.zones < 1:
+        raise ConfigError(f"--zones must be at least 1, got {args.zones}")
     interior = max(0, (args.rows - 2) * (args.cols - 2))
     if args.zones > interior:
         raise ConfigError(

@@ -451,6 +451,9 @@ class _Run:
         # got one, for the wrap-up to count
         self.peer_asked: list[np.ndarray] = []
         self.peer_answered: list[np.ndarray] = []
+        # the tick whose neighbour pairs the last peer search found no
+        # answer in; -1 once a filter moves, as the answers follow held_ep
+        self.quiet_at = -1
         # a chunk collection in progress: (vehicle, zone) collects from
         # tick time arr_m to due_m, and due_at[due_m] lists it. A due tick
         # is at least one chunk cycle away, so due_m 0 means none
@@ -629,9 +632,12 @@ class _Run:
         )
         self.out_lo = np.searchsorted(self.out_rows, self.tick_lo)
         self.out_ptr = self.out_lo.tolist()
-        self.n_heard, self.n_clear, self.nb_ptr, self.nb_rows = (
-            self._neighbour_counts()
-        )
+        self.n_heard, self.n_clear, self.nb_ptr, nb = self._neighbour_counts()
+        # the peer passes compare vehicles: the neighbours as vehicle ids,
+        # turned from rows in place, a block at a time
+        for a, b in row_blocks(nb.size):
+            nb[a:b] = self.VEH[nb[a:b]]
+        self.nb_veh = nb
         slot_row = np.cumsum(self.seconds) - self.seconds - self.first_sec
         self.SLOT = (
             np.repeat(slot_row, counts)
@@ -665,12 +671,22 @@ class _Run:
         head = np.ones(r.size, dtype=bool)
         head[1:] = (veh[r[1:]] != veh[r[:-1]]) | (j[1:] != j[:-1])
         self.first_adverts = _by_tick(tick[r[head]], veh[r[head]], j[head])
-        self.despawns = _by_tick(self.tends // tick_ds, np.arange(nv))
-        # a heap of the ticks the loop must visit: those with any of these
-        # events, nticks, and chunk deliveries and stream ends as scheduled
+        ends = self.tends // tick_ds
+        self.despawns = _by_tick(ends, np.arange(nv))
+        # a heap of the ticks the loop must visit: those with zone moves,
+        # range entries or despawns inside a zone, nticks, and chunk
+        # deliveries and stream ends as scheduled. A range exit or a
+        # despawn outside every zone only drops collections, which the next
+        # visit does first (drop_ticks)
+        in_zone = zidx[starts + counts - 1] >= 0
         self.wake = sorted(
-            {*self.zone_moves, *self.range_entries, *self.range_exits, *self.despawns}
+            {*self.zone_moves, *self.range_entries, *ends[in_zone].tolist()}
         ) + [self.nticks]
+        # the ticks from which collections are dropped, sorted: a range
+        # exit's own, and the one after a despawn, whose own RSU phase still
+        # delivers; drop_ticks[:dropped] are done
+        self.drop_ticks = sorted({*self.range_exits, *(k + 1 for k in self.despawns)})
+        self.dropped = 0
 
         self.vehicles: list[_VehicleRt] = []
         for (trip, _), n_visits in zip(kept, visits):
@@ -866,6 +882,7 @@ class _Run:
         self.held_from[vi, j] = np.where(fresh, k, self.held_from[vi, j])
         self.held_ep[vi, j] = ep
         self.due_m[vi, j] = 0
+        self.quiet_at = -1
 
     def _enter_zone(
         self, vi: int, zone_j: int, k: int, now: float, pos: tuple[float, float]
@@ -1023,27 +1040,37 @@ class _Run:
         stale rows of the ticks before the one returned ask in vain and go
         to peer_asked.
 
-        The window's neighbour pairs are tested as _peer_exchange tests
-        them, in chunks of about BLOCK_ELEMENTS pairs, up to the first
-        hit."""
+        A pair answers when its neighbour holds a newer epoch of some zone
+        than its requester, which only a stale requester can lack, as no
+        filter is newer than the current. So the window's pairs of stale
+        requesters, tick b's too, are tested in one gather and compare, in
+        chunks of about BLOCK_ELEMENTS pairs, up to the first hit. With none,
+        quiet_at notes b: until a filter moves, b's exchange has no answer
+        either."""
         lo, hi = self.out_ptr[a], self.out_ptr[b]
         if lo == hi:
             return b
-        held_ep, veh = self.held_ep, self.VEH
+        hi = self.out_ptr[min(b + 1, self.nticks)]
+        held_ep, ptr = self.held_ep, self.nb_ptr[lo:hi + 1]
         rows = self.out_rows[lo:hi]
-        stale = (held_ep < self.cur_ep).any(axis=1)[veh[rows]]
-        found = b
+        veh = self.VEH[rows]
+        stale = (held_ep[veh] < self.cur_ep).any(axis=1)
+        found, self.quiet_at = b, b
         if stale.any():
-            ptr = self.nb_ptr[lo:hi + 1]
-            for i, j in _pair_blocks(np.diff(ptr), BLOCK_ELEMENTS):
+            blocks = [(0, rows.size)]
+            if ptr[-1] - ptr[0] > BLOCK_ELEMENTS:
+                blocks = _pair_blocks(np.diff(ptr), BLOCK_ELEMENTS)
+            for i, j in blocks:
                 # each pair's requester; only the stale ones ask
-                own = np.repeat(np.arange(i, j), np.diff(ptr[i:j + 1]))
-                asks = stale[own]
-                own, nb = own[asks], self.nb_rows[ptr[i]:ptr[j]][asks]
-                hit = (held_ep[veh[nb]] > held_ep[veh[rows[own]]]).any(axis=1)
+                n = np.diff(ptr[i:j + 1])
+                asks = np.flatnonzero(np.repeat(stale[i:j], n))
+                own = np.repeat(veh[i:j], n)[asks]
+                nb = self.nb_veh[ptr[i]:ptr[j]][asks]
+                hit = (held_ep[nb] > held_ep[own]).any(axis=1)
                 if hit.any():
-                    at = lo + own[hit.argmax()]
-                    found = int(np.searchsorted(self.out_lo, at, side="right")) - 1
+                    at = np.searchsorted(ptr, ptr[i] + asks[hit.argmax()], side="right") - 1
+                    found = int(np.searchsorted(self.out_lo, lo + at, side="right")) - 1
+                    self.quiet_at = -1
                     break
         cut = self.out_ptr[found] - lo
         if stale[:cut].any():
@@ -1062,11 +1089,19 @@ class _Run:
                 )
 
     def _rsu_range(self, tk: _Tick) -> None:
-        """RSU range exits, chunk collections and chunk deliveries."""
+        """The collections dropped since the last visit, chunk collections
+        and chunk deliveries."""
         k, t_ds, now, cur_ep = tk.k, tk.t_ds, tk.now, self.cur_ep
-        # leaving range drops a collection in progress
-        for vi, j in self.range_exits.get(k, ()):
-            self.due_m[vi, j] = 0
+        # leaving range, or the road, drops a collection in progress.
+        # Nothing reads due_m between visits, so the drops since the last
+        # visit are done here
+        upto = bisect.bisect_right(self.drop_ticks, k, lo=self.dropped)
+        for t in self.drop_ticks[self.dropped:upto]:
+            for vi, j in self.range_exits.get(t, ()):
+                self.due_m[vi, j] = 0
+            for (vi,) in self.despawns.get(t - 1, ()):
+                self.due_m[vi] = 0
+        self.dropped = upto
 
         # a vehicle in range of a newer filter than it holds, and not yet
         # collecting it, collects one full chunk cycle from the next
@@ -1120,42 +1155,47 @@ class _Run:
         tick on.
 
         Per zone, each requester's responder is the first of its neighbour
-        pairs (nb_rows, in vehicle-id order) that holds a strictly newer
+        pairs (nb_veh, in vehicle-id order) that holds a strictly newer
         epoch: the lowest vehicle id among them, per
-        choose_filter_responder. A requester is never its own."""
+        choose_filter_responder. A requester is never its own, and only a
+        stale one has any. The pairs go untested where the peer search
+        found no answer and no filter has moved since (quiet_at)."""
         a, b = self.out_ptr[tk.k], self.out_ptr[tk.k + 1]
         if a == b:
             return
-        held_ep, veh = self.held_ep, self.VEH
+        held_ep = self.held_ep
         rows = self.out_rows[a:b]
-        req_ep = held_ep[veh[rows]]
-        asking = (req_ep < cur_ep).any(axis=1)
+        veh = self.VEH[rows]
+        asking = (held_ep[veh] < cur_ep).any(axis=1)
         if not asking.any():
             return
         self.peer_asked.append(rows[asking])
-        # the tick's pairs, each with its requester, of the rows that ask
-        ptr = self.nb_ptr[a:b + 1]
-        own = np.repeat(np.arange(b - a), np.diff(ptr))
-        asks = asking[own]
-        own, nb = own[asks], veh[self.nb_rows[ptr[0]:ptr[-1]][asks]]
-        # every hit, zone by zone, requesters in row order
-        j, p = (held_ep[nb] > req_ep[own]).T.nonzero()
+        if self.quiet_at == tk.k:
+            return
+        # the pairs of the rows that ask, each with its requester; every
+        # hit, zone by zone, requesters in row order
+        n = np.diff(self.nb_ptr[a:b + 1])
+        asks = np.repeat(asking, n)
+        own = np.repeat(veh, n)[asks]
+        nb = self.nb_veh[self.nb_ptr[a]:self.nb_ptr[b]][asks]
+        j, p = (held_ep[nb] > held_ep[own]).T.nonzero()
         if not j.size:
             return
         first = np.ones(j.size, dtype=bool)
         first[1:] = (j[1:] != j[:-1]) | (own[p[1:]] != own[p[:-1]])
         j, p = j[first], p[first]
-        r, resp = own[p], nb[p]
-        vi, ep = veh[rows[r]], held_ep[resp, j]
+        vi, resp = own[p], nb[p]
+        ep = held_ep[resp, j]
         # each (vehicle, zone) is answered at most once, with a newer epoch
         # than the vehicle holds
         self._take_filters(vi, j, ep, tk.k + 1)
-        answered = np.zeros(b - a, dtype=bool)
-        answered[r] = True
+        # a tick's rows are in vehicle order
+        answered = np.zeros(rows.size, dtype=bool)
+        answered[np.searchsorted(veh, vi)] = True
         self.peer_answered.append(rows[answered])
         # zone by zone, requesters in row order, each answer before its
         # delivery
-        key, n = np.full(r.size, self.log.key), 2 * np.arange(r.size)
+        key, n = np.full(vi.size, self.log.key), 2 * np.arange(vi.size)
         rx, zone = self.veh_name[vi], self.zone_name[j]
         self.log.message(
             PEER_FILTER, key, n, tk.now, self.veh_name[resp], zone,
@@ -1164,13 +1204,13 @@ class _Run:
         self.log.message(VIA_PEER, key, n + 1, tk.now, rx, zone, epoch=ep)
 
     def _despawns(self, tk: _Tick) -> None:
-        """Trips that end at this tick."""
+        """Trips that end at this tick inside a zone leave it; the RSU
+        phase drops their collections from the next tick on."""
         for (vi,) in self.despawns.get(tk.k, ()):
             v = self.vehicles[vi]
             if v.visit is not None:
                 visit = self._leave_zone(vi, tk.now, "despawn")
                 self.zones[visit["zone_j"]].controller.drop_member(visit["member_id"])
-            self.due_m[vi, :] = 0
 
     # ------------------------------------------------------------ wrap up
 
@@ -1376,7 +1416,7 @@ class _Run:
     def finish(self) -> RunResult:
         # after every tick; the wrap-up asks no neighbour
         self.log.key = self.nticks * N_PHASES
-        del self.out_rows, self.out_lo, self.out_ptr, self.nb_ptr, self.nb_rows
+        del self.out_rows, self.out_lo, self.out_ptr, self.nb_ptr, self.nb_veh
         for z in self.zones:
             for t, kind, detail in z.controller.events:
                 self.emit({

@@ -7,10 +7,10 @@ the other way) and the matrix of internal path lengths between them, which
 feed the traverse-time window of the linking attack.
 
 Snapping a position to a lane goes through a bucket grid built once per
-graph: square cells of SNAP_CELL_M, each listing the edges whose segment
-bounding boxes, grown by the snap tolerance, overlap it. Any edge within the
-tolerance of a point is listed in that point's cell, so projecting onto the
-cell's edges alone finds the same lane as a scan of every edge. The grid is
+graph: square cells of SNAP_CELL_M, each listing the edges with a segment
+that comes within the snap tolerance of it. Any edge within the tolerance of
+a point is listed in that point's cell, so projecting onto the cell's edges
+alone finds the same lane as a scan of every edge. The grid is
 built for the one tolerance, SNAP_TOLERANCE_M; snap takes no other.
 
 Search is implemented locally (edge-state Dijkstra/BFS with sorted tie
@@ -35,7 +35,7 @@ DEFAULT_SPEED_LIMIT_MPS = 13.89  # 50 km/h
 DEFAULT_V_MIN_MPS = 1.39  # 5 km/h creep floor for max traverse time
 SNAP_TOLERANCE_M = 5.0
 SNAP_CELL_M = 50.0
-# Bounding boxes grow by the tolerance plus 1 mm: snap compares distances
+# A segment reaches the tolerance plus 1 mm: snap compares distances
 # rounded to 1e-9 m, so a point a hair past 5 m can still snap.
 _SNAP_REACH_M = SNAP_TOLERANCE_M + 1e-3
 # the most snap-grid cells a graph's segments may cover, summed over its
@@ -111,28 +111,78 @@ class Edge:
             raise ValueError(f"edge {self.id}: length {self.length} != arc {arc}")
 
 
+def _reach_rows(a: Point, b: Point, first: int, last: int) -> list[tuple[int, int, int]]:
+    """(column, first row, last row) of the snap cells within _SNAP_REACH_M
+    of segment a-b, for each column first to last that has any.
+
+    The reach is the union of the two end disks and the rectangle the
+    segment sweeps along its normal. It is convex, so its slice over a
+    column spans the pieces' slices; a rectangle's slice runs between its
+    corners inside the column and its sides' crossings of the column's
+    edges."""
+    r = _SNAP_REACH_M
+    (ax, ay), (bx, by) = a, b
+    corners, sides = [], []
+    length = math.hypot(bx - ax, by - ay)
+    if length > 0:
+        nx, ny = (ay - by) / length * r, (bx - ax) / length * r
+        corners = [(ax + nx, ay + ny), (bx + nx, by + ny), (bx - nx, by - ny),
+                   (ax - nx, ay - ny)]
+        # each slanted side as (its x range, a point on it, its slope)
+        for (px, py), (qx, qy) in zip(corners, corners[1:] + corners[:1]):
+            if px != qx:
+                sides.append((min(px, qx), max(px, qx), px, py, (qy - py) / (qx - px)))
+    runs = []
+    for ix in range(first, last + 1):
+        x0, x1 = ix * SNAP_CELL_M, (ix + 1) * SNAP_CELL_M
+        ys = [py for px, py in corners if x0 <= px <= x1]
+        for cx, cy in (a, b):
+            g = max(x0 - cx, cx - x1, 0.0)
+            if g <= r:
+                h = math.sqrt(r * r - g * g)
+                ys += (cy - h, cy + h)
+        for lo, hi, px, py, slope in sides:
+            if lo <= x0 <= hi:
+                ys.append(py + (x0 - px) * slope)
+            if lo <= x1 <= hi:
+                ys.append(py + (x1 - px) * slope)
+        if ys:
+            runs.append((
+                ix, math.floor(min(ys) / SNAP_CELL_M), math.floor(max(ys) / SNAP_CELL_M)
+            ))
+    return runs
+
+
 def _snap_cells(edges) -> dict[tuple[int, int], tuple[str, ...]]:
     """Bucket grid for snap: cell -> sorted ids of the edges with a segment
-    whose bounding box, grown by _SNAP_REACH_M, overlaps the cell.
+    that comes within _SNAP_REACH_M of the cell, found a column of cells
+    at a time from the span of the segment's reach over the column.
 
     Each segment's cells are counted, in Python ints, before they are
     built: ValueError names the edge whose segment takes the count past
-    SNAP_CELL_CAP, so no graph builds more cells than that."""
+    SNAP_CELL_CAP, so no graph builds more cells than that. A segment has
+    a cell in every column it crosses, so one crossing too many columns is
+    refused before they are walked."""
     cells: dict[tuple[int, int], set[str]] = {}
     count = 0
     for e in edges:
-        for (ax, ay), (bx, by) in zip(e.shape, e.shape[1:]):
-            x0 = math.floor((min(ax, bx) - _SNAP_REACH_M) / SNAP_CELL_M)
-            x1 = math.floor((max(ax, bx) + _SNAP_REACH_M) / SNAP_CELL_M)
-            y0 = math.floor((min(ay, by) - _SNAP_REACH_M) / SNAP_CELL_M)
-            y1 = math.floor((max(ay, by) + _SNAP_REACH_M) / SNAP_CELL_M)
-            count += (x1 - x0 + 1) * (y1 - y0 + 1)
+        for a, b in zip(e.shape, e.shape[1:]):
+            left, right = sorted((a[0], b[0]))
+            crossed = math.floor(right / SNAP_CELL_M) - math.floor(left / SNAP_CELL_M) + 1
+            if count + crossed > SNAP_CELL_CAP:
+                runs, count = [], count + crossed
+            else:
+                runs = _reach_rows(
+                    a, b, math.floor((left - _SNAP_REACH_M) / SNAP_CELL_M),
+                    math.floor((right + _SNAP_REACH_M) / SNAP_CELL_M),
+                )
+                count += sum(y1 - y0 + 1 for _, y0, y1 in runs)
             if count > SNAP_CELL_CAP:
                 raise ValueError(
                     f"edge {e.id}: the snap grid would pass {SNAP_CELL_CAP} "
                     f"cells of {SNAP_CELL_M:g} m"
                 )
-            for ix in range(x0, x1 + 1):
+            for ix, y0, y1 in runs:
                 for iy in range(y0, y1 + 1):
                     cells.setdefault((ix, iy), set()).add(e.id)
     return {cell: tuple(sorted(ids)) for cell, ids in cells.items()}

@@ -22,6 +22,10 @@ from .errors import (
 )
 
 
+# a credential id's length
+ID_BYTES = 16
+
+
 class AssignmentSource(Protocol):
     """What an RSU must answer during resolution."""
 
@@ -60,7 +64,7 @@ class CredentialAuthority:
 
     def _fresh_id(self) -> bytes:
         while True:
-            cid = self._rng.randbytes(16)
+            cid = self._rng.randbytes(ID_BYTES)
             if cid not in self._issued and cid not in self._chaff_rsu:
                 return cid
 
@@ -91,22 +95,39 @@ class CredentialAuthority:
 
         The batch is atomic: a filter saturation rolls back the partial batch
         before the error propagates. The filter epoch advances once per batch.
+
+        The ids come from one draw of count ids' bytes, the same bytes as
+        count draws of one id, and are hashed in one pass. Where an id of
+        the draw repeats or is already issued, the batch is minted id by
+        id instead, as _fresh_id draws again past such an id; a failed
+        batch leaves the draws up to its failed id taken, as id by id.
         """
         if rsu_id not in self._rsus:
             raise NotRegistered(f"RSU {rsu_id} has no registration")
         filt = self._filters[rsu_id]
+        state = self._rng.getstate()
+        blob = self._rng.randbytes(ID_BYTES * count)
+        ids = [blob[i:i + ID_BYTES] for i in range(0, len(blob), ID_BYTES)]
+        if len(set(ids)) < count or any(
+            cid in self._issued or cid in self._chaff_rsu for cid in ids
+        ):
+            self._rng.setstate(state)
+            ids = located = None
+        else:
+            located = filt.locate_many(blob, ID_BYTES)
         batch: list[Credential] = []
         try:
-            for _ in range(count):
+            for i in range(count):
                 cred = Credential(
-                    self._fresh_id(),
+                    self._fresh_id() if ids is None else ids[i],
                     CredentialKind.CHAFF_PSEUDONYM,
                     "pca",
                     None,
                     valid_from,
                     valid_to,
                 )
-                filt.insert(cred.id)
+                if ids is None or not filt.place(*located[i]):
+                    filt.insert(cred.id)
                 self._chaff_rsu[cred.id] = rsu_id
                 self._chaff_credentials[cred.id] = cred
                 batch.append(cred)
@@ -115,6 +136,9 @@ class CredentialAuthority:
                 filt.remove(cred.id)
                 del self._chaff_rsu[cred.id]
                 del self._chaff_credentials[cred.id]
+            if ids is not None:
+                self._rng.setstate(state)
+                self._rng.randbytes(ID_BYTES * (len(batch) + 1))
             raise
         filt.epoch += 1
         return batch

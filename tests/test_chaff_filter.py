@@ -178,6 +178,32 @@ def test_fingerprint_never_zero():
     assert all(f._locate(i)[0] != 0 for i in _ids(5000, 7))
 
 
+@pytest.mark.parametrize("fp_bits", [4, 20, 64, 70])
+def test_locate_many_matches_locate_and_alt_index(fp_bits):
+    # 4-bit fingerprints are zero for one id in 16 and become 1; past 64
+    # bits the whole hash is the fingerprint
+    f = ChaffFilter(fp_bits, 1 << 10, 1e-3)
+    ids = _ids(3000, 8)
+    got = f.locate_many(b"".join(ids), 16)
+    want = []
+    for cid in ids:
+        fp, i1 = f._locate(cid)
+        want.append((fp, i1, f._alt_index(i1, fp)))
+    assert got == want
+    if fp_bits == 4:
+        assert any(fp == 1 for fp, _, _ in got)
+
+
+def test_place_fills_the_first_bucket_with_room():
+    f = new_filter(8, 1e-3)
+    assert f.bucket_count == 4
+    for fp in range(1, 9):
+        assert f.place(fp, 2, 3)
+    assert not f.place(9, 2, 3)
+    assert f._buckets[2] == [1, 2, 3, 4] and f._buckets[3] == [5, 6, 7, 8]
+    assert f.item_count == 8
+
+
 def test_empirical_fpr_small_scale():
     f = new_filter(2000, 1e-2)
     for m in _ids(2000, 8):

@@ -131,6 +131,20 @@ def test_gen_grid_bad_value_exits_2_and_writes_nothing(tmp_path, capsys, flag, v
     assert not out.exists()
 
 
+@pytest.mark.parametrize("zones", ["-1", "0"])
+def test_gen_grid_zones_below_one_exits_2_and_writes_nothing(tmp_path, capsys, zones):
+    # a 3x3 grid has one interior junction; a count below 1 once placed a
+    # zone on every junction, corners included
+    out = tmp_path / "g"
+    rc = main(["gen-grid", "--rows", "3", "--cols", "3", "--zones", zones,
+               "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "--zones" in err
+    assert not out.exists()
+
+
 def test_gen_grid_spacing_500_zones_stay_apart(tmp_path):
     out = tmp_path / "g500"
     rc = main(["gen-grid", "--rows", "4", "--cols", "4", "--zones", "4",

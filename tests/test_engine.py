@@ -1636,6 +1636,119 @@ def _dead_end_config():
     )
 
 
+def _despawn_on_due_tick_config():
+    """Two vehicles outside every zone end their trips near the tick their
+    RSU collections come due. At 10 m/s along y = 0, veh-a enters the
+    300 m range of the RSU at (500, 250) at t = 44 s; the 10 s chunk
+    cycle wraps at 50 s, so its collection is due at 60 s, its trip's
+    last row, 250 m from the zone's centre. veh-b enters at 40.5 s, is due
+    at 60 s too and ends at 56.5 s."""
+    g = make_grid(4, 4, 500.0)
+    return ScenarioConfig(
+        graph=g, zones=(ZoneSpec("z-a", 500.0, 250.0, 100.0),),
+        trips=(
+            Trip("veh-a", 10.5, ("j0_0__j0_1",), (10.0,), 4.5),
+            Trip("veh-b", 7.0, ("j0_0__j0_1",), (10.0,), 4.5),
+        ),
+        rsu_range_m=300.0, filter_bandwidth_bytes_per_s=1800.0,
+        duration_s=200.0, rng_seed=3,
+    )
+
+
+def _range_reentry_config():
+    """One vehicle leaves an RSU's range and comes back before its
+    collection is due. With the 300 m range of the RSU at (500, 0) and a
+    40 s chunk cycle, it enters at t = 23.5 s (due at 80 s) on a road
+    that bends out of range at 45.5 s, re-enters at 77 s (due at 120 s)
+    and crawls on in range until 145 s. A zone road runs along y = 0."""
+    shapes = {
+        ("c0", "c1"): ((0.0, 0.0), (1000.0, 0.0)),
+        ("w0", "w1"): ((100.0, 250.0), (500.0, 250.0), (500.0, 400.0), (600.0, 400.0)),
+        ("w1", "w2"): ((600.0, 400.0), (600.0, 100.0)),
+        ("w2", "w3"): ((600.0, 100.0), (700.0, 100.0)),
+    }
+    junctions, edges = {}, []
+    for (a, b), shape in shapes.items():
+        junctions[a], junctions[b] = shape[0], shape[-1]
+        edges.append(Edge(f"{a}__{b}", a, b, shape, 13.89, polyline_length(shape)))
+    return ScenarioConfig(
+        graph=RoadGraph(junctions, edges), zones=(ZoneSpec("z-a", 500.0, 0.0, 100.0),),
+        trips=(Trip("veh-a", 0.0, ("w0__w1", "w1__w2", "w2__w3"), (10.0, 10.0, 2.0), 4.5),),
+        rsu_range_m=300.0, filter_bandwidth_bytes_per_s=450.0,
+        duration_s=200.0, rng_seed=3,
+    )
+
+
+def _rsu_deliveries(result):
+    return [
+        (e["t"], e["vehicle"], e["latency_s"]) for e in result.events
+        if e["type"] == "filter_delivered" and e["via"] == "rsu"
+    ]
+
+
+def test_a_collection_due_on_its_vehicles_last_tick_still_delivers():
+    # a despawn drops the vehicle's collections from the next tick on: its
+    # own tick's RSU phase comes first, and a later due tick finds none
+    cfg = _despawn_on_due_tick_config()
+    state = _Run(cfg)
+    assert state.tends.tolist() == [600, 565]
+    assert (state.ZIDX[state.tick_ptr[120]:state.tick_ptr[121]] == -1).all()
+    assert not {113, 120} & set(state.wake)
+    assert _rsu_deliveries(run(cfg)) == [(60.0, "veh-a", 16.0)]
+
+
+def test_a_collection_dropped_by_a_range_exit_delivers_nothing():
+    # the exit at 45.5 s drops the collection due at 80 s before the
+    # re-entry at 77 s starts the one due at 120 s
+    cfg = _range_reentry_config()
+    state = _Run(cfg)
+    assert state.range_exits == {91: [(0, 0)]}
+    assert sorted(state.range_entries) == [47, 154]
+    assert _rsu_deliveries(run(cfg)) == [(120.0, "veh-a", 43.0)]
+
+
+def test_no_tick_is_stepped_for_range_exits_or_outside_despawns_alone(monkeypatch):
+    # a range exit, or a despawn outside every zone, only drops
+    # collections, which the next stepped tick does first
+    stepped, early, pushed = [], set(), set()
+
+    class Recorded(_Run):
+        def __init__(self, config):
+            super().__init__(config)
+            # the ticks of despawns inside a zone, at each vehicle's last row
+            self.inside_ends = set()
+            for vi, k in enumerate((self.tends // self.tick_ds).tolist()):
+                lo, hi = self.tick_ptr[k], self.tick_ptr[k + 1]
+                if self.ZIDX[lo + np.searchsorted(self.VEH[lo:hi], vi)] >= 0:
+                    self.inside_ends.add(k)
+            states.append(self)
+
+        def step(self, k):
+            stepped.append(k)
+            super().step(k)
+
+        def next_visit(self, k):
+            # an epoch move or a peer answer wakes a tick out of schedule
+            moved = self.epoch_moved
+            nxt = super().next_visit(k)
+            if moved or nxt < self.wake[0]:
+                early.add(nxt)
+            return nxt
+
+    states = []
+    heappush = engine.heapq.heappush
+    monkeypatch.setattr(engine.heapq, "heappush", lambda h, k: (pushed.add(k), heappush(h, k))[1])
+    monkeypatch.setattr(engine, "_Run", Recorded)
+    run(test_golden.grid_cell_config())
+    state = states.pop()
+    woken = {
+        0, *state.zone_moves, *state.range_entries, *state.inside_ends, *pushed, *early,
+    }
+    only_drops = {*state.range_exits, *state.despawns} - woken
+    assert len(only_drops) > 50
+    assert not only_drops & set(stepped)
+
+
 def _live_beacon_ticks(state, events):
     """How many beacon ticks lie between some decoy stream's start tick and
     its end tick."""
@@ -1671,6 +1784,8 @@ _NEXT_EVENT_CASES = {
     "off-lattice-entries": lambda _: [_off_lattice_entries_config()],
     # the peer search walks many windows across several chunks of pairs
     "multi-zone-tiny-blocks": lambda _: [test_golden.multi_zone_config()],
+    "despawn-on-due-tick": lambda _: [_despawn_on_due_tick_config()],
+    "range-reentry": lambda _: [_range_reentry_config()],
 }
 
 

@@ -201,6 +201,50 @@ def test_indexed_snap_matches_full_scan_at_edge_cases(pos, heading):
             == _snap_outcome(_snap_by_scan, g, pos, heading))
 
 
+def _diagonal_graph() -> RoadGraph:
+    """One two-way road, a straight 100 km diagonal from the origin."""
+    end = (100_000.0 / math.sqrt(2.0),) * 2
+    shape = ((0.0, 0.0), end)
+    return RoadGraph({"a": shape[0], "b": end}, [
+        Edge("a__b", "a", "b", shape, 13.89, polyline_length(shape)),
+        Edge("b__a", "b", "a", shape[::-1], 13.89, polyline_length(shape)),
+    ])
+
+
+def test_long_diagonal_lists_only_the_cells_within_reach(monkeypatch):
+    # the diagonal's bounding box, grown by the tolerance, holds about 2e6
+    # cells of 50 m, past the cap; the cells within reach of it number a
+    # few per column of the 1,415 it crosses, and only those count
+    g = _diagonal_graph()
+    listed = sum(len(ids) for ids in g._snap_cells.values())
+    assert listed == 2 * len(g._snap_cells) < 2 * 4 * 1415
+    monkeypatch.setattr(roads, "SNAP_CELL_CAP", listed)
+    _diagonal_graph()
+    monkeypatch.setattr(roads, "SNAP_CELL_CAP", listed - 1)
+    with pytest.raises(ValueError, match="^edge b__a: the snap grid would pass"):
+        _diagonal_graph()
+
+    # a lattice of points beside the road, near and past its ends and
+    # around the tolerance, some on cell borders: snap finds what a scan
+    # of every edge finds
+    step = 1.0 / math.sqrt(2.0)
+    along = [-6.0, -3.0, 0.0, 0.3, 1234.5, 35_355.0, 50_000.0, 99_999.9,
+             100_000.0, 100_003.0, 100_006.0]
+    side = [0.0, 2.5, 4.999, 5.0, 5.0009, 5.002, 7.0, 30.0]
+    probes = [
+        ((a - s) * step, (a + s) * step)
+        for a in along for s in side + [-v for v in side]
+    ]
+    probes += [(x, x + d) for x in (50.0, 35_350.0) for d in (-7.0, -5.0, 4.9, 7.0)]
+    found = []
+    for pos in probes:
+        for heading in (None, math.pi / 4):
+            got = _snap_outcome(RoadGraph.snap, g, pos, heading)
+            assert got == _snap_outcome(_snap_by_scan, g, pos, heading), (pos, heading)
+            found.append(got == "off-network")
+    assert 0 < sum(found) < len(found)
+
+
 def test_shortest_path_deterministic(grid4):
     p1 = grid4.shortest_path("j0_0", "j0_2")
     assert p1 == ["j0_0__j0_1", "j0_1__j0_2"]

@@ -4,7 +4,8 @@ import random
 
 import pytest
 
-from decoymix.core import sign
+from decoymix.chaff_filter import ChaffFilter
+from decoymix.core import Credential, CredentialKind, sign
 from decoymix.errors import (
     AlreadyRetired,
     AuthFailure,
@@ -13,7 +14,7 @@ from decoymix.errors import (
     NotRegistered,
     UnknownChaff,
 )
-from decoymix.vpki import CredentialAuthority
+from decoymix.vpki import ID_BYTES, CredentialAuthority
 
 
 def _authority(seed=1, capacity=1000):
@@ -83,6 +84,112 @@ def test_overfull_provision_raises_and_rolls_back():
     assert ca.filter_for("rsu_1").item_count == 0
     batch = ca.provision_chaff("rsu_1", 10, 0.0, 3600.0)
     assert len(batch) == 10
+
+
+def _provision_id_by_id(ca, rsu_id, count, valid_from, valid_to):
+    """The reference for provision_chaff: one _fresh_id draw and one
+    filter insert per id, a failed batch rolled back id by id."""
+    filt = ca.filter_for(rsu_id)
+    batch = []
+    try:
+        for _ in range(count):
+            cred = Credential(
+                ca._fresh_id(), CredentialKind.CHAFF_PSEUDONYM, "pca", None,
+                valid_from, valid_to,
+            )
+            filt.insert(cred.id)
+            ca._chaff_rsu[cred.id] = rsu_id
+            ca._chaff_credentials[cred.id] = cred
+            batch.append(cred)
+    except Exception:
+        for cred in batch:
+            filt.remove(cred.id)
+            del ca._chaff_rsu[cred.id]
+            del ca._chaff_credentials[cred.id]
+        raise
+    filt.epoch += 1
+    return batch
+
+
+def _filters(ca):
+    return [
+        (ca.filter_for(r).serialize(), ca.filter_for(r).item_count)
+        for r in ("rsu_1", "rsu_2")
+    ]
+
+
+@pytest.mark.parametrize("capacity,count", [(2000, 2000), (1900, 1900)])
+def test_bulk_minting_matches_minting_id_by_id(monkeypatch, capacity, count):
+    # two RSUs of 2,000 chaff each at capacity 2,000, as the grid4 cell
+    # provisions them, where a few ids take a kick chain; at 1,900 the
+    # table is 93% full and many do
+    bulk, ref = _authority(capacity=capacity), _authority(capacity=capacity)
+    for rsu in ("rsu_1", "rsu_2"):
+        want = _provision_id_by_id(ref, rsu, count, 0.0, 3600.0)
+        inserts = []
+        insert = ChaffFilter.insert
+        monkeypatch.setattr(
+            ChaffFilter, "insert", lambda f, cid: (inserts.append(cid), insert(f, cid))
+        )
+        got = bulk.provision_chaff(rsu, count, 0.0, 3600.0)
+        monkeypatch.undo()
+        assert got == want
+        # only the ids whose buckets are both full go through insert
+        assert 0 < len(inserts) < (count // 100 if capacity == 2000 else count // 2)
+    assert _filters(bulk) == _filters(ref)
+    assert [bulk.filter_for(r).item_count for r in ("rsu_1", "rsu_2")] == [count] * 2
+    assert bulk._rng.random() == ref._rng.random()
+
+
+def test_bulk_minting_rolls_back_as_minting_id_by_id():
+    bulk, ref = _authority(capacity=1000), _authority(capacity=1000)
+    bulk.provision_chaff("rsu_2", 10, 0.0, 3600.0)
+    _provision_id_by_id(ref, "rsu_2", 10, 0.0, 3600.0)
+    with pytest.raises(FilterSaturated):
+        bulk.provision_chaff("rsu_1", 2000, 0.0, 3600.0)
+    with pytest.raises(FilterSaturated):
+        _provision_id_by_id(ref, "rsu_1", 2000, 0.0, 3600.0)
+    assert _filters(bulk) == _filters(ref)
+    assert bulk._chaff_rsu == ref._chaff_rsu
+    # the draws up to the failed id are taken, no more
+    assert bulk._rng.random() == ref._rng.random()
+
+
+class _IdStream(random.Random):
+    """Bytes from a fixed list of ids, in order; its state is the read
+    position."""
+
+    def __init__(self, ids):
+        super().__init__(0)
+        self.blob, self.pos = b"".join(ids), 0
+
+    def randbytes(self, n):
+        self.pos += n
+        return self.blob[self.pos - n:self.pos]
+
+    def getstate(self):
+        return self.pos
+
+    def setstate(self, state):
+        self.pos = state
+
+
+@pytest.mark.parametrize("repeat", ["in-batch", "issued"])
+def test_a_repeated_id_falls_back_to_minting_id_by_id(repeat):
+    a, b, c, d, e = (bytes([i]) * ID_BYTES for i in range(1, 6))
+    # the first draw of 4 ids holds a twice, or an id issued before
+    stream = [a, b, a, c, d, e] if repeat == "in-batch" else [e, a, b, e, c, d]
+    bulk, ref = _authority(), _authority()
+    for ca in (bulk, ref):
+        ca._rng = _IdStream(stream)
+        if repeat == "issued":
+            ca.issue_pseudonyms("veh_a", 1, 0.0, 10.0)
+    got = bulk.provision_chaff("rsu_1", 4, 0.0, 10.0)
+    want = _provision_id_by_id(ref, "rsu_1", 4, 0.0, 10.0)
+    assert [c.id for c in got] == [c.id for c in want] == [a, b, c, d]
+    # the pseudonym's draw, if any, then five: one is drawn again
+    assert bulk._rng.pos == ref._rng.pos == (6 if repeat == "issued" else 5) * ID_BYTES
+    assert _filters(bulk) == _filters(ref)
 
 
 def test_retire_removes_and_logs():
