@@ -2,10 +2,12 @@
 
 The attacker sees only the observation rows. Per zone it splits pseudonyms
 into entering (last ever seen heading into the disk) and exiting (first ever
-seen heading away), then keeps every exiting id that survives four checks
-against the entering id: traverse-time window, never seen simultaneously,
-road path through the zone, and exit-consistent direction. Output is the
-full candidate set per entering id; scoring happens downstream.
+seen heading away, at an exit point), then lays out one pair table: every
+(entering, exiting) pair of one length class whose gap fits the
+traverse-time window, as columns, with each further check as a boolean
+column (never seen simultaneously, a road path through the zone). An
+entering id's candidate set is the exiting ids of its kept rows; scoring
+happens downstream.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from __future__ import annotations
 import json
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Mapping, Sequence, TextIO
 
@@ -40,7 +42,8 @@ def parse_observation_csv(fh: Iterable[str]) -> Observations:
     """The observation table of a CSV file as RunResult.export_observations
     writes it. ValueError names an empty file or a first line that is not
     OBSERVATION_HEADER (an export always has it), a row without eight
-    fields, or a value that is not a finite number."""
+    fields, a value that is not a finite number, or a length too large to
+    put in a length class."""
     it = iter(fh)
     header = next(it, None)
     if header is None:
@@ -59,6 +62,8 @@ def parse_observation_csv(fh: Iterable[str]) -> Observations:
         if not all(map(math.isfinite, values)):
             raise ValueError(f"non-finite value in row {line!r}")
         t, x, y, spd, hdg, length = values
+        if not math.isfinite(length / LENGTH_CLASS_PRECISION_M):
+            raise ValueError(f"length out of range in row {line!r}")
         rows.append((t, pid, x, y, spd, hdg, length, eid))
     return Observations.from_rows(rows)
 
@@ -72,9 +77,10 @@ class PseudonymTrack:
     length_m: float
     obs: Observations
     rows: np.ndarray
-    # (first, last) time each eavesdropper heard this id, which link
-    # compares against every candidate
-    eaves_spans: dict[str, tuple[float, float]]
+    # first and last time each eavesdropper of the table heard this id, in
+    # eavesdropper id order; +inf and -inf where it never did
+    heard_from: np.ndarray
+    heard_to: np.ndarray
 
     @cached_property
     def first(self) -> ObsRow:
@@ -105,37 +111,23 @@ def build_tracks(obs: Observations) -> dict[float, list[PseudonymTrack]]:
     # rows in time, then eavesdropper, order
     order = np.argsort(obs.pseudonym, kind="stable")
     pid = obs.pseudonym[order]
-    for rows, spans in zip(
-        np.split(order, np.flatnonzero(pid[1:] != pid[:-1]) + 1), _eaves_spans(obs)
-    ):
+    _, p = np.unique(obs.pseudonym, return_inverse=True)
+    _, e = np.unique(obs.eaves, return_inverse=True)
+    heard_from = np.full((p.max() + 1, e.max() + 1), np.inf)
+    heard_to = np.full_like(heard_from, -np.inf)
+    np.minimum.at(heard_from, (p, e), obs.t)
+    np.maximum.at(heard_to, (p, e), obs.t)
+    for i, rows in enumerate(np.split(order, np.flatnonzero(pid[1:] != pid[:-1]) + 1)):
         cls = round(
             round(obs.length[rows[0]].item() / LENGTH_CLASS_PRECISION_M)
             * LENGTH_CLASS_PRECISION_M,
             1,
         )
-        classes.setdefault(cls, []).append(
-            PseudonymTrack(obs.names[obs.pseudonym[rows[0]]], cls, obs, rows, spans)
-        )
+        classes.setdefault(cls, []).append(PseudonymTrack(
+            obs.names[obs.pseudonym[rows[0]]], cls, obs, rows,
+            heard_from[i], heard_to[i],
+        ))
     return classes
-
-
-def _eaves_spans(obs: Observations) -> list[dict[str, tuple[float, float]]]:
-    """For each pseudonym heard, in index order: the (first, last) time each
-    eavesdropper heard it, as the times of the first and last row of each
-    (pseudonym, eavesdropper) run, the rows of a run being time-ordered."""
-    by_ear = np.lexsort((obs.eaves, obs.pseudonym))
-    pid, ear = obs.pseudonym[by_ear], obs.eaves[by_ear]
-    run = np.flatnonzero(np.r_[True, (pid[1:] != pid[:-1]) | (ear[1:] != ear[:-1])])
-    end = np.r_[run[1:], pid.size] - 1
-    spans: list[dict[str, tuple[float, float]]] = []
-    prev = -1
-    for p, e, lo, hi in zip(pid[run].tolist(), ear[run].tolist(),
-                            obs.t[by_ear[run]].tolist(), obs.t[by_ear[end]].tolist()):
-        if p != prev:
-            spans.append({})
-            prev = p
-        spans[-1][obs.names[e]] = (lo, hi)
-    return spans
 
 
 def _near_and_radial(
@@ -161,29 +153,23 @@ def _near_and_radial(
     return near, dot
 
 
-@dataclass
-class LinkingInstance:
-    """One zone's attack input after trivial filtering, per length class."""
-
-    entering: list[PseudonymTrack] = field(default_factory=list)
-    exiting: list[PseudonymTrack] = field(default_factory=list)
-
-
 def classify_tracks(
     tracks_by_class: Mapping[float, Sequence[PseudonymTrack]],
     zone: MixZoneGeometry,
     eaves_ranges: Mapping[str, float],
-) -> tuple[dict[float, LinkingInstance], list[str]]:
-    """Split tracks into entering/exiting at this zone and peel off the
-    trivially linked ids (same pseudonym heard going in and coming out).
+) -> tuple[list[PseudonymTrack], list[PseudonymTrack]]:
+    """The tracks entering and the tracks exiting this zone, each in id
+    order. A trivially linked id (the same pseudonym heard going in and
+    coming out) is in neither.
 
     Every row of every track is tested at once: a track is trivial when a
     row of its catchment points outward after one that points inward;
     else it enters when its last row anywhere is in the catchment,
     inbound, and exits when its first row anywhere is, outbound."""
-    tracks = [t for cls in sorted(tracks_by_class) for t in tracks_by_class[cls]]
+    tracks = sorted((t for ts in tracks_by_class.values() for t in ts),
+                    key=lambda t: t.pseudonym_id)
     if not tracks:
-        return {}, []
+        return [], []
     rows = np.concatenate([t.rows for t in tracks])
     starts = np.cumsum([0] + [t.rows.size for t in tracks[:-1]])
     ends = np.r_[starts[1:], rows.size] - 1
@@ -194,45 +180,71 @@ def classify_tracks(
     turned = last_out > first_in
     enters = ~turned & near[ends] & (dot[ends] < 0)
     exits = ~turned & near[starts] & (dot[starts] > 0)
-
-    instances: dict[float, LinkingInstance] = {}
-    for track, trivial, ent, ext in zip(
-        tracks, turned.tolist(), enters.tolist(), exits.tolist()
-    ):
-        if trivial or not (ent or ext):
-            continue
-        inst = instances.setdefault(track.length_m, LinkingInstance())
-        if ent:
-            inst.entering.append(track)
-        if ext:
-            inst.exiting.append(track)
-    trivial = sorted({t.pseudonym_id for t, hit in zip(tracks, turned.tolist()) if hit})
-    return instances, trivial
+    return ([t for t, hit in zip(tracks, enters.tolist()) if hit],
+            [t for t, hit in zip(tracks, exits.tolist()) if hit])
 
 
-def seen_together(a: PseudonymTrack, b: PseudonymTrack) -> bool:
-    """True iff some single eavesdropper heard both ids simultaneously
-    (their per-eavesdropper observation spans overlap)."""
-    spans_b = b.eaves_spans
-    for eid, (lo_a, hi_a) in a.eaves_spans.items():
-        span = spans_b.get(eid)
-        if span is None:
-            continue
-        lo_b, hi_b = span
-        if max(lo_a, lo_b) <= min(hi_a, hi_b):
-            return True
-    return False
+@dataclass
+class PairTable:
+    """One zone's candidate pairs as columns: a row per (entering,
+    exiting) pair of one length class whose gap fits the traverse-time
+    window, in entering, then exiting, order."""
+
+    entering: list[PseudonymTrack]  # in id order
+    exiting: list[PseudonymTrack]  # in id order, past the exit gate
+    ent: np.ndarray  # index into entering
+    ext: np.ndarray  # index into exiting
+    ent_row: np.ndarray  # observation row of the entering id's last beacon
+    ext_row: np.ndarray  # observation row of the exiting id's first beacon
+    dt: np.ndarray  # time from the one beacon to the other
+    apart: np.ndarray  # different ids, never heard at once by one ear
+    road: np.ndarray  # a road path runs between them through the zone
 
 
-def _path_via_zone(g: RoadGraph, b_l: ObsRow, b_f: ObsRow,
-                   zone: MixZoneGeometry) -> bool:
-    try:
-        return path_exists(
-            g, (b_l.x, b_l.y), (b_f.x, b_f.y), zone,
-            from_heading=b_l.heading_rad, to_heading=b_f.heading_rad,
-        )
-    except OffNetwork:
-        return False
+def pair_table(
+    tracks_by_class: Mapping[float, Sequence[PseudonymTrack]],
+    zone: MixZoneGeometry,
+    g: RoadGraph,
+    v_min: float,
+    eaves_ranges: Mapping[str, float],
+) -> PairTable:
+    """The pair table of one zone. The road check runs only on apart rows
+    and is False elsewhere; a beacon off the network has no path."""
+    lo, hi = traverse_time_bounds(zone, g, v_min)
+    entering, exiting = classify_tracks(tracks_by_class, zone, eaves_ranges)
+    exiting = [
+        x for x in exiting
+        if exit_direction_consistent((x.first.x, x.first.y), x.first.heading_rad, zone)
+    ]
+    dt = (np.array([x.first.time_s for x in exiting])
+          - np.array([t.last.time_s for t in entering])[:, None])
+    same = (np.array([t.length_m for t in entering])[:, None]
+            == np.array([x.length_m for x in exiting]))
+    ent, ext = np.nonzero(same & (lo <= dt) & (dt <= hi))
+    ent_row = np.array([t.rows[-1] for t in entering], dtype=np.intp)[ent]
+    ext_row = np.array([x.rows[0] for x in exiting], dtype=np.intp)[ext]
+    apart = np.zeros(ent.size, dtype=bool)
+    if ent.size:
+        def heard(attr):  # (pairs x ears) spans of both sides
+            return (np.array([getattr(t, attr) for t in entering])[ent],
+                    np.array([getattr(x, attr) for x in exiting])[ext])
+
+        together = (np.maximum(*heard("heard_from"))
+                    <= np.minimum(*heard("heard_to"))).any(axis=1)
+        pid = entering[0].obs.pseudonym
+        apart = (pid[ent_row] != pid[ext_row]) & ~together
+    road = np.zeros(ent.size, dtype=bool)
+    for i in np.flatnonzero(apart).tolist():
+        a, b = entering[ent[i]].last, exiting[ext[i]].first
+        try:
+            road[i] = path_exists(
+                g, (a.x, a.y), (b.x, b.y), zone,
+                from_heading=a.heading_rad, to_heading=b.heading_rad,
+            )
+        except OffNetwork:
+            pass
+    return PairTable(entering, exiting, ent, ext, ent_row, ext_row, dt[ent, ext],
+                     apart, road)
 
 
 @dataclass
@@ -253,38 +265,18 @@ def link(
     zone_id: str,
     eaves_ranges: Mapping[str, float],
 ) -> list[LinkCandidateSet]:
-    """Candidate sets for every entering pseudonym at one zone.
-
-    A candidate must share the length class and pass, against the entering
-    id's last beacon: the zone traverse-time window, the never-seen-together
-    check, a directed road path through the zone, and the exit-direction
-    gate on its own first beacon.
-    """
-    lo, hi = traverse_time_bounds(zone, g, v_min)
-    instances, _ = classify_tracks(tracks_by_class, zone, eaves_ranges)
-    out: list[LinkCandidateSet] = []
-    for cls in sorted(instances):
-        inst = instances[cls]
-        exits = [
-            x for x in inst.exiting
-            if exit_direction_consistent((x.first.x, x.first.y),
-                                         x.first.heading_rad, zone)
-        ]
-        appeared = np.array([x.first.time_s for x in exits])
-        for ent in inst.entering:
-            keep = set()
-            diff = appeared - ent.last.time_s
-            for i in np.flatnonzero((diff >= lo) & (diff <= hi)).tolist():
-                cand = exits[i]
-                if cand.pseudonym_id == ent.pseudonym_id or seen_together(ent, cand):
-                    continue
-                if _path_via_zone(g, ent.last, cand.first, zone):
-                    keep.add(cand.pseudonym_id)
-            out.append(
-                LinkCandidateSet(zone_id, ent.pseudonym_id, frozenset(keep))
-            )
-    out.sort(key=lambda s: s.entering)
-    return out
+    """Candidate sets for every entering pseudonym at one zone, in id
+    order: the exiting ids of its pair-table rows that are apart and have
+    a road path."""
+    pairs = pair_table(tracks_by_class, zone, g, v_min, eaves_ranges)
+    kept = pairs.apart & pairs.road
+    cands: list[list[str]] = [[] for _ in pairs.entering]
+    for e, x in zip(pairs.ent[kept].tolist(), pairs.ext[kept].tolist()):
+        cands[e].append(pairs.exiting[x].pseudonym_id)
+    return [
+        LinkCandidateSet(zone_id, t.pseudonym_id, frozenset(c))
+        for t, c in zip(pairs.entering, cands)
+    ]
 
 
 def brute_force_oracle(
@@ -394,23 +386,15 @@ def hbc_rsu_link(
     ids vanish from every remaining set; chaff minted by other zones is
     indistinguishable and stays put.
     """
-    out: list[LinkCandidateSet] = []
-    for s in external:
-        if s.entering in internal_truth:
-            out.append(
-                LinkCandidateSet(
-                    s.zone_id, s.entering,
-                    frozenset({internal_truth[s.entering]}), s.truth,
-                )
-            )
-        else:
-            out.append(
-                LinkCandidateSet(
-                    s.zone_id, s.entering,
-                    frozenset(s.candidates - set(own_chaff)), s.truth,
-                )
-            )
-    return out
+    return [
+        LinkCandidateSet(
+            s.zone_id, s.entering,
+            frozenset({internal_truth[s.entering]}) if s.entering in internal_truth
+            else s.candidates - own_chaff,
+            s.truth,
+        )
+        for s in external
+    ]
 
 
 # ---------------------------------------------------------------------------

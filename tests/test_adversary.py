@@ -4,6 +4,7 @@ import io
 import json
 import math
 import random
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -26,13 +27,13 @@ from decoymix.adversary import (
     flat_tracks,
     hbc_rsu_link,
     link,
+    pair_table,
     parse_observation_csv,
-    seen_together,
 )
 
 from decoymix.engine import run
 from decoymix.errors import OffNetwork
-from decoymix.roads import RoadGraph
+from decoymix.roads import RoadGraph, exit_direction_consistent, path_exists
 
 EAVES = {"eav-0": 250.0}
 V_MIN = 1.39
@@ -82,6 +83,48 @@ def depart_rows(pid, arm, t_start, length=4.5, speed=10.0, eid="eav-0",
 N, S, E, W = (0, 1), (0, -1), (1, 0), (-1, 0)
 
 
+def ids(tracks):
+    return [t.pseudonym_id for t in tracks]
+
+
+def spans_by_ear(track):
+    """Reference for heard_from and heard_to: the (first, last) time each
+    ear heard a track, by one pass over its time-ordered rows."""
+    spans: dict[str, tuple[float, float]] = {}
+    for r in map(track.obs.row, track.rows):
+        first, _ = spans.get(r.eaves_id, (r.time_s, r.time_s))
+        spans[r.eaves_id] = (first, r.time_s)
+    return spans
+
+
+def seen_together(a, b):
+    """Reference for the apart column: some ear's spans of the two tracks
+    overlap, checked ear by ear."""
+    spans_b = spans_by_ear(b)
+    for eid, (lo_a, hi_a) in spans_by_ear(a).items():
+        span = spans_b.get(eid)
+        if span is not None and max(lo_a, span[0]) <= min(hi_a, span[1]):
+            return True
+    return False
+
+
+def road(g, a, b, zone):
+    """Reference for the road column: a path from row a to row b."""
+    try:
+        return path_exists(g, (a.x, a.y), (b.x, b.y), zone,
+                           from_heading=a.heading_rad, to_heading=b.heading_rad)
+    except OffNetwork:
+        return False
+
+
+@pytest.fixture
+def any_gap(monkeypatch):
+    """Admit every gap to the pair table, so that its rows include pairs
+    the traverse-time window would drop (ids heard at once among them)."""
+    monkeypatch.setattr(adversary, "traverse_time_bounds",
+                        lambda *args: (-math.inf, math.inf))
+
+
 # --- track building ----------------------------------------------------------
 
 def test_build_tracks_partitions_by_length_class():
@@ -123,18 +166,14 @@ def test_parse_observation_csv_round_trip():
 def test_pass_through_id_is_trivially_linked(grid4, zone_j1_1):
     rows = approach_rows("nc", S, 39.5) + depart_rows("nc", N, 60.5)
     classes = tracks_of(rows)
-    instances, trivial = classify_tracks(classes, zone_j1_1, EAVES)
-    assert trivial == ["nc"]
-    assert instances == {}
+    assert classify_tracks(classes, zone_j1_1, EAVES) == ([], [])
 
 
 def test_changed_ids_classify_entering_and_exiting(grid4, zone_j1_1):
-    rows = approach_rows("old", S, 39.5) + depart_rows("new", N, 60.5)
-    instances, trivial = classify_tracks(tracks_of(rows), zone_j1_1, EAVES)
-    assert trivial == []
-    inst = instances[4.5]
-    assert [t.pseudonym_id for t in inst.entering] == ["old"]
-    assert [t.pseudonym_id for t in inst.exiting] == ["new"]
+    rows = (approach_rows("old", S, 39.5) + depart_rows("new", N, 60.5)
+            + approach_rows("bus", W, 39.5, length=12.0))
+    entering, exiting = classify_tracks(tracks_of(rows), zone_j1_1, EAVES)
+    assert (ids(entering), ids(exiting)) == (["bus", "old"], ["new"])
 
 
 def test_far_track_ignored_entirely(grid4, zone_j1_1):
@@ -142,16 +181,16 @@ def test_far_track_ignored_entirely(grid4, zone_j1_1):
         row(5.0, "far", 1400, 1500, 0.0),
         row(6.0, "far", 1410, 1500, 0.0),
     ]
-    instances, trivial = classify_tracks(tracks_of(rows), zone_j1_1, EAVES)
-    ids = {t.pseudonym_id for i in instances.values() for t in i.entering + i.exiting}
-    assert "far" not in ids and trivial == []
+    entering, exiting = classify_tracks(tracks_of(rows), zone_j1_1, EAVES)
+    assert (ids(entering), ids(exiting)) == (["old"], [])
 
 
 def test_catchment_ends_at_the_ears_range(zone_j1_1):
-    # tracks entering, leaving, and turning back (heard going in, then
-    # out), on a straight arm and a diagonal one, nearest the centre at the
-    # ear's range, 0.5 m past it and 1.5 m past it; only those at the range
-    # are in the catchment
+    # tracks entering, leaving, and turning back (heard going in, out and
+    # in again, which would make them entering if the turn went unseen), on
+    # a straight arm and a diagonal one, nearest the centre at the ear's
+    # range, 0.5 m past it and 1.5 m past it; only those at the range are
+    # in the catchment
     ranges = {"eav-0": 250.0, "eav-1": 300.0}
     rows = []
     for tag, d in (("at", 300.0), ("half", 300.5), ("past", 301.5)):
@@ -161,13 +200,10 @@ def test_catchment_ends_at_the_ears_range(zone_j1_1):
             rows += depart_rows(f"{tag}{i}-out", arm, 60.0, **near)
             rows += approach_rows(f"{tag}{i}-back", arm, 40.0, **near)
             rows += depart_rows(f"{tag}{i}-back", arm, 60.0, **near)
-    instances, trivial = classify_tracks(tracks_of(rows), zone_j1_1, ranges)
-    ids = {cls: ([t.pseudonym_id for t in inst.entering],
-                 [t.pseudonym_id for t in inst.exiting])
-           for cls, inst in instances.items()}
-    assert (ids, trivial) == (
-        {4.5: (["at0-in", "at1-in"], ["at0-out", "at1-out"])},
-        ["at0-back", "at1-back"],
+            rows += approach_rows(f"{tag}{i}-back", arm, 90.0, **near)
+    entering, exiting = classify_tracks(tracks_of(rows), zone_j1_1, ranges)
+    assert (ids(entering), ids(exiting)) == (
+        ["at0-in", "at1-in"], ["at0-out", "at1-out"]
     )
 
 
@@ -196,8 +232,7 @@ def test_catchment_and_direction_on_their_thresholds_match_math(zone_j1_1):
 def test_all_non_cooperative_gives_empty_instance(grid4, zone_j1_1):
     rows = (approach_rows("u", S, 30.0) + depart_rows("u", N, 50.0)
             + approach_rows("v", W, 42.0) + depart_rows("v", E, 64.0))
-    instances, trivial = classify_tracks(tracks_of(rows), zone_j1_1, EAVES)
-    assert instances == {} and trivial == ["u", "v"]
+    assert classify_tracks(tracks_of(rows), zone_j1_1, EAVES) == ([], [])
 
 
 # --- the four conditions ------------------------------------------------------
@@ -231,25 +266,28 @@ def test_time_window_excludes_early_and_late_exits(grid4, zone_j1_1):
 
 
 def test_eaves_spans_are_each_ears_first_and_last_time():
-    # rows arrive shuffled, with repeated times and several ears per id;
-    # a track's rows are time-ordered, so its first and last row per ear
-    # give the span the minimum and maximum would
+    # rows arrive shuffled, with repeated times and several ears per id,
+    # and "e" is heard by one ear only; a track's spans, one per ear of the
+    # table in id order, are the ones its time-ordered rows give, with
+    # +inf and -inf for an ear that never heard it
     rng = random.Random(4)
     rows = [
         row(rng.randrange(60) / 2, rng.choice("abcd"), 0.0, 0.0, 0.0,
             eid=rng.choice(["eav-0", "eav-1", "eav-2"]))
         for _ in range(400)
-    ]
+    ] + [row(7.0, "e", 0.0, 0.0, 0.0, eid="eav-1"), row(9.5, "e", 0.0, 0.0, 0.0, eid="eav-1")]
     tracks = flat_tracks(tracks_of(rows))
-    assert len(tracks) == 4
+    assert len(tracks) == 5
+    ears = ["eav-0", "eav-1", "eav-2"]
     for track in tracks.values():
-        times: dict[str, list[float]] = {}
-        for r in map(track.obs.row, track.rows):
-            times.setdefault(r.eaves_id, []).append(r.time_s)
-        assert track.eaves_spans == {e: (min(ts), max(ts)) for e, ts in times.items()}
+        spans = spans_by_ear(track)
+        assert track.heard_from.tolist() == [spans.get(e, (math.inf,))[0] for e in ears]
+        assert track.heard_to.tolist() == [spans.get(e, (0, -math.inf))[1] for e in ears]
+    assert tracks["e"].heard_from.tolist() == [math.inf, 7.0, math.inf]
+    assert tracks["e"].heard_to.tolist() == [-math.inf, 9.5, -math.inf]
 
 
-def test_seen_together_excludes_coexisting_ids(grid4, zone_j1_1):
+def test_seen_together_excludes_coexisting_ids(grid4, zone_j1_1, request):
     # "ghost" appears while "old" is still being heard by the same ear
     rows = (approach_rows("old", S, 39.5)
             + depart_rows("ghost", N, 30.0)
@@ -257,10 +295,29 @@ def test_seen_together_excludes_coexisting_ids(grid4, zone_j1_1):
     sets = link(tracks_of(rows), zone_j1_1, grid4, V_MIN, "z", EAVES)
     by = {s.entering: s.candidates for s in sets}
     assert by["old"] == frozenset({"new"})
-    a = tracks_of(rows)[4.5]
-    tracks = {t.pseudonym_id: t for t in a}
-    assert seen_together(tracks["old"], tracks["ghost"])
-    assert not seen_together(tracks["old"], tracks["new"])
+    request.getfixturevalue("any_gap")  # the table also shows (old, ghost)
+    pairs = pair_table(tracks_of(rows), zone_j1_1, grid4, V_MIN, EAVES)
+    apart = {pairs.exiting[x].pseudonym_id: ok
+             for x, ok in zip(pairs.ext.tolist(), pairs.apart.tolist())}
+    assert apart == {"ghost": False, "new": True}
+
+
+def test_apart_fails_at_the_instant_one_ear_hears_both(grid4, zone_j1_1, any_gap):
+    # "old" is last heard at 40.0 by the ear that first hears "new" at 40.0
+    rows = approach_rows("old", S, 40.0) + depart_rows("new", N, 40.0)
+    pairs = pair_table(tracks_of(rows), zone_j1_1, grid4, V_MIN, EAVES)
+    assert pairs.dt.tolist() == [0.0]
+    assert pairs.apart.tolist() == [False]
+    assert pairs.road.tolist() == [False]
+
+
+def test_ids_heard_only_by_different_ears_stay_apart(grid4, zone_j1_1, any_gap):
+    # heard at the same times, but each by its own ear
+    ranges = {"eav-0": 250.0, "eav-1": 250.0}
+    rows = (approach_rows("old", S, 40.0, eid="eav-0")
+            + depart_rows("new", N, 30.0, eid="eav-1"))
+    pairs = pair_table(tracks_of(rows), zone_j1_1, grid4, V_MIN, ranges)
+    assert pairs.apart.tolist() == [True]
 
 
 def test_inward_heading_exit_never_a_candidate(grid4, zone_j1_1):
@@ -363,9 +420,62 @@ def test_oracle_on_empty_instance(grid4, zone_j1_1):
     assert brute_force_oracle([], zone_j1_1, grid4, V_MIN, "z", EAVES) == []
 
 
+@pytest.mark.parametrize("window", ["zone", "any gap"])
+def test_pair_table_matches_a_scalar_reference(grid4, zone_j1_1, request, window):
+    # every pair of an entering id and a gate-passing exiting id of its
+    # class whose gap, by the scalar formula, is in the window, with each
+    # column recomputed pair by pair; admitting any gap adds the rows the
+    # window drops, ids heard at once among them
+    if window == "any gap":
+        request.getfixturevalue("any_gap")
+    lo, hi = adversary.traverse_time_bounds(zone_j1_1, grid4, V_MIN)
+    outcomes = Counter()
+    for seed in range(200):
+        rows, eaves = random_instance(seed)
+        classes = tracks_of(rows)
+        entering, exiting = classify_tracks(classes, zone_j1_1, eaves)
+        want = [
+            (a, b, b.first.time_s - a.last.time_s)
+            for a in entering for b in exiting
+            if a.length_m == b.length_m
+            and exit_direction_consistent((b.first.x, b.first.y),
+                                          b.first.heading_rad, zone_j1_1)
+            and lo <= b.first.time_s - a.last.time_s <= hi
+        ]
+        pairs = pair_table(classes, zone_j1_1, grid4, V_MIN, eaves)
+        got = [(pairs.entering[e], pairs.exiting[x])
+               for e, x in zip(pairs.ent.tolist(), pairs.ext.tolist())]
+        assert [(a.pseudonym_id, b.pseudonym_id) for a, b in got] == [
+            (a.pseudonym_id, b.pseudonym_id) for a, b, _ in want
+        ], f"seed {seed}"
+        assert pairs.dt.tolist() == [dt for _, _, dt in want]
+        assert pairs.ent_row.tolist() == [a.rows[-1] for a, _, _ in want]
+        assert pairs.ext_row.tolist() == [b.rows[0] for _, b, _ in want]
+        for (a, b, _), apart, on_road in zip(want, pairs.apart.tolist(),
+                                             pairs.road.tolist()):
+            assert apart == (a.pseudonym_id != b.pseudonym_id
+                             and not seen_together(a, b))
+            assert on_road == (apart and road(grid4, a.last, b.first, zone_j1_1))
+            outcomes[apart, on_road] += 1
+    assert outcomes[True, True]
+    assert bool(outcomes[False, False]) == (window == "any gap")
+
+
+def test_exit_off_the_network_has_no_road(grid4, zone_j1_1):
+    # first heard inside the exit gate, heading away, but 20 m off the road
+    rows = approach_rows("old", S, 39.5) + [
+        row(60.5 + i / 2, "stray", 520.0, 605.0 + 5 * i, math.pi / 2)
+        for i in range(10)
+    ]
+    pairs = pair_table(tracks_of(rows), zone_j1_1, grid4, V_MIN, EAVES)
+    assert (pairs.apart.tolist(), pairs.road.tolist()) == ([True], [False])
+    sets = link(tracks_of(rows), zone_j1_1, grid4, V_MIN, "z", EAVES)
+    assert sets[0].candidates == frozenset()
+
+
 def test_emitted_pairs_satisfy_all_conditions(grid4, zone_j1_1):
     # re-check each emitted pair independently of the linker internals
-    from decoymix.roads import exit_direction_consistent, path_exists, traverse_time_bounds
+    from decoymix.roads import traverse_time_bounds
     rows, eaves = random_instance(123)
     classes = tracks_of(rows)
     tracks = flat_tracks(classes)
@@ -398,18 +508,18 @@ def _snap_outcome(g, row):
 
 
 def test_snap_memo_matches_a_fresh_graph_at_every_track_end():
-    # every end row link checks on the multi-zone golden scenario: each
-    # entering id's last row and each exiting id's first row
+    # every end row link checks on the multi-zone golden scenario: the
+    # entering and exiting rows of each zone's pair table
     cfg = test_golden.multi_zone_config()
     result = run(cfg)
     g = cfg.graph
     eaves = {e.eaves_id: e.range_m for e in cfg.eavesdroppers}
-    classes = build_tracks(result.observations)
+    obs = result.observations
+    classes = build_tracks(obs)
     ends = set()
     for zi in result.zones:
-        instances, _ = classify_tracks(classes, zi.geometry, eaves)
-        for inst in instances.values():
-            ends |= {t.last for t in inst.entering} | {t.first for t in inst.exiting}
+        pairs = pair_table(classes, zi.geometry, g, cfg.v_min_mps, eaves)
+        ends |= set(map(obs.row, pairs.ent_row.tolist() + pairs.ext_row.tolist()))
     assert len(ends) > 20
     for row in sorted(ends):
         want = _snap_outcome(RoadGraph(g.junctions, list(g.edges.values())), row)

@@ -826,6 +826,22 @@ def test_attack_non_finite_observation_exits_2(tmp_path, capsys, field, value):
     assert "\n" not in err
 
 
+@pytest.mark.parametrize("length", ["1e308", "-1e308"])
+def test_attack_length_without_a_class_exits_2(tmp_path, capsys, length):
+    # finite, but a length over LENGTH_CLASS_PRECISION_M is not, so the
+    # row has no length class
+    obs = tmp_path / "obs.csv"
+    obs.write_text(",".join(OBS_FIELDS) + "\n"
+                   + f"1.0,ab,150.000,0.000,10.000,0.000000,{length},eav-0\n")
+    rc = main(["attack", "--obs", str(obs), "--scenario", str(empty_scenario(tmp_path)),
+               "--out", str(tmp_path / "a")])
+    assert rc == 2
+    err = capsys.readouterr().err.strip()
+    assert err.startswith("error: malformed observation CSV: length out of range in row ")
+    assert length in err and "\n" not in err
+    assert not (tmp_path / "a").exists()
+
+
 @pytest.mark.parametrize("first", [
     "1.0,ab,150.000,0.000,10.000,0.000000,4.5,eav-0",
     "time,pseudonym,x,y,speed,heading,length,eavesdropper",
