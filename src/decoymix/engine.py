@@ -53,7 +53,7 @@ from .mixzone import (
     MixZoneController,
     make_join_payload,
 )
-from .mobility import Trip, points_along, synthesize_trips, trip_samples_with_edges
+from .mobility import Trip, synthesize_trips, trip_samples_with_edges
 from .roads import MixZoneGeometry, RoadGraph, traverse_time_bounds, zone_from_center
 from .scenario import ScenarioConfig
 from .vpki import CredentialAuthority
@@ -236,15 +236,16 @@ class _ZoneRt:
 
 
 class _Poses(NamedTuple):
-    """A decoy stream's poses as columns: beacon tick (ds), position, heading."""
+    """A decoy stream's poses as columns: beacon tick (ds), position, speed, heading."""
 
     ds: np.ndarray
     x: np.ndarray
     y: np.ndarray
+    speed: np.ndarray
     heading: np.ndarray
 
 
-_NO_POSES = _Poses(np.empty(0, dtype=np.int64), np.empty(0), np.empty(0), np.empty(0))
+_NO_POSES = _Poses(np.empty(0, dtype=np.int64), *(np.empty(0) for _ in range(4)))
 
 
 @dataclass(slots=True)
@@ -341,42 +342,37 @@ def _build_stream_poses(
     gv_ds: int,
     horizon_ds: int,
 ) -> tuple[_Poses, str]:
-    """The phantom's poses at the beacon ticks up to the horizon: along its
-    exit edge, then successor edges drawn from route_rng, cut before a dead
-    end (route_end) or at the first pose whose claimed position lies in a
-    zone disk (zone_entry). Each pose lies on the first route edge it does
-    not pass, as a walk edge by edge finds it, and is evaluated by
-    mobility.points_along with the rest in one pass."""
-    ds = np.arange(_first_pose_ds(plan, gv_ds), horizon_ds + 1, gv_ds, dtype=np.int64)
-    dist = plan.speed_mps * (ds / 10.0 - plan.start_time_s)
-    cur = g.edges[plan.exit_edge_id]
-    # launch 1 mm past the crossing so a tick landing exactly at the exit
-    # point is not mistaken for a zone re-entry and killed at birth
-    route, entry, consumed = [cur], [plan.boundary_offset_m + 1e-3], [0.0]
-    while ds.size and dist[-1] - consumed[-1] > (cur.length - entry[-1]) + 1e-9:
-        if not (nxt := g.next_edges(cur.id)):
-            break
-        consumed.append(consumed[-1] + (cur.length - entry[-1]))
-        cur = g.edges[route_rng.choice(nxt)]
-        route.append(cur)
-        entry.append(0.0)
-    length = np.array([e.length for e in route])
-    entry, consumed = np.array(entry), np.array(consumed)
-    passes = dist[:, None] - consumed > (length - entry) + 1e-9
-    # the edges each pose passes lead its route; past a dead end, all of them
-    edge = np.logical_and.accumulate(passes, axis=1).sum(axis=1)
-    n = int(np.count_nonzero(edge < len(route)))
-    off = np.minimum(entry[edge[:n]] + (dist[:n] - consumed[edge[:n]]), length[edge[:n]])
-    x, y, heading = points_along(g, tuple(e.id for e in route), edge[:n], off)
-    px, py = round_array(x, 3), round_array(y, 3)
-    inside = np.zeros(n, dtype=bool)
+    """The phantom's poses at the beacon ticks up to the horizon: a
+    constant-speed Trip along its exit edge, then successor edges drawn
+    from route_rng, sampled by mobility.trip_samples_with_edges and cut
+    where the trip ends at a dead end (route_end) or at the first pose
+    whose claimed position lies in a zone disk (zone_entry)."""
+    speed = plan.speed_mps
+    # depart from the exit edge's tail to pass 1 mm past the crossing at
+    # start_time_s, so a tick landing exactly at the exit point is not
+    # mistaken for a zone re-entry; draw edges until the trip, timed as the
+    # sampler times it, arrives after the last tick or meets a dead end
+    departure = plan.start_time_s - (plan.boundary_offset_m + 1e-3) / speed
+    last_dt = horizon_ds // gv_ds * gv_ds / 10.0 - departure
+    route = [plan.exit_edge_id]
+    arrival = g.edges[route[0]].length / speed
+    while arrival <= last_dt and (nxt := g.next_edges(route[-1])):
+        route.append(route_rng.choice(nxt))
+        arrival += g.edges[route[-1]].length / speed
+    trip = Trip("phantom", departure, tuple(route), (speed,) * len(route), plan.length_m)
+    s = trip_samples_with_edges(g, trip, gv_ds / 10, horizon_ds / 10)
+    ds = np.rint(s.t * 10).astype(np.int64)
+    lo = int(np.searchsorted(ds, _first_pose_ds(plan, gv_ds)))
+    poses = _Poses(ds[lo:], s.x[lo:], s.y[lo:], s.speed[lo:], s.heading[lo:])
+    px, py = round_array(poses.x, 3), round_array(poses.y, 3)
+    inside = np.zeros(px.size, dtype=bool)
     for cx, cy, r2 in zone_disks:
         dx, dy = px - cx, py - cy
         inside |= dx * dx + dy * dy <= r2
-    reason = "route_end" if n < ds.size else "horizon"
+    n, reason = px.size, "route_end" if arrival <= last_dt else "horizon"
     if inside.any():
         n, reason = int(inside.argmax()), "zone_entry"
-    return _Poses(ds[:n], x[:n], y[:n], heading[:n]), reason
+    return _Poses(*(c[:n] for c in poses)), reason
 
 
 # ---------------------------------------------------------------------------
@@ -1326,19 +1322,17 @@ class _Run:
         sizes = np.array([s.poses.ds.size for s in started], dtype=np.int64)
         i = np.repeat(np.arange(sizes.size), sizes)
         end_key = np.array([s.end_key for s in started], dtype=np.int64)[i]
-        ds, x, y, heading = (
+        ds, x, y, speed, heading = (
             np.concatenate(col) for col in zip(_NO_POSES, *(s.poses for s in started))
         )
         k = ds // self.tick_ds
         sent = k * N_PHASES + PH_DECOYS <= end_key
-        k, i, x, y, heading = (c[sent] for c in (k, i, x, y, heading))
+        k, i, x, y, speed, heading = (c[sent] for c in (k, i, x, y, speed, heading))
         zone, relay, tx, chaff, link = np.array([
             (s.zone_j, s.tx_vi, log.name(s.transmitter), log.name(s.chaff_hex),
              log.name(s.link_hex)) for s in started
         ], dtype=np.int64).reshape(-1, 5)[i].T
-        speed, length = np.array(
-            [(s.plan.speed_mps, s.plan.length_m) for s in started]
-        ).reshape(-1, 2)[i].T
+        length = np.array([s.plan.length_m for s in started], dtype=float)[i]
         hx, hy, by = self.zcx[zone], self.zcy[zone], relay >= 0
         nv = len(self.vehicles)
         row = np.searchsorted(tick * nv + self.VEH, k[by] * nv + relay[by])

@@ -369,7 +369,8 @@ def random_instance(seed: int) -> tuple[list[ObsRow], dict[str, float]]:
         eaves["eav-1"] = 300.0  # second ear south of the zone at (500, 0)
     for i in range(n_tracks):
         pid = f"p{i}"
-        kind = rng.choice(("enter", "exit", "through", "far", "loiter"))
+        kind = rng.choice(("enter", "exit", "through", "far", "loiter",
+                           "in-out-in", "out-in-out"))
         length = rng.choice((4.5, 4.5, 7.5))
         speed = rng.choice((8.0, 10.0, 12.0))
         arm = rng.choice(ARMS)
@@ -388,6 +389,17 @@ def random_instance(seed: int) -> tuple[list[ObsRow], dict[str, float]]:
                               d_far=180.0)
                   + approach_rows(pid, arm, t0 + 30.0, length, speed,
                                   d_far=180.0, d_near=110.0))
+        elif kind in ("in-out-in", "out-in-out"):
+            # three legs 5 s apart, each on an arm of its own draw: a
+            # trivially linked id whose last row is inbound, or whose first
+            # row is outbound, as an entering or an exiting id's would be
+            rs, t, leg = [], t0, 145.0 / speed
+            for way in kind.split("-"):
+                if way == "in":
+                    rs += approach_rows(pid, rng.choice(ARMS), t + leg, length, speed)
+                else:
+                    rs += depart_rows(pid, rng.choice(ARMS), t, length, speed)
+                t += leg + 5.0
         else:
             base = rng.choice(((1400.0, 1500.0), (0.0, 1450.0)))
             rs = [row(t0 + j, pid, base[0] + 10 * j, base[1], 0.0, length,

@@ -40,7 +40,7 @@ from decoymix.errors import ConfigError, NoResponder
 from decoymix.eventlog import OBSERVATION_HEADER
 from decoymix.mixzone import ADVERT_PAYLOAD_BYTES, DecoyPlan, MixZoneController
 from decoymix.mobility import Trip, synthesize_trips, trip_samples_with_edges
-from decoymix.roads import Edge, RoadGraph, make_grid, point_along, polyline_length
+from decoymix.roads import Edge, RoadGraph, make_grid, polyline_length
 from decoymix.scenario import EavesdropperSpec, ScenarioConfig, ZoneSpec
 
 import test_golden
@@ -379,35 +379,64 @@ def test_decoy_stops_where_its_published_pose_enters_a_zone(grid4):
     assert reason == "zone_entry"
 
 
-def _walk_stream_poses(g, plan, zone_disks, route_rng, gv_ds, horizon_ds):
-    """The reference stream builder: walk the phantom pose by pose, one
-    point_along call and one pass over the disks each, and stop at a dead
-    end, at the horizon, or at the first pose whose published position
-    lies in a disk. Returns ({ds: (x, y, heading)}, reason)."""
+def _phantom_trip(g, plan, route_rng, gv_ds, horizon_ds):
+    """The reference phantom Trip: at constant speed from its exit edge's
+    tail, 1 mm past the crossing at the plan's start, along successor
+    edges drawn one at a time from route_rng until the sampler gives a
+    pose at the last beacon tick, or until a dead end or a horizon before
+    the first pose."""
+    last = horizon_ds // gv_ds * gv_ds
+    departure = plan.start_time_s - (plan.boundary_offset_m + 1e-3) / plan.speed_mps
+    route = [plan.exit_edge_id]
+    while True:
+        trip = Trip("phantom", departure, tuple(route),
+                    (plan.speed_mps,) * len(route), plan.length_m)
+        t = trip_samples_with_edges(g, trip, gv_ds / 10, horizon_ds / 10).t
+        if (last < engine._first_pose_ds(plan, gv_ds) or not g.next_edges(route[-1])
+                or t.size and round(t[-1] * 10) == last):
+            return trip
+        route.append(route_rng.choice(g.next_edges(route[-1])))
+
+
+def _sampled_stream_poses(g, plan, zone_disks, trip, gv_ds, horizon_ds):
+    """The reference stream: trip's samples, taken tick by tick from the
+    first pose, stopping at a tick the trip has ended by, at the horizon,
+    or at the first pose whose published position lies in a disk.
+    Returns ({ds: (x, y, speed, heading)}, reason)."""
+    samples = trip_samples_with_edges(g, trip, gv_ds / 10, horizon_ds / 10)
+    at = {round(t * 10): i for i, t in enumerate(samples.t.tolist())}
     poses = {}
-    t = engine._first_pose_ds(plan, gv_ds)
-    cur = g.edges[plan.exit_edge_id]
-    cur_entry = plan.boundary_offset_m + 1e-3
-    consumed = 0.0
-    while t <= horizon_ds:
-        dist = plan.speed_mps * (t / 10.0 - plan.start_time_s)
-        while dist - consumed > (cur.length - cur_entry) + 1e-9:
-            consumed += cur.length - cur_entry
-            nxt = g.next_edges(cur.id)
-            if not nxt:
-                return poses, "route_end"
-            cur = g.edges[route_rng.choice(nxt)]
-            cur_entry = 0.0
-        off = min(cur_entry + (dist - consumed), cur.length)
-        x, y, heading = point_along(cur.shape, off)
+    for ds in range(engine._first_pose_ds(plan, gv_ds), horizon_ds + 1, gv_ds):
+        if ds not in at:
+            return poses, "route_end"
+        i = at[ds]
+        x, y = float(samples.x[i]), float(samples.y[i])
         px, py = round(x, 3), round(y, 3)
         for cx, cy, r2 in zone_disks:
             dx, dy = px - cx, py - cy
             if dx * dx + dy * dy <= r2:
                 return poses, "zone_entry"
-        poses[t] = (x, y, heading)
-        t += gv_ds
+        poses[ds] = (x, y, float(samples.speed[i]), float(samples.heading[i]))
     return poses, "horizon"
+
+
+@pytest.mark.parametrize("g, exit_edge, horizon_ds, reason", [
+    # up c__n onto the dead end n__n2, whose last point, (500, 2500), the
+    # phantom reaches at t=190: its trip has arrived, so that pose is not
+    # sent, whether the horizon lies past it or on it
+    (dead_end_crossing(), "c__n", 2500, "route_end"),
+    (dead_end_crossing(), "c__n", 1900, "route_end"),
+    # its exit edge ends at t=40, on the horizon: the route goes on, so
+    # the pose there is sent
+    (make_grid(4, 4, 500.0), "j0_0__j0_1", 400, "horizon"),
+])
+def test_phantom_sends_no_pose_once_its_trip_has_arrived(g, exit_edge, horizon_ds, reason):
+    # 1 mm past the crossing at t=0, 100 m along its 500 m exit edge, at 10 m/s
+    plan = replace(_PLAN, exit_edge_id=exit_edge, boundary_offset_m=99.999,
+                   speed_mps=10.0)
+    poses, got = _build_stream_poses(g, plan, [], random.Random(0), 10, horizon_ds)
+    assert got == reason
+    assert poses.ds.tolist() == list(range(0, min(horizon_ds, 1890) + 1, 10))
 
 
 def _bent_ring():
@@ -445,7 +474,7 @@ _PLAN = DecoyPlan(
 def _stream_cases(draw):
     """A graph, a phantom launched anywhere on any edge, a beacon interval,
     a horizon (a few before the first pose) and zone disks: drawn at random,
-    and one drawn through the published position of a pose the walker
+    and one drawn through the published position of a pose the reference
     keeps, on its boundary or one ulp short of it. Some phantoms launch
     where a pose falls within a few nanometres of the end of their exit
     edge or, on the grid, of the next edge, before or past it."""
@@ -471,9 +500,10 @@ def _stream_cases(draw):
         for _ in range(draw(st.integers(0, 3)))
     ]
     seed = draw(st.integers(0, 2**32))
-    poses, _ = _walk_stream_poses(g, plan, disks, random.Random(seed), gv_ds, horizon)
+    trip = _phantom_trip(g, plan, random.Random(seed), gv_ds, horizon)
+    poses, _ = _sampled_stream_poses(g, plan, disks, trip, gv_ds, horizon)
     if poses and draw(st.booleans()):
-        x, y, _ = poses[draw(st.sampled_from(sorted(poses)))]
+        x, y, _, _ = poses[draw(st.sampled_from(sorted(poses)))]
         px, py = round(x, 3), round(y, 3)
         cx, cy = px + draw(st.floats(-50.0, 50.0)), py + draw(st.floats(-50.0, 50.0))
         r2 = (px - cx) * (px - cx) + (py - cy) * (py - cy)
@@ -485,17 +515,16 @@ def _stream_cases(draw):
 
 @settings(max_examples=300, derandomize=True, database=None, deadline=None)
 @given(case=_stream_cases())
-def test_stream_poses_match_the_pose_walker_bit_for_bit(case):
+def test_stream_poses_are_the_phantom_trips_samples_bit_for_bit(case):
     g, plan, disks, seed, gv_ds, horizon = case
     poses, reason = _build_stream_poses(g, plan, disks, random.Random(seed), gv_ds, horizon)
-    want, want_reason = _walk_stream_poses(
-        g, plan, disks, random.Random(seed), gv_ds, horizon
-    )
+    trip = _phantom_trip(g, plan, random.Random(seed), gv_ds, horizon)
+    want, want_reason = _sampled_stream_poses(g, plan, disks, trip, gv_ds, horizon)
     assert reason == want_reason
     assert poses.ds.dtype == np.int64 and poses.ds.tolist() == list(want)
-    got = np.column_stack(poses[1:]).reshape(-1, 3)
+    got = np.column_stack(poses[1:]).reshape(-1, 4)
     assert got.view(np.int64).tolist() == (
-        np.array(list(want.values()), dtype=np.float64).reshape(-1, 3).view(np.int64).tolist()
+        np.array(list(want.values()), dtype=np.float64).reshape(-1, 4).view(np.int64).tolist()
     )
 
 
