@@ -254,6 +254,9 @@ def _execute_job(job: tuple) -> tuple:
     """One (sweep point, seed) cell: simulate, attack, write reports, then
     raise AuditFailure if the run's audits found anything.
 
+    events.jsonl, the largest file, is written last, once the overhead
+    report, the candidate sets and the observation table are dropped.
+
     Module level, and its job picklable, so a process pool can ship it."""
     cfg, point, seed, run_dir, fmt = job
     result = run(cfg)
@@ -261,12 +264,6 @@ def _execute_job(job: tuple) -> tuple:
 
     d = Path(run_dir)
     d.mkdir(parents=True, exist_ok=True)
-    with open(d / "events.jsonl", "w", encoding="utf-8") as fh:
-        result.export_events(fh)
-    with open(d / "observations.csv", "w", encoding="utf-8") as fh:
-        result.export_observations(fh)
-    with open(d / "candidate_sets.jsonl", "w", encoding="utf-8") as fh:
-        export_candidate_sets(sets, fh)
     label = f"{point_label(point)}/seed{seed}"
     if fmt == "json":
         (d / "linkability.json").write_text(link_rep.to_json(), encoding="utf-8")
@@ -276,6 +273,16 @@ def _execute_job(job: tuple) -> tuple:
             write_linkability_csv({label: link_rep}, fh)
         with open(d / "overhead.csv", "w", encoding="utf-8") as fh:
             write_overhead_csv(over_rep, fh)
+    del over_rep
+    with open(d / "candidate_sets.jsonl", "w", encoding="utf-8") as fh:
+        export_candidate_sets(sets, fh)
+    del sets
+    with open(d / "observations.csv", "w", encoding="utf-8") as fh:
+        result.export_observations(fh)
+    # the cached observation table, which the run and the attack have read
+    del result.observations
+    with open(d / "events.jsonl", "w", encoding="utf-8") as fh:
+        result.export_events(fh)
     found = result.audit_violations
     if found:
         raise AuditFailure(

@@ -42,6 +42,7 @@ from .eventlog import (
     EventLogBuilder,
     Observations,
     RowPoses,
+    count_type,
     name_ranks,
     round_array,
     row_blocks,
@@ -53,10 +54,10 @@ from .mixzone import (
     MixZoneController,
     make_join_payload,
 )
-from .mobility import Trip, synthesize_trips, trip_samples_with_edges
+from .mobility import Trip, sample_trips, synthesize_trips, trip_samples_with_edges
 from .roads import MixZoneGeometry, RoadGraph, traverse_time_bounds, zone_from_center
 from .scenario import ScenarioConfig
-from .vpki import CredentialAuthority
+from .vpki import ChaffBatch, CredentialAuthority
 
 # Every signed broadcast carries the signer's credential on the wire.
 ENCRYPTED_BEACON_WIRE_BYTES = BEACON_WIRE_BYTES + ENCRYPTION_OVERHEAD_BYTES
@@ -434,10 +435,12 @@ class _Run:
 
         nv, nz = len(self.vehicles), len(self.zones)
         self.transitions: list[Transition] = []
-        # one row per name in RECEPTION_COUNTERS, one column per slot;
-        # filled at wrap-up by _count_receptions
+        # one row per name in RECEPTION_COUNTERS, one column per slot, in
+        # the narrowest dtype _counter_bound allows; filled at wrap-up by
+        # _count_receptions
         self.counters = np.zeros(
-            (len(RECEPTION_COUNTERS), int(self.seconds.sum())), dtype=np.int64
+            (len(RECEPTION_COUNTERS), int(self.seconds.sum())),
+            dtype=count_type(self._counter_bound()),
         )
         self.held_ep = np.full((nv, nz), -1, dtype=np.int64)
         # the first tick at whose beacon phase the vehicle holds the zone's
@@ -479,8 +482,9 @@ class _Run:
             chaff = (
                 ca.provision_chaff(zs.zone_id, config.chaff_per_zone, 0.0, config.duration_s)
                 if config.chaff_per_zone
-                else []
+                else ChaffBatch([], 0.0, config.duration_s)
             )
+            chaff_ids = frozenset(cid.hex() for cid in chaff.ids)
             controller = MixZoneController(
                 zs.zone_id,
                 geom,
@@ -501,7 +505,7 @@ class _Run:
             ]
             info = ZoneInfo(
                 zs.zone_id, geom, bounds, j < hbc_count,
-                frozenset(c.id.hex() for c in chaff), f"rsu:{zs.zone_id}",
+                chaff_ids, f"rsu:{zs.zone_id}",
             )
             self.zones.append(_ZoneRt(info, controller, size, chunk_count, payloads))
         self.zone_ids = [zs.zone_id for zs in zspecs]
@@ -560,21 +564,26 @@ class _Run:
         the zone's RSU range."""
         config, seed, ca = self.config, self.seed, self.ca
         tick_ds, dur_ds = self.tick_ds, self.dur_ds
-        # each trip sampled up to the clock's last tick
-        kept = []
-        for trip in sorted(trips, key=lambda t: t.vehicle_id):
-            samples = trip_samples_with_edges(
-                config.graph, trip, tick_ds / 10.0, dur_ds / 10.0
-            )
-            if len(samples):
-                kept.append((trip, samples))
+        # every trip sampled up to the clock's last tick, in one pass; the
+        # trips with a sample are the vehicles, in vehicle-id order
+        trips = sorted(trips, key=lambda t: t.vehicle_id)
+        trip, t, x, y, speed, heading, edge = sample_trips(
+            config.graph, trips, tick_ds / 10.0, dur_ds / 10.0
+        )
+        per_trip = np.bincount(trip, minlength=len(trips))
+        on_road = np.flatnonzero(per_trip)
+        kept = [trips[i] for i in on_road.tolist()]
+        # each row's vehicle: its trip's place among the kept ones
+        vehicle_of = np.zeros(len(trips), dtype=np.int32)
+        vehicle_of[on_road] = np.arange(on_road.size)
+        veh = np.take(vehicle_of, trip, out=trip)
+        del trip, vehicle_of
 
         nv, nz = len(kept), len(self.zones)
-        counts = np.array([len(samples) for _, samples in kept], dtype=np.int64)
+        counts = per_trip[on_road]
         starts = np.cumsum(counts) - counts
-        self.t0s = np.array(
-            [round(float(samples.t[0]) * 10) for _, samples in kept], dtype=np.int64
-        )
+        self.t0s = np.rint(t[starts] * 10).astype(np.int64)
+        del t
         self.tends = self.t0s + (counts - 1) * tick_ds
         self.first_sec = np.minimum(self.t0s // 10, self.last_sec)
         self.seconds = np.minimum(self.tends // 10, self.last_sec) - self.first_sec + 1
@@ -582,7 +591,6 @@ class _Run:
         # built vehicle-major (vehicle i's rows from starts[i], one per
         # tick), where a row's predecessor is the row before it, then
         # permuted to tick-major one column at a time
-        veh = np.repeat(np.arange(nv, dtype=np.int32), counts)
         tick = np.arange(counts.sum()) - np.repeat(starts - self.t0s // tick_ds, counts)
         order = np.argsort(tick, kind="stable")
         # each vehicle-major row's tick-major row
@@ -594,16 +602,8 @@ class _Run:
         )
         self.tick_ptr = self.tick_lo.tolist()
 
-        def column(name: str, dtype=np.float64) -> np.ndarray:
-            if not kept:
-                return np.empty(0, dtype)
-            return np.concatenate(
-                [getattr(samples, name) for _, samples in kept], dtype=dtype
-            )
-
         # zones on the positions as published, RSU range on the simulated
         # ones; the lowest zone index wins where disks overlap
-        x, y = column("x"), column("y")
         xp, yp = round_array(x, 3), round_array(y, 3)
         zidx = np.full(x.size, -1, dtype=np.int32)
         rng = np.empty((x.size, nz), dtype=bool)
@@ -614,9 +614,12 @@ class _Run:
         del xp, yp
         self.X, self.Y = x[order], y[order]
         del x, y
-        self.SPD = column("speed")[order]
-        self.HDG = column("heading")[order]
-        self.EDGE = column("edge", np.int32)[order]
+        self.SPD = speed[order]
+        del speed
+        self.HDG = heading[order]
+        del heading
+        self.EDGE = edge[order]
+        del edge
         self.ZIDX, self.RNG, self.VEH = zidx[order], rng[order], veh[order]
         # the beacon-tick rows outside every RSU range, where a stale filter
         # is asked of the neighbours; tick k's are
@@ -685,7 +688,7 @@ class _Run:
         self.dropped = 0
 
         self.vehicles: list[_VehicleRt] = []
-        for (trip, _), n_visits in zip(kept, visits):
+        for trip, n_visits in zip(kept, visits):
             vid = trip.vehicle_id
             ca.register_vehicle(vid)
             pool = ca.issue_pseudonyms(vid, n_visits + 1, 0.0, config.duration_s + 1.0)
@@ -1214,7 +1217,8 @@ class _Run:
         """Fill the reception counters of every vehicle second in one pass
         over the rows, a block at a time (tick holds each row's tick): the
         vehicle beacons each row hears, the decoy beacons in sends (as
-        _log_decoys returns them), and the peer queries.
+        _log_decoys returns them), and the peer queries. The counters take
+        the narrowest dtype _counter_bound allows.
 
         A receiver checks each chaff id against the filters it holds then
         (held_from). Real pseudonyms are never in any filter, a 1e-20
@@ -1224,10 +1228,15 @@ class _Run:
         the others check every filter they hold and verify the unknown
         pseudonym."""
         counts = dict(zip(RECEPTION_COUNTERS, self.counters))
-        nslots = self.counters.shape[1]
+        nslots, dtype = self.counters.shape[1], self.counters.dtype
 
-        def per_slot(slots: np.ndarray, weights: np.ndarray | None = None) -> np.ndarray:
-            return np.bincount(slots, weights, minlength=nslots).astype(np.int64)
+        def add(name: str, slots: np.ndarray, n) -> None:
+            # n in the counters' dtype, which keeps np.add.at off its
+            # casting path
+            np.add.at(counts[name], slots, np.asarray(n, dtype=dtype))
+
+        def per_slot(slots: np.ndarray) -> np.ndarray:
+            return np.bincount(slots, minlength=nslots).astype(dtype)
 
         vi = self.VEH
         # the vehicle beacons, a block of rows at a time
@@ -1236,14 +1245,14 @@ class _Run:
             n_held = (self.held_from[vi[rows]] <= tick[rows, None]).sum(axis=1)
             n_clear = self.n_clear[rows].astype(np.int64)
             slots = self.SLOT[rows]
-            np.add.at(counts["rx_beacons"], slots, n_clear)
-            np.add.at(
-                counts["rx_bytes"], slots,
+            add("rx_beacons", slots, n_clear)
+            add(
+                "rx_bytes", slots,
                 n_clear * BEACON_WIRE_BYTES
                 + (self.n_heard[rows] - n_clear) * ENCRYPTED_BEACON_WIRE_BYTES,
             )
-            np.add.at(counts["checks"], slots, n_clear * n_held)
-            np.add.at(counts["verifies"], slots, n_clear)
+            add("checks", slots, n_clear * n_held)
+            add("verifies", slots, n_clear)
 
         ks, hx, hy, zone, relay = sends
         r2 = np.where(relay < 0, self.rsu_r2, self.radio2)
@@ -1262,14 +1271,14 @@ class _Run:
             pick = np.arange(rows.size), zone[s]
             hold = held[pick]
             slots = self.SLOT[rows]
-            np.add.at(counts["rx_beacons"], slots, 1)
-            np.add.at(counts["rx_bytes"], slots, BEACON_WIRE_BYTES)
-            np.add.at(counts["discard_chaff"], slots, hold)
-            np.add.at(counts["checks"], slots, np.where(
+            add("rx_beacons", slots, 1)
+            add("rx_bytes", slots, BEACON_WIRE_BYTES)
+            add("discard_chaff", slots, hold)
+            add("checks", slots, np.where(
                 hold, held.cumsum(axis=1)[pick], held.sum(axis=1)
             ))
-            np.add.at(counts["unknown_pending"], slots, ~hold)
-            np.add.at(counts["verifies"], slots, ~hold)
+            add("unknown_pending", slots, ~hold)
+            add("verifies", slots, ~hold)
 
         none = np.empty(0, dtype=np.int64)
         asked = per_slot(self.SLOT[np.concatenate([none, *self.peer_asked])])
@@ -1277,6 +1286,21 @@ class _Run:
         counts["peer_unanswered"] += asked - per_slot(
             self.SLOT[np.concatenate([none, *self.peer_answered])]
         )
+
+    def _counter_bound(self) -> int:
+        """A bound on every reception counter of every slot, from the rows
+        alone. A slot's rows each hear at most n_heard.max() vehicle
+        beacons and one decoy beacon per chaff id, as each decoy stream
+        sends under its own chaff id, and ask at most one peer query. Each
+        adds at most cost to any counter: an encrypted beacon's wire size,
+        the largest, or one check per zone. The bound also covers a slot's
+        peer queries priced in bytes, as metrics.overhead prices them, a
+        query's PEER_QUERY_BYTES being below the beacon wire size."""
+        rows = int(np.bincount(self.SLOT).max(initial=0))
+        chaff = sum(len(z.info.chaff_ids) for z in self.zones)
+        heard = int(self.n_heard.max(initial=0)) + chaff
+        cost = max(ENCRYPTED_BEACON_WIRE_BYTES, len(self.zones))
+        return rows * (heard + 1) * cost
 
     def _log_vehicle_beacons(self, tick: np.ndarray) -> None:
         """Every plaintext vehicle beacon, logged at once as its pose row:

@@ -79,11 +79,12 @@ _RAW_BEACON_COLUMNS = (
 # transmitter (a delivery's vehicle), an answer's receiver and the zone,
 # wire bytes, the filter epoch of a chunk, answer or delivery, a chunk's
 # index and total, an advert's first verifiers, as an index into the
-# verifier lists, and an RSU delivery's latency
+# verifier lists, and an RSU delivery's latency. A dtype of None is the
+# narrowest signed integer dtype that holds the field's values
 _MESSAGE_COLUMNS = (
     ("key", np.int64), ("n", np.int64), ("kind", np.uint8), ("t", np.float64),
-    ("tx", np.int32), ("rx", np.int32), ("zone", np.int32), ("bytes", np.int64),
-    ("epoch", np.int64), ("index", np.int64), ("total", np.int64),
+    ("tx", np.int32), ("rx", np.int32), ("zone", np.int32), ("bytes", None),
+    ("epoch", None), ("index", None), ("total", None),
     ("verifiers", np.int32), ("latency_s", np.float64),
 )
 # decimals each published beacon field carries
@@ -247,7 +248,8 @@ class MessageColumns:
     gets the filter. A chunk, answer or delivery carries its filter epoch,
     a chunk its index and total, and an RSU delivery the latency_s it took
     since it began; an advert's first verifiers are
-    verifier_lists[verifiers], as string-table indices."""
+    verifier_lists[verifiers], as string-table indices. bytes, epoch, index
+    and total take the narrowest signed integer dtype their values fit."""
 
     names: list[str]
     verifier_lists: list[tuple[int, ...]]
@@ -491,6 +493,11 @@ def _observer_sets(b: BeaconColumns) -> tuple[list[list[str]], np.ndarray]:
     first, code = _distinct(*packed.T)
     bits = np.unpackbits(packed[first], axis=1, count=len(b.eaves))
     return [[b.eaves[w] for w in np.flatnonzero(row)] for row in bits], code
+
+
+def count_type(bound: int) -> type:
+    """The narrower of int32 and int64 that holds every count up to bound."""
+    return np.int32 if bound < 1 << 31 else np.int64
 
 
 def row_blocks(n: int) -> list[tuple[int, int]]:
@@ -972,15 +979,24 @@ def _tick_of(tick_lo: np.ndarray, rows: np.ndarray) -> np.ndarray:
 def _columns(blocks: list[list], spec) -> dict[str, np.ndarray]:
     """Blocks of raw columns, each block's first column an array and the
     others arrays or scalars, as one array per (name, dtype) of spec, in the
-    order the blocks were logged. Each field is dropped from every block as
-    soon as it is copied, so no field is held twice."""
+    order the blocks were logged. A dtype of None is the narrowest signed
+    integer dtype that holds the field's values: the field is copied as
+    int64 and then narrowed, as a scan of each of the many small blocks
+    costs more than the copy. Each field is dropped from every block as
+    soon as it is copied, so no field is held twice but while it is
+    narrowed."""
     ends = np.cumsum([len(b[0]) for b in blocks], dtype=np.int64).tolist()
     cols = {}
     for i, (name, dtype) in enumerate(spec):
-        col = cols[name] = np.empty(ends[-1] if ends else 0, dtype)
+        col = np.empty(ends[-1] if ends else 0, dtype or np.int64)
         for b, lo, hi in zip(blocks, [0, *ends], ends):
             col[lo:hi] = b[i]
             b[i] = None
+        if dtype is None:
+            # the signed type of -hi - 1 holds hi too
+            hi = int(col.max(initial=0))
+            col = col.astype(np.min_scalar_type(min(int(col.min(initial=0)), -hi - 1)))
+        cols[name] = col
     return cols
 
 

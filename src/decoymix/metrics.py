@@ -27,6 +27,7 @@ from .eventlog import (
     BeaconColumns,
     MessageColumns,
     ReceptionColumns,
+    count_type,
     row_blocks,
     sorted_distinct,
 )
@@ -516,7 +517,9 @@ def _fold(
 
     def blocks():
         """(entity, second, {ledger: counts}) of each block of rows that
-        count something."""
+        count something. A column's products keep its dtype: a run's
+        reception counters are narrowed only where the largest product
+        fits."""
         for ent, t, counts in parts:
             for lo, hi in row_blocks(ent.size):
                 got = {
@@ -555,13 +558,13 @@ def _fold(
         sorted_distinct(rank[ent] * width + sec).astype(code_type)
         for ent, sec, _ in blocks()
     ]))
-    count_type = np.int32 if total < 1 << 31 else np.int64
+    ledger_type = count_type(total)
     # one ledger a row, so each ledger's adds go to contiguous memory
-    counts = np.zeros((len(LEDGERS), cells.size), dtype=count_type)
+    counts = np.zeros((len(LEDGERS), cells.size), dtype=ledger_type)
     for ent, sec, got in blocks():
         at = np.searchsorted(cells, (rank[ent] * width + sec).astype(code_type))
         for i, n in got.items():
-            np.add.at(counts[i], at, np.asarray(n, dtype=count_type))
+            np.add.at(counts[i], at, np.asarray(n, dtype=ledger_type))
     entity, second = np.divmod(cells, code_type(width))
     return OverheadReport(duration_s, entities, entity, second, counts.T)
 

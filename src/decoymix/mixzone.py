@@ -27,6 +27,7 @@ from .core import (
 )
 from .errors import AuthFailure, DecryptionDenied, StaleRequest
 from .roads import MixZoneGeometry, RoadGraph
+from .vpki import ChaffBatch
 
 # advert payload: center x, center y as doubles; radius, timestamp as f32
 _ADVERT = struct.Struct("<ddff")
@@ -119,7 +120,7 @@ class MixZoneController:
         geometry: MixZoneGeometry,
         graph: RoadGraph,
         session_key: bytes,
-        chaff_pool: list[Credential],
+        chaff_pool: list[Credential] | ChaffBatch,
         relay_fraction: float,
         traverse_bounds: tuple[float, float],
         beacon_interval_s: float,
@@ -131,7 +132,9 @@ class MixZoneController:
         self.geometry = geometry
         self._graph = graph
         self.session_key = session_key
-        self.chaff_pool = list(chaff_pool)
+        # taken over, not copied: a vpki.ChaffBatch builds each credential
+        # only when it is popped
+        self.chaff_pool = chaff_pool
         self.relay_fraction = relay_fraction
         self.sparse_threshold = sparse_threshold
         self.rsu_range_m = rsu_range_m

@@ -9,11 +9,13 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from .errors import SynthesisFailed
-from .roads import RoadGraph
+from .eventlog import row_blocks
+from .roads import RoadGraph, SegmentTable, group_keys
 
 # invented fleet mix: one common and two rare lengths so length classification
 # has discriminating power
@@ -154,87 +156,134 @@ def synthesize_trips(
     return trips
 
 
-def trip_samples_with_edges(
-    g: RoadGraph, trip: Trip, step_s: float, end_s: float
-) -> TripSamples:
-    """Evaluate a trip on the global step lattice (integer deciseconds) up
-    to end_s, the run's end, keeping the edge each sample falls on.
+class FleetSamples(NamedTuple):
+    """Trips sampled on the tick lattice, one row per sample: the trip's
+    index among those sampled (trip), time, position, speed and heading
+    columns, and edge, the row's index into its trip's edge_ids. The trips
+    come in the order given, each one's rows in time order."""
 
-    The vehicle advances along each edge polyline at that edge's speed; the
-    last sample falls strictly before arrival, and at or before end_s, so
-    no tick past the run is built. Positions and headings are those of
-    roads.point_along at each sample's arc offset, bit for bit: the same
-    float operations, evaluated for all samples in one numpy pass.
+    trip: np.ndarray
+    t: np.ndarray
+    x: np.ndarray
+    y: np.ndarray
+    speed: np.ndarray
+    heading: np.ndarray
+    edge: np.ndarray
+
+
+def sample_trips(
+    g: RoadGraph, trips: Sequence[Trip], step_s: float, end_s: float
+) -> FleetSamples:
+    """Evaluate every trip on the global step lattice (integer deciseconds)
+    up to end_s, the run's end, keeping the edge each sample falls on.
+
+    A vehicle advances along each edge polyline at that edge's speed; a
+    trip's last sample falls strictly before its arrival, and at or before
+    end_s, so no tick past the run is built. Positions and headings are
+    those of roads.point_along at each sample's arc offset, bit for bit:
+    the same float operations, evaluated for every sample of every trip in
+    one numpy pass, a row block at a time. A trip costs Python scalars
+    only: its edges' start times and the count of its ticks.
     """
     step_ds = round(step_s * 10)
     if step_ds < 1 or abs(step_ds - step_s * 10) > 1e-9:
         raise ValueError("step must be a positive decisecond multiple")
-    # cumulative (start_elapsed, speed) schedule, one entry per edge
-    starts: list[float] = []
-    elapsed = 0.0
-    for eid, speed in zip(trip.edge_ids, trip.speeds_mps):
-        starts.append(elapsed)
-        elapsed += g.edges[eid].length / speed
-    total = elapsed
-    # the lattice ticks from the first at or after departure to the last at
-    # or before end_s, counted in Python ints. t - departure grows with the
-    # tick, so the samples before arrival are a prefix; two ticks past
-    # total * 10 / step_ds always reach it
-    lead, last = trip.departure_s * 10 / step_ds, round(end_s * 10) // step_ds
-    first = math.ceil(lead) if lead <= last else last + 1
-    count = last - first + 1
-    if total * 10 / step_ds < count:
-        count = min(count, math.floor(total * 10 / step_ds) + 3)
-    ticks = first * step_ds + step_ds * np.arange(count)
-    t = ticks / 10.0
-    dt = t - trip.departure_s
-    n = int(np.searchsorted(dt, total, side="left"))
-    t, dt = t[:n], dt[:n]
-    # the last edge whose start is at or before dt
-    edge = np.searchsorted(np.array(starts[1:]), dt, side="right")
-    speed = np.array(trip.speeds_mps)[edge]
-    off = (dt - np.array(starts)[edge]) * speed
-    x, y, heading = points_along(g, trip.edge_ids, edge, off)
-    return TripSamples(trip.vehicle_id, trip.edge_ids, t, x, y, speed, heading, edge)
+    table = g.segments()
+    last = round(end_s * 10) // step_ds
+    # per trip: its first tick (ds), departure, sample count and first
+    # edge's place among the edges of every trip; per such edge: its start
+    # time since departure, speed and graph edge. bounds are the starts
+    # after each trip's first, keyed by (trip, start) to find each
+    # sample's edge
+    first_ds, departure, count, edge_lo = [], [], [], []
+    start, speed, graph_edge, bound_trip, bound = [], [], [], [], []
+    for i, trip in enumerate(trips):
+        edge_lo.append(len(start))
+        elapsed = 0.0
+        for j, (eid, v) in enumerate(zip(trip.edge_ids, trip.speeds_mps)):
+            if j:
+                bound.append(elapsed)
+                bound_trip.append(i)
+            start.append(elapsed)
+            speed.append(v)
+            graph_edge.append(table.index[eid])
+            elapsed += g.edges[eid].length / v
+        # the lattice ticks from the first at or after departure to the
+        # last at or before end_s, counted in Python ints. t - departure
+        # grows with the tick, so the samples before arrival are a prefix,
+        # which two ticks past elapsed * 10 / step_ds always reach
+        lead = trip.departure_s * 10 / step_ds
+        first = math.ceil(lead) if lead <= last else last + 1
+        n = last - first + 1
+        if elapsed * 10 / step_ds < n:
+            n = min(n, math.floor(elapsed * 10 / step_ds) + 3)
+        while n and (first + n - 1) * step_ds / 10.0 - trip.departure_s >= elapsed:
+            n -= 1
+        first_ds.append(first * step_ds)
+        departure.append(trip.departure_s)
+        count.append(n)
+
+    counts = np.array(count, dtype=np.int64)
+    trip_of = np.repeat(np.arange(counts.size, dtype=np.int32), counts)
+    row_lo = np.cumsum(counts) - counts
+    first_ds = np.array(first_ds, dtype=np.int64)
+    departure = np.array(departure, dtype=np.float64)
+    edge_lo = np.array(edge_lo, dtype=np.int64)
+    # trip i's bounds follow those of the trips before it, edge_lo[i] - i
+    bound_lo = edge_lo - np.arange(edge_lo.size)
+    bound_key = group_keys(np.array(bound_trip, dtype=np.float64), np.array(bound))
+    start = np.array(start, dtype=np.float64)
+    speed = np.array(speed, dtype=np.float64)
+    graph_edge = np.array(graph_edge, dtype=np.int64)
+    rows = trip_of.size
+    t, x, y, v, heading = (np.empty(rows) for _ in range(5))
+    edge = np.empty(rows, dtype=np.int32)
+    for a, b in row_blocks(rows):
+        i = trip_of[a:b]
+        ts = (first_ds[i] + step_ds * (np.arange(a, b) - row_lo[i])) / 10.0
+        dt = ts - departure[i]
+        # the last edge whose start is at or before dt
+        k = np.searchsorted(bound_key, group_keys(i, dt), side="right") - bound_lo[i]
+        at = edge_lo[i] + k
+        off = (dt - start[at]) * speed[at]
+        x[a:b], y[a:b], heading[a:b] = points_along(table, graph_edge[at], off)
+        t[a:b], v[a:b], edge[a:b] = ts, speed[at], k
+    return FleetSamples(trip_of, t, x, y, v, heading, edge)
+
+
+def trip_samples_with_edges(
+    g: RoadGraph, trip: Trip, step_s: float, end_s: float
+) -> TripSamples:
+    """One trip's samples: sample_trips for that trip alone."""
+    s = sample_trips(g, (trip,), step_s, end_s)
+    return TripSamples(
+        trip.vehicle_id, trip.edge_ids, s.t, s.x, s.y, s.speed, s.heading, s.edge
+    )
 
 
 def points_along(
-    g: RoadGraph, edge_ids: tuple[str, ...], edge: np.ndarray, off: np.ndarray
+    table: SegmentTable, edge: np.ndarray, off: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """roads.point_along(g.edges[edge_ids[edge[i]]].shape, off[i]) for every
-    sample i, as x, y and heading columns.
+    """roads.point_along on graph edge edge[i] (its place in table) at
+    offset off[i], for every i, as x, y and heading columns.
 
     point_along walks to the first segment whose end run + seg reaches the
     offset. The ends are non-decreasing along a polyline, and for a positive
     offset the first end that reaches it closes a segment of nonzero length,
-    so that segment is the count of ends below the offset. An offset at or
-    below zero takes the polyline's first point, one past its last end its
-    last point.
+    so that segment is the count of the edge's ends below the offset. An
+    offset at or below zero takes the polyline's first point, one past its
+    last end its last point.
     """
-    # one row per polyline segment of the trip's edges, padded to the
-    # longest polyline with ends of inf
-    shapes = [g.edges[eid].shape for eid in edge_ids]
-    table = np.zeros((len(shapes), max(len(s) for s in shapes) - 1, 8))
-    table[:, :, 6] = math.inf
-    for e, shape in enumerate(shapes):
-        run = 0.0
-        for i, ((ax, ay), (bx, by)) in enumerate(zip(shape, shape[1:])):
-            seg = math.hypot(bx - ax, by - ay)
-            table[e, i] = (
-                ax, ay, bx, by, run, seg, run + seg, math.atan2(by - ay, bx - ax)
-            )
-            run += seg
-    ax, ay, bx, by, run, seg_len, ends, head = np.moveaxis(table, 2, 0)
-    last = np.array([len(s) - 2 for s in shapes])[edge]
-    k = np.count_nonzero(ends[edge] < off[:, None], axis=1)
+    lo, last = table.lo[edge], table.last[edge]
+    k = np.searchsorted(table.key, group_keys(edge, off), side="left") - lo
     past_end = k > last
-    at = (edge, np.minimum(k, last))
-    ax, ay, bx, by = ax[at], ay[at], bx[at], by[at]
+    at = lo + np.minimum(k, last)
+    ax, ay, bx, by = table.ax[at], table.ay[at], table.bx[at], table.by[at]
     # a zero-length segment is only ever picked for the clamped ends
     with np.errstate(divide="ignore", invalid="ignore"):
-        frac = (off - run[at]) / seg_len[at]
+        frac = (off - table.run[at]) / table.seg[at]
         x = np.where(past_end, bx, ax + frac * (bx - ax))
         y = np.where(past_end, by, ay + frac * (by - ay))
     before = off <= 0
     x[before], y[before] = ax[before], ay[before]
-    return x, y, head[at]
+    return x, y, table.head[at]

@@ -28,6 +28,9 @@ import json
 import math
 from collections import deque
 from dataclasses import dataclass
+from typing import NamedTuple
+
+import numpy as np
 
 from .errors import OffNetwork
 
@@ -71,6 +74,37 @@ def point_along(shape: tuple[Point, ...], offset: float) -> tuple[float, float, 
     ax, ay = shape[-2]
     bx, by = shape[-1]
     return bx, by, math.atan2(by - ay, bx - ax)
+
+
+def group_keys(group: np.ndarray, value: np.ndarray) -> np.ndarray:
+    """Each (group, value) pair as one complex number, group the real part
+    and value the imaginary part, set exactly. numpy orders complex numbers
+    lexicographically, so keys sorted by group and then by value are sorted,
+    and searchsorted finds a value's place within its own group. A NaN
+    value sorts past every group, so values must not be NaN."""
+    key = np.empty(np.shape(value), dtype=np.complex128)
+    key.real, key.imag = group, value
+    return key
+
+
+class SegmentTable(NamedTuple):
+    """Every edge's polyline segments as flat columns, edges in the
+    graph's order (index[eid] is an edge's place e) and each edge's
+    segments lo[e] to lo[e] + last[e] in order along it: start (ax, ay),
+    end (bx, by), arc offset of the start (run), length (seg), heading
+    (head), and key, group_keys(e, run + seg), sorted."""
+
+    index: dict[str, int]
+    lo: np.ndarray
+    last: np.ndarray
+    key: np.ndarray
+    ax: np.ndarray
+    ay: np.ndarray
+    bx: np.ndarray
+    by: np.ndarray
+    run: np.ndarray
+    seg: np.ndarray
+    head: np.ndarray
 
 
 def project_to_polyline(shape: tuple[Point, ...], p: Point) -> tuple[float, float]:
@@ -225,6 +259,7 @@ class RoadGraph:
         }
         # (start lane, zone edge ids) -> lanes_via's answer
         self._lanes_via: dict[tuple[str, frozenset[str]], frozenset[str]] = {}
+        self._segments: SegmentTable | None = None
         self._snap_cells = _snap_cells(self.edges.values())
         # (x, y, heading) -> snap's answer, or OffNetwork's message
         self._snaps: dict[tuple, tuple[str, float] | str] = {}
@@ -329,6 +364,31 @@ class RoadGraph:
 
     def next_edges(self, eid: str) -> tuple[str, ...]:
         return self._next[eid]
+
+    def segments(self) -> SegmentTable:
+        """The graph's segment table, built on the first call and kept.
+        Each row holds the values roads.point_along computes for that
+        segment, by the same float operations."""
+        if self._segments is None:
+            rows, owner, lo, last = [], [], [], []
+            for e, shape in enumerate(x.shape for x in self.edges.values()):
+                lo.append(len(rows))
+                last.append(len(shape) - 2)
+                owner += [e] * (len(shape) - 1)
+                run = 0.0
+                for (ax, ay), (bx, by) in zip(shape, shape[1:]):
+                    seg = math.hypot(bx - ax, by - ay)
+                    rows.append((ax, ay, bx, by, run, seg, run + seg,
+                                 math.atan2(by - ay, bx - ax)))
+                    run += seg
+            ax, ay, bx, by, run, seg, end, head = np.array(rows).reshape(-1, 8).T.copy()
+            self._segments = SegmentTable(
+                {eid: e for e, eid in enumerate(self.edges)},
+                np.array(lo, dtype=np.int64), np.array(last, dtype=np.int64),
+                group_keys(np.array(owner, dtype=np.float64), end),
+                ax, ay, bx, by, run, seg, head,
+            )
+        return self._segments
 
     def lanes_via(self, start_edge: str, zone_edges: frozenset[str]) -> frozenset[str]:
         """Every lane a directed path from start_edge's head reaches after

@@ -9,7 +9,7 @@ at the RSU, so resolution queries the RSU directory rather than a local copy.
 from __future__ import annotations
 
 import random
-from typing import Mapping, Protocol
+from typing import Mapping, Protocol, Sequence
 
 from .chaff_filter import ChaffFilter, new_filter
 from .core import Credential, CredentialKind, SignedEnvelope, verify
@@ -32,6 +32,41 @@ class AssignmentSource(Protocol):
     def assigned_pseudonym(self, chaff_id: bytes) -> bytes | None: ...
 
 
+class ChaffBatch(Sequence[Credential]):
+    """One provisioning batch of chaff credentials, minted on demand: the
+    ids in draw order, all with one validity window. Each credential is
+    built when it is indexed, iterated or popped, so a pool pays only for
+    the chaff a run hands out. Compares equal to a sequence of the same
+    credentials."""
+
+    def __init__(self, ids: list[bytes], valid_from: float, valid_to: float) -> None:
+        self.ids = ids
+        self.valid_from = valid_from
+        self.valid_to = valid_to
+
+    def credential(self, chaff_id: bytes) -> Credential:
+        return Credential(
+            chaff_id, CredentialKind.CHAFF_PSEUDONYM, "pca", None,
+            self.valid_from, self.valid_to,
+        )
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def __getitem__(self, i: int) -> Credential:
+        return self.credential(self.ids[i])
+
+    def pop(self, i: int = -1) -> Credential:
+        return self.credential(self.ids.pop(i))
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Sequence):
+            return NotImplemented
+        return list(self) == list(other)
+
+    __hash__ = None
+
+
 class CredentialAuthority:
     """Issues pseudonyms and chaff, owns per-RSU filters, resolves identities."""
 
@@ -48,7 +83,8 @@ class CredentialAuthority:
         self._rsus: set[str] = set()
         self._issued: dict[bytes, str] = {}
         self._chaff_rsu: dict[bytes, str] = {}
-        self._chaff_credentials: dict[bytes, Credential] = {}
+        # the batch that mints each chaff id's credential
+        self._chaff_credentials: dict[bytes, ChaffBatch] = {}
         self._retired_at: dict[bytes, float] = {}
         self._filters: dict[str, ChaffFilter] = {}
 
@@ -90,7 +126,7 @@ class CredentialAuthority:
 
     def provision_chaff(
         self, rsu_id: str, count: int, valid_from: float, valid_to: float
-    ) -> list[Credential]:
+    ) -> ChaffBatch:
         """Mint chaff for one RSU and fold the ids into that RSU's filter.
 
         The batch is atomic: a filter saturation rolls back the partial batch
@@ -100,7 +136,8 @@ class CredentialAuthority:
         count draws of one id, and are hashed in one pass. Where an id of
         the draw repeats or is already issued, the batch is minted id by
         id instead, as _fresh_id draws again past such an id; a failed
-        batch leaves the draws up to its failed id taken, as id by id.
+        batch leaves the draws up to its failed id taken, as id by id. The
+        credentials themselves are built on demand (ChaffBatch).
         """
         if rsu_id not in self._rsus:
             raise NotRegistered(f"RSU {rsu_id} has no registration")
@@ -115,27 +152,23 @@ class CredentialAuthority:
             ids = located = None
         else:
             located = filt.locate_many(blob, ID_BYTES)
-        batch: list[Credential] = []
+        batch = ChaffBatch([], valid_from, valid_to)
         try:
             for i in range(count):
-                cred = Credential(
-                    self._fresh_id() if ids is None else ids[i],
-                    CredentialKind.CHAFF_PSEUDONYM,
-                    "pca",
-                    None,
-                    valid_from,
-                    valid_to,
-                )
+                cid = self._fresh_id() if ids is None else ids[i]
+                if not valid_from < valid_to:
+                    # as the credential itself would refuse it
+                    raise ValueError("valid_from must precede valid_to")
                 if ids is None or not filt.place(*located[i]):
-                    filt.insert(cred.id)
-                self._chaff_rsu[cred.id] = rsu_id
-                self._chaff_credentials[cred.id] = cred
-                batch.append(cred)
+                    filt.insert(cid)
+                self._chaff_rsu[cid] = rsu_id
+                self._chaff_credentials[cid] = batch
+                batch.ids.append(cid)
         except Exception:
-            for cred in batch:
-                filt.remove(cred.id)
-                del self._chaff_rsu[cred.id]
-                del self._chaff_credentials[cred.id]
+            for cid in batch.ids:
+                filt.remove(cid)
+                del self._chaff_rsu[cid]
+                del self._chaff_credentials[cid]
             if ids is not None:
                 self._rng.setstate(state)
                 self._rng.randbytes(ID_BYTES * (len(batch) + 1))
@@ -150,7 +183,7 @@ class CredentialAuthority:
             raise UnknownChaff(f"no chaff ledger entry for {chaff_id.hex()}")
         if chaff_id in self._retired_at:
             raise AlreadyRetired(f"chaff {chaff_id.hex()} already retired")
-        cred = self._chaff_credentials[chaff_id]
+        cred = self._chaff_credentials[chaff_id].credential(chaff_id)
         if not verify(request, cred, now=now):
             raise AuthFailure("retire request signature does not verify")
         rsu_id = self._chaff_rsu[chaff_id]

@@ -37,7 +37,8 @@ from decoymix.engine import (
     run,
 )
 from decoymix.errors import ConfigError, NoResponder
-from decoymix.eventlog import OBSERVATION_HEADER
+from decoymix.eventlog import OBSERVATION_HEADER, count_type
+from decoymix.metrics import PEER_QUERY_BYTES
 from decoymix.mixzone import ADVERT_PAYLOAD_BYTES, DecoyPlan, MixZoneController
 from decoymix.mobility import Trip, synthesize_trips, trip_samples_with_edges
 from decoymix.roads import Edge, RoadGraph, make_grid, polyline_length
@@ -526,6 +527,40 @@ def test_stream_poses_are_the_phantom_trips_samples_bit_for_bit(case):
     assert got.view(np.int64).tolist() == (
         np.array(list(want.values()), dtype=np.float64).reshape(-1, 4).view(np.int64).tolist()
     )
+
+
+def test_count_type_takes_int64_at_or_above_2_31():
+    assert count_type(0) is count_type(2**31 - 1) is np.int32
+    assert count_type(2**31) is count_type(2**62) is np.int64
+
+
+def test_reception_counters_widen_to_int64_only_past_their_bound(monkeypatch):
+    # the multi-zone run's counters take int32 under a bound that holds
+    # every counter and a slot's peer queries priced in bytes; a bound of
+    # 2**31 takes int64, with the same counts and the same events.jsonl
+    bounds = []
+    real = _Run._counter_bound
+
+    def cell(bound=None):
+        def counter_bound(run_state):
+            bounds.append(real(run_state))
+            return bounds[-1] if bound is None else bound
+
+        with monkeypatch.context() as m:
+            m.setattr(_Run, "_counter_bound", counter_bound)
+            result = run(test_golden.multi_zone_config())
+        buf = io.StringIO()
+        result.export_events(buf)
+        return result.log.receptions, buf.getvalue()
+
+    narrow, narrow_text = cell()
+    wide, wide_text = cell(2**31)
+    assert narrow.counts.dtype == np.int32 and wide.counts.dtype == np.int64
+    assert narrow.counts.size and bounds[0] == bounds[1] < 2**31
+    assert narrow.counts.max() <= bounds[0]
+    assert narrow.count("peer_queries").max() * PEER_QUERY_BYTES <= bounds[0]
+    np.testing.assert_array_equal(narrow.counts, wide.counts)
+    assert narrow_text == wide_text
 
 
 def test_baseline_run_emits_no_decoys(grid4):

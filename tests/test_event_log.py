@@ -694,10 +694,13 @@ def _column_bytes(log) -> int:
 
 
 # each stage's tracemalloc rise above its start, bounded by a fraction of
-# the log's column bytes. On the multi-zone golden run the stages rise
-# 0.62, 0.43, 0.66 and 0.49 of them; before the wrap-up read vehicle
-# beacons from the pose rows and the fold and the writer worked in row
-# blocks of narrow codes, they rose 1.33, 0.77, 1.01 and 1.68
+# the log's column bytes. On the multi-zone golden run the stages rise 0.82,
+# 0.45, 0.66 and 0.65 of them. When the reception counters took int32 and
+# four message columns their narrowest dtype, the column bytes fell from
+# 1.66 to 1.26 MB and the rises held or fell; the ratios were 0.62, 0.41,
+# 0.66 and 0.49. Before the wrap-up read vehicle beacons from the pose rows
+# and the fold and the writer worked in row blocks of narrow codes, they
+# were 1.33, 0.77, 1.01 and 1.68
 _STAGE_RISE_BOUNDS = (
     (engine._Run, "finish", 0.9),
     (EventLogBuilder, "finish", 0.6),

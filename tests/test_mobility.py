@@ -8,10 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from decoymix import eventlog
 from decoymix.errors import SynthesisFailed
 from decoymix.mobility import (
     TraceSample,
     Trip,
+    sample_trips,
     synthesize_trips,
     trip_samples_with_edges,
     validate_trip,
@@ -233,3 +235,71 @@ def test_a_crawling_trip_is_sampled_up_to_the_end_only(grid4):
     samples = trip_samples_with_edges(grid4, trip, 0.5, 60.0)
     assert samples.t.tolist() == [k / 2 for k in range(7, 121)]
     assert 0.0 < samples.x.max() < 1e-290
+
+
+def _fleet_bits(s):
+    """The fleet columns' bits: trip, edge and each float column as its
+    bit pattern."""
+    floats = np.stack([s.t, s.x, s.y, s.speed, s.heading]).view(np.int64)
+    return s.trip.tolist(), s.edge.tolist(), floats.tolist()
+
+
+def _assert_fleet_is_the_trips_concatenated(g, fleet, step_s, end_s):
+    got = sample_trips(g, fleet, step_s, end_s)
+    per_trip = [trip_samples_with_edges(g, trip, step_s, end_s) for trip in fleet]
+    trip = np.repeat(np.arange(len(fleet)), [len(s) for s in per_trip])
+    want = type(got)(trip, *(
+        np.concatenate([getattr(s, f) for s in per_trip]) if fleet else np.empty(0)
+        for f in ("t", "x", "y", "speed", "heading", "edge")
+    ))
+    assert _fleet_bits(got) == _fleet_bits(want)
+
+
+@st.composite
+def _chain_fleets(draw):
+    """A chain of edges from _chain_trips and a fleet along it: runs of its
+    edges of mixed lengths, each with its own speeds and departure, some
+    crawling and some departing past any end."""
+    g, trip, step_s = draw(_chain_trips())
+    edges, fleet = trip.edge_ids, []
+    for k in range(draw(st.integers(0, 6))):
+        lo = draw(st.integers(0, len(edges) - 1))
+        hi = draw(st.integers(lo + 1, len(edges)))
+        speeds = tuple(
+            draw(st.sampled_from([0.5, 2.0, 1e-300]) | st.floats(0.3, 25.0))
+            for _ in range(hi - lo)
+        )
+        departure = draw(
+            st.sampled_from([trip.departure_s, 1e300]) | st.floats(0.0, 40.0)
+        )
+        fleet.append(Trip(f"v{k}", departure, edges[lo:hi], speeds, 4.5))
+    return g, fleet, step_s
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(
+    case=_chain_fleets(),
+    # ends that crawling trips reach in a few thousand ticks
+    end_s=st.sampled_from([5.0, 30.0, 120.0]),
+    block=st.sampled_from([1, 7, eventlog.ROW_BLOCK]),
+)
+def test_one_pass_over_a_fleet_is_each_trip_sampled_alone_bit_for_bit(
+    case, end_s, block
+):
+    # the fleet's rows are its trips' samples in the order given, each trip
+    # the same bits as sampled alone, wherever the row blocks cut
+    g, fleet, step_s = case
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(eventlog, "ROW_BLOCK", block)
+        _assert_fleet_is_the_trips_concatenated(g, fleet, step_s, end_s)
+
+
+@pytest.mark.parametrize("fleet", ["none", "mixed"])
+def test_one_pass_takes_an_empty_fleet_and_late_and_crawling_trips(grid4, fleet):
+    trips = [] if fleet == "none" else [
+        Trip("v0", 3.14, ("j0_0__j0_1", "j0_1__j0_2"), (10.0, 7.5), 4.5),
+        Trip("v1", 1e300, ("j0_0__j0_1",), (10.0,), 4.5),
+        Trip("v2", 3.14, ("j0_0__j0_1",), (1e-300,), 4.5),
+        Trip("v3", 0.0, ("j0_1__j0_2",), (12.0,), 4.5),
+    ]
+    _assert_fleet_is_the_trips_concatenated(grid4, trips, 0.5, 60.0)

@@ -14,6 +14,7 @@ from decoymix.errors import (
     NotRegistered,
     UnknownChaff,
 )
+from decoymix import vpki
 from decoymix.vpki import ID_BYTES, CredentialAuthority
 
 
@@ -84,6 +85,25 @@ def test_overfull_provision_raises_and_rolls_back():
     assert ca.filter_for("rsu_1").item_count == 0
     batch = ca.provision_chaff("rsu_1", 10, 0.0, 3600.0)
     assert len(batch) == 10
+
+
+def test_chaff_credentials_are_built_only_when_handed_out(monkeypatch):
+    ca = _authority()
+    built = []
+    monkeypatch.setattr(
+        vpki, "Credential", lambda *a: built.append(a[0]) or Credential(*a)
+    )
+    batch = ca.provision_chaff("rsu_1", 50, 0.0, 3600.0)
+    ids = list(batch.ids)
+    assert built == [] and len(batch) == 50
+    assert batch.pop(0).id == ids[0] and batch[-1].id == ids[-1]
+    assert built == [ids[0], ids[-1]] and len(batch) == 49
+    assert [c.id for c in batch] == ids[1:]
+    # a popped credential still retires: the authority mints its twin
+    ca.retire_chaff(sign(b"retire", Credential(
+        ids[0], CredentialKind.CHAFF_PSEUDONYM, "pca", None, 0.0, 3600.0
+    ), now=1.0), now=1.0)
+    assert not ca.filter_for("rsu_1").contains(ids[0])
 
 
 def _provision_id_by_id(ca, rsu_id, count, valid_from, valid_to):
